@@ -19,7 +19,42 @@ independent brute-force oracles; ``spd-sheaf`` (see :mod:`spdsheaf.cli`)
 exposes everything on the command line.
 """
 
-from .spd import (
+import os as _os
+
+#: Environment variable capping internal (BLAS) parallelism.
+THREAD_ENV = "SPD_SHEAF_THREADS"
+
+
+def thread_cap() -> int | None:
+    """The thread cap in ``SPD_SHEAF_THREADS``: None when unset.
+
+    Raises ValueError when the value is not a positive integer.
+    """
+    raw = _os.environ.get(THREAD_ENV)
+    if raw is None:
+        return None
+    cap = int(raw)
+    if cap < 1:
+        raise ValueError(f"{THREAD_ENV} must be positive, got {cap}")
+    return cap
+
+
+def _cap_blas_threads():
+    # BLAS libraries read their thread counts once, when numpy loads them, so
+    # this runs before the first numpy import below. An invalid value is left
+    # for the command line to report with exit code 2.
+    try:
+        cap = thread_cap()
+    except ValueError:
+        return
+    if cap is not None:
+        for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+            _os.environ.setdefault(var, str(cap))
+
+
+_cap_blas_threads()
+
+from .spd import (  # noqa: E402
     EIG_FLOOR,
     SpectralDecomp,
     as_orth,
@@ -46,7 +81,7 @@ from .spd import (
     tg_re_eig,
     vec_to_sym,
 )
-from .sheaf import (
+from .sheaf import (  # noqa: E402
     SheafGraph,
     adjoint,
     coboundary,
@@ -59,7 +94,7 @@ from .sheaf import (
     laplacian,
     sheaf_index,
 )
-from .euclid import (
+from .euclid import (  # noqa: E402
     EuclidSheaf,
     check_kernel_correspondence,
     embed_phi,
@@ -68,7 +103,7 @@ from .euclid import (
     matched_spd_sheaf,
     strictness_witness,
 )
-from .stream import (
+from .stream import (  # noqa: E402
     LayerParams,
     PointCloud,
     RankTrace,
@@ -84,7 +119,7 @@ from .stream import (
     sheaf_learner,
     spd_sheaf_layer,
 )
-from .covgraph import Segment, TFGraphConfig, build_tf_graph, segment_covariance
-from .verify import SuiteConfig, Verdict, run_suite
+from .covgraph import Segment, TFGraphConfig, build_tf_graph, segment_covariance  # noqa: E402
+from .verify import SuiteConfig, Verdict, run_suite  # noqa: E402
 
 __version__ = "0.1.0"

@@ -15,7 +15,7 @@ import sys
 
 import numpy as np
 
-from . import jsonio, verify
+from . import THREAD_ENV, jsonio, thread_cap, verify
 from .covgraph import TFGraphConfig, build_tf_graph
 from .errors import DomainError, InvalidInputError, NotApplicableError, ParseError
 from .sheaf import (
@@ -34,22 +34,13 @@ from .stream import (
     planarity_experiment,
 )
 
-_THREAD_ENV = "SPD_SHEAF_THREADS"
-
-
-def _apply_thread_cap():
-    """Best-effort cap on internal (BLAS) parallelism via SPD_SHEAF_THREADS."""
-    raw = os.environ.get(_THREAD_ENV)
-    if raw is None:
-        return
+def _check_thread_cap():
+    """Reject an invalid SPD_SHEAF_THREADS; importing the package applied a valid one."""
     try:
-        cap = int(raw)
-        if cap < 1:
-            raise ValueError
+        thread_cap()
     except ValueError:
-        raise InvalidInputError(f"{_THREAD_ENV} must be a positive integer, got {raw!r}")
-    for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-        os.environ.setdefault(var, str(cap))
+        raise InvalidInputError(
+            f"{THREAD_ENV} must be a positive integer, got {os.environ[THREAD_ENV]!r}") from None
 
 
 def _write_or_print(text: str, path: str | None):
@@ -278,7 +269,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        _apply_thread_cap()
+        _check_thread_cap()
         return args.func(args)
     except (ParseError, FileNotFoundError, IsADirectoryError, PermissionError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -125,9 +125,13 @@ class SheafGraph:
 
 def _check_cochain0(sheaf: SheafGraph, sigma: Cochain0) -> np.ndarray:
     """Stack a 0-cochain into a (|V|, n, n) array in vertex order."""
-    n = sheaf.n_stalk
-    out = np.empty((sheaf.n_vertices, n, n))
-    for i, v in enumerate(sheaf.vertices):
+    return _stack_cochain0(sheaf.vertices, sheaf.n_stalk, sigma)
+
+
+def _stack_cochain0(vertices: Sequence, n: int, sigma: Cochain0) -> np.ndarray:
+    """Stack the values of `sigma` at `vertices`, in that order, as (|V|, n, n)."""
+    out = np.empty((len(vertices), n, n))
+    for i, v in enumerate(vertices):
         if v not in sigma:
             raise InvalidInputError(f"cochain is missing vertex {v!r}")
         X = np.asarray(sigma[v], dtype=np.float64)
@@ -294,11 +298,19 @@ def cochain0_from_vec(sheaf: SheafGraph, vec) -> dict:
 
 
 def nullspace(A: np.ndarray, tol: float = NULL_TOL) -> np.ndarray:
-    """Orthonormal nullspace basis (columns) via SVD with a relative cutoff."""
+    """Orthonormal nullspace basis (columns) via SVD with a relative cutoff.
+
+    The cutoff is ``tol * max(sigma_max, 1)``. The floor at 1 matters when
+    A is zero up to rounding, as for the conjugation-minus-identity
+    operators of identity holonomies: relative to a sigma_max near 1e-16,
+    rounding noise would count as rank. Every operator passed here has unit
+    scale (orthogonal conjugations) or sigma_max >= sqrt(2) (a coboundary
+    with at least one edge), so the floor changes no other cutoff.
+    """
     if A.shape[0] == 0:
         return np.eye(A.shape[1])
     _, s, Vh = np.linalg.svd(A)
-    rank = int(np.sum(s > tol * s[0])) if s.size else 0
+    rank = int(np.sum(s > tol * max(s[0], 1.0))) if s.size else 0
     return Vh[rank:].T.copy()
 
 

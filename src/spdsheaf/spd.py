@@ -50,21 +50,33 @@ class SpectralDecomp(NamedTuple):
 # validated constructors
 
 
-def _square(A, name: str = "matrix") -> np.ndarray:
+def _square_stack(A, name: str = "matrix") -> np.ndarray:
+    """Validated (..., n, n) stack of finite square matrices."""
     A = np.asarray(A, dtype=np.float64)
-    if A.ndim != 2 or A.shape[0] != A.shape[1]:
+    if A.ndim < 2 or A.shape[-1] != A.shape[-2]:
         raise InvalidInputError(f"{name} must be square, got shape {A.shape}")
     if not np.all(np.isfinite(A)):
         raise InvalidInputError(f"{name} has non-finite entries")
     return A
 
 
+def _square(A, name: str = "matrix") -> np.ndarray:
+    A = _square_stack(A, name)
+    if A.ndim != 2:
+        raise InvalidInputError(f"{name} must be square, got shape {A.shape}")
+    return A
+
+
 def as_sym(A) -> np.ndarray:
     """Validated symmetric matrix: checks asymmetry <= SYM_ATOL, symmetrizes."""
-    A = _square(A, "symmetric matrix")
-    if np.max(np.abs(A - A.T)) > SYM_ATOL:
+    return _checked_sym(_square(A, "symmetric matrix"))
+
+
+def _checked_sym(A: np.ndarray) -> np.ndarray:
+    """Symmetrize a square stack after checking its asymmetry is <= SYM_ATOL."""
+    if np.max(np.abs(A - np.swapaxes(A, -1, -2)), initial=0.0) > SYM_ATOL:
         raise InvalidInputError("matrix is not symmetric within tolerance")
-    return 0.5 * (A + A.T)
+    return _sym_part(A)
 
 
 def as_spd(A, floor: float = EIG_FLOOR) -> np.ndarray:
@@ -238,15 +250,18 @@ def congruence(M, P) -> np.ndarray:
 def cayley(S) -> np.ndarray:
     """Scaled Cayley transform ``(I - S/2)^{-1} (I + S/2)`` of a skew matrix.
 
+    Accepts one matrix or a (..., n, n) stack, each of which must be skew.
     The output is exactly orthogonal with determinant +1; for real skew input
     the resolvent is always nonsingular.
     """
-    S = _square(S, "skew matrix")
-    if np.max(np.abs(S + S.T)) > 1e-10 * (1.0 + np.max(np.abs(S))):
+    S = _square_stack(S, "skew matrix")
+    St = np.swapaxes(S, -1, -2)
+    asym = np.max(np.abs(S + St), axis=(-2, -1), initial=0.0)
+    scale = np.max(np.abs(S), axis=(-2, -1), initial=0.0)
+    if np.any(asym > 1e-10 * (1.0 + scale)):
         raise InvalidInputError("input is not skew-symmetric")
-    S = 0.5 * (S - S.T)
-    n = S.shape[0]
-    I = np.eye(n)
+    S = 0.5 * (S - St)
+    I = np.eye(S.shape[-1])
     try:
         return np.linalg.solve(I - 0.5 * S, I + 0.5 * S)
     except np.linalg.LinAlgError as exc:  # unreachable for real skew S
@@ -254,14 +269,19 @@ def cayley(S) -> np.ndarray:
 
 
 def skew_from_params(params, n: int) -> np.ndarray:
-    """Fill the strictly lower triangle with ``params`` and antisymmetrize."""
-    params = np.asarray(params, dtype=np.float64).ravel()
+    """Fill the strictly lower triangle with ``params`` and antisymmetrize.
+
+    A (..., n(n-1)/2) stack of parameter rows gives a (..., n, n) stack.
+    """
+    params = np.asarray(params, dtype=np.float64)
     k = n * (n - 1) // 2
-    if params.size != k:
-        raise InvalidInputError(f"expected {k} skew parameters for n={n}, got {params.size}")
-    L = np.zeros((n, n))
-    L[np.tril_indices(n, -1)] = params
-    return L - L.T
+    if params.ndim == 0 or params.shape[-1] != k:
+        raise InvalidInputError(
+            f"expected {k} skew parameters for n={n}, got shape {params.shape}")
+    L = np.zeros(params.shape[:-1] + (n, n))
+    il = np.tril_indices(n, -1)
+    L[..., il[0], il[1]] = params
+    return L - np.swapaxes(L, -1, -2)
 
 
 # ---------------------------------------------------------------------------
@@ -308,13 +328,18 @@ def erank(P) -> float:
 
     1 for nearly rank-one matrices, n for isotropic ones. Uses 0*log 0 = 0.
     """
-    w = np.linalg.eigvalsh(as_sym(P))
-    if np.min(w) < 0.0 or np.sum(w) <= 0.0:
+    return float(_erank_of_spectra(np.linalg.eigvalsh(as_sym(P))))
+
+
+def _erank_of_spectra(w: np.ndarray) -> np.ndarray:
+    """Effective ranks of a (..., n) stack of eigenvalue rows."""
+    total = np.sum(w, axis=-1, keepdims=True)
+    if np.min(w, initial=0.0) < 0.0 or np.any(total <= 0.0):
         raise DomainError("effective rank requires a PSD matrix with positive trace")
-    lam = w / np.sum(w)
+    lam = w / total
     nz = lam > 0.0
-    H = -float(np.sum(lam[nz] * np.log(lam[nz])))
-    return float(np.exp(H))
+    plogp = np.where(nz, lam * np.log(np.where(nz, lam, 1.0)), 0.0)
+    return np.exp(-np.sum(plogp, axis=-1))
 
 
 def clamp_spd(S, eps: float = EIG_FLOOR) -> np.ndarray:
@@ -341,8 +366,14 @@ def power_euclidean_mean(mats: Sequence[np.ndarray], theta: float) -> np.ndarray
     shapes = {np.asarray(m).shape for m in mats}
     if len(shapes) != 1:
         raise InvalidInputError("matrices must share a common dimension")
-    acc = np.mean([spd_power(m, theta) for m in mats], axis=0)
-    return spd_power(acc, 1.0 / theta)
+    stack = _square_stack(np.stack(mats), "SPD matrix")
+    if stack.ndim != 3:
+        raise InvalidInputError(f"SPD matrix must be square, got shape {stack.shape[1:]}")
+    w, V = _eigh_desc_stack(stack)
+    if np.min(w) <= 0.0:
+        raise DomainError("matrix power requires positive eigenvalues")
+    powers = _sym_part((V * (w**theta)[..., None, :]) @ np.swapaxes(V, -1, -2))
+    return spd_power(np.mean(powers, axis=0), 1.0 / theta)
 
 
 # ---------------------------------------------------------------------------

@@ -13,34 +13,40 @@ is a convex logistic readout on pooled descriptors.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
 
 from .errors import DomainError, InvalidInputError
-from .sheaf import SheafGraph, _check_cochain0, _laplacian_logs, diffusion_step
+from .sheaf import SheafGraph, _laplacian_logs, _stack_cochain0, diffusion_step
 from .spd import (
-    _expm_stack,
+    _checked_sym,
     _eigh_desc_stack,
+    _erank_of_spectra,
+    _expm_stack,
     _logm_stack,
+    _square,
+    _square_stack,
     cayley,
-    dist_lem,
-    erank,
     power_euclidean_mean,
     skew_from_params,
     spd_log,
     sym_dim,
+    sym_exp,
     sym_to_vec,
     vec_to_sym,
-    sym_exp,
 )
+
+# Pairs per block of the minimum pairwise distance: a block holds
+# _PAIR_BLOCK / N rows against N columns, so its memory does not grow with N.
+_PAIR_BLOCK = 1 << 15
 
 
 class PointCloud:
     """Vertex coordinates in R^3 plus an undirected edge list."""
 
-    __slots__ = ("ids", "points", "edges", "_index")
+    __slots__ = ("ids", "points", "edges", "_index", "_adj")
 
     def __init__(self, points, edges, ids=None):
         self.points = np.asarray(points, dtype=np.float64).reshape(-1, 3)
@@ -53,11 +59,14 @@ class PointCloud:
             raise InvalidInputError("one id per point required")
         self._index = {v: i for i, v in enumerate(self.ids)}
         self.edges = tuple((t, h) for t, h in edges)
+        self._adj = {v: [] for v in self.ids}
         for t, h in self.edges:
             if t not in self._index or h not in self._index:
                 raise InvalidInputError(f"edge ({t!r}, {h!r}) references unknown vertex")
             if t == h:
                 raise InvalidInputError(f"self-loop at vertex {t!r}")
+            self._adj[t].append(h)
+            self._adj[h].append(t)
 
     @property
     def n_points(self) -> int:
@@ -67,13 +76,8 @@ class PointCloud:
         return self._index[v]
 
     def neighbors(self, v):
-        out = []
-        for t, h in self.edges:
-            if t == v:
-                out.append(h)
-            elif h == v:
-                out.append(t)
-        return out
+        """Neighbours of v, one per incident edge, in edge order."""
+        return list(self._adj.get(v, ()))
 
 
 def knn_edges(points, k: int = 3) -> list[tuple[int, int]]:
@@ -177,9 +181,22 @@ def canonicalize(sigma: dict, frames: dict) -> dict:
     return {v: frames[v].T @ X @ frames[v] for v, X in sigma.items()}
 
 
+def _stack_values(vertices: list, sigma: dict) -> np.ndarray:
+    """Validated (|V|, n, n) stack of a cochain's finite square values, in vertex order."""
+    n = _square(next(iter(sigma.values())), "SPD matrix").shape[0] if sigma else 0
+    return _square_stack(_stack_cochain0(vertices, n, sigma), "SPD matrix")
+
+
 def node_features(sigma: dict) -> dict:
-    """Log-domain feature vector per vertex: vec_upper(log X), sqrt(2)-scaled."""
-    return {v: sym_to_vec(spd_log(X)) for v, X in sigma.items()}
+    """Log-domain feature vector per vertex: vec_upper(log X), sqrt(2)-scaled.
+
+    The values must share one shape; their logs are taken as one stack.
+    """
+    vertices = list(sigma)
+    if not vertices:
+        return {}
+    feats = sym_to_vec(_logm_stack(_stack_values(vertices, sigma)))
+    return dict(zip(vertices, feats))
 
 
 def unvectorize_feature(h, n: int) -> np.ndarray:
@@ -197,7 +214,8 @@ class LayerParams:
 
     The MLP maps concatenated endpoint features (2 * n(n+1)/2) through one
     tanh hidden layer to two heads of n(n-1)/2 skew parameters, one per
-    endpoint map.
+    endpoint map. ``isometry`` is ``learnable_isometry(w_q)``, computed once
+    at construction.
     """
 
     w_q: np.ndarray
@@ -205,6 +223,7 @@ class LayerParams:
     mlp_b1: np.ndarray
     mlp_w2: np.ndarray
     mlp_b2: np.ndarray
+    isometry: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         for name in ("w_q", "mlp_w1", "mlp_b1", "mlp_w2", "mlp_b2"):
@@ -218,6 +237,7 @@ class LayerParams:
         if self.mlp_w2.shape[0] != 2 * (n * (n - 1) // 2):
             raise InvalidInputError(
                 "sheaf MLP must emit n(n-1)/2 skew parameters per endpoint map")
+        object.__setattr__(self, "isometry", learnable_isometry(self.w_q))
 
     @property
     def n(self) -> int:
@@ -271,69 +291,72 @@ def learnable_isometry(W) -> np.ndarray:
 
 
 def sheaf_learner(params: LayerParams, h_u, h_v) -> tuple[np.ndarray, np.ndarray]:
-    """Orthogonal restriction maps for an edge from concatenated endpoint features.
+    """Orthogonal restriction maps for edges from concatenated endpoint features.
 
-    One hidden-layer MLP produces two heads of skew parameters; each head is
-    antisymmetrized into S and mapped through the Cayley transform, so both
-    outputs are exactly orthogonal. Zero weights give identity maps.
+    ``h_u`` and ``h_v`` are one feature vector each, giving one (n, n) map
+    per endpoint, or (E, f) stacks with one row per edge, giving (E, n, n)
+    map stacks. One hidden-layer MLP produces two heads of skew parameters;
+    each head is antisymmetrized into S and mapped through the Cayley
+    transform, so both outputs are exactly orthogonal. Zero weights give
+    identity maps.
     """
-    h_u = np.asarray(h_u, dtype=np.float64).ravel()
-    h_v = np.asarray(h_v, dtype=np.float64).ravel()
-    z = np.concatenate([h_u, h_v])
-    if z.size != params.mlp_w1.shape[1]:
+    h_u = np.asarray(h_u, dtype=np.float64)
+    h_v = np.asarray(h_v, dtype=np.float64)
+    if h_u.ndim not in (1, 2) or h_u.shape[:-1] != h_v.shape[:-1] or h_u.ndim != h_v.ndim:
         raise InvalidInputError(
-            f"feature dimension mismatch: got {z.size}, expected {params.mlp_w1.shape[1]}")
-    hidden = np.tanh(params.mlp_w1 @ z + params.mlp_b1)
-    logits = params.mlp_w2 @ hidden + params.mlp_b2
+            "endpoint features must be two vectors or two (E, f) stacks, "
+            f"got shapes {h_u.shape} and {h_v.shape}")
+    z = np.concatenate([h_u, h_v], axis=-1)
+    if z.shape[-1] != params.mlp_w1.shape[1]:
+        raise InvalidInputError(
+            f"feature dimension mismatch: got {z.shape[-1]}, expected {params.mlp_w1.shape[1]}")
+    hidden = np.tanh(z @ params.mlp_w1.T + params.mlp_b1)
+    logits = hidden @ params.mlp_w2.T + params.mlp_b2
     n = params.n
-    k = n * (n - 1) // 2
-    M_tail = cayley(skew_from_params(logits[:k], n))
-    M_head = cayley(skew_from_params(logits[k:], n))
-    return M_tail, M_head
+    heads = logits.reshape(logits.shape[:-1] + (2, n * (n - 1) // 2))
+    maps = cayley(skew_from_params(heads, n))
+    return maps[..., 0, :, :], maps[..., 1, :, :]
 
 
 # ---------------------------------------------------------------------------
 # the convolution layer
 
 
-def _edge_maps_from_features(edges, feats, params) -> list:
-    return [sheaf_learner(params, feats[t], feats[h]) for t, h in edges]
-
-
 def spd_sheaf_layer(topology, sigma: dict, params: LayerParams,
-                    tg_delta: float = 0.1) -> tuple[dict, "TraceRow"]:
-    """One SPD sheaf convolution layer.
+                    tg_delta: float = 0.1) -> dict:
+    """One SPD sheaf convolution layer; returns the new cochain.
 
     Steps: conjugate states by the learnable isometry, regenerate restriction
     maps from current log-domain features, add the per-vertex log-Laplacian
     update (eigenvalues normalized to [-1, 1]), exponentiate the residual sum
-    and apply the eigenvalue floor nonlinearity. Returns the new cochain and
-    its trace row (layer index -1; stack drivers assign real indices).
+    and apply the eigenvalue floor nonlinearity. The logs of the input states
+    serve both as the node features and as the residual base.
     """
     vertices = list(topology.ids) if isinstance(topology, PointCloud) else list(topology.vertices)
     edges = topology.edges
-    n = next(iter(sigma.values())).shape[0]
+    stack = _stack_values(vertices, sigma)
+    n = stack.shape[-1]
+    logs = _logm_stack(stack)
 
-    feats = node_features(sigma)
-    Q = learnable_isometry(params.w_q)
-    tilde = {v: Q @ X @ Q.T for v, X in sigma.items()}
-    maps = _edge_maps_from_features(edges, feats, params)
-    sheaf = SheafGraph(n, vertices, edges, maps, validate=False)
+    index = {v: i for i, v in enumerate(vertices)}
+    tails = np.array([index[t] for t, _ in edges], dtype=int)
+    heads = np.array([index[h] for _, h in edges], dtype=int)
+    feats = sym_to_vec(logs)
+    maps_t, maps_h = sheaf_learner(params, feats[tails], feats[heads])
+    sheaf = SheafGraph(n, vertices, edges, zip(maps_t, maps_h), validate=False)
 
-    stack = _check_cochain0(sheaf, tilde)
-    delta = _laplacian_logs(sheaf, _logm_stack(stack))
+    Q = params.isometry
+    delta = _laplacian_logs(sheaf, _logm_stack(Q @ stack @ Q.T))
     radii = np.max(np.abs(np.linalg.eigvalsh(delta)), axis=-1)
     delta /= np.maximum(1.0, radii)[:, None, None]
 
-    base = _logm_stack(_check_cochain0(sheaf, sigma))
-    updated = _expm_stack(base + delta)
+    updated = _expm_stack(logs + delta)
     w, V = _eigh_desc_stack(updated)
     idx = np.arange(1, n + 1, dtype=np.float64)
     w_new = np.where(np.log(w) > 0.0, w, np.exp(tg_delta * idx))
     out_stack = (V * w_new[..., None, :]) @ np.swapaxes(V, -1, -2)
     out_stack = 0.5 * (out_stack + np.swapaxes(out_stack, -1, -2))
-    out = {v: out_stack[i] for i, v in enumerate(vertices)}
-    return out, trace_row(out, layer=-1)
+    return {v: out_stack[i] for i, v in enumerate(vertices)}
 
 
 # ---------------------------------------------------------------------------
@@ -369,25 +392,43 @@ class RankTrace:
 
 
 def trace_row(sigma: dict, layer: int) -> TraceRow:
-    """Summary statistics of one cochain: eranks, second eigenvalues, spread."""
-    vals = list(sigma.values())
-    eranks = {v: erank(X) for v, X in sigma.items()}
-    lam2 = [np.sort(np.linalg.eigvalsh(X))[-2] if X.shape[0] > 1 else float("nan")
-            for X in vals]
-    if len(vals) > 1:
-        min_lem = min(
-            dist_lem(vals[i], vals[j])
-            for i in range(len(vals)) for j in range(i + 1, len(vals))
-        )
+    """Summary statistics of one cochain: eranks, second eigenvalues, spread.
+
+    One ``eigvalsh`` of the stacked values gives the effective ranks and the
+    second eigenvalues. The log-Euclidean distance of two values is the
+    Euclidean distance of their flattened logs (Arsigny et al. 2007), so the
+    minimum over pairs needs one stacked logarithm.
+    """
+    vertices = list(sigma)
+    stack = _checked_sym(_stack_values(vertices, sigma))
+    w = np.linalg.eigvalsh(stack)
+    eranks = _erank_of_spectra(w)
+    lam2 = w[:, -2] if stack.shape[-1] > 1 else np.full(len(vertices), np.nan)
+    if len(vertices) > 1:
+        min_lem = _min_pairwise_distance(_logm_stack(stack).reshape(len(vertices), -1))
     else:
         min_lem = 0.0
     return TraceRow(
         layer=layer,
-        mean_erank=float(np.mean(list(eranks.values()))),
+        mean_erank=float(np.mean(eranks)),
         mean_lambda2=float(np.mean(lam2)),
-        min_pairwise_lem=float(min_lem),
-        node_eranks=eranks,
+        min_pairwise_lem=min_lem,
+        node_eranks={v: float(e) for v, e in zip(vertices, eranks)},
     )
+
+
+def _min_pairwise_distance(flat: np.ndarray) -> float:
+    """Minimum Euclidean distance between two distinct rows of ``flat``."""
+    N = flat.shape[0]
+    rows = max(1, _PAIR_BLOCK // N)
+    best = np.inf
+    for a in range(0, N - 1, rows):
+        b = min(a + rows, N - 1)
+        # block entry (r, c) is the pair (a + r, a + 1 + c); c < r repeats a pair
+        d = np.linalg.norm(flat[a:b, None, :] - flat[None, a + 1:, :], axis=-1)
+        d[np.tril_indices(b - a, -1, N - a - 1)] = np.inf
+        best = min(best, float(np.min(d)))
+    return best
 
 
 def rank_trace(cochains: Sequence[dict]) -> RankTrace:
@@ -398,11 +439,9 @@ def rank_trace(cochains: Sequence[dict]) -> RankTrace:
 def run_layers(topology, sigma0: dict, params_list: Sequence[LayerParams]) -> tuple[dict, RankTrace]:
     """Apply a stack of convolution layers, collecting the trace."""
     states = [sigma0]
-    sigma = sigma0
     for params in params_list:
-        sigma, _ = spd_sheaf_layer(topology, sigma, params)
-        states.append(sigma)
-    return sigma, rank_trace(states)
+        states.append(spd_sheaf_layer(topology, states[-1], params))
+    return states[-1], rank_trace(states)
 
 
 def pooled_descriptor(sigma: dict, theta: float = 0.5) -> np.ndarray:
@@ -427,7 +466,8 @@ def geometric_descriptor(pc: PointCloud, params_list: Sequence[LayerParams],
     if frame_invariant:
         frames, _ = local_frame(pc)
         sigma = canonicalize(sigma, frames)
-    sigma, _ = run_layers(pc, sigma, params_list)
+    for params in params_list:
+        sigma = spd_sheaf_layer(pc, sigma, params)
     return pooled_descriptor(sigma, theta)
 
 
@@ -453,11 +493,9 @@ def diffusion_run(pc: PointCloud, layers: int, seed: int,
         if identity_maps:
             maps = [(I, I)] * len(pc.edges)
         else:
-            maps = []
-            for _e in pc.edges:
-                st = rng.normal(size=(3, 3))
-                sh = rng.normal(size=(3, 3))
-                maps.append((cayley(st - st.T), cayley(sh - sh.T)))
+            # one block draws the same normals as per-edge (tail, head) draws
+            A = rng.normal(size=(len(pc.edges), 2, 3, 3))
+            maps = cayley(A - np.swapaxes(A, -1, -2))
         sheaf = SheafGraph(3, pc.ids, pc.edges, maps, validate=False)
         sigma = diffusion_step(sheaf, sigma, normalize=normalize, residual=residual)
         states.append(sigma)

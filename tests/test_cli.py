@@ -2,6 +2,9 @@
 
 import json
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -163,3 +166,30 @@ def test_probe_command_small(tmp_path, capsys):
 def test_missing_input_file_is_exit_2(tmp_path, capsys):
     assert main(["sections", str(tmp_path / "nope.json")]) == 2
     assert main(["lift", str(tmp_path / "nope.json")]) == 2
+
+
+_THREADS_PROBE = """
+import spdsheaf, numpy as np
+np.linalg.svd(np.random.default_rng(0).normal(size=(300, 300)))
+with open("/proc/self/status") as fh:
+    print([line.split()[1] for line in fh if line.startswith("Threads:")][0])
+"""
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="needs Linux /proc")
+def test_thread_cap_limits_blas_threads():
+    env = {k: v for k, v in os.environ.items()
+           if k not in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")}
+    env["SPD_SHEAF_THREADS"] = "1"
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, "-c", _THREADS_PROBE], env=env, capture_output=True,
+                          text=True, timeout=60, check=True)
+    assert done.stdout.split()[-1] == "1"
+
+
+@pytest.mark.parametrize("value", ["0", "two"])
+def test_invalid_thread_cap_is_exit_2(cloud_file, monkeypatch, capsys, value):
+    monkeypatch.setenv("SPD_SHEAF_THREADS", value)
+    assert main(["lift", cloud_file]) == 2
+    assert "SPD_SHEAF_THREADS" in capsys.readouterr().err

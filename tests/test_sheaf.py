@@ -16,6 +16,7 @@ from spdsheaf.sheaf import (
     section_space_summary,
 )
 from spdsheaf.verify import (
+    oracle_holonomy,
     random_cochain0,
     random_cochain1,
     random_orthogonal,
@@ -345,6 +346,18 @@ def test_holonomy_fixed_space_examples():
     assert fixed.shape[1] == 1
     S = s.vec_to_sym(fixed[:, 0], 3)
     np.testing.assert_allclose(S, S[0, 0] * np.eye(3), atol=1e-8)
+
+
+def test_gauge_trivial_cycle_fixes_all_of_sym():
+    # maps (G_t^T, G_h^T) from per-vertex gauges: every cycle holonomy is the
+    # identity up to rounding, so nothing of Sym_3 may count as rank
+    rng = np.random.default_rng(5)
+    G = [random_orthogonal(3, rng) for _ in range(3)]
+    edges = [(0, 1), (1, 2), (2, 0)]
+    sheaf = s.SheafGraph(3, range(3), edges, [(G[t].T, G[h].T) for t, h in edges])
+    summary = section_space_summary(sheaf)
+    assert summary["kernel_dim"] == summary["holonomy_fixed_total"] == 6
+    assert oracle_holonomy(sheaf).passed
 
 
 def test_kernel_dim_equals_fixed_space_dim():

@@ -147,6 +147,20 @@ def test_power_euclidean_mean():
         s.power_euclidean_mean([], 0.5)
     with pytest.raises(InvalidInputError):
         s.power_euclidean_mean([P], 1.5)
+    with pytest.raises(InvalidInputError):
+        s.power_euclidean_mean([np.ones(2), np.ones(2)], 0.5)
+
+
+def test_power_euclidean_mean_matches_per_matrix_powers():
+    rng = np.random.default_rng(11)
+    mats = [random_spd(3, rng) for _ in range(6)]
+    for theta in (0.25, 0.5, 1.0):
+        reference = s.spd_power(np.mean([s.spd_power(X, theta) for X in mats], axis=0),
+                                1.0 / theta)
+        np.testing.assert_allclose(s.power_euclidean_mean(mats, theta), reference,
+                                   rtol=1e-12, atol=0)
+    with pytest.raises(DomainError):
+        s.power_euclidean_mean([mats[0], -mats[1]], 0.5)
 
 
 # ---------------------------------------------------------------------------
@@ -245,6 +259,19 @@ def test_cayley_smooth():
 def test_cayley_rejects_non_skew():
     with pytest.raises(InvalidInputError):
         s.cayley(np.eye(2))
+
+
+def test_cayley_stack_matches_per_matrix():
+    rng = np.random.default_rng(25)
+    A = rng.normal(size=(2, 5, 4, 4))
+    S = A - np.swapaxes(A, -1, -2)
+    M = s.cayley(S)
+    assert M.shape == S.shape
+    for idx in np.ndindex(2, 5):
+        np.testing.assert_allclose(M[idx], s.cayley(S[idx]), rtol=0, atol=1e-15)
+    S[1, 3, 0, 0] = 1.0  # one non-skew matrix in the stack
+    with pytest.raises(InvalidInputError):
+        s.cayley(S)
 
 
 # ---------------------------------------------------------------------------

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import spdsheaf as s
+from spdsheaf import stream
 from spdsheaf.errors import DomainError, InvalidInputError
 from spdsheaf.stream import (
     LayerParams,
@@ -88,6 +89,17 @@ def test_canonicalized_lift_rotation_invariant():
             assert np.max(np.abs(out[v] - base[v])) <= 1e-8
 
 
+def test_neighbors_match_edge_scan():
+    rng = np.random.default_rng(23)
+    pts = rng.normal(size=(12, 3))
+    edges = knn_edges(pts, k=3) + [(5, 2), (0, 11), (2, 5)]  # parallel edges kept
+    pc = PointCloud(pts, edges)
+    for v in pc.ids:
+        expected = [h if t == v else t for t, h in edges if v in (t, h)]
+        assert pc.neighbors(v) == expected
+    assert pc.neighbors(99) == []
+
+
 def test_frames_collinear_fallback():
     pts = [[1.0, 0, 0], [2.0, 0, 0], [3.0, 0, 0]]
     pc = PointCloud(pts, [(0, 1), (1, 2)])
@@ -152,6 +164,32 @@ def test_sheaf_learner_independent_heads():
         s.sheaf_learner(params, np.zeros(5), np.zeros(6))
 
 
+def test_sheaf_learner_stack_matches_rows():
+    rng = np.random.default_rng(24)
+    params = LayerParams.random(3, rng=rng, scale=3.0)
+    H_u, H_v = rng.normal(size=(2, 9, 6))
+    Mt, Mh = s.sheaf_learner(params, H_u, H_v)
+    assert Mt.shape == Mh.shape == (9, 3, 3)
+    for e in range(9):
+        mt, mh = s.sheaf_learner(params, H_u[e], H_v[e])
+        # one matmul over the stack sums in another order than per row
+        np.testing.assert_allclose(Mt[e], mt, rtol=0, atol=1e-13)
+        np.testing.assert_allclose(Mh[e], mh, rtol=0, atol=1e-13)
+    Mt, Mh = s.sheaf_learner(params, H_u[:0], H_v[:0])
+    assert Mt.shape == Mh.shape == (0, 3, 3)
+
+
+@pytest.mark.parametrize("h_u, h_v", [
+    (np.zeros((4, 5)), np.zeros((4, 6))),
+    (np.zeros((4, 6)), np.zeros((3, 6))),
+    (np.zeros(6), np.zeros((1, 6))),
+    (np.zeros((2, 2, 6)), np.zeros((2, 2, 6))),
+])
+def test_sheaf_learner_rejects_mismatched_stacks(h_u, h_v):
+    with pytest.raises(InvalidInputError):
+        s.sheaf_learner(LayerParams.identity(3), h_u, h_v)
+
+
 # ---------------------------------------------------------------------------
 # convolution layer
 
@@ -160,7 +198,7 @@ def test_layer_identity_params_global_section():
     pc = cloud(9)
     P = random_spd(3, np.random.default_rng(10))
     sigma = {v: P.copy() for v in pc.ids}
-    out, _ = s.spd_sheaf_layer(pc, sigma, LayerParams.identity(3))
+    out = s.spd_sheaf_layer(pc, sigma, LayerParams.identity(3))
     expected = s.tg_re_eig(P)
     for v in pc.ids:
         np.testing.assert_allclose(out[v], expected, atol=1e-9)
@@ -171,8 +209,8 @@ def test_layer_raises_erank():
     rng = np.random.default_rng(12)
     sigma = canonicalize(s.lift_coordinates(pc), s.local_frame(pc)[0])
     base = trace_row(sigma, 0).mean_erank
-    out, row = s.spd_sheaf_layer(pc, sigma, LayerParams.random(3, rng=rng))
-    assert row.mean_erank - base >= 1.2
+    out = s.spd_sheaf_layer(pc, sigma, LayerParams.random(3, rng=rng))
+    assert trace_row(out, 1).mean_erank - base >= 1.2
 
 
 def test_layer_rotation_invariance():
@@ -224,6 +262,55 @@ def test_rank_trace_columns():
     csv = trace.to_csv()
     assert csv.splitlines()[0] == "layer,mean_erank,mean_lambda2,min_pairwise_lem"
     assert len(csv.splitlines()) == 3
+
+
+@pytest.mark.parametrize("block", [None, 5])
+@pytest.mark.parametrize("N", [1, 2, 7, 40])
+def test_trace_row_matches_pairwise_reference(N, block, monkeypatch):
+    if block is not None:  # several row blocks per distance matrix
+        monkeypatch.setattr(stream, "_PAIR_BLOCK", block)
+    rng = np.random.default_rng(N)
+    values = [random_spd(3, rng) for _ in range(N)]
+    row = trace_row({v: X for v, X in enumerate(values)}, 4)
+    eranks = [s.erank(X) for X in values]
+    lam2 = [np.sort(np.linalg.eigvalsh(X))[-2] for X in values]
+    min_lem = min((s.dist_lem(values[i], values[j])
+                   for i in range(N) for j in range(i + 1, N)), default=0.0)
+    assert row.layer == 4
+    np.testing.assert_allclose(list(row.node_eranks.values()), eranks, rtol=1e-12, atol=0)
+    np.testing.assert_allclose(row.mean_erank, np.mean(eranks), rtol=1e-12, atol=0)
+    np.testing.assert_allclose(row.mean_lambda2, np.mean(lam2), rtol=1e-12, atol=0)
+    np.testing.assert_allclose(row.min_pairwise_lem, min_lem, rtol=1e-12, atol=0)
+
+
+def test_trace_rows_only_where_asked(monkeypatch):
+    calls = []
+    original = stream.trace_row
+
+    def counted(sigma, layer):
+        calls.append(layer)
+        return original(sigma, layer)
+
+    monkeypatch.setattr(stream, "trace_row", counted)
+    planarity_experiment(seed=1, n_per_class=3)
+    assert calls == []
+    pc = cloud(26, n=6)
+    rng = np.random.default_rng(27)
+    run_layers(pc, s.lift_coordinates(pc), [LayerParams.random(3, rng=rng) for _ in range(3)])
+    assert calls == [0, 1, 2, 3]
+
+
+def test_isometry_once_per_layer_params(monkeypatch):
+    calls = []
+    original = stream.learnable_isometry
+
+    def counted(W):
+        calls.append(1)
+        return original(W)
+
+    monkeypatch.setattr(stream, "learnable_isometry", counted)
+    planarity_experiment(seed=2, n_per_class=3, n_layers=2)
+    assert len(calls) == 2
 
 
 def test_single_point_trace_is_graceful():
