@@ -18,68 +18,26 @@ from .errors import InvalidInputError, NotApplicableError
 from .sheaf import (
     NULL_TOL,
     SheafGraph,
-    _component_transports,
+    _component_holonomy,
+    _incidence_matrix,
+    _OrthGraph,
     coboundary,
     connected_components,
     nullspace,
 )
-from .spd import EIG_FLOOR, ORTH_TOL, _sym_part, dist_lem, is_signed_permutation
+from .spd import EIG_FLOOR, _sym_part, dist_lem, is_signed_permutation
 
 VecCochain0 = Mapping[object, np.ndarray]
 
 
-class EuclidSheaf:
+class EuclidSheaf(_OrthGraph):
     """Cellular sheaf with R^n stalks and orthogonal restriction maps.
 
-    Mirrors :class:`~spdsheaf.sheaf.SheafGraph` structurally; the maps act on
-    vectors instead of by congruence.
+    Shares its graph core with :class:`~spdsheaf.sheaf.SheafGraph`; the maps
+    act on vectors instead of by congruence.
     """
 
-    __slots__ = ("n_stalk", "vertices", "edges", "maps", "_vindex")
-
-    def __init__(self, n_stalk, vertices, edges, maps, validate: bool = True):
-        self.n_stalk = int(n_stalk)
-        self.vertices = tuple(vertices)
-        self.edges = tuple((t, h) for t, h in edges)
-        self.maps = tuple(
-            (np.array(mt, dtype=np.float64), np.array(mh, dtype=np.float64))
-            for mt, mh in maps
-        )
-        self._vindex = {v: i for i, v in enumerate(self.vertices)}
-        if validate:
-            self._validate()
-
-    def _validate(self):
-        n = self.n_stalk
-        if len(self.maps) != len(self.edges):
-            raise InvalidInputError("one (map_tail, map_head) pair required per edge")
-        for k, (t, h) in enumerate(self.edges):
-            if t == h:
-                raise InvalidInputError(f"self-loop at vertex {t!r}")
-            if t not in self._vindex or h not in self._vindex:
-                raise InvalidInputError(f"edge {k} references unknown vertex")
-            for M in self.maps[k]:
-                if M.shape != (n, n):
-                    raise InvalidInputError(f"edge {k}: map shape {M.shape} != ({n}, {n})")
-                if np.linalg.norm(M.T @ M - np.eye(n)) > ORTH_TOL:
-                    raise InvalidInputError(f"edge {k}: restriction map is not orthogonal")
-
-    @classmethod
-    def identity_maps(cls, n_stalk, vertices, edges) -> "EuclidSheaf":
-        edges = tuple(edges)
-        I = np.eye(n_stalk)
-        return cls(n_stalk, vertices, edges, [(I, I)] * len(edges))
-
-    @property
-    def n_vertices(self) -> int:
-        return len(self.vertices)
-
-    @property
-    def n_edges(self) -> int:
-        return len(self.edges)
-
-    def vertex_index(self, v) -> int:
-        return self._vindex[v]
+    __slots__ = ()
 
 
 def _check_vec_cochain(sheaf: EuclidSheaf, x: VecCochain0) -> np.ndarray:
@@ -98,21 +56,13 @@ def _check_vec_cochain(sheaf: EuclidSheaf, x: VecCochain0) -> np.ndarray:
 def euclid_coboundary(sheaf: EuclidSheaf, x: VecCochain0) -> list[np.ndarray]:
     """Per-edge disagreement ``M_tail x_tail - M_head x_head`` (tail-positive)."""
     vals = _check_vec_cochain(sheaf, x)
-    out = []
-    for (t, h), (Mt, Mh) in zip(sheaf.edges, sheaf.maps):
-        out.append(Mt @ vals[sheaf.vertex_index(t)] - Mh @ vals[sheaf.vertex_index(h)])
-    return out
+    return [Mt @ vals[it] - Mh @ vals[ih]
+            for it, ih, (Mt, Mh) in zip(sheaf._tails, sheaf._heads, sheaf.maps)]
 
 
 def euclid_coboundary_matrix(sheaf: EuclidSheaf) -> np.ndarray:
     """Dense (|E| n, |V| n) block incidence matrix with +M_tail / -M_head blocks."""
-    n = sheaf.n_stalk
-    B = np.zeros((sheaf.n_edges * n, sheaf.n_vertices * n))
-    for k, ((t, h), (Mt, Mh)) in enumerate(zip(sheaf.edges, sheaf.maps)):
-        it, ih = sheaf.vertex_index(t), sheaf.vertex_index(h)
-        B[k * n : (k + 1) * n, it * n : (it + 1) * n] += Mt
-        B[k * n : (k + 1) * n, ih * n : (ih + 1) * n] -= Mh
-    return B
+    return _incidence_matrix(sheaf, sheaf._tail_maps, sheaf._head_maps)
 
 
 def euclid_sections(sheaf: EuclidSheaf, tol: float = NULL_TOL) -> np.ndarray:
@@ -246,13 +196,9 @@ def strictness_witness(sheaf: SheafGraph, tol: float = 1e-7) -> dict:
     P = np.diag(np.arange(1.0, n + 1.0))
     witness: dict = {}
     for comp in connected_components(sheaf):
-        W, chords = _component_transports(sheaf, comp[0])
-        for k in chords:
-            t, h = sheaf.edges[k]
-            Mt, Mh = sheaf.maps[k]
-            rho = W[h].T @ (Mh.T @ Mt) @ W[t]
-            if np.linalg.norm(rho - np.eye(n)) > 1e-8:
-                raise NotApplicableError("sheaf has nontrivial holonomy")
+        W, reps = _component_holonomy(sheaf, comp[0])
+        if any(np.linalg.norm(rho - np.eye(n)) > 1e-8 for rho in reps):
+            raise NotApplicableError("sheaf has nontrivial holonomy")
         for v in comp:
             witness[v] = _sym_part(W[v] @ P @ W[v].T)
     I = np.eye(n)

@@ -55,18 +55,25 @@ def spd_to_json(P, compact: bool = False):
 
 
 def matrix_from_json(obj, n_expected: int | None = None) -> np.ndarray:
-    """Parse either a nested-list matrix or a {"log_upper": [...]} SPD value."""
+    """Parse either a nested-list matrix or a {"log_upper": [...]} SPD value.
+
+    Entries that are not numbers, ragged rows and log values whose
+    exponential overflows raise :class:`ParseError`.
+    """
     if isinstance(obj, dict):
         if "log_upper" not in obj:
             raise ParseError("matrix object must carry a 'log_upper' field")
-        vec = np.asarray(obj["log_upper"], dtype=np.float64)
+        vec = _float_array(obj["log_upper"], "log_upper")
         n = int((math.isqrt(8 * vec.size + 1) - 1) // 2)
-        if n * (n + 1) // 2 != vec.size:
-            raise ParseError(f"log_upper length {vec.size} is not triangular")
+        if vec.ndim != 1 or n * (n + 1) // 2 != vec.size:
+            raise ParseError(f"log_upper of shape {vec.shape} is not a triangular vector")
         if n_expected is not None and n != n_expected:
             raise ParseError(f"log_upper encodes a {n}x{n} matrix, expected {n_expected}")
-        return sym_exp(vec_to_sym(vec, n))
-    A = np.asarray(obj, dtype=np.float64)
+        try:
+            return sym_exp(vec_to_sym(vec, n))
+        except OverflowError as exc:
+            raise ParseError(f"log_upper value out of range: {exc}") from None
+    A = _float_array(obj, "matrix")
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
         raise ParseError(f"expected a square matrix, got shape {A.shape}")
     if n_expected is not None and A.shape[0] != n_expected:
@@ -74,11 +81,18 @@ def matrix_from_json(obj, n_expected: int | None = None) -> np.ndarray:
     return A
 
 
+def _float_array(obj, what: str) -> np.ndarray:
+    try:
+        return np.asarray(obj, dtype=np.float64)
+    except (ValueError, TypeError) as exc:
+        raise ParseError(f"malformed {what}: {exc}") from None
+
+
 # ---------------------------------------------------------------------------
 # sheaves and cochains
 
 
-def sheaf_to_json(sheaf: SheafGraph, cochain0: dict | None = None,
+def sheaf_to_json(sheaf: SheafGraph | EuclidSheaf, cochain0: dict | None = None,
                   path: str | None = None, compact_values: bool = False) -> str:
     edges = [
         {
@@ -183,6 +197,9 @@ def cloud_from_json_obj(obj) -> PointCloud:
         raise ParseError(f"malformed point-cloud object: missing {exc}") from exc
     if not ids:
         raise ParseError("point cloud has no vertices")
+    points = _float_array(points, "point coordinates")
+    if points.shape != (len(ids), 3):
+        raise ParseError("every vertex 'xyz' must hold three numbers")
     return PointCloud(points, edges, ids=ids)
 
 

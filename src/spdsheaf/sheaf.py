@@ -41,58 +41,76 @@ Cochain0 = Mapping[object, np.ndarray]
 Cochain1 = Sequence[np.ndarray]
 
 
-class SheafGraph:
+class _OrthGraph:
     """Graph + stalk dimension + per-edge orthogonal restriction maps.
 
     ``edges[k] = (tail, head)`` is an oriented edge; ``maps[k]`` holds the
     pair ``(M_tail, M_head)`` of orthogonal matrices mapping the endpoint
     stalks into the edge stalk. Parallel edges are allowed, self-loops are
     not. Instances are immutable after construction.
+
+    The maps are stored once, as read-only (E, n, n) tail and head stacks;
+    ``maps`` holds views into them. The tail and head vertex positions of
+    every edge are stored as index arrays, so operators never rebuild them.
+    With ``validate=False`` the caller vouches for the graph and the maps.
     """
 
-    __slots__ = ("n_stalk", "vertices", "edges", "maps", "_vindex")
+    __slots__ = ("n_stalk", "vertices", "edges", "maps", "_vindex",
+                 "_tails", "_heads", "_tail_maps", "_head_maps")
 
     def __init__(self, n_stalk, vertices, edges, maps, validate: bool = True):
         self.n_stalk = int(n_stalk)
         self.vertices = tuple(vertices)
         self.edges = tuple((t, h) for t, h in edges)
-        frozen_maps = []
-        for mt, mh in maps:
-            mt = np.array(mt, dtype=np.float64)
-            mh = np.array(mh, dtype=np.float64)
-            mt.setflags(write=False)
-            mh.setflags(write=False)
-            frozen_maps.append((mt, mh))
-        self.maps = tuple(frozen_maps)
         self._vindex = {v: i for i, v in enumerate(self.vertices)}
+        n = self.n_stalk
+        try:
+            stack = np.array(list(maps), dtype=np.float64)
+        except (ValueError, TypeError) as exc:
+            raise InvalidInputError(
+                f"restriction maps must be pairs of equal shape: {exc}") from None
+        if stack.size == 0 and not self.edges and n > 0:
+            stack = np.zeros((0, 2, n, n))
         if validate:
-            self._validate()
+            self._validate(stack)
+        self._tail_maps = np.ascontiguousarray(stack[:, 0])
+        self._head_maps = np.ascontiguousarray(stack[:, 1])
+        self._tails = np.array([self._vindex[t] for t, _ in self.edges], dtype=int)
+        self._heads = np.array([self._vindex[h] for _, h in self.edges], dtype=int)
+        for arr in (self._tail_maps, self._head_maps, self._tails, self._heads):
+            arr.setflags(write=False)
+        self.maps = tuple(zip(self._tail_maps, self._head_maps))
 
     def __repr__(self):
-        return (f"SheafGraph(n_stalk={self.n_stalk}, |V|={self.n_vertices}, "
+        return (f"{type(self).__name__}(n_stalk={self.n_stalk}, |V|={self.n_vertices}, "
                 f"|E|={self.n_edges})")
 
-    def _validate(self):
-        if self.n_stalk < 1:
+    def _validate(self, stack: np.ndarray):
+        n = self.n_stalk
+        if n < 1:
             raise InvalidInputError("stalk dimension must be positive")
         if len(self._vindex) != len(self.vertices):
             raise InvalidInputError("duplicate vertex ids")
-        if len(self.maps) != len(self.edges):
+        if stack.shape[:2] != (len(self.edges), 2):
             raise InvalidInputError("one (map_tail, map_head) pair required per edge")
-        n = self.n_stalk
         for k, (t, h) in enumerate(self.edges):
             if t == h:
                 raise InvalidInputError(f"self-loop at vertex {t!r}")
             if t not in self._vindex or h not in self._vindex:
                 raise InvalidInputError(f"edge {k} references unknown vertex")
-            for M in self.maps[k]:
-                if M.shape != (n, n):
-                    raise InvalidInputError(f"edge {k}: map shape {M.shape} != ({n}, {n})")
-                if np.linalg.norm(M.T @ M - np.eye(n)) > ORTH_TOL:
-                    raise InvalidInputError(f"edge {k}: restriction map is not orthogonal")
+        if stack.shape[2:] != (n, n):
+            raise InvalidInputError(f"map shape {stack.shape[2:]} != ({n}, {n})")
+        finite = np.all(np.isfinite(stack), axis=(1, 2, 3))
+        if not np.all(finite):
+            raise InvalidInputError(
+                f"edge {np.argmin(finite)}: restriction map has non-finite entries")
+        err = np.linalg.norm(np.swapaxes(stack, -1, -2) @ stack - np.eye(n), axis=(-2, -1))
+        bad = np.flatnonzero(np.any(err > ORTH_TOL, axis=1))
+        if bad.size:
+            raise InvalidInputError(f"edge {bad[0]}: restriction map is not orthogonal")
 
     @classmethod
-    def identity_maps(cls, n_stalk: int, vertices: Iterable, edges: Iterable) -> "SheafGraph":
+    def identity_maps(cls, n_stalk: int, vertices: Iterable, edges: Iterable):
         """Sheaf whose restriction maps are all the identity."""
         edges = tuple(edges)
         I = np.eye(n_stalk)
@@ -109,6 +127,12 @@ class SheafGraph:
     def vertex_index(self, v) -> int:
         return self._vindex[v]
 
+
+class SheafGraph(_OrthGraph):
+    """SPD-stalk sheaf: the restriction maps act by congruence ``P -> M P M^T``."""
+
+    __slots__ = ()
+
     def incidence_index(self, v, edge_idx: int) -> int:
         """0 if v is the tail of the edge, 1 if the head."""
         t, h = self.edges[edge_idx]
@@ -121,11 +145,6 @@ class SheafGraph:
 
 # ---------------------------------------------------------------------------
 # cochain helpers
-
-
-def _check_cochain0(sheaf: SheafGraph, sigma: Cochain0) -> np.ndarray:
-    """Stack a 0-cochain into a (|V|, n, n) array in vertex order."""
-    return _stack_cochain0(sheaf.vertices, sheaf.n_stalk, sigma)
 
 
 def _stack_cochain0(vertices: Sequence, n: int, sigma: Cochain0) -> np.ndarray:
@@ -160,31 +179,15 @@ def identity_cochain0(sheaf: SheafGraph) -> dict:
     return {v: I.copy() for v in sheaf.vertices}
 
 
-def _edge_endpoint_indices(sheaf: SheafGraph) -> tuple[np.ndarray, np.ndarray]:
-    tails = np.array([sheaf.vertex_index(t) for t, _ in sheaf.edges], dtype=int)
-    heads = np.array([sheaf.vertex_index(h) for _, h in sheaf.edges], dtype=int)
-    return tails, heads
-
-
-def _map_stacks(sheaf: SheafGraph) -> tuple[np.ndarray, np.ndarray]:
-    n = sheaf.n_stalk
-    if sheaf.n_edges == 0:
-        return np.zeros((0, n, n)), np.zeros((0, n, n))
-    Mt = np.stack([m[0] for m in sheaf.maps])
-    Mh = np.stack([m[1] for m in sheaf.maps])
-    return Mt, Mh
-
-
 # ---------------------------------------------------------------------------
 # coboundary, adjoint, Laplacian
 
 
 def _coboundary_logs(sheaf: SheafGraph, logs: np.ndarray) -> np.ndarray:
     """Per-edge log-domain coboundary from stacked vertex logs."""
-    tails, heads = _edge_endpoint_indices(sheaf)
-    Mt, Mh = _map_stacks(sheaf)
-    Tt = Mt @ logs[tails] @ np.swapaxes(Mt, -1, -2)
-    Th = Mh @ logs[heads] @ np.swapaxes(Mh, -1, -2)
+    Mt, Mh = sheaf._tail_maps, sheaf._head_maps
+    Tt = Mt @ logs[sheaf._tails] @ np.swapaxes(Mt, -1, -2)
+    Th = Mh @ logs[sheaf._heads] @ np.swapaxes(Mh, -1, -2)
     return _sym_part(Tt - Th)
 
 
@@ -193,7 +196,7 @@ def coboundary(sheaf: SheafGraph, sigma: Cochain0) -> list[np.ndarray]:
 
     The result is the identity cochain exactly when sigma is a global section.
     """
-    stack = _check_cochain0(sheaf, sigma)
+    stack = _stack_cochain0(sheaf.vertices, sheaf.n_stalk, sigma)
     if sheaf.n_edges == 0:
         return []
     T = _coboundary_logs(sheaf, _logm_stack(stack))
@@ -204,13 +207,11 @@ def _adjoint_logs(sheaf: SheafGraph, tau_logs: np.ndarray) -> np.ndarray:
     """Per-vertex log-domain adjoint from stacked edge logs."""
     n = sheaf.n_stalk
     acc = np.zeros((sheaf.n_vertices, n, n))
-    if sheaf.n_edges:
-        tails, heads = _edge_endpoint_indices(sheaf)
-        Mt, Mh = _map_stacks(sheaf)
-        pulled_t = np.swapaxes(Mt, -1, -2) @ tau_logs @ Mt
-        pulled_h = np.swapaxes(Mh, -1, -2) @ tau_logs @ Mh
-        np.add.at(acc, tails, pulled_t)
-        np.add.at(acc, heads, -pulled_h)
+    Mt, Mh = sheaf._tail_maps, sheaf._head_maps
+    pulled_t = np.swapaxes(Mt, -1, -2) @ tau_logs @ Mt
+    pulled_h = np.swapaxes(Mh, -1, -2) @ tau_logs @ Mh
+    np.add.at(acc, sheaf._tails, pulled_t)
+    np.add.at(acc, sheaf._heads, -pulled_h)
     return _sym_part(acc)
 
 
@@ -222,8 +223,7 @@ def adjoint(sheaf: SheafGraph, tau: Cochain1) -> dict:
     identity (empty sum).
     """
     stack = _check_cochain1(sheaf, tau)
-    logs = _logm_stack(stack) if sheaf.n_edges else stack
-    out = _expm_stack(_adjoint_logs(sheaf, logs))
+    out = _expm_stack(_adjoint_logs(sheaf, _logm_stack(stack)))
     return {v: out[i] for i, v in enumerate(sheaf.vertices)}
 
 
@@ -238,22 +238,19 @@ def _laplacian_logs(sheaf: SheafGraph, logs: np.ndarray) -> np.ndarray:
 
 def cochain_pairing(a, b) -> float:
     """Sum of per-cell log-domain Frobenius pairings of two cochains."""
-    if isinstance(a, Mapping) and isinstance(b, Mapping):
+    if isinstance(a, Mapping) != isinstance(b, Mapping):
+        raise InvalidInputError("cannot pair a 0-cochain with a 1-cochain")
+    if isinstance(a, Mapping):
         if set(a) != set(b):
             raise InvalidInputError("cochains are defined on different vertex sets")
-        keys = list(a)
-        A = _logm_stack(np.stack([np.asarray(a[k], dtype=float) for k in keys]))
-        B = _logm_stack(np.stack([np.asarray(b[k], dtype=float) for k in keys]))
-    elif not isinstance(a, Mapping) and not isinstance(b, Mapping):
+        a, b = list(a.values()), [b[k] for k in a]
+    else:
         a, b = list(a), list(b)
         if len(a) != len(b):
             raise InvalidInputError("cochains are defined on different edge sets")
-        if not a:
-            return 0.0
-        A = _logm_stack(np.stack([np.asarray(x, dtype=float) for x in a]))
-        B = _logm_stack(np.stack([np.asarray(x, dtype=float) for x in b]))
-    else:
-        raise InvalidInputError("cannot pair a 0-cochain with a 1-cochain")
+    if not a:
+        return 0.0
+    A, B = (_logm_stack(np.stack([np.asarray(x, dtype=float) for x in c])) for c in (a, b))
     return float(np.sum(A * B))
 
 
@@ -268,25 +265,30 @@ def coboundary_matrix(sheaf: SheafGraph) -> np.ndarray:
     inner products of vectors equal the cochain pairings. Shape
     (|E| m, |V| m) with m = n(n+1)/2.
     """
-    n, m = sheaf.n_stalk, sym_dim(sheaf.n_stalk)
-    B = np.zeros((sheaf.n_edges * m, sheaf.n_vertices * m))
-    for k, ((t, h), (Mt, Mh)) in enumerate(zip(sheaf.edges, sheaf.maps)):
-        it, ih = sheaf.vertex_index(t), sheaf.vertex_index(h)
-        B[k * m : (k + 1) * m, it * m : (it + 1) * m] += conj_operator(Mt)
-        B[k * m : (k + 1) * m, ih * m : (ih + 1) * m] -= conj_operator(Mh)
-    return B
+    return _incidence_matrix(sheaf, conj_operator(sheaf._tail_maps),
+                             conj_operator(sheaf._head_maps))
+
+
+def _incidence_matrix(sheaf: _OrthGraph, blocks_t: np.ndarray,
+                      blocks_h: np.ndarray) -> np.ndarray:
+    """Dense (|E| m, |V| m) matrix with +blocks_t[k] at (edge k, its tail) and
+    -blocks_h[k] at (edge k, its head), from (E, m, m) block stacks."""
+    m = blocks_t.shape[-1]
+    B = np.zeros((sheaf.n_edges, m, sheaf.n_vertices, m))
+    rows = np.arange(sheaf.n_edges)
+    B[rows, :, sheaf._tails, :] += blocks_t
+    B[rows, :, sheaf._heads, :] -= blocks_h
+    return B.reshape(sheaf.n_edges * m, sheaf.n_vertices * m)
 
 
 def log_cochain0_vec(sheaf: SheafGraph, sigma: Cochain0) -> np.ndarray:
     """Concatenated vec(log sigma_v) in vertex order."""
-    stack = _check_cochain0(sheaf, sigma)
+    stack = _stack_cochain0(sheaf.vertices, sheaf.n_stalk, sigma)
     return sym_to_vec(_logm_stack(stack)).ravel()
 
 
 def log_cochain1_vec(sheaf: SheafGraph, tau: Cochain1) -> np.ndarray:
     stack = _check_cochain1(sheaf, tau)
-    if sheaf.n_edges == 0:
-        return np.zeros(0)
     return sym_to_vec(_logm_stack(stack)).ravel()
 
 
@@ -310,8 +312,12 @@ def nullspace(A: np.ndarray, tol: float = NULL_TOL) -> np.ndarray:
     if A.shape[0] == 0:
         return np.eye(A.shape[1])
     _, s, Vh = np.linalg.svd(A)
-    rank = int(np.sum(s > tol * max(s[0], 1.0))) if s.size else 0
-    return Vh[rank:].T.copy()
+    return Vh[_rank(s, tol):].T.copy()
+
+
+def _rank(s: np.ndarray, tol: float) -> int:
+    """Number of descending singular values above ``tol * max(sigma_max, 1)``."""
+    return int(np.sum(s > tol * max(s[0], 1.0))) if s.size else 0
 
 
 def global_sections(sheaf: SheafGraph, tol: float = NULL_TOL) -> np.ndarray:
@@ -333,11 +339,7 @@ def sheaf_index(sheaf: SheafGraph, tol: float = NULL_TOL) -> int:
     """
     m = sym_dim(sheaf.n_stalk)
     B = coboundary_matrix(sheaf)
-    if B.shape[0] == 0:
-        rank = 0
-    else:
-        s = np.linalg.svd(B, compute_uv=False)
-        rank = int(np.sum(s > tol * s[0])) if s.size else 0
+    rank = _rank(np.linalg.svd(B, compute_uv=False), tol) if B.shape[0] else 0
     dim_ker_b = sheaf.n_vertices * m - rank
     dim_ker_bt = sheaf.n_edges * m - rank
     return dim_ker_b - dim_ker_bt
@@ -377,12 +379,12 @@ def edge_transport(sheaf: SheafGraph, edge_idx: int) -> np.ndarray:
     return Mh.T @ Mt
 
 
-def _component_transports(sheaf: SheafGraph, root) -> tuple[dict, list[int]]:
-    """BFS spanning tree from `root`: per-vertex transport W_v and chord edges.
+def _component_holonomy(sheaf: _OrthGraph, root) -> tuple[dict, list[np.ndarray]]:
+    """BFS spanning tree from `root`: tree transports and cycle holonomies.
 
     W_v carries the root stalk to the stalk at v along the tree
-    (W_root = I); the returned list holds non-tree edge indices inside the
-    component.
+    (W_root = I). The representatives are those of :func:`holonomy_reps`,
+    one per non-tree edge of the component, in edge order.
     """
     n = sheaf.n_stalk
     incident: dict = {v: [] for v in sheaf.vertices}
@@ -401,12 +403,12 @@ def _component_transports(sheaf: SheafGraph, root) -> tuple[dict, list[int]]:
             W[w] = (T.T if reverse else T) @ W[u]
             tree_edges.add(k)
             queue.append(w)
-    chords = [
-        k
+    reps = [
+        W[h].T @ edge_transport(sheaf, k) @ W[t]
         for k, (t, h) in enumerate(sheaf.edges)
         if k not in tree_edges and t in W and h in W
     ]
-    return W, chords
+    return W, reps
 
 
 def holonomy_reps(sheaf: SheafGraph) -> list[np.ndarray]:
@@ -419,12 +421,7 @@ def holonomy_reps(sheaf: SheafGraph) -> list[np.ndarray]:
     comps = connected_components(sheaf)
     if len(comps) != 1:
         raise InvalidInputError("holonomy_reps requires a connected graph; split per component")
-    W, chords = _component_transports(sheaf, comps[0][0])
-    reps = []
-    for k in chords:
-        t, h = sheaf.edges[k]
-        reps.append(W[h].T @ edge_transport(sheaf, k) @ W[t])
-    return reps
+    return _component_holonomy(sheaf, comps[0][0])[1]
 
 
 def holonomy_fixed_space(reps: Sequence[np.ndarray], n: int | None = None,
@@ -452,8 +449,7 @@ def section_space_summary(sheaf: SheafGraph, tol: float = NULL_TOL) -> dict:
     comps = connected_components(sheaf)
     fixed_dims = []
     for comp in comps:
-        sub = _subsheaf(sheaf, comp)
-        reps = holonomy_reps(sub)
+        _, reps = _component_holonomy(sheaf, comp[0])
         fixed_dims.append(holonomy_fixed_space(reps, sheaf.n_stalk, tol).shape[1])
     return {
         "kernel_dim": int(basis.shape[1]),
@@ -464,18 +460,21 @@ def section_space_summary(sheaf: SheafGraph, tol: float = NULL_TOL) -> dict:
     }
 
 
-def _subsheaf(sheaf: SheafGraph, vertices: Sequence) -> SheafGraph:
-    keep = set(vertices)
-    edges, maps = [], []
-    for (t, h), mm in zip(sheaf.edges, sheaf.maps):
-        if t in keep and h in keep:
-            edges.append((t, h))
-            maps.append(mm)
-    return SheafGraph(sheaf.n_stalk, vertices, edges, maps, validate=False)
-
-
 # ---------------------------------------------------------------------------
 # diffusion
+
+
+def _log_update(sheaf: SheafGraph, logs: np.ndarray, normalize: bool = True) -> np.ndarray:
+    """Per-vertex log-Laplacian update of stacked logs.
+
+    With `normalize` each vertex's update is divided by max(1, its spectral
+    radius), which caps the radius at 1 and leaves small updates untouched.
+    """
+    delta = _laplacian_logs(sheaf, logs)
+    if normalize:
+        radii = np.max(np.abs(np.linalg.eigvalsh(delta)), axis=-1)
+        delta /= np.maximum(1.0, radii)[:, None, None]
+    return delta
 
 
 def diffusion_step(sheaf: SheafGraph, sigma: Cochain0, normalize: bool = True,
@@ -489,12 +488,8 @@ def diffusion_step(sheaf: SheafGraph, sigma: Cochain0, normalize: bool = True,
     eigenvalues are floored at `floor` (the construction-time clamp), which
     keeps states log-representable across deep runs.
     """
-    stack = _check_cochain0(sheaf, sigma)
-    logs = _logm_stack(stack)
-    delta = _laplacian_logs(sheaf, logs)
-    if normalize:
-        radii = np.max(np.abs(np.linalg.eigvalsh(delta)), axis=-1)
-        delta /= np.maximum(1.0, radii)[:, None, None]
+    logs = _logm_stack(_stack_cochain0(sheaf.vertices, sheaf.n_stalk, sigma))
+    delta = _log_update(sheaf, logs, normalize)
     new_logs = logs + delta if residual else delta
     # clamp into [floor, 1/floor]: keeps deep residual runs log-representable
     # (the residual drift is otherwise unbounded) without touching states in

@@ -115,10 +115,8 @@ def is_signed_permutation(M, tol: float = 1e-10) -> bool:
 
 def sym_eig(S) -> SpectralDecomp:
     """Eigendecomposition of a symmetric matrix, eigenvalues descending."""
-    S = _square(S, "symmetric matrix")
-    S = 0.5 * (S + S.T)
-    w, V = np.linalg.eigh(S)
-    return SpectralDecomp(w[::-1].copy(), V[:, ::-1].copy())
+    w, V = _eigh_desc_stack(_square(S, "symmetric matrix"))
+    return SpectralDecomp(w.copy(), V.copy())
 
 
 def _eigh_desc_stack(A: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -133,7 +131,7 @@ def _sym_part(A: np.ndarray) -> np.ndarray:
 
 def _logm_stack(P: np.ndarray) -> np.ndarray:
     w, V = _eigh_desc_stack(P)
-    if np.min(w) <= 0.0:
+    if np.min(w, initial=np.inf) <= 0.0:
         raise DomainError(f"matrix is not positive definite (min eigenvalue {np.min(w):.3e})")
     L = (V * np.log(w)[..., None, :]) @ np.swapaxes(V, -1, -2)
     return _sym_part(L)
@@ -141,7 +139,7 @@ def _logm_stack(P: np.ndarray) -> np.ndarray:
 
 def _expm_stack(S: np.ndarray) -> np.ndarray:
     w, V = _eigh_desc_stack(S)
-    if np.max(w) > _EXP_MAX:
+    if np.max(w, initial=-np.inf) > _EXP_MAX:
         raise OverflowError(f"matrix exponential overflows (max eigenvalue {np.max(w):.3e})")
     E = (V * np.exp(w)[..., None, :]) @ np.swapaxes(V, -1, -2)
     return _sym_part(E)
@@ -313,14 +311,14 @@ def tg_re_eig(P, delta: float = 0.1) -> np.ndarray:
 
     Eigenvalues with positive logarithm pass through; the others are replaced
     by distinct floors ``exp(delta * i)`` where i is the 1-based index over
-    eigenvalues sorted descending.
+    eigenvalues sorted descending. Accepts one matrix or a (..., n, n) stack.
     """
-    w, V = sym_eig(_square(P, "SPD matrix"))
+    w, V = _eigh_desc_stack(_square_stack(P, "SPD matrix"))
     if np.min(w) <= 0.0:
         raise DomainError("input is not positive definite")
-    idx = np.arange(1, w.size + 1, dtype=np.float64)
+    idx = np.arange(1, w.shape[-1] + 1, dtype=np.float64)
     w_new = np.where(np.log(w) > 0.0, w, np.exp(delta * idx))
-    return _sym_part((V * w_new) @ V.T)
+    return _sym_part((V * w_new[..., None, :]) @ np.swapaxes(V, -1, -2))
 
 
 def erank(P) -> float:
@@ -348,8 +346,7 @@ def clamp_spd(S, eps: float = EIG_FLOOR) -> np.ndarray:
     Returns the input unchanged (no reconstruction error) when it is already
     SPD above the floor.
     """
-    S = _square(S, "symmetric matrix")
-    S = 0.5 * (S + S.T)
+    S = _sym_part(_square(S, "symmetric matrix"))
     w, V = np.linalg.eigh(S)
     if w[0] >= eps:
         return S
@@ -417,11 +414,12 @@ def vec_to_sym(v, n: int) -> np.ndarray:
 def conj_operator(M) -> np.ndarray:
     """Matrix of ``S -> M S M^T`` acting on :func:`sym_to_vec` coordinates.
 
+    Accepts one matrix or a (..., n, n) stack, giving (..., m, m) operators.
     Orthogonal M gives an orthogonal operator, since the vectorization is an
     isometry for the Frobenius inner product.
     """
-    M = np.asarray(M, dtype=np.float64)
-    n = M.shape[0]
+    M = np.asarray(M, dtype=np.float64)[..., None, :, :]
+    n = M.shape[-1]
     iu, scale = _triu_scale(n)
     m = sym_dim(n)
     # column k is vec(M E_k M^T) for the k-th scaled basis matrix E_k
@@ -429,5 +427,5 @@ def conj_operator(M) -> np.ndarray:
     idx = np.arange(m)
     E[idx, iu[0], iu[1]] = 1.0 / scale
     E[idx, iu[1], iu[0]] = 1.0 / scale
-    out = M @ E @ M.T
-    return sym_to_vec(out).T
+    out = M @ E @ np.swapaxes(M, -1, -2)
+    return np.swapaxes(sym_to_vec(out), -1, -2)

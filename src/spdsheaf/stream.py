@@ -19,10 +19,9 @@ from typing import Sequence
 import numpy as np
 
 from .errors import DomainError, InvalidInputError
-from .sheaf import SheafGraph, _laplacian_logs, _stack_cochain0, diffusion_step
+from .sheaf import SheafGraph, _log_update, _stack_cochain0, diffusion_step
 from .spd import (
     _checked_sym,
-    _eigh_desc_stack,
     _erank_of_spectra,
     _expm_stack,
     _logm_stack,
@@ -35,6 +34,7 @@ from .spd import (
     sym_dim,
     sym_exp,
     sym_to_vec,
+    tg_re_eig,
     vec_to_sym,
 )
 
@@ -338,24 +338,17 @@ def spd_sheaf_layer(topology, sigma: dict, params: LayerParams,
     n = stack.shape[-1]
     logs = _logm_stack(stack)
 
-    index = {v: i for i, v in enumerate(vertices)}
-    tails = np.array([index[t] for t, _ in edges], dtype=int)
-    heads = np.array([index[h] for _, h in edges], dtype=int)
+    # the learner needs the endpoint positions before the maps exist, so the
+    # graph is built twice, first with placeholder identity maps
+    I = np.broadcast_to(np.eye(n), (len(edges), 2, n, n))
+    graph = SheafGraph(n, vertices, edges, I, validate=False)
     feats = sym_to_vec(logs)
-    maps_t, maps_h = sheaf_learner(params, feats[tails], feats[heads])
-    sheaf = SheafGraph(n, vertices, edges, zip(maps_t, maps_h), validate=False)
+    maps_t, maps_h = sheaf_learner(params, feats[graph._tails], feats[graph._heads])
+    sheaf = SheafGraph(n, vertices, edges, np.stack((maps_t, maps_h), axis=1), validate=False)
 
     Q = params.isometry
-    delta = _laplacian_logs(sheaf, _logm_stack(Q @ stack @ Q.T))
-    radii = np.max(np.abs(np.linalg.eigvalsh(delta)), axis=-1)
-    delta /= np.maximum(1.0, radii)[:, None, None]
-
-    updated = _expm_stack(logs + delta)
-    w, V = _eigh_desc_stack(updated)
-    idx = np.arange(1, n + 1, dtype=np.float64)
-    w_new = np.where(np.log(w) > 0.0, w, np.exp(tg_delta * idx))
-    out_stack = (V * w_new[..., None, :]) @ np.swapaxes(V, -1, -2)
-    out_stack = 0.5 * (out_stack + np.swapaxes(out_stack, -1, -2))
+    delta = _log_update(sheaf, _logm_stack(Q @ stack @ Q.T))
+    out_stack = tg_re_eig(_expm_stack(logs + delta), tg_delta)
     return {v: out_stack[i] for i, v in enumerate(vertices)}
 
 

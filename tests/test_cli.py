@@ -163,6 +163,41 @@ def test_probe_command_small(tmp_path, capsys):
     assert len(report["shuffle_control"]) == 1
 
 
+def _sheaf_obj(map_tail=None, value0=None):
+    I = [[1.0, 0.0], [0.0, 1.0]]
+    return {"n_stalk": 2, "vertices": [0, 1],
+            "edges": [{"tail": 0, "head": 1, "map_tail": map_tail or I, "map_head": I}],
+            "cochain0": [[0, value0 or I], [1, I]]}
+
+
+_MALFORMED = {
+    "string_entry": ("sections", _sheaf_obj(map_tail=[["a", 0.0], [0.0, 1.0]])),
+    "ragged_row": ("sections", _sheaf_obj(map_tail=[[1.0, 0.0], [0.0]])),
+    "map_log_overflow": ("sections", _sheaf_obj(map_tail={"log_upper": [1000.0, 0.0, 0.0]})),
+    "cochain_log_overflow": ("sections",
+                             _sheaf_obj(value0={"log_upper": [1000.0, 0.0, 0.0]})),
+    "nan_map": ("sections", _sheaf_obj(map_tail=[[float("nan"), 0.0], [0.0, 1.0]])),
+    "xyz_two_numbers": ("lift", {"vertices": [{"id": 0, "xyz": [0.0, 0.0]}], "edges": []}),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_MALFORMED))
+def test_malformed_numbers_are_exit_2(tmp_path, capsys, case):
+    command, obj = _MALFORMED[case]
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(obj))
+    assert main([command, str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and "Traceback" not in err
+
+
+@pytest.mark.parametrize("seed", ["33", "38"])
+def test_verify_hodge_passes_on_small_singular_values(seed, capsys):
+    # these seeds draw sheaves whose smallest nonzero singular value lies
+    # below 1e-4 sigma_max, where a Gram cutoff of 1e-8 on sigma^2 miscounts
+    assert main(["verify", "--check", "hodge", "--seed", seed]) == 0
+
+
 def test_missing_input_file_is_exit_2(tmp_path, capsys):
     assert main(["sections", str(tmp_path / "nope.json")]) == 2
     assert main(["lift", str(tmp_path / "nope.json")]) == 2

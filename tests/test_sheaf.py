@@ -38,18 +38,38 @@ def path_sheaf(n_stalk, k):
 # construction
 
 
-def test_construction_validation():
+@pytest.mark.parametrize("cls", [s.SheafGraph, s.EuclidSheaf])
+def test_construction_validation(cls):
     I = np.eye(2)
     with pytest.raises(InvalidInputError):
-        s.SheafGraph(2, [0, 1], [(0, 0)], [(I, I)])  # self-loop
+        cls(2, [0, 1], [(0, 0)], [(I, I)])  # self-loop
     with pytest.raises(InvalidInputError):
-        s.SheafGraph(2, [0, 1], [(0, 2)], [(I, I)])  # unknown vertex
+        cls(2, [0, 1], [(0, 2)], [(I, I)])  # unknown vertex
     with pytest.raises(InvalidInputError):
-        s.SheafGraph(2, [0, 1], [(0, 1)], [(2 * I, I)])  # not orthogonal
-    sheaf = s.SheafGraph(2, [0, 1], [(0, 1)], [(I, I)])
-    assert sheaf.incidence_index(0, 0) == 0
-    assert sheaf.incidence_index(1, 0) == 1
-    assert not sheaf.maps[0][0].flags.writeable
+        cls(2, [0, 1], [(0, 1)], [(2 * I, I)])  # not orthogonal
+    with pytest.raises(InvalidInputError, match="non-finite"):
+        cls(2, [0, 1], [(0, 1)], [(np.diag([np.nan, 1.0]), I)])
+    with pytest.raises(InvalidInputError, match="shape"):
+        cls(2, [0, 1], [(0, 1)], [(np.eye(3), np.eye(3))])  # wrong map shape
+    with pytest.raises(InvalidInputError):
+        cls(2, [0, 1], [(0, 1)], [(I, np.eye(3))])  # ragged pair
+    with pytest.raises(InvalidInputError):
+        cls(2, [0, 1], [(0, 1)], [(I, I), (I, I)])  # one pair too many
+    R = rotation2(0.3)
+    sheaf = cls(2, ["a", "b", "c"], [("a", "b"), ("c", "b"), ("a", "b")],
+                [(I, R), (R.T, I), (R, R.T)])
+    if cls is s.SheafGraph:
+        assert sheaf.incidence_index("a", 0) == 0
+        assert sheaf.incidence_index("b", 0) == 1
+    assert sheaf._tails.tolist() == [sheaf.vertex_index(t) for t, _ in sheaf.edges]
+    assert sheaf._heads.tolist() == [sheaf.vertex_index(h) for _, h in sheaf.edges]
+    assert sheaf._tail_maps.shape == sheaf._head_maps.shape == (3, 2, 2)
+    for k, (mt, mh) in enumerate(sheaf.maps):
+        assert np.array_equal(sheaf._tail_maps[k], mt)
+        assert np.array_equal(sheaf._head_maps[k], mh)
+        assert not mt.flags.writeable and not mh.flags.writeable
+    for arr in (sheaf._tails, sheaf._heads, sheaf._tail_maps, sheaf._head_maps):
+        assert not arr.flags.writeable
 
 
 def test_parallel_edges_allowed():
@@ -405,13 +425,13 @@ def test_diffusion_normalization_caps_update():
     rng = np.random.default_rng(15)
     sheaf = random_sheaf(3, 6, 3, rng)
     sigma = random_cochain0(sheaf, rng, spread=100.0)
-    from spdsheaf.sheaf import _check_cochain0, _laplacian_logs
+    from spdsheaf.sheaf import _log_update, _stack_cochain0
     from spdsheaf.spd import _logm_stack
 
-    logs = _logm_stack(_check_cochain0(sheaf, sigma))
-    delta = _laplacian_logs(sheaf, logs)
-    radii = np.max(np.abs(np.linalg.eigvalsh(delta)), axis=-1)
-    delta /= np.maximum(1.0, radii)[:, None, None]
+    logs = _logm_stack(_stack_cochain0(sheaf.vertices, sheaf.n_stalk, sigma))
+    raw = _log_update(sheaf, logs, normalize=False)
+    assert np.max(np.abs(np.linalg.eigvalsh(raw))) > 1.0  # the cap is exercised
+    delta = _log_update(sheaf, logs)
     assert np.max(np.abs(np.linalg.eigvalsh(delta))) <= 1.0 + 1e-12
     out = s.diffusion_step(sheaf, sigma, normalize=True)
     for Y in out.values():

@@ -377,3 +377,18 @@ def test_validated_constructors():
     assert np.linalg.eigvalsh(P).min() >= s.EIG_FLOOR - 1e-15
     with pytest.raises(InvalidInputError):
         s.as_orth(np.diag([2.0, 1.0]))
+
+
+def test_conj_operator_and_tg_re_eig_take_stacks():
+    rng = np.random.default_rng(18)
+    Ms = np.stack([random_orthogonal(3, rng) for _ in range(5)]).reshape(5, 1, 3, 3)
+    C = s.conj_operator(Ms)
+    assert C.shape == (5, 1, 6, 6)
+    for k in range(5):
+        assert np.array_equal(C[k, 0], s.conj_operator(Ms[k, 0]))
+    Ps = np.stack([random_spd(3, rng, spread=100.0) for _ in range(6)])
+    out = s.tg_re_eig(Ps, 0.2)
+    for k in range(6):
+        np.testing.assert_allclose(out[k], s.tg_re_eig(Ps[k], 0.2), rtol=0, atol=1e-12)
+    with pytest.raises(DomainError):
+        s.tg_re_eig(np.stack([np.eye(3), -np.eye(3)]))

@@ -118,3 +118,37 @@ def test_run_suite_tolerance_override_fails_and_dumps(tmp_path):
 def test_oracle_linearity_random():
     rng = np.random.default_rng(6)
     assert oracle_linearity(random_sheaf(3, 6, 2, rng), trials=3, seed=1).passed
+
+
+_ORACLE_HELPERS = ("_ovec", "_obasis", "_olog", "_oracle_operator", "_oracle_vec0",
+                   "_oracle_vec1", "_oracle_nullity", "_oracle_euclid_operator")
+_PLAIN_GRAPH_FIELDS = {"edges", "maps", "vertex_index", "n_stalk", "n_vertices", "n_edges",
+                       "vertices"}
+
+
+def test_oracle_helpers_share_no_primary_code():
+    """The oracle-local helpers use no name imported from the primary modules
+    and read a sheaf only through its plain graph fields (function bodies are
+    inspected; type annotations are not code paths)."""
+    import ast
+    import inspect
+
+    from spdsheaf import verify
+    from spdsheaf.sheaf import _OrthGraph
+
+    tree = ast.parse(inspect.getsource(verify))
+    primary = {alias.asname or alias.name for node in ast.walk(tree)
+               if isinstance(node, ast.ImportFrom) and node.level == 1
+               and node.module in ("sheaf", "spd", "euclid") for alias in node.names}
+    assert {"coboundary", "SheafGraph", "EuclidSheaf", "sym_exp"} <= primary
+    graph_attrs = {name for cls in (_OrthGraph, s.SheafGraph, s.EuclidSheaf)
+                   for name in list(vars(cls)) + list(cls.__slots__)}
+    forbidden = graph_attrs - _PLAIN_GRAPH_FIELDS
+    assert {"_tails", "_heads", "_tail_maps", "_head_maps", "incidence_index"} <= forbidden
+    funcs = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+    for name in _ORACLE_HELPERS:
+        nodes = [n for stmt in funcs[name].body for n in ast.walk(stmt)]
+        names = {n.id for n in nodes if isinstance(n, ast.Name)}
+        attrs = {n.attr for n in nodes if isinstance(n, ast.Attribute)}
+        assert not names & primary, (name, names & primary)
+        assert not attrs & forbidden, (name, attrs & forbidden)
