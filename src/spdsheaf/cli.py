@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 
@@ -18,14 +19,7 @@ import numpy as np
 from . import THREAD_ENV, jsonio, thread_cap, verify
 from .covgraph import TFGraphConfig, build_tf_graph
 from .errors import DomainError, InvalidInputError, NotApplicableError, ParseError
-from .sheaf import (
-    coboundary,
-    cochain0_from_vec,
-    global_sections,
-    section_space_summary,
-    sym_dim,
-)
-from .spd import dist_lem
+from .sheaf import section_space_summary, sym_dim
 from .stream import (
     canonicalize,
     diffusion_run,
@@ -55,17 +49,37 @@ def _write_or_print(text: str, path: str | None):
 # subcommands
 
 
+_CONFIG_SIZES = ("seed", "trials", "n_instances", "max_vertices", "extra_edges")
+
+
+def _verify_config(cfg) -> dict:
+    """Reject a `verify --config` object whose values have the wrong type."""
+    if not isinstance(cfg, dict):
+        raise ParseError("verify config must be a JSON object")
+    checks, tolerances = cfg.get("checks", []), cfg.get("tolerances", {})
+    if not (isinstance(checks, list) and all(isinstance(c, str) for c in checks)):
+        raise ParseError("verify config: 'checks' must be a list of check names")
+    # JSON numbers load as int or float; `type(x) is int` also rejects bools
+    bad = [k for k in _CONFIG_SIZES if k in cfg and type(cfg[k]) is not int]
+    if bad:
+        raise ParseError(f"verify config: {bad[0]!r} must be an integer, got {cfg[bad[0]]!r}")
+    if not isinstance(tolerances, dict) or not all(
+            c in verify.ALL_CHECKS and type(t) in (int, float) and math.isfinite(t) and t >= 0
+            for c, t in tolerances.items()):
+        raise ParseError("verify config: 'tolerances' must map check names to finite "
+                         "numbers >= 0")
+    return cfg
+
+
 def cmd_verify(args) -> int:
     checks = tuple(args.check) if args.check else verify.ALL_CHECKS
     tolerances = None
     kwargs = {}
     if args.config:
-        cfg_obj = jsonio.load_json(args.config)
+        cfg_obj = _verify_config(jsonio.load_json(args.config))
         checks = tuple(cfg_obj.get("checks", checks))
         tolerances = cfg_obj.get("tolerances")
-        for key in ("seed", "trials", "n_instances", "max_vertices", "extra_edges"):
-            if key in cfg_obj:
-                kwargs[key] = cfg_obj[key]
+        kwargs = {key: cfg_obj[key] for key in _CONFIG_SIZES if key in cfg_obj}
     kwargs.setdefault("seed", args.seed)
     kwargs.setdefault("trials", args.trials)
     stalk_dims = tuple(args.n) if args.n else (2, 3)
@@ -90,20 +104,14 @@ def cmd_verify(args) -> int:
 
 def cmd_sections(args) -> int:
     sheaf, _ = jsonio.load_sheaf(args.sheaf)
-    tol = args.tol
-    summary = section_space_summary(sheaf, tol)
-    basis = global_sections(sheaf, tol)
+    summary = section_space_summary(sheaf, args.tol)
+    basis, residuals = summary["basis"], summary["edge_residuals"]
     m = sym_dim(sheaf.n_stalk)
-    I = np.eye(sheaf.n_stalk)
-    basis_entries = []
-    for col in range(basis.shape[1]):
-        section = cochain0_from_vec(sheaf, basis[:, col])
-        residuals = [dist_lem(Y, I) for Y in coboundary(sheaf, section)]
-        basis_entries.append({
-            "log_upper": {str(v): basis[i * m:(i + 1) * m, col].tolist()
-                          for i, v in enumerate(sheaf.vertices)},
-            "edge_residuals": residuals,
-        })
+    basis_entries = [{
+        "log_upper": {str(v): basis[i * m:(i + 1) * m, col].tolist()
+                      for i, v in enumerate(sheaf.vertices)},
+        "edge_residuals": residuals[col].tolist(),
+    } for col in range(basis.shape[1])]
     report = {
         "n_stalk": sheaf.n_stalk,
         "n_vertices": sheaf.n_vertices,

@@ -18,11 +18,10 @@ from .errors import InvalidInputError, NotApplicableError
 from .sheaf import (
     NULL_TOL,
     SheafGraph,
-    _component_holonomy,
     _incidence_matrix,
     _OrthGraph,
+    _spanning_forest,
     coboundary,
-    connected_components,
     nullspace,
 )
 from .spd import EIG_FLOOR, _sym_part, dist_lem, is_signed_permutation
@@ -194,13 +193,10 @@ def strictness_witness(sheaf: SheafGraph, tol: float = 1e-7) -> dict:
     if n < 3:
         raise NotApplicableError("strictness witness requires stalk dimension >= 3")
     P = np.diag(np.arange(1.0, n + 1.0))
-    witness: dict = {}
-    for comp in connected_components(sheaf):
-        W, reps = _component_holonomy(sheaf, comp[0])
-        if any(np.linalg.norm(rho - np.eye(n)) > 1e-8 for rho in reps):
-            raise NotApplicableError("sheaf has nontrivial holonomy")
-        for v in comp:
-            witness[v] = _sym_part(W[v] @ P @ W[v].T)
+    _, W, reps = _spanning_forest(sheaf)
+    if any(np.linalg.norm(rho - np.eye(n)) > 1e-8 for comp in reps for rho in comp):
+        raise NotApplicableError("sheaf has nontrivial holonomy")
+    witness = {v: _sym_part(W[i] @ P @ W[i].T) for i, v in enumerate(sheaf.vertices)}
     I = np.eye(n)
     resid = max((dist_lem(Y, I) for Y in coboundary(sheaf, witness)), default=0.0)
     if resid > tol:

@@ -15,7 +15,7 @@ import math
 import numpy as np
 
 from .covgraph import Segment
-from .errors import InvalidInputError, ParseError
+from .errors import ParseError
 from .euclid import EuclidSheaf
 from .sheaf import SheafGraph
 from .spd import as_spd, spd_log, sym_exp, sym_to_vec, vec_to_sym
@@ -227,7 +227,7 @@ def segments_from_json_obj(obj) -> list[Segment]:
         segs = [Segment(s["data"], s["t_mid"], s["f_mid"]) for s in raw]
     except (KeyError, TypeError) as exc:
         raise ParseError(f"malformed segments object: missing {exc}") from exc
-    except InvalidInputError as exc:
+    except ValueError as exc:  # InvalidInputError from Segment, or a non-numeric value
         raise ParseError(f"malformed segment: {exc}") from exc
     if not segs:
         raise ParseError("segments file contains no segments")
@@ -250,6 +250,8 @@ def load_weights(path: str) -> tuple[list[tuple], list[float]]:
         weights = [float(w) for w in obj["weights"]]
     except (KeyError, TypeError) as exc:
         raise ParseError(f"malformed weights object: missing {exc}") from exc
+    except ValueError as exc:
+        raise ParseError(f"malformed weights object: {exc}") from exc
     if len(edges) != len(weights):
         raise ParseError("weights file: edge and weight counts differ")
     return edges, weights

@@ -184,10 +184,10 @@ def identity_cochain0(sheaf: SheafGraph) -> dict:
 
 
 def _coboundary_logs(sheaf: SheafGraph, logs: np.ndarray) -> np.ndarray:
-    """Per-edge log-domain coboundary from stacked vertex logs."""
+    """Per-edge log-domain coboundary from (..., |V|, n, n) stacked vertex logs."""
     Mt, Mh = sheaf._tail_maps, sheaf._head_maps
-    Tt = Mt @ logs[sheaf._tails] @ np.swapaxes(Mt, -1, -2)
-    Th = Mh @ logs[sheaf._heads] @ np.swapaxes(Mh, -1, -2)
+    Tt = Mt @ logs[..., sheaf._tails, :, :] @ np.swapaxes(Mt, -1, -2)
+    Th = Mh @ logs[..., sheaf._heads, :, :] @ np.swapaxes(Mh, -1, -2)
     return _sym_part(Tt - Th)
 
 
@@ -312,12 +312,8 @@ def nullspace(A: np.ndarray, tol: float = NULL_TOL) -> np.ndarray:
     if A.shape[0] == 0:
         return np.eye(A.shape[1])
     _, s, Vh = np.linalg.svd(A)
-    return Vh[_rank(s, tol):].T.copy()
-
-
-def _rank(s: np.ndarray, tol: float) -> int:
-    """Number of descending singular values above ``tol * max(sigma_max, 1)``."""
-    return int(np.sum(s > tol * max(s[0], 1.0))) if s.size else 0
+    rank = int(np.sum(s > tol * max(s[0], 1.0))) if s.size else 0
+    return Vh[rank:].T.copy()
 
 
 def global_sections(sheaf: SheafGraph, tol: float = NULL_TOL) -> np.ndarray:
@@ -332,45 +328,17 @@ def global_sections(sheaf: SheafGraph, tol: float = NULL_TOL) -> np.ndarray:
     return nullspace(coboundary_matrix(sheaf), tol)
 
 
-def sheaf_index(sheaf: SheafGraph, tol: float = NULL_TOL) -> int:
-    """dim ker(coboundary) - dim ker(adjoint), from SVD ranks.
+def sheaf_index(sheaf: SheafGraph) -> int:
+    """dim ker(coboundary) - dim ker(adjoint) = (|V| - |E|) * n(n+1)/2.
 
-    Equals (|V| - |E|) * n(n+1)/2 on every sheaf by rank-nullity.
+    By rank-nullity both kernels lose the same rank r from |V| m and |E| m,
+    so the index needs no factorization and no tolerance.
     """
-    m = sym_dim(sheaf.n_stalk)
-    B = coboundary_matrix(sheaf)
-    rank = _rank(np.linalg.svd(B, compute_uv=False), tol) if B.shape[0] else 0
-    dim_ker_b = sheaf.n_vertices * m - rank
-    dim_ker_bt = sheaf.n_edges * m - rank
-    return dim_ker_b - dim_ker_bt
+    return (sheaf.n_vertices - sheaf.n_edges) * sym_dim(sheaf.n_stalk)
 
 
 # ---------------------------------------------------------------------------
 # holonomy
-
-
-def connected_components(sheaf: SheafGraph) -> list[list]:
-    """Vertex lists of the connected components, in vertex order."""
-    adj: dict = {v: [] for v in sheaf.vertices}
-    for t, h in sheaf.edges:
-        adj[t].append(h)
-        adj[h].append(t)
-    seen = set()
-    comps = []
-    for v in sheaf.vertices:
-        if v in seen:
-            continue
-        comp, queue = [], [v]
-        seen.add(v)
-        while queue:
-            u = queue.pop()
-            comp.append(u)
-            for w in adj[u]:
-                if w not in seen:
-                    seen.add(w)
-                    queue.append(w)
-        comps.append(comp)
-    return comps
 
 
 def edge_transport(sheaf: SheafGraph, edge_idx: int) -> np.ndarray:
@@ -379,36 +347,53 @@ def edge_transport(sheaf: SheafGraph, edge_idx: int) -> np.ndarray:
     return Mh.T @ Mt
 
 
-def _component_holonomy(sheaf: _OrthGraph, root) -> tuple[dict, list[np.ndarray]]:
-    """BFS spanning tree from `root`: tree transports and cycle holonomies.
+def _spanning_forest(sheaf: _OrthGraph) -> tuple[list[list], list, list[list]]:
+    """Components, tree transports and cycle holonomies in one O(|V| + |E|) pass.
 
-    W_v carries the root stalk to the stalk at v along the tree
-    (W_root = I). The representatives are those of :func:`holonomy_reps`,
-    one per non-tree edge of the component, in edge order.
+    Each component is searched breadth-first from its first vertex and lists
+    its vertices in vertex order. ``W[i]`` carries the root stalk to vertex
+    position i along the tree. ``reps[c]`` holds the representatives of
+    :func:`holonomy_reps` for component c, one per non-tree edge, in edge order.
     """
-    n = sheaf.n_stalk
-    incident: dict = {v: [] for v in sheaf.vertices}
-    for k, (t, h) in enumerate(sheaf.edges):
+    n_v = sheaf.n_vertices
+    ends = list(zip(sheaf._tails.tolist(), sheaf._heads.tolist()))
+    incident: list[list] = [[] for _ in range(n_v)]
+    for k, (t, h) in enumerate(ends):
         incident[t].append((k, h, False))
         incident[h].append((k, t, True))
-    W = {root: np.eye(n)}
-    tree_edges: set[int] = set()
-    queue = deque([root])
-    while queue:
-        u = queue.popleft()
-        for k, w, reverse in incident[u]:
-            if w in W:
-                continue
-            T = edge_transport(sheaf, k)
-            W[w] = (T.T if reverse else T) @ W[u]
-            tree_edges.add(k)
-            queue.append(w)
-    reps = [
-        W[h].T @ edge_transport(sheaf, k) @ W[t]
-        for k, (t, h) in enumerate(sheaf.edges)
-        if k not in tree_edges and t in W and h in W
-    ]
-    return W, reps
+    comp_of = [-1] * n_v
+    W: list = [None] * n_v
+    tree = [False] * sheaf.n_edges
+    n_comps = 0
+    for root in range(n_v):
+        if comp_of[root] >= 0:
+            continue
+        comp_of[root], W[root] = n_comps, np.eye(sheaf.n_stalk)
+        queue = deque([root])
+        while queue:
+            u = queue.popleft()
+            for k, w, reverse in incident[u]:
+                if comp_of[w] >= 0:
+                    continue
+                T = edge_transport(sheaf, k)
+                W[w] = (T.T if reverse else T) @ W[u]
+                comp_of[w] = n_comps
+                tree[k] = True
+                queue.append(w)
+        n_comps += 1
+    comps: list[list] = [[] for _ in range(n_comps)]
+    for v, c in zip(sheaf.vertices, comp_of):
+        comps[c].append(v)
+    reps: list[list] = [[] for _ in range(n_comps)]
+    for k, (t, h) in enumerate(ends):
+        if not tree[k]:
+            reps[comp_of[t]].append(W[h].T @ edge_transport(sheaf, k) @ W[t])
+    return comps, W, reps
+
+
+def connected_components(sheaf: SheafGraph) -> list[list]:
+    """Vertex lists of the connected components, each in vertex order."""
+    return _spanning_forest(sheaf)[0]
 
 
 def holonomy_reps(sheaf: SheafGraph) -> list[np.ndarray]:
@@ -418,10 +403,10 @@ def holonomy_reps(sheaf: SheafGraph) -> list[np.ndarray]:
     ``W_v^T T_e W_u``: the orthogonal matrix a root-stalk log accumulates
     around the corresponding cycle. Trees return an empty list.
     """
-    comps = connected_components(sheaf)
+    comps, _, reps = _spanning_forest(sheaf)
     if len(comps) != 1:
         raise InvalidInputError("holonomy_reps requires a connected graph; split per component")
-    return _component_holonomy(sheaf, comps[0][0])[1]
+    return reps[0]
 
 
 def holonomy_fixed_space(reps: Sequence[np.ndarray], n: int | None = None,
@@ -437,26 +422,32 @@ def holonomy_fixed_space(reps: Sequence[np.ndarray], n: int | None = None,
         if n is None:
             raise InvalidInputError("n is required when the representation list is empty")
         return np.eye(sym_dim(n))
-    n = reps[0].shape[0]
-    m = sym_dim(n)
-    blocks = [conj_operator(r) - np.eye(m) for r in reps]
-    return nullspace(np.vstack(blocks), tol)
+    ops = conj_operator(np.stack(reps))
+    m = ops.shape[-1]
+    return nullspace((ops - np.eye(m)).reshape(-1, m), tol)
 
 
 def section_space_summary(sheaf: SheafGraph, tol: float = NULL_TOL) -> dict:
-    """Kernel dimension, index and per-component holonomy fixed dimensions."""
+    """Every number of a sections report, from one SVD of the dense operator.
+
+    Besides the counts: ``basis`` as from :func:`global_sections` and
+    ``edge_residuals``, the (kernel_dim, |E|) Frobenius norms of the
+    log-domain coboundary of each basis column.
+    """
     basis = global_sections(sheaf, tol)
-    comps = connected_components(sheaf)
-    fixed_dims = []
-    for comp in comps:
-        _, reps = _component_holonomy(sheaf, comp[0])
-        fixed_dims.append(holonomy_fixed_space(reps, sheaf.n_stalk, tol).shape[1])
+    comps, _, reps = _spanning_forest(sheaf)
+    fixed_dims = [holonomy_fixed_space(r, sheaf.n_stalk, tol).shape[1] for r in reps]
+    n, m = sheaf.n_stalk, sym_dim(sheaf.n_stalk)
+    logs = vec_to_sym(basis.T.reshape(basis.shape[1], sheaf.n_vertices, m), n)
+    residuals = np.linalg.norm(_coboundary_logs(sheaf, logs), axis=(-2, -1))
     return {
         "kernel_dim": int(basis.shape[1]),
-        "index": sheaf_index(sheaf, tol),
+        "index": sheaf_index(sheaf),
         "components": len(comps),
         "holonomy_fixed_dims": fixed_dims,
         "holonomy_fixed_total": int(sum(fixed_dims)),
+        "basis": basis,
+        "edge_residuals": residuals,
     }
 
 

@@ -86,6 +86,23 @@ def test_sections_report(sheaf_file, capsys):
         assert max(entry["edge_residuals"], default=0.0) <= 1e-7
 
 
+def test_sections_factors_the_operator_once(tmp_path, monkeypatch, capsys):
+    sheaf = random_sheaf(2, 6, 3, np.random.default_rng(4))
+    path = str(tmp_path / "sheaf.json")
+    jsonio.sheaf_to_json(sheaf, path=path)
+    operator_shape = (sheaf.n_edges * 3, sheaf.n_vertices * 3)
+    shapes, svd = [], np.linalg.svd
+
+    def counted_svd(a, *args, **kwargs):
+        shapes.append(np.shape(a))
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counted_svd)
+    assert main(["sections", path]) == 0
+    assert shapes.count(operator_shape) == 1
+    assert json.loads(capsys.readouterr().out)["kernel_dim"] >= 1
+
+
 def test_sections_malformed_file(tmp_path, capsys):
     path = str(tmp_path / "bad.json")
     with open(path, "w") as fh:
@@ -170,23 +187,47 @@ def _sheaf_obj(map_tail=None, value0=None):
             "cochain0": [[0, value0 or I], [1, I]]}
 
 
+def _segments_obj(t_mid=0.0, data=None):
+    return {"segments": [{"t_mid": t_mid, "f_mid": 10.0,
+                          "data": data or [[1.0, 2.0], [0.5, -1.0]]}]}
+
+
+_COVGRAPH = ["--eps1", "1", "--eps2", "1", "--eps", "1", "--bandwidth", "1", "--out", "cg"]
+
+# case -> (argv with INPUT in place of the file path, file contents)
 _MALFORMED = {
-    "string_entry": ("sections", _sheaf_obj(map_tail=[["a", 0.0], [0.0, 1.0]])),
-    "ragged_row": ("sections", _sheaf_obj(map_tail=[[1.0, 0.0], [0.0]])),
-    "map_log_overflow": ("sections", _sheaf_obj(map_tail={"log_upper": [1000.0, 0.0, 0.0]})),
-    "cochain_log_overflow": ("sections",
+    "string_entry": (["sections", "INPUT"], _sheaf_obj(map_tail=[["a", 0.0], [0.0, 1.0]])),
+    "ragged_row": (["sections", "INPUT"], _sheaf_obj(map_tail=[[1.0, 0.0], [0.0]])),
+    "map_log_overflow": (["sections", "INPUT"],
+                         _sheaf_obj(map_tail={"log_upper": [1000.0, 0.0, 0.0]})),
+    "cochain_log_overflow": (["sections", "INPUT"],
                              _sheaf_obj(value0={"log_upper": [1000.0, 0.0, 0.0]})),
-    "nan_map": ("sections", _sheaf_obj(map_tail=[[float("nan"), 0.0], [0.0, 1.0]])),
-    "xyz_two_numbers": ("lift", {"vertices": [{"id": 0, "xyz": [0.0, 0.0]}], "edges": []}),
+    "nan_map": (["sections", "INPUT"], _sheaf_obj(map_tail=[[float("nan"), 0.0], [0.0, 1.0]])),
+    "xyz_two_numbers": (["lift", "INPUT"],
+                        {"vertices": [{"id": 0, "xyz": [0.0, 0.0]}], "edges": []}),
+    "segment_string_t_mid": (["covgraph", "INPUT", *_COVGRAPH], _segments_obj(t_mid="x")),
+    "segment_string_data": (["covgraph", "INPUT", *_COVGRAPH],
+                            _segments_obj(data=[["a", 2.0], [0.5, -1.0]])),
+    "config_string_trials": (["verify", "--config", "INPUT"], {"trials": "five"}),
+    "config_bool_seed": (["verify", "--config", "INPUT"], {"seed": True}),
+    "config_string_tolerance": (["verify", "--config", "INPUT"],
+                                {"tolerances": {"index": "x"}}),
+    "config_negative_tolerance": (["verify", "--config", "INPUT"],
+                                  {"tolerances": {"index": -1.0}}),
+    "config_unknown_tolerance": (["verify", "--config", "INPUT"],
+                                 {"tolerances": {"indx": 0.0}}),
+    "config_checks_string": (["verify", "--config", "INPUT"], {"checks": "index"}),
+    "config_not_object": (["verify", "--config", "INPUT"], ["index"]),
 }
 
 
 @pytest.mark.parametrize("case", sorted(_MALFORMED))
-def test_malformed_numbers_are_exit_2(tmp_path, capsys, case):
-    command, obj = _MALFORMED[case]
+def test_malformed_numbers_are_exit_2(tmp_path, monkeypatch, capsys, case):
+    argv, obj = _MALFORMED[case]
     path = tmp_path / "input.json"
     path.write_text(json.dumps(obj))
-    assert main([command, str(path)]) == 2
+    monkeypatch.chdir(tmp_path)
+    assert main([str(path) if a == "INPUT" else a for a in argv]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1 and "Traceback" not in err
 

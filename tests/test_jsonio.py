@@ -85,6 +85,10 @@ def test_malformed_objects_rejected(tmp_path):
         jsonio.matrix_from_json({"wrong": []})
     with pytest.raises(ParseError):
         jsonio.matrix_from_json({"log_upper": [1.0, 2.0]})  # not triangular
+    with open(path, "w") as fh:
+        fh.write('{"edges": [[0, 1]], "weights": ["heavy"]}')
+    with pytest.raises(ParseError):
+        jsonio.load_weights(path)
 
 
 def test_loaded_cochain_values_are_clamped():

@@ -355,6 +355,14 @@ def test_holonomy_requires_connected():
     assert len(connected_components(sheaf)) == 2
 
 
+def test_connected_components_in_vertex_order():
+    I = np.eye(2)
+    sheaf = s.SheafGraph(2, range(5), [(0, 1), (1, 3), (0, 2)], [(I, I)] * 3)
+    assert connected_components(sheaf) == [[0, 1, 2, 3], [4]]
+    sheaf = s.SheafGraph(2, ["z", "a", "m", "b"], [("b", "z"), ("a", "m")], [(I, I)] * 2)
+    assert connected_components(sheaf) == [["z", "b"], ["a", "m"]]
+
+
 def test_holonomy_fixed_space_examples():
     assert s.holonomy_fixed_space([], 2).shape[1] == s.sym_dim(2)
     # reflection: diagonal matrices are fixed
