@@ -113,7 +113,6 @@ from .stream import (  # noqa: E402
     lift_coordinates,
     linear_probe,
     local_frame,
-    node_features,
     pooled_descriptor,
     rank_trace,
     sheaf_learner,

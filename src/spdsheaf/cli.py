@@ -37,6 +37,13 @@ def _check_thread_cap():
             f"{THREAD_ENV} must be a positive integer, got {os.environ[THREAD_ENV]!r}") from None
 
 
+def _check_at_least(args, **bounds):
+    """Reject a flag value below its lower bound."""
+    for name, low in bounds.items():
+        if getattr(args, name) < low:
+            raise InvalidInputError(f"--{name} must be >= {low}, got {getattr(args, name)}")
+
+
 def _write_or_print(text: str, path: str | None):
     if path is None:
         sys.stdout.write(text if text.endswith("\n") else text + "\n")
@@ -128,6 +135,7 @@ def cmd_sections(args) -> int:
 
 
 def cmd_diffuse(args) -> int:
+    _check_at_least(args, seed=0, layers=0)
     pc = jsonio.load_cloud(args.cloud)
     final, trace = diffusion_run(
         pc, layers=args.layers, seed=args.seed,
@@ -151,6 +159,7 @@ def cmd_diffuse(args) -> int:
 
 
 def cmd_probe(args) -> int:
+    _check_at_least(args, seed=0, repeats=1, layers=0)
     rng = np.random.default_rng(args.seed)
     seeds = [int(rng.integers(0, 2**31)) for _ in range(args.repeats)]
     runs = [planarity_experiment(s, n_per_class=args.samples, n_layers=args.layers)

@@ -14,6 +14,7 @@ the Green identity ``<d sigma, tau> = <sigma, d^T tau>`` verbatim.
 
 from __future__ import annotations
 
+import copy
 from collections import deque
 from typing import Iterable, Mapping, Sequence
 
@@ -52,13 +53,12 @@ class _OrthGraph:
     The maps are stored once, as read-only (E, n, n) tail and head stacks;
     ``maps`` holds views into them. The tail and head vertex positions of
     every edge are stored as index arrays, so operators never rebuild them.
-    With ``validate=False`` the caller vouches for the graph and the maps.
     """
 
-    __slots__ = ("n_stalk", "vertices", "edges", "maps", "_vindex",
+    __slots__ = ("n_stalk", "vertices", "edges", "_vindex",
                  "_tails", "_heads", "_tail_maps", "_head_maps")
 
-    def __init__(self, n_stalk, vertices, edges, maps, validate: bool = True):
+    def __init__(self, n_stalk, vertices, edges, maps):
         self.n_stalk = int(n_stalk)
         self.vertices = tuple(vertices)
         self.edges = tuple((t, h) for t, h in edges)
@@ -71,15 +71,24 @@ class _OrthGraph:
                 f"restriction maps must be pairs of equal shape: {exc}") from None
         if stack.size == 0 and not self.edges and n > 0:
             stack = np.zeros((0, 2, n, n))
-        if validate:
-            self._validate(stack)
+        self._validate(stack)
         self._tail_maps = np.ascontiguousarray(stack[:, 0])
         self._head_maps = np.ascontiguousarray(stack[:, 1])
         self._tails = np.array([self._vindex[t] for t, _ in self.edges], dtype=int)
         self._heads = np.array([self._vindex[h] for _, h in self.edges], dtype=int)
         for arr in (self._tail_maps, self._head_maps, self._tails, self._heads):
             arr.setflags(write=False)
-        self.maps = tuple(zip(self._tail_maps, self._head_maps))
+
+    def _with_maps(self, tail_maps, head_maps):
+        """This topology with new, unvalidated (E, n, n) map stacks; the vertex
+        index and endpoint arrays are shared, not rebuilt."""
+        graph = copy.copy(self)
+        graph._tail_maps, graph._head_maps = (
+            np.array(M, dtype=np.float64, order="C") for M in (tail_maps, head_maps))
+        for arr in (graph._tail_maps, graph._head_maps):
+            arr.setflags(write=False)
+        graph.n_stalk = graph._tail_maps.shape[-1]
+        return graph
 
     def __repr__(self):
         return (f"{type(self).__name__}(n_stalk={self.n_stalk}, |V|={self.n_vertices}, "
@@ -113,8 +122,13 @@ class _OrthGraph:
     def identity_maps(cls, n_stalk: int, vertices: Iterable, edges: Iterable):
         """Sheaf whose restriction maps are all the identity."""
         edges = tuple(edges)
-        I = np.eye(n_stalk)
-        return cls(n_stalk, vertices, edges, [(I, I)] * len(edges))
+        return cls(n_stalk, vertices, edges,
+                   np.broadcast_to(np.eye(n_stalk), (len(edges), 2, n_stalk, n_stalk)))
+
+    @property
+    def maps(self) -> tuple:
+        """``(M_tail, M_head)`` per edge: read-only views into the map stacks."""
+        return tuple(zip(self._tail_maps, self._head_maps))
 
     @property
     def n_vertices(self) -> int:
@@ -343,8 +357,7 @@ def sheaf_index(sheaf: SheafGraph) -> int:
 
 def edge_transport(sheaf: SheafGraph, edge_idx: int) -> np.ndarray:
     """Transport tail-stalk logs to head-stalk logs: ``M_head^T M_tail``."""
-    Mt, Mh = sheaf.maps[edge_idx]
-    return Mh.T @ Mt
+    return sheaf._head_maps[edge_idx].T @ sheaf._tail_maps[edge_idx]
 
 
 def _spanning_forest(sheaf: _OrthGraph) -> tuple[list[list], list, list[list]]:

@@ -32,10 +32,8 @@ from .spd import (
     skew_from_params,
     spd_log,
     sym_dim,
-    sym_exp,
     sym_to_vec,
     tg_re_eig,
-    vec_to_sym,
 )
 
 # Pairs per block of the minimum pairwise distance: a block holds
@@ -44,9 +42,14 @@ _PAIR_BLOCK = 1 << 15
 
 
 class PointCloud:
-    """Vertex coordinates in R^3 plus an undirected edge list."""
+    """Vertex coordinates in R^3 plus an undirected edge list.
 
-    __slots__ = ("ids", "points", "edges", "_index", "_adj")
+    The topology is one identity-map :class:`SheafGraph` with 3x3 stalks,
+    built and validated once: ``ids``, ``edges`` and ``index`` read from it,
+    and the stream swaps new maps into it instead of rebuilding it.
+    """
+
+    __slots__ = ("points", "graph", "ids", "edges")
 
     def __init__(self, points, edges, ids=None):
         self.points = np.asarray(points, dtype=np.float64).reshape(-1, 3)
@@ -54,64 +57,53 @@ class PointCloud:
             raise InvalidInputError("point cloud has non-finite coordinates")
         if self.points.shape[0] == 0:
             raise InvalidInputError("point cloud is empty")
-        self.ids = tuple(ids) if ids is not None else tuple(range(self.points.shape[0]))
-        if len(self.ids) != self.points.shape[0]:
+        ids = tuple(ids) if ids is not None else range(self.points.shape[0])
+        if len(ids) != self.points.shape[0]:
             raise InvalidInputError("one id per point required")
-        self._index = {v: i for i, v in enumerate(self.ids)}
-        self.edges = tuple((t, h) for t, h in edges)
-        self._adj = {v: [] for v in self.ids}
-        for t, h in self.edges:
-            if t not in self._index or h not in self._index:
-                raise InvalidInputError(f"edge ({t!r}, {h!r}) references unknown vertex")
-            if t == h:
-                raise InvalidInputError(f"self-loop at vertex {t!r}")
-            self._adj[t].append(h)
-            self._adj[h].append(t)
+        self.graph = SheafGraph.identity_maps(3, ids, edges)
+        self.ids, self.edges = self.graph.vertices, self.graph.edges
 
     @property
     def n_points(self) -> int:
         return self.points.shape[0]
 
     def index(self, v) -> int:
-        return self._index[v]
+        return self.graph.vertex_index(v)
 
     def neighbors(self, v):
         """Neighbours of v, one per incident edge, in edge order."""
-        return list(self._adj.get(v, ()))
+        return [h if t == v else t for t, h in self.edges if v in (t, h)]
 
 
 def knn_edges(points, k: int = 3) -> list[tuple[int, int]]:
     """Symmetrized k-nearest-neighbour edges on positional indices."""
-    pts = np.asarray(points, dtype=np.float64)
-    N = pts.shape[0]
-    k = min(k, N - 1)
-    if k <= 0:
-        return []
-    d2 = np.sum((pts[:, None, :] - pts[None, :, :]) ** 2, axis=-1)
-    np.fill_diagonal(d2, np.inf)
-    pairs = set()
-    for i in range(N):
-        for j in np.argsort(d2[i])[:k]:
-            pairs.add((min(i, int(j)), max(i, int(j))))
-    return sorted(pairs)
+    d2 = _squared_distances(points)
+    return _edge_list(np.zeros(d2.shape, dtype=bool), d2, np.arange(d2.shape[0]), k)
 
 
 def geometric_graph(points, radius: float, k_fallback: int = 2) -> list[tuple[int, int]]:
     """Radius graph; vertices left isolated get their k nearest neighbours."""
+    d2 = _squared_distances(points)
+    near = d2 <= radius**2
+    return _edge_list(near, d2, np.flatnonzero(~near.any(axis=1)), k_fallback)
+
+
+def _squared_distances(points) -> np.ndarray:
+    """(N, N) squared distances between points, with an infinite diagonal."""
     pts = np.asarray(points, dtype=np.float64)
-    N = pts.shape[0]
     d2 = np.sum((pts[:, None, :] - pts[None, :, :]) ** 2, axis=-1)
     np.fill_diagonal(d2, np.inf)
-    pairs = {(i, j) for i in range(N) for j in range(i + 1, N) if d2[i, j] <= radius**2}
-    degree = np.zeros(N, dtype=int)
-    for i, j in pairs:
-        degree[i] += 1
-        degree[j] += 1
-    for i in range(N):
-        if degree[i] == 0 and N > 1:
-            for j in np.argsort(d2[i])[:k_fallback]:
-                pairs.add((min(i, int(j)), max(i, int(j))))
-    return sorted(pairs)
+    return d2
+
+
+def _edge_list(adj, d2, rows, k: int) -> list[tuple[int, int]]:
+    """Sorted pairs i < j of the symmetrized adjacency ``adj``, after each of
+    ``rows`` is linked to its k nearest other vertices (fewer if N <= k)."""
+    k = min(k, d2.shape[0] - 1)
+    if k > 0:
+        adj[rows[:, None], np.argsort(d2[rows], axis=1)[:, :k]] = True
+    tails, heads = np.nonzero(np.triu(adj | adj.T, 1))
+    return list(zip(tails.tolist(), heads.tolist()))
 
 
 # ---------------------------------------------------------------------------
@@ -149,6 +141,10 @@ def local_frame(pc: PointCloud) -> tuple[dict, dict]:
     vertex flag.
     """
     centered = pc.points - pc.points.mean(axis=0)
+    neighbors: list[list[int]] = [[] for _ in pc.ids]
+    for t, h in zip(pc.graph._tails.tolist(), pc.graph._heads.tolist()):
+        neighbors[t].append(h)
+        neighbors[h].append(t)
     frames, flags = {}, {}
     for i, v in enumerate(pc.ids):
         flagged = False
@@ -158,8 +154,8 @@ def local_frame(pc: PointCloud) -> tuple[dict, dict]:
             flagged = True
         v1 = _unit(u)
         agg = np.zeros(3)
-        for w in pc.neighbors(v):
-            d = pc.points[pc.index(w)] - pc.points[i]
+        for j in neighbors[i]:
+            d = pc.points[j] - pc.points[i]
             nd = np.linalg.norm(d)
             if nd > 0:
                 agg += d / nd
@@ -185,23 +181,6 @@ def _stack_values(vertices: list, sigma: dict) -> np.ndarray:
     """Validated (|V|, n, n) stack of a cochain's finite square values, in vertex order."""
     n = _square(next(iter(sigma.values())), "SPD matrix").shape[0] if sigma else 0
     return _square_stack(_stack_cochain0(vertices, n, sigma), "SPD matrix")
-
-
-def node_features(sigma: dict) -> dict:
-    """Log-domain feature vector per vertex: vec_upper(log X), sqrt(2)-scaled.
-
-    The values must share one shape; their logs are taken as one stack.
-    """
-    vertices = list(sigma)
-    if not vertices:
-        return {}
-    feats = sym_to_vec(_logm_stack(_stack_values(vertices, sigma)))
-    return dict(zip(vertices, feats))
-
-
-def unvectorize_feature(h, n: int) -> np.ndarray:
-    """Inverse of :func:`node_features` for one vertex."""
-    return sym_exp(vec_to_sym(h, n))
 
 
 # ---------------------------------------------------------------------------
@@ -330,26 +309,20 @@ def spd_sheaf_layer(topology, sigma: dict, params: LayerParams,
     maps from current log-domain features, add the per-vertex log-Laplacian
     update (eigenvalues normalized to [-1, 1]), exponentiate the residual sum
     and apply the eigenvalue floor nonlinearity. The logs of the input states
-    serve both as the node features and as the residual base.
+    serve both as the node features and as the residual base. ``topology`` is
+    a :class:`PointCloud` or a :class:`SheafGraph`; the learned maps replace
+    its maps on the same vertex and edge arrays.
     """
-    vertices = list(topology.ids) if isinstance(topology, PointCloud) else list(topology.vertices)
-    edges = topology.edges
-    stack = _stack_values(vertices, sigma)
-    n = stack.shape[-1]
+    graph = topology.graph if isinstance(topology, PointCloud) else topology
+    stack = _stack_values(graph.vertices, sigma)
     logs = _logm_stack(stack)
-
-    # the learner needs the endpoint positions before the maps exist, so the
-    # graph is built twice, first with placeholder identity maps
-    I = np.broadcast_to(np.eye(n), (len(edges), 2, n, n))
-    graph = SheafGraph(n, vertices, edges, I, validate=False)
     feats = sym_to_vec(logs)
-    maps_t, maps_h = sheaf_learner(params, feats[graph._tails], feats[graph._heads])
-    sheaf = SheafGraph(n, vertices, edges, np.stack((maps_t, maps_h), axis=1), validate=False)
+    sheaf = graph._with_maps(*sheaf_learner(params, feats[graph._tails], feats[graph._heads]))
 
     Q = params.isometry
     delta = _log_update(sheaf, _logm_stack(Q @ stack @ Q.T))
     out_stack = tg_re_eig(_expm_stack(logs + delta), tg_delta)
-    return {v: out_stack[i] for i, v in enumerate(vertices)}
+    return {v: out_stack[i] for i, v in enumerate(graph.vertices)}
 
 
 # ---------------------------------------------------------------------------
@@ -362,7 +335,6 @@ class TraceRow:
     mean_erank: float
     mean_lambda2: float
     min_pairwise_lem: float
-    node_eranks: dict
 
     def as_csv(self) -> str:
         return (f"{self.layer},{self.mean_erank!r},{self.mean_lambda2!r},"
@@ -406,7 +378,6 @@ def trace_row(sigma: dict, layer: int) -> TraceRow:
         mean_erank=float(np.mean(eranks)),
         mean_lambda2=float(np.mean(lam2)),
         min_pairwise_lem=min_lem,
-        node_eranks={v: float(e) for v, e in zip(vertices, eranks)},
     )
 
 
@@ -481,15 +452,13 @@ def diffusion_run(pc: PointCloud, layers: int, seed: int,
     rng = np.random.default_rng(seed)
     sigma = lift_coordinates(pc, eps_dir, eps_spd)
     states = [sigma]
-    I = np.eye(3)
+    sheaf = pc.graph
     for _ in range(layers):
-        if identity_maps:
-            maps = [(I, I)] * len(pc.edges)
-        else:
+        if not identity_maps:
             # one block draws the same normals as per-edge (tail, head) draws
             A = rng.normal(size=(len(pc.edges), 2, 3, 3))
             maps = cayley(A - np.swapaxes(A, -1, -2))
-        sheaf = SheafGraph(3, pc.ids, pc.edges, maps, validate=False)
+            sheaf = pc.graph._with_maps(maps[:, 0], maps[:, 1])
         sigma = diffusion_step(sheaf, sigma, normalize=normalize, residual=residual)
         states.append(sigma)
     return sigma, rank_trace(states)

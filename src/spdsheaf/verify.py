@@ -400,6 +400,14 @@ class SuiteConfig:
     tolerances: dict | None = None
     dump_dir: str | None = None
 
+    def __post_init__(self):
+        for name, low in (("seed", 0), ("trials", 1), ("n_instances", 1),
+                          ("max_vertices", 2), ("extra_edges", 0)):
+            if getattr(self, name) < low:
+                raise InvalidInputError(f"{name} must be >= {low}, got {getattr(self, name)}")
+        if not self.stalk_dims or min(self.stalk_dims) < 1:
+            raise InvalidInputError(f"stalk dimensions must be >= 1, got {list(self.stalk_dims)}")
+
     def tolerance(self, check: str) -> float:
         if self.tolerances and check in self.tolerances:
             return float(self.tolerances[check])

@@ -192,7 +192,14 @@ def _segments_obj(t_mid=0.0, data=None):
                           "data": data or [[1.0, 2.0], [0.5, -1.0]]}]}
 
 
+def _cloud_obj(ids=(0, 1, 2)):
+    return {"vertices": [{"id": v, "xyz": [float(i), 0.5, -1.0]} for i, v in enumerate(ids)],
+            "edges": [[0, 1]]}
+
+
+_CLOUD = _cloud_obj()
 _COVGRAPH = ["--eps1", "1", "--eps2", "1", "--eps", "1", "--bandwidth", "1", "--out", "cg"]
+_DIFFUSE = ["--out", "d"]
 
 # case -> (argv with INPUT in place of the file path, file contents)
 _MALFORMED = {
@@ -218,7 +225,23 @@ _MALFORMED = {
                                  {"tolerances": {"indx": 0.0}}),
     "config_checks_string": (["verify", "--config", "INPUT"], {"checks": "index"}),
     "config_not_object": (["verify", "--config", "INPUT"], ["index"]),
+    "config_max_vertices_1": (["verify", "--config", "INPUT"], {"max_vertices": 1}),
+    "verify_negative_trials": (["verify", "--check", "green", "--trials", "-3"], {}),
+    "verify_negative_seed": (["verify", "--seed", "-1"], {}),
+    "verify_negative_n": (["verify", "--n", "-2"], {}),
+    "probe_zero_repeats": (["probe", "--seed", "1", "--repeats", "0"], {}),
+    "probe_negative_layers": (["probe", "--seed", "1", "--layers", "-1"], {}),
+    "probe_negative_seed": (["probe", "--seed", "-1"], {}),
+    "diffuse_negative_layers": (["diffuse", "INPUT", *_DIFFUSE, "--layers", "-2", "--seed", "1"],
+                                _CLOUD),
+    "diffuse_negative_seed": (["diffuse", "INPUT", *_DIFFUSE, "--layers", "2", "--seed", "-1"],
+                              _CLOUD),
+    "duplicate_ids_lift": (["lift", "INPUT"], _cloud_obj(ids=[0, 1, 0])),
+    "duplicate_ids_diffuse": (["diffuse", "INPUT", *_DIFFUSE, "--layers", "2", "--seed", "1"],
+                              _cloud_obj(ids=[0, 1, 0])),
 }
+_MESSAGES = {"duplicate_ids_lift": "duplicate vertex ids",
+             "duplicate_ids_diffuse": "duplicate vertex ids"}
 
 
 @pytest.mark.parametrize("case", sorted(_MALFORMED))
@@ -230,6 +253,7 @@ def test_malformed_numbers_are_exit_2(tmp_path, monkeypatch, capsys, case):
     assert main([str(path) if a == "INPUT" else a for a in argv]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1 and "Traceback" not in err
+    assert _MESSAGES.get(case, "") in err
 
 
 @pytest.mark.parametrize("seed", ["33", "38"])

@@ -1,4 +1,5 @@
-"""Property tests: the sections summary against the brute-force oracles.
+"""Property tests: the sections summary, the Green identity and coboundary
+linearity against the brute-force oracles.
 
 Random multigraphs with parallel edges, isolated vertices and several
 components carry maps ``(R_e G_t^T, R_e A_e^T G_h^T)``: the edge transport is
@@ -13,7 +14,13 @@ from hypothesis import strategies as st
 
 from spdsheaf import SheafGraph
 from spdsheaf.sheaf import connected_components, section_space_summary
-from spdsheaf.verify import _oracle_nullity, _oracle_operator, random_orthogonal
+from spdsheaf.verify import (
+    _oracle_nullity,
+    _oracle_operator,
+    oracle_green,
+    oracle_linearity,
+    random_orthogonal,
+)
 
 TWISTS = ("flat", "signed", "generic")
 
@@ -62,3 +69,11 @@ def test_section_summary_matches_oracles(sheaf):
     assert all(comp == sorted(comp) for comp in comps)
     label = {v: c for c, comp in enumerate(comps) for v in comp}
     assert all(label[t] == label[h] for t, h in sheaf.edges)
+
+
+@settings(max_examples=60, derandomize=True, database=None, deadline=None)
+@given(multigraph_sheaves(), st.integers(0, 2**31 - 1))
+def test_green_and_linearity_on_multigraphs(sheaf, seed):
+    for verdict in (oracle_green(sheaf, trials=10, seed=seed),
+                    oracle_linearity(sheaf, trials=3, seed=seed)):
+        assert verdict.passed, verdict

@@ -297,7 +297,8 @@ def test_frechet_log_linear_in_direction():
         2.0 * s.frechet_log(P, V) + 0.5 * s.frechet_log(P, W), atol=1e-10)
 
 
-@pytest.mark.parametrize("gap", [1.0, 1e-3, 1e-6])
+# gaps 1e-9 and 0 fall below the 1e-8 relative switch to the close-eigenvalue branch
+@pytest.mark.parametrize("gap", [1.0, 1e-3, 1e-6, 1e-9, 0.0])
 def test_frechet_log_matches_central_differences(gap):
     rng = np.random.default_rng(13)
     for _ in range(20):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import spdsheaf as s
+from spdsheaf import sheaf as sheaf_module
 from spdsheaf import stream
 from spdsheaf.errors import DomainError, InvalidInputError
 from spdsheaf.stream import (
@@ -15,7 +16,6 @@ from spdsheaf.stream import (
     planarity_experiment,
     run_layers,
     trace_row,
-    unvectorize_feature,
 )
 from spdsheaf.verify import random_orthogonal, random_spd
 
@@ -100,6 +100,57 @@ def test_neighbors_match_edge_scan():
     assert pc.neighbors(99) == []
 
 
+def test_cloud_topology_is_one_graph(monkeypatch):
+    pc = cloud(28, n=12)
+    assert pc.ids == pc.graph.vertices and pc.edges == pc.graph.edges
+    assert all(pc.index(v) == i for i, v in enumerate(pc.ids))
+    builds = []
+    init = sheaf_module._OrthGraph.__init__
+
+    def counted(self, *args, **kwargs):
+        builds.append(1)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(sheaf_module._OrthGraph, "__init__", counted)
+    rng = np.random.default_rng(29)
+    run_layers(pc, s.lift_coordinates(pc), [LayerParams.random(3, rng=rng) for _ in range(3)])
+    for identity_maps in (False, True):
+        s.diffusion_run(pc, layers=16, seed=3, identity_maps=identity_maps)
+    assert builds == []
+
+
+def test_swapped_maps_share_the_topology():
+    pc = cloud(30, n=9)
+    rng = np.random.default_rng(31)
+    A = rng.normal(size=(len(pc.edges), 2, 3, 3))
+    maps = s.cayley(A - np.swapaxes(A, -1, -2))
+    swapped = pc.graph._with_maps(maps[:, 0], maps[:, 1])
+    assert swapped._tails is pc.graph._tails and swapped._heads is pc.graph._heads
+    assert swapped.vertices == pc.ids and swapped.edges == pc.edges
+    assert len(swapped.maps) == len(pc.edges)
+    for k, (mt, mh) in enumerate(swapped.maps):
+        np.testing.assert_array_equal(mt, maps[k, 0])
+        np.testing.assert_array_equal(mh, maps[k, 1])
+        assert not mt.flags.writeable and not mh.flags.writeable
+    for mt, mh in pc.graph.maps:  # the cloud keeps its identity maps
+        np.testing.assert_array_equal(mt, np.eye(3))
+        np.testing.assert_array_equal(mh, np.eye(3))
+    expected = maps.copy()
+    maps[:] = 0.0  # the swapped graph owns copies
+    np.testing.assert_array_equal(swapped._tail_maps, expected[:, 0])
+    np.testing.assert_array_equal(swapped._head_maps, expected[:, 1])
+
+
+@pytest.mark.parametrize("ids, edges, message", [
+    ([0, 1, 0], [(0, 1)], "duplicate vertex ids"),
+    ([0, 1, 2], [(0, 3)], "unknown vertex"),
+    ([0, 1, 2], [(1, 1)], "self-loop"),
+])
+def test_cloud_topology_validated(ids, edges, message):
+    with pytest.raises(InvalidInputError, match=message):
+        PointCloud(np.zeros((3, 3)), edges, ids=ids)
+
+
 def test_frames_collinear_fallback():
     pts = [[1.0, 0, 0], [2.0, 0, 0], [3.0, 0, 0]]
     pc = PointCloud(pts, [(0, 1), (1, 2)])
@@ -107,19 +158,6 @@ def test_frames_collinear_fallback():
     assert any(flags.values())
     for M in frames.values():
         assert np.linalg.norm(M.T @ M - np.eye(3)) <= 1e-10
-
-
-# ---------------------------------------------------------------------------
-# features
-
-
-def test_node_features_examples():
-    sigma = {0: np.eye(3)}
-    np.testing.assert_allclose(s.node_features(sigma)[0], np.zeros(6), atol=1e-14)
-    P = random_spd(13, np.random.default_rng(6))
-    feats = s.node_features({0: P})
-    assert feats[0].shape == (91,)
-    np.testing.assert_allclose(unvectorize_feature(feats[0], 13), P, atol=1e-9)
 
 
 # ---------------------------------------------------------------------------
@@ -256,9 +294,9 @@ def test_rank_trace_columns():
     rng = np.random.default_rng(18)
     final, trace = run_layers(pc, sigma0, [LayerParams.random(3, rng=rng)] )
     assert [r.layer for r in trace.rows] == [0, 1]
-    # per-node eranks recompute from the final cochain
-    for v, val in trace.rows[1].node_eranks.items():
-        assert abs(val - s.erank(final[v])) <= 1e-12
+    # the mean erank recomputes from the final cochain
+    eranks = [s.erank(final[v]) for v in pc.ids]
+    np.testing.assert_allclose(trace.rows[1].mean_erank, np.mean(eranks), rtol=1e-12, atol=0)
     csv = trace.to_csv()
     assert csv.splitlines()[0] == "layer,mean_erank,mean_lambda2,min_pairwise_lem"
     assert len(csv.splitlines()) == 3
@@ -277,7 +315,6 @@ def test_trace_row_matches_pairwise_reference(N, block, monkeypatch):
     min_lem = min((s.dist_lem(values[i], values[j])
                    for i in range(N) for j in range(i + 1, N)), default=0.0)
     assert row.layer == 4
-    np.testing.assert_allclose(list(row.node_eranks.values()), eranks, rtol=1e-12, atol=0)
     np.testing.assert_allclose(row.mean_erank, np.mean(eranks), rtol=1e-12, atol=0)
     np.testing.assert_allclose(row.mean_lambda2, np.mean(lam2), rtol=1e-12, atol=0)
     np.testing.assert_allclose(row.min_pairwise_lem, min_lem, rtol=1e-12, atol=0)
@@ -400,3 +437,43 @@ def test_graph_builders():
         degree[i] += 1
         degree[j] += 1
     assert degree.min() >= 1
+
+
+def _edges_by_row_loops(pts, k=None, radius=None, k_fallback=2):
+    """Reference edge lists, built one row at a time."""
+    N = len(pts)
+    d2 = np.sum((pts[:, None, :] - pts[None, :, :]) ** 2, axis=-1)
+    np.fill_diagonal(d2, np.inf)
+    pairs = set()
+    if radius is not None:
+        pairs = {(i, j) for i in range(N) for j in range(i + 1, N) if d2[i, j] <= radius**2}
+        degree = np.zeros(N, dtype=int)
+        for i, j in pairs:
+            degree[i] += 1
+            degree[j] += 1
+        k, rows = k_fallback, [i for i in range(N) if degree[i] == 0]
+    else:
+        rows = range(N)
+    for i in rows:
+        for j in np.argsort(d2[i])[:min(k, N - 1)]:
+            pairs.add((min(i, int(j)), max(i, int(j))))
+    return sorted(pairs)
+
+
+def test_graph_builders_match_row_loops():
+    rng = np.random.default_rng(32)
+    lattice = np.stack(np.meshgrid(*[np.arange(3.0)] * 3, indexing="ij"), -1).reshape(-1, 3)
+    for trial in range(40):
+        if trial % 2:
+            pts = rng.normal(size=(int(rng.integers(2, 30)), 3))
+        else:  # equal distances: ties in every sort
+            pts = lattice[rng.permutation(27)[:int(rng.integers(2, 28))]]
+        for k in (1, 3, 5):
+            assert knn_edges(pts, k) == _edges_by_row_loops(pts, k=k)
+        for radius in (0.1, 1.0, 1.5):
+            for k_fallback in (1, 2, 3):
+                edges = geometric_graph(pts, radius, k_fallback)
+                assert edges == _edges_by_row_loops(pts, radius=radius, k_fallback=k_fallback)
+                assert all(i < j for i, j in edges)
+    # two far points: the fallback never pairs a vertex with itself
+    assert geometric_graph(np.array([[0.0, 0, 0], [5.0, 0, 0]]), 1.0) == [(0, 1)]

@@ -77,7 +77,7 @@ def test_oracle_correspondence_instances():
 def test_oracle_isometry_detects_corruption():
     I = np.eye(2)
     bad = np.array([[1.0, 0.3], [0.0, 1.0]])  # invertible, not orthogonal
-    corrupted = s.SheafGraph(2, [0, 1], [(0, 1)], [(I, bad)], validate=False)
+    corrupted = s.SheafGraph.identity_maps(2, [0, 1], [(0, 1)])._with_maps([I], [bad])
     v = oracle_isometry(corrupted, trials=40, seed=0)
     assert not v.passed
 
