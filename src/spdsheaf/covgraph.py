@@ -30,8 +30,9 @@ class Segment:
             raise InvalidInputError("segment data must be a channels x samples array")
         if not np.all(np.isfinite(self.data)):
             raise InvalidInputError("segment data has non-finite entries")
-        self.t_mid = float(t_mid)
-        self.f_mid = float(f_mid)
+        self.t_mid, self.f_mid = float(t_mid), float(f_mid)
+        if not np.all(np.isfinite([self.t_mid, self.f_mid])):
+            raise InvalidInputError("segment midpoints t_mid, f_mid must be finite")
 
     @property
     def n_channels(self) -> int:
@@ -56,12 +57,13 @@ class TFGraphConfig:
     normalize_samples: bool = False
 
     def __post_init__(self):
-        if self.eps1 < 0 or self.eps2 < 0:
+        # written as `not (x >= 0)` so that NaN fails every check
+        if not (self.eps1 >= 0 and self.eps2 >= 0):
             raise InvalidInputError("window widths eps1, eps2 must be nonnegative")
-        if self.eps <= 0 or self.bandwidth <= 0:
+        if not (self.eps > 0 and self.bandwidth > 0):
             raise InvalidInputError("eps and bandwidth must be positive")
-        if self.shrinkage < 0:
-            raise InvalidInputError("shrinkage must be nonnegative")
+        if not 0 <= self.shrinkage < np.inf:
+            raise InvalidInputError("shrinkage must be finite and nonnegative")
 
 
 def segment_covariance(seg: Segment, shrinkage: float = 1e-3,

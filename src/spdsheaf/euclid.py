@@ -92,9 +92,9 @@ def embed_phi(x, eps: float = EIG_FLOOR) -> np.ndarray:
     return np.outer(x, x) + eps * np.eye(x.size)
 
 
-def embed_cochain(x: VecCochain0, eps: float = EIG_FLOOR) -> dict:
-    """Apply :func:`embed_phi` vertexwise."""
-    return {v: embed_phi(xv, eps) for v, xv in x.items()}
+def embed_cochain(x: VecCochain0) -> dict:
+    """Apply :func:`embed_phi` vertexwise, with ridge EIG_FLOOR = 1e-4."""
+    return {v: embed_phi(xv) for v, xv in x.items()}
 
 
 def matched_spd_sheaf(sheaf: EuclidSheaf) -> SheafGraph:
@@ -118,35 +118,24 @@ class CorrespondenceReport:
     converse_max_residual: float | None
     converse_pass: bool | None
 
-    def to_dict(self) -> dict:
-        return {
-            "forward_residuals": self.forward_residuals,
-            "forward_max_residual": self.forward_max_residual,
-            "forward_pass": self.forward_pass,
-            "spd_section": self.spd_section,
-            "converse_mode": self.converse_mode,
-            "converse_max_residual": self.converse_max_residual,
-            "converse_pass": self.converse_pass,
-        }
 
-
-def check_kernel_correspondence(sheaf: EuclidSheaf, x: VecCochain0,
-                                eps: float = EIG_FLOOR, tol: float = 1e-7,
+def check_kernel_correspondence(sheaf: EuclidSheaf, x: VecCochain0, tol: float = 1e-7,
                                 spd_sheaf: SheafGraph | None = None) -> CorrespondenceReport:
     """Check that the embedding carries sections to sections, edge by edge.
 
-    Forward: every edge of the SPD coboundary of the embedded cochain must be
-    within log-Euclidean distance `tol` of the identity. Converse: when the
-    SPD coboundary is the identity and every map commutes with the entrywise
-    absolute value (signed permutations, for which |M z| = |M| |z|), the
-    vector coboundary of |x| under the unsigned maps |M| must vanish — the
-    line-bundle quotient. For other maps only the gauge class is determined
-    and the converse is reported as not checkable.
+    Forward: every edge of the SPD coboundary of the cochain embedded by
+    :func:`embed_cochain` (ridge 1e-4) must be within log-Euclidean distance
+    `tol` of the identity. Converse: when the SPD coboundary is the identity
+    and every map commutes with the entrywise absolute value (signed
+    permutations, for which |M z| = |M| |z|), the vector coboundary of |x|
+    under the unsigned maps |M| must vanish — the line-bundle quotient. For
+    other maps only the gauge class is determined and the converse is
+    reported as not checkable.
     """
     if spd_sheaf is None:
         spd_sheaf = matched_spd_sheaf(sheaf)
     I = np.eye(sheaf.n_stalk)
-    delta = coboundary(spd_sheaf, embed_cochain(x, eps))
+    delta = coboundary(spd_sheaf, embed_cochain(x))
     residuals = [dist_lem(Y, I) for Y in delta]
     fwd_max = max(residuals, default=0.0)
     spd_section = fwd_max <= tol

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import math
+from contextlib import contextmanager
 
 import numpy as np
 
@@ -29,6 +30,21 @@ def load_json(path: str):
     except json.JSONDecodeError as exc:
         raise ParseError(f"{path}: invalid JSON at line {exc.lineno}, column {exc.colno}: "
                          f"{exc.msg}") from exc
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: not UTF-8 text: {exc.reason}") from None
+
+
+@contextmanager
+def _parsing(what: str):
+    """Report a lookup, type or value error while reading a `what` object as ParseError."""
+    try:
+        yield
+    except ParseError:
+        raise
+    except KeyError as exc:
+        raise ParseError(f"malformed {what} object: missing {exc}") from None
+    except (TypeError, ValueError, AttributeError) as exc:
+        raise ParseError(f"malformed {what} object: {exc}") from None
 
 
 def _dump_json(obj, path: str | None = None) -> str:
@@ -111,18 +127,19 @@ def sheaf_to_json(sheaf: SheafGraph | EuclidSheaf, cochain0: dict | None = None,
     return _dump_json(obj, path)
 
 
-def _sheaf_parts_from_obj(obj, what: str):
-    try:
-        n = int(obj["n_stalk"])
-        vertices = [_as_id(v) for v in obj["vertices"]]
-        edges, maps = [], []
-        for e in obj["edges"]:
-            edges.append((_as_id(e["tail"]), _as_id(e["head"])))
-            maps.append((matrix_from_json(e["map_tail"], n),
-                         matrix_from_json(e["map_head"], n)))
-    except (KeyError, TypeError) as exc:
-        raise ParseError(f"malformed {what} object: missing {exc}") from exc
-    return n, vertices, edges, maps
+def _n_stalk(obj) -> int:
+    n = obj["n_stalk"]
+    if type(n) is not int or n < 1:  # `type(n) is int` also rejects bools
+        raise ParseError(f"n_stalk must be a positive integer, got {n!r}")
+    return n
+
+
+def _pairs(entries, what: str) -> list:
+    """The entries of a list of two-element lists such as [id, value] or [tail, head]."""
+    if not (isinstance(entries, list)
+            and all(isinstance(entry, list) and len(entry) == 2 for entry in entries)):
+        raise ParseError(f"{what} must be a list of two-element lists")
+    return entries
 
 
 def _as_id(v):
@@ -131,17 +148,32 @@ def _as_id(v):
     raise ParseError(f"vertex ids must be strings or integers, got {type(v).__name__}")
 
 
+def _cochain_values(entries, n: int, what: str) -> dict:
+    """Validated SPD values of [id, value] entries, each id at most once."""
+    values = {}
+    for v, val in _pairs(entries, what):
+        v = _as_id(v)
+        if v in values:
+            raise ParseError(f"{what} names vertex {v!r} twice")
+        values[v] = as_spd(matrix_from_json(val, n))
+    return values
+
+
 def sheaf_from_json_obj(obj) -> tuple[SheafGraph, dict | None]:
-    n, vertices, edges, maps = _sheaf_parts_from_obj(obj, "sheaf")
+    with _parsing("sheaf"):
+        n = _n_stalk(obj)
+        vertices = [_as_id(v) for v in obj["vertices"]]
+        edges, maps = [], []
+        for e in obj["edges"]:
+            edges.append((_as_id(e["tail"]), _as_id(e["head"])))
+            maps.append((matrix_from_json(e["map_tail"], n),
+                         matrix_from_json(e["map_head"], n)))
+        entries = obj.get("cochain0")
+        cochain = None if entries is None else _cochain_values(entries, n, "cochain0")
     sheaf = SheafGraph(n, vertices, edges, maps)
-    cochain = None
-    if obj.get("cochain0") is not None:
-        cochain = {}
-        for v, val in obj["cochain0"]:
-            cochain[_as_id(v)] = as_spd(matrix_from_json(val, n))
-        missing = set(sheaf.vertices) - set(cochain)
-        if missing:
-            raise ParseError(f"cochain0 is missing vertices {sorted(map(str, missing))}")
+    if cochain is not None and set(cochain) != set(sheaf.vertices):
+        odd = sorted(map(str, set(cochain) ^ set(sheaf.vertices)))
+        raise ParseError(f"cochain0 does not name each vertex once: it misses or adds {odd}")
     return sheaf, cochain
 
 
@@ -149,27 +181,15 @@ def load_sheaf(path: str) -> tuple[SheafGraph, dict | None]:
     return sheaf_from_json_obj(load_json(path))
 
 
-def load_euclid_sheaf(path: str) -> EuclidSheaf:
-    n, vertices, edges, maps = _sheaf_parts_from_obj(load_json(path), "sheaf")
-    return EuclidSheaf(n, vertices, edges, maps)
-
-
-def cochain0_to_json(n_stalk: int, cochain: dict, path: str | None = None,
-                     compact_values: bool = False) -> str:
-    obj = {
-        "n_stalk": n_stalk,
-        "values": [[v, spd_to_json(X, compact=compact_values)] for v, X in cochain.items()],
-    }
+def cochain0_to_json(n_stalk: int, cochain: dict, path: str | None = None) -> str:
+    obj = {"n_stalk": n_stalk, "values": [[v, matrix_to_json(X)] for v, X in cochain.items()]}
     return _dump_json(obj, path)
 
 
 def cochain0_from_json_obj(obj) -> tuple[int, dict]:
-    try:
-        n = int(obj["n_stalk"])
-        values = {_as_id(v): as_spd(matrix_from_json(val, n)) for v, val in obj["values"]}
-    except (KeyError, TypeError) as exc:
-        raise ParseError(f"malformed cochain object: missing {exc}") from exc
-    return n, values
+    with _parsing("cochain"):
+        n = _n_stalk(obj)
+        return n, _cochain_values(obj["values"], n, "cochain values")
 
 
 def load_cochain0(path: str) -> tuple[int, dict]:
@@ -189,12 +209,10 @@ def cloud_to_json(pc: PointCloud, path: str | None = None) -> str:
 
 
 def cloud_from_json_obj(obj) -> PointCloud:
-    try:
+    with _parsing("point-cloud"):
         ids = [_as_id(v["id"]) for v in obj["vertices"]]
         points = [v["xyz"] for v in obj["vertices"]]
-        edges = [(_as_id(t), _as_id(h)) for t, h in obj.get("edges", [])]
-    except (KeyError, TypeError) as exc:
-        raise ParseError(f"malformed point-cloud object: missing {exc}") from exc
+        edges = [(_as_id(t), _as_id(h)) for t, h in _pairs(obj.get("edges", []), "edges")]
     if not ids:
         raise ParseError("point cloud has no vertices")
     points = _float_array(points, "point coordinates")
@@ -222,13 +240,8 @@ def segments_to_json(segments, path: str | None = None) -> str:
 
 
 def segments_from_json_obj(obj) -> list[Segment]:
-    try:
-        raw = obj["segments"]
-        segs = [Segment(s["data"], s["t_mid"], s["f_mid"]) for s in raw]
-    except (KeyError, TypeError) as exc:
-        raise ParseError(f"malformed segments object: missing {exc}") from exc
-    except ValueError as exc:  # InvalidInputError from Segment, or a non-numeric value
-        raise ParseError(f"malformed segment: {exc}") from exc
+    with _parsing("segments"):  # also InvalidInputError from Segment
+        segs = [Segment(s["data"], s["t_mid"], s["f_mid"]) for s in obj["segments"]]
     if not segs:
         raise ParseError("segments file contains no segments")
     return segs
@@ -245,13 +258,9 @@ def weights_to_json(edges, weights, path: str | None = None) -> str:
 
 def load_weights(path: str) -> tuple[list[tuple], list[float]]:
     obj = load_json(path)
-    try:
-        edges = [(_as_id(t), _as_id(h)) for t, h in obj["edges"]]
+    with _parsing("weights"):
+        edges = [(_as_id(t), _as_id(h)) for t, h in _pairs(obj["edges"], "edges")]
         weights = [float(w) for w in obj["weights"]]
-    except (KeyError, TypeError) as exc:
-        raise ParseError(f"malformed weights object: missing {exc}") from exc
-    except ValueError as exc:
-        raise ParseError(f"malformed weights object: {exc}") from exc
     if len(edges) != len(weights):
         raise ParseError("weights file: edge and weight counts differ")
     return edges, weights

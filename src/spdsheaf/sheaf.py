@@ -337,8 +337,8 @@ def global_sections(sheaf: SheafGraph, tol: float = NULL_TOL) -> np.ndarray:
     :func:`cochain0_from_vec` yields a 0-cochain whose coboundary is the
     identity on every edge.
     """
-    if tol <= 0:
-        raise InvalidInputError("tolerance must be positive")
+    if not 0 < tol < 1:  # also rejects NaN
+        raise InvalidInputError(f"tolerance must lie in (0, 1), got {tol}")
     return nullspace(coboundary_matrix(sheaf), tol)
 
 
@@ -482,23 +482,22 @@ def _log_update(sheaf: SheafGraph, logs: np.ndarray, normalize: bool = True) -> 
 
 
 def diffusion_step(sheaf: SheafGraph, sigma: Cochain0, normalize: bool = True,
-                   residual: bool = True, floor: float = EIG_FLOOR) -> dict:
+                   residual: bool = True) -> dict:
     """One Lie-group diffusion update ``X_v <- exp(log X_v + D_v)``.
 
     ``D_v`` is the log-domain Laplacian output at v, optionally rescaled so
     its spectral radius is at most 1 (division by max(1, radius), which
     leaves already-small updates untouched). With ``residual=False`` the
     update drops the ``log X_v`` term and returns ``exp(D_v)`` alone. Output
-    eigenvalues are floored at `floor` (the construction-time clamp), which
+    eigenvalues are clamped into [EIG_FLOOR, 1/EIG_FLOOR] = [1e-4, 1e4], which
     keeps states log-representable across deep runs.
     """
     logs = _logm_stack(_stack_cochain0(sheaf.vertices, sheaf.n_stalk, sigma))
     delta = _log_update(sheaf, logs, normalize)
     new_logs = logs + delta if residual else delta
-    # clamp into [floor, 1/floor]: keeps deep residual runs log-representable
-    # (the residual drift is otherwise unbounded) without touching states in
-    # the normal operating box
+    # the clamp bounds the otherwise unbounded residual drift of deep runs
+    # without touching states in the normal operating box
     w, V = np.linalg.eigh(new_logs)
-    w = np.clip(w, np.log(floor), -np.log(floor))
+    w = np.clip(w, np.log(EIG_FLOOR), -np.log(EIG_FLOOR))
     out = _sym_part((V * np.exp(w)[..., None, :]) @ np.swapaxes(V, -1, -2))
     return {v: out[i] for i, v in enumerate(sheaf.vertices)}

@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import DomainError, InvalidInputError
 
-#: Default eigenvalue floor applied by validated SPD construction.
+#: Eigenvalue floor of validated SPD construction and of diffusion outputs.
 EIG_FLOOR = 1e-4
 
 #: Maximum asymmetry accepted by the validated symmetric constructor.
@@ -79,14 +79,14 @@ def _checked_sym(A: np.ndarray) -> np.ndarray:
     return _sym_part(A)
 
 
-def as_spd(A, floor: float = EIG_FLOOR) -> np.ndarray:
-    """Validated SPD construction: symmetrize and clamp eigenvalues at `floor`.
+def as_spd(A) -> np.ndarray:
+    """Validated SPD construction: symmetrize and clamp eigenvalues at EIG_FLOOR = 1e-4.
 
     This is the entry point for values coming from outside (files, raw
     covariances, user input). Internal operations whose outputs are SPD by
     construction do not re-clamp.
     """
-    return clamp_spd(as_sym(A), floor)
+    return clamp_spd(as_sym(A))
 
 
 def as_orth(M) -> np.ndarray:

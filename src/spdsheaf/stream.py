@@ -40,6 +40,8 @@ from .spd import (
 # _PAIR_BLOCK / N rows against N columns, so its memory does not grow with N.
 _PAIR_BLOCK = 1 << 15
 
+_HIDDEN = 32  # width of the sheaf learner's hidden layer
+
 
 class PointCloud:
     """Vertex coordinates in R^3 plus an undirected edge list.
@@ -116,8 +118,11 @@ def lift_coordinates(pc: PointCloud, eps_dir: float = 1e-8,
 
     ``X_v = u u^T + eps_spd I`` with ``u = (p_v - centroid)/(||.|| + eps_dir)``.
     Exactly translation invariant; points at the centroid degrade gracefully
-    to ``eps_spd I``.
+    to ``eps_spd I``. Both eps must be finite and positive.
     """
+    if not (0 < eps_dir < np.inf and 0 < eps_spd < np.inf):
+        raise InvalidInputError(f"eps_dir and eps_spd must be finite and positive, "
+                                f"got {eps_dir} and {eps_spd}")
     centered = pc.points - pc.points.mean(axis=0)
     norms = np.linalg.norm(centered, axis=1, keepdims=True)
     u = centered / (norms + eps_dir)
@@ -192,9 +197,9 @@ class LayerParams:
     """Seed matrix for the learnable isometry plus sheaf-learner MLP weights.
 
     The MLP maps concatenated endpoint features (2 * n(n+1)/2) through one
-    tanh hidden layer to two heads of n(n-1)/2 skew parameters, one per
-    endpoint map. ``isometry`` is ``learnable_isometry(w_q)``, computed once
-    at construction.
+    tanh hidden layer of width 32 to two heads of n(n-1)/2 skew parameters,
+    one per endpoint map. ``isometry`` is ``learnable_isometry(w_q)``,
+    computed once at construction.
     """
 
     w_q: np.ndarray
@@ -222,32 +227,28 @@ class LayerParams:
     def n(self) -> int:
         return self.w_q.shape[0]
 
-    @property
-    def feature_dim(self) -> int:
-        return self.mlp_w1.shape[1] // 2
-
     @classmethod
-    def random(cls, n: int, hidden: int = 32, rng=None, scale: float = 1.0) -> "LayerParams":
+    def random(cls, n: int, rng=None, scale: float = 1.0) -> "LayerParams":
         rng = np.random.default_rng(rng)
         feat = sym_dim(n)
         skew = n * (n - 1) // 2
         return cls(
             w_q=rng.normal(size=(n, n)),
-            mlp_w1=rng.normal(size=(hidden, 2 * feat)) / math.sqrt(2 * feat),
-            mlp_b1=rng.normal(size=hidden) * 0.1,
-            mlp_w2=rng.normal(size=(2 * skew, hidden)) * scale / math.sqrt(hidden),
+            mlp_w1=rng.normal(size=(_HIDDEN, 2 * feat)) / math.sqrt(2 * feat),
+            mlp_b1=rng.normal(size=_HIDDEN) * 0.1,
+            mlp_w2=rng.normal(size=(2 * skew, _HIDDEN)) * scale / math.sqrt(_HIDDEN),
             mlp_b2=rng.normal(size=2 * skew) * 0.1 * scale,
         )
 
     @classmethod
-    def identity(cls, n: int, hidden: int = 32) -> "LayerParams":
+    def identity(cls, n: int) -> "LayerParams":
         feat = sym_dim(n)
         skew = n * (n - 1) // 2
         return cls(
             w_q=np.eye(n),
-            mlp_w1=np.zeros((hidden, 2 * feat)),
-            mlp_b1=np.zeros(hidden),
-            mlp_w2=np.zeros((2 * skew, hidden)),
+            mlp_w1=np.zeros((_HIDDEN, 2 * feat)),
+            mlp_b1=np.zeros(_HIDDEN),
+            mlp_w2=np.zeros((2 * skew, _HIDDEN)),
             mlp_b2=np.zeros(2 * skew),
         )
 
@@ -301,19 +302,18 @@ def sheaf_learner(params: LayerParams, h_u, h_v) -> tuple[np.ndarray, np.ndarray
 # the convolution layer
 
 
-def spd_sheaf_layer(topology, sigma: dict, params: LayerParams,
-                    tg_delta: float = 0.1) -> dict:
+def spd_sheaf_layer(pc: PointCloud, sigma: dict, params: LayerParams) -> dict:
     """One SPD sheaf convolution layer; returns the new cochain.
 
     Steps: conjugate states by the learnable isometry, regenerate restriction
     maps from current log-domain features, add the per-vertex log-Laplacian
     update (eigenvalues normalized to [-1, 1]), exponentiate the residual sum
-    and apply the eigenvalue floor nonlinearity. The logs of the input states
-    serve both as the node features and as the residual base. ``topology`` is
-    a :class:`PointCloud` or a :class:`SheafGraph`; the learned maps replace
-    its maps on the same vertex and edge arrays.
+    and apply the eigenvalue floor nonlinearity ``tg_re_eig`` at delta = 0.1.
+    The logs of the input states serve both as the node features and as the
+    residual base. The learned maps replace the identity maps of ``pc.graph``
+    on the same vertex and edge arrays.
     """
-    graph = topology.graph if isinstance(topology, PointCloud) else topology
+    graph = pc.graph
     stack = _stack_values(graph.vertices, sigma)
     logs = _logm_stack(stack)
     feats = sym_to_vec(logs)
@@ -321,7 +321,7 @@ def spd_sheaf_layer(topology, sigma: dict, params: LayerParams,
 
     Q = params.isometry
     delta = _log_update(sheaf, _logm_stack(Q @ stack @ Q.T))
-    out_stack = tg_re_eig(_expm_stack(logs + delta), tg_delta)
+    out_stack = tg_re_eig(_expm_stack(logs + delta))
     return {v: out_stack[i] for i, v in enumerate(graph.vertices)}
 
 
@@ -351,9 +351,6 @@ class RankTrace:
         lines = ["layer,mean_erank,mean_lambda2,min_pairwise_lem"]
         lines += [r.as_csv() for r in self.rows]
         return "\n".join(lines) + "\n"
-
-    def mean_eranks(self) -> list[float]:
-        return [r.mean_erank for r in self.rows]
 
 
 def trace_row(sigma: dict, layer: int) -> TraceRow:
@@ -400,39 +397,40 @@ def rank_trace(cochains: Sequence[dict]) -> RankTrace:
     return RankTrace(rows=[trace_row(c, layer=i) for i, c in enumerate(cochains)])
 
 
-def run_layers(topology, sigma0: dict, params_list: Sequence[LayerParams]) -> tuple[dict, RankTrace]:
+def run_layers(pc: PointCloud, sigma0: dict,
+               params_list: Sequence[LayerParams]) -> tuple[dict, RankTrace]:
     """Apply a stack of convolution layers, collecting the trace."""
     states = [sigma0]
     for params in params_list:
-        states.append(spd_sheaf_layer(topology, states[-1], params))
+        states.append(spd_sheaf_layer(pc, states[-1], params))
     return states[-1], rank_trace(states)
 
 
-def pooled_descriptor(sigma: dict, theta: float = 0.5) -> np.ndarray:
-    """vec_upper(log of the power-Euclidean mean); permutation invariant."""
+def pooled_descriptor(sigma: dict) -> np.ndarray:
+    """vec_upper(log of the power-Euclidean mean at theta = 1/2); permutation invariant."""
     if not sigma:
         raise InvalidInputError("cannot pool an empty cochain")
-    mean = power_euclidean_mean(list(sigma.values()), theta)
+    mean = power_euclidean_mean(list(sigma.values()), 0.5)
     return sym_to_vec(spd_log(mean))
 
 
 def geometric_descriptor(pc: PointCloud, params_list: Sequence[LayerParams],
-                         theta: float = 0.5, eps_dir: float = 1e-8,
-                         eps_spd: float = 1e-4, frame_invariant: bool = True) -> np.ndarray:
+                         frame_invariant: bool = True) -> np.ndarray:
     """Full pipeline: lift, optionally canonicalize, convolve, pool.
 
+    Lifting is at eps_dir = 1e-8, eps_spd = 1e-4 and pooling at theta = 1/2.
     With ``frame_invariant`` the lifted states are expressed in their
     equivariant local frames, making the descriptor invariant under rigid
     motions of the cloud; without it the descriptor lives in the task frame
     and retains the absolute second-order orientation structure.
     """
-    sigma = lift_coordinates(pc, eps_dir, eps_spd)
+    sigma = lift_coordinates(pc)
     if frame_invariant:
         frames, _ = local_frame(pc)
         sigma = canonicalize(sigma, frames)
     for params in params_list:
         sigma = spd_sheaf_layer(pc, sigma, params)
-    return pooled_descriptor(sigma, theta)
+    return pooled_descriptor(sigma)
 
 
 # ---------------------------------------------------------------------------
@@ -441,16 +439,15 @@ def geometric_descriptor(pc: PointCloud, params_list: Sequence[LayerParams],
 
 def diffusion_run(pc: PointCloud, layers: int, seed: int,
                   identity_maps: bool = False, residual: bool = True,
-                  normalize: bool = True, eps_dir: float = 1e-8,
-                  eps_spd: float = 1e-4) -> tuple[dict, RankTrace]:
-    """Iterate plain sheaf diffusion on a lifted cloud.
+                  normalize: bool = True) -> tuple[dict, RankTrace]:
+    """Iterate plain sheaf diffusion on a cloud lifted at eps_dir = 1e-8, eps_spd = 1e-4.
 
     Restriction maps are resampled per layer (random special-orthogonal via
     the Cayley transform of random skew matrices) unless ``identity_maps`` is
     set. Deterministic for a fixed seed.
     """
     rng = np.random.default_rng(seed)
-    sigma = lift_coordinates(pc, eps_dir, eps_spd)
+    sigma = lift_coordinates(pc)
     states = [sigma]
     sheaf = pc.graph
     for _ in range(layers):
@@ -475,13 +472,12 @@ class ProbeResult:
     weights: np.ndarray
 
 
-def linear_probe(train_x, train_y, test_x, test_y, steps: int = 2000,
-                 lr: float = 0.5, l2: float = 1e-4) -> ProbeResult:
-    """Logistic readout trained by full-batch gradient descent.
+def linear_probe(train_x, train_y, test_x, test_y) -> ProbeResult:
+    """Logistic readout trained by 2000 full-batch gradient steps of size 0.5.
 
     Features are standardized with training statistics; the objective is the
-    regularized binary cross-entropy, which is convex, so zero
-    initialization makes the result deterministic.
+    binary cross-entropy plus (1e-4 / 2) ||w||^2 on the non-bias weights. It
+    is convex, so zero initialization makes the result deterministic.
     """
     X = np.asarray(train_x, dtype=np.float64)
     y = np.asarray(train_y, dtype=np.float64).ravel()
@@ -500,11 +496,11 @@ def linear_probe(train_x, train_y, test_x, test_y, steps: int = 2000,
     Zt = np.hstack([np.ones((Xt.shape[0], 1)), (Xt - mu) / sd])
 
     w = np.zeros(Z.shape[1])
-    for _ in range(steps):
+    for _ in range(2000):
         p = 1.0 / (1.0 + np.exp(-(Z @ w)))
         grad = Z.T @ (p - y) / Z.shape[0]
-        grad[1:] += l2 * w[1:]
-        w -= lr * grad
+        grad[1:] += 1e-4 * w[1:]
+        w -= 0.5 * grad
 
     def acc(M, labels):
         return float(np.mean(((M @ w) > 0).astype(float) == labels))
@@ -516,25 +512,23 @@ def linear_probe(train_x, train_y, test_x, test_y, steps: int = 2000,
 # synthetic planarity task
 
 
-def planar_cloud(rng, planar: bool, n_min: int = 8, n_max: int = 20,
-                 xy_sigma: float = 0.5, z_jitter: float = 0.02,
-                 iso_sigma: float = 0.5) -> PointCloud:
-    """Sample one cloud: near-coplanar (class A) or isotropic (class B)."""
-    n = int(rng.integers(n_min, n_max + 1))
+def planar_cloud(rng, planar: bool) -> PointCloud:
+    """Sample 8 to 20 points with 3-NN edges: near-coplanar (x, y at scale 0.5,
+    z at 0.02) when ``planar``, else isotropic at scale 0.5."""
+    n = int(rng.integers(8, 21))
     if planar:
         pts = np.column_stack([
-            rng.normal(scale=xy_sigma, size=n),
-            rng.normal(scale=xy_sigma, size=n),
-            rng.normal(scale=z_jitter, size=n),
+            rng.normal(scale=0.5, size=n),
+            rng.normal(scale=0.5, size=n),
+            rng.normal(scale=0.02, size=n),
         ])
     else:
-        pts = rng.normal(scale=iso_sigma, size=(n, 3))
+        pts = rng.normal(scale=0.5, size=(n, 3))
     return PointCloud(pts, knn_edges(pts, k=3))
 
 
 def planarity_experiment(seed: int, n_per_class: int = 200, n_layers: int = 2,
-                         hidden: int = 32, shuffle_labels: bool = False,
-                         theta: float = 0.5) -> dict:
+                         shuffle_labels: bool = False) -> dict:
     """Descriptor + probe run for the planar-vs-isotropic task.
 
     Descriptors live in the task frame (no per-vertex canonicalization): the
@@ -545,13 +539,13 @@ def planarity_experiment(seed: int, n_per_class: int = 200, n_layers: int = 2,
     chance-level permutation control).
     """
     rng = np.random.default_rng(seed)
-    params = [LayerParams.random(3, hidden=hidden, rng=rng) for _ in range(n_layers)]
+    params = [LayerParams.random(3, rng=rng) for _ in range(n_layers)]
     descriptors, labels = [], []
     for label, planar in ((0, False), (1, True)):
         for _ in range(n_per_class):
             pc = planar_cloud(rng, planar)
             descriptors.append(
-                geometric_descriptor(pc, params, theta=theta, frame_invariant=False))
+                geometric_descriptor(pc, params, frame_invariant=False))
             labels.append(label)
     X = np.asarray(descriptors)
     y = np.asarray(labels, dtype=float)

@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from spdsheaf import jsonio
+from spdsheaf import jsonio, verify
 from spdsheaf.cli import main
 from spdsheaf.covgraph import Segment
 from spdsheaf.stream import PointCloud, geometric_graph
@@ -200,6 +200,13 @@ def _cloud_obj(ids=(0, 1, 2)):
 _CLOUD = _cloud_obj()
 _COVGRAPH = ["--eps1", "1", "--eps2", "1", "--eps", "1", "--bandwidth", "1", "--out", "cg"]
 _DIFFUSE = ["--out", "d"]
+_I2 = [[1.0, 0.0], [0.0, 1.0]]
+
+
+def _covgraph_nan(flag):
+    """covgraph flags with the value of `flag` replaced by nan."""
+    return ["nan" if prev == flag else a for prev, a in zip([None] + _COVGRAPH, _COVGRAPH)]
+
 
 # case -> (argv with INPUT in place of the file path, file contents)
 _MALFORMED = {
@@ -239,9 +246,42 @@ _MALFORMED = {
     "duplicate_ids_lift": (["lift", "INPUT"], _cloud_obj(ids=[0, 1, 0])),
     "duplicate_ids_diffuse": (["diffuse", "INPUT", *_DIFFUSE, "--layers", "2", "--seed", "1"],
                               _cloud_obj(ids=[0, 1, 0])),
+    "n_stalk_string": (["sections", "INPUT"], {**_sheaf_obj(), "n_stalk": "abc"}),
+    "n_stalk_fraction": (["sections", "INPUT"], {**_sheaf_obj(), "n_stalk": 2.5}),
+    "cochain0_triple": (["sections", "INPUT"],
+                        {**_sheaf_obj(), "cochain0": [[0, _I2, 1], [1, _I2]]}),
+    "cochain0_unknown_vertex": (["sections", "INPUT"],
+                                {**_sheaf_obj(), "cochain0": [[0, _I2], [1, _I2], [7, _I2]]}),
+    "cochain0_vertex_twice": (["sections", "INPUT"],
+                              {**_sheaf_obj(), "cochain0": [[0, _I2], [1, _I2], [0, _I2]]}),
+    "cloud_edge_triple_lift": (["lift", "INPUT"], {**_CLOUD, "edges": [[0, 1, 2]]}),
+    "cloud_edge_triple_diffuse": (["diffuse", "INPUT", *_DIFFUSE, "--layers", "2", "--seed", "1"],
+                                  {**_CLOUD, "edges": [[0, 1, 2]]}),
+    "sections_tol_nan": (["sections", "INPUT", "--tol", "nan"], _sheaf_obj()),
+    "sections_tol_inf": (["sections", "INPUT", "--tol", "inf"], _sheaf_obj()),
+    "sections_tol_one": (["sections", "INPUT", "--tol", "1"], _sheaf_obj()),
+    "lift_negative_eps_spd": (["lift", "INPUT", "--eps-spd", "-1"], _CLOUD),
+    "lift_nan_eps_spd": (["lift", "INPUT", "--eps-spd", "nan"], _CLOUD),
+    "lift_nan_eps_dir": (["lift", "INPUT", "--eps-dir", "nan"], _CLOUD),
+    "covgraph_nan_eps": (["covgraph", "INPUT", *_covgraph_nan("--eps")], _segments_obj()),
+    "covgraph_nan_bandwidth": (["covgraph", "INPUT", *_covgraph_nan("--bandwidth")],
+                               _segments_obj()),
+    "covgraph_nan_eps1": (["covgraph", "INPUT", *_covgraph_nan("--eps1")], _segments_obj()),
 }
 _MESSAGES = {"duplicate_ids_lift": "duplicate vertex ids",
-             "duplicate_ids_diffuse": "duplicate vertex ids"}
+             "duplicate_ids_diffuse": "duplicate vertex ids",
+             "n_stalk_string": "n_stalk must be a positive integer",
+             "n_stalk_fraction": "n_stalk must be a positive integer",
+             "cochain0_triple": "two-element lists",
+             "cochain0_unknown_vertex": "['7']",
+             "cochain0_vertex_twice": "twice",
+             "cloud_edge_triple_lift": "two-element lists",
+             "cloud_edge_triple_diffuse": "two-element lists",
+             "sections_tol_nan": "tolerance", "sections_tol_inf": "tolerance",
+             "sections_tol_one": "tolerance", "lift_negative_eps_spd": "eps_spd",
+             "lift_nan_eps_spd": "eps_spd", "lift_nan_eps_dir": "eps_dir",
+             "covgraph_nan_eps": "eps and bandwidth", "covgraph_nan_bandwidth": "eps and bandwidth",
+             "covgraph_nan_eps1": "window widths"}
 
 
 @pytest.mark.parametrize("case", sorted(_MALFORMED))
@@ -254,6 +294,19 @@ def test_malformed_numbers_are_exit_2(tmp_path, monkeypatch, capsys, case):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1 and "Traceback" not in err
     assert _MESSAGES.get(case, "") in err
+    # "missing" is reserved for absent keys, and no case here lacks one
+    assert "missing" not in err
+
+
+def test_verify_holonomy_quota_needs_a_stalk_dimension_of_2(monkeypatch, capsys):
+    # a 1x1 special-orthogonal map is +1, so --n 1 has no nontrivial holonomy
+    assert main(["verify", "--all", "--n", "1", "--trials", "5"]) == 0
+    # identity maps have trivial holonomy: --n 2 still misses its quota on them
+    real = verify.random_sheaf
+    monkeypatch.setattr(verify, "random_sheaf",
+                        lambda *args, **kwargs: real(*args, **{**kwargs, "identity_maps": True}))
+    assert main(["verify", "--check", "holonomy", "--n", "2"]) == 1
+    assert main(["verify", "--check", "holonomy", "--n", "1"]) == 0
 
 
 @pytest.mark.parametrize("seed", ["33", "38"])
