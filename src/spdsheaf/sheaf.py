@@ -320,26 +320,59 @@ def nullspace(A: np.ndarray, tol: float = NULL_TOL) -> np.ndarray:
     A is zero up to rounding, as for the conjugation-minus-identity
     operators of identity holonomies: relative to a sigma_max near 1e-16,
     rounding noise would count as rank. Every operator passed here has unit
-    scale (orthogonal conjugations) or sigma_max >= sqrt(2) (a coboundary
-    with at least one edge), so the floor changes no other cutoff.
+    scale (orthogonal conjugations) or sigma_max >= sqrt(2) (a Euclidean
+    coboundary with at least one edge), so the floor changes no other cutoff.
+
+    A tall A (rows >= cols) gets the thin SVD, which computes no U columns
+    beyond its rank and gives the same ``Vh``; a wide A needs the full ``Vh``
+    for its nullspace rows.
     """
     if A.shape[0] == 0:
         return np.eye(A.shape[1])
-    _, s, Vh = np.linalg.svd(A)
+    _, s, Vh = np.linalg.svd(A, full_matrices=A.shape[0] < A.shape[1])
     rank = int(np.sum(s > tol * max(s[0], 1.0))) if s.size else 0
     return Vh[rank:].T.copy()
+
+
+def _sections_from_holonomy(sheaf: SheafGraph, tol: float) -> tuple[int, list, np.ndarray]:
+    """Component count, per-component fixed dimensions and the kernel basis.
+
+    On a component C a log-domain section is fixed by its value S at the
+    root: every vertex v of C carries the tree transport ``W_v S W_v^T``, and
+    S must be fixed by every cycle holonomy of C. For an orthonormal basis F
+    of that fixed space (:func:`holonomy_fixed_space`), the basis columns are
+    ``conj_operator(W_v) F / sqrt(|C|)`` stacked over v in C and zero
+    elsewhere. They are orthonormal with no QR: conjugation by an orthogonal
+    W_v is an isometry of the scaled coordinates, so each of the |C| vertex
+    blocks of two columns of C pairs to ``<F_i, F_j> / |C|``, and columns of
+    different components have disjoint supports. ``tol`` is the cutoff of
+    the holonomy nullspaces; no operator on all |V| m coordinates is built.
+    """
+    if not 0 < tol < 1:  # also rejects NaN
+        raise InvalidInputError(f"tolerance must lie in (0, 1), got {tol}")
+    comps, W, reps = _spanning_forest(sheaf)
+    n, m = sheaf.n_stalk, sym_dim(sheaf.n_stalk)
+    fixed = [holonomy_fixed_space(r, n, tol) for r in reps]
+    dims = [F.shape[1] for F in fixed]
+    basis = np.zeros((sheaf.n_vertices, m, sum(dims)))
+    blocks = conj_operator(W)
+    col = 0
+    for pos, F in zip(comps, fixed):
+        basis[pos, :, col:col + F.shape[1]] = blocks[pos] @ F / np.sqrt(len(pos))
+        col += F.shape[1]
+    return len(comps), dims, basis.reshape(sheaf.n_vertices * m, col)
 
 
 def global_sections(sheaf: SheafGraph, tol: float = NULL_TOL) -> np.ndarray:
     """Orthonormal basis (columns) of the log-domain kernel of the coboundary.
 
+    Built per component from the holonomy fixed space and the tree
+    transports (see :func:`_sections_from_holonomy`), ordered by component.
     Exponentiating any combination of basis columns via
     :func:`cochain0_from_vec` yields a 0-cochain whose coboundary is the
     identity on every edge.
     """
-    if not 0 < tol < 1:  # also rejects NaN
-        raise InvalidInputError(f"tolerance must lie in (0, 1), got {tol}")
-    return nullspace(coboundary_matrix(sheaf), tol)
+    return _sections_from_holonomy(sheaf, tol)[2]
 
 
 def sheaf_index(sheaf: SheafGraph) -> int:
@@ -360,13 +393,14 @@ def edge_transport(sheaf: SheafGraph, edge_idx: int) -> np.ndarray:
     return sheaf._head_maps[edge_idx].T @ sheaf._tail_maps[edge_idx]
 
 
-def _spanning_forest(sheaf: _OrthGraph) -> tuple[list[list], list, list[list]]:
+def _spanning_forest(sheaf: _OrthGraph) -> tuple[list[list[int]], np.ndarray, list[list]]:
     """Components, tree transports and cycle holonomies in one O(|V| + |E|) pass.
 
     Each component is searched breadth-first from its first vertex and lists
-    its vertices in vertex order. ``W[i]`` carries the root stalk to vertex
-    position i along the tree. ``reps[c]`` holds the representatives of
-    :func:`holonomy_reps` for component c, one per non-tree edge, in edge order.
+    its vertex positions in increasing order. ``W[i]`` carries the root stalk
+    to vertex position i along the tree; ``W`` is one (|V|, n, n) stack.
+    ``reps[c]`` holds the representatives of :func:`holonomy_reps` for
+    component c, one per non-tree edge, in edge order.
     """
     n_v = sheaf.n_vertices
     ends = list(zip(sheaf._tails.tolist(), sheaf._heads.tolist()))
@@ -375,7 +409,7 @@ def _spanning_forest(sheaf: _OrthGraph) -> tuple[list[list], list, list[list]]:
         incident[t].append((k, h, False))
         incident[h].append((k, t, True))
     comp_of = [-1] * n_v
-    W: list = [None] * n_v
+    W = np.empty((n_v, sheaf.n_stalk, sheaf.n_stalk))
     tree = [False] * sheaf.n_edges
     n_comps = 0
     for root in range(n_v):
@@ -394,9 +428,9 @@ def _spanning_forest(sheaf: _OrthGraph) -> tuple[list[list], list, list[list]]:
                 tree[k] = True
                 queue.append(w)
         n_comps += 1
-    comps: list[list] = [[] for _ in range(n_comps)]
-    for v, c in zip(sheaf.vertices, comp_of):
-        comps[c].append(v)
+    comps: list[list[int]] = [[] for _ in range(n_comps)]
+    for i, c in enumerate(comp_of):
+        comps[c].append(i)
     reps: list[list] = [[] for _ in range(n_comps)]
     for k, (t, h) in enumerate(ends):
         if not tree[k]:
@@ -406,7 +440,7 @@ def _spanning_forest(sheaf: _OrthGraph) -> tuple[list[list], list, list[list]]:
 
 def connected_components(sheaf: SheafGraph) -> list[list]:
     """Vertex lists of the connected components, each in vertex order."""
-    return _spanning_forest(sheaf)[0]
+    return [[sheaf.vertices[i] for i in comp] for comp in _spanning_forest(sheaf)[0]]
 
 
 def holonomy_reps(sheaf: SheafGraph) -> list[np.ndarray]:
@@ -441,22 +475,21 @@ def holonomy_fixed_space(reps: Sequence[np.ndarray], n: int | None = None,
 
 
 def section_space_summary(sheaf: SheafGraph, tol: float = NULL_TOL) -> dict:
-    """Every number of a sections report, from one SVD of the dense operator.
+    """Every number of a sections report, from one spanning-forest pass.
 
-    Besides the counts: ``basis`` as from :func:`global_sections` and
-    ``edge_residuals``, the (kernel_dim, |E|) Frobenius norms of the
-    log-domain coboundary of each basis column.
+    ``kernel_dim`` is the total of the per-component holonomy fixed
+    dimensions by construction. Besides the counts: ``basis`` as from
+    :func:`global_sections` and ``edge_residuals``, the (kernel_dim, |E|)
+    Frobenius norms of the log-domain coboundary of each basis column.
     """
-    basis = global_sections(sheaf, tol)
-    comps, _, reps = _spanning_forest(sheaf)
-    fixed_dims = [holonomy_fixed_space(r, sheaf.n_stalk, tol).shape[1] for r in reps]
+    n_comps, fixed_dims, basis = _sections_from_holonomy(sheaf, tol)
     n, m = sheaf.n_stalk, sym_dim(sheaf.n_stalk)
     logs = vec_to_sym(basis.T.reshape(basis.shape[1], sheaf.n_vertices, m), n)
     residuals = np.linalg.norm(_coboundary_logs(sheaf, logs), axis=(-2, -1))
     return {
         "kernel_dim": int(basis.shape[1]),
         "index": sheaf_index(sheaf),
-        "components": len(comps),
+        "components": n_comps,
         "holonomy_fixed_dims": fixed_dims,
         "holonomy_fixed_total": int(sum(fixed_dims)),
         "basis": basis,

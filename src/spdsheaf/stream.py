@@ -59,6 +59,15 @@ class PointCloud:
             raise InvalidInputError("point cloud has non-finite coordinates")
         if self.points.shape[0] == 0:
             raise InvalidInputError("point cloud is empty")
+        # lifting divides by centroid distances and framing by distances
+        # between points, which are at most twice the largest centroid
+        # distance: no square of either may overflow
+        with np.errstate(over="ignore", invalid="ignore"):
+            centered = self.points - self.points.mean(axis=0)
+            reach = 2.0 * np.max(np.linalg.norm(centered, axis=1))
+            if not np.isfinite(reach * reach):
+                raise InvalidInputError("point cloud coordinates are too large: "
+                                        "squared distances overflow")
         ids = tuple(ids) if ids is not None else range(self.points.shape[0])
         if len(ids) != self.points.shape[0]:
             raise InvalidInputError("one id per point required")

@@ -1,5 +1,5 @@
-"""Property tests: the sections summary, the Green identity and coboundary
-linearity against the brute-force oracles.
+"""Property tests: the sections summary and basis, the Green identity and
+coboundary linearity against the brute-force oracles.
 
 Random multigraphs with parallel edges, isolated vertices and several
 components carry maps ``(R_e G_t^T, R_e A_e^T G_h^T)``: the edge transport is
@@ -9,11 +9,12 @@ trivial.
 """
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from spdsheaf import SheafGraph
-from spdsheaf.sheaf import connected_components, section_space_summary
+from spdsheaf.sheaf import connected_components, global_sections, section_space_summary
 from spdsheaf.verify import (
     _oracle_nullity,
     _oracle_operator,
@@ -69,6 +70,58 @@ def test_section_summary_matches_oracles(sheaf):
     assert all(comp == sorted(comp) for comp in comps)
     label = {v: c for c, comp in enumerate(comps) for v in comp}
     assert all(label[t] == label[h] for t, h in sheaf.edges)
+
+
+def _assert_basis_spans_oracle_kernel(sheaf):
+    """The transported basis is orthonormal and spans the nullspace of the
+    oracle's own SVD of its probed dense operator."""
+    basis = global_sections(sheaf)
+    B = _oracle_operator(sheaf)
+    dim = _oracle_nullity(B)
+    null = np.linalg.svd(B)[2][B.shape[1] - dim:] if B.shape[0] else np.eye(B.shape[1])
+    assert basis.shape == (B.shape[1], dim)
+    assert np.max(np.abs(basis.T @ basis - np.eye(dim)), initial=0.0) <= 1e-12
+    assert np.max(np.abs(basis @ basis.T - null.T @ null), initial=0.0) <= 1e-10
+
+
+@settings(max_examples=60, derandomize=True, database=None, deadline=None)
+@given(multigraph_sheaves())
+def test_section_basis_matches_oracle_nullspace(sheaf):
+    _assert_basis_spans_oracle_kernel(sheaf)
+
+
+def _edge_case_sheaf(case: str) -> SheafGraph:
+    rng = np.random.default_rng(3)
+    if case == "no_edges":
+        return SheafGraph(2, range(3), [], [])
+    if case == "one_vertex":
+        return SheafGraph(3, [0], [], [])
+    if case == "isolated_vertices":
+        edges = [(0, 1), (1, 2), (2, 0)]
+        return SheafGraph(2, range(5), edges,
+                          [(random_orthogonal(2, rng), random_orthogonal(2, rng)) for _ in edges])
+    if case == "parallel_edges":
+        edges = [(0, 1), (0, 1), (1, 0), (1, 2)]
+        return SheafGraph(3, range(3), edges,
+                          [(random_orthogonal(3, rng), random_orthogonal(3, rng)) for _ in edges])
+    if case == "n_1":
+        edges = [(0, 1), (1, 2), (2, 0), (2, 3)]
+        return SheafGraph(1, range(4), edges, [(np.eye(1), np.eye(1))] * len(edges))
+    # gauge-trivial: maps (G_t^T, G_h^T), so every holonomy is I up to rounding
+    G = [random_orthogonal(3, rng) for _ in range(4)]
+    edges = [(0, 1), (1, 2), (2, 0), (2, 3), (3, 0)]
+    return SheafGraph(3, range(4), edges, [(G[t].T, G[h].T) for t, h in edges])
+
+
+@pytest.mark.parametrize("case", ["no_edges", "one_vertex", "isolated_vertices",
+                                  "parallel_edges", "n_1", "gauge_trivial_cycles"])
+def test_section_basis_edge_cases(case):
+    sheaf = _edge_case_sheaf(case)
+    _assert_basis_spans_oracle_kernel(sheaf)
+    summary = section_space_summary(sheaf)
+    assert np.all(summary["edge_residuals"] <= 1e-7)
+    if case == "gauge_trivial_cycles":
+        assert summary["kernel_dim"] == 6
 
 
 @settings(max_examples=60, derandomize=True, database=None, deadline=None)
