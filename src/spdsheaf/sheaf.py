@@ -264,8 +264,14 @@ def cochain_pairing(a, b) -> float:
             raise InvalidInputError("cochains are defined on different edge sets")
     if not a:
         return 0.0
-    A, B = (_logm_stack(np.stack([np.asarray(x, dtype=float) for x in c])) for c in (a, b))
-    return float(np.sum(A * B))
+    values = [np.asarray(x, dtype=float) for x in a + b]
+    shapes = {X.shape for X in values}
+    shape = values[0].shape
+    if len(shapes) > 1 or len(shape) != 2 or shape[0] != shape[1]:
+        raise InvalidInputError(
+            f"cochain values must share one square shape, got {sorted(shapes)}")
+    logs = _logm_stack(np.stack(values))
+    return float(np.sum(logs[:len(a)] * logs[len(a):]))
 
 
 # ---------------------------------------------------------------------------

@@ -3,10 +3,14 @@
 Each oracle recomputes its target through a code path that shares nothing
 with the primary implementation beyond elementary eigendecomposition: the
 dense log-domain operator is rebuilt here by probing basis matrices with raw
-numpy products, vectorization has its own local helpers, and kernel
-dimensions come from this module's own SVD calls. The suite runner wires the
-oracles to deterministic seeded instance generators and reports one verdict
-per check.
+numpy products, logs come from this module's own ``np.linalg.eigh`` calls,
+and kernel dimensions from its own SVD calls. The oracle vectorizes with its
+own stacked helpers: ``_ovec`` and its inverse ``_ounvec`` map whole
+(..., n, n) stacks at once, and the Green oracle draws, logs and vectorizes
+all values of all its trials in one pass (``random_spd_stack``,
+``_oracle_log_vecs``). The calls into the code under test stay per trial.
+The suite runner wires the oracles to deterministic seeded instance
+generators and reports one verdict per check.
 """
 
 from __future__ import annotations
@@ -82,21 +86,36 @@ class Verdict:
 # seeded instance generators
 
 
+def _cayley(A: np.ndarray) -> np.ndarray:
+    """Special-orthogonal (..., n, n) stack: Cayley transform of A's skew part."""
+    S = A - np.swapaxes(A, -1, -2)
+    I = np.eye(A.shape[-1])
+    return np.linalg.solve(I - 0.5 * S, I + 0.5 * S)
+
+
 def random_orthogonal(n: int, rng) -> np.ndarray:
     """Special-orthogonal sample via the Cayley transform of a random skew matrix."""
-    A = rng.normal(size=(n, n))
-    S = A - A.T
-    I = np.eye(n)
-    return np.linalg.solve(I - 0.5 * S, I + 0.5 * S)
+    return _cayley(rng.normal(size=(n, n)))
+
+
+def random_spd_stack(n: int, count: int, rng, spread: float = 10.0) -> np.ndarray:
+    """(count, n, n) stack of random SPD matrices with eigenvalue ratio up to
+    `spread`: bit for bit the values, and the generator state, of `count`
+    successive :func:`random_spd` draws."""
+    half = 0.5 * math.log(spread)
+    A = np.empty((count, n, n))
+    u = np.empty((count, n))
+    for k in range(count):
+        A[k] = rng.normal(size=(n, n))
+        u[k] = rng.uniform(-half, half, size=n)
+    Q = _cayley(A)
+    P = (Q * np.exp(u)[:, None, :]) @ np.swapaxes(Q, -1, -2)
+    return 0.5 * (P + np.swapaxes(P, -1, -2))
 
 
 def random_spd(n: int, rng, spread: float = 10.0) -> np.ndarray:
     """Random SPD matrix with eigenvalue ratio up to `spread`."""
-    Q = random_orthogonal(n, rng)
-    half = 0.5 * math.log(spread)
-    lam = np.exp(rng.uniform(-half, half, size=n))
-    P = (Q * lam) @ Q.T
-    return 0.5 * (P + P.T)
+    return random_spd_stack(n, 1, rng, spread)[0]
 
 
 def random_graph(n_vertices: int, extra_edges: int, rng,
@@ -136,11 +155,12 @@ def random_euclid_sheaf(n_stalk: int, n_vertices: int, extra_edges: int, rng,
 
 
 def random_cochain0(sheaf: SheafGraph, rng, spread: float = 10.0) -> dict:
-    return {v: random_spd(sheaf.n_stalk, rng, spread) for v in sheaf.vertices}
+    values = random_spd_stack(sheaf.n_stalk, sheaf.n_vertices, rng, spread)
+    return dict(zip(sheaf.vertices, values))
 
 
 def random_cochain1(sheaf: SheafGraph, rng, spread: float = 10.0) -> list:
-    return [random_spd(sheaf.n_stalk, rng, spread) for _ in range(sheaf.n_edges)]
+    return list(random_spd_stack(sheaf.n_stalk, sheaf.n_edges, rng, spread))
 
 
 def frustrated_two_cycle() -> EuclidSheaf:
@@ -153,31 +173,38 @@ def frustrated_two_cycle() -> EuclidSheaf:
 # oracle-local linear algebra (independent of the primary implementation)
 
 
+def _otriu(n: int) -> tuple[tuple[np.ndarray, np.ndarray], np.ndarray]:
+    """Row-major upper-triangle indices of an n x n matrix and its diagonal mask."""
+    iu = np.triu_indices(n)
+    return iu, iu[0] == iu[1]
+
+
 def _ovec(S: np.ndarray) -> np.ndarray:
-    n = S.shape[0]
-    out = []
-    for i in range(n):
-        for j in range(i, n):
-            out.append(S[i, j] * (1.0 if i == j else math.sqrt(2.0)))
-    return np.array(out)
+    """(..., m) isometric vectorization of a (..., n, n) symmetric stack:
+    the upper triangle, off-diagonal entries scaled by sqrt 2."""
+    iu, diag = _otriu(S.shape[-1])
+    return S[..., iu[0], iu[1]] * np.where(diag, 1.0, math.sqrt(2.0))
 
 
-def _obasis(n: int) -> list[np.ndarray]:
-    basis = []
-    for i in range(n):
-        for j in range(i, n):
-            E = np.zeros((n, n))
-            if i == j:
-                E[i, i] = 1.0
-            else:
-                E[i, j] = E[j, i] = 1.0 / math.sqrt(2.0)
-            basis.append(E)
-    return basis
+def _ounvec(x: np.ndarray, n: int) -> np.ndarray:
+    """Inverse of :func:`_ovec`: (..., m) vectors to (..., n, n) symmetric stacks."""
+    iu, diag = _otriu(n)
+    vals = x * np.where(diag, 1.0, 1.0 / math.sqrt(2.0))
+    S = np.zeros(x.shape[:-1] + (n, n))
+    S[..., iu[0], iu[1]] = vals
+    S[..., iu[1], iu[0]] = vals
+    return S
 
 
-def _olog(P: np.ndarray) -> np.ndarray:
-    w, V = np.linalg.eigh(0.5 * (P + P.T))
-    return (V * np.log(w)) @ V.T
+def _obasis(n: int) -> np.ndarray:
+    """(m, n, n) orthonormal basis of the symmetric matrices, in _ovec order."""
+    return _ounvec(np.eye(n * (n + 1) // 2), n)
+
+
+def _oracle_log_vecs(P: np.ndarray) -> np.ndarray:
+    """(..., m) vectorized matrix logs of a (..., n, n) stack of SPD values."""
+    w, V = np.linalg.eigh(0.5 * (P + np.swapaxes(P, -1, -2)))
+    return _ovec((V * np.log(w)[..., None, :]) @ np.swapaxes(V, -1, -2))
 
 
 def _oracle_operator(sheaf: SheafGraph) -> np.ndarray:
@@ -189,21 +216,9 @@ def _oracle_operator(sheaf: SheafGraph) -> np.ndarray:
     for k, ((t, h), (Mt, Mh)) in enumerate(zip(sheaf.edges, sheaf.maps)):
         it = sheaf.vertex_index(t)
         ih = sheaf.vertex_index(h)
-        for b, E in enumerate(basis):
-            B[k * m:(k + 1) * m, it * m + b] += _ovec(Mt @ E @ Mt.T)
-            B[k * m:(k + 1) * m, ih * m + b] -= _ovec(Mh @ E @ Mh.T)
+        B[k * m:(k + 1) * m, it * m:(it + 1) * m] += _ovec(Mt @ basis @ Mt.T).T
+        B[k * m:(k + 1) * m, ih * m:(ih + 1) * m] -= _ovec(Mh @ basis @ Mh.T).T
     return B
-
-
-def _oracle_vec0(sheaf: SheafGraph, sigma: dict) -> np.ndarray:
-    return np.concatenate([_ovec(_olog(np.asarray(sigma[v], dtype=float)))
-                           for v in sheaf.vertices]) if sheaf.n_vertices else np.zeros(0)
-
-
-def _oracle_vec1(sheaf: SheafGraph, tau) -> np.ndarray:
-    tau = list(tau)
-    return np.concatenate([_ovec(_olog(np.asarray(Y, dtype=float))) for Y in tau]) \
-        if tau else np.zeros(0)
 
 
 def _oracle_nullity(A: np.ndarray, tol: float = 1e-8) -> int:
@@ -272,16 +287,21 @@ def oracle_green(sheaf: SheafGraph, trials: int = 100, seed: int = 0,
     """Green identity, cross-checked against the probed dense operator."""
     rng = np.random.default_rng(seed)
     B = _oracle_operator(sheaf)
+    nv, ne, n = sheaf.n_vertices, sheaf.n_edges, sheaf.n_stalk
+    m = n * (n + 1) // 2
+    # each trial draws its vertex values, then its edge values
+    values = random_spd_stack(n, trials * (nv + ne), rng, spread).reshape(trials, nv + ne, n, n)
+    logs = _oracle_log_vecs(values)
+    zs = logs[:, :nv].reshape(trials, nv * m)
+    zt = logs[:, nv:].reshape(trials, ne * m)
     worst = 0.0
-    for _ in range(trials):
-        sigma = random_cochain0(sheaf, rng, spread)
-        tau = random_cochain1(sheaf, rng, spread)
+    for t in range(trials):
+        sigma = dict(zip(sheaf.vertices, values[t, :nv]))
+        tau = list(values[t, nv:])
         lhs = cochain_pairing(coboundary(sheaf, sigma), tau)
         rhs = cochain_pairing(sigma, adjoint(sheaf, tau))
-        zs = _oracle_vec0(sheaf, sigma)
-        zt = _oracle_vec1(sheaf, tau)
-        mat_lhs = float((B @ zs) @ zt)
-        mat_rhs = float(zs @ (B.T @ zt))
+        mat_lhs = float((B @ zs[t]) @ zt[t])
+        mat_rhs = float(zs[t] @ (B.T @ zt[t]))
         worst = max(worst, abs(lhs - rhs), abs(lhs - mat_lhs), abs(rhs - mat_rhs))
     tol = TOLERANCES["green"] if tolerance is None else tolerance
     return Verdict("green", trials, float(worst), tol, seed)
@@ -301,19 +321,9 @@ def oracle_hodge(sheaf: SheafGraph, seed: int = 0,
     basis = global_sections(sheaf)
     worst = max(worst, float(abs(basis.shape[1] - dim_b)))
     n = sheaf.n_stalk
-    m = n * (n + 1) // 2
-    for col in range(basis.shape[1]):
-        vec = basis[:, col].reshape(sheaf.n_vertices, m)
-        section = {}
-        for i, v in enumerate(sheaf.vertices):
-            S = np.zeros((n, n))
-            b = 0
-            for p in range(n):
-                for q in range(p, n):
-                    val = vec[i, b] * (1.0 if p == q else 1.0 / math.sqrt(2.0))
-                    S[p, q] = S[q, p] = val
-                    b += 1
-            section[v] = sym_exp(S)
+    logs = _ounvec(basis.T.reshape(basis.shape[1], sheaf.n_vertices, n * (n + 1) // 2), n)
+    for col_logs in logs:
+        section = {v: sym_exp(S) for v, S in zip(sheaf.vertices, col_logs)}
         for Y in laplacian(sheaf, section).values():
             w = np.linalg.eigvalsh(0.5 * (Y + Y.T))
             worst = max(worst, float(np.sqrt(np.sum(np.log(w) ** 2))))

@@ -1,11 +1,13 @@
 """Oracle suite: trivial instances, determinism, corruption detection."""
 
+import math
 import os
 
 import numpy as np
 import pytest
 
 import spdsheaf as s
+from spdsheaf import verify
 from spdsheaf.errors import InvalidInputError
 from spdsheaf.verify import (
     ALL_CHECKS,
@@ -21,6 +23,8 @@ from spdsheaf.verify import (
     oracle_linearity,
     random_euclid_sheaf,
     random_sheaf,
+    random_spd,
+    random_spd_stack,
     run_suite,
 )
 
@@ -48,6 +52,61 @@ def test_oracle_green_adversarial_spread():
     sheaf = random_sheaf(3, 8, 3, rng)
     v = oracle_green(sheaf, trials=50, seed=2, spread=1e3, tolerance=1e-6)
     assert v.passed
+
+
+def _reference_spd(n, rng, spread):
+    """One Cayley orthogonal sample and one eigenvalue draw, one matrix at a time."""
+    A = rng.normal(size=(n, n))
+    S = A - A.T
+    I = np.eye(n)
+    Q = np.linalg.solve(I - 0.5 * S, I + 0.5 * S)
+    half = 0.5 * math.log(spread)
+    P = (Q * np.exp(rng.uniform(-half, half, size=n))) @ Q.T
+    return 0.5 * (P + P.T)
+
+
+@pytest.mark.parametrize("spread", [10.0, 1e3])
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_random_spd_stack_matches_successive_draws(n, spread):
+    rngs = [np.random.default_rng(n) for _ in range(3)]
+    stack = random_spd_stack(n, 7, rngs[0], spread)
+    singles = np.stack([random_spd(n, rngs[1], spread) for _ in range(7)])
+    reference = np.stack([_reference_spd(n, rngs[2], spread) for _ in range(7)])
+    assert stack.shape == (7, n, n)
+    assert np.array_equal(stack, singles) and np.array_equal(stack, reference)
+    # the generator is left in the same state: the next draws are equal
+    nxt = [random_spd(n, rng, spread) for rng in rngs]
+    assert np.array_equal(nxt[0], nxt[1]) and np.array_equal(nxt[0], nxt[2])
+
+
+def test_oracle_green_detects_perturbed_adjoint(monkeypatch):
+    rng = np.random.default_rng(7)
+    sheaf = random_sheaf(2, 6, 3, rng)
+    assert sheaf.n_vertices != sheaf.n_edges
+    assert oracle_green(sheaf, trials=5, seed=3).passed
+    primary = verify.adjoint
+
+    def perturbed(sheaf, tau):
+        out = primary(sheaf, tau)
+        v = sheaf.vertices[-1]
+        out[v] = 1.01 * out[v]
+        return out
+
+    monkeypatch.setattr(verify, "adjoint", perturbed)
+    assert not oracle_green(sheaf, trials=5, seed=3).passed
+
+
+def test_ovec_round_trips_stacks():
+    rng = np.random.default_rng(8)
+    for n in range(1, 5):
+        A = rng.normal(size=(3, 2, n, n))
+        S = A + np.swapaxes(A, -1, -2)
+        x = verify._ovec(S)
+        assert x.shape == (3, 2, n * (n + 1) // 2)
+        np.testing.assert_allclose(verify._ounvec(x, n), S, rtol=1e-15)
+        # isometric: Frobenius inner products are Euclidean ones
+        np.testing.assert_allclose(np.sum(x[0, 0] * x[1, 1]), np.sum(S[0, 0] * S[1, 1]),
+                                   rtol=1e-13)
 
 
 def test_oracle_hodge_cases():
@@ -120,8 +179,8 @@ def test_oracle_linearity_random():
     assert oracle_linearity(random_sheaf(3, 6, 2, rng), trials=3, seed=1).passed
 
 
-_ORACLE_HELPERS = ("_ovec", "_obasis", "_olog", "_oracle_operator", "_oracle_vec0",
-                   "_oracle_vec1", "_oracle_nullity", "_oracle_euclid_operator")
+_ORACLE_HELPERS = ("_otriu", "_ovec", "_ounvec", "_obasis", "_oracle_log_vecs",
+                   "_oracle_operator", "_oracle_nullity", "_oracle_euclid_operator")
 _PLAIN_GRAPH_FIELDS = {"edges", "maps", "vertex_index", "n_stalk", "n_vertices", "n_edges",
                        "vertices"}
 
