@@ -162,10 +162,8 @@ def cmd_probe(args) -> int:
     _check_at_least(args, seed=0, repeats=1, layers=0)
     rng = np.random.default_rng(args.seed)
     seeds = [int(rng.integers(0, 2**31)) for _ in range(args.repeats)]
-    runs = [planarity_experiment(s, n_per_class=args.samples, n_layers=args.layers)
-            for s in seeds]
-    controls = [planarity_experiment(s, n_per_class=args.samples, n_layers=args.layers,
-                                     shuffle_labels=True) for s in seeds]
+    runs, controls = zip(*(planarity_experiment(s, n_per_class=args.samples,
+                                                n_layers=args.layers) for s in seeds))
     test_acc = [r["test_accuracy"] for r in runs]
     ctrl_acc = [r["test_accuracy"] for r in controls]
     report = {

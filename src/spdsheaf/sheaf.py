@@ -246,10 +246,6 @@ def laplacian(sheaf: SheafGraph, sigma: Cochain0) -> dict:
     return adjoint(sheaf, coboundary(sheaf, sigma))
 
 
-def _laplacian_logs(sheaf: SheafGraph, logs: np.ndarray) -> np.ndarray:
-    return _adjoint_logs(sheaf, _coboundary_logs(sheaf, logs))
-
-
 def cochain_pairing(a, b) -> float:
     """Sum of per-cell log-domain Frobenius pairings of two cochains."""
     if isinstance(a, Mapping) != isinstance(b, Mapping):
@@ -513,7 +509,7 @@ def _log_update(sheaf: SheafGraph, logs: np.ndarray, normalize: bool = True) -> 
     With `normalize` each vertex's update is divided by max(1, its spectral
     radius), which caps the radius at 1 and leaves small updates untouched.
     """
-    delta = _laplacian_logs(sheaf, logs)
+    delta = _adjoint_logs(sheaf, _coboundary_logs(sheaf, logs))
     if normalize:
         radii = np.max(np.abs(np.linalg.eigvalsh(delta)), axis=-1)
         delta /= np.maximum(1.0, radii)[:, None, None]

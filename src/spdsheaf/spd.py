@@ -14,6 +14,7 @@ The Lie group structure used throughout is the log-Euclidean one:
 from __future__ import annotations
 
 import math
+from functools import lru_cache
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -382,9 +383,14 @@ def sym_dim(n: int) -> int:
     return n * (n + 1) // 2
 
 
+@lru_cache(maxsize=None)
 def _triu_scale(n: int) -> tuple[tuple[np.ndarray, np.ndarray], np.ndarray]:
+    """Read-only upper-triangle indices of an n x n matrix and their isometry
+    scales, built once per n."""
     iu = np.triu_indices(n)
     scale = np.where(iu[0] == iu[1], 1.0, _SQRT2)
+    for a in (*iu, scale):
+        a.flags.writeable = False
     return iu, scale
 
 

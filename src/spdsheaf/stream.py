@@ -536,16 +536,16 @@ def planar_cloud(rng, planar: bool) -> PointCloud:
     return PointCloud(pts, knn_edges(pts, k=3))
 
 
-def planarity_experiment(seed: int, n_per_class: int = 200, n_layers: int = 2,
-                         shuffle_labels: bool = False) -> dict:
-    """Descriptor + probe run for the planar-vs-isotropic task.
+def planarity_experiment(seed: int, n_per_class: int = 200,
+                         n_layers: int = 2) -> tuple[dict, dict]:
+    """Descriptor + probe run for the planar-vs-isotropic task, and its control.
 
     Descriptors live in the task frame (no per-vertex canonicalization): the
     classes are defined relative to a fixed plane, so the probe measures how
     much second-order orientation structure the diffusion stream preserves.
-    Half of each class trains the readout, half is held out. With
-    ``shuffle_labels`` all labels are permuted before the split (the
-    chance-level permutation control).
+    Half of each class trains the readout, half is held out. Returns
+    ``(run, control)``: the chance-level permutation control reuses the
+    run's clouds, descriptors and split, and permutes only the labels.
     """
     rng = np.random.default_rng(seed)
     params = [LayerParams.random(3, rng=rng) for _ in range(n_layers)]
@@ -561,15 +561,12 @@ def planarity_experiment(seed: int, n_per_class: int = 200, n_layers: int = 2,
 
     order = rng.permutation(len(y))
     X, y = X[order], y[order]
-    if shuffle_labels:
-        y = y[rng.permutation(len(y))]
     half = len(y) // 2
-    probe = linear_probe(X[:half], y[:half], X[half:], y[half:])
-    return {
-        "seed": seed,
-        "n_per_class": n_per_class,
-        "layers": n_layers,
-        "shuffled": shuffle_labels,
-        "train_accuracy": probe.train_accuracy,
-        "test_accuracy": probe.test_accuracy,
-    }
+
+    def fit(shuffled: bool, labels: np.ndarray) -> dict:
+        probe = linear_probe(X[:half], labels[:half], X[half:], labels[half:])
+        return {"seed": seed, "n_per_class": n_per_class, "layers": n_layers,
+                "shuffled": shuffled, "train_accuracy": probe.train_accuracy,
+                "test_accuracy": probe.test_accuracy}
+
+    return fit(False, y), fit(True, y[rng.permutation(len(y))])

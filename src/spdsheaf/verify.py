@@ -282,6 +282,9 @@ def oracle_linearity(sheaf: SheafGraph, trials: int = 3, seed: int = 0,
     return Verdict("linearity", trials, float(worst), tol, seed)
 
 
+_GREEN_BLOCK = 256  # matrices oracle_green draws at once, so memory is flat in trials
+
+
 def oracle_green(sheaf: SheafGraph, trials: int = 100, seed: int = 0,
                  spread: float = 10.0, tolerance: float | None = None) -> Verdict:
     """Green identity, cross-checked against the probed dense operator."""
@@ -289,20 +292,23 @@ def oracle_green(sheaf: SheafGraph, trials: int = 100, seed: int = 0,
     B = _oracle_operator(sheaf)
     nv, ne, n = sheaf.n_vertices, sheaf.n_edges, sheaf.n_stalk
     m = n * (n + 1) // 2
-    # each trial draws its vertex values, then its edge values
-    values = random_spd_stack(n, trials * (nv + ne), rng, spread).reshape(trials, nv + ne, n, n)
-    logs = _oracle_log_vecs(values)
-    zs = logs[:, :nv].reshape(trials, nv * m)
-    zt = logs[:, nv:].reshape(trials, ne * m)
+    # each trial draws its vertex values, then its edge values, block by block
+    block = max(1, _GREEN_BLOCK // max(1, nv + ne))
     worst = 0.0
-    for t in range(trials):
-        sigma = dict(zip(sheaf.vertices, values[t, :nv]))
-        tau = list(values[t, nv:])
-        lhs = cochain_pairing(coboundary(sheaf, sigma), tau)
-        rhs = cochain_pairing(sigma, adjoint(sheaf, tau))
-        mat_lhs = float((B @ zs[t]) @ zt[t])
-        mat_rhs = float(zs[t] @ (B.T @ zt[t]))
-        worst = max(worst, abs(lhs - rhs), abs(lhs - mat_lhs), abs(rhs - mat_rhs))
+    for start in range(0, trials, block):
+        count = min(block, trials - start)
+        values = random_spd_stack(n, count * (nv + ne), rng, spread).reshape(count, nv + ne, n, n)
+        logs = _oracle_log_vecs(values)
+        zs = logs[:, :nv].reshape(count, nv * m)
+        zt = logs[:, nv:].reshape(count, ne * m)
+        for t in range(count):
+            sigma = dict(zip(sheaf.vertices, values[t, :nv]))
+            tau = list(values[t, nv:])
+            lhs = cochain_pairing(coboundary(sheaf, sigma), tau)
+            rhs = cochain_pairing(sigma, adjoint(sheaf, tau))
+            mat_lhs = float((B @ zs[t]) @ zt[t])
+            mat_rhs = float(zs[t] @ (B.T @ zt[t]))
+            worst = max(worst, abs(lhs - rhs), abs(lhs - mat_lhs), abs(rhs - mat_rhs))
     tol = TOLERANCES["green"] if tolerance is None else tolerance
     return Verdict("green", trials, float(worst), tol, seed)
 
@@ -424,12 +430,6 @@ class SuiteConfig:
         return TOLERANCES[check]
 
 
-def _check_rng(config: SuiteConfig, check: str):
-    idx = ALL_CHECKS.index(check)
-    return np.random.default_rng(
-        np.random.SeedSequence(entropy=config.seed, spawn_key=(idx,)))
-
-
 def _dump_failure(config: SuiteConfig, check: str, instance, count: int):
     if config.dump_dir is None:
         return
@@ -451,7 +451,9 @@ def _instance_sizes(config: SuiteConfig, rng) -> tuple[int, int, int]:
 
 
 def _run_check(config: SuiteConfig, check: str) -> Verdict:
-    rng = _check_rng(config, check)
+    # each check draws from its own stream spawned from the suite seed
+    rng = np.random.default_rng(
+        np.random.SeedSequence(entropy=config.seed, spawn_key=(ALL_CHECKS.index(check),)))
     tol = config.tolerance(check)
     seed = config.seed
     worst = 0.0

@@ -180,6 +180,22 @@ def test_probe_command_small(tmp_path, capsys):
     assert len(report["shuffle_control"]) == 1
 
 
+def test_probe_accuracies_golden(tmp_path):
+    # recorded when the run and its control still made separate descriptor passes
+    out = str(tmp_path / "probe.json")
+    assert main(["probe", "--seed", "5", "--repeats", "2", "--samples", "12",
+                 "--out", out]) == 0
+    report = json.load(open(out))
+    accuracies = [[(r["train_accuracy"], r["test_accuracy"]) for r in report[key]]
+                  for key in ("runs", "shuffle_control")]
+    assert accuracies == [[(1.0, 0.5833333333333334), (1.0, 1.0)],
+                          [(0.8333333333333334, 0.5833333333333334), (1.0, 0.5)]]
+    assert [r["shuffled"] for r in report["runs"] + report["shuffle_control"]] == [
+        False, False, True, True]
+    assert report["test_accuracy_mean"] == 0.7916666666666667
+    assert report["shuffle_control_mean"] == 0.5416666666666667
+
+
 def _sheaf_obj(map_tail=None, value0=None):
     I = [[1.0, 0.0], [0.0, 1.0]]
     return {"n_stalk": 2, "vertices": [0, 1],

@@ -360,6 +360,21 @@ def test_sym_vec_round_trip_and_isometry():
     assert abs(np.dot(v, v) - np.sum(S * S)) <= 1e-12
 
 
+def test_triangle_indices_are_shared_and_read_only():
+    from spdsheaf.spd import _triu_scale
+
+    iu, scale = _triu_scale(3)
+    assert _triu_scale(3)[0] is iu and _triu_scale(3)[1] is scale
+    assert np.array_equal(iu[0], np.triu_indices(3)[0])
+    for a in (*iu, scale):
+        with pytest.raises(ValueError):
+            a[0] = 7
+    # the vectorization never writes through the shared arrays
+    S = random_sym(3, np.random.default_rng(17))
+    np.testing.assert_array_equal(s.vec_to_sym(s.sym_to_vec(S), 3), S)
+    assert np.array_equal(scale, np.where(iu[0] == iu[1], 1.0, math.sqrt(2.0)))
+
+
 def test_conj_operator_matches_congruence():
     rng = np.random.default_rng(17)
     M = random_orthogonal(3, rng)

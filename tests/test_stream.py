@@ -6,6 +6,7 @@ import pytest
 import spdsheaf as s
 from spdsheaf import sheaf as sheaf_module
 from spdsheaf import stream
+from spdsheaf.cli import main
 from spdsheaf.errors import DomainError, InvalidInputError
 from spdsheaf.stream import (
     LayerParams,
@@ -346,7 +347,8 @@ def test_isometry_once_per_layer_params(monkeypatch):
         return original(W)
 
     monkeypatch.setattr(stream, "learnable_isometry", counted)
-    planarity_experiment(seed=2, n_per_class=3, n_layers=2)
+    # n_per_class=3 at seed 2 leaves one class in the control's training half
+    planarity_experiment(seed=2, n_per_class=4, n_layers=2)
     assert len(calls) == 2
 
 
@@ -411,10 +413,34 @@ def test_linear_probe_single_class_error():
 
 
 def test_planarity_experiment_smoke():
-    res = planarity_experiment(seed=5, n_per_class=25)
+    res, ctrl = planarity_experiment(seed=5, n_per_class=25)
     assert res["test_accuracy"] >= 0.8
-    ctrl = planarity_experiment(seed=5, n_per_class=25, shuffle_labels=True)
     assert abs(ctrl["test_accuracy"] - 0.5) <= 0.25
+
+
+def test_planarity_experiment_describes_each_cloud_once(monkeypatch, tmp_path):
+    calls = {"geometric_descriptor": 0, "planar_cloud": 0}
+    for name in calls:
+        original = getattr(stream, name)
+
+        def counted(*args, _name=name, _original=original, **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(stream, name, counted)
+    planarity_experiment(seed=3, n_per_class=4)
+    assert calls == {"geometric_descriptor": 8, "planar_cloud": 8}
+    # the probe command describes each repeat's clouds once for run and control
+    assert main(["probe", "--seed", "3", "--repeats", "2", "--samples", "4",
+                 "--out", str(tmp_path / "probe.json")]) == 0
+    assert calls == {"geometric_descriptor": 24, "planar_cloud": 24}
+
+
+def test_planarity_experiment_pairs_run_and_control():
+    run, control = planarity_experiment(seed=4, n_per_class=6, n_layers=1)
+    assert (run["shuffled"], control["shuffled"]) == (False, True)
+    for r in (run, control):
+        assert (r["seed"], r["n_per_class"], r["layers"]) == (4, 6, 1)
 
 
 # ---------------------------------------------------------------------------

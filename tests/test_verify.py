@@ -2,6 +2,7 @@
 
 import math
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -77,6 +78,41 @@ def test_random_spd_stack_matches_successive_draws(n, spread):
     # the generator is left in the same state: the next draws are equal
     nxt = [random_spd(n, rng, spread) for rng in rngs]
     assert np.array_equal(nxt[0], nxt[1]) and np.array_equal(nxt[0], nxt[2])
+
+
+def test_oracle_green_blocks_keep_every_draw(monkeypatch):
+    sheaf = random_sheaf(3, 6, 2, np.random.default_rng(12))
+    seen = []
+
+    def recording(sheaf, sigma):
+        seen.append(np.stack(list(sigma.values())))
+        return s.coboundary(sheaf, sigma)
+
+    monkeypatch.setattr(verify, "coboundary", recording)
+    runs = []
+    # 13 matrices per trial: one block of 30 trials, then blocks of 3
+    for budget in (10**9, 40):
+        monkeypatch.setattr(verify, "_GREEN_BLOCK", budget)
+        seen.clear()
+        runs.append((oracle_green(sheaf, trials=30, seed=5), list(seen)))
+    (whole, whole_draws), (blocked, blocked_draws) = runs
+    assert len(blocked_draws) == len(whole_draws) == 30
+    assert all(np.array_equal(a, b) for a, b in zip(whole_draws, blocked_draws))
+    assert blocked.max_residual == whole.max_residual
+
+
+def test_oracle_green_memory_does_not_grow_with_trials():
+    sheaf = random_sheaf(2, 5, 1, np.random.default_rng(13))
+    oracle_green(sheaf, trials=2, seed=1)
+    peaks = []
+    for trials in (100, 1000):
+        tracemalloc.start()
+        try:
+            oracle_green(sheaf, trials=trials, seed=1)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] <= 1.5 * peaks[0]
 
 
 def test_oracle_green_detects_perturbed_adjoint(monkeypatch):
