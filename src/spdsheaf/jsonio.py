@@ -1,10 +1,10 @@
 """JSON schemas for sheaves, cochains, point clouds and signal segments.
 
-Matrices serialize as row-major nested lists; SPD values may use the compact
-``{"log_upper": [...]}`` form holding the sqrt(2)-scaled upper-triangular
-entries of their logarithm. All writers produce deterministic output (sorted
-keys, repr-style floats), so re-running a command yields byte-identical
-files.
+Matrices serialize as row-major nested lists. Readers also accept an SPD
+value in the compact ``{"log_upper": [...]}`` form holding the
+sqrt(2)-scaled upper-triangular entries of its logarithm. All writers
+produce deterministic output (sorted keys, repr-style floats), so re-running
+a command yields byte-identical files.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from .covgraph import Segment
 from .errors import ParseError
 from .euclid import EuclidSheaf
 from .sheaf import SheafGraph
-from .spd import as_spd, spd_log, sym_exp, sym_to_vec, vec_to_sym
+from .spd import as_spd, sym_exp, vec_to_sym
 from .stream import PointCloud
 
 
@@ -63,13 +63,6 @@ def matrix_to_json(A) -> list:
     return np.asarray(A, dtype=np.float64).tolist()
 
 
-def spd_to_json(P, compact: bool = False):
-    """Nested lists, or the tagged upper-triangular log form when compact."""
-    if compact:
-        return {"log_upper": sym_to_vec(spd_log(P)).tolist()}
-    return matrix_to_json(P)
-
-
 def matrix_from_json(obj, n_expected: int | None = None) -> np.ndarray:
     """Parse either a nested-list matrix or a {"log_upper": [...]} SPD value.
 
@@ -109,7 +102,7 @@ def _float_array(obj, what: str) -> np.ndarray:
 
 
 def sheaf_to_json(sheaf: SheafGraph | EuclidSheaf, cochain0: dict | None = None,
-                  path: str | None = None, compact_values: bool = False) -> str:
+                  path: str | None = None) -> str:
     edges = [
         {
             "tail": t,
@@ -121,9 +114,7 @@ def sheaf_to_json(sheaf: SheafGraph | EuclidSheaf, cochain0: dict | None = None,
     ]
     obj = {"n_stalk": sheaf.n_stalk, "vertices": list(sheaf.vertices), "edges": edges}
     if cochain0 is not None:
-        obj["cochain0"] = [
-            [v, spd_to_json(cochain0[v], compact=compact_values)] for v in sheaf.vertices
-        ]
+        obj["cochain0"] = [[v, matrix_to_json(cochain0[v])] for v in sheaf.vertices]
     return _dump_json(obj, path)
 
 
@@ -186,16 +177,6 @@ def cochain0_to_json(n_stalk: int, cochain: dict, path: str | None = None) -> st
     return _dump_json(obj, path)
 
 
-def cochain0_from_json_obj(obj) -> tuple[int, dict]:
-    with _parsing("cochain"):
-        n = _n_stalk(obj)
-        return n, _cochain_values(obj["values"], n, "cochain values")
-
-
-def load_cochain0(path: str) -> tuple[int, dict]:
-    return cochain0_from_json_obj(load_json(path))
-
-
 # ---------------------------------------------------------------------------
 # point clouds
 
@@ -254,13 +235,3 @@ def load_segments(path: str) -> list[Segment]:
 def weights_to_json(edges, weights, path: str | None = None) -> str:
     obj = {"edges": [[t, h] for t, h in edges], "weights": [float(w) for w in weights]}
     return _dump_json(obj, path)
-
-
-def load_weights(path: str) -> tuple[list[tuple], list[float]]:
-    obj = load_json(path)
-    with _parsing("weights"):
-        edges = [(_as_id(t), _as_id(h)) for t, h in _pairs(obj["edges"], "edges")]
-        weights = [float(w) for w in obj["weights"]]
-    if len(edges) != len(weights):
-        raise ParseError("weights file: edge and weight counts differ")
-    return edges, weights

@@ -10,6 +10,11 @@ Sign convention: the tail of an oriented edge carries ``+`` in both the
 coboundary and the adjoint (incidence index 0 for the tail, 1 for the head).
 This is the unique choice under which the stated adjoint formula satisfies
 the Green identity ``<d sigma, tau> = <sigma, d^T tau>`` verbatim.
+
+A 0-cochain is a Mapping keyed by vertex id, a 1-cochain a sequence aligned
+with the edges, and either may be one (..., k, n, n) array with optional
+leading batch axes. :func:`_cochain_stack` validates every input once; an
+array in gives an array out, a Mapping or sequence a dict or list.
 """
 
 from __future__ import annotations
@@ -30,7 +35,6 @@ from .spd import (
     conj_operator,
     sym_dim,
     sym_exp,
-    sym_to_vec,
     vec_to_sym,
 )
 
@@ -38,8 +42,8 @@ from .spd import (
 NULL_TOL = 1e-8
 
 # Cochain0: mapping vertex id -> SPD array. Cochain1: sequence aligned with edges.
-Cochain0 = Mapping[object, np.ndarray]
-Cochain1 = Sequence[np.ndarray]
+Cochain0 = Mapping[object, np.ndarray] | np.ndarray
+Cochain1 = Sequence[np.ndarray] | np.ndarray
 
 
 class _OrthGraph:
@@ -147,50 +151,42 @@ class SheafGraph(_OrthGraph):
 
     __slots__ = ()
 
-    def incidence_index(self, v, edge_idx: int) -> int:
-        """0 if v is the tail of the edge, 1 if the head."""
-        t, h = self.edges[edge_idx]
-        if v == t:
-            return 0
-        if v == h:
-            return 1
-        raise InvalidInputError(f"vertex {v!r} is not incident to edge {edge_idx}")
-
 
 # ---------------------------------------------------------------------------
-# cochain helpers
+# the cochain boundary
 
 
-def _stack_cochain0(vertices: Sequence, n: int, sigma: Cochain0) -> np.ndarray:
-    """Stack the values of `sigma` at `vertices`, in that order, as (|V|, n, n)."""
-    out = np.empty((len(vertices), n, n))
-    for i, v in enumerate(vertices):
-        if v not in sigma:
-            raise InvalidInputError(f"cochain is missing vertex {v!r}")
-        X = np.asarray(sigma[v], dtype=np.float64)
-        if X.shape != (n, n):
-            raise InvalidInputError(f"vertex {v!r}: value shape {X.shape} != ({n}, {n})")
-        out[i] = X
-    return out
+def _cochain_stack(cochain, cells: Sequence | int | None, n: int | None = None) -> np.ndarray:
+    """The one validated conversion of a cochain to a (..., k, n, n) float stack.
 
-
-def _check_cochain1(sheaf: SheafGraph, tau: Cochain1) -> np.ndarray:
-    n = sheaf.n_stalk
-    tau = list(tau)
-    if len(tau) != sheaf.n_edges:
-        raise InvalidInputError(f"cochain has {len(tau)} edge values, expected {sheaf.n_edges}")
-    out = np.empty((sheaf.n_edges, n, n))
-    for k, Y in enumerate(tau):
-        Y = np.asarray(Y, dtype=np.float64)
-        if Y.shape != (n, n):
-            raise InvalidInputError(f"edge {k}: value shape {Y.shape} != ({n}, {n})")
-        out[k] = Y
-    return out
-
-
-def identity_cochain0(sheaf: SheafGraph) -> dict:
-    I = np.eye(sheaf.n_stalk)
-    return {v: I.copy() for v in sheaf.vertices}
+    A Mapping must be keyed by exactly the vertex ids ``cells``; a sequence
+    must hold ``cells`` values (an edge count, or None for any count); an
+    ndarray has shape (..., k, n, n) in vertex or edge order. The values
+    must be finite and square, and n x n when n is given.
+    """
+    batched = isinstance(cochain, np.ndarray)
+    if not batched:
+        if isinstance(cochain, Mapping) == (cells is None or isinstance(cells, int)):
+            raise InvalidInputError("a 0-cochain is a mapping keyed by vertex id and a "
+                                    "1-cochain a sequence aligned with the edges")
+        if isinstance(cochain, Mapping):
+            if len(cochain) != len(cells) or any(v not in cochain for v in cells):
+                raise InvalidInputError(f"cochain keys differ from the vertex ids by "
+                                        f"{sorted(map(repr, set(cochain) ^ set(cells)))}")
+            cochain = [cochain[v] for v in cells]
+        cochain = list(cochain) or np.empty((0, n or 0, n or 0))
+    try:
+        stack = np.asarray(cochain, dtype=np.float64)
+    except (ValueError, TypeError) as exc:
+        raise InvalidInputError(f"cochain values must share one square shape: {exc}") from None
+    k = len(cells) if isinstance(cells, Sequence) else cells
+    if (stack.ndim < 3 or (stack.ndim > 3 and not batched) or stack.shape[-1] != stack.shape[-2]
+            or k not in (None, stack.shape[-3]) or n not in (None, stack.shape[-1])):
+        raise InvalidInputError(f"expected (..., {k}, {n}, {n}) values of one square shape, "
+                                f"got {stack.shape}")
+    if not np.all(np.isfinite(stack)):
+        raise InvalidInputError("cochain has non-finite values")
+    return stack
 
 
 # ---------------------------------------------------------------------------
@@ -205,69 +201,64 @@ def _coboundary_logs(sheaf: SheafGraph, logs: np.ndarray) -> np.ndarray:
     return _sym_part(Tt - Th)
 
 
-def coboundary(sheaf: SheafGraph, sigma: Cochain0) -> list[np.ndarray]:
+def coboundary(sheaf: SheafGraph, sigma: Cochain0) -> list[np.ndarray] | np.ndarray:
     """Coboundary: per oriented edge, exp(log F_tail(s_tail) - log F_head(s_head)).
 
     The result is the identity cochain exactly when sigma is a global section.
+    A Mapping gives a list; an (..., |V|, n, n) array an (..., |E|, n, n) array.
     """
-    stack = _stack_cochain0(sheaf.vertices, sheaf.n_stalk, sigma)
-    if sheaf.n_edges == 0:
-        return []
-    T = _coboundary_logs(sheaf, _logm_stack(stack))
-    return list(_expm_stack(T))
+    stack = _cochain_stack(sigma, sheaf.vertices, sheaf.n_stalk)
+    out = _expm_stack(_coboundary_logs(sheaf, _logm_stack(stack)))
+    return out if isinstance(sigma, np.ndarray) else list(out)
 
 
 def _adjoint_logs(sheaf: SheafGraph, tau_logs: np.ndarray) -> np.ndarray:
-    """Per-vertex log-domain adjoint from stacked edge logs."""
-    n = sheaf.n_stalk
-    acc = np.zeros((sheaf.n_vertices, n, n))
+    """Per-vertex log-domain adjoint from (..., |E|, n, n) stacked edge logs:
+    one segment sum on a vertex-first view, so whatever the batch axes each
+    vertex adds its tail terms, then its negated head terms, in edge order."""
     Mt, Mh = sheaf._tail_maps, sheaf._head_maps
     pulled_t = np.swapaxes(Mt, -1, -2) @ tau_logs @ Mt
     pulled_h = np.swapaxes(Mh, -1, -2) @ tau_logs @ Mh
-    np.add.at(acc, sheaf._tails, pulled_t)
-    np.add.at(acc, sheaf._heads, -pulled_h)
+    acc = np.zeros(tau_logs.shape[:-3] + (sheaf.n_vertices,) + tau_logs.shape[-2:])
+    by_vertex = np.moveaxis(acc, -3, 0)
+    np.add.at(by_vertex, sheaf._tails, np.moveaxis(pulled_t, -3, 0))
+    np.add.at(by_vertex, sheaf._heads, -np.moveaxis(pulled_h, -3, 0))
     return _sym_part(acc)
 
 
-def adjoint(sheaf: SheafGraph, tau: Cochain1) -> dict:
+def adjoint(sheaf: SheafGraph, tau: Cochain1) -> dict | np.ndarray:
     """Adjoint of the coboundary: exp of the signed pulled-back edge logs.
 
     Satisfies the Green identity against :func:`coboundary` under
     :func:`cochain_pairing`. Vertices with no incident edges receive the
-    identity (empty sum).
+    identity (empty sum). A sequence gives a dict keyed by vertex; an
+    (..., |E|, n, n) array an (..., |V|, n, n) array.
     """
-    stack = _check_cochain1(sheaf, tau)
+    stack = _cochain_stack(tau, sheaf.n_edges, sheaf.n_stalk)
     out = _expm_stack(_adjoint_logs(sheaf, _logm_stack(stack)))
-    return {v: out[i] for i, v in enumerate(sheaf.vertices)}
+    return out if isinstance(tau, np.ndarray) else dict(zip(sheaf.vertices, out))
 
 
-def laplacian(sheaf: SheafGraph, sigma: Cochain0) -> dict:
+def laplacian(sheaf: SheafGraph, sigma: Cochain0) -> dict | np.ndarray:
     """Sheaf Laplacian, implemented as adjoint(coboundary(sigma))."""
     return adjoint(sheaf, coboundary(sheaf, sigma))
 
 
-def cochain_pairing(a, b) -> float:
-    """Sum of per-cell log-domain Frobenius pairings of two cochains."""
+def cochain_pairing(a, b) -> float | np.ndarray:
+    """Sum of per-cell log-domain Frobenius pairings of two cochains.
+
+    Both are Mappings keyed by the same vertex ids, or sequences or arrays
+    of one shape (..., k, n, n); arrays with leading batch axes give an
+    array of the batch shape, all else a float.
+    """
     if isinstance(a, Mapping) != isinstance(b, Mapping):
         raise InvalidInputError("cannot pair a 0-cochain with a 1-cochain")
-    if isinstance(a, Mapping):
-        if set(a) != set(b):
-            raise InvalidInputError("cochains are defined on different vertex sets")
-        a, b = list(a.values()), [b[k] for k in a]
-    else:
-        a, b = list(a), list(b)
-        if len(a) != len(b):
-            raise InvalidInputError("cochains are defined on different edge sets")
-    if not a:
-        return 0.0
-    values = [np.asarray(x, dtype=float) for x in a + b]
-    shapes = {X.shape for X in values}
-    shape = values[0].shape
-    if len(shapes) > 1 or len(shape) != 2 or shape[0] != shape[1]:
-        raise InvalidInputError(
-            f"cochain values must share one square shape, got {sorted(shapes)}")
-    logs = _logm_stack(np.stack(values))
-    return float(np.sum(logs[:len(a)] * logs[len(a):]))
+    A = _cochain_stack(a, list(a) if isinstance(a, Mapping) else None)
+    B = _cochain_stack(b, list(a) if isinstance(a, Mapping) else A.shape[-3], A.shape[-1])
+    if A.shape != B.shape:
+        raise InvalidInputError(f"cochains of shapes {A.shape} and {B.shape} do not pair")
+    total = np.sum(_logm_stack(A) * _logm_stack(B), axis=(-3, -2, -1))
+    return float(total) if total.ndim == 0 else total
 
 
 # ---------------------------------------------------------------------------
@@ -295,17 +286,6 @@ def _incidence_matrix(sheaf: _OrthGraph, blocks_t: np.ndarray,
     B[rows, :, sheaf._tails, :] += blocks_t
     B[rows, :, sheaf._heads, :] -= blocks_h
     return B.reshape(sheaf.n_edges * m, sheaf.n_vertices * m)
-
-
-def log_cochain0_vec(sheaf: SheafGraph, sigma: Cochain0) -> np.ndarray:
-    """Concatenated vec(log sigma_v) in vertex order."""
-    stack = _stack_cochain0(sheaf.vertices, sheaf.n_stalk, sigma)
-    return sym_to_vec(_logm_stack(stack)).ravel()
-
-
-def log_cochain1_vec(sheaf: SheafGraph, tau: Cochain1) -> np.ndarray:
-    stack = _check_cochain1(sheaf, tau)
-    return sym_to_vec(_logm_stack(stack)).ravel()
 
 
 def cochain0_from_vec(sheaf: SheafGraph, vec) -> dict:
@@ -440,11 +420,6 @@ def _spanning_forest(sheaf: _OrthGraph) -> tuple[list[list[int]], np.ndarray, li
     return comps, W, reps
 
 
-def connected_components(sheaf: SheafGraph) -> list[list]:
-    """Vertex lists of the connected components, each in vertex order."""
-    return [[sheaf.vertices[i] for i in comp] for comp in _spanning_forest(sheaf)[0]]
-
-
 def holonomy_reps(sheaf: SheafGraph) -> list[np.ndarray]:
     """Based holonomy of each fundamental cycle of a connected sheaf.
 
@@ -512,7 +487,7 @@ def _log_update(sheaf: SheafGraph, logs: np.ndarray, normalize: bool = True) -> 
     delta = _adjoint_logs(sheaf, _coboundary_logs(sheaf, logs))
     if normalize:
         radii = np.max(np.abs(np.linalg.eigvalsh(delta)), axis=-1)
-        delta /= np.maximum(1.0, radii)[:, None, None]
+        delta /= np.maximum(1.0, radii)[..., None, None]
     return delta
 
 
@@ -527,7 +502,7 @@ def diffusion_step(sheaf: SheafGraph, sigma: Cochain0, normalize: bool = True,
     eigenvalues are clamped into [EIG_FLOOR, 1/EIG_FLOOR] = [1e-4, 1e4], which
     keeps states log-representable across deep runs.
     """
-    logs = _logm_stack(_stack_cochain0(sheaf.vertices, sheaf.n_stalk, sigma))
+    logs = _logm_stack(_cochain_stack(sigma, sheaf.vertices, sheaf.n_stalk))
     delta = _log_update(sheaf, logs, normalize)
     new_logs = logs + delta if residual else delta
     # the clamp bounds the otherwise unbounded residual drift of deep runs
@@ -535,4 +510,4 @@ def diffusion_step(sheaf: SheafGraph, sigma: Cochain0, normalize: bool = True,
     w, V = np.linalg.eigh(new_logs)
     w = np.clip(w, np.log(EIG_FLOOR), -np.log(EIG_FLOOR))
     out = _sym_part((V * np.exp(w)[..., None, :]) @ np.swapaxes(V, -1, -2))
-    return {v: out[i] for i, v in enumerate(sheaf.vertices)}
+    return out if isinstance(sigma, np.ndarray) else dict(zip(sheaf.vertices, out))

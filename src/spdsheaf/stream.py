@@ -19,14 +19,12 @@ from typing import Sequence
 import numpy as np
 
 from .errors import DomainError, InvalidInputError
-from .sheaf import SheafGraph, _log_update, _stack_cochain0, diffusion_step
+from .sheaf import SheafGraph, _cochain_stack, _log_update, diffusion_step
 from .spd import (
     _checked_sym,
     _erank_of_spectra,
     _expm_stack,
     _logm_stack,
-    _square,
-    _square_stack,
     cayley,
     power_euclidean_mean,
     skew_from_params,
@@ -191,12 +189,6 @@ def canonicalize(sigma: dict, frames: dict) -> dict:
     return {v: frames[v].T @ X @ frames[v] for v, X in sigma.items()}
 
 
-def _stack_values(vertices: list, sigma: dict) -> np.ndarray:
-    """Validated (|V|, n, n) stack of a cochain's finite square values, in vertex order."""
-    n = _square(next(iter(sigma.values())), "SPD matrix").shape[0] if sigma else 0
-    return _square_stack(_stack_cochain0(vertices, n, sigma), "SPD matrix")
-
-
 # ---------------------------------------------------------------------------
 # layer parameters
 
@@ -323,7 +315,7 @@ def spd_sheaf_layer(pc: PointCloud, sigma: dict, params: LayerParams) -> dict:
     on the same vertex and edge arrays.
     """
     graph = pc.graph
-    stack = _stack_values(graph.vertices, sigma)
+    stack = _cochain_stack(sigma, graph.vertices)
     logs = _logm_stack(stack)
     feats = sym_to_vec(logs)
     sheaf = graph._with_maps(*sheaf_learner(params, feats[graph._tails], feats[graph._heads]))
@@ -371,7 +363,7 @@ def trace_row(sigma: dict, layer: int) -> TraceRow:
     minimum over pairs needs one stacked logarithm.
     """
     vertices = list(sigma)
-    stack = _checked_sym(_stack_values(vertices, sigma))
+    stack = _checked_sym(_cochain_stack(sigma, vertices))
     w = np.linalg.eigvalsh(stack)
     eranks = _erank_of_spectra(w)
     lam2 = w[:, -2] if stack.shape[-1] > 1 else np.full(len(vertices), np.nan)

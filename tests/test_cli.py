@@ -124,8 +124,8 @@ def test_diffuse_outputs_and_determinism(cloud_file, tmp_path, capsys):
     lines = open(os.path.join(out1, "trace.csv")).read().splitlines()
     assert lines[0] == "layer,mean_erank,mean_lambda2,min_pairwise_lem"
     assert len(lines) == 6  # header + layer 0..4
-    n, cochain = jsonio.load_cochain0(os.path.join(out1, "final_cochain.json"))
-    assert n == 3 and len(cochain) == 10
+    cochain = json.load(open(os.path.join(out1, "final_cochain.json")))
+    assert cochain["n_stalk"] == 3 and len(cochain["values"]) == 10
 
 
 def test_diffuse_seed_required(cloud_file, tmp_path):
@@ -165,9 +165,9 @@ def test_covgraph_command(segments_file, tmp_path, capsys):
     sheaf, cochain = jsonio.load_sheaf(os.path.join(out, "sheaf.json"))
     assert sheaf.n_stalk == 3
     assert cochain is not None
-    edges, weights = jsonio.load_weights(os.path.join(out, "weights.json"))
-    assert tuple(edges) == sheaf.edges
-    assert len(weights) == sheaf.n_edges
+    weights = json.load(open(os.path.join(out, "weights.json")))
+    assert tuple(map(tuple, weights["edges"])) == sheaf.edges
+    assert len(weights["weights"]) == sheaf.n_edges
 
 
 def test_probe_command_small(tmp_path, capsys):

@@ -1,5 +1,6 @@
 """Property tests: the sections summary and basis, the Green identity and
-coboundary linearity against the brute-force oracles.
+coboundary linearity against the brute-force oracles, and the stacked
+operators against one call per cochain.
 
 Random multigraphs with parallel edges, isolated vertices and several
 components carry maps ``(R_e G_t^T, R_e A_e^T G_h^T)``: the edge transport is
@@ -10,17 +11,18 @@ trivial.
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from spdsheaf import SheafGraph
-from spdsheaf.sheaf import connected_components, global_sections, section_space_summary
+from spdsheaf import SheafGraph, adjoint, coboundary, cochain_pairing, diffusion_step, laplacian
+from spdsheaf.sheaf import _spanning_forest, global_sections, section_space_summary
 from spdsheaf.verify import (
     _oracle_nullity,
     _oracle_operator,
     oracle_green,
     oracle_linearity,
     random_orthogonal,
+    random_spd_stack,
 )
 
 TWISTS = ("flat", "signed", "generic")
@@ -64,7 +66,7 @@ def test_section_summary_matches_oracles(sheaf):
     assert summary["index"] == dim_b - _oracle_nullity(B.T)
     assert summary["edge_residuals"].shape == (dim_b, sheaf.n_edges)
     assert np.all(summary["edge_residuals"] <= 1e-7)
-    comps = connected_components(sheaf)
+    comps = _spanning_forest(sheaf)[0]  # vertex positions; the ids are range(|V|)
     assert summary["components"] == len(comps)
     assert sorted(v for comp in comps for v in comp) == list(sheaf.vertices)
     assert all(comp == sorted(comp) for comp in comps)
@@ -130,3 +132,30 @@ def test_green_and_linearity_on_multigraphs(sheaf, seed):
     for verdict in (oracle_green(sheaf, trials=10, seed=seed),
                     oracle_linearity(sheaf, trials=3, seed=seed)):
         assert verdict.passed, verdict
+
+
+@settings(max_examples=40, derandomize=True, database=None, deadline=None)
+@given(multigraph_sheaves(), st.integers(1, 3), st.integers(0, 2**31 - 1))
+@example(_edge_case_sheaf("no_edges"), 2, 0)
+@example(_edge_case_sheaf("parallel_edges"), 1, 1)
+@example(_edge_case_sheaf("parallel_edges"), 3, 2)
+def test_stacked_operators_equal_separate_calls(sheaf, batch, seed):
+    """One call on a (B, |V|, n, n) or (B, |E|, n, n) stack is bitwise equal
+    to B separate dict or list calls, for each operator and the diffusion step."""
+    rng = np.random.default_rng(seed)
+    n, nv, ne = sheaf.n_stalk, sheaf.n_vertices, sheaf.n_edges
+    sigma = random_spd_stack(n, batch * nv, rng).reshape(batch, nv, n, n)
+    tau = random_spd_stack(n, batch * ne, rng).reshape(batch, ne, n, n)
+    d, a, lap = coboundary(sheaf, sigma), adjoint(sheaf, tau), laplacian(sheaf, sigma)
+    green = cochain_pairing(d, tau), cochain_pairing(sigma, a)
+    step = diffusion_step(sheaf, sigma)
+    assert d.shape == tau.shape and a.shape == lap.shape == step.shape == sigma.shape
+    assert green[0].shape == green[1].shape == (batch,)
+    for b in range(batch):
+        cochain, edge_values = dict(zip(sheaf.vertices, sigma[b])), list(tau[b])
+        assert np.array_equal(np.reshape(coboundary(sheaf, cochain), (ne, n, n)), d[b])
+        assert np.array_equal(np.stack(list(adjoint(sheaf, edge_values).values())), a[b])
+        assert np.array_equal(np.stack(list(laplacian(sheaf, cochain).values())), lap[b])
+        assert np.array_equal(np.stack(list(diffusion_step(sheaf, cochain).values())), step[b])
+        assert cochain_pairing(coboundary(sheaf, cochain), edge_values) == green[0][b]
+        assert cochain_pairing(cochain, adjoint(sheaf, edge_values)) == green[1][b]

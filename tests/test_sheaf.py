@@ -8,21 +8,14 @@ import pytest
 import spdsheaf as s
 from spdsheaf import verify
 from spdsheaf.errors import InvalidInputError
-from spdsheaf.sheaf import (
-    cochain0_from_vec,
-    connected_components,
-    identity_cochain0,
-    log_cochain0_vec,
-    log_cochain1_vec,
-    section_space_summary,
-)
+from spdsheaf.sheaf import _spanning_forest, cochain0_from_vec, section_space_summary
 from spdsheaf.verify import (
     oracle_holonomy,
     random_cochain0,
-    random_cochain1,
     random_orthogonal,
     random_sheaf,
     random_spd,
+    random_spd_stack,
 )
 
 
@@ -33,6 +26,11 @@ def rotation2(angle):
 
 def path_sheaf(n_stalk, k):
     return s.SheafGraph.identity_maps(n_stalk, range(k), [(i, i + 1) for i in range(k - 1)])
+
+
+def log_vec(stack):
+    """Concatenated scaled vectorization of the logs of a (k, n, n) SPD stack."""
+    return s.sym_to_vec(np.stack([s.spd_log(X) for X in stack])).ravel()
 
 
 # ---------------------------------------------------------------------------
@@ -59,9 +57,6 @@ def test_construction_validation(cls):
     R = rotation2(0.3)
     sheaf = cls(2, ["a", "b", "c"], [("a", "b"), ("c", "b"), ("a", "b")],
                 [(I, R), (R.T, I), (R, R.T)])
-    if cls is s.SheafGraph:
-        assert sheaf.incidence_index("a", 0) == 0
-        assert sheaf.incidence_index("b", 0) == 1
     assert sheaf._tails.tolist() == [sheaf.vertex_index(t) for t, _ in sheaf.edges]
     assert sheaf._heads.tolist() == [sheaf.vertex_index(h) for _, h in sheaf.edges]
     assert sheaf._tail_maps.shape == sheaf._head_maps.shape == (3, 2, 2)
@@ -102,10 +97,10 @@ def test_coboundary_matches_dense_operator():
     rng = np.random.default_rng(1)
     for _ in range(10):
         sheaf = random_sheaf(3, 7, 3, rng)
-        sigma = random_cochain0(sheaf, rng)
+        sigma = random_spd_stack(3, sheaf.n_vertices, rng)
         B = s.coboundary_matrix(sheaf)
-        lhs = B @ log_cochain0_vec(sheaf, sigma)
-        rhs = log_cochain1_vec(sheaf, s.coboundary(sheaf, sigma))
+        lhs = B @ log_vec(sigma)
+        rhs = log_vec(s.coboundary(sheaf, sigma))
         assert np.max(np.abs(lhs - rhs)) <= 1e-9
 
 
@@ -154,7 +149,7 @@ def test_green_identity_random():
         sheaf = random_sheaf(int(rng.integers(2, 4)), int(rng.integers(2, 12)), 3, rng)
         for _ in range(5):
             sigma = random_cochain0(sheaf, rng)
-            tau = random_cochain1(sheaf, rng)
+            tau = list(random_spd_stack(sheaf.n_stalk, sheaf.n_edges, rng))
             lhs = s.cochain_pairing(s.coboundary(sheaf, sigma), tau)
             rhs = s.cochain_pairing(sigma, s.adjoint(sheaf, tau))
             assert abs(lhs - rhs) <= 1e-8
@@ -196,10 +191,10 @@ def test_laplacian_matches_gram_operator():
     rng = np.random.default_rng(7)
     for _ in range(5):
         sheaf = random_sheaf(3, 6, 3, rng)
-        sigma = random_cochain0(sheaf, rng)
+        sigma = random_spd_stack(3, sheaf.n_vertices, rng)
         B = s.coboundary_matrix(sheaf)
-        lhs = B.T @ B @ log_cochain0_vec(sheaf, sigma)
-        rhs = log_cochain0_vec(sheaf, s.laplacian(sheaf, sigma))
+        lhs = B.T @ B @ log_vec(sigma)
+        rhs = log_vec(s.laplacian(sheaf, sigma))
         assert np.max(np.abs(lhs - rhs)) <= 1e-9
 
 
@@ -226,7 +221,7 @@ def test_cochain_pairing_examples():
     rng = np.random.default_rng(9)
     sheaf = random_sheaf(2, 4, 1, rng)
     sigma = random_cochain0(sheaf, rng)
-    assert abs(s.cochain_pairing(sigma, identity_cochain0(sheaf))) <= 1e-12
+    assert abs(s.cochain_pairing(sigma, {v: np.eye(2) for v in sheaf.vertices})) <= 1e-12
     total = sum(np.linalg.norm(s.spd_log(X)) ** 2 for X in sigma.values())
     assert abs(s.cochain_pairing(sigma, sigma) - total) <= 1e-9
     tau = random_cochain0(sheaf, rng)
@@ -253,12 +248,40 @@ def test_cochain_pairing_rejects_mismatched_value_shapes(bad):
     other = {**sigma, 2: bad}
     with pytest.raises(InvalidInputError, match="square shape"):
         s.cochain_pairing(sigma, other)
-    tau = random_cochain1(sheaf, rng)
+    tau = list(random_spd_stack(2, sheaf.n_edges, rng))
     with pytest.raises(InvalidInputError, match="square shape"):
         s.cochain_pairing(tau, [tau[0], bad])
     # every value of both cochains the same non-square shape
     with pytest.raises(InvalidInputError, match="square shape"):
         s.cochain_pairing([np.ones((2, 3))], [np.ones((2, 3))])
+
+
+@pytest.mark.parametrize("bad", ["nan", "inf", "unknown_key"])
+@pytest.mark.parametrize("entry", ["coboundary", "adjoint", "laplacian", "diffusion_step",
+                                   "cochain_pairing"])
+def test_operators_reject_invalid_cochains(entry, bad):
+    """Each operator validates its cochain once, at the one boundary:
+    non-finite values and keys that are not vertices raise instead of
+    giving NaN or being ignored, for dicts, lists and stacked arrays."""
+    sheaf = path_sheaf(2, 2)
+    I = np.eye(2)
+    if bad == "unknown_key":
+        sigma, tau = {0: I, 1: 2 * I, "x": "junk"}, [I, "junk"]
+        stacks = []
+    else:
+        X = np.diag([float(bad), 1.0])
+        sigma, tau = {0: X, 1: I}, [X]
+        stacks = [(np.stack([X, I]), np.stack([X])), (np.stack([I, X])[None], np.stack([X])[None])]
+    call = {
+        "coboundary": lambda sigma, tau: s.coboundary(sheaf, sigma),
+        "adjoint": lambda sigma, tau: s.adjoint(sheaf, tau),
+        "laplacian": lambda sigma, tau: s.laplacian(sheaf, sigma),
+        "diffusion_step": lambda sigma, tau: s.diffusion_step(sheaf, sigma),
+        "cochain_pairing": lambda sigma, tau: s.cochain_pairing(sigma, sigma),
+    }[entry]
+    for args in [(sigma, tau)] + stacks:
+        with pytest.raises(InvalidInputError):
+            call(*args)
 
 
 # ---------------------------------------------------------------------------
@@ -369,15 +392,21 @@ def test_holonomy_requires_connected():
     sheaf = s.SheafGraph(2, [0, 1, 2, 3], [(0, 1), (2, 3)], [(I, I), (I, I)])
     with pytest.raises(InvalidInputError):
         s.holonomy_reps(sheaf)
-    assert len(connected_components(sheaf)) == 2
+    assert section_space_summary(sheaf)["components"] == 2
 
 
 def test_connected_components_in_vertex_order():
+    # the spanning forest lists each component's vertex positions in order;
+    # the sections report counts and orders its basis columns by component
     I = np.eye(2)
     sheaf = s.SheafGraph(2, range(5), [(0, 1), (1, 3), (0, 2)], [(I, I)] * 3)
-    assert connected_components(sheaf) == [[0, 1, 2, 3], [4]]
+    assert _spanning_forest(sheaf)[0] == [[0, 1, 2, 3], [4]]
     sheaf = s.SheafGraph(2, ["z", "a", "m", "b"], [("b", "z"), ("a", "m")], [(I, I)] * 2)
-    assert connected_components(sheaf) == [["z", "b"], ["a", "m"]]
+    assert _spanning_forest(sheaf)[0] == [[0, 3], [1, 2]]
+    summary = section_space_summary(sheaf)
+    assert summary["components"] == 2 and summary["holonomy_fixed_dims"] == [3, 3]
+    support = np.abs(summary["basis"].reshape(4, 3, 6)).sum(axis=1) > 0
+    assert support.T.tolist() == [[True, False, False, True]] * 3 + [[False, True, True, False]] * 3
 
 
 def test_holonomy_fixed_space_examples():
@@ -497,11 +526,12 @@ def test_diffusion_two_node_shift():
 def test_diffusion_normalization_caps_update():
     rng = np.random.default_rng(15)
     sheaf = random_sheaf(3, 6, 3, rng)
-    sigma = random_cochain0(sheaf, rng, spread=100.0)
-    from spdsheaf.sheaf import _log_update, _stack_cochain0
+    stack = random_spd_stack(3, sheaf.n_vertices, rng, spread=100.0)
+    sigma = dict(zip(sheaf.vertices, stack))
+    from spdsheaf.sheaf import _log_update
     from spdsheaf.spd import _logm_stack
 
-    logs = _logm_stack(_stack_cochain0(sheaf.vertices, sheaf.n_stalk, sigma))
+    logs = _logm_stack(stack)
     raw = _log_update(sheaf, logs, normalize=False)
     assert np.max(np.abs(np.linalg.eigvalsh(raw))) > 1.0  # the cap is exercised
     delta = _log_update(sheaf, logs)

@@ -85,20 +85,44 @@ def test_oracle_green_blocks_keep_every_draw(monkeypatch):
     seen = []
 
     def recording(sheaf, sigma):
-        seen.append(np.stack(list(sigma.values())))
+        seen.append(sigma.copy())
         return s.coboundary(sheaf, sigma)
 
     monkeypatch.setattr(verify, "coboundary", recording)
     runs = []
-    # 13 matrices per trial: one block of 30 trials, then blocks of 3
+    # 13 matrices per trial: one block of 30 trials, then 10 blocks of 3
     for budget in (10**9, 40):
         monkeypatch.setattr(verify, "_GREEN_BLOCK", budget)
         seen.clear()
         runs.append((oracle_green(sheaf, trials=30, seed=5), list(seen)))
     (whole, whole_draws), (blocked, blocked_draws) = runs
-    assert len(blocked_draws) == len(whole_draws) == 30
-    assert all(np.array_equal(a, b) for a, b in zip(whole_draws, blocked_draws))
+    # one stacked coboundary call per block, not one per trial
+    assert [d.shape for d in whole_draws] == [(30, 6, 3, 3)]
+    assert [d.shape for d in blocked_draws] == [(3, 6, 3, 3)] * 10
+    assert np.array_equal(whole_draws[0], np.concatenate(blocked_draws))
     assert blocked.max_residual == whole.max_residual
+
+
+def test_oracle_green_calls_the_operators_once_per_block(monkeypatch):
+    sheaf = random_sheaf(2, 5, 1, np.random.default_rng(14))
+    calls = {name: 0 for name in ("coboundary", "adjoint", "cochain_pairing")}
+
+    def counting(name):
+        primary = getattr(verify, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return primary(*args)
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(verify, name, counting(name))
+    # 10 matrices per trial and a budget of 256: blocks of 25 trials
+    assert oracle_green(sheaf, trials=60, seed=2).passed
+    assert calls == {"coboundary": 3, "adjoint": 3, "cochain_pairing": 6}
+    calls.update(coboundary=0)
+    assert oracle_linearity(sheaf, trials=4, seed=2).passed
+    assert calls["coboundary"] == 4
 
 
 def test_oracle_green_memory_does_not_grow_with_trials():
@@ -123,9 +147,8 @@ def test_oracle_green_detects_perturbed_adjoint(monkeypatch):
     primary = verify.adjoint
 
     def perturbed(sheaf, tau):
-        out = primary(sheaf, tau)
-        v = sheaf.vertices[-1]
-        out[v] = 1.01 * out[v]
+        out = primary(sheaf, tau)  # (trials, |V|, n, n): scale the last vertex
+        out[..., -1, :, :] *= 1.01
         return out
 
     monkeypatch.setattr(verify, "adjoint", perturbed)
@@ -223,12 +246,14 @@ _PLAIN_GRAPH_FIELDS = {"edges", "maps", "vertex_index", "n_stalk", "n_vertices",
 
 def test_oracle_helpers_share_no_primary_code():
     """The oracle-local helpers use no name imported from the primary modules
-    and read a sheaf only through its plain graph fields (function bodies are
+    and read a sheaf only through its plain graph fields, and the oracles
+    reach the primary code only through its public names: no private kernel
+    such as ``_coboundary_logs`` or ``_logm_stack`` (function bodies are
     inspected; type annotations are not code paths)."""
     import ast
     import inspect
 
-    from spdsheaf import verify
+    from spdsheaf import euclid, sheaf, spd, verify
     from spdsheaf.sheaf import _OrthGraph
 
     tree = ast.parse(inspect.getsource(verify))
@@ -239,7 +264,7 @@ def test_oracle_helpers_share_no_primary_code():
     graph_attrs = {name for cls in (_OrthGraph, s.SheafGraph, s.EuclidSheaf)
                    for name in list(vars(cls)) + list(cls.__slots__)}
     forbidden = graph_attrs - _PLAIN_GRAPH_FIELDS
-    assert {"_tails", "_heads", "_tail_maps", "_head_maps", "incidence_index"} <= forbidden
+    assert {"_tails", "_heads", "_tail_maps", "_head_maps"} <= forbidden
     funcs = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
     for name in _ORACLE_HELPERS:
         nodes = [n for stmt in funcs[name].body for n in ast.walk(stmt)]
@@ -247,3 +272,15 @@ def test_oracle_helpers_share_no_primary_code():
         attrs = {n.attr for n in nodes if isinstance(n, ast.Attribute)}
         assert not names & primary, (name, names & primary)
         assert not attrs & forbidden, (name, attrs & forbidden)
+    private = {name for module in (sheaf, spd, euclid) for name in vars(module)
+               if name.startswith("_") and not name.startswith("__")}
+    private |= {name for name in primary | graph_attrs
+                if name.startswith("_") and not name.startswith("__")}
+    assert {"_coboundary_logs", "_adjoint_logs", "_logm_stack", "_tails"} <= private
+    oracles = [name for name in funcs if name.startswith("oracle_")]
+    assert len(oracles) == len(ALL_CHECKS)
+    for name in oracles:
+        nodes = [n for stmt in funcs[name].body for n in ast.walk(stmt)]
+        used = ({n.id for n in nodes if isinstance(n, ast.Name)}
+                | {n.attr for n in nodes if isinstance(n, ast.Attribute)})
+        assert not used & private, (name, used & private)
