@@ -143,7 +143,8 @@ def cmd_diffuse(args) -> int:
         normalize=not args.no_normalize)
     os.makedirs(args.out, exist_ok=True)
     _write_or_print(trace.to_csv(), os.path.join(args.out, "trace.csv"))
-    jsonio.cochain0_to_json(3, final, path=os.path.join(args.out, "final_cochain.json"))
+    jsonio.cochain0_to_json(3, dict(zip(pc.ids, final)),
+                            path=os.path.join(args.out, "final_cochain.json"))
     run_params = {
         "cloud": os.path.basename(args.cloud),
         "layers": args.layers,
@@ -207,8 +208,7 @@ def cmd_lift(args) -> int:
     if args.canonicalize:
         frames, _ = local_frame(pc)
         sigma = canonicalize(sigma, frames)
-    text = jsonio.cochain0_to_json(3, sigma)
-    _write_or_print(text, args.out)
+    _write_or_print(jsonio.cochain0_to_json(3, dict(zip(pc.ids, sigma))), args.out)
     return 0
 
 

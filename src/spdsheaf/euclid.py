@@ -40,15 +40,22 @@ class EuclidSheaf(_OrthGraph):
 
 
 def _check_vec_cochain(sheaf: EuclidSheaf, x: VecCochain0) -> np.ndarray:
+    """The (|V|, n) stack of a vector 0-cochain: a Mapping keyed by exactly
+    the vertex ids, with finite length-n values."""
+    if not isinstance(x, Mapping):
+        raise InvalidInputError("a vector 0-cochain is a mapping keyed by vertex id")
+    if len(x) != sheaf.n_vertices or any(v not in x for v in sheaf.vertices):
+        raise InvalidInputError(f"cochain keys differ from the vertex ids by "
+                                f"{sorted(map(repr, set(x) ^ set(sheaf.vertices)))}")
     n = sheaf.n_stalk
     out = np.empty((sheaf.n_vertices, n))
     for i, v in enumerate(sheaf.vertices):
-        if v not in x:
-            raise InvalidInputError(f"cochain is missing vertex {v!r}")
         xv = np.asarray(x[v], dtype=np.float64).ravel()
         if xv.size != n:
             raise InvalidInputError(f"vertex {v!r}: expected length-{n} vector")
         out[i] = xv
+    if not np.all(np.isfinite(out)):
+        raise InvalidInputError("cochain has non-finite values")
     return out
 
 

@@ -29,10 +29,10 @@ from .errors import InvalidInputError
 from .spd import (
     EIG_FLOOR,
     ORTH_TOL,
-    _expm_stack,
-    _logm_stack,
+    _from_spectrum,
     _sym_part,
     conj_operator,
+    spd_log,
     sym_dim,
     sym_exp,
     vec_to_sym,
@@ -208,7 +208,7 @@ def coboundary(sheaf: SheafGraph, sigma: Cochain0) -> list[np.ndarray] | np.ndar
     A Mapping gives a list; an (..., |V|, n, n) array an (..., |E|, n, n) array.
     """
     stack = _cochain_stack(sigma, sheaf.vertices, sheaf.n_stalk)
-    out = _expm_stack(_coboundary_logs(sheaf, _logm_stack(stack)))
+    out = sym_exp(_coboundary_logs(sheaf, spd_log(stack)))
     return out if isinstance(sigma, np.ndarray) else list(out)
 
 
@@ -235,7 +235,7 @@ def adjoint(sheaf: SheafGraph, tau: Cochain1) -> dict | np.ndarray:
     (..., |E|, n, n) array an (..., |V|, n, n) array.
     """
     stack = _cochain_stack(tau, sheaf.n_edges, sheaf.n_stalk)
-    out = _expm_stack(_adjoint_logs(sheaf, _logm_stack(stack)))
+    out = sym_exp(_adjoint_logs(sheaf, spd_log(stack)))
     return out if isinstance(tau, np.ndarray) else dict(zip(sheaf.vertices, out))
 
 
@@ -257,7 +257,7 @@ def cochain_pairing(a, b) -> float | np.ndarray:
     B = _cochain_stack(b, list(a) if isinstance(a, Mapping) else A.shape[-3], A.shape[-1])
     if A.shape != B.shape:
         raise InvalidInputError(f"cochains of shapes {A.shape} and {B.shape} do not pair")
-    total = np.sum(_logm_stack(A) * _logm_stack(B), axis=(-3, -2, -1))
+    total = np.sum(spd_log(A) * spd_log(B), axis=(-3, -2, -1))
     return float(total) if total.ndim == 0 else total
 
 
@@ -502,12 +502,11 @@ def diffusion_step(sheaf: SheafGraph, sigma: Cochain0, normalize: bool = True,
     eigenvalues are clamped into [EIG_FLOOR, 1/EIG_FLOOR] = [1e-4, 1e4], which
     keeps states log-representable across deep runs.
     """
-    logs = _logm_stack(_cochain_stack(sigma, sheaf.vertices, sheaf.n_stalk))
+    logs = spd_log(_cochain_stack(sigma, sheaf.vertices, sheaf.n_stalk))
     delta = _log_update(sheaf, logs, normalize)
     new_logs = logs + delta if residual else delta
     # the clamp bounds the otherwise unbounded residual drift of deep runs
     # without touching states in the normal operating box
     w, V = np.linalg.eigh(new_logs)
-    w = np.clip(w, np.log(EIG_FLOOR), -np.log(EIG_FLOOR))
-    out = _sym_part((V * np.exp(w)[..., None, :]) @ np.swapaxes(V, -1, -2))
+    out = _from_spectrum(np.exp(np.clip(w, np.log(EIG_FLOOR), -np.log(EIG_FLOOR))), V)
     return out if isinstance(sigma, np.ndarray) else dict(zip(sheaf.vertices, out))

@@ -6,6 +6,13 @@ function; eigendecomposition (``numpy.linalg.eigh``) is the single backend
 for logarithms, exponentials and matrix powers, which is the right trade-off
 for the small stalk dimensions this package targets (n <= 13).
 
+The spectral functions ``as_sym``, ``sym_eig``, ``spd_log``, ``sym_exp``,
+``spd_power``, ``tg_re_eig`` and ``cayley`` take one (n, n) matrix or a
+(..., n, n) stack and answer in kind; a stack holding a bad matrix raises
+the error that matrix raises alone. Every spectral map
+``V diag(f(w)) V^T`` is rebuilt by one helper. The metrics, the pairing,
+``congruence``, ``frechet_log`` and ``clamp_spd`` take single matrices.
+
 The Lie group structure used throughout is the log-Euclidean one:
 ``group_op(P, Q) = exp(log P + log Q)`` with identity ``I`` and inverse
 ``exp(-log P)``, which makes the SPD cone an abelian group.
@@ -39,8 +46,8 @@ _SQRT2 = math.sqrt(2.0)
 class SpectralDecomp(NamedTuple):
     """Eigendecomposition with eigenvalues sorted descending.
 
-    ``eigenvectors[:, k]`` is the unit eigenvector for ``eigenvalues[k]``;
-    the input is recovered as ``V @ diag(w) @ V.T``.
+    ``eigenvectors[..., :, k]`` is the unit eigenvector for
+    ``eigenvalues[..., k]``; the input is recovered as ``V @ diag(w) @ V.T``.
     """
 
     eigenvalues: np.ndarray
@@ -69,12 +76,8 @@ def _square(A, name: str = "matrix") -> np.ndarray:
 
 
 def as_sym(A) -> np.ndarray:
-    """Validated symmetric matrix: checks asymmetry <= SYM_ATOL, symmetrizes."""
-    return _checked_sym(_square(A, "symmetric matrix"))
-
-
-def _checked_sym(A: np.ndarray) -> np.ndarray:
-    """Symmetrize a square stack after checking its asymmetry is <= SYM_ATOL."""
+    """Validated symmetric matrix or stack: checks asymmetry <= SYM_ATOL, symmetrizes."""
+    A = _square_stack(A, "symmetric matrix")
     if np.max(np.abs(A - np.swapaxes(A, -1, -2)), initial=0.0) > SYM_ATOL:
         raise InvalidInputError("matrix is not symmetric within tolerance")
     return _sym_part(A)
@@ -115,61 +118,51 @@ def is_signed_permutation(M, tol: float = 1e-10) -> bool:
 
 
 def sym_eig(S) -> SpectralDecomp:
-    """Eigendecomposition of a symmetric matrix, eigenvalues descending."""
-    w, V = _eigh_desc_stack(_square(S, "symmetric matrix"))
-    return SpectralDecomp(w.copy(), V.copy())
+    """Eigendecomposition of a symmetric matrix or stack, eigenvalues descending.
 
-
-def _eigh_desc_stack(A: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Batched descending eigh for a (..., n, n) stack of symmetric matrices."""
-    w, V = np.linalg.eigh(0.5 * (A + np.swapaxes(A, -1, -2)))
-    return w[..., ::-1], V[..., ::-1]
+    The input is symmetrized first; its asymmetry is not checked.
+    """
+    w, V = np.linalg.eigh(_sym_part(_square_stack(S, "symmetric matrix")))
+    return SpectralDecomp(w[..., ::-1], V[..., ::-1])
 
 
 def _sym_part(A: np.ndarray) -> np.ndarray:
     return 0.5 * (A + np.swapaxes(A, -1, -2))
 
 
-def _logm_stack(P: np.ndarray) -> np.ndarray:
-    w, V = _eigh_desc_stack(P)
-    if np.min(w, initial=np.inf) <= 0.0:
-        raise DomainError(f"matrix is not positive definite (min eigenvalue {np.min(w):.3e})")
-    L = (V * np.log(w)[..., None, :]) @ np.swapaxes(V, -1, -2)
-    return _sym_part(L)
-
-
-def _expm_stack(S: np.ndarray) -> np.ndarray:
-    w, V = _eigh_desc_stack(S)
-    if np.max(w, initial=-np.inf) > _EXP_MAX:
-        raise OverflowError(f"matrix exponential overflows (max eigenvalue {np.max(w):.3e})")
-    E = (V * np.exp(w)[..., None, :]) @ np.swapaxes(V, -1, -2)
-    return _sym_part(E)
+def _from_spectrum(w: np.ndarray, V: np.ndarray) -> np.ndarray:
+    """The symmetric ``V diag(w) V^T`` of (..., n) values and (..., n, n) vectors."""
+    return _sym_part((V * w[..., None, :]) @ np.swapaxes(V, -1, -2))
 
 
 def spd_log(P) -> np.ndarray:
-    """Matrix logarithm of an SPD matrix (symmetric output).
+    """Matrix logarithm of an SPD matrix or stack (symmetric output).
 
     Raises DomainError if any eigenvalue is <= 0; validated constructors are
     responsible for flooring, so no clamping happens here.
     """
-    P = _square(P, "SPD matrix")
-    return _logm_stack(P)
+    w, V = sym_eig(P)
+    if np.min(w, initial=np.inf) <= 0.0:
+        raise DomainError(f"matrix is not positive definite (min eigenvalue {np.min(w):.3e})")
+    return _from_spectrum(np.log(w), V)
 
 
 def sym_exp(S) -> np.ndarray:
-    """Matrix exponential of a symmetric matrix (SPD output)."""
-    S = _square(S, "symmetric matrix")
-    return _expm_stack(S)
+    """Matrix exponential of a symmetric matrix or stack (SPD output)."""
+    w, V = sym_eig(S)
+    if np.max(w, initial=-np.inf) > _EXP_MAX:
+        raise OverflowError(f"matrix exponential overflows (max eigenvalue {np.max(w):.3e})")
+    return _from_spectrum(np.exp(w), V)
 
 
 def spd_power(P, theta: float) -> np.ndarray:
-    """Matrix power ``V diag(w**theta) V^T`` of an SPD matrix."""
+    """Matrix power ``V diag(w**theta) V^T`` of an SPD matrix or stack."""
     if not np.isfinite(theta):
         raise InvalidInputError("power exponent must be finite")
-    w, V = sym_eig(_square(P, "SPD matrix"))
-    if np.min(w) <= 0.0:
+    w, V = sym_eig(P)
+    if np.min(w, initial=np.inf) <= 0.0:
         raise DomainError("matrix power requires positive eigenvalues")
-    return _sym_part((V * w**theta) @ V.T)
+    return _from_spectrum(w**theta, V)
 
 
 # ---------------------------------------------------------------------------
@@ -314,12 +307,11 @@ def tg_re_eig(P, delta: float = 0.1) -> np.ndarray:
     by distinct floors ``exp(delta * i)`` where i is the 1-based index over
     eigenvalues sorted descending. Accepts one matrix or a (..., n, n) stack.
     """
-    w, V = _eigh_desc_stack(_square_stack(P, "SPD matrix"))
-    if np.min(w) <= 0.0:
+    w, V = sym_eig(P)
+    if np.min(w, initial=np.inf) <= 0.0:
         raise DomainError("input is not positive definite")
     idx = np.arange(1, w.shape[-1] + 1, dtype=np.float64)
-    w_new = np.where(np.log(w) > 0.0, w, np.exp(delta * idx))
-    return _sym_part((V * w_new[..., None, :]) @ np.swapaxes(V, -1, -2))
+    return _from_spectrum(np.where(np.log(w) > 0.0, w, np.exp(delta * idx)), V)
 
 
 def erank(P) -> float:
@@ -327,7 +319,7 @@ def erank(P) -> float:
 
     1 for nearly rank-one matrices, n for isotropic ones. Uses 0*log 0 = 0.
     """
-    return float(_erank_of_spectra(np.linalg.eigvalsh(as_sym(P))))
+    return float(_erank_of_spectra(np.linalg.eigvalsh(as_sym(_square(P)))))
 
 
 def _erank_of_spectra(w: np.ndarray) -> np.ndarray:
@@ -351,27 +343,21 @@ def clamp_spd(S, eps: float = EIG_FLOOR) -> np.ndarray:
     w, V = np.linalg.eigh(S)
     if w[0] >= eps:
         return S
-    return _sym_part((V * np.maximum(w, eps)) @ V.T)
+    return _from_spectrum(np.maximum(w, eps), V)
 
 
-def power_euclidean_mean(mats: Sequence[np.ndarray], theta: float) -> np.ndarray:
-    """Power-Euclidean mean ``((1/k) sum X_i**theta)**(1/theta)``, 0 < theta <= 1."""
-    mats = list(mats)
-    if not mats:
-        raise InvalidInputError("power-Euclidean mean of an empty collection")
+def power_euclidean_mean(mats: Sequence[np.ndarray] | np.ndarray, theta: float) -> np.ndarray:
+    """Power-Euclidean mean ``((1/k) sum X_i**theta)**(1/theta)``, 0 < theta <= 1,
+    of a sequence or (k, n, n) stack of SPD matrices."""
     if not (0.0 < theta <= 1.0):
         raise InvalidInputError("theta must lie in (0, 1]")
-    shapes = {np.asarray(m).shape for m in mats}
-    if len(shapes) != 1:
-        raise InvalidInputError("matrices must share a common dimension")
-    stack = _square_stack(np.stack(mats), "SPD matrix")
-    if stack.ndim != 3:
-        raise InvalidInputError(f"SPD matrix must be square, got shape {stack.shape[1:]}")
-    w, V = _eigh_desc_stack(stack)
-    if np.min(w) <= 0.0:
-        raise DomainError("matrix power requires positive eigenvalues")
-    powers = _sym_part((V * (w**theta)[..., None, :]) @ np.swapaxes(V, -1, -2))
-    return spd_power(np.mean(powers, axis=0), 1.0 / theta)
+    try:
+        stack = np.asarray(mats, dtype=np.float64)
+    except (ValueError, TypeError):
+        raise InvalidInputError("matrices must share a common dimension") from None
+    if stack.ndim != 3 or len(stack) == 0:
+        raise InvalidInputError(f"expected a nonempty (k, n, n) stack, got shape {stack.shape}")
+    return spd_power(np.mean(spd_power(stack, theta), axis=0), 1.0 / theta)
 
 
 # ---------------------------------------------------------------------------

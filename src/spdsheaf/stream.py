@@ -8,6 +8,10 @@ per-vertex equivariant frames so downstream outputs are invariant to rigid
 motions, and then applies sheaf-Laplacian updates in the log domain. Layer
 parameters are evaluated at seeded random values; the only trained component
 is a convex logistic readout on pooled descriptors.
+
+A stream cochain is one (|V|, 3, 3) array whose rows follow ``pc.ids``:
+lifting, canonicalization, the layers, the rank trace, pooling and the
+diffusion runs all take and return such stacks.
 """
 
 from __future__ import annotations
@@ -21,15 +25,14 @@ import numpy as np
 from .errors import DomainError, InvalidInputError
 from .sheaf import SheafGraph, _cochain_stack, _log_update, diffusion_step
 from .spd import (
-    _checked_sym,
     _erank_of_spectra,
-    _expm_stack,
-    _logm_stack,
+    as_sym,
     cayley,
     power_euclidean_mean,
     skew_from_params,
     spd_log,
     sym_dim,
+    sym_exp,
     sym_to_vec,
     tg_re_eig,
 )
@@ -120,12 +123,13 @@ def _edge_list(adj, d2, rows, k: int) -> list[tuple[int, int]]:
 
 
 def lift_coordinates(pc: PointCloud, eps_dir: float = 1e-8,
-                     eps_spd: float = 1e-4) -> dict:
+                     eps_spd: float = 1e-4) -> np.ndarray:
     """Centroid-centered unit directions lifted to near-rank-one SPD matrices.
 
-    ``X_v = u u^T + eps_spd I`` with ``u = (p_v - centroid)/(||.|| + eps_dir)``.
-    Exactly translation invariant; points at the centroid degrade gracefully
-    to ``eps_spd I``. Both eps must be finite and positive.
+    ``X_v = u u^T + eps_spd I`` with ``u = (p_v - centroid)/(||.|| + eps_dir)``,
+    one (|V|, 3, 3) stack in ``pc.ids`` order. Exactly translation invariant;
+    points at the centroid degrade gracefully to ``eps_spd I``. Both eps must
+    be finite and positive.
     """
     if not (0 < eps_dir < np.inf and 0 < eps_spd < np.inf):
         raise InvalidInputError(f"eps_dir and eps_spd must be finite and positive, "
@@ -133,8 +137,7 @@ def lift_coordinates(pc: PointCloud, eps_dir: float = 1e-8,
     centered = pc.points - pc.points.mean(axis=0)
     norms = np.linalg.norm(centered, axis=1, keepdims=True)
     u = centered / (norms + eps_dir)
-    lifted = u[:, :, None] * u[:, None, :] + eps_spd * np.eye(3)
-    return {v: lifted[i] for i, v in enumerate(pc.ids)}
+    return u[:, :, None] * u[:, None, :] + eps_spd * np.eye(3)
 
 
 def _unit(v):
@@ -142,8 +145,11 @@ def _unit(v):
     return v / n if n > 0 else v
 
 
-def local_frame(pc: PointCloud) -> tuple[dict, dict]:
-    """Per-vertex equivariant orthonormal frame, with degeneracy flags.
+def local_frame(pc: PointCloud) -> tuple[np.ndarray, np.ndarray]:
+    """Per-vertex equivariant orthonormal frames, with degeneracy flags.
+
+    Returns a (|V|, 3, 3) frame stack and a (|V|,) boolean flag array, both
+    in ``pc.ids`` order.
 
     Columns: normalized centroid displacement, Gram-Schmidt of the summed
     unit neighbour directions, and their cross product. Under a global
@@ -157,13 +163,13 @@ def local_frame(pc: PointCloud) -> tuple[dict, dict]:
     for t, h in zip(pc.graph._tails.tolist(), pc.graph._heads.tolist()):
         neighbors[t].append(h)
         neighbors[h].append(t)
-    frames, flags = {}, {}
-    for i, v in enumerate(pc.ids):
-        flagged = False
+    frames = np.empty((pc.n_points, 3, 3))
+    flags = np.zeros(pc.n_points, dtype=bool)
+    for i in range(pc.n_points):
         u = centered[i]
         if np.linalg.norm(u) < 1e-12:
             u = np.array([1.0, 0.0, 0.0])
-            flagged = True
+            flags[i] = True
         v1 = _unit(u)
         agg = np.zeros(3)
         for j in neighbors[i]:
@@ -176,17 +182,15 @@ def local_frame(pc: PointCloud) -> tuple[dict, dict]:
             axis = np.zeros(3)
             axis[np.argmin(np.abs(v1))] = 1.0
             v2 = axis - np.dot(axis, v1) * v1
-            flagged = True
+            flags[i] = True
         v2 = _unit(v2)
-        v3 = np.cross(v1, v2)
-        frames[v] = np.column_stack([v1, v2, v3])
-        flags[v] = flagged
+        frames[i] = np.column_stack([v1, v2, np.cross(v1, v2)])
     return frames, flags
 
 
-def canonicalize(sigma: dict, frames: dict) -> dict:
-    """Express each stalk value in its local frame: ``M^T X M``."""
-    return {v: frames[v].T @ X @ frames[v] for v, X in sigma.items()}
+def canonicalize(sigma: np.ndarray, frames: np.ndarray) -> np.ndarray:
+    """Express each stalk value in its local frame: ``M^T X M``, row by row."""
+    return np.array([M.T @ X @ M for X, M in zip(sigma, frames, strict=True)])
 
 
 # ---------------------------------------------------------------------------
@@ -303,8 +307,8 @@ def sheaf_learner(params: LayerParams, h_u, h_v) -> tuple[np.ndarray, np.ndarray
 # the convolution layer
 
 
-def spd_sheaf_layer(pc: PointCloud, sigma: dict, params: LayerParams) -> dict:
-    """One SPD sheaf convolution layer; returns the new cochain.
+def spd_sheaf_layer(pc: PointCloud, sigma: np.ndarray, params: LayerParams) -> np.ndarray:
+    """One SPD sheaf convolution layer on a (|V|, 3, 3) stack; returns the new stack.
 
     Steps: conjugate states by the learnable isometry, regenerate restriction
     maps from current log-domain features, add the per-vertex log-Laplacian
@@ -316,14 +320,13 @@ def spd_sheaf_layer(pc: PointCloud, sigma: dict, params: LayerParams) -> dict:
     """
     graph = pc.graph
     stack = _cochain_stack(sigma, graph.vertices)
-    logs = _logm_stack(stack)
+    logs = spd_log(stack)
     feats = sym_to_vec(logs)
     sheaf = graph._with_maps(*sheaf_learner(params, feats[graph._tails], feats[graph._heads]))
 
     Q = params.isometry
-    delta = _log_update(sheaf, _logm_stack(Q @ stack @ Q.T))
-    out_stack = tg_re_eig(_expm_stack(logs + delta))
-    return {v: out_stack[i] for i, v in enumerate(graph.vertices)}
+    delta = _log_update(sheaf, spd_log(Q @ stack @ Q.T))
+    return tg_re_eig(sym_exp(logs + delta))
 
 
 # ---------------------------------------------------------------------------
@@ -354,23 +357,23 @@ class RankTrace:
         return "\n".join(lines) + "\n"
 
 
-def trace_row(sigma: dict, layer: int) -> TraceRow:
-    """Summary statistics of one cochain: eranks, second eigenvalues, spread.
+def trace_row(sigma: np.ndarray, layer: int) -> TraceRow:
+    """Summary statistics of one (|V|, n, n) cochain stack: eranks, second
+    eigenvalues, spread.
 
     One ``eigvalsh`` of the stacked values gives the effective ranks and the
     second eigenvalues. The log-Euclidean distance of two values is the
     Euclidean distance of their flattened logs (Arsigny et al. 2007), so the
     minimum over pairs needs one stacked logarithm.
     """
-    vertices = list(sigma)
-    stack = _checked_sym(_cochain_stack(sigma, vertices))
+    stack = as_sym(sigma)
+    if stack.ndim != 3:
+        raise InvalidInputError(f"expected a (|V|, n, n) cochain stack, got shape {stack.shape}")
+    N = stack.shape[0]
     w = np.linalg.eigvalsh(stack)
     eranks = _erank_of_spectra(w)
-    lam2 = w[:, -2] if stack.shape[-1] > 1 else np.full(len(vertices), np.nan)
-    if len(vertices) > 1:
-        min_lem = _min_pairwise_distance(_logm_stack(stack).reshape(len(vertices), -1))
-    else:
-        min_lem = 0.0
+    lam2 = w[:, -2] if stack.shape[-1] > 1 else np.full(N, np.nan)
+    min_lem = _min_pairwise_distance(spd_log(stack).reshape(N, -1)) if N > 1 else 0.0
     return TraceRow(
         layer=layer,
         mean_erank=float(np.mean(eranks)),
@@ -393,13 +396,13 @@ def _min_pairwise_distance(flat: np.ndarray) -> float:
     return best
 
 
-def rank_trace(cochains: Sequence[dict]) -> RankTrace:
+def rank_trace(cochains: Sequence[np.ndarray]) -> RankTrace:
     """Build the layer-indexed trace from a sequence of per-layer cochains."""
     return RankTrace(rows=[trace_row(c, layer=i) for i, c in enumerate(cochains)])
 
 
-def run_layers(pc: PointCloud, sigma0: dict,
-               params_list: Sequence[LayerParams]) -> tuple[dict, RankTrace]:
+def run_layers(pc: PointCloud, sigma0: np.ndarray,
+               params_list: Sequence[LayerParams]) -> tuple[np.ndarray, RankTrace]:
     """Apply a stack of convolution layers, collecting the trace."""
     states = [sigma0]
     for params in params_list:
@@ -407,12 +410,10 @@ def run_layers(pc: PointCloud, sigma0: dict,
     return states[-1], rank_trace(states)
 
 
-def pooled_descriptor(sigma: dict) -> np.ndarray:
-    """vec_upper(log of the power-Euclidean mean at theta = 1/2); permutation invariant."""
-    if not sigma:
-        raise InvalidInputError("cannot pool an empty cochain")
-    mean = power_euclidean_mean(list(sigma.values()), 0.5)
-    return sym_to_vec(spd_log(mean))
+def pooled_descriptor(sigma: np.ndarray) -> np.ndarray:
+    """vec_upper(log of the power-Euclidean mean at theta = 1/2) of a cochain
+    stack; invariant under permutations of its rows."""
+    return sym_to_vec(spd_log(power_euclidean_mean(sigma, 0.5)))
 
 
 def geometric_descriptor(pc: PointCloud, params_list: Sequence[LayerParams],
@@ -440,7 +441,7 @@ def geometric_descriptor(pc: PointCloud, params_list: Sequence[LayerParams],
 
 def diffusion_run(pc: PointCloud, layers: int, seed: int,
                   identity_maps: bool = False, residual: bool = True,
-                  normalize: bool = True) -> tuple[dict, RankTrace]:
+                  normalize: bool = True) -> tuple[np.ndarray, RankTrace]:
     """Iterate plain sheaf diffusion on a cloud lifted at eps_dir = 1e-8, eps_spd = 1e-4.
 
     Restriction maps are resampled per layer (random special-orthogonal via

@@ -12,7 +12,14 @@ import pytest
 from spdsheaf import jsonio, verify
 from spdsheaf.cli import main
 from spdsheaf.covgraph import Segment
-from spdsheaf.stream import PointCloud, geometric_graph
+from spdsheaf.stream import (
+    PointCloud,
+    canonicalize,
+    diffusion_run,
+    geometric_graph,
+    lift_coordinates,
+    local_frame,
+)
 from spdsheaf.verify import random_sheaf
 
 
@@ -154,6 +161,33 @@ def test_lift_command(cloud_file, capsys):
     obj = json.loads(capsys.readouterr().out)
     assert obj["n_stalk"] == 3
     assert len(obj["values"]) == 10
+
+
+def test_cochain_outputs_keep_string_ids_in_file_order(tmp_path, capsys):
+    ids = ["c", "a", "b"]
+    pts = np.random.default_rng(40).normal(size=(3, 3))
+    path = str(tmp_path / "cloud.json")
+    jsonio.cloud_to_json(PointCloud(pts, [("c", "a"), ("a", "b"), ("b", "c")], ids=ids),
+                         path=path)
+    pc = jsonio.load_cloud(path)
+    expected = {
+        "lift": lift_coordinates(pc),
+        "lift_canonical": canonicalize(lift_coordinates(pc), local_frame(pc)[0]),
+        "diffuse": diffusion_run(pc, layers=3, seed=5)[0],
+    }
+    outputs = {}
+    assert main(["lift", path]) == 0
+    outputs["lift"] = json.loads(capsys.readouterr().out)
+    assert main(["lift", path, "--canonicalize"]) == 0
+    outputs["lift_canonical"] = json.loads(capsys.readouterr().out)
+    out = str(tmp_path / "diffused")
+    assert main(["diffuse", path, "--layers", "3", "--seed", "5", "--out", out]) == 0
+    outputs["diffuse"] = json.load(open(os.path.join(out, "final_cochain.json")))
+    for name, obj in outputs.items():
+        assert [v for v, _ in obj["values"]] == ids, name
+        assert expected[name].shape == (3, 3, 3)
+        for (_, X), row in zip(obj["values"], expected[name]):
+            np.testing.assert_array_equal(np.array(X), row)
 
 
 def test_covgraph_command(segments_file, tmp_path, capsys):

@@ -40,6 +40,22 @@ def test_euclid_coboundary_examples():
     np.testing.assert_allclose(out[0], [1.0, 0, 0], atol=1e-14)
 
 
+def test_euclid_coboundary_rejects_non_finite_values():
+    sheaf = identity_path(2, 2)
+    for bad in (np.nan, np.inf):
+        with pytest.raises(InvalidInputError, match="non-finite"):
+            s.euclid_coboundary(sheaf, {0: [bad, 0.0], 1: [0.0, 0.0]})
+
+
+def test_euclid_coboundary_rejects_unknown_vertex_keys():
+    sheaf = identity_path(2, 2)
+    x = {0: [1.0, 0.0], 1: [0.0, 0.0]}
+    with pytest.raises(InvalidInputError, match="'x'"):
+        s.euclid_coboundary(sheaf, {**x, "x": [0.0, 0.0]})
+    with pytest.raises(InvalidInputError, match="keys differ"):
+        s.euclid_coboundary(sheaf, {0: x[0]})
+
+
 def test_euclid_coboundary_matches_matrix():
     rng = np.random.default_rng(0)
     sheaf = random_euclid_sheaf(3, 6, 2, rng)

@@ -529,9 +529,8 @@ def test_diffusion_normalization_caps_update():
     stack = random_spd_stack(3, sheaf.n_vertices, rng, spread=100.0)
     sigma = dict(zip(sheaf.vertices, stack))
     from spdsheaf.sheaf import _log_update
-    from spdsheaf.spd import _logm_stack
 
-    logs = _logm_stack(stack)
+    logs = s.spd_log(stack)
     raw = _log_update(sheaf, logs, normalize=False)
     assert np.max(np.abs(np.linalg.eigvalsh(raw))) > 1.0  # the cap is exercised
     delta = _log_update(sheaf, logs)

@@ -7,7 +7,7 @@ import pytest
 
 import spdsheaf as s
 from spdsheaf.errors import DomainError, InvalidInputError
-from spdsheaf.verify import random_orthogonal, random_spd
+from spdsheaf.verify import random_orthogonal, random_spd, random_spd_stack
 
 
 def random_sym(n, rng, scale=1.0):
@@ -408,3 +408,51 @@ def test_conj_operator_and_tg_re_eig_take_stacks():
         np.testing.assert_allclose(out[k], s.tg_re_eig(Ps[k], 0.2), rtol=0, atol=1e-12)
     with pytest.raises(DomainError):
         s.tg_re_eig(np.stack([np.eye(3), -np.eye(3)]))
+
+
+# name -> (function, input domain, error of each bad matrix kind)
+_STACK_CASES = {
+    "spd_log": (s.spd_log, "spd", {"nan": InvalidInputError, "indefinite": DomainError}),
+    "sym_exp": (s.sym_exp, "sym", {"nan": InvalidInputError, "overflow": OverflowError}),
+    "sym_eig": (s.sym_eig, "sym", {"nan": InvalidInputError}),
+    "as_sym": (s.as_sym, "sym", {"nan": InvalidInputError, "asymmetric": InvalidInputError}),
+    "spd_power": (lambda P: s.spd_power(P, 0.37), "spd",
+                  {"nan": InvalidInputError, "indefinite": DomainError}),
+    "tg_re_eig": (s.tg_re_eig, "spd", {"nan": InvalidInputError, "indefinite": DomainError}),
+}
+
+
+def _bad_matrix(kind, n):
+    M = np.eye(n)
+    if kind == "asymmetric":
+        M[0, 1] = 1e-6
+    else:
+        M[0, 0] = {"nan": np.nan, "indefinite": -1.0, "overflow": 800.0}[kind]
+    return M
+
+
+def _comparable(name, result):
+    """The arrays to compare; eigenvectors are fixed only up to sign."""
+    return [result.eigenvalues, np.abs(result.eigenvectors)] if name == "sym_eig" else [result]
+
+
+@pytest.mark.parametrize("n", [2, 3, 5])
+@pytest.mark.parametrize("name", sorted(_STACK_CASES))
+def test_spectral_functions_take_stacks(name, n):
+    fn, domain, bad_kinds = _STACK_CASES[name]
+    rng = np.random.default_rng(n)
+    X = (random_spd_stack(n, 10, rng, spread=100.0) if domain == "spd"
+         else np.stack([random_sym(n, rng) for _ in range(10)])).reshape(2, 5, n, n)
+    out = fn(X)
+    for idx in np.ndindex(2, 5):
+        for got, want in zip(_comparable(name, out), _comparable(name, fn(X[idx]))):
+            # a stacked product may round in another order than a single one
+            np.testing.assert_allclose(got[idx], want, rtol=1e-12,
+                                       atol=1e-12 * np.max(np.abs(want)))
+    for kind, error in bad_kinds.items():
+        stack = X.copy()
+        stack[1, 3] = _bad_matrix(kind, n)
+        with pytest.raises(error):
+            fn(stack[1, 3])
+        with pytest.raises(error):
+            fn(stack)

@@ -67,8 +67,8 @@ def test_lift_translation_invariant():
 def test_frames_orthogonal_and_equivariant():
     pc = cloud(2)
     frames, flags = s.local_frame(pc)
-    assert not any(flags.values())
-    for M in frames.values():
+    assert not any(flags)
+    for M in frames:
         assert np.linalg.norm(M.T @ M - np.eye(3)) <= 1e-10
     rng = np.random.default_rng(3)
     R = rotation3(rng)
@@ -156,8 +156,8 @@ def test_frames_collinear_fallback():
     pts = [[1.0, 0, 0], [2.0, 0, 0], [3.0, 0, 0]]
     pc = PointCloud(pts, [(0, 1), (1, 2)])
     frames, flags = s.local_frame(pc)
-    assert any(flags.values())
-    for M in frames.values():
+    assert any(flags)
+    for M in frames:
         assert np.linalg.norm(M.T @ M - np.eye(3)) <= 1e-10
 
 
@@ -269,10 +269,10 @@ def test_layer_rotation_invariance():
 
 
 def test_pooled_descriptor_examples():
-    sigma = {v: np.eye(3) for v in range(4)}
+    sigma = np.stack([np.eye(3)] * 4)
     np.testing.assert_allclose(s.pooled_descriptor(sigma), np.zeros(6), atol=1e-12)
     P = random_spd(3, np.random.default_rng(15))
-    sigma = {v: P.copy() for v in range(4)}
+    sigma = np.stack([P] * 4)
     np.testing.assert_allclose(s.pooled_descriptor(sigma),
                                s.sym_to_vec(s.spd_log(P)), atol=1e-10)
 
@@ -280,9 +280,9 @@ def test_pooled_descriptor_examples():
 def test_pooled_descriptor_permutation_invariant():
     rng = np.random.default_rng(16)
     values = [random_spd(3, rng) for _ in range(5)]
-    a = s.pooled_descriptor({i: values[i] for i in range(5)})
+    a = s.pooled_descriptor(np.stack(values))
     perm = rng.permutation(5)
-    b = s.pooled_descriptor({i: values[perm[i]] for i in range(5)})
+    b = s.pooled_descriptor(np.stack(values)[perm])
     np.testing.assert_allclose(a, b, atol=1e-12)
 
 
@@ -310,7 +310,7 @@ def test_trace_row_matches_pairwise_reference(N, block, monkeypatch):
         monkeypatch.setattr(stream, "_PAIR_BLOCK", block)
     rng = np.random.default_rng(N)
     values = [random_spd(3, rng) for _ in range(N)]
-    row = trace_row({v: X for v, X in enumerate(values)}, 4)
+    row = trace_row(np.stack(values), 4)
     eranks = [s.erank(X) for X in values]
     lam2 = [np.sort(np.linalg.eigvalsh(X))[-2] for X in values]
     min_lem = min((s.dist_lem(values[i], values[j])

@@ -248,7 +248,7 @@ def test_oracle_helpers_share_no_primary_code():
     """The oracle-local helpers use no name imported from the primary modules
     and read a sheaf only through its plain graph fields, and the oracles
     reach the primary code only through its public names: no private kernel
-    such as ``_coboundary_logs`` or ``_logm_stack`` (function bodies are
+    such as ``_coboundary_logs`` or ``_from_spectrum`` (function bodies are
     inspected; type annotations are not code paths)."""
     import ast
     import inspect
@@ -276,7 +276,7 @@ def test_oracle_helpers_share_no_primary_code():
                if name.startswith("_") and not name.startswith("__")}
     private |= {name for name in primary | graph_attrs
                 if name.startswith("_") and not name.startswith("__")}
-    assert {"_coboundary_logs", "_adjoint_logs", "_logm_stack", "_tails"} <= private
+    assert {"_coboundary_logs", "_adjoint_logs", "_from_spectrum", "_tails"} <= private
     oracles = [name for name in funcs if name.startswith("oracle_")]
     assert len(oracles) == len(ALL_CHECKS)
     for name in oracles:
