@@ -9,8 +9,8 @@ commands require an explicit --seed (no wall-clock seeding). Exit codes:
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
-import math
 import os
 import sys
 
@@ -56,42 +56,21 @@ def _write_or_print(text: str, path: str | None):
 # subcommands
 
 
-_CONFIG_SIZES = ("seed", "trials", "n_instances", "max_vertices", "extra_edges")
-
-
-def _verify_config(cfg) -> dict:
-    """Reject a `verify --config` object whose values have the wrong type."""
-    if not isinstance(cfg, dict):
-        raise ParseError("verify config must be a JSON object")
-    checks, tolerances = cfg.get("checks", []), cfg.get("tolerances", {})
-    if not (isinstance(checks, list) and all(isinstance(c, str) for c in checks)):
-        raise ParseError("verify config: 'checks' must be a list of check names")
-    # JSON numbers load as int or float; `type(x) is int` also rejects bools
-    bad = [k for k in _CONFIG_SIZES if k in cfg and type(cfg[k]) is not int]
-    if bad:
-        raise ParseError(f"verify config: {bad[0]!r} must be an integer, got {cfg[bad[0]]!r}")
-    if not isinstance(tolerances, dict) or not all(
-            c in verify.ALL_CHECKS and type(t) in (int, float) and math.isfinite(t) and t >= 0
-            for c, t in tolerances.items()):
-        raise ParseError("verify config: 'tolerances' must map check names to finite "
-                         "numbers >= 0")
-    return cfg
-
-
 def cmd_verify(args) -> int:
-    checks = tuple(args.check) if args.check else verify.ALL_CHECKS
-    tolerances = None
-    kwargs = {}
+    fields = {"checks": tuple(args.check) if args.check else verify.ALL_CHECKS,
+              "seed": args.seed, "trials": args.trials}
     if args.config:
-        cfg_obj = _verify_config(jsonio.load_json(args.config))
-        checks = tuple(cfg_obj.get("checks", checks))
-        tolerances = cfg_obj.get("tolerances")
-        kwargs = {key: cfg_obj[key] for key in _CONFIG_SIZES if key in cfg_obj}
-    kwargs.setdefault("seed", args.seed)
-    kwargs.setdefault("trials", args.trials)
-    stalk_dims = tuple(args.n) if args.n else (2, 3)
-    config = verify.SuiteConfig(checks=checks, stalk_dims=stalk_dims,
-                                tolerances=tolerances, dump_dir=args.out, **kwargs)
+        # config values override the flags; SuiteConfig validates them
+        cfg = jsonio.load_json(args.config)
+        if not isinstance(cfg, dict):
+            raise ParseError("verify config must be a JSON object")
+        unknown = sorted(set(cfg) - {"checks", "seed", "trials", "n_instances",
+                                     "max_vertices", "extra_edges"})
+        if unknown:
+            raise ParseError(f"verify config: unknown key(s) {unknown}")
+        fields.update(cfg)
+    config = verify.SuiteConfig(stalk_dims=tuple(args.n) if args.n else (2, 3),
+                                dump_dir=args.out, **fields)
     verdicts, code = verify.run_suite(config)
 
     header = f"{'check':<16}{'trials':>8}{'max residual':>16}{'tolerance':>12}  status"
@@ -101,7 +80,7 @@ def cmd_verify(args) -> int:
         status = "PASS" if v.passed else "FAIL"
         print(f"{v.check:<16}{v.trials:>8}{v.max_residual:>16.3e}{v.tolerance:>12.1e}  {status}")
     report = {"seed": config.seed, "passed": code == 0,
-              "verdicts": [v.to_dict() for v in verdicts]}
+              "verdicts": [dataclasses.asdict(v) for v in verdicts]}
     if args.out:
         os.makedirs(args.out, exist_ok=True)
         _write_or_print(json.dumps(report, indent=2, sort_keys=True),
@@ -230,7 +209,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", action="append", type=int, help="stalk dimension (repeatable)")
     p.add_argument("--seed", type=int, default=42)
     p.add_argument("--trials", type=int, default=100)
-    p.add_argument("--config", help="JSON config overriding checks/sizes/tolerances")
+    p.add_argument("--config", help="JSON config overriding checks and sizes")
     p.add_argument("--out", help="directory for verdicts.json and failure dumps")
     p.set_defaults(func=cmd_verify)
 
@@ -286,10 +265,8 @@ def main(argv=None) -> int:
     try:
         _check_thread_cap()
         return args.func(args)
-    except (ParseError, FileNotFoundError, IsADirectoryError, PermissionError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (InvalidInputError, DomainError, NotApplicableError) as exc:
+    except (ParseError, InvalidInputError, DomainError, NotApplicableError,
+            FileNotFoundError, IsADirectoryError, PermissionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

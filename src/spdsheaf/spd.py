@@ -75,6 +75,14 @@ def _square(A, name: str = "matrix") -> np.ndarray:
     return A
 
 
+def _square_pair(X, Y) -> tuple[np.ndarray, np.ndarray]:
+    """Two validated square matrices of one shape."""
+    X, Y = _square(X), _square(Y)
+    if X.shape != Y.shape:
+        raise InvalidInputError(f"dimension mismatch: {X.shape} vs {Y.shape}")
+    return X, Y
+
+
 def as_sym(A) -> np.ndarray:
     """Validated symmetric matrix or stack: checks asymmetry <= SYM_ATOL, symmetrizes."""
     A = _square_stack(A, "symmetric matrix")
@@ -171,10 +179,7 @@ def spd_power(P, theta: float) -> np.ndarray:
 
 def group_op(P, Q) -> np.ndarray:
     """Abelian group operation ``exp(log P + log Q)``."""
-    P = _square(P)
-    Q = _square(Q)
-    if P.shape != Q.shape:
-        raise InvalidInputError(f"dimension mismatch: {P.shape} vs {Q.shape}")
+    P, Q = _square_pair(P, Q)
     return sym_exp(spd_log(P) + spd_log(Q))
 
 
@@ -189,10 +194,7 @@ def group_inv(P) -> np.ndarray:
 
 def dist_airm(X, Y) -> float:
     """Affine-invariant distance ``||log(X^{-1/2} Y X^{-1/2})||_F``."""
-    X = _square(X)
-    Y = _square(Y)
-    if X.shape != Y.shape:
-        raise InvalidInputError("dimension mismatch")
+    X, Y = _square_pair(X, Y)
     w, V = sym_eig(X)
     if np.min(w) <= 0.0:
         raise DomainError("first argument is not positive definite")
@@ -206,10 +208,7 @@ def dist_airm(X, Y) -> float:
 
 def dist_lem(X, Y) -> float:
     """Log-Euclidean distance ``||log X - log Y||_F``."""
-    X = _square(X)
-    Y = _square(Y)
-    if X.shape != Y.shape:
-        raise InvalidInputError("dimension mismatch")
+    X, Y = _square_pair(X, Y)
     return float(np.linalg.norm(spd_log(X) - spd_log(Y)))
 
 
@@ -219,10 +218,7 @@ def pairing(X, Y) -> float:
     Bilinear over the group operation in each argument; ``pairing(X, X)`` is
     ``||log X||_F**2``, zero exactly when X is the identity.
     """
-    X = _square(X)
-    Y = _square(Y)
-    if X.shape != Y.shape:
-        raise InvalidInputError("dimension mismatch")
+    X, Y = _square_pair(X, Y)
     return float(np.sum(spd_log(X) * spd_log(Y)))
 
 

@@ -68,11 +68,18 @@ def test_verify_all_smoke(capsys):
     assert capsys.readouterr().out.count("PASS") == 7
 
 
-def test_verify_failure_exit_code(tmp_path):
+def test_verify_failure_exit_code(tmp_path, monkeypatch):
+    primary = verify.adjoint
+
+    def perturbed(sheaf, tau):
+        out = primary(sheaf, tau)  # (trials, |V|, n, n): scale the last vertex
+        out[..., -1, :, :] *= 1.01
+        return out
+
+    monkeypatch.setattr(verify, "adjoint", perturbed)
     cfg = str(tmp_path / "cfg.json")
     with open(cfg, "w") as fh:
-        json.dump({"checks": ["green"], "trials": 5, "n_instances": 3,
-                   "tolerances": {"green": 1e-300}}, fh)
+        json.dump({"checks": ["green"], "trials": 5, "n_instances": 3}, fh)
     assert main(["verify", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
 
 
@@ -274,12 +281,13 @@ _MALFORMED = {
                             _segments_obj(data=[["a", 2.0], [0.5, -1.0]])),
     "config_string_trials": (["verify", "--config", "INPUT"], {"trials": "five"}),
     "config_bool_seed": (["verify", "--config", "INPUT"], {"seed": True}),
-    "config_string_tolerance": (["verify", "--config", "INPUT"],
-                                {"tolerances": {"index": "x"}}),
-    "config_negative_tolerance": (["verify", "--config", "INPUT"],
-                                  {"tolerances": {"index": -1.0}}),
-    "config_unknown_tolerance": (["verify", "--config", "INPUT"],
-                                 {"tolerances": {"indx": 0.0}}),
+    "config_tolerances_key": (["verify", "--config", "INPUT"],
+                              {"checks": ["correspondence"], "n_instances": 20,
+                               "tolerances": {"correspondence": 1e-300}}),
+    "config_misspelt_key": (["verify", "--config", "INPUT"],
+                            {"checks": ["index"], "n_instanes": 2}),
+    "config_check_not_a_string": (["verify", "--config", "INPUT"], {"checks": [{}]}),
+    "config_unknown_check": (["verify", "--config", "INPUT"], {"checks": ["indx"]}),
     "config_checks_string": (["verify", "--config", "INPUT"], {"checks": "index"}),
     "config_not_object": (["verify", "--config", "INPUT"], ["index"]),
     "config_max_vertices_1": (["verify", "--config", "INPUT"], {"max_vertices": 1}),
@@ -340,7 +348,10 @@ _MESSAGES = {"duplicate_ids_lift": "duplicate vertex ids",
              "sections_tol_one": "tolerance", "lift_negative_eps_spd": "eps_spd",
              "lift_nan_eps_spd": "eps_spd", "lift_nan_eps_dir": "eps_dir",
              "covgraph_nan_eps": "eps and bandwidth", "covgraph_nan_bandwidth": "eps and bandwidth",
-             "covgraph_nan_eps1": "window widths"}
+             "covgraph_nan_eps1": "window widths",
+             "config_tolerances_key": "'tolerances'", "config_misspelt_key": "'n_instanes'",
+             "config_check_not_a_string": "check names",
+             "config_unknown_check": "'indx'"}
 
 
 @pytest.mark.parametrize("case", sorted(_MALFORMED))

@@ -3,8 +3,9 @@
 Valid sheaf, cochain, cloud, segments and ``verify --config`` files are
 truncated, have one value or the whole document replaced (NaN, +-inf, 1e999
 or a value of another type) or lose one entry. Every subcommand that reads such a file runs on
-each corruption. ``verify --config`` reads only the config fixture: any other
-JSON object is a valid config that runs the whole default suite.
+each corruption. ``verify --config`` reads only the config fixture: an object
+without any of the six config keys is a valid config that runs the whole
+default suite.
 """
 
 import json
@@ -37,7 +38,7 @@ _FIXTURES = {
                                "data": [[1.0, 0.5 * i, -1.0], [0.25, 2.0, 1.0 - i]]}
                               for i in range(4)]},
     "config": {"checks": ["index", "holonomy"], "seed": 3, "trials": 2, "n_instances": 4,
-               "max_vertices": 4, "extra_edges": 1, "tolerances": {"index": 0.0}},
+               "max_vertices": 4, "extra_edges": 1},
 }
 
 _FILE_COMMANDS = {

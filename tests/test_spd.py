@@ -118,6 +118,12 @@ def test_group_dimension_mismatch():
         s.group_op(np.eye(2), np.eye(3))
 
 
+@pytest.mark.parametrize("fn", [s.group_op, s.dist_airm, s.dist_lem, s.pairing])
+def test_pair_functions_name_both_shapes_on_mismatch(fn):
+    with pytest.raises(InvalidInputError, match=r"\(2, 2\) vs \(3, 3\)"):
+        fn(np.eye(2), np.eye(3))
+
+
 # ---------------------------------------------------------------------------
 # powers and means
 

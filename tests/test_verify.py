@@ -51,8 +51,8 @@ def test_oracle_green_identity_sheaf():
 def test_oracle_green_adversarial_spread():
     rng = np.random.default_rng(1)
     sheaf = random_sheaf(3, 8, 3, rng)
-    v = oracle_green(sheaf, trials=50, seed=2, spread=1e3, tolerance=1e-6)
-    assert v.passed
+    v = oracle_green(sheaf, trials=50, seed=2, spread=1e3)
+    assert v.max_residual <= 1e-6
 
 
 def _reference_spd(n, rng, spread):
@@ -139,11 +139,8 @@ def test_oracle_green_memory_does_not_grow_with_trials():
     assert peaks[1] <= 1.5 * peaks[0]
 
 
-def test_oracle_green_detects_perturbed_adjoint(monkeypatch):
-    rng = np.random.default_rng(7)
-    sheaf = random_sheaf(2, 6, 3, rng)
-    assert sheaf.n_vertices != sheaf.n_edges
-    assert oracle_green(sheaf, trials=5, seed=3).passed
+def _perturb_adjoint(monkeypatch):
+    """Make the primary adjoint seen by the oracles scale its last vertex value."""
     primary = verify.adjoint
 
     def perturbed(sheaf, tau):
@@ -152,7 +149,40 @@ def test_oracle_green_detects_perturbed_adjoint(monkeypatch):
         return out
 
     monkeypatch.setattr(verify, "adjoint", perturbed)
+
+
+def test_oracle_green_detects_perturbed_adjoint(monkeypatch):
+    rng = np.random.default_rng(7)
+    sheaf = random_sheaf(2, 6, 3, rng)
+    assert sheaf.n_vertices != sheaf.n_edges
+    assert oracle_green(sheaf, trials=5, seed=3).passed
+    _perturb_adjoint(monkeypatch)
     assert not oracle_green(sheaf, trials=5, seed=3).passed
+
+
+def test_oracle_hodge_rejects_nan_residual(monkeypatch):
+    """A Laplacian value with a negative eigenvalue has no real log; its NaN
+    residual must reach Verdict, not be dropped by the fold."""
+    sheaf = random_sheaf(2, 5, 0, np.random.default_rng(0))
+    assert oracle_hodge(sheaf).passed
+    primary = verify.laplacian
+
+    def negated(sheaf, sigma):
+        out = primary(sheaf, sigma)  # (sections, |V|, n, n): -I at the last vertex
+        out[..., -1, :, :] = -np.eye(sheaf.n_stalk)
+        return out
+
+    monkeypatch.setattr(verify, "laplacian", negated)
+    with pytest.raises(InvalidInputError, match="non-finite residual"):
+        oracle_hodge(sheaf)
+
+
+def test_worst_keeps_nan_wherever_it_comes():
+    assert verify._worst([]) == 0.0
+    assert verify._worst([1e-3, np.array([2e-3, 5e-4])]) == 2e-3
+    for residuals in ([float("nan"), 1.0], [1.0, float("nan")],
+                      [0.5, np.array([0.1, np.nan])]):
+        assert math.isnan(verify._worst(residuals))
 
 
 def test_ovec_round_trips_stacks():
@@ -218,9 +248,22 @@ def test_run_suite_subset_and_unknown_check():
         run_suite(SuiteConfig(checks=("bogus",)))
 
 
-def test_run_suite_tolerance_override_fails_and_dumps(tmp_path):
-    config = SuiteConfig(checks=("green",), trials=5, n_instances=3,
-                         tolerances={"green": 1e-300}, dump_dir=str(tmp_path))
+_BAD_SUITE_FIELDS = {"trials_string": {"trials": "five"}, "seed_bool": {"seed": True},
+                     "n_instances_float": {"n_instances": 2.0},
+                     "check_not_a_string": {"checks": [{}]}, "checks_string": {"checks": "index"},
+                     "stalk_dim_float": {"stalk_dims": (2.5,)},
+                     "max_vertices_1": {"max_vertices": 1}}
+
+
+@pytest.mark.parametrize("case", sorted(_BAD_SUITE_FIELDS))
+def test_suite_config_rejects_wrong_types_and_ranges(case):
+    with pytest.raises(InvalidInputError):
+        SuiteConfig(**_BAD_SUITE_FIELDS[case])
+
+
+def test_run_suite_failing_check_exits_1_and_dumps(tmp_path, monkeypatch):
+    _perturb_adjoint(monkeypatch)
+    config = SuiteConfig(checks=("green",), trials=5, n_instances=3, dump_dir=str(tmp_path))
     verdicts, code = run_suite(config)
     assert code == 1
     assert not verdicts[0].passed
