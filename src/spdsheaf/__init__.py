@@ -56,7 +56,6 @@ _cap_blas_threads()
 
 from .spd import (  # noqa: E402
     EIG_FLOOR,
-    SpectralDecomp,
     as_orth,
     as_spd,
     as_sym,

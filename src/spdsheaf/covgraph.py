@@ -97,12 +97,6 @@ class TFGraphResult:
     adjacency: np.ndarray
 
 
-def _window_ok(a: Segment, b: Segment, cfg: TFGraphConfig) -> bool:
-    """One-sided time window (b later than or simultaneous with a) + frequency band."""
-    return (0.0 <= b.t_mid - a.t_mid <= cfg.eps1
-            and abs(b.f_mid - a.f_mid) <= cfg.eps2)
-
-
 def build_tf_graph(segments, cfg: TFGraphConfig) -> TFGraphResult:
     """Build the oriented, RBF-weighted covariance graph of a segment list.
 
@@ -119,19 +113,24 @@ def build_tf_graph(segments, cfg: TFGraphConfig) -> TFGraphResult:
     if any(s.n_channels != n_ch for s in segments):
         raise InvalidInputError("all segments must share the channel count")
 
-    covs = [segment_covariance(s, cfg.shrinkage, cfg.normalize_samples) for s in segments]
+    covs = np.array([segment_covariance(s, cfg.shrinkage, cfg.normalize_samples)
+                     for s in segments])
     k = len(segments)
+    # window: j later than or simultaneous with i, within eps1 in time and
+    # eps2 in frequency; pairs in row-major (i, j) order
+    t = np.array([s.t_mid for s in segments])
+    f = np.array([s.f_mid for s in segments])
+    dt = t[None, :] - t[:, None]
+    window = (0.0 <= dt) & (dt <= cfg.eps1) & (np.abs(f[None, :] - f[:, None]) <= cfg.eps2)
+    np.fill_diagonal(window, False)
+    i, j = np.nonzero(window)
+    d2 = dist_airm(covs[i], covs[j]) ** 2
+    gate = d2 < cfg.eps
+    i, j = i[gate], j[gate]
+    w = np.exp(-d2[gate] / cfg.bandwidth)
     adjacency = np.zeros((k, k))
-    raw_edges = []
-    for i in range(k):
-        for j in range(k):
-            if i == j or not _window_ok(segments[i], segments[j], cfg):
-                continue
-            d2 = dist_airm(covs[i], covs[j]) ** 2
-            if d2 < cfg.eps:
-                w = float(np.exp(-d2 / cfg.bandwidth))
-                adjacency[i, j] = w
-                raw_edges.append((i, j, w))
+    adjacency[i, j] = w
+    raw_edges = list(zip(i.tolist(), j.tolist(), w.tolist()))
 
     def sort_key(entry):
         i, j, _ = entry
@@ -142,6 +141,6 @@ def build_tf_graph(segments, cfg: TFGraphConfig) -> TFGraphResult:
     edges = [(i, j) for i, j, _ in raw_edges]
     weights = [w for _, _, w in raw_edges]
     sheaf = SheafGraph.identity_maps(n_ch, range(k), edges)
-    cochain = {i: covs[i] for i in range(k)}
+    cochain = dict(enumerate(covs))
     return TFGraphResult(sheaf=sheaf, cochain=cochain, weights=weights,
                          adjacency=adjacency)

@@ -89,19 +89,20 @@ def vec_cochain_from_vec(sheaf: EuclidSheaf, vec) -> dict:
 def embed_phi(x, eps: float = EIG_FLOOR) -> np.ndarray:
     """Rank-one-plus-ridge embedding ``x x^T + eps I`` into the SPD cone.
 
+    Takes one length-n vector or a (..., n) stack and gives (..., n, n).
     Eigenvalues are ``||x||^2 + eps`` once and ``eps`` with multiplicity
     n - 1, so the image consists of matrices with at most two distinct
     eigenvalues.
     """
     if eps <= 0:
         raise InvalidInputError("embedding ridge eps must be positive")
-    x = np.asarray(x, dtype=np.float64).ravel()
-    return np.outer(x, x) + eps * np.eye(x.size)
+    x = np.atleast_1d(np.asarray(x, dtype=np.float64))
+    return x[..., :, None] * x[..., None, :] + eps * np.eye(x.shape[-1])
 
 
 def embed_cochain(x: VecCochain0) -> dict:
     """Apply :func:`embed_phi` vertexwise, with ridge EIG_FLOOR = 1e-4."""
-    return {v: embed_phi(xv) for v, xv in x.items()}
+    return {v: embed_phi(np.ravel(xv)) for v, xv in x.items()}
 
 
 def matched_spd_sheaf(sheaf: EuclidSheaf) -> SheafGraph:
@@ -119,7 +120,6 @@ class CorrespondenceReport:
 
     forward_residuals: list[float]
     forward_max_residual: float
-    forward_pass: bool
     spd_section: bool
     converse_mode: str  # "entrywise" | "gauge_class_only" | "not_triggered"
     converse_max_residual: float | None
@@ -130,8 +130,8 @@ def check_kernel_correspondence(sheaf: EuclidSheaf, x: VecCochain0, tol: float =
                                 spd_sheaf: SheafGraph | None = None) -> CorrespondenceReport:
     """Check that the embedding carries sections to sections, edge by edge.
 
-    Forward: every edge of the SPD coboundary of the cochain embedded by
-    :func:`embed_cochain` (ridge 1e-4) must be within log-Euclidean distance
+    Forward: every edge of the SPD coboundary of the cochain embedded
+    vertexwise by :func:`embed_phi` (ridge 1e-4) must be within log-Euclidean distance
     `tol` of the identity. Converse: when the SPD coboundary is the identity
     and every map commutes with the entrywise absolute value (signed
     permutations, for which |M z| = |M| |z|), the vector coboundary of |x|
@@ -141,34 +141,28 @@ def check_kernel_correspondence(sheaf: EuclidSheaf, x: VecCochain0, tol: float =
     """
     if spd_sheaf is None:
         spd_sheaf = matched_spd_sheaf(sheaf)
-    I = np.eye(sheaf.n_stalk)
-    delta = coboundary(spd_sheaf, embed_cochain(x))
-    residuals = [dist_lem(Y, I) for Y in delta]
-    fwd_max = max(residuals, default=0.0)
+    vals = _check_vec_cochain(sheaf, x)
+    delta = coboundary(spd_sheaf, embed_phi(vals))
+    residuals = dist_lem(delta, np.eye(sheaf.n_stalk))
+    fwd_max = float(np.max(residuals, initial=0.0))
     spd_section = fwd_max <= tol
 
     mode = "not_triggered"
     conv_max = None
     conv_pass = None
     if spd_section:
-        signed_perm = all(
-            is_signed_permutation(M) for mm in sheaf.maps for M in mm
-        )
-        if signed_perm:
+        tails, heads = sheaf._tail_maps, sheaf._head_maps
+        if np.all(is_signed_permutation(np.stack([tails, heads]))):
             mode = "entrywise"
-            unsigned = EuclidSheaf(
-                sheaf.n_stalk, sheaf.vertices, sheaf.edges,
-                [(np.abs(mt), np.abs(mh)) for mt, mh in sheaf.maps])
-            ax = {v: np.abs(np.asarray(xv, dtype=np.float64)) for v, xv in x.items()}
-            resid = euclid_coboundary(unsigned, ax)
+            unsigned = sheaf._with_maps(np.abs(tails), np.abs(heads))
+            resid = euclid_coboundary(unsigned, dict(zip(sheaf.vertices, np.abs(vals))))
             conv_max = max((float(np.linalg.norm(r)) for r in resid), default=0.0)
             conv_pass = conv_max <= tol
         else:
             mode = "gauge_class_only"
     return CorrespondenceReport(
-        forward_residuals=[float(r) for r in residuals],
-        forward_max_residual=float(fwd_max),
-        forward_pass=spd_section,
+        forward_residuals=residuals.tolist(),
+        forward_max_residual=fwd_max,
         spd_section=spd_section,
         converse_mode=mode,
         converse_max_residual=conv_max,
@@ -192,9 +186,8 @@ def strictness_witness(sheaf: SheafGraph, tol: float = 1e-7) -> dict:
     _, W, reps = _spanning_forest(sheaf)
     if any(np.linalg.norm(rho - np.eye(n)) > 1e-8 for comp in reps for rho in comp):
         raise NotApplicableError("sheaf has nontrivial holonomy")
-    witness = {v: _sym_part(W[i] @ P @ W[i].T) for i, v in enumerate(sheaf.vertices)}
-    I = np.eye(n)
-    resid = max((dist_lem(Y, I) for Y in coboundary(sheaf, witness)), default=0.0)
+    values = _sym_part(W @ P @ np.swapaxes(W, -1, -2))
+    resid = np.max(dist_lem(coboundary(sheaf, values), np.eye(n)), initial=0.0)
     if resid > tol:
         raise AssertionError(f"transported witness failed the section check ({resid:.3e})")
-    return witness
+    return dict(zip(sheaf.vertices, values))

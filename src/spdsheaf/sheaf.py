@@ -292,7 +292,7 @@ def cochain0_from_vec(sheaf: SheafGraph, vec) -> dict:
     """Exponentiate a stacked log-domain vector back into a 0-cochain."""
     n, m = sheaf.n_stalk, sym_dim(sheaf.n_stalk)
     vec = np.asarray(vec, dtype=np.float64).reshape(sheaf.n_vertices, m)
-    return {v: sym_exp(vec_to_sym(vec[i], n)) for i, v in enumerate(sheaf.vertices)}
+    return dict(zip(sheaf.vertices, sym_exp(vec_to_sym(vec, n))))
 
 
 def nullspace(A: np.ndarray, tol: float = NULL_TOL) -> np.ndarray:

@@ -6,12 +6,12 @@ function; eigendecomposition (``numpy.linalg.eigh``) is the single backend
 for logarithms, exponentials and matrix powers, which is the right trade-off
 for the small stalk dimensions this package targets (n <= 13).
 
-The spectral functions ``as_sym``, ``sym_eig``, ``spd_log``, ``sym_exp``,
-``spd_power``, ``tg_re_eig`` and ``cayley`` take one (n, n) matrix or a
-(..., n, n) stack and answer in kind; a stack holding a bad matrix raises
-the error that matrix raises alone. Every spectral map
-``V diag(f(w)) V^T`` is rebuilt by one helper. The metrics, the pairing,
-``congruence``, ``frechet_log`` and ``clamp_spd`` take single matrices.
+Every matrix function takes one (n, n) matrix or a (..., n, n) stack and
+answers in kind: a matrix for a matrix, a float (or bool) for one matrix
+and an array of the batch shape for a stack. The two arguments of a pair
+function share n and broadcast over their leading axes. A stack holding a
+bad matrix raises the error that matrix raises alone. Every spectral map
+``V diag(f(w)) V^T`` is rebuilt by one helper.
 
 The Lie group structure used throughout is the log-Euclidean one:
 ``group_op(P, Q) = exp(log P + log Q)`` with identity ``I`` and inverse
@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import math
 from functools import lru_cache
-from typing import NamedTuple, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -43,17 +43,6 @@ _EXP_MAX = 700.0
 _SQRT2 = math.sqrt(2.0)
 
 
-class SpectralDecomp(NamedTuple):
-    """Eigendecomposition with eigenvalues sorted descending.
-
-    ``eigenvectors[..., :, k]`` is the unit eigenvector for
-    ``eigenvalues[..., k]``; the input is recovered as ``V @ diag(w) @ V.T``.
-    """
-
-    eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
-
-
 # ---------------------------------------------------------------------------
 # validated constructors
 
@@ -68,19 +57,21 @@ def _square_stack(A, name: str = "matrix") -> np.ndarray:
     return A
 
 
-def _square(A, name: str = "matrix") -> np.ndarray:
-    A = _square_stack(A, name)
-    if A.ndim != 2:
-        raise InvalidInputError(f"{name} must be square, got shape {A.shape}")
-    return A
-
-
 def _square_pair(X, Y) -> tuple[np.ndarray, np.ndarray]:
-    """Two validated square matrices of one shape."""
-    X, Y = _square(X), _square(Y)
-    if X.shape != Y.shape:
-        raise InvalidInputError(f"dimension mismatch: {X.shape} vs {Y.shape}")
-    return X, Y
+    """Two validated square stacks of one n whose leading axes broadcast."""
+    X, Y = _square_stack(X), _square_stack(Y)
+    try:
+        if X.shape[-1] == Y.shape[-1]:
+            np.broadcast_shapes(X.shape[:-2], Y.shape[:-2])
+            return X, Y
+    except ValueError:
+        pass
+    raise InvalidInputError(f"dimension mismatch: {X.shape} vs {Y.shape}")
+
+
+def _per_matrix(values: np.ndarray) -> float | bool | np.ndarray:
+    """A Python scalar for one matrix, the array of the batch shape for a stack."""
+    return values.item() if values.ndim == 0 else values
 
 
 def as_sym(A) -> np.ndarray:
@@ -102,36 +93,37 @@ def as_spd(A) -> np.ndarray:
 
 
 def as_orth(M) -> np.ndarray:
-    """Validated orthogonal matrix (||M^T M - I||_F <= ORTH_TOL)."""
-    M = _square(M, "orthogonal matrix")
-    n = M.shape[0]
-    err = np.linalg.norm(M.T @ M - np.eye(n))
+    """Validated orthogonal matrix or stack (||M^T M - I||_F <= ORTH_TOL)."""
+    M = _square_stack(M, "orthogonal matrix")
+    err = np.max(np.linalg.norm(np.swapaxes(M, -1, -2) @ M - np.eye(M.shape[-1]),
+                                axis=(-2, -1)), initial=0.0)
     if err > ORTH_TOL:
         raise InvalidInputError(f"matrix is not orthogonal: ||M^T M - I||_F = {err:.3e}")
     return M
 
 
-def is_signed_permutation(M, tol: float = 1e-10) -> bool:
-    """True if M is a permutation matrix up to entry signs."""
-    M = np.asarray(M, dtype=np.float64)
-    A = np.abs(M)
-    if np.max(np.abs(A - np.round(A))) > tol:
-        return False
-    A = np.round(A)
-    return bool(np.all(A.sum(axis=0) == 1) and np.all(A.sum(axis=1) == 1))
+def is_signed_permutation(M, tol: float = 1e-10) -> bool | np.ndarray:
+    """True where M is a permutation matrix up to entry signs."""
+    A = np.abs(np.asarray(M, dtype=np.float64))
+    R = np.round(A)
+    integral = np.max(np.abs(A - R), axis=(-2, -1)) <= tol
+    return _per_matrix(integral & np.all(R.sum(axis=-2) == 1, axis=-1)
+                       & np.all(R.sum(axis=-1) == 1, axis=-1))
 
 
 # ---------------------------------------------------------------------------
 # spectral calculus
 
 
-def sym_eig(S) -> SpectralDecomp:
-    """Eigendecomposition of a symmetric matrix or stack, eigenvalues descending.
+def sym_eig(S) -> tuple[np.ndarray, np.ndarray]:
+    """Eigendecomposition ``(w, V)`` of a symmetric matrix or stack,
+    eigenvalues descending: ``V[..., :, k]`` is the unit eigenvector for
+    ``w[..., k]``.
 
     The input is symmetrized first; its asymmetry is not checked.
     """
     w, V = np.linalg.eigh(_sym_part(_square_stack(S, "symmetric matrix")))
-    return SpectralDecomp(w[..., ::-1], V[..., ::-1])
+    return w[..., ::-1], V[..., ::-1]
 
 
 def _sym_part(A: np.ndarray) -> np.ndarray:
@@ -192,43 +184,39 @@ def group_inv(P) -> np.ndarray:
 # metrics and pairings
 
 
-def dist_airm(X, Y) -> float:
+def dist_airm(X, Y) -> float | np.ndarray:
     """Affine-invariant distance ``||log(X^{-1/2} Y X^{-1/2})||_F``."""
     X, Y = _square_pair(X, Y)
     w, V = sym_eig(X)
-    if np.min(w) <= 0.0:
+    if np.min(w, initial=np.inf) <= 0.0:
         raise DomainError("first argument is not positive definite")
-    ixh = (V / np.sqrt(w)) @ V.T
-    C = _sym_part(ixh @ Y @ ixh)
-    cw = np.linalg.eigvalsh(C)
-    if np.min(cw) <= 0.0:
+    ixh = (V / np.sqrt(w)[..., None, :]) @ np.swapaxes(V, -1, -2)
+    cw = np.linalg.eigvalsh(_sym_part(ixh @ Y @ ixh))
+    if np.min(cw, initial=np.inf) <= 0.0:
         raise DomainError("second argument is not positive definite")
-    return float(np.sqrt(np.sum(np.log(cw) ** 2)))
+    return _per_matrix(np.sqrt(np.sum(np.log(cw) ** 2, axis=-1)))
 
 
-def dist_lem(X, Y) -> float:
+def dist_lem(X, Y) -> float | np.ndarray:
     """Log-Euclidean distance ``||log X - log Y||_F``."""
     X, Y = _square_pair(X, Y)
-    return float(np.linalg.norm(spd_log(X) - spd_log(Y)))
+    return _per_matrix(np.linalg.norm(spd_log(X) - spd_log(Y), axis=(-2, -1)))
 
 
-def pairing(X, Y) -> float:
+def pairing(X, Y) -> float | np.ndarray:
     """Log-domain pairing ``<log X, log Y>_F``.
 
     Bilinear over the group operation in each argument; ``pairing(X, X)`` is
     ``||log X||_F**2``, zero exactly when X is the identity.
     """
     X, Y = _square_pair(X, Y)
-    return float(np.sum(spd_log(X) * spd_log(Y)))
+    return _per_matrix(np.sum(spd_log(X) * spd_log(Y), axis=(-2, -1)))
 
 
 def congruence(M, P) -> np.ndarray:
     """Orthogonal congruence ``M P M^T`` (an isometry of both metrics)."""
-    M = as_orth(M)
-    P = _square(P)
-    if M.shape != P.shape:
-        raise InvalidInputError("dimension mismatch")
-    return _sym_part(M @ P @ M.T)
+    M, P = _square_pair(as_orth(M), P)
+    return _sym_part(M @ P @ np.swapaxes(M, -1, -2))
 
 
 # ---------------------------------------------------------------------------
@@ -283,17 +271,17 @@ def frechet_log(P, V) -> np.ndarray:
     (i, j) entry is the divided difference ``(log l_i - log l_j)/(l_i - l_j)``
     when the gap exceeds ``1e-8 * max(l_i, l_j)`` and ``1/l_i`` otherwise.
     """
-    V = as_sym(V)
-    w, U = sym_eig(_square(P, "SPD matrix"))
-    if np.min(w) <= 0.0:
+    P, V = _square_pair(P, as_sym(V))
+    w, U = sym_eig(P)
+    if np.min(w, initial=np.inf) <= 0.0:
         raise DomainError("base point is not positive definite")
-    gap = w[:, None] - w[None, :]
-    close = np.abs(gap) <= 1e-8 * np.maximum(w[:, None], w[None, :])
+    wi, wj = w[..., :, None], w[..., None, :]
+    gap = wi - wj
     with np.errstate(divide="ignore", invalid="ignore"):
-        K = (np.log(w)[:, None] - np.log(w)[None, :]) / gap
-    K[close] = (1.0 / w[:, None] * np.ones_like(K))[close]
-    A = U.T @ V @ U
-    return _sym_part(U @ (K * A) @ U.T)
+        K = (np.log(wi) - np.log(wj)) / gap
+    K = np.where(np.abs(gap) <= 1e-8 * np.maximum(wi, wj), 1.0 / wi, K)
+    Ut = np.swapaxes(U, -1, -2)
+    return _sym_part(U @ (K * (Ut @ V @ U)) @ Ut)
 
 
 def tg_re_eig(P, delta: float = 0.1) -> np.ndarray:
@@ -310,12 +298,12 @@ def tg_re_eig(P, delta: float = 0.1) -> np.ndarray:
     return _from_spectrum(np.where(np.log(w) > 0.0, w, np.exp(delta * idx)), V)
 
 
-def erank(P) -> float:
+def erank(P) -> float | np.ndarray:
     """Effective rank: exp of the entropy of the normalized eigenvalue spectrum.
 
     1 for nearly rank-one matrices, n for isotropic ones. Uses 0*log 0 = 0.
     """
-    return float(_erank_of_spectra(np.linalg.eigvalsh(as_sym(_square(P)))))
+    return _per_matrix(_erank_of_spectra(np.linalg.eigvalsh(as_sym(P))))
 
 
 def _erank_of_spectra(w: np.ndarray) -> np.ndarray:
@@ -330,16 +318,17 @@ def _erank_of_spectra(w: np.ndarray) -> np.ndarray:
 
 
 def clamp_spd(S, eps: float = EIG_FLOOR) -> np.ndarray:
-    """Floor the eigenvalues of a symmetric matrix at `eps`.
+    """Floor the eigenvalues of a symmetric matrix or stack at `eps`.
 
-    Returns the input unchanged (no reconstruction error) when it is already
-    SPD above the floor.
+    Every matrix already SPD above the floor comes back unchanged (no
+    reconstruction error).
     """
-    S = _sym_part(_square(S, "symmetric matrix"))
+    S = _sym_part(_square_stack(S, "symmetric matrix"))
     w, V = np.linalg.eigh(S)
-    if w[0] >= eps:
+    low = w[..., 0] < eps
+    if not np.any(low):
         return S
-    return _from_spectrum(np.maximum(w, eps), V)
+    return np.where(low[..., None, None], _from_spectrum(np.maximum(w, eps), V), S)
 
 
 def power_euclidean_mean(mats: Sequence[np.ndarray] | np.ndarray, theta: float) -> np.ndarray:

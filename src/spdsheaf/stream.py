@@ -190,7 +190,11 @@ def local_frame(pc: PointCloud) -> tuple[np.ndarray, np.ndarray]:
 
 def canonicalize(sigma: np.ndarray, frames: np.ndarray) -> np.ndarray:
     """Express each stalk value in its local frame: ``M^T X M``, row by row."""
-    return np.array([M.T @ X @ M for X, M in zip(sigma, frames, strict=True)])
+    sigma, frames = np.asarray(sigma, dtype=np.float64), np.asarray(frames, dtype=np.float64)
+    if sigma.shape != frames.shape:
+        raise InvalidInputError(f"cochain of shape {sigma.shape} and frames of shape "
+                                f"{frames.shape} differ")
+    return np.swapaxes(frames, -1, -2) @ sigma @ frames
 
 
 # ---------------------------------------------------------------------------

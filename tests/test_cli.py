@@ -289,6 +289,7 @@ _MALFORMED = {
     "config_check_not_a_string": (["verify", "--config", "INPUT"], {"checks": [{}]}),
     "config_unknown_check": (["verify", "--config", "INPUT"], {"checks": ["indx"]}),
     "config_checks_string": (["verify", "--config", "INPUT"], {"checks": "index"}),
+    "config_checks_empty": (["verify", "--config", "INPUT"], {"checks": []}),
     "config_not_object": (["verify", "--config", "INPUT"], ["index"]),
     "config_max_vertices_1": (["verify", "--config", "INPUT"], {"max_vertices": 1}),
     "verify_negative_trials": (["verify", "--check", "green", "--trials", "-3"], {}),
@@ -351,7 +352,7 @@ _MESSAGES = {"duplicate_ids_lift": "duplicate vertex ids",
              "covgraph_nan_eps1": "window widths",
              "config_tolerances_key": "'tolerances'", "config_misspelt_key": "'n_instanes'",
              "config_check_not_a_string": "check names",
-             "config_unknown_check": "'indx'"}
+             "config_unknown_check": "'indx'", "config_checks_empty": "nonempty"}
 
 
 @pytest.mark.parametrize("case", sorted(_MALFORMED))

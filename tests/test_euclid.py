@@ -89,6 +89,11 @@ def test_embed_phi_spectrum():
     np.testing.assert_allclose(w[1:], [1e-4, 1e-4], atol=1e-15)
     with pytest.raises(InvalidInputError):
         s.embed_phi(x, 0.0)
+    X = np.random.default_rng(3).normal(size=(2, 4, 3))
+    out = s.embed_phi(X, 1e-4)
+    assert out.shape == (2, 4, 3, 3)
+    for idx in np.ndindex(2, 4):
+        assert np.array_equal(out[idx], s.embed_phi(X[idx], 1e-4))
 
 
 def test_embed_phi_erank_near_one():
@@ -135,7 +140,7 @@ def test_correspondence_constant_section_identity_tree():
     esheaf = identity_path(3, 4)
     x = {v: np.array([0.5, -1.0, 2.0]) for v in esheaf.vertices}
     report = s.check_kernel_correspondence(esheaf, x)
-    assert report.forward_pass
+    assert report.spd_section
     assert report.converse_mode == "entrywise"
     assert report.converse_pass
 

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import spdsheaf as s
+import spdsheaf.spd as spd_module
 from spdsheaf.errors import DomainError, InvalidInputError
 from spdsheaf.verify import random_orthogonal, random_spd, random_spd_stack
 
@@ -122,6 +123,22 @@ def test_group_dimension_mismatch():
 def test_pair_functions_name_both_shapes_on_mismatch(fn):
     with pytest.raises(InvalidInputError, match=r"\(2, 2\) vs \(3, 3\)"):
         fn(np.eye(2), np.eye(3))
+    with pytest.raises(InvalidInputError, match=r"\(2, 3, 3\) vs \(4, 3, 3\)"):
+        fn(np.broadcast_to(np.eye(3), (2, 3, 3)), np.broadcast_to(np.eye(3), (4, 3, 3)))
+
+
+@pytest.mark.parametrize("fn", [s.dist_airm, s.dist_lem, s.pairing])
+def test_pair_functions_broadcast_and_answer_in_kind(fn):
+    rng = np.random.default_rng(19)
+    X = random_spd_stack(3, 6, rng).reshape(2, 3, 3, 3)
+    Y = random_spd(3, rng)
+    assert type(fn(X[0, 0], Y)) is float
+    out = fn(X, Y)
+    assert out.shape == (2, 3)
+    for idx in np.ndindex(2, 3):
+        np.testing.assert_allclose(out[idx], fn(X[idx], Y), rtol=1e-12, atol=1e-14)
+    # a single first argument broadcasts too; all three are symmetric
+    np.testing.assert_allclose(fn(Y, X[0]), out[0], rtol=1e-10)
 
 
 # ---------------------------------------------------------------------------
@@ -351,6 +368,11 @@ def test_clamp_spd():
     S = random_sym(4, rng)
     w = np.linalg.eigvalsh(s.clamp_spd(S, 1e-4))
     assert w.min() >= 1e-4 - 1e-15
+    # in a stack, only the matrices below the floor are rebuilt
+    Q = random_spd(4, rng)
+    out = s.clamp_spd(np.stack([Q, S, Q]), 1e-4)
+    assert np.array_equal(out[0], s.clamp_spd(Q, 1e-4)) and np.array_equal(out[2], out[0])
+    np.testing.assert_allclose(out[1], s.clamp_spd(S, 1e-4), rtol=0, atol=1e-15)
 
 
 # ---------------------------------------------------------------------------
@@ -416,16 +438,58 @@ def test_conj_operator_and_tg_re_eig_take_stacks():
         s.tg_re_eig(np.stack([np.eye(3), -np.eye(3)]))
 
 
+def _fixed(X):
+    """The fixed second argument of a pair function: SPD and symmetric, not diagonal."""
+    n = X.shape[-1]
+    return np.diag(np.linspace(0.5, 2.0, n)) + 0.1
+
+
+_SPD_ERRORS = {"nan": InvalidInputError, "indefinite": DomainError}
+_ORTH_ERRORS = {"nan": InvalidInputError, "scaled": InvalidInputError}
+
 # name -> (function, input domain, error of each bad matrix kind)
 _STACK_CASES = {
-    "spd_log": (s.spd_log, "spd", {"nan": InvalidInputError, "indefinite": DomainError}),
+    "spd_log": (s.spd_log, "spd", _SPD_ERRORS),
     "sym_exp": (s.sym_exp, "sym", {"nan": InvalidInputError, "overflow": OverflowError}),
     "sym_eig": (s.sym_eig, "sym", {"nan": InvalidInputError}),
     "as_sym": (s.as_sym, "sym", {"nan": InvalidInputError, "asymmetric": InvalidInputError}),
-    "spd_power": (lambda P: s.spd_power(P, 0.37), "spd",
-                  {"nan": InvalidInputError, "indefinite": DomainError}),
-    "tg_re_eig": (s.tg_re_eig, "spd", {"nan": InvalidInputError, "indefinite": DomainError}),
+    "as_spd": (s.as_spd, "sym", {"nan": InvalidInputError, "asymmetric": InvalidInputError}),
+    "as_orth": (s.as_orth, "orth", _ORTH_ERRORS),
+    "is_signed_permutation": (spd_module.is_signed_permutation, "orth", {}),
+    "spd_power": (lambda P: s.spd_power(P, 0.37), "spd", _SPD_ERRORS),
+    "tg_re_eig": (s.tg_re_eig, "spd", _SPD_ERRORS),
+    "group_op": (lambda P: s.group_op(P, _fixed(P)), "spd", _SPD_ERRORS),
+    "group_inv": (s.group_inv, "spd", _SPD_ERRORS),
+    "dist_airm": (lambda X: s.dist_airm(X, _fixed(X)), "spd", _SPD_ERRORS),
+    "dist_lem": (lambda X: s.dist_lem(X, _fixed(X)), "spd", _SPD_ERRORS),
+    "pairing": (lambda X: s.pairing(X, _fixed(X)), "spd", _SPD_ERRORS),
+    "congruence": (lambda M: s.congruence(M, _fixed(M)), "orth", _ORTH_ERRORS),
+    "cayley": (s.cayley, "skew", {"nan": InvalidInputError, "asymmetric": InvalidInputError}),
+    "frechet_log": (lambda P: s.frechet_log(P, _fixed(P)), "spd", _SPD_ERRORS),
+    "erank": (s.erank, "spd", _SPD_ERRORS),
+    "clamp_spd": (s.clamp_spd, "sym", {"nan": InvalidInputError}),
+    "conj_operator": (s.conj_operator, "orth", {}),
 }
+
+def test_is_signed_permutation_per_matrix():
+    P = -np.eye(3)[[2, 0, 1]]
+    R = random_orthogonal(3, np.random.default_rng(20))
+    assert spd_module.is_signed_permutation(P) is True
+    assert spd_module.is_signed_permutation(R) is False
+    assert spd_module.is_signed_permutation(np.stack([P, R, np.eye(3)])).tolist() == [
+        True, False, True]
+
+
+# public callables of spdsheaf.spd that take no (n, n) matrix
+_NON_MATRIX = {"sym_dim", "sym_to_vec", "vec_to_sym", "skew_from_params", "power_euclidean_mean"}
+
+
+def test_every_matrix_function_has_a_stack_case():
+    public = {name for name, obj in vars(spd_module).items()
+              if callable(obj) and not name.startswith("_")
+              and getattr(obj, "__module__", None) == spd_module.__name__}
+    assert _NON_MATRIX <= public
+    assert public - _NON_MATRIX == set(_STACK_CASES)
 
 
 def _bad_matrix(kind, n):
@@ -433,13 +497,25 @@ def _bad_matrix(kind, n):
     if kind == "asymmetric":
         M[0, 1] = 1e-6
     else:
-        M[0, 0] = {"nan": np.nan, "indefinite": -1.0, "overflow": 800.0}[kind]
+        M[0, 0] = {"nan": np.nan, "indefinite": -1.0, "overflow": 800.0, "scaled": 2.0}[kind]
     return M
 
 
+def _domain_stack(domain, n, rng):
+    if domain == "spd":
+        return random_spd_stack(n, 10, rng, spread=100.0)
+    if domain == "orth":
+        return np.stack([random_orthogonal(n, rng) for _ in range(10)])
+    if domain == "skew":
+        A = rng.normal(size=(10, n, n))
+        return A - np.swapaxes(A, -1, -2)
+    return np.stack([random_sym(n, rng) for _ in range(10)])
+
+
 def _comparable(name, result):
-    """The arrays to compare; eigenvectors are fixed only up to sign."""
-    return [result.eigenvalues, np.abs(result.eigenvectors)] if name == "sym_eig" else [result]
+    """The float arrays to compare; eigenvectors are fixed only up to sign."""
+    parts = [result[0], np.abs(result[1])] if name == "sym_eig" else [result]
+    return [np.asarray(p, dtype=np.float64) for p in parts]
 
 
 @pytest.mark.parametrize("n", [2, 3, 5])
@@ -447,8 +523,7 @@ def _comparable(name, result):
 def test_spectral_functions_take_stacks(name, n):
     fn, domain, bad_kinds = _STACK_CASES[name]
     rng = np.random.default_rng(n)
-    X = (random_spd_stack(n, 10, rng, spread=100.0) if domain == "spd"
-         else np.stack([random_sym(n, rng) for _ in range(10)])).reshape(2, 5, n, n)
+    X = _domain_stack(domain, n, rng).reshape(2, 5, n, n)
     out = fn(X)
     for idx in np.ndindex(2, 5):
         for got, want in zip(_comparable(name, out), _comparable(name, fn(X[idx]))):

@@ -78,6 +78,15 @@ def test_frames_orthogonal_and_equivariant():
         np.testing.assert_allclose(frames2[v], R @ frames[v], atol=1e-8)
 
 
+def test_canonicalize_is_the_per_row_product_and_checks_shapes():
+    pc = cloud(6)
+    sigma, frames = s.lift_coordinates(pc), s.local_frame(pc)[0]
+    out = canonicalize(sigma, frames)
+    assert np.array_equal(out, [M.T @ X @ M for X, M in zip(sigma, frames)])
+    with pytest.raises(InvalidInputError, match="differ"):
+        canonicalize(sigma[:-1], frames)
+
+
 def test_canonicalized_lift_rotation_invariant():
     pc = cloud(4)
     rng = np.random.default_rng(5)

@@ -39,8 +39,7 @@ def test_verdict_invariants():
     assert v.passed
     v = Verdict("green", 10, 1e-6, 1e-8, 0)
     assert not v.passed
-    with pytest.raises(InvalidInputError):
-        Verdict("green", 10, float("nan"), 1e-8, 0)
+    assert Verdict("green", 10, float("nan"), 1e-8, 0).passed is False
 
 
 def test_oracle_green_identity_sheaf():
@@ -160,11 +159,7 @@ def test_oracle_green_detects_perturbed_adjoint(monkeypatch):
     assert not oracle_green(sheaf, trials=5, seed=3).passed
 
 
-def test_oracle_hodge_rejects_nan_residual(monkeypatch):
-    """A Laplacian value with a negative eigenvalue has no real log; its NaN
-    residual must reach Verdict, not be dropped by the fold."""
-    sheaf = random_sheaf(2, 5, 0, np.random.default_rng(0))
-    assert oracle_hodge(sheaf).passed
+def _negate_laplacian(monkeypatch):
     primary = verify.laplacian
 
     def negated(sheaf, sigma):
@@ -173,8 +168,27 @@ def test_oracle_hodge_rejects_nan_residual(monkeypatch):
         return out
 
     monkeypatch.setattr(verify, "laplacian", negated)
-    with pytest.raises(InvalidInputError, match="non-finite residual"):
-        oracle_hodge(sheaf)
+
+
+def test_oracle_hodge_rejects_nan_residual(monkeypatch):
+    """A Laplacian value with a negative eigenvalue has no real log; its NaN
+    residual must reach Verdict and fail it, not be dropped by the fold."""
+    sheaf = random_sheaf(2, 5, 0, np.random.default_rng(0))
+    assert oracle_hodge(sheaf).passed
+    _negate_laplacian(monkeypatch)
+    v = oracle_hodge(sheaf)
+    assert math.isnan(v.max_residual) and v.passed is False
+
+
+def test_run_suite_nan_residual_exits_1_and_dumps(tmp_path, monkeypatch):
+    _negate_laplacian(monkeypatch)
+    config = SuiteConfig(checks=("index", "hodge"), n_instances=3, dump_dir=str(tmp_path))
+    verdicts, code = run_suite(config)
+    assert code == 1
+    assert [v.check for v in verdicts] == ["index", "hodge"]
+    assert verdicts[0].passed
+    assert math.isnan(verdicts[1].max_residual) and verdicts[1].passed is False
+    assert sorted(os.listdir(tmp_path)) == [f"failed_hodge_{i}.json" for i in range(3)]
 
 
 def test_worst_keeps_nan_wherever_it_comes():
@@ -222,6 +236,32 @@ def test_oracle_correspondence_instances():
         random_euclid_sheaf(3, 5, 0, rng, identity_maps=True)).passed
 
 
+def test_oracle_isometry_draws_are_the_alternating_random_spd_draws():
+    """One stacked draw of 2 * trials values, split into X = [0::2] and
+    Y = [1::2], is bitwise the per-trial X, Y draws and leaves the same state."""
+    for n in (1, 2, 3, 5):
+        stacked, single = np.random.default_rng(n), np.random.default_rng(n)
+        XY = random_spd_stack(n, 2 * 7, stacked)
+        pairs = [(random_spd(n, single), random_spd(n, single)) for _ in range(7)]
+        assert np.array_equal(XY[0::2], [X for X, _ in pairs])
+        assert np.array_equal(XY[1::2], [Y for _, Y in pairs])
+        assert stacked.bit_generator.state == single.bit_generator.state
+
+
+def test_oracle_isometry_matches_a_per_trial_reference():
+    sheaf = random_sheaf(3, 4, 2, np.random.default_rng(21))
+    rng = np.random.default_rng(3)
+    maps = [M for mm in sheaf.maps for M in mm]
+    worst = 0.0
+    for t in range(30):
+        M, X, Y = maps[t % len(maps)], random_spd(3, rng), random_spd(3, rng)
+        MX, MY = M @ X @ M.T, M @ Y @ M.T
+        worst = max(worst, abs(s.dist_airm(MX, MY) - s.dist_airm(X, Y)),
+                    abs(s.dist_lem(MX, MY) - s.dist_lem(X, Y)))
+    v = oracle_isometry(sheaf, trials=30, seed=3)
+    assert v.trials == 30 and abs(v.max_residual - worst) <= 1e-15
+
+
 def test_oracle_isometry_detects_corruption():
     I = np.eye(2)
     bad = np.array([[1.0, 0.3], [0.0, 1.0]])  # invertible, not orthogonal
@@ -251,7 +291,7 @@ def test_run_suite_subset_and_unknown_check():
 _BAD_SUITE_FIELDS = {"trials_string": {"trials": "five"}, "seed_bool": {"seed": True},
                      "n_instances_float": {"n_instances": 2.0},
                      "check_not_a_string": {"checks": [{}]}, "checks_string": {"checks": "index"},
-                     "stalk_dim_float": {"stalk_dims": (2.5,)},
+                     "stalk_dim_float": {"stalk_dims": (2.5,)}, "checks_empty": {"checks": ()},
                      "max_vertices_1": {"max_vertices": 1}}
 
 
