@@ -117,20 +117,23 @@ def build_tf_graph(segments, cfg: TFGraphConfig) -> TFGraphResult:
                      for s in segments])
     k = len(segments)
     # window: j later than or simultaneous with i, within eps1 in time and
-    # eps2 in frequency; pairs in row-major (i, j) order
+    # eps2 in frequency
     t = np.array([s.t_mid for s in segments])
     f = np.array([s.f_mid for s in segments])
     dt = t[None, :] - t[:, None]
     window = (0.0 <= dt) & (dt <= cfg.eps1) & (np.abs(f[None, :] - f[:, None]) <= cfg.eps2)
     np.fill_diagonal(window, False)
-    i, j = np.nonzero(window)
-    d2 = dist_airm(covs[i], covs[j]) ** 2
-    gate = d2 < cfg.eps
-    i, j = i[gate], j[gate]
-    w = np.exp(-d2[gate] / cfg.bandwidth)
     adjacency = np.zeros((k, k))
-    adjacency[i, j] = w
-    raw_edges = list(zip(i.tolist(), j.tolist(), w.tolist()))
+    raw_edges = []
+    # one dist_airm call per tail, against the stack of its window: each tail
+    # is eigendecomposed once and memory stays O(k n_ch^2) for any window
+    for i, row in enumerate(window):
+        j = np.flatnonzero(row)
+        d2 = dist_airm(covs[i], covs[j]) ** 2
+        gate = d2 < cfg.eps
+        j, w = j[gate], np.exp(-d2[gate] / cfg.bandwidth)
+        adjacency[i, j] = w
+        raw_edges += zip([i] * j.size, j.tolist(), w.tolist())
 
     def sort_key(entry):
         i, j, _ = entry

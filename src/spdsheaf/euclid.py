@@ -59,11 +59,17 @@ def _check_vec_cochain(sheaf: EuclidSheaf, x: VecCochain0) -> np.ndarray:
     return out
 
 
+def _vec_coboundary(sheaf: EuclidSheaf, vals: np.ndarray, tail_maps: np.ndarray,
+                    head_maps: np.ndarray) -> np.ndarray:
+    """(|E|, n) stack of ``M_tail x_tail - M_head x_head`` for a (|V|, n) stack."""
+    return (tail_maps @ vals[sheaf._tails, :, None]
+            - head_maps @ vals[sheaf._heads, :, None])[..., 0]
+
+
 def euclid_coboundary(sheaf: EuclidSheaf, x: VecCochain0) -> list[np.ndarray]:
     """Per-edge disagreement ``M_tail x_tail - M_head x_head`` (tail-positive)."""
     vals = _check_vec_cochain(sheaf, x)
-    return [Mt @ vals[it] - Mh @ vals[ih]
-            for it, ih, (Mt, Mh) in zip(sheaf._tails, sheaf._heads, sheaf.maps)]
+    return list(_vec_coboundary(sheaf, vals, sheaf._tail_maps, sheaf._head_maps))
 
 
 def euclid_coboundary_matrix(sheaf: EuclidSheaf) -> np.ndarray:
@@ -89,7 +95,8 @@ def vec_cochain_from_vec(sheaf: EuclidSheaf, vec) -> dict:
 def embed_phi(x, eps: float = EIG_FLOOR) -> np.ndarray:
     """Rank-one-plus-ridge embedding ``x x^T + eps I`` into the SPD cone.
 
-    Takes one length-n vector or a (..., n) stack and gives (..., n, n).
+    Takes one length-n vector or a (..., n) stack and gives (..., n, n): the
+    last axis is the vector, so an (n, 1) column is n one-vectors.
     Eigenvalues are ``||x||^2 + eps`` once and ``eps`` with multiplicity
     n - 1, so the image consists of matrices with at most two distinct
     eigenvalues.
@@ -98,11 +105,6 @@ def embed_phi(x, eps: float = EIG_FLOOR) -> np.ndarray:
         raise InvalidInputError("embedding ridge eps must be positive")
     x = np.atleast_1d(np.asarray(x, dtype=np.float64))
     return x[..., :, None] * x[..., None, :] + eps * np.eye(x.shape[-1])
-
-
-def embed_cochain(x: VecCochain0) -> dict:
-    """Apply :func:`embed_phi` vertexwise, with ridge EIG_FLOOR = 1e-4."""
-    return {v: embed_phi(np.ravel(xv)) for v, xv in x.items()}
 
 
 def matched_spd_sheaf(sheaf: EuclidSheaf) -> SheafGraph:
@@ -154,9 +156,8 @@ def check_kernel_correspondence(sheaf: EuclidSheaf, x: VecCochain0, tol: float =
         tails, heads = sheaf._tail_maps, sheaf._head_maps
         if np.all(is_signed_permutation(np.stack([tails, heads]))):
             mode = "entrywise"
-            unsigned = sheaf._with_maps(np.abs(tails), np.abs(heads))
-            resid = euclid_coboundary(unsigned, dict(zip(sheaf.vertices, np.abs(vals))))
-            conv_max = max((float(np.linalg.norm(r)) for r in resid), default=0.0)
+            resid = _vec_coboundary(sheaf, np.abs(vals), np.abs(tails), np.abs(heads))
+            conv_max = float(np.max(np.linalg.norm(resid, axis=-1), initial=0.0))
             conv_pass = conv_max <= tol
         else:
             mode = "gauge_class_only"

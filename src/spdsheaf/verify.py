@@ -372,11 +372,11 @@ def oracle_correspondence(esheaf: EuclidSheaf, seed: int = 0) -> Verdict:
     if esheaf.n_stalk >= 3:
         reps = holonomy_reps(ssheaf)
         if all(np.linalg.norm(r - I) <= 1e-8 for r in reps):
-            by_vertex = strictness_witness(ssheaf)
-            witness = np.stack([by_vertex[v] for v in ssheaf.vertices])
+            witness = strictness_witness(ssheaf)
             residuals.append(dist_lem(coboundary(ssheaf, witness), I))
             # eigvalsh sorts ascending; a value with <= 2 distinct eigenvalues fails
-            gaps = np.diff(np.linalg.eigvalsh(witness), axis=-1) > 1e-6
+            values = np.stack(list(witness.values()))
+            gaps = np.diff(np.linalg.eigvalsh(values), axis=-1) > 1e-6
             if np.any(np.sum(gaps, axis=-1) <= 1):
                 residuals.append(1.0)
             trials += 1

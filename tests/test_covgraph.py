@@ -108,6 +108,25 @@ def test_matches_brute_force():
                 assert result.adjacency[i, j] == 0.0
 
 
+def test_matches_per_pair_distances_in_any_segment_order():
+    # unsorted midpoints, tails with empty windows and a gate that drops some
+    # window pairs; one distance call per tail must give the per-pair graph
+    rng = np.random.default_rng(8)
+    segs = [Segment(rng.normal(size=(4, 30)), t_mid=rng.uniform(0, 3),
+                    f_mid=rng.uniform(5, 25)) for _ in range(24)]
+    cfg = TFGraphConfig(eps1=1.0, eps2=8.0, eps=1.0, bandwidth=2.0)
+    result = build_tf_graph(segs, cfg)
+    expected = brute_force_edges(segs, cfg)
+    assert 0 < len(expected) < sum(
+        0.0 <= b.t_mid - a.t_mid <= cfg.eps1 and abs(b.f_mid - a.f_mid) <= cfg.eps2
+        for a in segs for b in segs if a is not b)
+    assert set(result.sheaf.edges) == set(expected)
+    for (t, h), w in zip(result.sheaf.edges, result.weights):
+        assert abs(w - expected[(t, h)]) <= 1e-15
+        assert result.adjacency[t, h] == w
+    assert np.count_nonzero(result.adjacency) == len(expected)
+
+
 def test_weights_in_unit_interval_and_monotone():
     rng = np.random.default_rng(4)
     segs = make_segments(rng, k=8)

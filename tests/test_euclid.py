@@ -9,7 +9,6 @@ import spdsheaf as s
 from spdsheaf.errors import InvalidInputError, NotApplicableError
 from spdsheaf.euclid import (
     EuclidSheaf,
-    embed_cochain,
     euclid_coboundary_matrix,
     vec_cochain_from_vec,
 )
@@ -94,6 +93,9 @@ def test_embed_phi_spectrum():
     assert out.shape == (2, 4, 3, 3)
     for idx in np.ndindex(2, 4):
         assert np.array_equal(out[idx], s.embed_phi(X[idx], 1e-4))
+    # the last axis is the vector: an (n, 1) column is n one-vectors
+    col = np.array([[1.0], [-2.0], [3.0]])
+    assert np.array_equal(s.embed_phi(col, 1e-4), (col ** 2 + 1e-4)[..., None])
 
 
 def test_embed_phi_erank_near_one():
@@ -165,8 +167,7 @@ def test_forward_inclusion_elementwise():
     ssheaf = s.matched_spd_sheaf(esheaf)
     basis = s.euclid_sections(esheaf)
     for col in range(basis.shape[1]):
-        x = vec_cochain_from_vec(esheaf, basis[:, col])
-        for Y in s.coboundary(ssheaf, embed_cochain(x)):
+        for Y in s.coboundary(ssheaf, s.embed_phi(basis[:, col].reshape(-1, 2))):
             assert s.dist_lem(Y, np.eye(2)) <= 1e-7
 
 
