@@ -89,12 +89,11 @@ def segment_covariance(seg: Segment, shrinkage: float = 1e-3,
 
 @dataclass
 class TFGraphResult:
-    """Sheaf-ready graph, node covariances, per-edge weights and adjacency."""
+    """Sheaf-ready graph, node covariances and per-edge weights."""
 
     sheaf: SheafGraph
     cochain: dict
     weights: list
-    adjacency: np.ndarray
 
 
 def build_tf_graph(segments, cfg: TFGraphConfig) -> TFGraphResult:
@@ -103,8 +102,7 @@ def build_tf_graph(segments, cfg: TFGraphConfig) -> TFGraphResult:
     Edges run from the earlier to the later segment (forward in time) when
     both the locality window and the squared-distance gate pass; weights are
     ``exp(-d_airm^2 / bandwidth)``. Vertices keep the input order; the edge
-    list is sorted by the (t_mid, f_mid) keys of its endpoints. The adjacency
-    matrix records 0 for every non-edge.
+    list is sorted by the (t_mid, f_mid) keys of its endpoints.
     """
     segments = list(segments)
     if not segments:
@@ -123,7 +121,6 @@ def build_tf_graph(segments, cfg: TFGraphConfig) -> TFGraphResult:
     dt = t[None, :] - t[:, None]
     window = (0.0 <= dt) & (dt <= cfg.eps1) & (np.abs(f[None, :] - f[:, None]) <= cfg.eps2)
     np.fill_diagonal(window, False)
-    adjacency = np.zeros((k, k))
     raw_edges = []
     # one dist_airm call per tail, against the stack of its window: each tail
     # is eigendecomposed once and memory stays O(k n_ch^2) for any window
@@ -132,7 +129,6 @@ def build_tf_graph(segments, cfg: TFGraphConfig) -> TFGraphResult:
         d2 = dist_airm(covs[i], covs[j]) ** 2
         gate = d2 < cfg.eps
         j, w = j[gate], np.exp(-d2[gate] / cfg.bandwidth)
-        adjacency[i, j] = w
         raw_edges += zip([i] * j.size, j.tolist(), w.tolist())
 
     def sort_key(entry):
@@ -145,5 +141,4 @@ def build_tf_graph(segments, cfg: TFGraphConfig) -> TFGraphResult:
     weights = [w for _, _, w in raw_edges]
     sheaf = SheafGraph.identity_maps(n_ch, range(k), edges)
     cochain = dict(enumerate(covs))
-    return TFGraphResult(sheaf=sheaf, cochain=cochain, weights=weights,
-                         adjacency=adjacency)
+    return TFGraphResult(sheaf=sheaf, cochain=cochain, weights=weights)

@@ -18,11 +18,10 @@ from .errors import InvalidInputError, NotApplicableError
 from .sheaf import (
     NULL_TOL,
     SheafGraph,
-    _incidence_matrix,
     _OrthGraph,
+    _sections_from_holonomy,
     _spanning_forest,
     coboundary,
-    nullspace,
 )
 from .spd import EIG_FLOOR, _sym_part, dist_lem, is_signed_permutation
 
@@ -72,14 +71,16 @@ def euclid_coboundary(sheaf: EuclidSheaf, x: VecCochain0) -> list[np.ndarray]:
     return list(_vec_coboundary(sheaf, vals, sheaf._tail_maps, sheaf._head_maps))
 
 
-def euclid_coboundary_matrix(sheaf: EuclidSheaf) -> np.ndarray:
-    """Dense (|E| n, |V| n) block incidence matrix with +M_tail / -M_head blocks."""
-    return _incidence_matrix(sheaf, sheaf._tail_maps, sheaf._head_maps)
-
-
 def euclid_sections(sheaf: EuclidSheaf, tol: float = NULL_TOL) -> np.ndarray:
-    """Orthonormal basis (columns) of the kernel of the vector coboundary."""
-    return nullspace(euclid_coboundary_matrix(sheaf), tol)
+    """Orthonormal basis (columns) of the kernel of the vector coboundary.
+
+    The holonomy pass of :func:`~spdsheaf.sheaf.global_sections` with the
+    maps acting on R^n by themselves: per component, the vectors fixed by
+    every cycle holonomy, carried to each vertex by its tree transport and
+    ordered by component. ``tol`` is the cutoff of the holonomy nullspaces
+    and must lie in (0, 1).
+    """
+    return _sections_from_holonomy(sheaf, tol, np.asarray)[2]
 
 
 def vec_cochain_from_vec(sheaf: EuclidSheaf, vec) -> dict:
@@ -120,7 +121,6 @@ def matched_spd_sheaf(sheaf: EuclidSheaf) -> SheafGraph:
 class CorrespondenceReport:
     """Machine-readable outcome of the kernel-correspondence check."""
 
-    forward_residuals: list[float]
     forward_max_residual: float
     spd_section: bool
     converse_mode: str  # "entrywise" | "gauge_class_only" | "not_triggered"
@@ -145,8 +145,7 @@ def check_kernel_correspondence(sheaf: EuclidSheaf, x: VecCochain0, tol: float =
         spd_sheaf = matched_spd_sheaf(sheaf)
     vals = _check_vec_cochain(sheaf, x)
     delta = coboundary(spd_sheaf, embed_phi(vals))
-    residuals = dist_lem(delta, np.eye(sheaf.n_stalk))
-    fwd_max = float(np.max(residuals, initial=0.0))
+    fwd_max = float(np.max(dist_lem(delta, np.eye(sheaf.n_stalk)), initial=0.0))
     spd_section = fwd_max <= tol
 
     mode = "not_triggered"
@@ -162,7 +161,6 @@ def check_kernel_correspondence(sheaf: EuclidSheaf, x: VecCochain0, tol: float =
         else:
             mode = "gauge_class_only"
     return CorrespondenceReport(
-        forward_residuals=residuals.tolist(),
         forward_max_residual=fwd_max,
         spd_section=spd_section,
         converse_mode=mode,

@@ -270,21 +270,14 @@ def coboundary_matrix(sheaf: SheafGraph) -> np.ndarray:
 
     Acts on the sqrt(2)-scaled upper-triangular vectorization, so Euclidean
     inner products of vectors equal the cochain pairings. Shape
-    (|E| m, |V| m) with m = n(n+1)/2.
+    (|E| m, |V| m) with m = n(n+1)/2, blocks +conj_operator(M_tail) at each
+    edge's tail and -conj_operator(M_head) at its head.
     """
-    return _incidence_matrix(sheaf, conj_operator(sheaf._tail_maps),
-                             conj_operator(sheaf._head_maps))
-
-
-def _incidence_matrix(sheaf: _OrthGraph, blocks_t: np.ndarray,
-                      blocks_h: np.ndarray) -> np.ndarray:
-    """Dense (|E| m, |V| m) matrix with +blocks_t[k] at (edge k, its tail) and
-    -blocks_h[k] at (edge k, its head), from (E, m, m) block stacks."""
-    m = blocks_t.shape[-1]
+    m = sym_dim(sheaf.n_stalk)
     B = np.zeros((sheaf.n_edges, m, sheaf.n_vertices, m))
     rows = np.arange(sheaf.n_edges)
-    B[rows, :, sheaf._tails, :] += blocks_t
-    B[rows, :, sheaf._heads, :] -= blocks_h
+    B[rows, :, sheaf._tails, :] += conj_operator(sheaf._tail_maps)
+    B[rows, :, sheaf._heads, :] -= conj_operator(sheaf._head_maps)
     return B.reshape(sheaf.n_edges * m, sheaf.n_vertices * m)
 
 
@@ -299,11 +292,11 @@ def nullspace(A: np.ndarray, tol: float = NULL_TOL) -> np.ndarray:
     """Orthonormal nullspace basis (columns) via SVD with a relative cutoff.
 
     The cutoff is ``tol * max(sigma_max, 1)``. The floor at 1 matters when
-    A is zero up to rounding, as for the conjugation-minus-identity
-    operators of identity holonomies: relative to a sigma_max near 1e-16,
-    rounding noise would count as rank. Every operator passed here has unit
-    scale (orthogonal conjugations) or sigma_max >= sqrt(2) (a Euclidean
-    coboundary with at least one edge), so the floor changes no other cutoff.
+    A is zero up to rounding, as for the action-minus-identity operators of
+    identity holonomies: relative to a sigma_max near 1e-16, rounding noise
+    would count as rank. Inside the package only :func:`_fixed_space` calls
+    it, on stacked orthogonal-minus-identity operators, which have unit
+    scale: every block has its singular values in [0, 2].
 
     A tall A (rows >= cols) gets the thin SVD, which computes no U columns
     beyond its rank and gives the same ``Vh``; a wide A needs the full ``Vh``
@@ -316,28 +309,37 @@ def nullspace(A: np.ndarray, tol: float = NULL_TOL) -> np.ndarray:
     return Vh[rank:].T.copy()
 
 
-def _sections_from_holonomy(sheaf: SheafGraph, tol: float) -> tuple[int, list, np.ndarray]:
+def _fixed_space(ops: np.ndarray, tol: float) -> np.ndarray:
+    """Orthonormal basis of the common fixed space of a (k, m, m) stack of
+    orthogonal operators: the nullspace of the stacked ``ops - I``."""
+    m = ops.shape[-1]
+    return nullspace((ops - np.eye(m)).reshape(-1, m), tol)
+
+
+def _sections_from_holonomy(sheaf: _OrthGraph, tol: float, act) -> tuple[int, list, np.ndarray]:
     """Component count, per-component fixed dimensions and the kernel basis.
 
-    On a component C a log-domain section is fixed by its value S at the
-    root: every vertex v of C carries the tree transport ``W_v S W_v^T``, and
-    S must be fixed by every cycle holonomy of C. For an orthonormal basis F
-    of that fixed space (:func:`holonomy_fixed_space`), the basis columns are
-    ``conj_operator(W_v) F / sqrt(|C|)`` stacked over v in C and zero
-    elsewhere. They are orthonormal with no QR: conjugation by an orthogonal
-    W_v is an isometry of the scaled coordinates, so each of the |C| vertex
-    blocks of two columns of C pairs to ``<F_i, F_j> / |C|``, and columns of
-    different components have disjoint supports. ``tol`` is the cutoff of
-    the holonomy nullspaces; no operator on all |V| m coordinates is built.
+    ``act`` maps (..., n, n) orthogonal stacks to their action on the stalk:
+    :func:`~spdsheaf.spd.conj_operator` on the log-domain stalk Sym_n, the
+    identity on a vector stalk R^n. On a component C a section is fixed by
+    its root value S: every vertex v of C carries ``act(W_v) S`` for its tree
+    transport W_v, and S must be fixed by every cycle holonomy of C. For an
+    orthonormal basis F of that fixed space (:func:`_fixed_space`), the basis
+    columns are ``act(W_v) F / sqrt(|C|)`` stacked over v in C and zero
+    elsewhere. They are orthonormal with no QR: an orthogonal action is an
+    isometry, so each of the |C| vertex blocks of two columns of C pairs to
+    ``<F_i, F_j> / |C|``, and components have disjoint supports. ``tol`` is
+    the cutoff of the holonomy nullspaces; no operator on all |V| m
+    coordinates is built.
     """
     if not 0 < tol < 1:  # also rejects NaN
         raise InvalidInputError(f"tolerance must lie in (0, 1), got {tol}")
     comps, W, reps = _spanning_forest(sheaf)
-    n, m = sheaf.n_stalk, sym_dim(sheaf.n_stalk)
-    fixed = [holonomy_fixed_space(r, n, tol) for r in reps]
+    blocks = act(W)
+    m = blocks.shape[-1]
+    fixed = [_fixed_space(act(np.stack(r)), tol) if r else np.eye(m) for r in reps]
     dims = [F.shape[1] for F in fixed]
     basis = np.zeros((sheaf.n_vertices, m, sum(dims)))
-    blocks = conj_operator(W)
     col = 0
     for pos, F in zip(comps, fixed):
         basis[pos, :, col:col + F.shape[1]] = blocks[pos] @ F / np.sqrt(len(pos))
@@ -354,7 +356,7 @@ def global_sections(sheaf: SheafGraph, tol: float = NULL_TOL) -> np.ndarray:
     :func:`cochain0_from_vec` yields a 0-cochain whose coboundary is the
     identity on every edge.
     """
-    return _sections_from_holonomy(sheaf, tol)[2]
+    return _sections_from_holonomy(sheaf, tol, conj_operator)[2]
 
 
 def sheaf_index(sheaf: SheafGraph) -> int:
@@ -446,9 +448,7 @@ def holonomy_fixed_space(reps: Sequence[np.ndarray], n: int | None = None,
         if n is None:
             raise InvalidInputError("n is required when the representation list is empty")
         return np.eye(sym_dim(n))
-    ops = conj_operator(np.stack(reps))
-    m = ops.shape[-1]
-    return nullspace((ops - np.eye(m)).reshape(-1, m), tol)
+    return _fixed_space(conj_operator(np.stack(reps)), tol)
 
 
 def section_space_summary(sheaf: SheafGraph, tol: float = NULL_TOL) -> dict:
@@ -459,7 +459,7 @@ def section_space_summary(sheaf: SheafGraph, tol: float = NULL_TOL) -> dict:
     :func:`global_sections` and ``edge_residuals``, the (kernel_dim, |E|)
     Frobenius norms of the log-domain coboundary of each basis column.
     """
-    n_comps, fixed_dims, basis = _sections_from_holonomy(sheaf, tol)
+    n_comps, fixed_dims, basis = _sections_from_holonomy(sheaf, tol, conj_operator)
     n, m = sheaf.n_stalk, sym_dim(sheaf.n_stalk)
     logs = vec_to_sym(basis.T.reshape(basis.shape[1], sheaf.n_vertices, m), n)
     residuals = np.linalg.norm(_coboundary_logs(sheaf, logs), axis=(-2, -1))

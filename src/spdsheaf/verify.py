@@ -4,10 +4,11 @@ Each oracle recomputes its target through a code path that shares nothing
 with the primary implementation beyond elementary eigendecomposition: the
 dense log-domain operator is rebuilt here by probing basis matrices with raw
 numpy products, logs come from this module's own ``np.linalg.eigh`` calls,
-and kernel dimensions from its own SVD calls. The oracle vectorizes with its
-own stacked helpers: ``_ovec`` and its inverse ``_ounvec`` map whole
-(..., n, n) stacks at once, and the Green oracle draws, logs and vectorizes
-all values of a block of trials in one pass (``random_spd_stack``,
+and kernel dimensions from its own SVD calls; one edge loop builds the
+probed SPD operator and the vector one. The oracle vectorizes with its own
+stacked helpers: ``_ovec`` and its inverse ``_ounvec`` map whole (..., n, n)
+stacks at once, and the Green oracle draws, logs and vectorizes all values
+of a block of trials in one pass (``random_spd_stack``,
 ``_oracle_log_vecs``) and calls the public operators once per block, on its
 (trials, k, n, n) stacks. The residual arithmetic is stacked too: the
 ``spd`` metrics and group operation are called once per trial or per block
@@ -23,6 +24,7 @@ builtin ``max``.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -139,23 +141,21 @@ def random_graph(n_vertices: int, extra_edges: int, rng,
 
 
 def random_sheaf(n_stalk: int, n_vertices: int, extra_edges: int, rng,
-                 identity_maps: bool = False, connected: bool = True) -> SheafGraph:
+                 identity_maps: bool = False, connected: bool = True,
+                 sheaf_cls=SheafGraph) -> SheafGraph | EuclidSheaf:
+    """A `sheaf_cls` on a :func:`random_graph`, with identity or random maps."""
     edges = random_graph(n_vertices, extra_edges, rng, connected)
     if identity_maps:
-        return SheafGraph.identity_maps(n_stalk, range(n_vertices), edges)
+        return sheaf_cls.identity_maps(n_stalk, range(n_vertices), edges)
     maps = [(random_orthogonal(n_stalk, rng), random_orthogonal(n_stalk, rng))
             for _ in edges]
-    return SheafGraph(n_stalk, range(n_vertices), edges, maps)
+    return sheaf_cls(n_stalk, range(n_vertices), edges, maps)
 
 
 def random_euclid_sheaf(n_stalk: int, n_vertices: int, extra_edges: int, rng,
                         identity_maps: bool = False) -> EuclidSheaf:
-    edges = random_graph(n_vertices, extra_edges, rng, connected=True)
-    if identity_maps:
-        return EuclidSheaf.identity_maps(n_stalk, range(n_vertices), edges)
-    maps = [(random_orthogonal(n_stalk, rng), random_orthogonal(n_stalk, rng))
-            for _ in edges]
-    return EuclidSheaf(n_stalk, range(n_vertices), edges, maps)
+    return random_sheaf(n_stalk, n_vertices, extra_edges, rng, identity_maps,
+                        sheaf_cls=EuclidSheaf)
 
 
 def random_cochain0(sheaf: SheafGraph, rng, spread: float = 10.0) -> dict:
@@ -173,10 +173,14 @@ def frustrated_two_cycle() -> EuclidSheaf:
 # oracle-local linear algebra (independent of the primary implementation)
 
 
+@functools.lru_cache(maxsize=None)
 def _otriu(n: int) -> tuple[tuple[np.ndarray, np.ndarray], np.ndarray]:
-    """Row-major upper-triangle indices of an n x n matrix and its diagonal mask."""
+    """Read-only upper-triangle indices of an n x n matrix and diagonal mask, per n."""
     iu = np.triu_indices(n)
-    return iu, iu[0] == iu[1]
+    diag = iu[0] == iu[1]
+    for a in (*iu, diag):
+        a.flags.writeable = False
+    return iu, diag
 
 
 def _ovec(S: np.ndarray) -> np.ndarray:
@@ -207,18 +211,27 @@ def _oracle_log_vecs(P: np.ndarray) -> np.ndarray:
     return _ovec((V * np.log(w)[..., None, :]) @ np.swapaxes(V, -1, -2))
 
 
+def _oracle_incidence(sheaf, blocks, m: int) -> np.ndarray:
+    """Dense (|E| m, |V| m) coboundary: per edge, +tail block at its tail, -head at its head."""
+    B = np.zeros((sheaf.n_edges * m, sheaf.n_vertices * m))
+    for k, ((t, h), (bt, bh)) in enumerate(zip(sheaf.edges, blocks)):
+        it, ih = sheaf.vertex_index(t), sheaf.vertex_index(h)
+        B[k * m:(k + 1) * m, it * m:(it + 1) * m] += bt
+        B[k * m:(k + 1) * m, ih * m:(ih + 1) * m] -= bh
+    return B
+
+
 def _oracle_operator(sheaf: SheafGraph) -> np.ndarray:
     """Dense log-domain coboundary operator rebuilt by basis probing."""
-    n = sheaf.n_stalk
-    basis = _obasis(n)
-    m = len(basis)
-    B = np.zeros((sheaf.n_edges * m, sheaf.n_vertices * m))
-    for k, ((t, h), (Mt, Mh)) in enumerate(zip(sheaf.edges, sheaf.maps)):
-        it = sheaf.vertex_index(t)
-        ih = sheaf.vertex_index(h)
-        B[k * m:(k + 1) * m, it * m:(it + 1) * m] += _ovec(Mt @ basis @ Mt.T).T
-        B[k * m:(k + 1) * m, ih * m:(ih + 1) * m] -= _ovec(Mh @ basis @ Mh.T).T
-    return B
+    basis = _obasis(sheaf.n_stalk)
+    blocks = [(_ovec(Mt @ basis @ Mt.T).T, _ovec(Mh @ basis @ Mh.T).T)
+              for Mt, Mh in sheaf.maps]
+    return _oracle_incidence(sheaf, blocks, len(basis))
+
+
+def _oracle_euclid_operator(sheaf: EuclidSheaf) -> np.ndarray:
+    """Dense vector coboundary operator: the maps themselves are the blocks."""
+    return _oracle_incidence(sheaf, sheaf.maps, sheaf.n_stalk)
 
 
 def _oracle_nullity(A: np.ndarray, tol: float = 1e-8) -> int:
@@ -227,17 +240,6 @@ def _oracle_nullity(A: np.ndarray, tol: float = 1e-8) -> int:
     s = np.linalg.svd(A, compute_uv=False)
     rank = int(np.sum(s > tol * s[0])) if s.size and s[0] > 0 else 0
     return A.shape[1] - rank
-
-
-def _oracle_euclid_operator(sheaf: EuclidSheaf) -> np.ndarray:
-    n = sheaf.n_stalk
-    B = np.zeros((sheaf.n_edges * n, sheaf.n_vertices * n))
-    for k, ((t, h), (Mt, Mh)) in enumerate(zip(sheaf.edges, sheaf.maps)):
-        it = sheaf.vertex_index(t)
-        ih = sheaf.vertex_index(h)
-        B[k * n:(k + 1) * n, it * n:(it + 1) * n] += Mt
-        B[k * n:(k + 1) * n, ih * n:(ih + 1) * n] -= Mh
-    return B
 
 
 # ---------------------------------------------------------------------------

@@ -7,12 +7,9 @@ import pytest
 
 import spdsheaf as s
 from spdsheaf.errors import InvalidInputError, NotApplicableError
-from spdsheaf.euclid import (
-    EuclidSheaf,
-    euclid_coboundary_matrix,
-    vec_cochain_from_vec,
-)
+from spdsheaf.euclid import EuclidSheaf, vec_cochain_from_vec
 from spdsheaf.verify import (
+    _oracle_euclid_operator,
     frustrated_two_cycle,
     random_euclid_sheaf,
     random_orthogonal,
@@ -59,7 +56,7 @@ def test_euclid_coboundary_matches_matrix():
     rng = np.random.default_rng(0)
     sheaf = random_euclid_sheaf(3, 6, 2, rng)
     x = {v: rng.normal(size=3) for v in sheaf.vertices}
-    B = euclid_coboundary_matrix(sheaf)
+    B = _oracle_euclid_operator(sheaf)
     flat = np.concatenate([x[v] for v in sheaf.vertices])
     lhs = B @ flat
     rhs = np.concatenate(s.euclid_coboundary(sheaf, x))
@@ -71,6 +68,12 @@ def test_euclid_sections_dimensions():
     assert s.euclid_sections(frustrated_two_cycle()).shape[1] == 0
     no_edges = EuclidSheaf(2, [0, 1, 2], [], [])
     assert s.euclid_sections(no_edges).shape[1] == 6
+
+
+@pytest.mark.parametrize("tol", [0.0, 1.0, -1e-8, math.nan, math.inf])
+def test_euclid_sections_rejects_tolerance_outside_unit_interval(tol):
+    with pytest.raises(InvalidInputError, match="tolerance"):
+        s.euclid_sections(identity_path(2, 3), tol)
 
 
 # ---------------------------------------------------------------------------

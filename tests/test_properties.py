@@ -1,6 +1,6 @@
-"""Property tests: the sections summary and basis, the Green identity and
-coboundary linearity against the brute-force oracles, and the stacked
-operators against one call per cochain.
+"""Property tests: the sections summary and basis of both stalk kinds, the
+Green identity and coboundary linearity against the brute-force oracles, and
+the stacked operators against one call per cochain.
 
 Random multigraphs with parallel edges, isolated vertices and several
 components carry maps ``(R_e G_t^T, R_e A_e^T G_h^T)``: the edge transport is
@@ -15,10 +15,13 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from spdsheaf import SheafGraph, adjoint, coboundary, cochain_pairing, diffusion_step, laplacian
+from spdsheaf.euclid import EuclidSheaf, euclid_sections
 from spdsheaf.sheaf import _spanning_forest, global_sections, section_space_summary
 from spdsheaf.verify import (
+    _oracle_euclid_operator,
     _oracle_nullity,
     _oracle_operator,
+    frustrated_two_cycle,
     oracle_green,
     oracle_linearity,
     random_orthogonal,
@@ -74,11 +77,9 @@ def test_section_summary_matches_oracles(sheaf):
     assert all(label[t] == label[h] for t, h in sheaf.edges)
 
 
-def _assert_basis_spans_oracle_kernel(sheaf):
-    """The transported basis is orthonormal and spans the nullspace of the
-    oracle's own SVD of its probed dense operator."""
-    basis = global_sections(sheaf)
-    B = _oracle_operator(sheaf)
+def _assert_spans_oracle_kernel(basis, B):
+    """The basis is orthonormal and spans the nullspace of the oracle's own
+    SVD of its dense operator B."""
     dim = _oracle_nullity(B)
     null = np.linalg.svd(B)[2][B.shape[1] - dim:] if B.shape[0] else np.eye(B.shape[1])
     assert basis.shape == (B.shape[1], dim)
@@ -86,10 +87,28 @@ def _assert_basis_spans_oracle_kernel(sheaf):
     assert np.max(np.abs(basis @ basis.T - null.T @ null), initial=0.0) <= 1e-10
 
 
+def _assert_basis_spans_oracle_kernel(sheaf):
+    """The transported basis spans the kernel of the probed dense operator."""
+    _assert_spans_oracle_kernel(global_sections(sheaf), _oracle_operator(sheaf))
+
+
+def _assert_euclid_basis_spans_oracle_kernel(sheaf):
+    """With the same maps acting on vectors, the Euclidean basis spans the
+    kernel of the oracle's dense vector operator."""
+    esheaf = EuclidSheaf(sheaf.n_stalk, sheaf.vertices, sheaf.edges, sheaf.maps)
+    _assert_spans_oracle_kernel(euclid_sections(esheaf), _oracle_euclid_operator(esheaf))
+
+
 @settings(max_examples=60, derandomize=True, database=None, deadline=None)
 @given(multigraph_sheaves())
 def test_section_basis_matches_oracle_nullspace(sheaf):
     _assert_basis_spans_oracle_kernel(sheaf)
+
+
+@settings(max_examples=60, derandomize=True, database=None, deadline=None)
+@given(multigraph_sheaves())
+def test_euclid_basis_matches_oracle_nullspace(sheaf):
+    _assert_euclid_basis_spans_oracle_kernel(sheaf)
 
 
 def _edge_case_sheaf(case: str) -> SheafGraph:
@@ -115,8 +134,11 @@ def _edge_case_sheaf(case: str) -> SheafGraph:
     return SheafGraph(3, range(4), edges, [(G[t].T, G[h].T) for t, h in edges])
 
 
-@pytest.mark.parametrize("case", ["no_edges", "one_vertex", "isolated_vertices",
-                                  "parallel_edges", "n_1", "gauge_trivial_cycles"])
+EDGE_CASES = ["no_edges", "one_vertex", "isolated_vertices", "parallel_edges", "n_1",
+              "gauge_trivial_cycles"]
+
+
+@pytest.mark.parametrize("case", EDGE_CASES)
 def test_section_basis_edge_cases(case):
     sheaf = _edge_case_sheaf(case)
     _assert_basis_spans_oracle_kernel(sheaf)
@@ -124,6 +146,12 @@ def test_section_basis_edge_cases(case):
     assert np.all(summary["edge_residuals"] <= 1e-7)
     if case == "gauge_trivial_cycles":
         assert summary["kernel_dim"] == 6
+
+
+@pytest.mark.parametrize("case", EDGE_CASES + ["frustrated_two_cycle"])
+def test_euclid_basis_edge_cases(case):
+    sheaf = frustrated_two_cycle() if case == "frustrated_two_cycle" else _edge_case_sheaf(case)
+    _assert_euclid_basis_spans_oracle_kernel(sheaf)
 
 
 @settings(max_examples=60, derandomize=True, database=None, deadline=None)

@@ -1,6 +1,8 @@
 """Sheaf operators: hand-computed small cases plus dense-operator oracles."""
 
+import ast
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -538,3 +540,50 @@ def test_diffusion_normalization_caps_update():
     out = s.diffusion_step(sheaf, sigma, normalize=True)
     for Y in out.values():
         assert np.linalg.eigvalsh(Y).min() > 0
+
+
+# ---------------------------------------------------------------------------
+# one kernel algorithm
+
+
+def _enclosing_functions(tree, match) -> set:
+    """Names of the functions (``<module>`` for top-level code) whose bodies
+    hold a node for which ``match`` is true."""
+    found = set()
+
+    def visit(node, owner):
+        for child in ast.iter_child_nodes(node):
+            if match(child):
+                found.add(owner)
+            inner = isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef))
+            visit(child, child.name if inner else owner)
+
+    visit(tree, "<module>")
+    return found
+
+
+def test_one_kernel_algorithm_in_the_primary_code():
+    """Outside the oracles, only ``sheaf.nullspace`` runs an SVD and only
+    ``sheaf._fixed_space`` calls it: every kernel in the package, of either
+    stalk kind, is a holonomy fixed space, never a dense-operator SVD."""
+    def is_svd(node):
+        return ((isinstance(node, ast.Attribute) and node.attr == "svd")
+                or (isinstance(node, ast.Name) and node.id == "svd"))
+
+    def calls_nullspace(node):
+        return isinstance(node, ast.Call) and (
+            getattr(node.func, "id", None) == "nullspace"
+            or getattr(node.func, "attr", None) == "nullspace")
+
+    svd_users, nullspace_callers = set(), set()
+    sources = sorted(Path(s.__file__).parent.glob("*.py"))
+    assert {p.name for p in sources} >= {"sheaf.py", "euclid.py", "verify.py"}
+    for path in sources:
+        if path.name == "verify.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        svd_users |= {(path.stem, f) for f in _enclosing_functions(tree, is_svd)}
+        nullspace_callers |= {(path.stem, f)
+                              for f in _enclosing_functions(tree, calls_nullspace)}
+    assert svd_users == {("sheaf", "nullspace")}
+    assert nullspace_callers == {("sheaf", "_fixed_space")}

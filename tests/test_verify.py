@@ -212,6 +212,16 @@ def test_ovec_round_trips_stacks():
                                    rtol=1e-13)
 
 
+def test_oracle_triangle_indices_are_cached_and_read_only():
+    iu, diag = verify._otriu(3)
+    assert verify._otriu(3)[0] is iu and verify._otriu(3)[1] is diag
+    assert np.array_equal(iu[1], np.triu_indices(3)[1])
+    assert np.array_equal(diag, iu[0] == iu[1])
+    for a in (*iu, diag):
+        with pytest.raises(ValueError):
+            a[0] = 1
+
+
 def test_oracle_hodge_cases():
     no_edges = s.SheafGraph(2, [0, 1], [], [])
     assert oracle_hodge(no_edges).passed
@@ -322,7 +332,8 @@ def test_oracle_linearity_random():
 
 
 _ORACLE_HELPERS = ("_otriu", "_ovec", "_ounvec", "_obasis", "_oracle_log_vecs",
-                   "_oracle_operator", "_oracle_nullity", "_oracle_euclid_operator")
+                   "_oracle_incidence", "_oracle_operator", "_oracle_nullity",
+                   "_oracle_euclid_operator")
 _PLAIN_GRAPH_FIELDS = {"edges", "maps", "vertex_index", "n_stalk", "n_vertices", "n_edges",
                        "vertices"}
 
