@@ -25,7 +25,7 @@ print("log/exp round trip error:",
 print("commutativity:", np.linalg.norm(s.group_op(P, Q) - s.group_op(Q, P)))
 print("log homomorphism:",
       np.linalg.norm(s.spd_log(s.group_op(P, Q)) - s.spd_log(P) - s.spd_log(Q)))
-print("P (.) P^{-1} = I:", np.linalg.norm(s.group_op(P, s.group_inv(P)) - np.eye(3)))
+print("P (.) P^{-1} = I:", np.linalg.norm(s.group_op(P, s.sym_exp(-s.spd_log(P))) - np.eye(3)))
 
 # Distances: both metrics are congruence invariant
 skew = rng.normal(size=(3, 3))

@@ -67,7 +67,6 @@ from .spd import (  # noqa: E402
     dist_lem,
     erank,
     frechet_log,
-    group_inv,
     group_op,
     pairing,
     power_euclidean_mean,
@@ -97,7 +96,6 @@ from .euclid import (  # noqa: E402
     EuclidSheaf,
     check_kernel_correspondence,
     embed_phi,
-    euclid_coboundary,
     euclid_sections,
     matched_spd_sheaf,
     strictness_witness,

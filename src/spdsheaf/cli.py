@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import json
 import os
 import sys
 
@@ -44,12 +43,11 @@ def _check_at_least(args, **bounds):
             raise InvalidInputError(f"--{name} must be >= {low}, got {getattr(args, name)}")
 
 
-def _write_or_print(text: str, path: str | None):
+def _write_report(obj, path: str | None):
+    """Write a JSON report to `path`, or print it when `path` is None."""
+    text = jsonio._dump_json(obj, path)
     if path is None:
-        sys.stdout.write(text if text.endswith("\n") else text + "\n")
-    else:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text if text.endswith("\n") else text + "\n")
+        print(text)
 
 
 # ---------------------------------------------------------------------------
@@ -83,8 +81,7 @@ def cmd_verify(args) -> int:
               "verdicts": [dataclasses.asdict(v) for v in verdicts]}
     if args.out:
         os.makedirs(args.out, exist_ok=True)
-        _write_or_print(json.dumps(report, indent=2, sort_keys=True),
-                        os.path.join(args.out, "verdicts.json"))
+        _write_report(report, os.path.join(args.out, "verdicts.json"))
     return code
 
 
@@ -109,7 +106,7 @@ def cmd_sections(args) -> int:
         "holonomy_fixed_total": summary["holonomy_fixed_total"],
         "basis": basis_entries,
     }
-    _write_or_print(json.dumps(report, indent=2, sort_keys=True), args.out)
+    _write_report(report, args.out)
     return 0
 
 
@@ -121,7 +118,8 @@ def cmd_diffuse(args) -> int:
         identity_maps=args.identity_maps, residual=not args.no_residual,
         normalize=not args.no_normalize)
     os.makedirs(args.out, exist_ok=True)
-    _write_or_print(trace.to_csv(), os.path.join(args.out, "trace.csv"))
+    with open(os.path.join(args.out, "trace.csv"), "w", encoding="utf-8") as fh:
+        fh.write(trace.to_csv())
     jsonio.cochain0_to_json(3, dict(zip(pc.ids, final)),
                             path=os.path.join(args.out, "final_cochain.json"))
     run_params = {
@@ -132,8 +130,7 @@ def cmd_diffuse(args) -> int:
         "residual": not args.no_residual,
         "normalize": not args.no_normalize,
     }
-    _write_or_print(json.dumps(run_params, indent=2, sort_keys=True),
-                    os.path.join(args.out, "run.json"))
+    _write_report(run_params, os.path.join(args.out, "run.json"))
     print(f"wrote trace.csv, final_cochain.json, run.json to {args.out}")
     return 0
 
@@ -158,7 +155,7 @@ def cmd_probe(args) -> int:
         "shuffle_control_mean": float(np.mean(ctrl_acc)),
         "shuffle_control_sd": float(np.std(ctrl_acc)),
     }
-    _write_or_print(json.dumps(report, indent=2, sort_keys=True), args.out)
+    _write_report(report, args.out)
     return 0
 
 
@@ -187,7 +184,9 @@ def cmd_lift(args) -> int:
     if args.canonicalize:
         frames, _ = local_frame(pc)
         sigma = canonicalize(sigma, frames)
-    _write_or_print(jsonio.cochain0_to_json(3, dict(zip(pc.ids, sigma))), args.out)
+    text = jsonio.cochain0_to_json(3, dict(zip(pc.ids, sigma)), path=args.out)
+    if args.out is None:
+        print(text)
     return 0
 
 

@@ -62,8 +62,12 @@ class TFGraphConfig:
             raise InvalidInputError("window widths eps1, eps2 must be nonnegative")
         if not (self.eps > 0 and self.bandwidth > 0):
             raise InvalidInputError("eps and bandwidth must be positive")
-        if not 0 <= self.shrinkage < np.inf:
-            raise InvalidInputError("shrinkage must be finite and nonnegative")
+        _check_shrinkage(self.shrinkage)
+
+
+def _check_shrinkage(shrinkage: float):
+    if not 0 <= shrinkage < np.inf:  # NaN fails too
+        raise InvalidInputError("shrinkage must be finite and nonnegative")
 
 
 def segment_covariance(seg: Segment, shrinkage: float = 1e-3,
@@ -71,16 +75,19 @@ def segment_covariance(seg: Segment, shrinkage: float = 1e-3,
     """Covariance ``X X^T`` regularized by trace-scaled shrinkage.
 
     Adds ``shrinkage * tr(S)/n * I``, which keeps rank-deficient segments
-    (more channels than samples) strictly positive definite.
+    (more channels than samples) strictly positive definite. Data too large
+    for ``X X^T`` to be finite raise InvalidInputError.
     """
-    if shrinkage < 0:
-        raise InvalidInputError("shrinkage must be nonnegative")
+    _check_shrinkage(shrinkage)
     X = seg.data
-    S = _sym_part(X @ X.T)
-    if normalize_samples:
-        S = S / X.shape[1]
-    n = S.shape[0]
-    S = S + shrinkage * (np.trace(S) / n) * np.eye(n)
+    with np.errstate(over="ignore", invalid="ignore"):
+        S = _sym_part(X @ X.T)
+        if normalize_samples:
+            S = S / X.shape[1]
+        n = S.shape[0]
+        S = S + shrinkage * (np.trace(S) / n) * np.eye(n)
+    if not np.all(np.isfinite(S)):
+        raise InvalidInputError("segment covariance overflows: the data are too large")
     if np.min(np.linalg.eigvalsh(S)) <= 0.0:
         raise DomainError(
             "segment covariance is not positive definite; increase shrinkage")

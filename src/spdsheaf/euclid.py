@@ -21,11 +21,15 @@ from .sheaf import (
     _OrthGraph,
     _sections_from_holonomy,
     _spanning_forest,
+    _vertex_values,
     coboundary,
 )
 from .spd import EIG_FLOOR, _sym_part, dist_lem, is_signed_permutation
 
 VecCochain0 = Mapping[object, np.ndarray]
+
+#: Largest log-Euclidean edge residual of an SPD cochain that counts as a section.
+SECTION_TOL = 1e-7
 
 
 class EuclidSheaf(_OrthGraph):
@@ -43,13 +47,11 @@ def _check_vec_cochain(sheaf: EuclidSheaf, x: VecCochain0) -> np.ndarray:
     the vertex ids, with finite length-n values."""
     if not isinstance(x, Mapping):
         raise InvalidInputError("a vector 0-cochain is a mapping keyed by vertex id")
-    if len(x) != sheaf.n_vertices or any(v not in x for v in sheaf.vertices):
-        raise InvalidInputError(f"cochain keys differ from the vertex ids by "
-                                f"{sorted(map(repr, set(x) ^ set(sheaf.vertices)))}")
+    values = _vertex_values(x, sheaf.vertices)
     n = sheaf.n_stalk
     out = np.empty((sheaf.n_vertices, n))
-    for i, v in enumerate(sheaf.vertices):
-        xv = np.asarray(x[v], dtype=np.float64).ravel()
+    for i, (v, xv) in enumerate(zip(sheaf.vertices, values)):
+        xv = np.asarray(xv, dtype=np.float64).ravel()
         if xv.size != n:
             raise InvalidInputError(f"vertex {v!r}: expected length-{n} vector")
         out[i] = xv
@@ -63,12 +65,6 @@ def _vec_coboundary(sheaf: EuclidSheaf, vals: np.ndarray, tail_maps: np.ndarray,
     """(|E|, n) stack of ``M_tail x_tail - M_head x_head`` for a (|V|, n) stack."""
     return (tail_maps @ vals[sheaf._tails, :, None]
             - head_maps @ vals[sheaf._heads, :, None])[..., 0]
-
-
-def euclid_coboundary(sheaf: EuclidSheaf, x: VecCochain0) -> list[np.ndarray]:
-    """Per-edge disagreement ``M_tail x_tail - M_head x_head`` (tail-positive)."""
-    vals = _check_vec_cochain(sheaf, x)
-    return list(_vec_coboundary(sheaf, vals, sheaf._tail_maps, sheaf._head_maps))
 
 
 def euclid_sections(sheaf: EuclidSheaf, tol: float = NULL_TOL) -> np.ndarray:
@@ -93,8 +89,9 @@ def vec_cochain_from_vec(sheaf: EuclidSheaf, vec) -> dict:
 # the embedding
 
 
-def embed_phi(x, eps: float = EIG_FLOOR) -> np.ndarray:
-    """Rank-one-plus-ridge embedding ``x x^T + eps I`` into the SPD cone.
+def embed_phi(x) -> np.ndarray:
+    """Rank-one-plus-ridge embedding ``x x^T + eps I`` into the SPD cone, with
+    the ridge eps fixed at EIG_FLOOR.
 
     Takes one length-n vector or a (..., n) stack and gives (..., n, n): the
     last axis is the vector, so an (n, 1) column is n one-vectors.
@@ -102,10 +99,8 @@ def embed_phi(x, eps: float = EIG_FLOOR) -> np.ndarray:
     n - 1, so the image consists of matrices with at most two distinct
     eigenvalues.
     """
-    if eps <= 0:
-        raise InvalidInputError("embedding ridge eps must be positive")
     x = np.atleast_1d(np.asarray(x, dtype=np.float64))
-    return x[..., :, None] * x[..., None, :] + eps * np.eye(x.shape[-1])
+    return x[..., :, None] * x[..., None, :] + EIG_FLOOR * np.eye(x.shape[-1])
 
 
 def matched_spd_sheaf(sheaf: EuclidSheaf) -> SheafGraph:
@@ -128,13 +123,13 @@ class CorrespondenceReport:
     converse_pass: bool | None
 
 
-def check_kernel_correspondence(sheaf: EuclidSheaf, x: VecCochain0, tol: float = 1e-7,
+def check_kernel_correspondence(sheaf: EuclidSheaf, x: VecCochain0,
                                 spd_sheaf: SheafGraph | None = None) -> CorrespondenceReport:
     """Check that the embedding carries sections to sections, edge by edge.
 
     Forward: every edge of the SPD coboundary of the cochain embedded
-    vertexwise by :func:`embed_phi` (ridge 1e-4) must be within log-Euclidean distance
-    `tol` of the identity. Converse: when the SPD coboundary is the identity
+    vertexwise by :func:`embed_phi` must be within log-Euclidean distance
+    SECTION_TOL of the identity. Converse: when the SPD coboundary is the identity
     and every map commutes with the entrywise absolute value (signed
     permutations, for which |M z| = |M| |z|), the vector coboundary of |x|
     under the unsigned maps |M| must vanish — the line-bundle quotient. For
@@ -146,7 +141,7 @@ def check_kernel_correspondence(sheaf: EuclidSheaf, x: VecCochain0, tol: float =
     vals = _check_vec_cochain(sheaf, x)
     delta = coboundary(spd_sheaf, embed_phi(vals))
     fwd_max = float(np.max(dist_lem(delta, np.eye(sheaf.n_stalk)), initial=0.0))
-    spd_section = fwd_max <= tol
+    spd_section = fwd_max <= SECTION_TOL
 
     mode = "not_triggered"
     conv_max = None
@@ -157,7 +152,7 @@ def check_kernel_correspondence(sheaf: EuclidSheaf, x: VecCochain0, tol: float =
             mode = "entrywise"
             resid = _vec_coboundary(sheaf, np.abs(vals), np.abs(tails), np.abs(heads))
             conv_max = float(np.max(np.linalg.norm(resid, axis=-1), initial=0.0))
-            conv_pass = conv_max <= tol
+            conv_pass = conv_max <= SECTION_TOL
         else:
             mode = "gauge_class_only"
     return CorrespondenceReport(
@@ -169,7 +164,7 @@ def check_kernel_correspondence(sheaf: EuclidSheaf, x: VecCochain0, tol: float =
     )
 
 
-def strictness_witness(sheaf: SheafGraph, tol: float = 1e-7) -> dict:
+def strictness_witness(sheaf: SheafGraph, tol: float = SECTION_TOL) -> dict:
     """A global section with >= 3 distinct eigenvalues, hence outside the embedding image.
 
     Requires trivial holonomy (all cycle representatives equal to the

@@ -48,6 +48,8 @@ def _parsing(what: str):
 
 
 def _dump_json(obj, path: str | None = None) -> str:
+    """The package's one JSON text format: returned, and written with a
+    trailing newline to `path` when one is given."""
     text = json.dumps(obj, indent=2, sort_keys=True)
     if path is not None:
         with open(path, "w", encoding="utf-8") as fh:
@@ -181,14 +183,6 @@ def cochain0_to_json(n_stalk: int, cochain: dict, path: str | None = None) -> st
 # point clouds
 
 
-def cloud_to_json(pc: PointCloud, path: str | None = None) -> str:
-    obj = {
-        "vertices": [{"id": v, "xyz": pc.points[i].tolist()} for i, v in enumerate(pc.ids)],
-        "edges": [[t, h] for t, h in pc.edges],
-    }
-    return _dump_json(obj, path)
-
-
 def cloud_from_json_obj(obj) -> PointCloud:
     with _parsing("point-cloud"):
         ids = [_as_id(v["id"]) for v in obj["vertices"]]
@@ -208,16 +202,6 @@ def load_cloud(path: str) -> PointCloud:
 
 # ---------------------------------------------------------------------------
 # segments and edge weights
-
-
-def segments_to_json(segments, path: str | None = None) -> str:
-    obj = {
-        "segments": [
-            {"t_mid": s.t_mid, "f_mid": s.f_mid, "data": s.data.tolist()}
-            for s in segments
-        ]
-    }
-    return _dump_json(obj, path)
 
 
 def segments_from_json_obj(obj) -> list[Segment]:

@@ -156,6 +156,15 @@ class SheafGraph(_OrthGraph):
 # the cochain boundary
 
 
+def _vertex_values(cochain: Mapping, vertices: Sequence) -> list:
+    """The values of a 0-cochain mapping in vertex order; its keys must be
+    exactly the vertex ids."""
+    if len(cochain) != len(vertices) or any(v not in cochain for v in vertices):
+        raise InvalidInputError(f"cochain keys differ from the vertex ids by "
+                                f"{sorted(map(repr, set(cochain) ^ set(vertices)))}")
+    return [cochain[v] for v in vertices]
+
+
 def _cochain_stack(cochain, cells: Sequence | int | None, n: int | None = None) -> np.ndarray:
     """The one validated conversion of a cochain to a (..., k, n, n) float stack.
 
@@ -170,10 +179,7 @@ def _cochain_stack(cochain, cells: Sequence | int | None, n: int | None = None) 
             raise InvalidInputError("a 0-cochain is a mapping keyed by vertex id and a "
                                     "1-cochain a sequence aligned with the edges")
         if isinstance(cochain, Mapping):
-            if len(cochain) != len(cells) or any(v not in cochain for v in cells):
-                raise InvalidInputError(f"cochain keys differ from the vertex ids by "
-                                        f"{sorted(map(repr, set(cochain) ^ set(cells)))}")
-            cochain = [cochain[v] for v in cells]
+            cochain = _vertex_values(cochain, cells)
         cochain = list(cochain) or np.empty((0, n or 0, n or 0))
     try:
         stack = np.asarray(cochain, dtype=np.float64)
@@ -435,20 +441,20 @@ def holonomy_reps(sheaf: SheafGraph) -> list[np.ndarray]:
     return reps[0]
 
 
-def holonomy_fixed_space(reps: Sequence[np.ndarray], n: int | None = None,
-                         tol: float = NULL_TOL) -> np.ndarray:
+def holonomy_fixed_space(reps: Sequence[np.ndarray], n: int | None = None) -> np.ndarray:
     """Orthonormal basis of {A in Sym_n : rho A rho^T = A for all rho}.
 
-    Computed as the joint nullspace of the stacked conjugation-minus-identity
-    operators on symmetric-matrix coordinates. With no representatives the
-    whole of Sym_n is returned (n must then be given).
+    Computed as the joint nullspace, at the cutoff NULL_TOL, of the stacked
+    conjugation-minus-identity operators on symmetric-matrix coordinates.
+    With no representatives the whole of Sym_n is returned (n must then be
+    given).
     """
     reps = list(reps)
     if not reps:
         if n is None:
             raise InvalidInputError("n is required when the representation list is empty")
         return np.eye(sym_dim(n))
-    return _fixed_space(conj_operator(np.stack(reps)), tol)
+    return _fixed_space(conj_operator(np.stack(reps)), NULL_TOL)
 
 
 def section_space_summary(sheaf: SheafGraph, tol: float = NULL_TOL) -> dict:

@@ -15,7 +15,8 @@ bad matrix raises the error that matrix raises alone. Every spectral map
 
 The Lie group structure used throughout is the log-Euclidean one:
 ``group_op(P, Q) = exp(log P + log Q)`` with identity ``I`` and inverse
-``exp(-log P)``, which makes the SPD cone an abelian group.
+``exp(-log P)`` (``sym_exp(-spd_log(P))``), which makes the SPD cone an
+abelian group.
 """
 
 from __future__ import annotations
@@ -36,6 +37,13 @@ SYM_ATOL = 1e-12
 
 #: Maximum ||M^T M - I||_F for a matrix to count as orthogonal.
 ORTH_TOL = 1e-10
+
+#: Maximum distance of |M| from its rounding for a signed permutation.
+SIGNED_PERM_TOL = 1e-10
+
+#: Floor spacing of ``tg_re_eig``: a floored eigenvalue at descending position i
+#: becomes exp(i * RE_EIG_DELTA).
+RE_EIG_DELTA = 0.1
 
 # exp() overflows float64 slightly above this eigenvalue.
 _EXP_MAX = 700.0
@@ -102,11 +110,11 @@ def as_orth(M) -> np.ndarray:
     return M
 
 
-def is_signed_permutation(M, tol: float = 1e-10) -> bool | np.ndarray:
-    """True where M is a permutation matrix up to entry signs."""
+def is_signed_permutation(M) -> bool | np.ndarray:
+    """True where M is a permutation matrix up to entry signs (within SIGNED_PERM_TOL)."""
     A = np.abs(np.asarray(M, dtype=np.float64))
     R = np.round(A)
-    integral = np.max(np.abs(A - R), axis=(-2, -1)) <= tol
+    integral = np.max(np.abs(A - R), axis=(-2, -1)) <= SIGNED_PERM_TOL
     return _per_matrix(integral & np.all(R.sum(axis=-2) == 1, axis=-1)
                        & np.all(R.sum(axis=-1) == 1, axis=-1))
 
@@ -173,11 +181,6 @@ def group_op(P, Q) -> np.ndarray:
     """Abelian group operation ``exp(log P + log Q)``."""
     P, Q = _square_pair(P, Q)
     return sym_exp(spd_log(P) + spd_log(Q))
-
-
-def group_inv(P) -> np.ndarray:
-    """Group inverse ``exp(-log P)``."""
-    return sym_exp(-spd_log(P))
 
 
 # ---------------------------------------------------------------------------
@@ -284,18 +287,19 @@ def frechet_log(P, V) -> np.ndarray:
     return _sym_part(U @ (K * (Ut @ V @ U)) @ Ut)
 
 
-def tg_re_eig(P, delta: float = 0.1) -> np.ndarray:
+def tg_re_eig(P) -> np.ndarray:
     """Eigenvalue-domain nonlinearity flooring non-dominant eigenvalues.
 
     Eigenvalues with positive logarithm pass through; the others are replaced
-    by distinct floors ``exp(delta * i)`` where i is the 1-based index over
-    eigenvalues sorted descending. Accepts one matrix or a (..., n, n) stack.
+    by distinct floors ``exp(RE_EIG_DELTA * i)`` where i is the 1-based index
+    over eigenvalues sorted descending. Accepts one matrix or a (..., n, n)
+    stack.
     """
     w, V = sym_eig(P)
     if np.min(w, initial=np.inf) <= 0.0:
         raise DomainError("input is not positive definite")
     idx = np.arange(1, w.shape[-1] + 1, dtype=np.float64)
-    return _from_spectrum(np.where(np.log(w) > 0.0, w, np.exp(delta * idx)), V)
+    return _from_spectrum(np.where(np.log(w) > 0.0, w, np.exp(RE_EIG_DELTA * idx)), V)
 
 
 def erank(P) -> float | np.ndarray:
@@ -317,18 +321,18 @@ def _erank_of_spectra(w: np.ndarray) -> np.ndarray:
     return np.exp(-np.sum(plogp, axis=-1))
 
 
-def clamp_spd(S, eps: float = EIG_FLOOR) -> np.ndarray:
-    """Floor the eigenvalues of a symmetric matrix or stack at `eps`.
+def clamp_spd(S) -> np.ndarray:
+    """Floor the eigenvalues of a symmetric matrix or stack at EIG_FLOOR.
 
     Every matrix already SPD above the floor comes back unchanged (no
     reconstruction error).
     """
     S = _sym_part(_square_stack(S, "symmetric matrix"))
     w, V = np.linalg.eigh(S)
-    low = w[..., 0] < eps
+    low = w[..., 0] < EIG_FLOOR
     if not np.any(low):
         return S
-    return np.where(low[..., None, None], _from_spectrum(np.maximum(w, eps), V), S)
+    return np.where(low[..., None, None], _from_spectrum(np.maximum(w, EIG_FLOOR), V), S)
 
 
 def power_euclidean_mean(mats: Sequence[np.ndarray] | np.ndarray, theta: float) -> np.ndarray:

@@ -48,8 +48,8 @@ class PointCloud:
     """Vertex coordinates in R^3 plus an undirected edge list.
 
     The topology is one identity-map :class:`SheafGraph` with 3x3 stalks,
-    built and validated once: ``ids``, ``edges`` and ``index`` read from it,
-    and the stream swaps new maps into it instead of rebuilding it.
+    built and validated once: ``ids`` and ``edges`` read from it, and the
+    stream swaps new maps into it instead of rebuilding it.
     """
 
     __slots__ = ("points", "graph", "ids", "edges")
@@ -78,13 +78,6 @@ class PointCloud:
     @property
     def n_points(self) -> int:
         return self.points.shape[0]
-
-    def index(self, v) -> int:
-        return self.graph.vertex_index(v)
-
-    def neighbors(self, v):
-        """Neighbours of v, one per incident edge, in edge order."""
-        return [h if t == v else t for t, h in self.edges if v in (t, h)]
 
 
 def knn_edges(points, k: int = 3) -> list[tuple[int, int]]:
@@ -237,7 +230,7 @@ class LayerParams:
         return self.w_q.shape[0]
 
     @classmethod
-    def random(cls, n: int, rng=None, scale: float = 1.0) -> "LayerParams":
+    def random(cls, n: int, rng=None) -> "LayerParams":
         rng = np.random.default_rng(rng)
         feat = sym_dim(n)
         skew = n * (n - 1) // 2
@@ -245,8 +238,8 @@ class LayerParams:
             w_q=rng.normal(size=(n, n)),
             mlp_w1=rng.normal(size=(_HIDDEN, 2 * feat)) / math.sqrt(2 * feat),
             mlp_b1=rng.normal(size=_HIDDEN) * 0.1,
-            mlp_w2=rng.normal(size=(2 * skew, _HIDDEN)) * scale / math.sqrt(_HIDDEN),
-            mlp_b2=rng.normal(size=2 * skew) * 0.1 * scale,
+            mlp_w2=rng.normal(size=(2 * skew, _HIDDEN)) / math.sqrt(_HIDDEN),
+            mlp_b2=rng.normal(size=2 * skew) * 0.1,
         )
 
     @classmethod
@@ -475,7 +468,6 @@ def diffusion_run(pc: PointCloud, layers: int, seed: int,
 class ProbeResult:
     train_accuracy: float
     test_accuracy: float
-    weights: np.ndarray
 
 
 def linear_probe(train_x, train_y, test_x, test_y) -> ProbeResult:
@@ -511,7 +503,7 @@ def linear_probe(train_x, train_y, test_x, test_y) -> ProbeResult:
     def acc(M, labels):
         return float(np.mean(((M @ w) > 0).astype(float) == labels))
 
-    return ProbeResult(train_accuracy=acc(Z, y), test_accuracy=acc(Zt, yt), weights=w)
+    return ProbeResult(train_accuracy=acc(Z, y), test_accuracy=acc(Zt, yt))
 
 
 # ---------------------------------------------------------------------------

@@ -11,9 +11,7 @@ import pytest
 
 from spdsheaf import jsonio, verify
 from spdsheaf.cli import main
-from spdsheaf.covgraph import Segment
 from spdsheaf.stream import (
-    PointCloud,
     canonicalize,
     diffusion_run,
     geometric_graph,
@@ -23,13 +21,24 @@ from spdsheaf.stream import (
 from spdsheaf.verify import random_sheaf
 
 
+def _write_json(path, obj):
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(obj, fh)
+
+
+def _write_cloud(path, points, edges, ids=None):
+    """A point-cloud file in the documented schema."""
+    ids = range(len(points)) if ids is None else ids
+    _write_json(path, {"vertices": [{"id": v, "xyz": p} for v, p in zip(ids, points.tolist())],
+                       "edges": [list(e) for e in edges]})
+
+
 @pytest.fixture()
 def cloud_file(tmp_path):
     rng = np.random.default_rng(38)
     pts = rng.normal(scale=0.7, size=(10, 3))
-    pc = PointCloud(pts, geometric_graph(pts, radius=0.8))
     path = str(tmp_path / "cloud.json")
-    jsonio.cloud_to_json(pc, path=path)
+    _write_cloud(path, pts, geometric_graph(pts, radius=0.8))
     return path
 
 
@@ -44,10 +53,10 @@ def sheaf_file(tmp_path):
 @pytest.fixture()
 def segments_file(tmp_path):
     rng = np.random.default_rng(1)
-    segs = [Segment(rng.normal(size=(3, 30)), t_mid=0.2 * (i // 2), f_mid=(10.0, 20.0)[i % 2])
-            for i in range(6)]
+    segs = [{"t_mid": 0.2 * (i // 2), "f_mid": (10.0, 20.0)[i % 2],
+             "data": rng.normal(size=(3, 30)).tolist()} for i in range(6)]
     path = str(tmp_path / "segments.json")
-    jsonio.segments_to_json(segs, path=path)
+    _write_json(path, {"segments": segs})
     return path
 
 
@@ -174,8 +183,7 @@ def test_cochain_outputs_keep_string_ids_in_file_order(tmp_path, capsys):
     ids = ["c", "a", "b"]
     pts = np.random.default_rng(40).normal(size=(3, 3))
     path = str(tmp_path / "cloud.json")
-    jsonio.cloud_to_json(PointCloud(pts, [("c", "a"), ("a", "b"), ("b", "c")], ids=ids),
-                         path=path)
+    _write_cloud(path, pts, [("c", "a"), ("a", "b"), ("b", "c")], ids=ids)
     pc = jsonio.load_cloud(path)
     expected = {
         "lift": lift_coordinates(pc),
@@ -333,6 +341,10 @@ _MALFORMED = {
     "covgraph_nan_bandwidth": (["covgraph", "INPUT", *_covgraph_nan("--bandwidth")],
                                _segments_obj()),
     "covgraph_nan_eps1": (["covgraph", "INPUT", *_covgraph_nan("--eps1")], _segments_obj()),
+    "covgraph_nan_shrinkage": (["covgraph", "INPUT", *_COVGRAPH, "--shrinkage", "nan"],
+                               _segments_obj()),
+    "covgraph_overflowing_data": (["covgraph", "INPUT", *_COVGRAPH],
+                                  _segments_obj(data=[[1e200, 0.0], [0.0, 1e200]])),
 }
 _MESSAGES = {"duplicate_ids_lift": "duplicate vertex ids",
              "duplicate_ids_diffuse": "duplicate vertex ids",
@@ -349,7 +361,8 @@ _MESSAGES = {"duplicate_ids_lift": "duplicate vertex ids",
              "sections_tol_one": "tolerance", "lift_negative_eps_spd": "eps_spd",
              "lift_nan_eps_spd": "eps_spd", "lift_nan_eps_dir": "eps_dir",
              "covgraph_nan_eps": "eps and bandwidth", "covgraph_nan_bandwidth": "eps and bandwidth",
-             "covgraph_nan_eps1": "window widths",
+             "covgraph_nan_eps1": "window widths", "covgraph_nan_shrinkage": "shrinkage",
+             "covgraph_overflowing_data": "too large",
              "config_tolerances_key": "'tolerances'", "config_misspelt_key": "'n_instanes'",
              "config_check_not_a_string": "check names",
              "config_unknown_check": "'indx'", "config_checks_empty": "nonempty"}

@@ -1,5 +1,7 @@
 """Time-frequency covariance graph construction against brute force."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -67,6 +69,23 @@ def test_segment_covariance_sample_normalization():
     seg = Segment([[1.0, 2.0]], t_mid=0.0, f_mid=1.0)
     np.testing.assert_allclose(segment_covariance(seg, 0.0, normalize_samples=True),
                                [[2.5]], atol=1e-14)
+
+
+@pytest.mark.parametrize("shrinkage", [-1e-3, math.nan, math.inf])
+def test_shrinkage_has_one_check(shrinkage):
+    seg = Segment([[1.0, 2.0]], t_mid=0.0, f_mid=1.0)
+    with pytest.raises(InvalidInputError, match="shrinkage must be finite and nonnegative"):
+        segment_covariance(seg, shrinkage)
+    with pytest.raises(InvalidInputError, match="shrinkage must be finite and nonnegative"):
+        TFGraphConfig(eps1=1.0, eps2=1.0, eps=1.0, bandwidth=1.0, shrinkage=shrinkage)
+
+
+@pytest.mark.parametrize("normalize_samples", [False, True])
+def test_segment_covariance_rejects_overflowing_data(normalize_samples):
+    # X X^T overflows to inf, and shrinkage turns its off-diagonal zeros into NaN
+    seg = Segment([[1e200, 0.0], [0.0, 1e200]], t_mid=0.0, f_mid=1.0)
+    with pytest.raises(InvalidInputError, match="too large"):
+        segment_covariance(seg, 1e-3, normalize_samples)
 
 
 # ---------------------------------------------------------------------------

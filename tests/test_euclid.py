@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import spdsheaf as s
+from spdsheaf import euclid
 from spdsheaf.errors import InvalidInputError, NotApplicableError
 from spdsheaf.euclid import EuclidSheaf, vec_cochain_from_vec
 from spdsheaf.verify import (
@@ -25,31 +26,20 @@ def identity_path(n, k):
 # coboundary and sections
 
 
-def test_euclid_coboundary_examples():
-    sheaf = identity_path(3, 3)
-    x = {v: np.array([1.0, 2.0, 3.0]) for v in sheaf.vertices}
-    for r in s.euclid_coboundary(sheaf, x):
-        np.testing.assert_allclose(r, np.zeros(3), atol=1e-14)
-
-    single = identity_path(3, 2)
-    out = s.euclid_coboundary(single, {0: np.array([1.0, 0, 0]), 1: np.zeros(3)})
-    np.testing.assert_allclose(out[0], [1.0, 0, 0], atol=1e-14)
-
-
 def test_euclid_coboundary_rejects_non_finite_values():
     sheaf = identity_path(2, 2)
     for bad in (np.nan, np.inf):
         with pytest.raises(InvalidInputError, match="non-finite"):
-            s.euclid_coboundary(sheaf, {0: [bad, 0.0], 1: [0.0, 0.0]})
+            s.check_kernel_correspondence(sheaf, {0: [bad, 0.0], 1: [0.0, 0.0]})
 
 
 def test_euclid_coboundary_rejects_unknown_vertex_keys():
     sheaf = identity_path(2, 2)
     x = {0: [1.0, 0.0], 1: [0.0, 0.0]}
     with pytest.raises(InvalidInputError, match="'x'"):
-        s.euclid_coboundary(sheaf, {**x, "x": [0.0, 0.0]})
+        s.check_kernel_correspondence(sheaf, {**x, "x": [0.0, 0.0]})
     with pytest.raises(InvalidInputError, match="keys differ"):
-        s.euclid_coboundary(sheaf, {0: x[0]})
+        s.check_kernel_correspondence(sheaf, {0: x[0]})
 
 
 def test_euclid_coboundary_matches_matrix():
@@ -57,10 +47,9 @@ def test_euclid_coboundary_matches_matrix():
     sheaf = random_euclid_sheaf(3, 6, 2, rng)
     x = {v: rng.normal(size=3) for v in sheaf.vertices}
     B = _oracle_euclid_operator(sheaf)
-    flat = np.concatenate([x[v] for v in sheaf.vertices])
-    lhs = B @ flat
-    rhs = np.concatenate(s.euclid_coboundary(sheaf, x))
-    np.testing.assert_allclose(lhs, rhs, atol=1e-12)
+    vals = euclid._check_vec_cochain(sheaf, x)
+    rhs = euclid._vec_coboundary(sheaf, vals, sheaf._tail_maps, sheaf._head_maps)
+    np.testing.assert_allclose(B @ vals.ravel(), rhs.ravel(), atol=1e-12)
 
 
 def test_euclid_sections_dimensions():
@@ -81,29 +70,27 @@ def test_euclid_sections_rejects_tolerance_outside_unit_interval(tol):
 
 
 def test_embed_phi_spectrum():
-    np.testing.assert_allclose(s.embed_phi(np.zeros(3), 1e-4), 1e-4 * np.eye(3),
+    np.testing.assert_allclose(s.embed_phi(np.zeros(3)), 1e-4 * np.eye(3),
                                atol=1e-18)
-    P = s.embed_phi(np.array([1.0, 0.0, 0.0]), 1e-4)
+    P = s.embed_phi(np.array([1.0, 0.0, 0.0]))
     np.testing.assert_allclose(P, np.diag([1 + 1e-4, 1e-4, 1e-4]), atol=1e-15)
     x = np.array([0.3, -0.8, 0.52])
-    w = np.sort(np.linalg.eigvalsh(s.embed_phi(x, 1e-4)))[::-1]
+    w = np.sort(np.linalg.eigvalsh(s.embed_phi(x)))[::-1]
     np.testing.assert_allclose(w[0], x @ x + 1e-4, atol=1e-12)
     np.testing.assert_allclose(w[1:], [1e-4, 1e-4], atol=1e-15)
-    with pytest.raises(InvalidInputError):
-        s.embed_phi(x, 0.0)
     X = np.random.default_rng(3).normal(size=(2, 4, 3))
-    out = s.embed_phi(X, 1e-4)
+    out = s.embed_phi(X)
     assert out.shape == (2, 4, 3, 3)
     for idx in np.ndindex(2, 4):
-        assert np.array_equal(out[idx], s.embed_phi(X[idx], 1e-4))
+        assert np.array_equal(out[idx], s.embed_phi(X[idx]))
     # the last axis is the vector: an (n, 1) column is n one-vectors
     col = np.array([[1.0], [-2.0], [3.0]])
-    assert np.array_equal(s.embed_phi(col, 1e-4), (col ** 2 + 1e-4)[..., None])
+    assert np.array_equal(s.embed_phi(col), (col ** 2 + 1e-4)[..., None])
 
 
 def test_embed_phi_erank_near_one():
     x = np.array([1.0, 0.0, 0.0])
-    assert s.erank(s.embed_phi(x, 1e-4)) <= 1.05
+    assert s.erank(s.embed_phi(x)) <= 1.05
 
 
 def test_embedding_equivariance():
@@ -218,7 +205,7 @@ def test_witness_outside_embedding_image():
     rng = np.random.default_rng(7)
     for _ in range(20):
         x = rng.normal(size=3)
-        w = np.sort(np.linalg.eigvalsh(s.embed_phi(x, 1e-4)))
+        w = np.sort(np.linalg.eigvalsh(s.embed_phi(x)))
         distinct = 1 + int(np.sum(np.diff(w) > 1e-8))
         assert distinct <= 2
 

@@ -54,21 +54,24 @@ def test_cochain_round_trip(tmp_path):
 
 def test_cloud_round_trip(tmp_path):
     rng = np.random.default_rng(3)
-    pc = PointCloud(rng.normal(size=(6, 3)), [(0, 1), (2, 5)])
+    pts = rng.normal(size=(6, 3))
     path = str(tmp_path / "cloud.json")
-    jsonio.cloud_to_json(pc, path=path)
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump({"vertices": [{"id": i, "xyz": p} for i, p in enumerate(pts.tolist())],
+                   "edges": [[0, 1], [2, 5]]}, fh)
     loaded = jsonio.load_cloud(path)
-    np.testing.assert_allclose(loaded.points, pc.points, atol=1e-15)
-    assert loaded.edges == pc.edges
+    np.testing.assert_array_equal(loaded.points, pts)
+    assert loaded.edges == ((0, 1), (2, 5))
 
 
 def test_segments_round_trip(tmp_path):
     rng = np.random.default_rng(4)
-    segs = [Segment(rng.normal(size=(2, 10)), 0.5, 12.0)]
+    data = rng.normal(size=(2, 10))
     path = str(tmp_path / "segments.json")
-    jsonio.segments_to_json(segs, path=path)
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump({"segments": [{"t_mid": 0.5, "f_mid": 12.0, "data": data.tolist()}]}, fh)
     loaded = jsonio.load_segments(path)
-    np.testing.assert_allclose(loaded[0].data, segs[0].data, atol=1e-15)
+    np.testing.assert_array_equal(loaded[0].data, data)
     assert loaded[0].t_mid == 0.5 and loaded[0].f_mid == 12.0
 
 

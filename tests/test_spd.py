@@ -91,8 +91,9 @@ def test_group_identity_and_inverse():
     rng = np.random.default_rng(1)
     P = random_spd(3, rng)
     np.testing.assert_allclose(s.group_op(P, np.eye(3)), P, atol=1e-11)
-    np.testing.assert_allclose(s.group_op(P, s.group_inv(P)), np.eye(3), atol=1e-9)
-    np.testing.assert_allclose(s.group_inv(np.diag([2.0, 0.5])), np.diag([0.5, 2.0]),
+    # the inverse is exp(-log P)
+    np.testing.assert_allclose(s.group_op(P, s.sym_exp(-s.spd_log(P))), np.eye(3), atol=1e-9)
+    np.testing.assert_allclose(s.sym_exp(-s.spd_log(np.diag([2.0, 0.5]))), np.diag([0.5, 2.0]),
                                atol=1e-12)
 
 
@@ -359,20 +360,20 @@ def test_erank_examples():
 
 
 def test_clamp_spd():
-    out = s.clamp_spd(np.diag([1.0, -0.5]), 1e-4)
+    out = s.clamp_spd(np.diag([1.0, -0.5]))
     np.testing.assert_allclose(out, np.diag([1.0, 1e-4]), atol=1e-15)
     P = np.diag([2.0, 3.0])
-    assert s.clamp_spd(P, 1e-4) is not P
-    np.testing.assert_allclose(s.clamp_spd(P, 1e-4), P)  # exact when above floor
+    assert s.clamp_spd(P) is not P
+    np.testing.assert_allclose(s.clamp_spd(P), P)  # exact when above floor
     rng = np.random.default_rng(15)
     S = random_sym(4, rng)
-    w = np.linalg.eigvalsh(s.clamp_spd(S, 1e-4))
+    w = np.linalg.eigvalsh(s.clamp_spd(S))
     assert w.min() >= 1e-4 - 1e-15
     # in a stack, only the matrices below the floor are rebuilt
     Q = random_spd(4, rng)
-    out = s.clamp_spd(np.stack([Q, S, Q]), 1e-4)
-    assert np.array_equal(out[0], s.clamp_spd(Q, 1e-4)) and np.array_equal(out[2], out[0])
-    np.testing.assert_allclose(out[1], s.clamp_spd(S, 1e-4), rtol=0, atol=1e-15)
+    out = s.clamp_spd(np.stack([Q, S, Q]))
+    assert np.array_equal(out[0], s.clamp_spd(Q)) and np.array_equal(out[2], out[0])
+    np.testing.assert_allclose(out[1], s.clamp_spd(S), rtol=0, atol=1e-15)
 
 
 # ---------------------------------------------------------------------------
@@ -431,9 +432,9 @@ def test_conj_operator_and_tg_re_eig_take_stacks():
     for k in range(5):
         assert np.array_equal(C[k, 0], s.conj_operator(Ms[k, 0]))
     Ps = np.stack([random_spd(3, rng, spread=100.0) for _ in range(6)])
-    out = s.tg_re_eig(Ps, 0.2)
+    out = s.tg_re_eig(Ps)
     for k in range(6):
-        np.testing.assert_allclose(out[k], s.tg_re_eig(Ps[k], 0.2), rtol=0, atol=1e-12)
+        np.testing.assert_allclose(out[k], s.tg_re_eig(Ps[k]), rtol=0, atol=1e-12)
     with pytest.raises(DomainError):
         s.tg_re_eig(np.stack([np.eye(3), -np.eye(3)]))
 
@@ -459,7 +460,6 @@ _STACK_CASES = {
     "spd_power": (lambda P: s.spd_power(P, 0.37), "spd", _SPD_ERRORS),
     "tg_re_eig": (s.tg_re_eig, "spd", _SPD_ERRORS),
     "group_op": (lambda P: s.group_op(P, _fixed(P)), "spd", _SPD_ERRORS),
-    "group_inv": (s.group_inv, "spd", _SPD_ERRORS),
     "dist_airm": (lambda X: s.dist_airm(X, _fixed(X)), "spd", _SPD_ERRORS),
     "dist_lem": (lambda X: s.dist_lem(X, _fixed(X)), "spd", _SPD_ERRORS),
     "pairing": (lambda X: s.pairing(X, _fixed(X)), "spd", _SPD_ERRORS),

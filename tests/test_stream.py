@@ -1,5 +1,7 @@
 """Geometric stream: lifting, frames, layers, pooling, probe machinery."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -99,21 +101,9 @@ def test_canonicalized_lift_rotation_invariant():
             assert np.max(np.abs(out[v] - base[v])) <= 1e-8
 
 
-def test_neighbors_match_edge_scan():
-    rng = np.random.default_rng(23)
-    pts = rng.normal(size=(12, 3))
-    edges = knn_edges(pts, k=3) + [(5, 2), (0, 11), (2, 5)]  # parallel edges kept
-    pc = PointCloud(pts, edges)
-    for v in pc.ids:
-        expected = [h if t == v else t for t, h in edges if v in (t, h)]
-        assert pc.neighbors(v) == expected
-    assert pc.neighbors(99) == []
-
-
 def test_cloud_topology_is_one_graph(monkeypatch):
     pc = cloud(28, n=12)
     assert pc.ids == pc.graph.vertices and pc.edges == pc.graph.edges
-    assert all(pc.index(v) == i for i, v in enumerate(pc.ids))
     builds = []
     init = sheaf_module._OrthGraph.__init__
 
@@ -214,7 +204,9 @@ def test_sheaf_learner_independent_heads():
 
 def test_sheaf_learner_stack_matches_rows():
     rng = np.random.default_rng(24)
-    params = LayerParams.random(3, rng=rng, scale=3.0)
+    params = LayerParams.random(3, rng=rng)
+    # larger output weights take the maps far from the identity
+    params = dataclasses.replace(params, mlp_w2=3.0 * params.mlp_w2, mlp_b2=3.0 * params.mlp_b2)
     H_u, H_v = rng.normal(size=(2, 9, 6))
     Mt, Mh = s.sheaf_learner(params, H_u, H_v)
     assert Mt.shape == Mh.shape == (9, 3, 3)
