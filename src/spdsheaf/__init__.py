@@ -76,7 +76,6 @@ from .spd import (  # noqa: E402
     sym_eig,
     sym_exp,
     sym_to_vec,
-    tg_re_eig,
     vec_to_sym,
 )
 from .sheaf import (  # noqa: E402

@@ -18,7 +18,7 @@ import numpy as np
 from . import THREAD_ENV, jsonio, thread_cap, verify
 from .covgraph import TFGraphConfig, build_tf_graph
 from .errors import DomainError, InvalidInputError, NotApplicableError, ParseError
-from .sheaf import section_space_summary, sym_dim
+from .sheaf import NULL_TOL, section_space_summary, sym_dim
 from .stream import (
     canonicalize,
     diffusion_run,
@@ -214,7 +214,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sections", help="kernel basis, index and holonomy of a sheaf file")
     p.add_argument("sheaf", help="sheaf JSON file")
-    p.add_argument("--tol", type=float, default=1e-8)
+    p.add_argument("--tol", type=float, default=NULL_TOL)
     p.add_argument("--out", help="write the report here instead of stdout")
     p.set_defaults(func=cmd_sections)
 

@@ -41,8 +41,8 @@ ORTH_TOL = 1e-10
 #: Maximum distance of |M| from its rounding for a signed permutation.
 SIGNED_PERM_TOL = 1e-10
 
-#: Floor spacing of ``tg_re_eig``: a floored eigenvalue at descending position i
-#: becomes exp(i * RE_EIG_DELTA).
+#: Floor spacing of the stream layer's ReEig: a floored log eigenvalue at
+#: descending position i becomes i * RE_EIG_DELTA.
 RE_EIG_DELTA = 0.1
 
 # exp() overflows float64 slightly above this eigenvalue.
@@ -285,21 +285,6 @@ def frechet_log(P, V) -> np.ndarray:
     K = np.where(np.abs(gap) <= 1e-8 * np.maximum(wi, wj), 1.0 / wi, K)
     Ut = np.swapaxes(U, -1, -2)
     return _sym_part(U @ (K * (Ut @ V @ U)) @ Ut)
-
-
-def tg_re_eig(P) -> np.ndarray:
-    """Eigenvalue-domain nonlinearity flooring non-dominant eigenvalues.
-
-    Eigenvalues with positive logarithm pass through; the others are replaced
-    by distinct floors ``exp(RE_EIG_DELTA * i)`` where i is the 1-based index
-    over eigenvalues sorted descending. Accepts one matrix or a (..., n, n)
-    stack.
-    """
-    w, V = sym_eig(P)
-    if np.min(w, initial=np.inf) <= 0.0:
-        raise DomainError("input is not positive definite")
-    idx = np.arange(1, w.shape[-1] + 1, dtype=np.float64)
-    return _from_spectrum(np.where(np.log(w) > 0.0, w, np.exp(RE_EIG_DELTA * idx)), V)
 
 
 def erank(P) -> float | np.ndarray:

@@ -10,8 +10,8 @@ parameters are evaluated at seeded random values; the only trained component
 is a convex logistic readout on pooled descriptors.
 
 A stream cochain is one (|V|, 3, 3) array whose rows follow ``pc.ids``:
-lifting, canonicalization, the layers, the rank trace, pooling and the
-diffusion runs all take and return such stacks.
+lifting, canonicalization, the rank trace, pooling and the diffusion runs
+take and return SPD stacks, and the convolution layer stacks of logarithms.
 """
 
 from __future__ import annotations
@@ -25,7 +25,9 @@ import numpy as np
 from .errors import DomainError, InvalidInputError
 from .sheaf import SheafGraph, _cochain_stack, _log_update, diffusion_step
 from .spd import (
+    RE_EIG_DELTA,
     _erank_of_spectra,
+    _from_spectrum,
     as_sym,
     cayley,
     power_euclidean_mean,
@@ -34,7 +36,6 @@ from .spd import (
     sym_dim,
     sym_exp,
     sym_to_vec,
-    tg_re_eig,
 )
 
 # Pairs per block of the minimum pairwise distance: a block holds
@@ -304,26 +305,28 @@ def sheaf_learner(params: LayerParams, h_u, h_v) -> tuple[np.ndarray, np.ndarray
 # the convolution layer
 
 
-def spd_sheaf_layer(pc: PointCloud, sigma: np.ndarray, params: LayerParams) -> np.ndarray:
-    """One SPD sheaf convolution layer on a (|V|, 3, 3) stack; returns the new stack.
+def spd_sheaf_layer(pc: PointCloud, logs: np.ndarray, params: LayerParams) -> np.ndarray:
+    """One SPD sheaf convolution layer on a (|V|, 3, 3) stack of logs; returns
+    the new log stack.
 
-    Steps: conjugate states by the learnable isometry, regenerate restriction
-    maps from current log-domain features, add the per-vertex log-Laplacian
-    update (eigenvalues normalized to [-1, 1]), exponentiate the residual sum
-    and apply the eigenvalue floor nonlinearity ``tg_re_eig`` at delta = 0.1.
-    The logs of the input states serve both as the node features and as the
-    residual base. The learned maps replace the identity maps of ``pc.graph``
-    on the same vertex and edge arrays.
+    Steps: regenerate restriction maps from the input logs as node features,
+    add the per-vertex log-Laplacian update (eigenvalues normalized to
+    [-1, 1]) of the logs conjugated by the orthogonal isometry Q (``Q log X
+    Q^T = log(Q X Q^T)``), and floor the log spectrum of the sum (ReEig): a
+    log eigenvalue w > 0 passes, any other becomes ``RE_EIG_DELTA * i`` for
+    its 1-based descending position i. The learned maps replace the identity
+    maps of ``pc.graph``. The input must be finite and symmetric; a mapping
+    keyed by vertex id is accepted too.
     """
     graph = pc.graph
-    stack = _cochain_stack(sigma, graph.vertices)
-    logs = spd_log(stack)
+    logs = as_sym(_cochain_stack(logs, graph.vertices))
     feats = sym_to_vec(logs)
     sheaf = graph._with_maps(*sheaf_learner(params, feats[graph._tails], feats[graph._heads]))
 
     Q = params.isometry
-    delta = _log_update(sheaf, spd_log(Q @ stack @ Q.T))
-    return tg_re_eig(sym_exp(logs + delta))
+    w, V = np.linalg.eigh(logs + _log_update(sheaf, Q @ logs @ Q.T))
+    # eigh sorts ascending, so the last eigenvalue has descending position 1
+    return _from_spectrum(np.where(w > 0.0, w, RE_EIG_DELTA * np.arange(w.shape[-1], 0, -1)), V)
 
 
 # ---------------------------------------------------------------------------
@@ -400,10 +403,12 @@ def rank_trace(cochains: Sequence[np.ndarray]) -> RankTrace:
 
 def run_layers(pc: PointCloud, sigma0: np.ndarray,
                params_list: Sequence[LayerParams]) -> tuple[np.ndarray, RankTrace]:
-    """Apply a stack of convolution layers, collecting the trace."""
+    """Apply a stack of convolution layers to an SPD stack, collecting the trace."""
+    logs = spd_log(sigma0)
     states = [sigma0]
     for params in params_list:
-        states.append(spd_sheaf_layer(pc, states[-1], params))
+        logs = spd_sheaf_layer(pc, logs, params)
+        states.append(sym_exp(logs))
     return states[-1], rank_trace(states)
 
 
@@ -427,9 +432,10 @@ def geometric_descriptor(pc: PointCloud, params_list: Sequence[LayerParams],
     if frame_invariant:
         frames, _ = local_frame(pc)
         sigma = canonicalize(sigma, frames)
+    logs = spd_log(sigma)
     for params in params_list:
-        sigma = spd_sheaf_layer(pc, sigma, params)
-    return pooled_descriptor(sigma)
+        logs = spd_sheaf_layer(pc, logs, params)
+    return pooled_descriptor(sym_exp(logs))
 
 
 # ---------------------------------------------------------------------------

@@ -32,6 +32,7 @@ import numpy as np
 
 from .errors import InvalidInputError
 from .euclid import (
+    SECTION_TOL,
     EuclidSheaf,
     check_kernel_correspondence,
     matched_spd_sheaf,
@@ -61,7 +62,7 @@ TOLERANCES = {
     "hodge": 1e-7,
     "index": 0.0,
     "holonomy": 0.0,
-    "correspondence": 1e-7,
+    "correspondence": SECTION_TOL,
 }
 
 # The suite's adversarial-spread Green instances (eigenvalue ratio 1e3) are
@@ -234,12 +235,20 @@ def _oracle_euclid_operator(sheaf: EuclidSheaf) -> np.ndarray:
     return _oracle_incidence(sheaf, sheaf.maps, sheaf.n_stalk)
 
 
+def _oracle_rank(s: np.ndarray, tol: float = 1e-8) -> int:
+    """Number of the descending singular values ``s`` above ``tol * s[0]``."""
+    return int(np.sum(s > tol * s[0])) if s.size and s[0] > 0 else 0
+
+
 def _oracle_nullity(A: np.ndarray, tol: float = 1e-8) -> int:
     if A.shape[0] == 0:
         return A.shape[1]
-    s = np.linalg.svd(A, compute_uv=False)
-    rank = int(np.sum(s > tol * s[0])) if s.size and s[0] > 0 else 0
-    return A.shape[1] - rank
+    return A.shape[1] - _oracle_rank(np.linalg.svd(A, compute_uv=False), tol)
+
+
+def _nontrivial_holonomy(reps, n: int) -> bool:
+    """Whether some holonomy representative lies more than 1e-8 from I_n."""
+    return any(np.linalg.norm(r - np.eye(n)) > 1e-8 for r in reps)
 
 
 # ---------------------------------------------------------------------------
@@ -360,8 +369,7 @@ def oracle_correspondence(esheaf: EuclidSheaf, seed: int = 0) -> Verdict:
         basis = np.eye(Be.shape[1])
     else:
         _, s, Vh = np.linalg.svd(Be)
-        rank = int(np.sum(s > 1e-8 * s[0])) if s.size and s[0] > 0 else 0
-        basis = Vh[rank:].T
+        basis = Vh[_oracle_rank(s):].T
     residuals = []
     trials = basis.shape[1]
     I = np.eye(esheaf.n_stalk)
@@ -372,8 +380,7 @@ def oracle_correspondence(esheaf: EuclidSheaf, seed: int = 0) -> Verdict:
         if report.converse_mode == "entrywise" and report.converse_max_residual is not None:
             residuals.append(report.converse_max_residual)
     if esheaf.n_stalk >= 3:
-        reps = holonomy_reps(ssheaf)
-        if all(np.linalg.norm(r - I) <= 1e-8 for r in reps):
+        if not _nontrivial_holonomy(holonomy_reps(ssheaf), esheaf.n_stalk):
             witness = strictness_witness(ssheaf)
             residuals.append(dist_lem(coboundary(ssheaf, witness), I))
             # eigvalsh sorts ascending; a value with <= 2 distinct eigenvalues fails
@@ -509,8 +516,7 @@ def _run_check(config: SuiteConfig, check: str) -> Verdict:
             n, nv, _ = _instance_sizes(config, rng)
             extra = 2 if i < max(30, 3 * quota) else 0
             sheaf = random_sheaf(n, nv, extra, rng, connected=True)
-            reps = holonomy_reps(sheaf)
-            if any(np.linalg.norm(r - np.eye(n)) > 1e-8 for r in reps):
+            if _nontrivial_holonomy(holonomy_reps(sheaf), n):
                 nontrivial += 1
             fold(oracle_holonomy(sheaf, seed=seed), sheaf)
         if nontrivial < quota:

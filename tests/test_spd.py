@@ -340,15 +340,6 @@ def test_frechet_log_matches_central_differences(gap):
 # eigenvalue-domain maps
 
 
-def test_tg_re_eig_examples():
-    np.testing.assert_allclose(s.tg_re_eig(np.diag([2.0, 3.0])), np.diag([2.0, 3.0]),
-                               atol=1e-12)
-    out = np.sort(np.linalg.eigvalsh(s.tg_re_eig(np.diag([0.5, 0.1]))))
-    np.testing.assert_allclose(out, sorted([math.exp(0.1), math.exp(0.2)]), atol=1e-12)
-    out = np.sort(np.linalg.eigvalsh(s.tg_re_eig(np.diag([3.0, 0.5]))))
-    np.testing.assert_allclose(out, sorted([3.0, math.exp(0.2)]), atol=1e-12)
-
-
 def test_erank_examples():
     assert abs(s.erank(np.eye(3)) - 3.0) <= 1e-12
     lam = 1.0
@@ -424,19 +415,13 @@ def test_validated_constructors():
         s.as_orth(np.diag([2.0, 1.0]))
 
 
-def test_conj_operator_and_tg_re_eig_take_stacks():
+def test_conj_operator_takes_stacks():
     rng = np.random.default_rng(18)
     Ms = np.stack([random_orthogonal(3, rng) for _ in range(5)]).reshape(5, 1, 3, 3)
     C = s.conj_operator(Ms)
     assert C.shape == (5, 1, 6, 6)
     for k in range(5):
         assert np.array_equal(C[k, 0], s.conj_operator(Ms[k, 0]))
-    Ps = np.stack([random_spd(3, rng, spread=100.0) for _ in range(6)])
-    out = s.tg_re_eig(Ps)
-    for k in range(6):
-        np.testing.assert_allclose(out[k], s.tg_re_eig(Ps[k]), rtol=0, atol=1e-12)
-    with pytest.raises(DomainError):
-        s.tg_re_eig(np.stack([np.eye(3), -np.eye(3)]))
 
 
 def _fixed(X):
@@ -458,7 +443,6 @@ _STACK_CASES = {
     "as_orth": (s.as_orth, "orth", _ORTH_ERRORS),
     "is_signed_permutation": (spd_module.is_signed_permutation, "orth", {}),
     "spd_power": (lambda P: s.spd_power(P, 0.37), "spd", _SPD_ERRORS),
-    "tg_re_eig": (s.tg_re_eig, "spd", _SPD_ERRORS),
     "group_op": (lambda P: s.group_op(P, _fixed(P)), "spd", _SPD_ERRORS),
     "dist_airm": (lambda X: s.dist_airm(X, _fixed(X)), "spd", _SPD_ERRORS),
     "dist_lem": (lambda X: s.dist_lem(X, _fixed(X)), "spd", _SPD_ERRORS),

@@ -1,6 +1,7 @@
 """Geometric stream: lifting, frames, layers, pooling, probe machinery."""
 
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -234,14 +235,64 @@ def test_sheaf_learner_rejects_mismatched_stacks(h_u, h_v):
 # convolution layer
 
 
+def _re_eig_log(P):
+    """Reference ReEig in the SPD domain, then the log: an eigenvalue of P that
+    is at most 1 becomes exp(0.1 i), i its 1-based position in descending order."""
+    w, V = np.linalg.eigh(P)
+    w, V = w[::-1], V[:, ::-1]
+    w = np.where(w > 1.0, w, np.exp(0.1 * np.arange(1, w.size + 1)))
+    return (V * np.log(w)) @ V.T
+
+
 def test_layer_identity_params_global_section():
+    # identity maps and isometry make a constant cochain a global section,
+    # so the update is exactly 0 and the layer is ReEig alone
     pc = cloud(9)
     P = random_spd(3, np.random.default_rng(10))
-    sigma = {v: P.copy() for v in pc.ids}
-    out = s.spd_sheaf_layer(pc, sigma, LayerParams.identity(3))
-    expected = s.tg_re_eig(P)
-    for v in pc.ids:
-        np.testing.assert_allclose(out[v], expected, atol=1e-9)
+    logs = {v: s.spd_log(P) for v in pc.ids}
+    out = s.spd_sheaf_layer(pc, logs, LayerParams.identity(3))
+    assert out.shape == (len(pc.ids), 3, 3)
+    for row in out:
+        np.testing.assert_allclose(row, _re_eig_log(P), atol=1e-9)
+
+
+def test_layer_re_eig_floor_examples():
+    # a log eigenvalue <= 0 at descending position i becomes 0.1 i; a positive
+    # one passes even below its floor
+    pc = cloud(9)
+    for spectrum, floored in [([1.1, 3.0, 4.0], np.log([1.1, 3.0, 4.0])),
+                              ([0.5, 0.1, 0.2], [0.1, 0.3, 0.2]),
+                              ([3.0, 0.5, 1.0], [math.log(3.0), 0.3, 0.2])]:
+        logs = np.broadcast_to(np.diag(np.log(spectrum)), (len(pc.ids), 3, 3))
+        out = s.spd_sheaf_layer(pc, logs, LayerParams.identity(3))
+        for row in out:
+            np.testing.assert_allclose(row, np.diag(floored), atol=1e-12)
+
+
+def test_layer_makes_one_eigh_and_one_eigvalsh(monkeypatch):
+    pc = cloud(19, n=8)
+    params = LayerParams.random(3, rng=np.random.default_rng(20))
+    logs = s.spd_log(s.lift_coordinates(pc))
+    calls = {"eigh": 0, "eigvalsh": 0}
+    for name in calls:
+        def counted(*args, _name=name, _fn=getattr(np.linalg, name), **kwargs):
+            calls[_name] += 1
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(np.linalg, name, counted)
+    s.spd_sheaf_layer(pc, logs, params)
+    assert calls == {"eigh": 1, "eigvalsh": 1}
+
+
+@pytest.mark.parametrize("bad", ["asymmetric", "nan"])
+def test_layer_rejects_asymmetric_or_nan_logs(bad):
+    pc = cloud(21, n=6)
+    logs = s.spd_log(s.lift_coordinates(pc))
+    if bad == "asymmetric":
+        logs[2, 0, 1] += 1e-6
+    else:
+        logs[2, 1, 1] = np.nan
+    with pytest.raises(InvalidInputError):
+        s.spd_sheaf_layer(pc, logs, LayerParams.identity(3))
 
 
 def test_layer_raises_erank():
@@ -249,8 +300,8 @@ def test_layer_raises_erank():
     rng = np.random.default_rng(12)
     sigma = canonicalize(s.lift_coordinates(pc), s.local_frame(pc)[0])
     base = trace_row(sigma, 0).mean_erank
-    out = s.spd_sheaf_layer(pc, sigma, LayerParams.random(3, rng=rng))
-    assert trace_row(out, 1).mean_erank - base >= 1.2
+    out = s.spd_sheaf_layer(pc, s.spd_log(sigma), LayerParams.random(3, rng=rng))
+    assert trace_row(s.sym_exp(out), 1).mean_erank - base >= 1.2
 
 
 def test_layer_rotation_invariance():
