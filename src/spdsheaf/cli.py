@@ -62,8 +62,7 @@ def cmd_verify(args) -> int:
         cfg = jsonio.load_json(args.config)
         if not isinstance(cfg, dict):
             raise ParseError("verify config must be a JSON object")
-        unknown = sorted(set(cfg) - {"checks", "seed", "trials", "n_instances",
-                                     "max_vertices", "extra_edges"})
+        unknown = sorted(set(cfg) - verify.CONFIG_KEYS)
         if unknown:
             raise ParseError(f"verify config: unknown key(s) {unknown}")
         fields.update(cfg)
@@ -136,7 +135,7 @@ def cmd_diffuse(args) -> int:
 
 
 def cmd_probe(args) -> int:
-    _check_at_least(args, seed=0, repeats=1, layers=0)
+    _check_at_least(args, seed=0, samples=1, repeats=1, layers=0)
     rng = np.random.default_rng(args.seed)
     seeds = [int(rng.integers(0, 2**31)) for _ in range(args.repeats)]
     runs, controls = zip(*(planarity_experiment(s, n_per_class=args.samples,

@@ -9,9 +9,9 @@ motions, and then applies sheaf-Laplacian updates in the log domain. Layer
 parameters are evaluated at seeded random values; the only trained component
 is a convex logistic readout on pooled descriptors.
 
-A stream cochain is one (|V|, 3, 3) array whose rows follow ``pc.ids``:
-lifting, canonicalization, the rank trace, pooling and the diffusion runs
-take and return SPD stacks, and the convolution layer stacks of logarithms.
+A stream cochain is one (|V|, 3, 3) array whose rows follow ``pc.ids``. It
+holds SPD values in lifting, canonicalization, the rank trace and the
+diffusion runs, and logarithms in the convolution layer and pooling.
 """
 
 from __future__ import annotations
@@ -30,7 +30,6 @@ from .spd import (
     _from_spectrum,
     as_sym,
     cayley,
-    power_euclidean_mean,
     skew_from_params,
     spd_log,
     sym_dim,
@@ -134,11 +133,6 @@ def lift_coordinates(pc: PointCloud, eps_dir: float = 1e-8,
     return u[:, :, None] * u[:, None, :] + eps_spd * np.eye(3)
 
 
-def _unit(v):
-    n = np.linalg.norm(v)
-    return v / n if n > 0 else v
-
-
 def local_frame(pc: PointCloud) -> tuple[np.ndarray, np.ndarray]:
     """Per-vertex equivariant orthonormal frames, with degeneracy flags.
 
@@ -152,34 +146,27 @@ def local_frame(pc: PointCloud) -> tuple[np.ndarray, np.ndarray]:
     directions) falls back to the least-aligned canonical axis and sets the
     vertex flag.
     """
+    def dot(a, b):
+        # (N, 1) row-wise products, each rounded as np.dot rounds one pair
+        return (a[:, None, :] @ b[:, :, None])[:, 0]
+
+    tails, heads = pc.graph._tails, pc.graph._heads
+    d = pc.points[heads] - pc.points[tails]
+    nd = np.sqrt(dot(d, d))
+    d = np.divide(d, nd, out=np.zeros_like(d), where=nd > 0)  # zero-length edges add 0
+    # each vertex sums its terms in edge order: +d at the tail, -d at the head
+    agg = np.zeros((pc.n_points, 3))
+    np.add.at(agg, np.column_stack([tails, heads]).ravel(), np.stack([d, -d], 1).reshape(-1, 3))
     centered = pc.points - pc.points.mean(axis=0)
-    neighbors: list[list[int]] = [[] for _ in pc.ids]
-    for t, h in zip(pc.graph._tails.tolist(), pc.graph._heads.tolist()):
-        neighbors[t].append(h)
-        neighbors[h].append(t)
-    frames = np.empty((pc.n_points, 3, 3))
-    flags = np.zeros(pc.n_points, dtype=bool)
-    for i in range(pc.n_points):
-        u = centered[i]
-        if np.linalg.norm(u) < 1e-12:
-            u = np.array([1.0, 0.0, 0.0])
-            flags[i] = True
-        v1 = _unit(u)
-        agg = np.zeros(3)
-        for j in neighbors[i]:
-            d = pc.points[j] - pc.points[i]
-            nd = np.linalg.norm(d)
-            if nd > 0:
-                agg += d / nd
-        v2 = agg - np.dot(agg, v1) * v1
-        if np.linalg.norm(v2) < 1e-8 * max(1.0, np.linalg.norm(agg)):
-            axis = np.zeros(3)
-            axis[np.argmin(np.abs(v1))] = 1.0
-            v2 = axis - np.dot(axis, v1) * v1
-            flags[i] = True
-        v2 = _unit(v2)
-        frames[i] = np.column_stack([v1, v2, np.cross(v1, v2)])
-    return frames, flags
+    flags = np.sqrt(dot(centered, centered)) < 1e-12
+    v1 = np.where(flags, np.eye(3)[0], centered)
+    v1 /= np.sqrt(dot(v1, v1))
+    v2 = agg - dot(agg, v1) * v1
+    collinear = np.sqrt(dot(v2, v2)) < 1e-8 * np.maximum(1.0, np.sqrt(dot(agg, agg)))
+    axis = np.eye(3)[np.argmin(np.abs(v1), axis=1)]
+    v2 = np.where(collinear, axis - dot(axis, v1) * v1, v2)
+    v2 /= np.sqrt(dot(v2, v2))
+    return np.stack([v1, v2, np.cross(v1, v2)], axis=-1), (flags | collinear)[:, 0]
 
 
 def canonicalize(sigma: np.ndarray, frames: np.ndarray) -> np.ndarray:
@@ -412,10 +399,19 @@ def run_layers(pc: PointCloud, sigma0: np.ndarray,
     return states[-1], rank_trace(states)
 
 
-def pooled_descriptor(sigma: np.ndarray) -> np.ndarray:
-    """vec_upper(log of the power-Euclidean mean at theta = 1/2) of a cochain
-    stack; invariant under permutations of its rows."""
-    return sym_to_vec(spd_log(power_euclidean_mean(sigma, 0.5)))
+def pooled_descriptor(logs: np.ndarray) -> np.ndarray:
+    """vec_upper(2 log mean exp(logs / 2)) of a (k, n, n) stack of logs: the log of
+    the power-Euclidean mean at theta = 1/2 of their values (Arsigny et al. 2007),
+    invariant under row permutations. The spectra are shifted down by their top
+    eigenvalue c before the exp and ``c I`` is added back after the log, so no exp
+    overflows."""
+    logs = as_sym(logs)
+    if logs.ndim != 3 or len(logs) == 0:
+        raise InvalidInputError(f"expected a nonempty (k, n, n) log stack, got shape {logs.shape}")
+    w, V = np.linalg.eigh(logs / 2)
+    c = np.max(w)
+    mean = np.mean(_from_spectrum(np.exp(w - c), V), axis=0)
+    return sym_to_vec(2.0 * (spd_log(mean) + c * np.eye(logs.shape[-1])))
 
 
 def geometric_descriptor(pc: PointCloud, params_list: Sequence[LayerParams],
@@ -435,7 +431,7 @@ def geometric_descriptor(pc: PointCloud, params_list: Sequence[LayerParams],
     logs = spd_log(sigma)
     for params in params_list:
         logs = spd_sheaf_layer(pc, logs, params)
-    return pooled_descriptor(sym_exp(logs))
+    return pooled_descriptor(logs)
 
 
 # ---------------------------------------------------------------------------
@@ -487,10 +483,10 @@ def linear_probe(train_x, train_y, test_x, test_y) -> ProbeResult:
     y = np.asarray(train_y, dtype=np.float64).ravel()
     Xt = np.asarray(test_x, dtype=np.float64)
     yt = np.asarray(test_y, dtype=np.float64).ravel()
-    classes = np.unique(y)
-    if classes.size < 2:
+    # not np.unique, which imports numpy.ma (15 ms); all-NaN labels are one class, as there
+    if y.size == 0 or np.all(y == y[0]) or np.all(np.isnan(y)):
         raise DomainError("probe requires at least two classes in the training labels")
-    if not np.all(np.isin(classes, (0.0, 1.0))):
+    if not np.all((y == 0.0) | (y == 1.0)):
         raise InvalidInputError("labels must be 0/1")
 
     mu = X.mean(axis=0)

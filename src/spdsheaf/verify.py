@@ -435,6 +435,10 @@ class SuiteConfig:
                                     f"got {self.stalk_dims!r}")
 
 
+#: The SuiteConfig fields a ``verify --config`` JSON object may set.
+CONFIG_KEYS = frozenset({"checks", "seed", "trials", "n_instances", "max_vertices", "extra_edges"})
+
+
 def _dump_failure(config: SuiteConfig, check: str, instance, count: int):
     if config.dump_dir is None:
         return

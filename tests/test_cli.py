@@ -306,6 +306,7 @@ _MALFORMED = {
     "probe_zero_repeats": (["probe", "--seed", "1", "--repeats", "0"], {}),
     "probe_negative_layers": (["probe", "--seed", "1", "--layers", "-1"], {}),
     "probe_negative_seed": (["probe", "--seed", "-1"], {}),
+    "probe_zero_samples": (["probe", "--seed", "1", "--samples", "0"], {}),
     "diffuse_negative_layers": (["diffuse", "INPUT", *_DIFFUSE, "--layers", "-2", "--seed", "1"],
                                 _CLOUD),
     "diffuse_negative_seed": (["diffuse", "INPUT", *_DIFFUSE, "--layers", "2", "--seed", "-1"],
@@ -365,7 +366,8 @@ _MESSAGES = {"duplicate_ids_lift": "duplicate vertex ids",
              "covgraph_overflowing_data": "too large",
              "config_tolerances_key": "'tolerances'", "config_misspelt_key": "'n_instanes'",
              "config_check_not_a_string": "check names",
-             "config_unknown_check": "'indx'", "config_checks_empty": "nonempty"}
+             "config_unknown_check": "'indx'", "config_checks_empty": "nonempty",
+             "probe_zero_samples": "--samples"}
 
 
 @pytest.mark.parametrize("case", sorted(_MALFORMED))
@@ -413,16 +415,34 @@ with open("/proc/self/status") as fh:
 """
 
 
+def _fresh_python(code: str, env: dict) -> str:
+    """Last word of the stdout of `code` run in a new interpreter that imports from src."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**env, "PYTHONPATH": os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))}
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=60, check=True)
+    return done.stdout.split()[-1]
+
+
 @pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="needs Linux /proc")
 def test_thread_cap_limits_blas_threads():
     env = {k: v for k, v in os.environ.items()
            if k not in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")}
     env["SPD_SHEAF_THREADS"] = "1"
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    done = subprocess.run([sys.executable, "-c", _THREADS_PROBE], env=env, capture_output=True,
-                          text=True, timeout=60, check=True)
-    assert done.stdout.split()[-1] == "1"
+    assert _fresh_python(_THREADS_PROBE, env) == "1"
+
+
+_MA_PROBE = """
+import sys
+from spdsheaf.cli import main
+assert main(["probe", "--seed", "1", "--samples", "4", "--repeats", "1"]) == 0
+print("numpy.ma" in sys.modules)
+"""
+
+
+def test_probe_leaves_numpy_ma_unimported():
+    # the first np.unique in a process imports numpy.ma, about 15 ms
+    assert _fresh_python(_MA_PROBE, dict(os.environ)) == "False"
 
 
 @pytest.mark.parametrize("value", ["0", "two"])

@@ -161,6 +161,75 @@ def test_frames_collinear_fallback():
         assert np.linalg.norm(M.T @ M - np.eye(3)) <= 1e-10
 
 
+def _loop_frames(pc):
+    """Per-vertex loop reference for local_frame."""
+    centered = pc.points - pc.points.mean(axis=0)
+    neighbors = [[] for _ in pc.ids]
+    for t, h in zip(pc.graph._tails.tolist(), pc.graph._heads.tolist()):
+        neighbors[t].append(h)
+        neighbors[h].append(t)
+    frames = np.empty((pc.n_points, 3, 3))
+    flags = np.zeros(pc.n_points, dtype=bool)
+    for i in range(pc.n_points):
+        u = centered[i]
+        if np.linalg.norm(u) < 1e-12:
+            u = np.array([1.0, 0.0, 0.0])
+            flags[i] = True
+        v1 = u / np.linalg.norm(u)
+        agg = np.zeros(3)
+        for j in neighbors[i]:
+            d = pc.points[j] - pc.points[i]
+            if np.linalg.norm(d) > 0:
+                agg += d / np.linalg.norm(d)
+        v2 = agg - np.dot(agg, v1) * v1
+        if np.linalg.norm(v2) < 1e-8 * max(1.0, np.linalg.norm(agg)):
+            axis = np.zeros(3)
+            axis[np.argmin(np.abs(v1))] = 1.0
+            v2 = axis - np.dot(axis, v1) * v1
+            flags[i] = True
+        v2 = v2 / np.linalg.norm(v2)
+        frames[i] = np.column_stack([v1, v2, np.cross(v1, v2)])
+    return frames, flags
+
+
+_FRAME_CLOUDS = {
+    # vertex 2 sits at the centroid
+    "centroid_vertex": ([[1.0, 0, 0], [-1.0, 0, 0], [0, 0, 0], [0, 1.0, 2.0], [0, -1.0, -2.0]],
+                        [(0, 2), (1, 2), (2, 3), (3, 4), (0, 3)]),
+    "isolated_vertex": ([[0.3, 0.1, 0], [1.0, 0.5, 0.2], [-0.4, 0.9, 1.1], [2.0, -1.0, 0.5]],
+                        [(0, 1), (1, 2)]),
+    # points 1 and 2 coincide, so edge (1, 2) has length 0
+    "duplicate_points": ([[0.3, 0.1, 0], [1.0, 0.5, 0.2], [1.0, 0.5, 0.2], [-0.7, 0.2, 0.9]],
+                         [(0, 1), (1, 2), (2, 3), (0, 3)]),
+    "collinear_neighbours": ([[1.0, 0, 0], [2.0, 0, 0], [3.0, 0, 0], [0, 1.0, 1.0]],
+                             [(0, 1), (1, 2), (0, 2)]),
+    "one_point": ([[0.3, 0.1, 0.2]], []),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_FRAME_CLOUDS))
+def test_frames_match_vertex_loop(case):
+    pc = PointCloud(*_FRAME_CLOUDS[case])
+    frames, flags = s.local_frame(pc)
+    ref_frames, ref_flags = _loop_frames(pc)
+    np.testing.assert_array_equal(flags, ref_flags)
+    np.testing.assert_allclose(frames, ref_frames, rtol=0, atol=1e-12)
+    if case in ("centroid_vertex", "collinear_neighbours", "one_point"):
+        assert flags.any()
+
+
+def test_frames_match_vertex_loop_on_random_clouds():
+    rng = np.random.default_rng(23)
+    for _ in range(40):
+        n = int(rng.integers(1, 15))
+        pts = rng.normal(size=(n, 3))
+        pc = PointCloud(pts, geometric_graph(pts, radius=float(rng.uniform(0.2, 1.5))))
+        frames, flags = s.local_frame(pc)
+        ref_frames, ref_flags = _loop_frames(pc)
+        np.testing.assert_array_equal(flags, ref_flags)
+        np.testing.assert_allclose(frames, ref_frames, rtol=0, atol=1e-12)
+
+
 # ---------------------------------------------------------------------------
 # parameterizations
 
@@ -321,12 +390,60 @@ def test_layer_rotation_invariance():
 
 
 def test_pooled_descriptor_examples():
-    sigma = np.stack([np.eye(3)] * 4)
-    np.testing.assert_allclose(s.pooled_descriptor(sigma), np.zeros(6), atol=1e-12)
-    P = random_spd(3, np.random.default_rng(15))
-    sigma = np.stack([P] * 4)
-    np.testing.assert_allclose(s.pooled_descriptor(sigma),
-                               s.sym_to_vec(s.spd_log(P)), atol=1e-10)
+    # the logs of identity values pool to 0, and equal logs pool to themselves
+    np.testing.assert_allclose(s.pooled_descriptor(np.zeros((4, 3, 3))), np.zeros(6),
+                               atol=1e-12)
+    L = s.spd_log(random_spd(3, np.random.default_rng(15)))
+    np.testing.assert_allclose(s.pooled_descriptor(np.stack([L] * 4)), s.sym_to_vec(L),
+                               atol=1e-10)
+
+
+def test_pooled_descriptor_is_the_power_mean_of_the_values():
+    rng = np.random.default_rng(24)
+    for k in (1, 2, 7):
+        logs = s.spd_log(np.stack([random_spd(3, rng) for _ in range(k)]))
+        ref = s.spd_log(s.power_euclidean_mean(s.sym_exp(logs), 0.5))
+        np.testing.assert_allclose(s.pooled_descriptor(logs), s.sym_to_vec(ref),
+                                   rtol=0, atol=1e-12)
+
+
+def test_pooled_descriptor_does_not_overflow():
+    # diagonal logs with entries up to 1500, whose exp overflows float64: the
+    # pooled log is diagonal too, with 2 log mean exp(d / 2) on the diagonal
+    diag = np.array([[1500.0, 3.0, -2.0], [1490.0, 700.0, 1.0], [0.5, 1200.0, 900.0],
+                     [-30.0, 1199.0, 899.0]])
+    top = diag.max(axis=0)
+    pooled = top + 2.0 * np.log(np.mean(np.exp((diag - top) / 2), axis=0))
+    np.testing.assert_allclose(s.pooled_descriptor(diag[:, :, None] * np.eye(3)),
+                               s.sym_to_vec(np.diag(pooled)), rtol=1e-13, atol=1e-12)
+
+
+def _bad_logs(case):
+    logs = s.spd_log(s.lift_coordinates(cloud(26, n=5)))
+    if case == "asymmetric":
+        logs[1, 0, 2] += 1e-6
+    elif case == "nan":
+        logs[3, 1, 1] = np.nan
+    return {"empty": logs[:0], "two_dimensional": logs[0]}.get(case, logs)
+
+
+@pytest.mark.parametrize("case", ["empty", "two_dimensional", "nan", "asymmetric"])
+def test_pooled_descriptor_rejects_bad_logs(case):
+    with pytest.raises(InvalidInputError):
+        s.pooled_descriptor(_bad_logs(case))
+
+
+@pytest.mark.parametrize("frame_invariant", [True, False])
+def test_descriptor_makes_five_eighs_at_two_layers(monkeypatch, frame_invariant):
+    # one log after the lift, one per layer, one stacked eigh and one log in pooling
+    pc = cloud(27, n=8)
+    rng = np.random.default_rng(28)
+    params = [LayerParams.random(3, rng=rng) for _ in range(2)]
+    calls = []
+    eigh = np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh", lambda *a, **k: calls.append(1) or eigh(*a, **k))
+    s.geometric_descriptor(pc, params, frame_invariant=frame_invariant)
+    assert len(calls) == 5
 
 
 def test_pooled_descriptor_permutation_invariant():

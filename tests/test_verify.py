@@ -1,5 +1,6 @@
 """Oracle suite: trivial instances, determinism, corruption detection."""
 
+import dataclasses
 import math
 import os
 import tracemalloc
@@ -309,6 +310,10 @@ _BAD_SUITE_FIELDS = {"trials_string": {"trials": "five"}, "seed_bool": {"seed": 
 def test_suite_config_rejects_wrong_types_and_ranges(case):
     with pytest.raises(InvalidInputError):
         SuiteConfig(**_BAD_SUITE_FIELDS[case])
+
+
+def test_config_keys_are_suite_config_fields():
+    assert verify.CONFIG_KEYS <= {f.name for f in dataclasses.fields(SuiteConfig)}
 
 
 def test_run_suite_failing_check_exits_1_and_dumps(tmp_path, monkeypatch):
