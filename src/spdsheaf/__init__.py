@@ -17,6 +17,10 @@ Five layers of machinery, bottom to top:
 :mod:`spdsheaf.verify` checks every theorem-level property against
 independent brute-force oracles; ``spd-sheaf`` (see :mod:`spdsheaf.cli`)
 exposes everything on the command line.
+
+The package re-exports the names that the acceptance suite and the demos
+use through it, and nothing else; every other name is imported from its
+module. Importing the package does not load :mod:`spdsheaf.verify`.
 """
 
 import os as _os
@@ -55,14 +59,8 @@ def _cap_blas_threads():
 _cap_blas_threads()
 
 from .spd import (  # noqa: E402
-    EIG_FLOOR,
-    as_orth,
-    as_spd,
-    as_sym,
     cayley,
-    clamp_spd,
     congruence,
-    conj_operator,
     dist_airm,
     dist_lem,
     erank,
@@ -71,12 +69,8 @@ from .spd import (  # noqa: E402
     pairing,
     power_euclidean_mean,
     spd_log,
-    spd_power,
     sym_dim,
-    sym_eig,
     sym_exp,
-    sym_to_vec,
-    vec_to_sym,
 )
 from .sheaf import (  # noqa: E402
     SheafGraph,
@@ -92,29 +86,12 @@ from .sheaf import (  # noqa: E402
     sheaf_index,
 )
 from .euclid import (  # noqa: E402
-    EuclidSheaf,
     check_kernel_correspondence,
-    embed_phi,
     euclid_sections,
     matched_spd_sheaf,
     strictness_witness,
 )
-from .stream import (  # noqa: E402
-    LayerParams,
-    PointCloud,
-    RankTrace,
-    diffusion_run,
-    geometric_descriptor,
-    learnable_isometry,
-    lift_coordinates,
-    linear_probe,
-    local_frame,
-    pooled_descriptor,
-    rank_trace,
-    sheaf_learner,
-    spd_sheaf_layer,
-)
-from .covgraph import Segment, TFGraphConfig, build_tf_graph, segment_covariance  # noqa: E402
-from .verify import SuiteConfig, Verdict, run_suite  # noqa: E402
+from .stream import diffusion_run, geometric_descriptor, lift_coordinates, local_frame  # noqa: E402
+from .covgraph import Segment, TFGraphConfig, build_tf_graph  # noqa: E402
 
 __version__ = "0.1.0"

@@ -57,6 +57,8 @@ def _write_report(obj, path: str | None):
 def cmd_verify(args) -> int:
     fields = {"checks": tuple(args.check) if args.check else verify.ALL_CHECKS,
               "seed": args.seed, "trials": args.trials}
+    if args.n:
+        fields["stalk_dims"] = tuple(args.n)
     if args.config:
         # config values override the flags; SuiteConfig validates them
         cfg = jsonio.load_json(args.config)
@@ -66,8 +68,7 @@ def cmd_verify(args) -> int:
         if unknown:
             raise ParseError(f"verify config: unknown key(s) {unknown}")
         fields.update(cfg)
-    config = verify.SuiteConfig(stalk_dims=tuple(args.n) if args.n else (2, 3),
-                                dump_dir=args.out, **fields)
+    config = verify.SuiteConfig(dump_dir=args.out, **fields)
     verdicts, code = verify.run_suite(config)
 
     header = f"{'check':<16}{'trials':>8}{'max residual':>16}{'tolerance':>12}  status"
@@ -205,8 +206,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--check", action="append", choices=verify.ALL_CHECKS,
                    help="run a single check (repeatable)")
     p.add_argument("--n", action="append", type=int, help="stalk dimension (repeatable)")
-    p.add_argument("--seed", type=int, default=42)
-    p.add_argument("--trials", type=int, default=100)
+    p.add_argument("--seed", type=int, default=verify.SuiteConfig.seed)
+    p.add_argument("--trials", type=int, default=verify.SuiteConfig.trials)
     p.add_argument("--config", help="JSON config overriding checks and sizes")
     p.add_argument("--out", help="directory for verdicts.json and failure dumps")
     p.set_defaults(func=cmd_verify)
@@ -241,7 +242,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--eps2", type=float, required=True, help="frequency window height (Hz)")
     p.add_argument("--eps", type=float, required=True, help="squared-distance gate")
     p.add_argument("--bandwidth", type=float, required=True, help="RBF bandwidth")
-    p.add_argument("--shrinkage", type=float, default=1e-3)
+    p.add_argument("--shrinkage", type=float, default=TFGraphConfig.shrinkage)
     p.add_argument("--normalize", action="store_true", help="divide covariances by sample count")
     p.add_argument("--out", required=True, help="output directory")
     p.set_defaults(func=cmd_covgraph)

@@ -70,7 +70,7 @@ def _check_shrinkage(shrinkage: float):
         raise InvalidInputError("shrinkage must be finite and nonnegative")
 
 
-def segment_covariance(seg: Segment, shrinkage: float = 1e-3,
+def segment_covariance(seg: Segment, shrinkage: float = TFGraphConfig.shrinkage,
                        normalize_samples: bool = False) -> np.ndarray:
     """Covariance ``X X^T`` regularized by trace-scaled shrinkage.
 
@@ -135,7 +135,9 @@ def build_tf_graph(segments, cfg: TFGraphConfig) -> TFGraphResult:
         j = np.flatnonzero(row)
         d2 = dist_airm(covs[i], covs[j]) ** 2
         gate = d2 < cfg.eps
-        j, w = j[gate], np.exp(-d2[gate] / cfg.bandwidth)
+        # a subnormal bandwidth sends -d2 / bandwidth to -inf: the weight 0 is right
+        with np.errstate(over="ignore"):
+            j, w = j[gate], np.exp(-d2[gate] / cfg.bandwidth)
         raw_edges += zip([i] * j.size, j.tolist(), w.tolist())
 
     def sort_key(entry):

@@ -136,7 +136,7 @@ def _pairs(entries, what: str) -> list:
 
 
 def _as_id(v):
-    if isinstance(v, (str, int)):
+    if isinstance(v, str) or type(v) is int:  # `type(v) is int` also rejects bools
         return v
     raise ParseError(f"vertex ids must be strings or integers, got {type(v).__name__}")
 
@@ -152,7 +152,8 @@ def _cochain_values(entries, n: int, what: str) -> dict:
     return values
 
 
-def sheaf_from_json_obj(obj) -> tuple[SheafGraph, dict | None]:
+def load_sheaf(path: str) -> tuple[SheafGraph, dict | None]:
+    obj = load_json(path)
     with _parsing("sheaf"):
         n = _n_stalk(obj)
         vertices = [_as_id(v) for v in obj["vertices"]]
@@ -170,10 +171,6 @@ def sheaf_from_json_obj(obj) -> tuple[SheafGraph, dict | None]:
     return sheaf, cochain
 
 
-def load_sheaf(path: str) -> tuple[SheafGraph, dict | None]:
-    return sheaf_from_json_obj(load_json(path))
-
-
 def cochain0_to_json(n_stalk: int, cochain: dict, path: str | None = None) -> str:
     obj = {"n_stalk": n_stalk, "values": [[v, matrix_to_json(X)] for v, X in cochain.items()]}
     return _dump_json(obj, path)
@@ -183,7 +180,8 @@ def cochain0_to_json(n_stalk: int, cochain: dict, path: str | None = None) -> st
 # point clouds
 
 
-def cloud_from_json_obj(obj) -> PointCloud:
+def load_cloud(path: str) -> PointCloud:
+    obj = load_json(path)
     with _parsing("point-cloud"):
         ids = [_as_id(v["id"]) for v in obj["vertices"]]
         points = [v["xyz"] for v in obj["vertices"]]
@@ -196,24 +194,17 @@ def cloud_from_json_obj(obj) -> PointCloud:
     return PointCloud(points, edges, ids=ids)
 
 
-def load_cloud(path: str) -> PointCloud:
-    return cloud_from_json_obj(load_json(path))
-
-
 # ---------------------------------------------------------------------------
 # segments and edge weights
 
 
-def segments_from_json_obj(obj) -> list[Segment]:
+def load_segments(path: str) -> list[Segment]:
+    obj = load_json(path)
     with _parsing("segments"):  # also InvalidInputError from Segment
         segs = [Segment(s["data"], s["t_mid"], s["f_mid"]) for s in obj["segments"]]
     if not segs:
         raise ParseError("segments file contains no segments")
     return segs
-
-
-def load_segments(path: str) -> list[Segment]:
-    return segments_from_json_obj(load_json(path))
 
 
 def weights_to_json(edges, weights, path: str | None = None) -> str:

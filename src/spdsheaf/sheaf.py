@@ -378,11 +378,6 @@ def sheaf_index(sheaf: SheafGraph) -> int:
 # holonomy
 
 
-def edge_transport(sheaf: SheafGraph, edge_idx: int) -> np.ndarray:
-    """Transport tail-stalk logs to head-stalk logs: ``M_head^T M_tail``."""
-    return sheaf._head_maps[edge_idx].T @ sheaf._tail_maps[edge_idx]
-
-
 def _spanning_forest(sheaf: _OrthGraph) -> tuple[list[list[int]], np.ndarray, list[list]]:
     """Components, tree transports and cycle holonomies in one O(|V| + |E|) pass.
 
@@ -392,6 +387,8 @@ def _spanning_forest(sheaf: _OrthGraph) -> tuple[list[list[int]], np.ndarray, li
     ``reps[c]`` holds the representatives of :func:`holonomy_reps` for
     component c, one per non-tree edge, in edge order.
     """
+    # T[k] = M_head^T M_tail carries edge k's tail-stalk logs to its head stalk
+    T = np.swapaxes(sheaf._head_maps, -1, -2) @ sheaf._tail_maps
     n_v = sheaf.n_vertices
     ends = list(zip(sheaf._tails.tolist(), sheaf._heads.tolist()))
     incident: list[list] = [[] for _ in range(n_v)]
@@ -412,8 +409,7 @@ def _spanning_forest(sheaf: _OrthGraph) -> tuple[list[list[int]], np.ndarray, li
             for k, w, reverse in incident[u]:
                 if comp_of[w] >= 0:
                     continue
-                T = edge_transport(sheaf, k)
-                W[w] = (T.T if reverse else T) @ W[u]
+                W[w] = (T[k].T if reverse else T[k]) @ W[u]
                 comp_of[w] = n_comps
                 tree[k] = True
                 queue.append(w)
@@ -424,7 +420,7 @@ def _spanning_forest(sheaf: _OrthGraph) -> tuple[list[list[int]], np.ndarray, li
     reps: list[list] = [[] for _ in range(n_comps)]
     for k, (t, h) in enumerate(ends):
         if not tree[k]:
-            reps[comp_of[t]].append(W[h].T @ edge_transport(sheaf, k) @ W[t])
+            reps[comp_of[t]].append(W[h].T @ T[k] @ W[t])
     return comps, W, reps
 
 

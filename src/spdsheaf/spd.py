@@ -3,7 +3,7 @@
 Points on the SPD manifold, their symmetric logarithms, and orthogonal
 matrices are all plain float64 ``numpy`` arrays. Every operation is a pure
 function; eigendecomposition (``numpy.linalg.eigh``) is the single backend
-for logarithms, exponentials and matrix powers, which is the right trade-off
+for logarithms, exponentials and power means, which is the right trade-off
 for the small stalk dimensions this package targets (n <= 13).
 
 Every matrix function takes one (n, n) matrix or a (..., n, n) stack and
@@ -161,16 +161,6 @@ def sym_exp(S) -> np.ndarray:
     if np.max(w, initial=-np.inf) > _EXP_MAX:
         raise OverflowError(f"matrix exponential overflows (max eigenvalue {np.max(w):.3e})")
     return _from_spectrum(np.exp(w), V)
-
-
-def spd_power(P, theta: float) -> np.ndarray:
-    """Matrix power ``V diag(w**theta) V^T`` of an SPD matrix or stack."""
-    if not np.isfinite(theta):
-        raise InvalidInputError("power exponent must be finite")
-    w, V = sym_eig(P)
-    if np.min(w, initial=np.inf) <= 0.0:
-        raise DomainError("matrix power requires positive eigenvalues")
-    return _from_spectrum(w**theta, V)
 
 
 # ---------------------------------------------------------------------------
@@ -331,7 +321,18 @@ def power_euclidean_mean(mats: Sequence[np.ndarray] | np.ndarray, theta: float) 
         raise InvalidInputError("matrices must share a common dimension") from None
     if stack.ndim != 3 or len(stack) == 0:
         raise InvalidInputError(f"expected a nonempty (k, n, n) stack, got shape {stack.shape}")
-    return spd_power(np.mean(spd_power(stack, theta), axis=0), 1.0 / theta)
+    return sym_exp(_log_power_mean(spd_log(stack), theta))
+
+
+def _log_power_mean(logs: np.ndarray, theta: float) -> np.ndarray:
+    """Log of the power-Euclidean mean of the values of a (k, n, n) log stack:
+    ``log mean exp(theta logs) / theta``. The spectra of ``theta logs`` are
+    shifted down by their top eigenvalue c before the exp and ``c I`` is added
+    back after the log, so no exp overflows."""
+    w, V = np.linalg.eigh(theta * logs)
+    c = np.max(w)
+    mean = np.mean(_from_spectrum(np.exp(w - c), V), axis=0)
+    return (spd_log(mean) + c * np.eye(logs.shape[-1])) / theta
 
 
 # ---------------------------------------------------------------------------

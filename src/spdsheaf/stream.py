@@ -28,6 +28,7 @@ from .spd import (
     RE_EIG_DELTA,
     _erank_of_spectra,
     _from_spectrum,
+    _log_power_mean,
     as_sym,
     cayley,
     skew_from_params,
@@ -402,16 +403,11 @@ def run_layers(pc: PointCloud, sigma0: np.ndarray,
 def pooled_descriptor(logs: np.ndarray) -> np.ndarray:
     """vec_upper(2 log mean exp(logs / 2)) of a (k, n, n) stack of logs: the log of
     the power-Euclidean mean at theta = 1/2 of their values (Arsigny et al. 2007),
-    invariant under row permutations. The spectra are shifted down by their top
-    eigenvalue c before the exp and ``c I`` is added back after the log, so no exp
-    overflows."""
+    invariant under row permutations and free of exp overflow."""
     logs = as_sym(logs)
     if logs.ndim != 3 or len(logs) == 0:
         raise InvalidInputError(f"expected a nonempty (k, n, n) log stack, got shape {logs.shape}")
-    w, V = np.linalg.eigh(logs / 2)
-    c = np.max(w)
-    mean = np.mean(_from_spectrum(np.exp(w - c), V), axis=0)
-    return sym_to_vec(2.0 * (spd_log(mean) + c * np.eye(logs.shape[-1])))
+    return sym_to_vec(_log_power_mean(logs, 0.5))
 
 
 def geometric_descriptor(pc: PointCloud, params_list: Sequence[LayerParams],

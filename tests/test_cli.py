@@ -1,5 +1,6 @@
 """CLI subcommands end to end: exit codes and reproducible outputs."""
 
+import inspect
 import json
 import os
 import subprocess
@@ -10,7 +11,8 @@ import numpy as np
 import pytest
 
 from spdsheaf import jsonio, verify
-from spdsheaf.cli import main
+from spdsheaf.cli import build_parser, main
+from spdsheaf.covgraph import TFGraphConfig, segment_covariance
 from spdsheaf.stream import (
     canonicalize,
     diffusion_run,
@@ -90,6 +92,20 @@ def test_verify_failure_exit_code(tmp_path, monkeypatch):
     with open(cfg, "w") as fh:
         json.dump({"checks": ["green"], "trials": 5, "n_instances": 3}, fh)
     assert main(["verify", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
+
+
+def test_verify_defaults_are_the_suite_config_defaults(monkeypatch, capsys):
+    seen = []
+    monkeypatch.setattr(verify, "run_suite", lambda config: (seen.append(config), ([], 0))[1])
+    assert main(["verify"]) == 0
+    assert seen == [verify.SuiteConfig()]
+
+
+def test_covgraph_shrinkage_default_is_the_config_default():
+    args = build_parser().parse_args(["covgraph", "segments.json", *_COVGRAPH])
+    assert args.shrinkage == TFGraphConfig.shrinkage
+    default = inspect.signature(segment_covariance).parameters["shrinkage"].default
+    assert default == TFGraphConfig.shrinkage
 
 
 def test_verify_missing_config_is_usage_error(capsys):
@@ -346,6 +362,14 @@ _MALFORMED = {
                                _segments_obj()),
     "covgraph_overflowing_data": (["covgraph", "INPUT", *_COVGRAPH],
                                   _segments_obj(data=[[1e200, 0.0], [0.0, 1e200]])),
+    # JSON true and false load as bools, which Python counts as integers
+    "bool_vertex_id": (["sections", "INPUT"], {**_sheaf_obj(), "vertices": [True, 1]}),
+    "bool_edge_endpoint": (["sections", "INPUT"],
+                           {**_sheaf_obj(), "edges": [{"tail": True, "head": 1,
+                                                       "map_tail": _I2, "map_head": _I2}]}),
+    "bool_cochain0_id": (["sections", "INPUT"],
+                         {**_sheaf_obj(), "cochain0": [[False, _I2], [1, _I2]]}),
+    "bool_cloud_id": (["lift", "INPUT"], _cloud_obj(ids=[False, 1, 2])),
 }
 _MESSAGES = {"duplicate_ids_lift": "duplicate vertex ids",
              "duplicate_ids_diffuse": "duplicate vertex ids",
@@ -367,7 +391,9 @@ _MESSAGES = {"duplicate_ids_lift": "duplicate vertex ids",
              "config_tolerances_key": "'tolerances'", "config_misspelt_key": "'n_instanes'",
              "config_check_not_a_string": "check names",
              "config_unknown_check": "'indx'", "config_checks_empty": "nonempty",
-             "probe_zero_samples": "--samples"}
+             "probe_zero_samples": "--samples",
+             "bool_vertex_id": "got bool", "bool_edge_endpoint": "got bool",
+             "bool_cochain0_id": "got bool", "bool_cloud_id": "got bool"}
 
 
 @pytest.mark.parametrize("case", sorted(_MALFORMED))
@@ -443,6 +469,11 @@ print("numpy.ma" in sys.modules)
 def test_probe_leaves_numpy_ma_unimported():
     # the first np.unique in a process imports numpy.ma, about 15 ms
     assert _fresh_python(_MA_PROBE, dict(os.environ)) == "False"
+
+
+def test_importing_the_package_leaves_verify_unloaded():
+    code = "import sys, spdsheaf; print('spdsheaf.verify' in sys.modules)"
+    assert _fresh_python(code, dict(os.environ)) == "False"
 
 
 @pytest.mark.parametrize("value", ["0", "two"])

@@ -178,6 +178,15 @@ def test_edge_set_invariant_under_channel_mixing():
     np.testing.assert_allclose(out.weights, base.weights, atol=1e-8)
 
 
+def test_subnormal_bandwidth_gives_zero_weights_without_warning():
+    # -d2 / 1e-310 overflows to -inf for every distinct pair; tier-1 turns the
+    # RuntimeWarning that would raise into an error
+    segs = make_segments(np.random.default_rng(12), k=4)
+    cfg = TFGraphConfig(eps1=1.0, eps2=100.0, eps=100.0, bandwidth=1e-310)
+    result = build_tf_graph(segs, cfg)
+    assert result.weights and all(w == 0.0 for w in result.weights)
+
+
 def test_config_validation():
     with pytest.raises(InvalidInputError):
         TFGraphConfig(eps1=-1.0, eps2=0.0, eps=1.0, bandwidth=1.0)

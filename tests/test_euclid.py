@@ -8,7 +8,8 @@ import pytest
 import spdsheaf as s
 from spdsheaf import euclid
 from spdsheaf.errors import InvalidInputError, NotApplicableError
-from spdsheaf.euclid import EuclidSheaf, vec_cochain_from_vec
+from spdsheaf.euclid import EuclidSheaf, embed_phi, vec_cochain_from_vec
+from spdsheaf.spd import sym_to_vec
 from spdsheaf.verify import (
     _oracle_euclid_operator,
     frustrated_two_cycle,
@@ -70,27 +71,27 @@ def test_euclid_sections_rejects_tolerance_outside_unit_interval(tol):
 
 
 def test_embed_phi_spectrum():
-    np.testing.assert_allclose(s.embed_phi(np.zeros(3)), 1e-4 * np.eye(3),
+    np.testing.assert_allclose(embed_phi(np.zeros(3)), 1e-4 * np.eye(3),
                                atol=1e-18)
-    P = s.embed_phi(np.array([1.0, 0.0, 0.0]))
+    P = embed_phi(np.array([1.0, 0.0, 0.0]))
     np.testing.assert_allclose(P, np.diag([1 + 1e-4, 1e-4, 1e-4]), atol=1e-15)
     x = np.array([0.3, -0.8, 0.52])
-    w = np.sort(np.linalg.eigvalsh(s.embed_phi(x)))[::-1]
+    w = np.sort(np.linalg.eigvalsh(embed_phi(x)))[::-1]
     np.testing.assert_allclose(w[0], x @ x + 1e-4, atol=1e-12)
     np.testing.assert_allclose(w[1:], [1e-4, 1e-4], atol=1e-15)
     X = np.random.default_rng(3).normal(size=(2, 4, 3))
-    out = s.embed_phi(X)
+    out = embed_phi(X)
     assert out.shape == (2, 4, 3, 3)
     for idx in np.ndindex(2, 4):
-        assert np.array_equal(out[idx], s.embed_phi(X[idx]))
+        assert np.array_equal(out[idx], embed_phi(X[idx]))
     # the last axis is the vector: an (n, 1) column is n one-vectors
     col = np.array([[1.0], [-2.0], [3.0]])
-    assert np.array_equal(s.embed_phi(col), (col ** 2 + 1e-4)[..., None])
+    assert np.array_equal(embed_phi(col), (col ** 2 + 1e-4)[..., None])
 
 
 def test_embed_phi_erank_near_one():
     x = np.array([1.0, 0.0, 0.0])
-    assert s.erank(s.embed_phi(x)) <= 1.05
+    assert s.erank(embed_phi(x)) <= 1.05
 
 
 def test_embedding_equivariance():
@@ -98,8 +99,8 @@ def test_embedding_equivariance():
     for _ in range(30):
         M = random_orthogonal(3, rng)
         x = rng.normal(size=3)
-        lhs = s.embed_phi(M @ x)
-        rhs = s.congruence(M, s.embed_phi(x))
+        lhs = embed_phi(M @ x)
+        rhs = s.congruence(M, embed_phi(x))
         assert np.max(np.abs(lhs - rhs)) <= 1e-10
 
 
@@ -157,7 +158,7 @@ def test_forward_inclusion_elementwise():
     ssheaf = s.matched_spd_sheaf(esheaf)
     basis = s.euclid_sections(esheaf)
     for col in range(basis.shape[1]):
-        for Y in s.coboundary(ssheaf, s.embed_phi(basis[:, col].reshape(-1, 2))):
+        for Y in s.coboundary(ssheaf, embed_phi(basis[:, col].reshape(-1, 2))):
             assert s.dist_lem(Y, np.eye(2)) <= 1e-7
 
 
@@ -205,7 +206,7 @@ def test_witness_outside_embedding_image():
     rng = np.random.default_rng(7)
     for _ in range(20):
         x = rng.normal(size=3)
-        w = np.sort(np.linalg.eigvalsh(s.embed_phi(x)))
+        w = np.sort(np.linalg.eigvalsh(embed_phi(x)))
         distinct = 1 + int(np.sum(np.diff(w) > 1e-8))
         assert distinct <= 2
 
@@ -245,7 +246,7 @@ def test_embedded_kernel_contained_in_spd_kernel():
         for col in range(basis.shape[1]):
             x = vec_cochain_from_vec(esheaf, basis[:, col])
             vec = np.concatenate([
-                s.sym_to_vec(s.spd_log(s.embed_phi(x[v]))) for v in ssheaf.vertices])
+                sym_to_vec(s.spd_log(embed_phi(x[v]))) for v in ssheaf.vertices])
             # membership: projection onto the kernel basis reproduces the vector
             proj = spd_basis @ (spd_basis.T @ vec)
             assert np.linalg.norm(proj - vec) <= 1e-7 * max(1.0, np.linalg.norm(vec))

@@ -9,13 +9,14 @@ import spdsheaf as s
 from spdsheaf import jsonio
 from spdsheaf.covgraph import Segment
 from spdsheaf.errors import ParseError
+from spdsheaf.spd import EIG_FLOOR, sym_to_vec
 from spdsheaf.stream import PointCloud
 from spdsheaf.verify import random_cochain0, random_sheaf, random_spd
 
 
 def test_matrix_log_upper_round_trip():
     P = random_spd(3, np.random.default_rng(0))
-    obj = {"log_upper": s.sym_to_vec(s.spd_log(P)).tolist()}
+    obj = {"log_upper": sym_to_vec(s.spd_log(P)).tolist()}
     np.testing.assert_allclose(jsonio.matrix_from_json(obj), P, atol=1e-9)
     with pytest.raises(ParseError, match="expected 2"):
         jsonio.matrix_from_json(obj, n_expected=2)
@@ -95,15 +96,17 @@ def test_malformed_objects_rejected(tmp_path):
         jsonio.matrix_from_json({"log_upper": [1.0, 2.0]})  # not triangular
 
 
-def test_loaded_cochain_values_are_clamped():
+def test_loaded_cochain_values_are_clamped(tmp_path):
     obj = {
         "n_stalk": 2,
         "vertices": [0, 1],
         "edges": [],
         "cochain0": [[0, [[1.0, 0.0], [0.0, -1.0]]], [1, [[1.0, 0.0], [0.0, 1.0]]]],
     }
-    _, cochain = jsonio.sheaf_from_json_obj(obj)
-    assert np.linalg.eigvalsh(cochain[0]).min() >= s.EIG_FLOOR - 1e-15
+    path = tmp_path / "sheaf.json"
+    path.write_text(json.dumps(obj))
+    _, cochain = jsonio.load_sheaf(str(path))
+    assert np.linalg.eigvalsh(cochain[0]).min() >= EIG_FLOOR - 1e-15
 
 
 def test_deterministic_output():

@@ -154,6 +154,67 @@ def test_euclid_basis_edge_cases(case):
     _assert_euclid_basis_spans_oracle_kernel(sheaf)
 
 
+def _per_edge_forest(sheaf) -> tuple[np.ndarray, list[list]]:
+    """Tree transports W and chord holonomies from one ``M_head^T M_tail``
+    product per edge visit, in the breadth-first order of _spanning_forest."""
+    n_v, n = sheaf.n_vertices, sheaf.n_stalk
+    pos = {v: i for i, v in enumerate(sheaf.vertices)}
+    ends = [(pos[t], pos[h]) for t, h in sheaf.edges]
+    incident = [[] for _ in range(n_v)]
+    for k, (t, h) in enumerate(ends):
+        incident[t].append((k, h, False))
+        incident[h].append((k, t, True))
+
+    def transport(k):
+        M_tail, M_head = sheaf.maps[k]
+        return M_head.T @ M_tail
+
+    W, comp, tree, n_comps = np.empty((n_v, n, n)), [-1] * n_v, set(), 0
+    for root in range(n_v):
+        if comp[root] >= 0:
+            continue
+        comp[root], W[root] = n_comps, np.eye(n)
+        queue = [root]
+        for u in queue:  # the list grows while it is read: breadth first
+            for k, w, reverse in incident[u]:
+                if comp[w] < 0:
+                    T = transport(k)
+                    W[w] = (T.T if reverse else T) @ W[u]
+                    comp[w] = n_comps
+                    tree.add(k)
+                    queue.append(w)
+        n_comps += 1
+    reps = [[] for _ in range(n_comps)]
+    for k, (t, h) in enumerate(ends):
+        if k not in tree:
+            reps[comp[t]].append(W[h].T @ transport(k) @ W[t])
+    return W, reps
+
+
+def _assert_forest_matches_per_edge_products(sheaf):
+    _, W, reps = _spanning_forest(sheaf)
+    W_ref, reps_ref = _per_edge_forest(sheaf)
+    assert np.array_equal(W, W_ref)
+    assert len(reps) == len(reps_ref)
+    for got, want in zip(reps, reps_ref):
+        assert len(got) == len(want)
+        assert all(np.array_equal(a, b) for a, b in zip(got, want))
+
+
+@settings(max_examples=60, derandomize=True, database=None, deadline=None)
+@given(multigraph_sheaves())
+def test_spanning_forest_matches_per_edge_products(sheaf):
+    """The stacked edge transports give W and the holonomies bitwise equal to
+    one product per edge visit."""
+    _assert_forest_matches_per_edge_products(sheaf)
+
+
+@pytest.mark.parametrize("case", EDGE_CASES + ["frustrated_two_cycle"])
+def test_spanning_forest_matches_per_edge_products_edge_cases(case):
+    sheaf = frustrated_two_cycle() if case == "frustrated_two_cycle" else _edge_case_sheaf(case)
+    _assert_forest_matches_per_edge_products(sheaf)
+
+
 @settings(max_examples=60, derandomize=True, database=None, deadline=None)
 @given(multigraph_sheaves(), st.integers(0, 2**31 - 1))
 def test_green_and_linearity_on_multigraphs(sheaf, seed):

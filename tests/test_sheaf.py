@@ -10,7 +10,9 @@ import pytest
 import spdsheaf as s
 from spdsheaf import verify
 from spdsheaf.errors import InvalidInputError
+from spdsheaf.euclid import EuclidSheaf
 from spdsheaf.sheaf import _spanning_forest, cochain0_from_vec, section_space_summary
+from spdsheaf.spd import conj_operator, sym_to_vec, vec_to_sym
 from spdsheaf.verify import (
     oracle_holonomy,
     random_cochain0,
@@ -32,14 +34,14 @@ def path_sheaf(n_stalk, k):
 
 def log_vec(stack):
     """Concatenated scaled vectorization of the logs of a (k, n, n) SPD stack."""
-    return s.sym_to_vec(np.stack([s.spd_log(X) for X in stack])).ravel()
+    return sym_to_vec(np.stack([s.spd_log(X) for X in stack])).ravel()
 
 
 # ---------------------------------------------------------------------------
 # construction
 
 
-@pytest.mark.parametrize("cls", [s.SheafGraph, s.EuclidSheaf])
+@pytest.mark.parametrize("cls", [s.SheafGraph, EuclidSheaf])
 def test_construction_validation(cls):
     I = np.eye(2)
     with pytest.raises(InvalidInputError):
@@ -304,7 +306,7 @@ def test_coboundary_matrix_conjugation_block():
     B = s.coboundary_matrix(sheaf)
     m = s.sym_dim(2)
     np.testing.assert_allclose(B[:, :m], np.eye(m), atol=1e-14)
-    np.testing.assert_allclose(B[:, m:], -s.conj_operator(R), atol=1e-14)
+    np.testing.assert_allclose(B[:, m:], -conj_operator(R), atol=1e-14)
 
 
 def test_coboundary_matrix_no_edges():
@@ -420,7 +422,7 @@ def test_holonomy_fixed_space_examples():
     reps = [random_orthogonal(3, rng) for _ in range(3)]
     fixed = s.holonomy_fixed_space(reps, 3)
     assert fixed.shape[1] == 1
-    S = s.vec_to_sym(fixed[:, 0], 3)
+    S = vec_to_sym(fixed[:, 0], 3)
     np.testing.assert_allclose(S, S[0, 0] * np.eye(3), atol=1e-8)
 
 

@@ -8,6 +8,17 @@ import pytest
 import spdsheaf as s
 import spdsheaf.spd as spd_module
 from spdsheaf.errors import DomainError, InvalidInputError
+from spdsheaf.spd import (
+    EIG_FLOOR,
+    as_orth,
+    as_spd,
+    as_sym,
+    clamp_spd,
+    conj_operator,
+    sym_eig,
+    sym_to_vec,
+    vec_to_sym,
+)
 from spdsheaf.verify import random_orthogonal, random_spd, random_spd_stack
 
 
@@ -21,12 +32,12 @@ def random_sym(n, rng, scale=1.0):
 
 
 def test_sym_eig_identity():
-    w, V = s.sym_eig(np.eye(3))
+    w, V = sym_eig(np.eye(3))
     np.testing.assert_allclose(w, [1.0, 1.0, 1.0])
 
 
 def test_sym_eig_sorted_descending_diag():
-    w, V = s.sym_eig(np.diag([3.0, 2.0, 1.0]))
+    w, V = sym_eig(np.diag([3.0, 2.0, 1.0]))
     np.testing.assert_allclose(w, [3.0, 2.0, 1.0])
     np.testing.assert_allclose(np.abs(V), np.eye(3), atol=1e-12)
 
@@ -34,7 +45,7 @@ def test_sym_eig_sorted_descending_diag():
 def test_sym_eig_reconstruction():
     rng = np.random.default_rng(0)
     S = random_sym(5, rng)
-    w, V = s.sym_eig(S)
+    w, V = sym_eig(S)
     err = np.linalg.norm(V @ np.diag(w) @ V.T - S) / np.linalg.norm(S)
     assert err <= 1e-10
 
@@ -43,7 +54,7 @@ def test_sym_eig_rejects_nonfinite():
     A = np.eye(2)
     A[0, 1] = np.nan
     with pytest.raises(InvalidInputError):
-        s.sym_eig(A)
+        sym_eig(A)
 
 
 # ---------------------------------------------------------------------------
@@ -143,18 +154,7 @@ def test_pair_functions_broadcast_and_answer_in_kind(fn):
 
 
 # ---------------------------------------------------------------------------
-# powers and means
-
-
-def test_spd_power_examples():
-    rng = np.random.default_rng(3)
-    P = random_spd(3, rng)
-    np.testing.assert_allclose(s.spd_power(P, 1.0), P, atol=1e-12)
-    np.testing.assert_allclose(s.spd_power(np.diag([4.0, 1.0]), 0.5),
-                               np.diag([2.0, 1.0]), atol=1e-12)
-    theta = 0.37
-    np.testing.assert_allclose(s.spd_power(s.spd_power(P, theta), 1.0 / theta), P,
-                               atol=1e-9)
+# power means
 
 
 def test_power_euclidean_mean():
@@ -175,11 +175,17 @@ def test_power_euclidean_mean():
         s.power_euclidean_mean([np.ones(2), np.ones(2)], 0.5)
 
 
+def _eigh_power(X, theta):
+    """X**theta from one eigendecomposition, independent of the package."""
+    w, V = np.linalg.eigh(X)
+    return (V * w**theta) @ V.T
+
+
 def test_power_euclidean_mean_matches_per_matrix_powers():
     rng = np.random.default_rng(11)
     mats = [random_spd(3, rng) for _ in range(6)]
     for theta in (0.25, 0.5, 1.0):
-        reference = s.spd_power(np.mean([s.spd_power(X, theta) for X in mats], axis=0),
+        reference = _eigh_power(np.mean([_eigh_power(X, theta) for X in mats], axis=0),
                                 1.0 / theta)
         np.testing.assert_allclose(s.power_euclidean_mean(mats, theta), reference,
                                    rtol=1e-12, atol=0)
@@ -351,20 +357,20 @@ def test_erank_examples():
 
 
 def test_clamp_spd():
-    out = s.clamp_spd(np.diag([1.0, -0.5]))
+    out = clamp_spd(np.diag([1.0, -0.5]))
     np.testing.assert_allclose(out, np.diag([1.0, 1e-4]), atol=1e-15)
     P = np.diag([2.0, 3.0])
-    assert s.clamp_spd(P) is not P
-    np.testing.assert_allclose(s.clamp_spd(P), P)  # exact when above floor
+    assert clamp_spd(P) is not P
+    np.testing.assert_allclose(clamp_spd(P), P)  # exact when above floor
     rng = np.random.default_rng(15)
     S = random_sym(4, rng)
-    w = np.linalg.eigvalsh(s.clamp_spd(S))
+    w = np.linalg.eigvalsh(clamp_spd(S))
     assert w.min() >= 1e-4 - 1e-15
     # in a stack, only the matrices below the floor are rebuilt
     Q = random_spd(4, rng)
-    out = s.clamp_spd(np.stack([Q, S, Q]))
-    assert np.array_equal(out[0], s.clamp_spd(Q)) and np.array_equal(out[2], out[0])
-    np.testing.assert_allclose(out[1], s.clamp_spd(S), rtol=0, atol=1e-15)
+    out = clamp_spd(np.stack([Q, S, Q]))
+    assert np.array_equal(out[0], clamp_spd(Q)) and np.array_equal(out[2], out[0])
+    np.testing.assert_allclose(out[1], clamp_spd(S), rtol=0, atol=1e-15)
 
 
 # ---------------------------------------------------------------------------
@@ -374,9 +380,9 @@ def test_clamp_spd():
 def test_sym_vec_round_trip_and_isometry():
     rng = np.random.default_rng(16)
     S = random_sym(4, rng)
-    v = s.sym_to_vec(S)
+    v = sym_to_vec(S)
     assert v.shape == (s.sym_dim(4),)
-    np.testing.assert_allclose(s.vec_to_sym(v, 4), S, atol=1e-14)
+    np.testing.assert_allclose(vec_to_sym(v, 4), S, atol=1e-14)
     assert abs(np.dot(v, v) - np.sum(S * S)) <= 1e-12
 
 
@@ -391,7 +397,7 @@ def test_triangle_indices_are_shared_and_read_only():
             a[0] = 7
     # the vectorization never writes through the shared arrays
     S = random_sym(3, np.random.default_rng(17))
-    np.testing.assert_array_equal(s.vec_to_sym(s.sym_to_vec(S), 3), S)
+    np.testing.assert_array_equal(vec_to_sym(sym_to_vec(S), 3), S)
     assert np.array_equal(scale, np.where(iu[0] == iu[1], 1.0, math.sqrt(2.0)))
 
 
@@ -399,29 +405,29 @@ def test_conj_operator_matches_congruence():
     rng = np.random.default_rng(17)
     M = random_orthogonal(3, rng)
     S = random_sym(3, rng)
-    np.testing.assert_allclose(s.conj_operator(M) @ s.sym_to_vec(S),
-                               s.sym_to_vec(M @ S @ M.T), atol=1e-12)
+    np.testing.assert_allclose(conj_operator(M) @ sym_to_vec(S),
+                               sym_to_vec(M @ S @ M.T), atol=1e-12)
     # orthogonal input gives an orthogonal operator
-    C = s.conj_operator(M)
+    C = conj_operator(M)
     np.testing.assert_allclose(C.T @ C, np.eye(6), atol=1e-12)
 
 
 def test_validated_constructors():
     with pytest.raises(InvalidInputError):
-        s.as_sym(np.array([[0.0, 1.0], [0.0, 0.0]]))
-    P = s.as_spd(np.diag([1.0, -1.0]))
-    assert np.linalg.eigvalsh(P).min() >= s.EIG_FLOOR - 1e-15
+        as_sym(np.array([[0.0, 1.0], [0.0, 0.0]]))
+    P = as_spd(np.diag([1.0, -1.0]))
+    assert np.linalg.eigvalsh(P).min() >= EIG_FLOOR - 1e-15
     with pytest.raises(InvalidInputError):
-        s.as_orth(np.diag([2.0, 1.0]))
+        as_orth(np.diag([2.0, 1.0]))
 
 
 def test_conj_operator_takes_stacks():
     rng = np.random.default_rng(18)
     Ms = np.stack([random_orthogonal(3, rng) for _ in range(5)]).reshape(5, 1, 3, 3)
-    C = s.conj_operator(Ms)
+    C = conj_operator(Ms)
     assert C.shape == (5, 1, 6, 6)
     for k in range(5):
-        assert np.array_equal(C[k, 0], s.conj_operator(Ms[k, 0]))
+        assert np.array_equal(C[k, 0], conj_operator(Ms[k, 0]))
 
 
 def _fixed(X):
@@ -437,12 +443,11 @@ _ORTH_ERRORS = {"nan": InvalidInputError, "scaled": InvalidInputError}
 _STACK_CASES = {
     "spd_log": (s.spd_log, "spd", _SPD_ERRORS),
     "sym_exp": (s.sym_exp, "sym", {"nan": InvalidInputError, "overflow": OverflowError}),
-    "sym_eig": (s.sym_eig, "sym", {"nan": InvalidInputError}),
-    "as_sym": (s.as_sym, "sym", {"nan": InvalidInputError, "asymmetric": InvalidInputError}),
-    "as_spd": (s.as_spd, "sym", {"nan": InvalidInputError, "asymmetric": InvalidInputError}),
-    "as_orth": (s.as_orth, "orth", _ORTH_ERRORS),
+    "sym_eig": (sym_eig, "sym", {"nan": InvalidInputError}),
+    "as_sym": (as_sym, "sym", {"nan": InvalidInputError, "asymmetric": InvalidInputError}),
+    "as_spd": (as_spd, "sym", {"nan": InvalidInputError, "asymmetric": InvalidInputError}),
+    "as_orth": (as_orth, "orth", _ORTH_ERRORS),
     "is_signed_permutation": (spd_module.is_signed_permutation, "orth", {}),
-    "spd_power": (lambda P: s.spd_power(P, 0.37), "spd", _SPD_ERRORS),
     "group_op": (lambda P: s.group_op(P, _fixed(P)), "spd", _SPD_ERRORS),
     "dist_airm": (lambda X: s.dist_airm(X, _fixed(X)), "spd", _SPD_ERRORS),
     "dist_lem": (lambda X: s.dist_lem(X, _fixed(X)), "spd", _SPD_ERRORS),
@@ -451,8 +456,8 @@ _STACK_CASES = {
     "cayley": (s.cayley, "skew", {"nan": InvalidInputError, "asymmetric": InvalidInputError}),
     "frechet_log": (lambda P: s.frechet_log(P, _fixed(P)), "spd", _SPD_ERRORS),
     "erank": (s.erank, "spd", _SPD_ERRORS),
-    "clamp_spd": (s.clamp_spd, "sym", {"nan": InvalidInputError}),
-    "conj_operator": (s.conj_operator, "orth", {}),
+    "clamp_spd": (clamp_spd, "sym", {"nan": InvalidInputError}),
+    "conj_operator": (conj_operator, "orth", {}),
 }
 
 def test_is_signed_permutation_per_matrix():

@@ -11,14 +11,20 @@ from spdsheaf import sheaf as sheaf_module
 from spdsheaf import stream
 from spdsheaf.cli import main
 from spdsheaf.errors import DomainError, InvalidInputError
+from spdsheaf.spd import sym_to_vec
 from spdsheaf.stream import (
     LayerParams,
     PointCloud,
     canonicalize,
     geometric_graph,
     knn_edges,
+    learnable_isometry,
+    linear_probe,
     planarity_experiment,
+    pooled_descriptor,
     run_layers,
+    sheaf_learner,
+    spd_sheaf_layer,
     trace_row,
 )
 from spdsheaf.verify import random_orthogonal, random_spd
@@ -235,27 +241,27 @@ def test_frames_match_vertex_loop_on_random_clouds():
 
 
 def test_learnable_isometry():
-    np.testing.assert_allclose(s.learnable_isometry(np.eye(3)), np.eye(3), atol=1e-14)
+    np.testing.assert_allclose(learnable_isometry(np.eye(3)), np.eye(3), atol=1e-14)
     W = np.diag([-2.0, 3.0, 1.0])
-    Q = s.learnable_isometry(W)
+    Q = learnable_isometry(W)
     np.testing.assert_allclose(np.abs(Q), np.eye(3), atol=1e-12)
     # sign-fix convention: the implied triangular factor has nonnegative diagonal
     assert np.all(np.diag(Q.T @ W) >= 0)
     rng = np.random.default_rng(7)
     for _ in range(20):
         W = rng.normal(size=(3, 3))
-        Q = s.learnable_isometry(W)
+        Q = learnable_isometry(W)
         assert np.linalg.norm(Q.T @ Q - np.eye(3)) <= 1e-10
         assert np.all(np.diag(Q.T @ W) >= -1e-12)
     # rank-deficient seeds are perturbed, not fatal
-    Q = s.learnable_isometry(np.zeros((3, 3)))
+    Q = learnable_isometry(np.zeros((3, 3)))
     assert np.linalg.norm(Q.T @ Q - np.eye(3)) <= 1e-10
 
 
 def test_sheaf_learner_zero_weights_identity():
     params = LayerParams.identity(3)
     h = np.zeros(6)
-    Mt, Mh = s.sheaf_learner(params, h, h)
+    Mt, Mh = sheaf_learner(params, h, h)
     np.testing.assert_allclose(Mt, np.eye(3), atol=1e-14)
     np.testing.assert_allclose(Mh, np.eye(3), atol=1e-14)
 
@@ -264,12 +270,12 @@ def test_sheaf_learner_independent_heads():
     rng = np.random.default_rng(8)
     params = LayerParams.random(3, rng=rng)
     h = rng.normal(size=6)
-    Mt, Mh = s.sheaf_learner(params, h, h)  # same inputs, two heads
+    Mt, Mh = sheaf_learner(params, h, h)  # same inputs, two heads
     assert np.linalg.norm(Mt - Mh) > 1e-6
     for M in (Mt, Mh):
         assert np.linalg.norm(M.T @ M - np.eye(3)) <= 1e-10
     with pytest.raises(InvalidInputError):
-        s.sheaf_learner(params, np.zeros(5), np.zeros(6))
+        sheaf_learner(params, np.zeros(5), np.zeros(6))
 
 
 def test_sheaf_learner_stack_matches_rows():
@@ -278,14 +284,14 @@ def test_sheaf_learner_stack_matches_rows():
     # larger output weights take the maps far from the identity
     params = dataclasses.replace(params, mlp_w2=3.0 * params.mlp_w2, mlp_b2=3.0 * params.mlp_b2)
     H_u, H_v = rng.normal(size=(2, 9, 6))
-    Mt, Mh = s.sheaf_learner(params, H_u, H_v)
+    Mt, Mh = sheaf_learner(params, H_u, H_v)
     assert Mt.shape == Mh.shape == (9, 3, 3)
     for e in range(9):
-        mt, mh = s.sheaf_learner(params, H_u[e], H_v[e])
+        mt, mh = sheaf_learner(params, H_u[e], H_v[e])
         # one matmul over the stack sums in another order than per row
         np.testing.assert_allclose(Mt[e], mt, rtol=0, atol=1e-13)
         np.testing.assert_allclose(Mh[e], mh, rtol=0, atol=1e-13)
-    Mt, Mh = s.sheaf_learner(params, H_u[:0], H_v[:0])
+    Mt, Mh = sheaf_learner(params, H_u[:0], H_v[:0])
     assert Mt.shape == Mh.shape == (0, 3, 3)
 
 
@@ -297,7 +303,7 @@ def test_sheaf_learner_stack_matches_rows():
 ])
 def test_sheaf_learner_rejects_mismatched_stacks(h_u, h_v):
     with pytest.raises(InvalidInputError):
-        s.sheaf_learner(LayerParams.identity(3), h_u, h_v)
+        sheaf_learner(LayerParams.identity(3), h_u, h_v)
 
 
 # ---------------------------------------------------------------------------
@@ -319,7 +325,7 @@ def test_layer_identity_params_global_section():
     pc = cloud(9)
     P = random_spd(3, np.random.default_rng(10))
     logs = {v: s.spd_log(P) for v in pc.ids}
-    out = s.spd_sheaf_layer(pc, logs, LayerParams.identity(3))
+    out = spd_sheaf_layer(pc, logs, LayerParams.identity(3))
     assert out.shape == (len(pc.ids), 3, 3)
     for row in out:
         np.testing.assert_allclose(row, _re_eig_log(P), atol=1e-9)
@@ -333,7 +339,7 @@ def test_layer_re_eig_floor_examples():
                               ([0.5, 0.1, 0.2], [0.1, 0.3, 0.2]),
                               ([3.0, 0.5, 1.0], [math.log(3.0), 0.3, 0.2])]:
         logs = np.broadcast_to(np.diag(np.log(spectrum)), (len(pc.ids), 3, 3))
-        out = s.spd_sheaf_layer(pc, logs, LayerParams.identity(3))
+        out = spd_sheaf_layer(pc, logs, LayerParams.identity(3))
         for row in out:
             np.testing.assert_allclose(row, np.diag(floored), atol=1e-12)
 
@@ -348,7 +354,7 @@ def test_layer_makes_one_eigh_and_one_eigvalsh(monkeypatch):
             calls[_name] += 1
             return _fn(*args, **kwargs)
         monkeypatch.setattr(np.linalg, name, counted)
-    s.spd_sheaf_layer(pc, logs, params)
+    spd_sheaf_layer(pc, logs, params)
     assert calls == {"eigh": 1, "eigvalsh": 1}
 
 
@@ -361,7 +367,7 @@ def test_layer_rejects_asymmetric_or_nan_logs(bad):
     else:
         logs[2, 1, 1] = np.nan
     with pytest.raises(InvalidInputError):
-        s.spd_sheaf_layer(pc, logs, LayerParams.identity(3))
+        spd_sheaf_layer(pc, logs, LayerParams.identity(3))
 
 
 def test_layer_raises_erank():
@@ -369,7 +375,7 @@ def test_layer_raises_erank():
     rng = np.random.default_rng(12)
     sigma = canonicalize(s.lift_coordinates(pc), s.local_frame(pc)[0])
     base = trace_row(sigma, 0).mean_erank
-    out = s.spd_sheaf_layer(pc, s.spd_log(sigma), LayerParams.random(3, rng=rng))
+    out = spd_sheaf_layer(pc, s.spd_log(sigma), LayerParams.random(3, rng=rng))
     assert trace_row(s.sym_exp(out), 1).mean_erank - base >= 1.2
 
 
@@ -391,19 +397,27 @@ def test_layer_rotation_invariance():
 
 def test_pooled_descriptor_examples():
     # the logs of identity values pool to 0, and equal logs pool to themselves
-    np.testing.assert_allclose(s.pooled_descriptor(np.zeros((4, 3, 3))), np.zeros(6),
+    np.testing.assert_allclose(pooled_descriptor(np.zeros((4, 3, 3))), np.zeros(6),
                                atol=1e-12)
     L = s.spd_log(random_spd(3, np.random.default_rng(15)))
-    np.testing.assert_allclose(s.pooled_descriptor(np.stack([L] * 4)), s.sym_to_vec(L),
+    np.testing.assert_allclose(pooled_descriptor(np.stack([L] * 4)), sym_to_vec(L),
                                atol=1e-10)
+
+
+def _eigh_map(X, f):
+    """V diag(f(w)) V^T of one symmetric matrix, independent of the package."""
+    w, V = np.linalg.eigh(X)
+    return (V * f(w)) @ V.T
 
 
 def test_pooled_descriptor_is_the_power_mean_of_the_values():
     rng = np.random.default_rng(24)
     for k in (1, 2, 7):
         logs = s.spd_log(np.stack([random_spd(3, rng) for _ in range(k)]))
-        ref = s.spd_log(s.power_euclidean_mean(s.sym_exp(logs), 0.5))
-        np.testing.assert_allclose(s.pooled_descriptor(logs), s.sym_to_vec(ref),
+        # the values' square roots exp(L / 2), their mean M, and log M**2
+        mean = np.mean([_eigh_map(L, lambda w: np.exp(w / 2)) for L in logs], axis=0)
+        ref = _eigh_map(mean, lambda w: 2 * np.log(w))
+        np.testing.assert_allclose(pooled_descriptor(logs), sym_to_vec(ref),
                                    rtol=0, atol=1e-12)
 
 
@@ -414,8 +428,8 @@ def test_pooled_descriptor_does_not_overflow():
                      [-30.0, 1199.0, 899.0]])
     top = diag.max(axis=0)
     pooled = top + 2.0 * np.log(np.mean(np.exp((diag - top) / 2), axis=0))
-    np.testing.assert_allclose(s.pooled_descriptor(diag[:, :, None] * np.eye(3)),
-                               s.sym_to_vec(np.diag(pooled)), rtol=1e-13, atol=1e-12)
+    np.testing.assert_allclose(pooled_descriptor(diag[:, :, None] * np.eye(3)),
+                               sym_to_vec(np.diag(pooled)), rtol=1e-13, atol=1e-12)
 
 
 def _bad_logs(case):
@@ -430,7 +444,7 @@ def _bad_logs(case):
 @pytest.mark.parametrize("case", ["empty", "two_dimensional", "nan", "asymmetric"])
 def test_pooled_descriptor_rejects_bad_logs(case):
     with pytest.raises(InvalidInputError):
-        s.pooled_descriptor(_bad_logs(case))
+        pooled_descriptor(_bad_logs(case))
 
 
 @pytest.mark.parametrize("frame_invariant", [True, False])
@@ -449,9 +463,9 @@ def test_descriptor_makes_five_eighs_at_two_layers(monkeypatch, frame_invariant)
 def test_pooled_descriptor_permutation_invariant():
     rng = np.random.default_rng(16)
     values = [random_spd(3, rng) for _ in range(5)]
-    a = s.pooled_descriptor(np.stack(values))
+    a = pooled_descriptor(np.stack(values))
     perm = rng.permutation(5)
-    b = s.pooled_descriptor(np.stack(values)[perm])
+    b = pooled_descriptor(np.stack(values)[perm])
     np.testing.assert_allclose(a, b, atol=1e-12)
 
 
@@ -562,7 +576,7 @@ def test_linear_probe_separable():
     X1 = rng.normal(size=(50, 4)) - np.array([3.0, 0, 0, 0])
     X = np.vstack([X0, X1])
     y = np.array([0.0] * 50 + [1.0] * 50)
-    res = s.linear_probe(X, y, X, y)
+    res = linear_probe(X, y, X, y)
     assert res.train_accuracy == 1.0
 
 
@@ -570,7 +584,7 @@ def test_linear_probe_shuffled_labels_chance():
     rng = np.random.default_rng(21)
     X = rng.normal(size=(200, 4))
     y = rng.integers(0, 2, size=200).astype(float)
-    res = s.linear_probe(X[:100], y[:100], X[100:], y[100:])
+    res = linear_probe(X[:100], y[:100], X[100:], y[100:])
     assert abs(res.test_accuracy - 0.5) <= 0.15
 
 
@@ -578,7 +592,7 @@ def test_linear_probe_single_class_error():
     X = np.zeros((10, 3))
     y = np.zeros(10)
     with pytest.raises(DomainError):
-        s.linear_probe(X, y, X, y)
+        linear_probe(X, y, X, y)
 
 
 def test_planarity_experiment_smoke():

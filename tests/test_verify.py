@@ -360,7 +360,7 @@ def test_oracle_helpers_share_no_primary_code():
                if isinstance(node, ast.ImportFrom) and node.level == 1
                and node.module in ("sheaf", "spd", "euclid") for alias in node.names}
     assert {"coboundary", "SheafGraph", "EuclidSheaf", "sym_exp"} <= primary
-    graph_attrs = {name for cls in (_OrthGraph, s.SheafGraph, s.EuclidSheaf)
+    graph_attrs = {name for cls in (_OrthGraph, s.SheafGraph, euclid.EuclidSheaf)
                    for name in list(vars(cls)) + list(cls.__slots__)}
     forbidden = graph_attrs - _PLAIN_GRAPH_FIELDS
     assert {"_tails", "_heads", "_tail_maps", "_head_maps"} <= forbidden
