@@ -18,7 +18,7 @@ import numpy as np
 from . import THREAD_ENV, jsonio, thread_cap, verify
 from .covgraph import TFGraphConfig, build_tf_graph
 from .errors import DomainError, InvalidInputError, NotApplicableError, ParseError
-from .sheaf import NULL_TOL, section_space_summary, sym_dim
+from .sheaf import section_space_summary, sym_dim
 from .stream import (
     canonicalize,
     diffusion_run,
@@ -87,7 +87,7 @@ def cmd_verify(args) -> int:
 
 def cmd_sections(args) -> int:
     sheaf, _ = jsonio.load_sheaf(args.sheaf)
-    summary = section_space_summary(sheaf, args.tol)
+    summary = section_space_summary(sheaf)
     basis, residuals = summary["basis"], summary["edge_residuals"]
     m = sym_dim(sheaf.n_stalk)
     basis_entries = [{
@@ -180,7 +180,7 @@ def cmd_covgraph(args) -> int:
 
 def cmd_lift(args) -> int:
     pc = jsonio.load_cloud(args.cloud)
-    sigma = lift_coordinates(pc, eps_dir=args.eps_dir, eps_spd=args.eps_spd)
+    sigma = lift_coordinates(pc)
     if args.canonicalize:
         frames, _ = local_frame(pc)
         sigma = canonicalize(sigma, frames)
@@ -214,7 +214,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sections", help="kernel basis, index and holonomy of a sheaf file")
     p.add_argument("sheaf", help="sheaf JSON file")
-    p.add_argument("--tol", type=float, default=NULL_TOL)
     p.add_argument("--out", help="write the report here instead of stdout")
     p.set_defaults(func=cmd_sections)
 
@@ -249,8 +248,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("lift", help="lift a point cloud to an SPD 0-cochain")
     p.add_argument("cloud", help="point-cloud JSON file")
-    p.add_argument("--eps-dir", type=float, default=1e-8)
-    p.add_argument("--eps-spd", type=float, default=1e-4)
     p.add_argument("--canonicalize", action="store_true",
                    help="express values in equivariant local frames")
     p.add_argument("--out", help="write the cochain here instead of stdout")

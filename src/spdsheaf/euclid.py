@@ -16,7 +16,6 @@ import numpy as np
 
 from .errors import InvalidInputError, NotApplicableError
 from .sheaf import (
-    NULL_TOL,
     SheafGraph,
     _OrthGraph,
     _sections_from_holonomy,
@@ -67,16 +66,15 @@ def _vec_coboundary(sheaf: EuclidSheaf, vals: np.ndarray, tail_maps: np.ndarray,
             - head_maps @ vals[sheaf._heads, :, None])[..., 0]
 
 
-def euclid_sections(sheaf: EuclidSheaf, tol: float = NULL_TOL) -> np.ndarray:
+def euclid_sections(sheaf: EuclidSheaf) -> np.ndarray:
     """Orthonormal basis (columns) of the kernel of the vector coboundary.
 
     The holonomy pass of :func:`~spdsheaf.sheaf.global_sections` with the
     maps acting on R^n by themselves: per component, the vectors fixed by
     every cycle holonomy, carried to each vertex by its tree transport and
-    ordered by component. ``tol`` is the cutoff of the holonomy nullspaces
-    and must lie in (0, 1).
+    ordered by component.
     """
-    return _sections_from_holonomy(sheaf, tol, np.asarray)[2]
+    return _sections_from_holonomy(sheaf, np.asarray)[2]
 
 
 def vec_cochain_from_vec(sheaf: EuclidSheaf, vec) -> dict:
@@ -164,14 +162,15 @@ def check_kernel_correspondence(sheaf: EuclidSheaf, x: VecCochain0,
     )
 
 
-def strictness_witness(sheaf: SheafGraph, tol: float = SECTION_TOL) -> dict:
+def strictness_witness(sheaf: SheafGraph) -> dict:
     """A global section with >= 3 distinct eigenvalues, hence outside the embedding image.
 
     Requires trivial holonomy (all cycle representatives equal to the
     identity) and stalk dimension >= 3. The witness is diag(1, ..., n)
     parallel-transported from a root in each component; orthogonal transport
     preserves the eigenvalue multiset, so every vertex value stays outside
-    the embedding's two-eigenvalue image.
+    the embedding's two-eigenvalue image. Its edge residuals must be within
+    SECTION_TOL of the identity.
     """
     n = sheaf.n_stalk
     if n < 3:
@@ -182,6 +181,6 @@ def strictness_witness(sheaf: SheafGraph, tol: float = SECTION_TOL) -> dict:
         raise NotApplicableError("sheaf has nontrivial holonomy")
     values = _sym_part(W @ P @ np.swapaxes(W, -1, -2))
     resid = np.max(dist_lem(coboundary(sheaf, values), np.eye(n)), initial=0.0)
-    if resid > tol:
+    if resid > SECTION_TOL:
         raise AssertionError(f"transported witness failed the section check ({resid:.3e})")
     return dict(zip(sheaf.vertices, values))

@@ -127,6 +127,13 @@ def _n_stalk(obj) -> int:
     return n
 
 
+def _list(obj, key: str) -> list:
+    """The JSON list stored under `key`."""
+    if not isinstance(obj[key], list):
+        raise ParseError(f"'{key}' must be a list, got {type(obj[key]).__name__}")
+    return obj[key]
+
+
 def _pairs(entries, what: str) -> list:
     """The entries of a list of two-element lists such as [id, value] or [tail, head]."""
     if not (isinstance(entries, list)
@@ -156,9 +163,9 @@ def load_sheaf(path: str) -> tuple[SheafGraph, dict | None]:
     obj = load_json(path)
     with _parsing("sheaf"):
         n = _n_stalk(obj)
-        vertices = [_as_id(v) for v in obj["vertices"]]
+        vertices = [_as_id(v) for v in _list(obj, "vertices")]
         edges, maps = [], []
-        for e in obj["edges"]:
+        for e in _list(obj, "edges"):
             edges.append((_as_id(e["tail"]), _as_id(e["head"])))
             maps.append((matrix_from_json(e["map_tail"], n),
                          matrix_from_json(e["map_head"], n)))

@@ -294,10 +294,10 @@ def cochain0_from_vec(sheaf: SheafGraph, vec) -> dict:
     return dict(zip(sheaf.vertices, sym_exp(vec_to_sym(vec, n))))
 
 
-def nullspace(A: np.ndarray, tol: float = NULL_TOL) -> np.ndarray:
+def nullspace(A: np.ndarray) -> np.ndarray:
     """Orthonormal nullspace basis (columns) via SVD with a relative cutoff.
 
-    The cutoff is ``tol * max(sigma_max, 1)``. The floor at 1 matters when
+    The cutoff is ``NULL_TOL * max(sigma_max, 1)``. The floor at 1 matters when
     A is zero up to rounding, as for the action-minus-identity operators of
     identity holonomies: relative to a sigma_max near 1e-16, rounding noise
     would count as rank. Inside the package only :func:`_fixed_space` calls
@@ -311,18 +311,19 @@ def nullspace(A: np.ndarray, tol: float = NULL_TOL) -> np.ndarray:
     if A.shape[0] == 0:
         return np.eye(A.shape[1])
     _, s, Vh = np.linalg.svd(A, full_matrices=A.shape[0] < A.shape[1])
-    rank = int(np.sum(s > tol * max(s[0], 1.0))) if s.size else 0
+    rank = int(np.sum(s > NULL_TOL * max(s[0], 1.0))) if s.size else 0
     return Vh[rank:].T.copy()
 
 
-def _fixed_space(ops: np.ndarray, tol: float) -> np.ndarray:
+def _fixed_space(ops: np.ndarray) -> np.ndarray:
     """Orthonormal basis of the common fixed space of a (k, m, m) stack of
-    orthogonal operators: the nullspace of the stacked ``ops - I``."""
+    orthogonal operators: the nullspace of the stacked ``ops - I``, which is
+    all of R^m when k = 0."""
     m = ops.shape[-1]
-    return nullspace((ops - np.eye(m)).reshape(-1, m), tol)
+    return nullspace((ops - np.eye(m)).reshape(-1, m))
 
 
-def _sections_from_holonomy(sheaf: _OrthGraph, tol: float, act) -> tuple[int, list, np.ndarray]:
+def _sections_from_holonomy(sheaf: _OrthGraph, act) -> tuple[int, list, np.ndarray]:
     """Component count, per-component fixed dimensions and the kernel basis.
 
     ``act`` maps (..., n, n) orthogonal stacks to their action on the stalk:
@@ -334,16 +335,13 @@ def _sections_from_holonomy(sheaf: _OrthGraph, tol: float, act) -> tuple[int, li
     columns are ``act(W_v) F / sqrt(|C|)`` stacked over v in C and zero
     elsewhere. They are orthonormal with no QR: an orthogonal action is an
     isometry, so each of the |C| vertex blocks of two columns of C pairs to
-    ``<F_i, F_j> / |C|``, and components have disjoint supports. ``tol`` is
-    the cutoff of the holonomy nullspaces; no operator on all |V| m
-    coordinates is built.
+    ``<F_i, F_j> / |C|``, and components have disjoint supports. No operator
+    on all |V| m coordinates is built.
     """
-    if not 0 < tol < 1:  # also rejects NaN
-        raise InvalidInputError(f"tolerance must lie in (0, 1), got {tol}")
     comps, W, reps = _spanning_forest(sheaf)
     blocks = act(W)
     m = blocks.shape[-1]
-    fixed = [_fixed_space(act(np.stack(r)), tol) if r else np.eye(m) for r in reps]
+    fixed = [_fixed_space(act(np.reshape(r, (-1,) + W.shape[1:]))) for r in reps]
     dims = [F.shape[1] for F in fixed]
     basis = np.zeros((sheaf.n_vertices, m, sum(dims)))
     col = 0
@@ -353,7 +351,7 @@ def _sections_from_holonomy(sheaf: _OrthGraph, tol: float, act) -> tuple[int, li
     return len(comps), dims, basis.reshape(sheaf.n_vertices * m, col)
 
 
-def global_sections(sheaf: SheafGraph, tol: float = NULL_TOL) -> np.ndarray:
+def global_sections(sheaf: SheafGraph) -> np.ndarray:
     """Orthonormal basis (columns) of the log-domain kernel of the coboundary.
 
     Built per component from the holonomy fixed space and the tree
@@ -362,7 +360,7 @@ def global_sections(sheaf: SheafGraph, tol: float = NULL_TOL) -> np.ndarray:
     :func:`cochain0_from_vec` yields a 0-cochain whose coboundary is the
     identity on every edge.
     """
-    return _sections_from_holonomy(sheaf, tol, conj_operator)[2]
+    return _sections_from_holonomy(sheaf, conj_operator)[2]
 
 
 def sheaf_index(sheaf: SheafGraph) -> int:
@@ -442,18 +440,17 @@ def holonomy_fixed_space(reps: Sequence[np.ndarray], n: int | None = None) -> np
 
     Computed as the joint nullspace, at the cutoff NULL_TOL, of the stacked
     conjugation-minus-identity operators on symmetric-matrix coordinates.
-    With no representatives the whole of Sym_n is returned (n must then be
-    given).
+    The representatives must be finite, square and of one size, equal to n
+    when n is given. With no representatives the whole of Sym_n is returned
+    (n must then be given).
     """
     reps = list(reps)
-    if not reps:
-        if n is None:
-            raise InvalidInputError("n is required when the representation list is empty")
-        return np.eye(sym_dim(n))
-    return _fixed_space(conj_operator(np.stack(reps)), NULL_TOL)
+    if not reps and (n is None or n < 1):
+        raise InvalidInputError("a positive n is required when the representation list is empty")
+    return _fixed_space(conj_operator(_cochain_stack(reps, None, n)))
 
 
-def section_space_summary(sheaf: SheafGraph, tol: float = NULL_TOL) -> dict:
+def section_space_summary(sheaf: SheafGraph) -> dict:
     """Every number of a sections report, from one spanning-forest pass.
 
     ``kernel_dim`` is the total of the per-component holonomy fixed
@@ -461,7 +458,7 @@ def section_space_summary(sheaf: SheafGraph, tol: float = NULL_TOL) -> dict:
     :func:`global_sections` and ``edge_residuals``, the (kernel_dim, |E|)
     Frobenius norms of the log-domain coboundary of each basis column.
     """
-    n_comps, fixed_dims, basis = _sections_from_holonomy(sheaf, tol, conj_operator)
+    n_comps, fixed_dims, basis = _sections_from_holonomy(sheaf, conj_operator)
     n, m = sheaf.n_stalk, sym_dim(sheaf.n_stalk)
     logs = vec_to_sym(basis.T.reshape(basis.shape[1], sheaf.n_vertices, m), n)
     residuals = np.linalg.norm(_coboundary_logs(sheaf, logs), axis=(-2, -1))

@@ -45,8 +45,10 @@ SIGNED_PERM_TOL = 1e-10
 #: descending position i becomes i * RE_EIG_DELTA.
 RE_EIG_DELTA = 0.1
 
-# exp() overflows float64 slightly above this eigenvalue.
-_EXP_MAX = 700.0
+# Largest eigenvalue whose exp() keeps V diag(exp(w)) V^T and the sum in
+# _sym_part finite: log(float64 max / 2), about 709.09 (exp alone overflows
+# above 709.78).
+_EXP_MAX = math.log(np.finfo(np.float64).max / 2)
 
 _SQRT2 = math.sqrt(2.0)
 

@@ -23,6 +23,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import DomainError, InvalidInputError
+from .euclid import embed_phi
 from .sheaf import SheafGraph, _cochain_stack, _log_update, diffusion_step
 from .spd import (
     RE_EIG_DELTA,
@@ -43,6 +44,10 @@ from .spd import (
 _PAIR_BLOCK = 1 << 15
 
 _HIDDEN = 32  # width of the sheaf learner's hidden layer
+_KNN, _K_FALLBACK = 3, 2  # neighbours of k-NN vertices and of radius-isolated ones
+
+#: Guards the lift's direction normalization; a centroid point lifts to EIG_FLOOR I.
+EPS_DIR = 1e-8
 
 
 class PointCloud:
@@ -81,17 +86,17 @@ class PointCloud:
         return self.points.shape[0]
 
 
-def knn_edges(points, k: int = 3) -> list[tuple[int, int]]:
-    """Symmetrized k-nearest-neighbour edges on positional indices."""
+def knn_edges(points) -> list[tuple[int, int]]:
+    """Symmetrized 3-nearest-neighbour edges on positional indices."""
     d2 = _squared_distances(points)
-    return _edge_list(np.zeros(d2.shape, dtype=bool), d2, np.arange(d2.shape[0]), k)
+    return _edge_list(np.zeros(d2.shape, dtype=bool), d2, np.arange(d2.shape[0]), _KNN)
 
 
-def geometric_graph(points, radius: float, k_fallback: int = 2) -> list[tuple[int, int]]:
-    """Radius graph; vertices left isolated get their k nearest neighbours."""
+def geometric_graph(points, radius: float) -> list[tuple[int, int]]:
+    """Radius graph; vertices left isolated get their 2 nearest neighbours."""
     d2 = _squared_distances(points)
     near = d2 <= radius**2
-    return _edge_list(near, d2, np.flatnonzero(~near.any(axis=1)), k_fallback)
+    return _edge_list(near, d2, np.flatnonzero(~near.any(axis=1)), _K_FALLBACK)
 
 
 def _squared_distances(points) -> np.ndarray:
@@ -116,22 +121,16 @@ def _edge_list(adj, d2, rows, k: int) -> list[tuple[int, int]]:
 # lifting and frames
 
 
-def lift_coordinates(pc: PointCloud, eps_dir: float = 1e-8,
-                     eps_spd: float = 1e-4) -> np.ndarray:
+def lift_coordinates(pc: PointCloud) -> np.ndarray:
     """Centroid-centered unit directions lifted to near-rank-one SPD matrices.
 
-    ``X_v = u u^T + eps_spd I`` with ``u = (p_v - centroid)/(||.|| + eps_dir)``,
+    ``X_v = embed_phi(u)`` with ``u = (p_v - centroid)/(||.|| + EPS_DIR)``,
     one (|V|, 3, 3) stack in ``pc.ids`` order. Exactly translation invariant;
-    points at the centroid degrade gracefully to ``eps_spd I``. Both eps must
-    be finite and positive.
+    points at the centroid degrade gracefully to ``EIG_FLOOR I``.
     """
-    if not (0 < eps_dir < np.inf and 0 < eps_spd < np.inf):
-        raise InvalidInputError(f"eps_dir and eps_spd must be finite and positive, "
-                                f"got {eps_dir} and {eps_spd}")
     centered = pc.points - pc.points.mean(axis=0)
     norms = np.linalg.norm(centered, axis=1, keepdims=True)
-    u = centered / (norms + eps_dir)
-    return u[:, :, None] * u[:, None, :] + eps_spd * np.eye(3)
+    return embed_phi(centered / (norms + EPS_DIR))
 
 
 def local_frame(pc: PointCloud) -> tuple[np.ndarray, np.ndarray]:
@@ -414,7 +413,7 @@ def geometric_descriptor(pc: PointCloud, params_list: Sequence[LayerParams],
                          frame_invariant: bool = True) -> np.ndarray:
     """Full pipeline: lift, optionally canonicalize, convolve, pool.
 
-    Lifting is at eps_dir = 1e-8, eps_spd = 1e-4 and pooling at theta = 1/2.
+    Lifting is :func:`lift_coordinates` and pooling at theta = 1/2.
     With ``frame_invariant`` the lifted states are expressed in their
     equivariant local frames, making the descriptor invariant under rigid
     motions of the cloud; without it the descriptor lives in the task frame
@@ -437,7 +436,7 @@ def geometric_descriptor(pc: PointCloud, params_list: Sequence[LayerParams],
 def diffusion_run(pc: PointCloud, layers: int, seed: int,
                   identity_maps: bool = False, residual: bool = True,
                   normalize: bool = True) -> tuple[np.ndarray, RankTrace]:
-    """Iterate plain sheaf diffusion on a cloud lifted at eps_dir = 1e-8, eps_spd = 1e-4.
+    """Iterate plain sheaf diffusion on a cloud lifted by :func:`lift_coordinates`.
 
     Restriction maps are resampled per layer (random special-orthogonal via
     the Cayley transform of random skew matrices) unless ``identity_maps`` is
@@ -520,7 +519,7 @@ def planar_cloud(rng, planar: bool) -> PointCloud:
         ])
     else:
         pts = rng.normal(scale=0.5, size=(n, 3))
-    return PointCloud(pts, knn_edges(pts, k=3))
+    return PointCloud(pts, knn_edges(pts))
 
 
 def planarity_experiment(seed: int, n_per_class: int = 200,

@@ -10,7 +10,8 @@ import numpy as np
 import pytest
 
 import spdsheaf as s
-from spdsheaf.euclid import vec_cochain_from_vec
+from spdsheaf.euclid import SECTION_TOL, vec_cochain_from_vec
+from spdsheaf.spd import EIG_FLOOR
 from spdsheaf.stream import (
     LayerParams,
     PointCloud,
@@ -153,7 +154,8 @@ def test_criterion_07_correspondence_strictness():
         reps = s.holonomy_reps(ssheaf)
         trivial = all(np.linalg.norm(r - np.eye(n)) <= 1e-8 for r in reps)
         if trivial and n >= 3:
-            witness = s.strictness_witness(ssheaf, tol=1e-7)
+            assert SECTION_TOL == 1e-7  # the witness's section bound
+            witness = s.strictness_witness(ssheaf)
             for X in witness.values():
                 w = np.sort(np.linalg.eigvalsh(X))
                 witnesses_ok = witnesses_ok and (1 + np.sum(np.diff(w) > 1e-6)) > 2
@@ -175,8 +177,8 @@ def test_criterion_08_second_order_emergence():
         n = int(rng.integers(8, 21))
         pts = rng.normal(scale=0.7, size=(n, 3))
         pc = PointCloud(pts, geometric_graph(pts, radius=0.8))
-        sigma = canonicalize(s.lift_coordinates(pc, eps_spd=1e-4),
-                             s.local_frame(pc)[0])
+        assert EIG_FLOOR == 1e-4  # the lift's ridge
+        sigma = canonicalize(s.lift_coordinates(pc), s.local_frame(pc)[0])
         row0 = trace_row(sigma, 0)
         layer0_ok = layer0_ok and row0.mean_erank <= 1.05
         _, trace = run_layers(pc, sigma, [LayerParams.random(3, rng=rng)])

@@ -1,8 +1,10 @@
 """CLI subcommands end to end: exit codes and reproducible outputs."""
 
+import argparse
 import inspect
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -106,6 +108,23 @@ def test_covgraph_shrinkage_default_is_the_config_default():
     assert args.shrinkage == TFGraphConfig.shrinkage
     default = inspect.signature(segment_covariance).parameters["shrinkage"].default
     assert default == TFGraphConfig.shrinkage
+
+
+def test_readme_names_only_what_the_parser_takes():
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    parser = build_parser()
+    examples = [line.split()[1:] for line in text.splitlines() if line.startswith("spd-sheaf ")]
+    assert examples
+    for argv in examples:
+        try:
+            parser.parse_args(argv)
+        except SystemExit:
+            pytest.fail(f"README example does not parse: spd-sheaf {' '.join(argv)}")
+    subparsers = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    options = {opt for sub in subparsers.choices.values() for opt in sub._option_string_actions}
+    section = text.split("\n## Command line\n", 1)[1].split("\n## ", 1)[0]
+    named = set(re.findall(r"(?<![\w-])--[a-z][\w-]*", section))
+    assert named and not named - options, f"no subcommand takes {sorted(named - options)}"
 
 
 def test_verify_missing_config_is_usage_error(capsys):
@@ -268,6 +287,12 @@ def _sheaf_obj(map_tail=None, value0=None):
             "cochain0": [[0, value0 or I], [1, I]]}
 
 
+def _sheaf_of_ids(vertices):
+    """A one-edge 1x1 sheaf on vertex ids "a" and "b", listed as `vertices`."""
+    return {"n_stalk": 1, "vertices": vertices,
+            "edges": [{"tail": "a", "head": "b", "map_tail": [[1.0]], "map_head": [[1.0]]}]}
+
+
 def _segments_obj(t_mid=0.0, data=None):
     return {"segments": [{"t_mid": t_mid, "f_mid": 10.0,
                           "data": data or [[1.0, 2.0], [0.5, -1.0]]}]}
@@ -348,12 +373,11 @@ _MALFORMED = {
     "cloud_edge_triple_lift": (["lift", "INPUT"], {**_CLOUD, "edges": [[0, 1, 2]]}),
     "cloud_edge_triple_diffuse": (["diffuse", "INPUT", *_DIFFUSE, "--layers", "2", "--seed", "1"],
                                   {**_CLOUD, "edges": [[0, 1, 2]]}),
-    "sections_tol_nan": (["sections", "INPUT", "--tol", "nan"], _sheaf_obj()),
-    "sections_tol_inf": (["sections", "INPUT", "--tol", "inf"], _sheaf_obj()),
-    "sections_tol_one": (["sections", "INPUT", "--tol", "1"], _sheaf_obj()),
-    "lift_negative_eps_spd": (["lift", "INPUT", "--eps-spd", "-1"], _CLOUD),
-    "lift_nan_eps_spd": (["lift", "INPUT", "--eps-spd", "nan"], _CLOUD),
-    "lift_nan_eps_dir": (["lift", "INPUT", "--eps-dir", "nan"], _CLOUD),
+    # strings and objects iterate too, as characters and keys
+    "sheaf_vertices_string": (["sections", "INPUT"], _sheaf_of_ids("ab")),
+    "sheaf_vertices_object": (["sections", "INPUT"], _sheaf_of_ids({"a": 1, "b": 2})),
+    "sheaf_edges_string": (["sections", "INPUT"], {**_sheaf_obj(), "edges": ""}),
+    "sheaf_edges_object": (["sections", "INPUT"], {**_sheaf_obj(), "edges": {}}),
     "covgraph_nan_eps": (["covgraph", "INPUT", *_covgraph_nan("--eps")], _segments_obj()),
     "covgraph_nan_bandwidth": (["covgraph", "INPUT", *_covgraph_nan("--bandwidth")],
                                _segments_obj()),
@@ -382,9 +406,10 @@ _MESSAGES = {"duplicate_ids_lift": "duplicate vertex ids",
              "cochain0_vertex_twice": "twice",
              "cloud_edge_triple_lift": "two-element lists",
              "cloud_edge_triple_diffuse": "two-element lists",
-             "sections_tol_nan": "tolerance", "sections_tol_inf": "tolerance",
-             "sections_tol_one": "tolerance", "lift_negative_eps_spd": "eps_spd",
-             "lift_nan_eps_spd": "eps_spd", "lift_nan_eps_dir": "eps_dir",
+             "sheaf_vertices_string": "'vertices' must be a list",
+             "sheaf_vertices_object": "'vertices' must be a list",
+             "sheaf_edges_string": "'edges' must be a list",
+             "sheaf_edges_object": "'edges' must be a list",
              "covgraph_nan_eps": "eps and bandwidth", "covgraph_nan_bandwidth": "eps and bandwidth",
              "covgraph_nan_eps1": "window widths", "covgraph_nan_shrinkage": "shrinkage",
              "covgraph_overflowing_data": "too large",

@@ -1,7 +1,5 @@
 """Euclidean sheaves, the embedding bridge, and the generalization theorems."""
 
-import math
-
 import numpy as np
 import pytest
 
@@ -58,12 +56,6 @@ def test_euclid_sections_dimensions():
     assert s.euclid_sections(frustrated_two_cycle()).shape[1] == 0
     no_edges = EuclidSheaf(2, [0, 1, 2], [], [])
     assert s.euclid_sections(no_edges).shape[1] == 6
-
-
-@pytest.mark.parametrize("tol", [0.0, 1.0, -1e-8, math.nan, math.inf])
-def test_euclid_sections_rejects_tolerance_outside_unit_interval(tol):
-    with pytest.raises(InvalidInputError, match="tolerance"):
-        s.euclid_sections(identity_path(2, 3), tol)
 
 
 # ---------------------------------------------------------------------------

@@ -426,6 +426,18 @@ def test_holonomy_fixed_space_examples():
     np.testing.assert_allclose(S, S[0, 0] * np.eye(3), atol=1e-8)
 
 
+@pytest.mark.parametrize("reps, n, match", [
+    ([np.eye(3)], 2, r"got \(1, 3, 3\)"),
+    ([np.eye(2), np.eye(3)], None, "one square shape"),
+    ([np.diag([np.nan, 1.0])], 2, "non-finite"),
+    ([np.ones((2, 3))], None, r"one square shape, got \(1, 2, 3\)"),
+    ([], None, "positive n"),
+])
+def test_holonomy_fixed_space_rejects_bad_representatives(reps, n, match):
+    with pytest.raises(InvalidInputError, match=match):
+        s.holonomy_fixed_space(reps, n)
+
+
 def test_gauge_trivial_cycle_fixes_all_of_sym():
     # maps (G_t^T, G_h^T) from per-vertex gauges: every cycle holonomy is the
     # identity up to rounding, so nothing of Sym_3 may count as rank

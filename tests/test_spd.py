@@ -94,6 +94,21 @@ def test_sym_exp_overflow():
         s.sym_exp(np.diag([800.0, 0.0]))
 
 
+def test_sym_exp_reaches_the_float_range():
+    # exp(709.08) is about 8.8e307: representable, and so is its symmetrized
+    # sum 2 exp(709.08); exp(709.1) doubled would overflow
+    Q = random_orthogonal(3, np.random.default_rng(0))
+    with np.errstate(over="raise", invalid="raise"):
+        top = s.sym_exp(Q @ np.diag([709.08, 1.0, 2.0]) @ Q.T)
+        mean = s.power_euclidean_mean([np.diag([1e305, 1.0]), np.diag([1e305, 2.0])], 0.5)
+    assert np.all(np.isfinite(top))
+    np.testing.assert_allclose(np.linalg.eigvalsh(top)[-1], math.exp(709.08), rtol=1e-12)
+    np.testing.assert_allclose(mean, np.diag([1e305, ((1 + math.sqrt(2)) / 2) ** 2]),
+                               rtol=1e-12, atol=1e-12)
+    with pytest.raises(OverflowError):
+        s.sym_exp(Q @ np.diag([709.1, 1.0, 2.0]) @ Q.T)
+
+
 # ---------------------------------------------------------------------------
 # group structure
 

@@ -60,6 +60,14 @@ def test_lift_centroid_point():
     assert s.erank(sigma[0]) >= 2.99
 
 
+def test_lift_is_phi_of_the_unit_directions():
+    pc = cloud(4)
+    centered = pc.points - pc.points.mean(axis=0)
+    u = centered / (np.linalg.norm(centered, axis=1, keepdims=True) + 1e-8)
+    expected = u[:, :, None] * u[:, None, :] + 1e-4 * np.eye(3)
+    assert np.array_equal(s.lift_coordinates(pc), expected)
+
+
 def test_lift_translation_invariant():
     pc = cloud(1)
     sigma = s.lift_coordinates(pc)
@@ -633,7 +641,7 @@ def test_planarity_experiment_pairs_run_and_control():
 def test_graph_builders():
     rng = np.random.default_rng(22)
     pts = rng.normal(size=(9, 3))
-    edges = knn_edges(pts, k=3)
+    edges = knn_edges(pts)
     degree = np.zeros(9)
     for i, j in edges:
         assert i < j
@@ -648,8 +656,9 @@ def test_graph_builders():
     assert degree.min() >= 1
 
 
-def _edges_by_row_loops(pts, k=None, radius=None, k_fallback=2):
-    """Reference edge lists, built one row at a time."""
+def _edges_by_row_loops(pts, radius=None):
+    """Reference edge lists, built one row at a time: 3 nearest neighbours of
+    every vertex, or a radius graph with 2 for each vertex it leaves isolated."""
     N = len(pts)
     d2 = np.sum((pts[:, None, :] - pts[None, :, :]) ** 2, axis=-1)
     np.fill_diagonal(d2, np.inf)
@@ -660,9 +669,9 @@ def _edges_by_row_loops(pts, k=None, radius=None, k_fallback=2):
         for i, j in pairs:
             degree[i] += 1
             degree[j] += 1
-        k, rows = k_fallback, [i for i in range(N) if degree[i] == 0]
+        k, rows = 2, [i for i in range(N) if degree[i] == 0]
     else:
-        rows = range(N)
+        k, rows = 3, range(N)
     for i in rows:
         for j in np.argsort(d2[i])[:min(k, N - 1)]:
             pairs.add((min(i, int(j)), max(i, int(j))))
@@ -677,12 +686,10 @@ def test_graph_builders_match_row_loops():
             pts = rng.normal(size=(int(rng.integers(2, 30)), 3))
         else:  # equal distances: ties in every sort
             pts = lattice[rng.permutation(27)[:int(rng.integers(2, 28))]]
-        for k in (1, 3, 5):
-            assert knn_edges(pts, k) == _edges_by_row_loops(pts, k=k)
+        assert knn_edges(pts) == _edges_by_row_loops(pts)
         for radius in (0.1, 1.0, 1.5):
-            for k_fallback in (1, 2, 3):
-                edges = geometric_graph(pts, radius, k_fallback)
-                assert edges == _edges_by_row_loops(pts, radius=radius, k_fallback=k_fallback)
-                assert all(i < j for i, j in edges)
+            edges = geometric_graph(pts, radius)
+            assert edges == _edges_by_row_loops(pts, radius=radius)
+            assert all(i < j for i, j in edges)
     # two far points: the fallback never pairs a vertex with itself
     assert geometric_graph(np.array([[0.0, 0, 0], [5.0, 0, 0]]), 1.0) == [(0, 1)]
