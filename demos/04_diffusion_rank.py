@@ -25,12 +25,12 @@ pts = rng.normal(scale=0.7, size=(10, 3))
 pc = PointCloud(pts, geometric_graph(pts, radius=0.8))
 print(f"cloud: {pc.n_points} points, {len(pc.edges)} edges")
 
-# lift and canonicalize, then apply two random layers
-sigma = canonicalize(s.lift_coordinates(pc), s.local_frame(pc)[0])
-print("layer 0 mean erank:", round(trace_row(sigma, 0).mean_erank, 4))
+# lift and canonicalize, then apply two random layers to the logs
+logs = s.spd_log(canonicalize(s.lift_coordinates(pc), s.local_frame(pc)[0]))
+print("layer 0 mean erank:", round(trace_row(logs, 0).mean_erank, 4))
 
 params = [LayerParams.random(3, rng=rng) for _ in range(2)]
-_, trace = run_layers(pc, sigma, params)
+_, trace = run_layers(pc, logs, params)
 for row in trace.rows:
     print(f"  layer {row.layer}: mean erank {row.mean_erank:.3f}, "
           f"mean lambda2 {row.mean_lambda2:.4f}")

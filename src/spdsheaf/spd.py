@@ -330,11 +330,24 @@ def _log_power_mean(logs: np.ndarray, theta: float) -> np.ndarray:
     """Log of the power-Euclidean mean of the values of a (k, n, n) log stack:
     ``log mean exp(theta logs) / theta``. The spectra of ``theta logs`` are
     shifted down by their top eigenvalue c before the exp and ``c I`` is added
-    back after the log, so no exp overflows."""
+    back after the log, so no exp overflows.
+
+    Forming the shifted mean M rounds its entry (i, j) by about eps
+    sqrt(M_ii M_jj), which moves its smallest eigenvalue, with unit
+    eigenvector v, by about eps s for s = (sum_i |v_i| sqrt(M_ii))^2. Raises
+    DomainError when that eigenvalue is at most 1e-10 s: its log would be
+    rounding noise. For rotated eigenvectors s is of the order of the largest
+    eigenvalue; for axis-aligned ones it is the eigenvalue itself.
+    """
     w, V = np.linalg.eigh(theta * logs)
     c = np.max(w)
     mean = np.mean(_from_spectrum(np.exp(w - c), V), axis=0)
-    return (spd_log(mean) + c * np.eye(logs.shape[-1])) / theta
+    w, V = sym_eig(mean)
+    noise = (np.abs(V[:, -1]) @ np.sqrt(np.diag(mean))) ** 2
+    if w[-1] <= 1e-10 * noise:
+        raise DomainError(f"power mean is singular to working precision (smallest "
+                          f"eigenvalue {w[-1]:.3e}, rounding scale {noise:.3e})")
+    return (_from_spectrum(np.log(w), V) + c * np.eye(logs.shape[-1])) / theta
 
 
 # ---------------------------------------------------------------------------

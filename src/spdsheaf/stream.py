@@ -10,8 +10,8 @@ parameters are evaluated at seeded random values; the only trained component
 is a convex logistic readout on pooled descriptors.
 
 A stream cochain is one (|V|, 3, 3) array whose rows follow ``pc.ids``. It
-holds SPD values in lifting, canonicalization, the rank trace and the
-diffusion runs, and logarithms in the convolution layer and pooling.
+holds SPD values in lifting, canonicalization and the diffusion runs, and
+logarithms in the convolution layer, the rank trace and pooling.
 """
 
 from __future__ import annotations
@@ -35,7 +35,6 @@ from .spd import (
     skew_from_params,
     spd_log,
     sym_dim,
-    sym_exp,
     sym_to_vec,
 )
 
@@ -344,27 +343,29 @@ class RankTrace:
         return "\n".join(lines) + "\n"
 
 
-def trace_row(sigma: np.ndarray, layer: int) -> TraceRow:
-    """Summary statistics of one (|V|, n, n) cochain stack: eranks, second
+def trace_row(logs: np.ndarray, layer: int) -> TraceRow:
+    """Summary statistics of one (|V|, n, n) stack of logs: eranks, second
     eigenvalues, spread.
 
-    One ``eigvalsh`` of the stacked values gives the effective ranks and the
-    second eigenvalues. The log-Euclidean distance of two values is the
-    Euclidean distance of their flattened logs (Arsigny et al. 2007), so the
-    minimum over pairs needs one stacked logarithm.
+    One ``eigvalsh`` of the logs gives their spectra w. The effective rank
+    reads ``exp(w - max w)``, which has the same normalized spectrum; the
+    second eigenvalue ``exp(w_2)`` reads ``inf``, with no warning and no
+    exception, once w_2 passes about 709. The minimum pairwise log-Euclidean
+    distance is that of the flattened logs (Arsigny et al. 2007).
     """
-    stack = as_sym(sigma)
-    if stack.ndim != 3:
-        raise InvalidInputError(f"expected a (|V|, n, n) cochain stack, got shape {stack.shape}")
-    N = stack.shape[0]
-    w = np.linalg.eigvalsh(stack)
-    eranks = _erank_of_spectra(w)
-    lam2 = w[:, -2] if stack.shape[-1] > 1 else np.full(N, np.nan)
-    min_lem = _min_pairwise_distance(spd_log(stack).reshape(N, -1)) if N > 1 else 0.0
+    logs = as_sym(logs)
+    if logs.ndim != 3:
+        raise InvalidInputError(f"expected a (|V|, n, n) stack of logs, got shape {logs.shape}")
+    N = logs.shape[0]
+    w = np.linalg.eigvalsh(logs)
+    eranks = _erank_of_spectra(np.exp(w - w[:, -1:]))
+    with np.errstate(over="ignore"):
+        lam2 = np.mean(np.exp(w[:, -2])) if logs.shape[-1] > 1 else np.nan
+    min_lem = _min_pairwise_distance(logs.reshape(N, -1)) if N > 1 else 0.0
     return TraceRow(
         layer=layer,
         mean_erank=float(np.mean(eranks)),
-        mean_lambda2=float(np.mean(lam2)),
+        mean_lambda2=float(lam2),
         min_pairwise_lem=min_lem,
     )
 
@@ -383,20 +384,15 @@ def _min_pairwise_distance(flat: np.ndarray) -> float:
     return best
 
 
-def rank_trace(cochains: Sequence[np.ndarray]) -> RankTrace:
-    """Build the layer-indexed trace from a sequence of per-layer cochains."""
-    return RankTrace(rows=[trace_row(c, layer=i) for i, c in enumerate(cochains)])
-
-
-def run_layers(pc: PointCloud, sigma0: np.ndarray,
+def run_layers(pc: PointCloud, logs: np.ndarray,
                params_list: Sequence[LayerParams]) -> tuple[np.ndarray, RankTrace]:
-    """Apply a stack of convolution layers to an SPD stack, collecting the trace."""
-    logs = spd_log(sigma0)
-    states = [sigma0]
-    for params in params_list:
+    """Apply a stack of convolution layers to a stack of logs; returns the last
+    layer's logs and the trace of the input and of every layer's output."""
+    rows = [trace_row(logs, 0)]
+    for i, params in enumerate(params_list, 1):
         logs = spd_sheaf_layer(pc, logs, params)
-        states.append(sym_exp(logs))
-    return states[-1], rank_trace(states)
+        rows.append(trace_row(logs, i))
+    return logs, RankTrace(rows)
 
 
 def pooled_descriptor(logs: np.ndarray) -> np.ndarray:
@@ -444,17 +440,17 @@ def diffusion_run(pc: PointCloud, layers: int, seed: int,
     """
     rng = np.random.default_rng(seed)
     sigma = lift_coordinates(pc)
-    states = [sigma]
+    rows = [trace_row(spd_log(sigma), 0)]
     sheaf = pc.graph
-    for _ in range(layers):
+    for i in range(1, layers + 1):
         if not identity_maps:
             # one block draws the same normals as per-edge (tail, head) draws
             A = rng.normal(size=(len(pc.edges), 2, 3, 3))
             maps = cayley(A - np.swapaxes(A, -1, -2))
             sheaf = pc.graph._with_maps(maps[:, 0], maps[:, 1])
         sigma = diffusion_step(sheaf, sigma, normalize=normalize, residual=residual)
-        states.append(sigma)
-    return sigma, rank_trace(states)
+        rows.append(trace_row(spd_log(sigma), i))
+    return sigma, RankTrace(rows)
 
 
 # ---------------------------------------------------------------------------

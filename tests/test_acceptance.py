@@ -178,10 +178,10 @@ def test_criterion_08_second_order_emergence():
         pts = rng.normal(scale=0.7, size=(n, 3))
         pc = PointCloud(pts, geometric_graph(pts, radius=0.8))
         assert EIG_FLOOR == 1e-4  # the lift's ridge
-        sigma = canonicalize(s.lift_coordinates(pc), s.local_frame(pc)[0])
-        row0 = trace_row(sigma, 0)
+        logs = s.spd_log(canonicalize(s.lift_coordinates(pc), s.local_frame(pc)[0]))
+        row0 = trace_row(logs, 0)
         layer0_ok = layer0_ok and row0.mean_erank <= 1.05
-        _, trace = run_layers(pc, sigma, [LayerParams.random(3, rng=rng)])
+        _, trace = run_layers(pc, logs, [LayerParams.random(3, rng=rng)])
         gains.append(trace.rows[1].mean_erank - trace.rows[0].mean_erank)
     frac = float(np.mean(np.asarray(gains) >= 0.15))
     elapsed = time.monotonic() - t0

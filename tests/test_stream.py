@@ -20,6 +20,7 @@ from spdsheaf.stream import (
     knn_edges,
     learnable_isometry,
     linear_probe,
+    planar_cloud,
     planarity_experiment,
     pooled_descriptor,
     run_layers,
@@ -128,7 +129,8 @@ def test_cloud_topology_is_one_graph(monkeypatch):
 
     monkeypatch.setattr(sheaf_module._OrthGraph, "__init__", counted)
     rng = np.random.default_rng(29)
-    run_layers(pc, s.lift_coordinates(pc), [LayerParams.random(3, rng=rng) for _ in range(3)])
+    run_layers(pc, s.spd_log(s.lift_coordinates(pc)),
+               [LayerParams.random(3, rng=rng) for _ in range(3)])
     for identity_maps in (False, True):
         s.diffusion_run(pc, layers=16, seed=3, identity_maps=identity_maps)
     assert builds == []
@@ -352,18 +354,46 @@ def test_layer_re_eig_floor_examples():
             np.testing.assert_allclose(row, np.diag(floored), atol=1e-12)
 
 
-def test_layer_makes_one_eigh_and_one_eigvalsh(monkeypatch):
-    pc = cloud(19, n=8)
-    params = LayerParams.random(3, rng=np.random.default_rng(20))
-    logs = s.spd_log(s.lift_coordinates(pc))
+def count_eigs(monkeypatch) -> dict:
+    """Counts of np.linalg.eigh and eigvalsh calls from here on."""
     calls = {"eigh": 0, "eigvalsh": 0}
     for name in calls:
         def counted(*args, _name=name, _fn=getattr(np.linalg, name), **kwargs):
             calls[_name] += 1
             return _fn(*args, **kwargs)
         monkeypatch.setattr(np.linalg, name, counted)
+    return calls
+
+
+def test_layer_makes_one_eigh_and_one_eigvalsh(monkeypatch):
+    pc = cloud(19, n=8)
+    params = LayerParams.random(3, rng=np.random.default_rng(20))
+    logs = s.spd_log(s.lift_coordinates(pc))
+    calls = count_eigs(monkeypatch)
     spd_sheaf_layer(pc, logs, params)
     assert calls == {"eigh": 1, "eigvalsh": 1}
+
+
+@pytest.mark.parametrize("L", [0, 1, 4])
+def test_run_layers_makes_one_eigh_and_two_eigvalsh_per_layer(monkeypatch, L):
+    # one eigh and one eigvalsh per layer, one eigvalsh per trace row
+    pc = cloud(19, n=8)
+    rng = np.random.default_rng(20)
+    params = [LayerParams.random(3, rng=rng) for _ in range(L)]
+    logs = s.spd_log(s.lift_coordinates(pc))
+    calls = count_eigs(monkeypatch)
+    run_layers(pc, logs, params)
+    assert calls == {"eigh": L, "eigvalsh": 2 * L + 1}
+
+
+@pytest.mark.parametrize("identity_maps", [False, True])
+@pytest.mark.parametrize("L", [0, 1, 4])
+def test_diffusion_run_eigendecomposition_count(monkeypatch, L, identity_maps):
+    # two eigh and one eigvalsh per step, one log and one eigvalsh per trace row
+    pc = cloud(19, n=8)
+    calls = count_eigs(monkeypatch)
+    s.diffusion_run(pc, layers=L, seed=3, identity_maps=identity_maps)
+    assert calls == {"eigh": 3 * L + 1, "eigvalsh": 2 * L + 1}
 
 
 @pytest.mark.parametrize("bad", ["asymmetric", "nan"])
@@ -381,10 +411,10 @@ def test_layer_rejects_asymmetric_or_nan_logs(bad):
 def test_layer_raises_erank():
     pc = cloud(11, n=6)
     rng = np.random.default_rng(12)
-    sigma = canonicalize(s.lift_coordinates(pc), s.local_frame(pc)[0])
-    base = trace_row(sigma, 0).mean_erank
-    out = spd_sheaf_layer(pc, s.spd_log(sigma), LayerParams.random(3, rng=rng))
-    assert trace_row(s.sym_exp(out), 1).mean_erank - base >= 1.2
+    logs = s.spd_log(canonicalize(s.lift_coordinates(pc), s.local_frame(pc)[0]))
+    base = trace_row(logs, 0).mean_erank
+    out = spd_sheaf_layer(pc, logs, LayerParams.random(3, rng=rng))
+    assert trace_row(out, 1).mean_erank - base >= 1.2
 
 
 def test_layer_rotation_invariance():
@@ -477,17 +507,27 @@ def test_pooled_descriptor_permutation_invariant():
     np.testing.assert_allclose(a, b, atol=1e-12)
 
 
+def test_pooled_descriptor_rejects_a_mean_singular_to_working_precision():
+    # three commuting logs whose power mean has exact eigenvalues spanning
+    # e^100: its smallest computed eigenvalue is rounding noise
+    R = random_orthogonal(3, np.random.default_rng(0))
+    spectra = [(600.0, 3.0, -2.0), (590.0, 300.0, 1.0), (0.5, 500.0, 400.0)]
+    logs = np.stack([R @ np.diag(d) @ R.T for d in spectra])
+    with pytest.raises(DomainError, match="singular to working precision"):
+        pooled_descriptor(0.5 * (logs + np.swapaxes(logs, -1, -2)))
+
+
 def test_rank_trace_columns():
     pc = cloud(17, n=8)
-    sigma0 = s.lift_coordinates(pc)
-    row0 = trace_row(sigma0, 0)
+    logs0 = s.spd_log(s.lift_coordinates(pc))
+    row0 = trace_row(logs0, 0)
     assert row0.mean_erank <= 1.05
     assert abs(row0.mean_lambda2 - 1e-4) <= 1e-6
     rng = np.random.default_rng(18)
-    final, trace = run_layers(pc, sigma0, [LayerParams.random(3, rng=rng)] )
+    final, trace = run_layers(pc, logs0, [LayerParams.random(3, rng=rng)])
     assert [r.layer for r in trace.rows] == [0, 1]
-    # the mean erank recomputes from the final cochain
-    eranks = [s.erank(final[v]) for v in pc.ids]
+    # the mean erank recomputes from the values of the final logs
+    eranks = [s.erank(s.sym_exp(final[v])) for v in pc.ids]
     np.testing.assert_allclose(trace.rows[1].mean_erank, np.mean(eranks), rtol=1e-12, atol=0)
     csv = trace.to_csv()
     assert csv.splitlines()[0] == "layer,mean_erank,mean_lambda2,min_pairwise_lem"
@@ -501,7 +541,7 @@ def test_trace_row_matches_pairwise_reference(N, block, monkeypatch):
         monkeypatch.setattr(stream, "_PAIR_BLOCK", block)
     rng = np.random.default_rng(N)
     values = [random_spd(3, rng) for _ in range(N)]
-    row = trace_row(np.stack(values), 4)
+    row = trace_row(s.spd_log(np.stack(values)), 4)
     eranks = [s.erank(X) for X in values]
     lam2 = [np.sort(np.linalg.eigvalsh(X))[-2] for X in values]
     min_lem = min((s.dist_lem(values[i], values[j])
@@ -512,20 +552,43 @@ def test_trace_row_matches_pairwise_reference(N, block, monkeypatch):
     np.testing.assert_allclose(row.min_pairwise_lem, min_lem, rtol=1e-12, atol=0)
 
 
+def test_trace_row_lambda2_is_accurate_for_ill_conditioned_values():
+    # eigvalsh of the values resolves 1.0001e-4 next to 1e4 only to about
+    # eps * 1e4 absolute; the logs carry it to relative rounding
+    R = random_orthogonal(3, np.random.default_rng(6))
+    logs = R @ np.diag(np.log([1e-4, 1.0001e-4, 1e4])) @ R.T
+    row = trace_row(0.5 * (logs + logs.T)[None], 0)
+    np.testing.assert_allclose(row.mean_lambda2, 1.0001e-4, rtol=1e-13, atol=0)
+
+
+def test_run_layers_stays_finite_past_exp_overflow():
+    # the logs grow past 709, where their values overflow float64
+    rng = np.random.default_rng(5)
+    pc = planar_cloud(rng, True)
+    params = [LayerParams.random(3, rng=rng) for _ in range(800)]
+    final, trace = run_layers(pc, s.spd_log(s.lift_coordinates(pc)), params)
+    assert np.max(np.linalg.eigvalsh(final)) > 709.8
+    assert np.all(np.isfinite(final)) and len(trace.rows) == 801
+    assert all(np.isfinite(r.mean_erank) and np.isfinite(r.min_pairwise_lem)
+               for r in trace.rows)
+    assert trace.rows[-1].mean_lambda2 == np.inf
+
+
 def test_trace_rows_only_where_asked(monkeypatch):
     calls = []
     original = stream.trace_row
 
-    def counted(sigma, layer):
+    def counted(logs, layer):
         calls.append(layer)
-        return original(sigma, layer)
+        return original(logs, layer)
 
     monkeypatch.setattr(stream, "trace_row", counted)
     planarity_experiment(seed=1, n_per_class=3)
     assert calls == []
     pc = cloud(26, n=6)
     rng = np.random.default_rng(27)
-    run_layers(pc, s.lift_coordinates(pc), [LayerParams.random(3, rng=rng) for _ in range(3)])
+    run_layers(pc, s.spd_log(s.lift_coordinates(pc)),
+               [LayerParams.random(3, rng=rng) for _ in range(3)])
     assert calls == [0, 1, 2, 3]
 
 
