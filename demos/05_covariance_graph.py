@@ -23,7 +23,7 @@ for step in range(5):
         segments.append(Segment(mix @ rng.normal(size=(4, 60)),
                                 t_mid=0.5 * step, f_mid=band))
 
-cfg = TFGraphConfig(eps1=0.6, eps2=4.0, eps=30.0, bandwidth=8.0, shrinkage=1e-3)
+cfg = TFGraphConfig(eps1=0.6, eps2=4.0, eps=30.0, bandwidth=8.0)
 result = build_tf_graph(segments, cfg)
 
 print(f"{result.sheaf.n_vertices} nodes, {result.sheaf.n_edges} edges")

@@ -87,6 +87,10 @@ def cmd_verify(args) -> int:
 
 def cmd_sections(args) -> int:
     sheaf, _ = jsonio.load_sheaf(args.sheaf)
+    # the report keys vertices by string, where the ids 1 and "1" would merge
+    clash = sorted({str(v) for v in sheaf.vertices if isinstance(v, int)} & set(sheaf.vertices))
+    if clash:
+        raise InvalidInputError(f"vertex ids {clash} are given both as integers and as strings")
     summary = section_space_summary(sheaf)
     basis, residuals = summary["basis"], summary["edge_residuals"]
     m = sym_dim(sheaf.n_stalk)
@@ -161,9 +165,7 @@ def cmd_probe(args) -> int:
 
 def cmd_covgraph(args) -> int:
     segments = jsonio.load_segments(args.segments)
-    cfg = TFGraphConfig(eps1=args.eps1, eps2=args.eps2, eps=args.eps,
-                        bandwidth=args.bandwidth, shrinkage=args.shrinkage,
-                        normalize_samples=args.normalize)
+    cfg = TFGraphConfig(eps1=args.eps1, eps2=args.eps2, eps=args.eps, bandwidth=args.bandwidth)
     result = build_tf_graph(segments, cfg)
     os.makedirs(args.out, exist_ok=True)
     jsonio.sheaf_to_json(result.sheaf, cochain0=result.cochain,
@@ -241,8 +243,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--eps2", type=float, required=True, help="frequency window height (Hz)")
     p.add_argument("--eps", type=float, required=True, help="squared-distance gate")
     p.add_argument("--bandwidth", type=float, required=True, help="RBF bandwidth")
-    p.add_argument("--shrinkage", type=float, default=TFGraphConfig.shrinkage)
-    p.add_argument("--normalize", action="store_true", help="divide covariances by sample count")
     p.add_argument("--out", required=True, help="output directory")
     p.set_defaults(func=cmd_covgraph)
 

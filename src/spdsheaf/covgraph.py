@@ -1,11 +1,11 @@
 """Time-frequency covariance graphs for multichannel signals.
 
-Each node is the (shrinkage-regularized) covariance of one band-passed
-temporal segment; edges connect segment pairs that are close on the
-time-frequency plane (one-sided in time, two-sided in frequency) and close
-under the affine-invariant metric, weighted by an RBF kernel on that
-distance. The output plugs directly into the sheaf machinery as an
-identity-map sheaf with an SPD 0-cochain.
+Each node is the covariance of one band-passed temporal segment plus a
+fixed trace-scaled ridge (``SHRINKAGE``); edges connect segment pairs that
+are close on the time-frequency plane (one-sided in time, two-sided in
+frequency) and close under the affine-invariant metric, weighted by an RBF
+kernel on that distance. The output plugs directly into the sheaf machinery
+as an identity-map sheaf with an SPD 0-cochain.
 """
 
 from __future__ import annotations
@@ -17,6 +17,8 @@ import numpy as np
 from .errors import DomainError, InvalidInputError
 from .sheaf import SheafGraph
 from .spd import _sym_part, dist_airm
+
+SHRINKAGE = 1e-3  # ridge weight of the shrinkage toward tr(S)/n * I (Ledoit & Wolf 2004)
 
 
 class Segment:
@@ -44,17 +46,14 @@ class TFGraphConfig:
     """Windowing, gating and weighting parameters for the graph builder.
 
     eps1/eps2 bound the time/frequency window, eps gates on squared
-    affine-invariant distance, bandwidth is the RBF kernel scale, shrinkage
-    regularizes the covariances. `normalize_samples` divides each covariance
-    by its sample count (off by default; distances are scale sensitive).
+    affine-invariant distance, bandwidth is the RBF kernel scale. The
+    covariances take no parameter: each carries the fixed ``SHRINKAGE`` ridge.
     """
 
     eps1: float
     eps2: float
     eps: float
     bandwidth: float
-    shrinkage: float = 1e-3
-    normalize_samples: bool = False
 
     def __post_init__(self):
         # written as `not (x >= 0)` so that NaN fails every check
@@ -62,35 +61,25 @@ class TFGraphConfig:
             raise InvalidInputError("window widths eps1, eps2 must be nonnegative")
         if not (self.eps > 0 and self.bandwidth > 0):
             raise InvalidInputError("eps and bandwidth must be positive")
-        _check_shrinkage(self.shrinkage)
 
 
-def _check_shrinkage(shrinkage: float):
-    if not 0 <= shrinkage < np.inf:  # NaN fails too
-        raise InvalidInputError("shrinkage must be finite and nonnegative")
+def segment_covariance(seg: Segment) -> np.ndarray:
+    """Covariance ``X X^T`` plus the ridge ``SHRINKAGE * tr(S)/n * I``.
 
-
-def segment_covariance(seg: Segment, shrinkage: float = TFGraphConfig.shrinkage,
-                       normalize_samples: bool = False) -> np.ndarray:
-    """Covariance ``X X^T`` regularized by trace-scaled shrinkage.
-
-    Adds ``shrinkage * tr(S)/n * I``, which keeps rank-deficient segments
-    (more channels than samples) strictly positive definite. Data too large
-    for ``X X^T`` to be finite raise InvalidInputError.
+    The ridge keeps rank-deficient segments (more channels than samples)
+    positive definite, so only data whose squares underflow raise
+    DomainError; data too large for ``X X^T`` to be finite raise
+    InvalidInputError.
     """
-    _check_shrinkage(shrinkage)
     X = seg.data
     with np.errstate(over="ignore", invalid="ignore"):
         S = _sym_part(X @ X.T)
-        if normalize_samples:
-            S = S / X.shape[1]
         n = S.shape[0]
-        S = S + shrinkage * (np.trace(S) / n) * np.eye(n)
+        S = S + SHRINKAGE * (np.trace(S) / n) * np.eye(n)
     if not np.all(np.isfinite(S)):
         raise InvalidInputError("segment covariance overflows: the data are too large")
     if np.min(np.linalg.eigvalsh(S)) <= 0.0:
-        raise DomainError(
-            "segment covariance is not positive definite; increase shrinkage")
+        raise DomainError("segment covariance is singular: the data are zero or too small")
     return S
 
 
@@ -118,8 +107,7 @@ def build_tf_graph(segments, cfg: TFGraphConfig) -> TFGraphResult:
     if any(s.n_channels != n_ch for s in segments):
         raise InvalidInputError("all segments must share the channel count")
 
-    covs = np.array([segment_covariance(s, cfg.shrinkage, cfg.normalize_samples)
-                     for s in segments])
+    covs = np.array([segment_covariance(s) for s in segments])
     k = len(segments)
     # window: j later than or simultaneous with i, within eps1 in time and
     # eps2 in frequency

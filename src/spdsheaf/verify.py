@@ -11,8 +11,8 @@ stacks at once, and the Green oracle draws, logs and vectorizes all values
 of a block of trials in one pass (``random_spd_stack``,
 ``_oracle_log_vecs``) and calls the public operators once per block, on its
 (trials, k, n, n) stacks. The residual arithmetic is stacked too: the
-``spd`` metrics and group operation are called once per trial or per block
-on whole stacks, never per matrix. The suite runner wires the oracles to
+``spd`` metrics and group operation are called once per instance or block
+on whole stacks, never per trial. The suite runner wires the oracles to
 deterministic seeded instance generators and reports one verdict per check.
 
 Every verdict is held to the fixed tolerance of its check in ``TOLERANCES``;
@@ -280,13 +280,12 @@ def oracle_isometry(sheaf: SheafGraph, trials: int = 200, seed: int = 0) -> Verd
 
 def oracle_linearity(sheaf: SheafGraph, trials: int = 3, seed: int = 0) -> Verdict:
     """Coboundary must commute with the group operation, edge by edge."""
-    rng = np.random.default_rng(seed)
-    residuals = []
-    for _ in range(trials):
-        sigma = random_spd_stack(sheaf.n_stalk, sheaf.n_vertices, rng)
-        tau = random_spd_stack(sheaf.n_stalk, sheaf.n_vertices, rng)
-        ds, dt, lhs = coboundary(sheaf, np.stack([sigma, tau, group_op(sigma, tau)]))
-        residuals.append(dist_lem(lhs, group_op(ds, dt)))
+    n, nv = sheaf.n_stalk, sheaf.n_vertices
+    # each trial's sigma, then its tau: bitwise the successive per-trial draws
+    values = random_spd_stack(n, 2 * trials * nv, np.random.default_rng(seed))
+    sigma, tau = np.moveaxis(values.reshape(trials, 2, nv, n, n), 1, 0)
+    ds, dt, lhs = coboundary(sheaf, np.stack([sigma, tau, group_op(sigma, tau)]))
+    residuals = dist_lem(lhs, group_op(ds, dt))  # (trials, |E|): one row per trial
     return Verdict("linearity", trials, _worst(residuals), TOLERANCES["linearity"], seed)
 
 

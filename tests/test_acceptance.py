@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 import spdsheaf as s
+from spdsheaf.covgraph import SHRINKAGE
 from spdsheaf.euclid import SECTION_TOL, vec_cochain_from_vec
 from spdsheaf.spd import EIG_FLOOR
 from spdsheaf.stream import (
@@ -266,9 +267,11 @@ def test_criterion_13_covariance_graph_brute_force():
     # brute force with its own covariance and distance computations: raw
     # X X^T plus trace shrinkage, and the affine-invariant distance from the
     # generalized eigenvalues of the pencil (A, B)
+    assert SHRINKAGE == 1e-3  # the covariances' ridge
+
     def cov(seg):
         S = seg.data @ seg.data.T
-        return S + cfg.shrinkage * (np.trace(S) / S.shape[0]) * np.eye(S.shape[0])
+        return S + SHRINKAGE * (np.trace(S) / S.shape[0]) * np.eye(S.shape[0])
 
     def d2_airm(A, B):
         lam = np.linalg.eigvals(np.linalg.solve(A, B))

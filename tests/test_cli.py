@@ -1,7 +1,6 @@
 """CLI subcommands end to end: exit codes and reproducible outputs."""
 
 import argparse
-import inspect
 import json
 import os
 import re
@@ -14,7 +13,6 @@ import pytest
 
 from spdsheaf import jsonio, verify
 from spdsheaf.cli import build_parser, main
-from spdsheaf.covgraph import TFGraphConfig, segment_covariance
 from spdsheaf.stream import (
     canonicalize,
     diffusion_run,
@@ -101,13 +99,6 @@ def test_verify_defaults_are_the_suite_config_defaults(monkeypatch, capsys):
     monkeypatch.setattr(verify, "run_suite", lambda config: (seen.append(config), ([], 0))[1])
     assert main(["verify"]) == 0
     assert seen == [verify.SuiteConfig()]
-
-
-def test_covgraph_shrinkage_default_is_the_config_default():
-    args = build_parser().parse_args(["covgraph", "segments.json", *_COVGRAPH])
-    assert args.shrinkage == TFGraphConfig.shrinkage
-    default = inspect.signature(segment_covariance).parameters["shrinkage"].default
-    assert default == TFGraphConfig.shrinkage
 
 
 def test_readme_names_only_what_the_parser_takes():
@@ -254,6 +245,16 @@ def test_covgraph_command(segments_file, tmp_path, capsys):
     assert len(weights["weights"]) == sheaf.n_edges
 
 
+@pytest.mark.parametrize("flags", [["--shrinkage", "1e-3"], ["--normalize"]])
+def test_covgraph_has_no_covariance_flags(segments_file, tmp_path, capsys, flags):
+    # the ridge is the constant covgraph.SHRINKAGE and X X^T is never rescaled
+    with pytest.raises(SystemExit) as exc:
+        main(["covgraph", segments_file, *_COVGRAPH[:-1], str(tmp_path / "cg"), *flags])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: " + flags[0] in capsys.readouterr().err
+    assert not (tmp_path / "cg").exists()
+
+
 def test_probe_command_small(tmp_path, capsys):
     out = str(tmp_path / "probe.json")
     assert main(["probe", "--seed", "5", "--repeats", "1", "--samples", "12",
@@ -378,12 +379,15 @@ _MALFORMED = {
     "sheaf_vertices_object": (["sections", "INPUT"], _sheaf_of_ids({"a": 1, "b": 2})),
     "sheaf_edges_string": (["sections", "INPUT"], {**_sheaf_obj(), "edges": ""}),
     "sheaf_edges_object": (["sections", "INPUT"], {**_sheaf_obj(), "edges": {}}),
+    # distinct ids in Python, but one key in the report's per-vertex objects
+    "sheaf_ids_collide_as_keys": (["sections", "INPUT"],
+                                  {"n_stalk": 1, "vertices": [1, "1", 2],
+                                   "edges": [{"tail": 1, "head": 2,
+                                              "map_tail": [[1.0]], "map_head": [[1.0]]}]}),
     "covgraph_nan_eps": (["covgraph", "INPUT", *_covgraph_nan("--eps")], _segments_obj()),
     "covgraph_nan_bandwidth": (["covgraph", "INPUT", *_covgraph_nan("--bandwidth")],
                                _segments_obj()),
     "covgraph_nan_eps1": (["covgraph", "INPUT", *_covgraph_nan("--eps1")], _segments_obj()),
-    "covgraph_nan_shrinkage": (["covgraph", "INPUT", *_COVGRAPH, "--shrinkage", "nan"],
-                               _segments_obj()),
     "covgraph_overflowing_data": (["covgraph", "INPUT", *_COVGRAPH],
                                   _segments_obj(data=[[1e200, 0.0], [0.0, 1e200]])),
     # JSON true and false load as bools, which Python counts as integers
@@ -410,8 +414,9 @@ _MESSAGES = {"duplicate_ids_lift": "duplicate vertex ids",
              "sheaf_vertices_object": "'vertices' must be a list",
              "sheaf_edges_string": "'edges' must be a list",
              "sheaf_edges_object": "'edges' must be a list",
+             "sheaf_ids_collide_as_keys": "['1'] are given both as integers and as strings",
              "covgraph_nan_eps": "eps and bandwidth", "covgraph_nan_bandwidth": "eps and bandwidth",
-             "covgraph_nan_eps1": "window widths", "covgraph_nan_shrinkage": "shrinkage",
+             "covgraph_nan_eps1": "window widths",
              "covgraph_overflowing_data": "too large",
              "config_tolerances_key": "'tolerances'", "config_misspelt_key": "'n_instanes'",
              "config_check_not_a_string": "check names",

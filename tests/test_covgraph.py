@@ -1,7 +1,5 @@
 """Time-frequency covariance graph construction against brute force."""
 
-import math
-
 import numpy as np
 import pytest
 
@@ -20,7 +18,7 @@ def make_segments(rng, k=8, channels=3, samples=40, t_step=0.5, bands=(10.0, 20.
 
 
 def brute_force_edges(segs, cfg):
-    covs = [segment_covariance(x, cfg.shrinkage, cfg.normalize_samples) for x in segs]
+    covs = [segment_covariance(x) for x in segs]
     out = {}
     for i in range(len(segs)):
         for j in range(len(segs)):
@@ -42,50 +40,43 @@ def brute_force_edges(segs, cfg):
 
 def test_segment_covariance_single_channel():
     seg = Segment([[1.0, 2.0]], t_mid=0.0, f_mid=1.0)
-    np.testing.assert_allclose(segment_covariance(seg, 0.0), [[5.0]], atol=1e-14)
-    np.testing.assert_allclose(segment_covariance(seg, 1e-3), [[5.0 * 1.001]],
-                               atol=1e-12)
+    np.testing.assert_allclose(segment_covariance(seg), [[5.0 * 1.001]], atol=1e-12)
 
 
 def test_segment_covariance_orthogonal_rows_diagonal():
     X = np.array([[1.0, 1.0, 0.0, 0.0], [0.0, 0.0, 1.0, -1.0]])
-    S = segment_covariance(Segment(X, 0.0, 1.0), 0.0)
-    np.testing.assert_allclose(S, np.diag([2.0, 2.0]), atol=1e-14)
+    S = segment_covariance(Segment(X, 0.0, 1.0))
+    # X X^T = 2 I, and the ridge adds SHRINKAGE * tr/n = 2 * SHRINKAGE
+    assert S[0, 1] == S[1, 0] == 0.0
+    np.testing.assert_allclose(np.diag(S), [2.002, 2.002], atol=1e-14)
 
 
 def test_segment_covariance_rank_deficient_shrinkage():
     rng = np.random.default_rng(0)
     X = rng.normal(size=(5, 2))  # more channels than samples
-    S = segment_covariance(Segment(X, 0.0, 1.0), 1e-3)
+    S = segment_covariance(Segment(X, 0.0, 1.0))
     assert np.linalg.eigvalsh(S).min() > 0
 
 
+def test_segment_covariance_is_the_gram_matrix_plus_the_fixed_ridge():
+    X = np.random.default_rng(9).normal(size=(4, 2))  # rank 2 of 4
+    G = X @ X.T
+    G = 0.5 * (G + G.T)
+    expected = G + 1e-3 * (np.trace(G) / 4) * np.eye(4)
+    assert np.array_equal(segment_covariance(Segment(X, 0.0, 1.0)), expected)
+
+
 def test_segment_covariance_zero_without_shrinkage():
-    with pytest.raises(DomainError):
-        segment_covariance(Segment(np.zeros((2, 4)), 0.0, 1.0), 0.0)
+    # the ridge scales with the trace, so zero data stay singular
+    with pytest.raises(DomainError, match="zero"):
+        segment_covariance(Segment(np.zeros((2, 4)), 0.0, 1.0))
 
 
-def test_segment_covariance_sample_normalization():
-    seg = Segment([[1.0, 2.0]], t_mid=0.0, f_mid=1.0)
-    np.testing.assert_allclose(segment_covariance(seg, 0.0, normalize_samples=True),
-                               [[2.5]], atol=1e-14)
-
-
-@pytest.mark.parametrize("shrinkage", [-1e-3, math.nan, math.inf])
-def test_shrinkage_has_one_check(shrinkage):
-    seg = Segment([[1.0, 2.0]], t_mid=0.0, f_mid=1.0)
-    with pytest.raises(InvalidInputError, match="shrinkage must be finite and nonnegative"):
-        segment_covariance(seg, shrinkage)
-    with pytest.raises(InvalidInputError, match="shrinkage must be finite and nonnegative"):
-        TFGraphConfig(eps1=1.0, eps2=1.0, eps=1.0, bandwidth=1.0, shrinkage=shrinkage)
-
-
-@pytest.mark.parametrize("normalize_samples", [False, True])
-def test_segment_covariance_rejects_overflowing_data(normalize_samples):
-    # X X^T overflows to inf, and shrinkage turns its off-diagonal zeros into NaN
+def test_segment_covariance_rejects_overflowing_data():
+    # X X^T overflows to inf, and the ridge turns its off-diagonal zeros into NaN
     seg = Segment([[1e200, 0.0], [0.0, 1e200]], t_mid=0.0, f_mid=1.0)
     with pytest.raises(InvalidInputError, match="too large"):
-        segment_covariance(seg, 1e-3, normalize_samples)
+        segment_covariance(seg)
 
 
 # ---------------------------------------------------------------------------
@@ -145,7 +136,7 @@ def test_weights_in_unit_interval_and_monotone():
     cfg = TFGraphConfig(eps1=2.0, eps2=30.0, eps=50.0, bandwidth=3.0)
     result = build_tf_graph(segs, cfg)
     assert result.sheaf.n_edges > 0
-    covs = {i: segment_covariance(x, cfg.shrinkage) for i, x in enumerate(segs)}
+    covs = {i: segment_covariance(x) for i, x in enumerate(segs)}
     pairs = [(s.dist_airm(covs[t], covs[h]), w)
              for (t, h), w in zip(result.sheaf.edges, result.weights)]
     for d, w in pairs:
