@@ -323,31 +323,39 @@ def power_euclidean_mean(mats: Sequence[np.ndarray] | np.ndarray, theta: float) 
         raise InvalidInputError("matrices must share a common dimension") from None
     if stack.ndim != 3 or len(stack) == 0:
         raise InvalidInputError(f"expected a nonempty (k, n, n) stack, got shape {stack.shape}")
-    return sym_exp(_log_power_mean(spd_log(stack), theta))
+    return sym_exp(_log_power_mean(spd_log(stack), theta, [0])[0])
 
 
-def _log_power_mean(logs: np.ndarray, theta: float) -> np.ndarray:
-    """Log of the power-Euclidean mean of the values of a (k, n, n) log stack:
-    ``log mean exp(theta logs) / theta``. The spectra of ``theta logs`` are
-    shifted down by their top eigenvalue c before the exp and ``c I`` is added
-    back after the log, so no exp overflows.
+def _log_power_mean(logs: np.ndarray, theta: float, starts: Sequence[int]) -> np.ndarray:
+    """Logs of the power-Euclidean means of the values of the segments
+    ``logs[starts[i]:starts[i + 1]]`` of an (N, n, n) log stack, one (n, n)
+    row per segment: ``log mean exp(theta logs) / theta``. ``starts`` must
+    rise strictly from 0, so no segment is empty. Each segment's spectra of
+    ``theta logs`` are shifted down by their top eigenvalue c before the exp
+    and ``c I`` is added back after the log, so no exp overflows.
 
-    Forming the shifted mean M rounds its entry (i, j) by about eps
+    Forming a shifted mean M rounds its entry (i, j) by about eps
     sqrt(M_ii M_jj), which moves its smallest eigenvalue, with unit
     eigenvector v, by about eps s for s = (sum_i |v_i| sqrt(M_ii))^2. Raises
     DomainError when that eigenvalue is at most 1e-10 s: its log would be
     rounding noise. For rotated eigenvectors s is of the order of the largest
     eigenvalue; for axis-aligned ones it is the eigenvalue itself.
     """
+    starts = np.asarray(starts, dtype=np.intp)
+    sizes = np.diff(starts, append=len(logs))
     w, V = np.linalg.eigh(theta * logs)
-    c = np.max(w)
-    mean = np.mean(_from_spectrum(np.exp(w - c), V), axis=0)
+    c = np.maximum.reduceat(w[:, -1], starts)
+    shifted = _from_spectrum(np.exp(w - np.repeat(c, sizes)[:, None]), V)
+    mean = np.add.reduceat(shifted, starts, axis=0) / sizes[:, None, None]
     w, V = sym_eig(mean)
-    noise = (np.abs(V[:, -1]) @ np.sqrt(np.diag(mean))) ** 2
-    if w[-1] <= 1e-10 * noise:
+    noise = np.sum(np.abs(V[..., -1]) * np.sqrt(np.diagonal(mean, axis1=-2, axis2=-1)),
+                   axis=-1) ** 2
+    bad = np.flatnonzero(w[:, -1] <= 1e-10 * noise)
+    if bad.size:
+        i = bad[0]
         raise DomainError(f"power mean is singular to working precision (smallest "
-                          f"eigenvalue {w[-1]:.3e}, rounding scale {noise:.3e})")
-    return (_from_spectrum(np.log(w), V) + c * np.eye(logs.shape[-1])) / theta
+                          f"eigenvalue {w[i, -1]:.3e}, rounding scale {noise[i]:.3e})")
+    return (_from_spectrum(np.log(w), V) + c[:, None, None] * np.eye(logs.shape[-1])) / theta
 
 
 # ---------------------------------------------------------------------------

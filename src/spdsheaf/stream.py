@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -41,6 +41,11 @@ from .spd import (
 # Pairs per block of the minimum pairwise distance: a block holds
 # _PAIR_BLOCK / N rows against N columns, so its memory does not grow with N.
 _PAIR_BLOCK = 1 << 15
+
+# Vertices per disjoint union of clouds that the descriptor routine runs its
+# layers on: enough to spread per-call costs over many small clouds, few enough
+# that the probe's peak memory stays flat in the number of clouds.
+_UNION_VERTICES = 256
 
 _HIDDEN = 32  # width of the sheaf learner's hidden layer
 _KNN, _K_FALLBACK = 3, 2  # neighbours of k-NN vertices and of radius-isolated ones
@@ -402,7 +407,7 @@ def pooled_descriptor(logs: np.ndarray) -> np.ndarray:
     logs = as_sym(logs)
     if logs.ndim != 3 or len(logs) == 0:
         raise InvalidInputError(f"expected a nonempty (k, n, n) log stack, got shape {logs.shape}")
-    return sym_to_vec(_log_power_mean(logs, 0.5))
+    return sym_to_vec(_log_power_mean(logs, 0.5, [0])[0])
 
 
 def geometric_descriptor(pc: PointCloud, params_list: Sequence[LayerParams],
@@ -415,14 +420,62 @@ def geometric_descriptor(pc: PointCloud, params_list: Sequence[LayerParams],
     motions of the cloud; without it the descriptor lives in the task frame
     and retains the absolute second-order orientation structure.
     """
-    sigma = lift_coordinates(pc)
-    if frame_invariant:
-        frames, _ = local_frame(pc)
-        sigma = canonicalize(sigma, frames)
-    logs = spd_log(sigma)
+    return _descriptors([pc], params_list, frame_invariant)[0]
+
+
+def _descriptors(clouds: Iterable[PointCloud], params_list: Sequence[LayerParams],
+                 frame_invariant: bool) -> np.ndarray:
+    """One :func:`geometric_descriptor` row per cloud, as an (m, 6) array.
+
+    The clouds are read one chunk at a time: consecutive clouds with at most
+    _UNION_VERTICES vertices in all (a larger cloud is a chunk of its own).
+    Each cloud is lifted and framed alone, around its own centroid; the
+    layers then run once on the chunk's disjoint union, and pooling takes
+    one power mean per cloud.
+    """
+    rows = [_describe_chunk(chunk, params_list, frame_invariant) for chunk in _chunks(clouds)]
+    return np.concatenate(rows) if rows else np.empty((0, sym_dim(3)))
+
+
+def _chunks(clouds: Iterable[PointCloud]) -> Iterator[list[PointCloud]]:
+    chunk, size = [], 0
+    for pc in clouds:
+        if chunk and size + pc.n_points > _UNION_VERTICES:
+            yield chunk
+            chunk, size = [], 0
+        chunk.append(pc)
+        size += pc.n_points
+    if chunk:
+        yield chunk
+
+
+def _describe_chunk(clouds: list[PointCloud], params_list: Sequence[LayerParams],
+                    frame_invariant: bool) -> np.ndarray:
+    sigmas = []
+    for pc in clouds:
+        sigma = lift_coordinates(pc)
+        if frame_invariant:
+            frames, _ = local_frame(pc)
+            sigma = canonicalize(sigma, frames)
+        sigmas.append(sigma)
+    union = clouds[0] if len(clouds) == 1 else _disjoint_union(clouds)
+    logs = spd_log(np.concatenate(sigmas))
     for params in params_list:
-        logs = spd_sheaf_layer(pc, logs, params)
-    return pooled_descriptor(logs)
+        logs = spd_sheaf_layer(union, logs, params)
+    sizes = [pc.n_points for pc in clouds]
+    return sym_to_vec(_log_power_mean(logs, 0.5, np.cumsum([0] + sizes[:-1])))
+
+
+def _disjoint_union(clouds: list[PointCloud]) -> PointCloud:
+    """One cloud holding every cloud's vertices in turn, each edge offset by the
+    vertex count before its cloud. Each cloud is centered first: the layers
+    read only the topology, and the union's coordinates then stay within the
+    largest cloud's reach, which its own construction checked."""
+    offsets = np.cumsum([0] + [pc.n_points for pc in clouds[:-1]])
+    points = np.concatenate([pc.points - pc.points.mean(axis=0) for pc in clouds])
+    tails = np.concatenate([pc.graph._tails + o for pc, o in zip(clouds, offsets)])
+    heads = np.concatenate([pc.graph._heads + o for pc, o in zip(clouds, offsets)])
+    return PointCloud(points, zip(tails.tolist(), heads.tolist()))
 
 
 # ---------------------------------------------------------------------------
@@ -470,15 +523,22 @@ def linear_probe(train_x, train_y, test_x, test_y) -> ProbeResult:
     binary cross-entropy plus (1e-4 / 2) ||w||^2 on the non-bias weights. It
     is convex, so zero initialization makes the result deterministic.
     """
+    y, yt = (np.asarray(v, dtype=np.float64).ravel()[:, None] for v in (train_y, test_y))
+    return _fit_readouts(train_x, y, test_x, yt)[0]
+
+
+def _fit_readouts(train_x, train_Y: np.ndarray, test_x, test_Y: np.ndarray) -> list[ProbeResult]:
+    """:func:`linear_probe` for each column of (n, k) label matrices at once:
+    the k fits share the features, the standardization and one gradient loop
+    with a (d, k) weight matrix. Columns are checked in order."""
     X = np.asarray(train_x, dtype=np.float64)
-    y = np.asarray(train_y, dtype=np.float64).ravel()
     Xt = np.asarray(test_x, dtype=np.float64)
-    yt = np.asarray(test_y, dtype=np.float64).ravel()
-    # not np.unique, which imports numpy.ma (15 ms); all-NaN labels are one class, as there
-    if y.size == 0 or np.all(y == y[0]) or np.all(np.isnan(y)):
-        raise DomainError("probe requires at least two classes in the training labels")
-    if not np.all((y == 0.0) | (y == 1.0)):
-        raise InvalidInputError("labels must be 0/1")
+    for y in train_Y.T:
+        # not np.unique, which imports numpy.ma (15 ms); all-NaN labels are one class, as there
+        if y.size == 0 or np.all(y == y[0]) or np.all(np.isnan(y)):
+            raise DomainError("probe requires at least two classes in the training labels")
+        if not np.all((y == 0.0) | (y == 1.0)):
+            raise InvalidInputError("labels must be 0/1")
 
     mu = X.mean(axis=0)
     sd = X.std(axis=0)
@@ -486,17 +546,18 @@ def linear_probe(train_x, train_y, test_x, test_y) -> ProbeResult:
     Z = np.hstack([np.ones((X.shape[0], 1)), (X - mu) / sd])
     Zt = np.hstack([np.ones((Xt.shape[0], 1)), (Xt - mu) / sd])
 
-    w = np.zeros(Z.shape[1])
+    W = np.zeros((Z.shape[1], train_Y.shape[1]))
     for _ in range(2000):
-        p = 1.0 / (1.0 + np.exp(-(Z @ w)))
-        grad = Z.T @ (p - y) / Z.shape[0]
-        grad[1:] += 1e-4 * w[1:]
-        w -= 0.5 * grad
+        P = 1.0 / (1.0 + np.exp(-(Z @ W)))
+        grad = Z.T @ (P - train_Y) / Z.shape[0]
+        grad[1:] += 1e-4 * W[1:]
+        W -= 0.5 * grad
 
     def acc(M, labels):
-        return float(np.mean(((M @ w) > 0).astype(float) == labels))
+        return np.mean(((M @ W) > 0).astype(float) == labels, axis=0)
 
-    return ProbeResult(train_accuracy=acc(Z, y), test_accuracy=acc(Zt, yt))
+    return [ProbeResult(train_accuracy=float(a), test_accuracy=float(b))
+            for a, b in zip(acc(Z, train_Y), acc(Zt, test_Y))]
 
 
 # ---------------------------------------------------------------------------
@@ -527,28 +588,23 @@ def planarity_experiment(seed: int, n_per_class: int = 200,
     much second-order orientation structure the diffusion stream preserves.
     Half of each class trains the readout, half is held out. Returns
     ``(run, control)``: the chance-level permutation control reuses the
-    run's clouds, descriptors and split, and permutes only the labels.
+    run's clouds, descriptors and split, and permutes only the labels; the
+    two readouts are fit in one gradient loop.
     """
     rng = np.random.default_rng(seed)
     params = [LayerParams.random(3, rng=rng) for _ in range(n_layers)]
-    descriptors, labels = [], []
-    for label, planar in ((0, False), (1, True)):
-        for _ in range(n_per_class):
-            pc = planar_cloud(rng, planar)
-            descriptors.append(
-                geometric_descriptor(pc, params, frame_invariant=False))
-            labels.append(label)
-    X = np.asarray(descriptors)
-    y = np.asarray(labels, dtype=float)
+    # every cloud is drawn before the split, in class order; the descriptor
+    # routine reads them one chunk at a time and draws nothing itself
+    clouds = (planar_cloud(rng, planar) for planar in (False, True) for _ in range(n_per_class))
+    X = _descriptors(clouds, params, frame_invariant=False)
+    y = np.repeat([0.0, 1.0], n_per_class)
 
     order = rng.permutation(len(y))
     X, y = X[order], y[order]
     half = len(y) // 2
-
-    def fit(shuffled: bool, labels: np.ndarray) -> dict:
-        probe = linear_probe(X[:half], labels[:half], X[half:], labels[half:])
-        return {"seed": seed, "n_per_class": n_per_class, "layers": n_layers,
-                "shuffled": shuffled, "train_accuracy": probe.train_accuracy,
-                "test_accuracy": probe.test_accuracy}
-
-    return fit(False, y), fit(True, y[rng.permutation(len(y))])
+    Y = np.column_stack([y, y[rng.permutation(len(y))]])
+    probes = _fit_readouts(X[:half], Y[:half], X[half:], Y[half:])
+    return tuple({"seed": seed, "n_per_class": n_per_class, "layers": n_layers,
+                  "shuffled": shuffled, "train_accuracy": probe.train_accuracy,
+                  "test_accuracy": probe.test_accuracy}
+                 for shuffled, probe in zip((False, True), probes))

@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,7 +12,7 @@ from spdsheaf import sheaf as sheaf_module
 from spdsheaf import stream
 from spdsheaf.cli import main
 from spdsheaf.errors import DomainError, InvalidInputError
-from spdsheaf.spd import sym_to_vec
+from spdsheaf.spd import _log_power_mean, sym_to_vec
 from spdsheaf.stream import (
     LayerParams,
     PointCloud,
@@ -498,6 +499,32 @@ def test_descriptor_makes_five_eighs_at_two_layers(monkeypatch, frame_invariant)
     assert len(calls) == 5
 
 
+def _batch_of_clouds() -> list:
+    """Small planar-task clouds around a 1-point cloud, a cloud with an isolated
+    vertex and a cloud larger than one chunk."""
+    rng = np.random.default_rng(29)
+    clouds = [planar_cloud(rng, i % 2 == 0) for i in range(30)]
+    pts = rng.normal(scale=0.5, size=(7, 3))
+    clouds[3:3] = [PointCloud([[0.3, 0.2, 0.1]], []), PointCloud(pts, knn_edges(pts[:6]))]
+    big = rng.normal(scale=0.5, size=(stream._UNION_VERTICES + 40, 3))
+    clouds.insert(20, PointCloud(big, knn_edges(big)))
+    return clouds
+
+
+@pytest.mark.parametrize("frame_invariant", [True, False])
+def test_descriptor_rows_do_not_depend_on_the_batch(frame_invariant):
+    clouds = _batch_of_clouds()
+    chunks = [[pc.n_points for pc in chunk] for chunk in stream._chunks(clouds)]
+    assert len(chunks) >= 4 and [stream._UNION_VERTICES + 40] in chunks
+    assert [1] not in chunks and [7] not in chunks
+    params = [LayerParams.random(3, rng=np.random.default_rng(30)) for _ in range(2)]
+    rows = stream._descriptors(iter(clouds), params, frame_invariant)
+    assert rows.shape == (len(clouds), 6)
+    for pc, row in zip(clouds, rows):
+        alone = s.geometric_descriptor(pc, params, frame_invariant=frame_invariant)
+        assert np.max(np.abs(row - alone)) <= 1e-12 * np.max(np.abs(alone))
+
+
 def test_pooled_descriptor_permutation_invariant():
     rng = np.random.default_rng(16)
     values = [random_spd(3, rng) for _ in range(5)]
@@ -513,8 +540,14 @@ def test_pooled_descriptor_rejects_a_mean_singular_to_working_precision():
     R = random_orthogonal(3, np.random.default_rng(0))
     spectra = [(600.0, 3.0, -2.0), (590.0, 300.0, 1.0), (0.5, 500.0, 400.0)]
     logs = np.stack([R @ np.diag(d) @ R.T for d in spectra])
+    logs = 0.5 * (logs + np.swapaxes(logs, -1, -2))
     with pytest.raises(DomainError, match="singular to working precision"):
-        pooled_descriptor(0.5 * (logs + np.swapaxes(logs, -1, -2)))
+        pooled_descriptor(logs)
+    # pooled per segment, the same stack fails behind a segment that pools
+    segmented = np.concatenate([np.zeros((2, 3, 3)), logs])
+    np.testing.assert_array_equal(_log_power_mean(segmented[:2], 0.5, [0]), np.zeros((1, 3, 3)))
+    with pytest.raises(DomainError, match="singular to working precision"):
+        _log_power_mean(segmented, 0.5, [0, 2])
 
 
 def test_rank_trace_columns():
@@ -672,22 +705,62 @@ def test_planarity_experiment_smoke():
     assert abs(ctrl["test_accuracy"] - 0.5) <= 0.25
 
 
-def test_planarity_experiment_describes_each_cloud_once(monkeypatch, tmp_path):
-    calls = {"geometric_descriptor": 0, "planar_cloud": 0}
-    for name in calls:
-        original = getattr(stream, name)
-
-        def counted(*args, _name=name, _original=original, **kwargs):
+def _count_calls(monkeypatch, module, names):
+    calls = dict.fromkeys(names, 0)
+    for name in names:
+        def counted(*args, _name=name, _original=getattr(module, name), **kwargs):
             calls[_name] += 1
             return _original(*args, **kwargs)
 
-        monkeypatch.setattr(stream, name, counted)
+        monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def test_planarity_experiment_draws_and_lifts_each_cloud_once(monkeypatch, tmp_path):
+    calls = _count_calls(monkeypatch, stream, ["planar_cloud", "lift_coordinates"])
     planarity_experiment(seed=3, n_per_class=4)
-    assert calls == {"geometric_descriptor": 8, "planar_cloud": 8}
+    assert calls == {"planar_cloud": 8, "lift_coordinates": 8}
     # the probe command describes each repeat's clouds once for run and control
     assert main(["probe", "--seed", "3", "--repeats", "2", "--samples", "4",
                  "--out", str(tmp_path / "probe.json")]) == 0
-    assert calls == {"geometric_descriptor": 24, "planar_cloud": 24}
+    assert calls == {"planar_cloud": 24, "lift_coordinates": 24}
+
+
+def _chunk_count(sizes) -> int:
+    """Chunks of consecutive clouds with at most _UNION_VERTICES vertices in all."""
+    chunks, room = 0, 0
+    for n in sizes:
+        if n > room:
+            chunks, room = chunks + 1, stream._UNION_VERTICES
+        room -= n
+    return chunks
+
+
+def test_planarity_experiment_counts_calls_per_chunk(monkeypatch):
+    # per chunk: one log of the lift, one eigh and one eigvalsh per layer, and
+    # two eigh in pooling; not 5 eigh and 2 layers per cloud
+    draw, clouds = stream.planar_cloud, []
+    monkeypatch.setattr(stream, "planar_cloud",
+                        lambda rng, planar: clouds.append(draw(rng, planar)) or clouds[-1])
+    layers = _count_calls(monkeypatch, stream, ["spd_sheaf_layer"])
+    eigs = count_eigs(monkeypatch)
+    planarity_experiment(0, n_per_class=200)
+    chunks = _chunk_count([pc.n_points for pc in clouds])
+    assert len(clouds) == 400 and chunks == 23
+    assert layers == {"spd_sheaf_layer": 2 * chunks}
+    assert eigs == {"eigh": 5 * chunks, "eigvalsh": 2 * chunks}
+
+
+def test_planarity_memory_does_not_grow_with_the_number_of_clouds():
+    peaks = []
+    for n_per_class in (40, 200):
+        tracemalloc.start()
+        try:
+            planarity_experiment(0, n_per_class=n_per_class)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] <= 1.5 * peaks[0], peaks
 
 
 def test_planarity_experiment_pairs_run_and_control():
