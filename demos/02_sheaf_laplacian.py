@@ -57,7 +57,7 @@ out = s.laplacian(path, excited)
 print("Laplacian logs on a 2-path:",
       np.diag(s.spd_log(out[0])), np.diag(s.spd_log(out[1])))
 
-# Diffusion moves states along the Laplacian direction in the log domain
-stepped = s.diffusion_step(path, excited, normalize=False)
-print("after one diffusion step:",
-      np.diag(s.spd_log(stepped[0])), np.diag(s.spd_log(stepped[1])))
+# Diffusion moves logs along the Laplacian direction
+stepped = s.diffusion_step(path, {v: s.spd_log(X) for v, X in excited.items()},
+                           normalize=False)
+print("after one diffusion step:", np.diag(stepped[0]), np.diag(stepped[1]))

@@ -31,6 +31,7 @@ from .spd import (
     ORTH_TOL,
     _from_spectrum,
     _sym_part,
+    as_sym,
     conj_operator,
     spd_log,
     sym_dim,
@@ -41,7 +42,8 @@ from .spd import (
 #: Singular values below NULL_TOL * sigma_max count as zero in rank decisions.
 NULL_TOL = 1e-8
 
-# Cochain0: mapping vertex id -> SPD array. Cochain1: sequence aligned with edges.
+# Cochain0: mapping vertex id -> SPD (or, for diffusion_step, log) array.
+# Cochain1: sequence aligned with edges.
 Cochain0 = Mapping[object, np.ndarray] | np.ndarray
 Cochain1 = Sequence[np.ndarray] | np.ndarray
 
@@ -490,22 +492,28 @@ def _log_update(sheaf: SheafGraph, logs: np.ndarray, normalize: bool = True) -> 
     return delta
 
 
-def diffusion_step(sheaf: SheafGraph, sigma: Cochain0, normalize: bool = True,
+def _clamped_eigh(logs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenpairs ``(w, V)`` of a log stack, w clipped into the diffusion box
+    [log EIG_FLOOR, -log EIG_FLOOR]: the one clamp of diffusion states and
+    of the values a run hands back."""
+    w, V = np.linalg.eigh(logs)
+    return np.clip(w, np.log(EIG_FLOOR), -np.log(EIG_FLOOR)), V
+
+
+def diffusion_step(sheaf: SheafGraph, logs: Cochain0, normalize: bool = True,
                    residual: bool = True) -> dict:
-    """One Lie-group diffusion update ``X_v <- exp(log X_v + D_v)``.
+    """One Lie-group diffusion update of logs, ``L_v <- L_v + D_v``.
 
     ``D_v`` is the log-domain Laplacian output at v, optionally rescaled so
     its spectral radius is at most 1 (division by max(1, radius), which
     leaves already-small updates untouched). With ``residual=False`` the
-    update drops the ``log X_v`` term and returns ``exp(D_v)`` alone. Output
-    eigenvalues are clamped into [EIG_FLOOR, 1/EIG_FLOOR] = [1e-4, 1e4], which
-    keeps states log-representable across deep runs.
+    update drops the ``L_v`` term and returns ``D_v`` alone. Output log
+    eigenvalues are clipped into [log EIG_FLOOR, -log EIG_FLOOR], so the
+    states' values stay in [1e-4, 1e4] across deep runs.
     """
-    logs = spd_log(_cochain_stack(sigma, sheaf.vertices, sheaf.n_stalk))
-    delta = _log_update(sheaf, logs, normalize)
-    new_logs = logs + delta if residual else delta
+    stack = as_sym(_cochain_stack(logs, sheaf.vertices, sheaf.n_stalk))
+    delta = _log_update(sheaf, stack, normalize)
     # the clamp bounds the otherwise unbounded residual drift of deep runs
     # without touching states in the normal operating box
-    w, V = np.linalg.eigh(new_logs)
-    out = _from_spectrum(np.exp(np.clip(w, np.log(EIG_FLOOR), -np.log(EIG_FLOOR))), V)
-    return out if isinstance(sigma, np.ndarray) else dict(zip(sheaf.vertices, out))
+    out = _from_spectrum(*_clamped_eigh(stack + delta if residual else delta))
+    return out if isinstance(logs, np.ndarray) else dict(zip(sheaf.vertices, out))

@@ -10,8 +10,9 @@ parameters are evaluated at seeded random values; the only trained component
 is a convex logistic readout on pooled descriptors.
 
 A stream cochain is one (|V|, 3, 3) array whose rows follow ``pc.ids``. It
-holds SPD values in lifting, canonicalization and the diffusion runs, and
-logarithms in the convolution layer, the rank trace and pooling.
+holds SPD values in lifting, canonicalization and the output of a diffusion
+run, and logarithms in the convolution layer, the diffusion steps, the rank
+trace and pooling.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ import numpy as np
 
 from .errors import DomainError, InvalidInputError
 from .euclid import embed_phi
-from .sheaf import SheafGraph, _cochain_stack, _log_update, diffusion_step
+from .sheaf import SheafGraph, _clamped_eigh, _cochain_stack, _log_update, diffusion_step
 from .spd import (
     RE_EIG_DELTA,
     _erank_of_spectra,
@@ -375,17 +376,55 @@ def trace_row(logs: np.ndarray, layer: int) -> TraceRow:
     )
 
 
+# Rounding bound of the GEMM distances. With u = eps / 2, gamma_k = k u / (1 - k u)
+# (a k-term dot product in any order errs by at most gamma_k times the sum of
+# the |terms|; Higham, *Accuracy and Stability of Numerical Algorithms*, ch. 3),
+# D entries per row, x = fl(f - c) the centred rows and P = |x_i|^2 + |x_j|^2:
+# 1. d2 = fl(fl(s_i + s_j) - 2 fl(x_i.x_j)) is |x_i - x_j|^2 within
+#    (2 gamma_D + 3u) P: gamma_D P from s_i and s_j, gamma_D P from the doubled
+#    dot product (|x_i.x_j| <= P / 2), 3u P from the two additions.
+# 2. Rounding x moves x_i - x_j off f_i - f_j by at most u (|x_i| + |x_j|) <=
+#    u sqrt(2P); both distances are below sqrt(2P), so their squares differ by
+#    at most 4u P.
+# 3. norm rounds the D differences, their squares, their sum and the square
+#    root: norm^2 = |f_i - f_j|^2 (1 + theta) with |theta| <= gamma_{D+4}, which
+#    is within 2 gamma_{D+4} P since |f_i - f_j|^2 <= 2P.
+# That is (4D + 15) u P to first order. Forming d2 - bound and d2 + bound
+# rounds each by less than 2u P, and one more u P covers the second-order terms
+# and the computed S = s_i + s_j >= (1 - gamma_D) P: the bound is (4D + 18) u S.
+# Entries small enough to underflow add at most 2^-1075 per product, and the
+# two sides make 5D products: 3D smallest subnormals cover them.
+
+
 def _min_pairwise_distance(flat: np.ndarray) -> float:
-    """Minimum Euclidean distance between two distinct rows of ``flat``."""
-    N = flat.shape[0]
+    """Minimum Euclidean distance between two distinct rows of ``flat``:
+    bitwise the least ``np.linalg.norm(flat[i] - flat[j], axis=-1)``, i < j.
+
+    Squared distances come by GEMM on the mean-centred rows x, one block of
+    rows at a time: d2 = s_i + s_j - 2 x_i.x_j with s_i = |x_i|^2. Every pair
+    whose d2, less its rounding bound, is not above the least d2 plus bound
+    seen so far is recomputed by ``norm``.
+    """
+    N, D = flat.shape
+    x = flat - flat.mean(axis=0)
+    s = np.einsum("ij,ij->i", x, x)
+    slope = (4 * D + 18) * np.finfo(np.float64).eps / 2
+    floor = 3 * D * np.finfo(np.float64).smallest_subnormal
     rows = max(1, _PAIR_BLOCK // N)
-    best = np.inf
+    best = upper = np.inf
     for a in range(0, N - 1, rows):
         b = min(a + rows, N - 1)
         # block entry (r, c) is the pair (a + r, a + 1 + c); c < r repeats a pair
-        d = np.linalg.norm(flat[a:b, None, :] - flat[None, a + 1:, :], axis=-1)
-        d[np.tril_indices(b - a, -1, N - a - 1)] = np.inf
-        best = min(best, float(np.min(d)))
+        S = s[a:b, None] + s[None, a + 1:]
+        d2 = S - 2.0 * (x[a:b] @ x[a + 1:].T)
+        slack = slope * S + floor
+        pair = np.arange(N - a - 1) >= np.arange(b - a)[:, None]
+        upper = min(upper, float(np.min(d2 + slack, where=pair, initial=np.inf)))
+        # a NaN d2 (overflowing entries) is never ruled out
+        r, c = np.nonzero(pair & ~(d2 - slack > upper))
+        if r.size:
+            d = np.linalg.norm(flat[a + r] - flat[a + 1 + c], axis=-1)
+            best = min(best, float(np.min(d)))
     return best
 
 
@@ -489,11 +528,14 @@ def diffusion_run(pc: PointCloud, layers: int, seed: int,
 
     Restriction maps are resampled per layer (random special-orthogonal via
     the Cayley transform of random skew matrices) unless ``identity_maps`` is
-    set. Deterministic for a fixed seed.
+    set. Deterministic for a fixed seed. The run holds logs: one log of the
+    lift, one :func:`diffusion_step` and one trace row per layer, and the
+    values of the last logs at the end.
     """
     rng = np.random.default_rng(seed)
     sigma = lift_coordinates(pc)
-    rows = [trace_row(spd_log(sigma), 0)]
+    logs = spd_log(sigma)
+    rows = [trace_row(logs, 0)]
     sheaf = pc.graph
     for i in range(1, layers + 1):
         if not identity_maps:
@@ -501,8 +543,13 @@ def diffusion_run(pc: PointCloud, layers: int, seed: int,
             A = rng.normal(size=(len(pc.edges), 2, 3, 3))
             maps = cayley(A - np.swapaxes(A, -1, -2))
             sheaf = pc.graph._with_maps(maps[:, 0], maps[:, 1])
-        sigma = diffusion_step(sheaf, sigma, normalize=normalize, residual=residual)
-        rows.append(trace_row(spd_log(sigma), i))
+        logs = diffusion_step(sheaf, logs, normalize=normalize, residual=residual)
+        rows.append(trace_row(logs, i))
+    if layers:
+        # a fresh eigh of the clamped logs strays past the box by rounding
+        # (about 1e-14), which exp would turn into about 1e-10 at 1e4
+        w, V = _clamped_eigh(logs)
+        sigma = _from_spectrum(np.exp(w), V)
     return sigma, RankTrace(rows)
 
 

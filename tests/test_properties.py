@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 from spdsheaf import SheafGraph, adjoint, coboundary, cochain_pairing, diffusion_step, laplacian
 from spdsheaf.euclid import EuclidSheaf, euclid_sections
 from spdsheaf.sheaf import _spanning_forest, global_sections, section_space_summary
+from spdsheaf.spd import spd_log
 from spdsheaf.verify import (
     _oracle_euclid_operator,
     _oracle_nullity,
@@ -237,7 +238,8 @@ def test_stacked_operators_equal_separate_calls(sheaf, batch, seed):
     tau = random_spd_stack(n, batch * ne, rng).reshape(batch, ne, n, n)
     d, a, lap = coboundary(sheaf, sigma), adjoint(sheaf, tau), laplacian(sheaf, sigma)
     green = cochain_pairing(d, tau), cochain_pairing(sigma, a)
-    step = diffusion_step(sheaf, sigma)
+    logs = spd_log(sigma)
+    step = diffusion_step(sheaf, logs)
     assert d.shape == tau.shape and a.shape == lap.shape == step.shape == sigma.shape
     assert green[0].shape == green[1].shape == (batch,)
     for b in range(batch):
@@ -245,6 +247,7 @@ def test_stacked_operators_equal_separate_calls(sheaf, batch, seed):
         assert np.array_equal(np.reshape(coboundary(sheaf, cochain), (ne, n, n)), d[b])
         assert np.array_equal(np.stack(list(adjoint(sheaf, edge_values).values())), a[b])
         assert np.array_equal(np.stack(list(laplacian(sheaf, cochain).values())), lap[b])
-        assert np.array_equal(np.stack(list(diffusion_step(sheaf, cochain).values())), step[b])
+        log_cochain = dict(zip(sheaf.vertices, logs[b]))
+        assert np.array_equal(np.stack(list(diffusion_step(sheaf, log_cochain).values())), step[b])
         assert cochain_pairing(coboundary(sheaf, cochain), edge_values) == green[0][b]
         assert cochain_pairing(cochain, adjoint(sheaf, edge_values)) == green[1][b]

@@ -526,24 +526,32 @@ def test_diffusion_global_section_is_fixed_point():
     sheaf = random_sheaf(2, 5, 0, rng)
     basis = s.global_sections(sheaf)
     section = cochain0_from_vec(sheaf, 0.5 * basis[:, 0])
-    out = s.diffusion_step(sheaf, section, normalize=False)
+    logs = {v: s.spd_log(X) for v, X in section.items()}
+    out = s.diffusion_step(sheaf, logs, normalize=False)
     for v in sheaf.vertices:
-        np.testing.assert_allclose(out[v], section[v], atol=1e-11)
+        np.testing.assert_allclose(out[v], logs[v], atol=1e-11)
 
 
 def test_diffusion_two_node_shift():
     sheaf = path_sheaf(2, 2)
-    sigma = {0: np.diag([math.e, 1.0]), 1: np.eye(2)}
-    out = s.diffusion_step(sheaf, sigma, normalize=False)
-    np.testing.assert_allclose(s.spd_log(out[0]), np.diag([2.0, 0.0]), atol=1e-11)
-    np.testing.assert_allclose(s.spd_log(out[1]), np.diag([-1.0, 0.0]), atol=1e-11)
+    logs = {0: np.diag([1.0, 0.0]), 1: np.zeros((2, 2))}
+    out = s.diffusion_step(sheaf, logs, normalize=False)
+    np.testing.assert_allclose(out[0], np.diag([2.0, 0.0]), atol=1e-11)
+    np.testing.assert_allclose(out[1], np.diag([-1.0, 0.0]), atol=1e-11)
+
+
+def test_diffusion_step_rejects_asymmetric_logs():
+    sheaf = path_sheaf(2, 2)
+    logs = np.zeros((2, 2, 2))
+    logs[0, 0, 1] = 1e-6
+    with pytest.raises(InvalidInputError, match="not symmetric"):
+        s.diffusion_step(sheaf, logs)
 
 
 def test_diffusion_normalization_caps_update():
     rng = np.random.default_rng(15)
     sheaf = random_sheaf(3, 6, 3, rng)
     stack = random_spd_stack(3, sheaf.n_vertices, rng, spread=100.0)
-    sigma = dict(zip(sheaf.vertices, stack))
     from spdsheaf.sheaf import _log_update
 
     logs = s.spd_log(stack)
@@ -551,9 +559,11 @@ def test_diffusion_normalization_caps_update():
     assert np.max(np.abs(np.linalg.eigvalsh(raw))) > 1.0  # the cap is exercised
     delta = _log_update(sheaf, logs)
     assert np.max(np.abs(np.linalg.eigvalsh(delta))) <= 1.0 + 1e-12
-    out = s.diffusion_step(sheaf, sigma, normalize=True)
-    for Y in out.values():
-        assert np.linalg.eigvalsh(Y).min() > 0
+    out = s.diffusion_step(sheaf, dict(zip(sheaf.vertices, logs)), normalize=True)
+    # the output logs lie in the clamp box [log 1e-4, log 1e4]
+    for L in out.values():
+        w = np.linalg.eigvalsh(L)
+        assert np.log(1e-4) - 1e-12 <= w.min() and w.max() <= np.log(1e4) + 1e-12
 
 
 # ---------------------------------------------------------------------------

@@ -390,11 +390,52 @@ def test_run_layers_makes_one_eigh_and_two_eigvalsh_per_layer(monkeypatch, L):
 @pytest.mark.parametrize("identity_maps", [False, True])
 @pytest.mark.parametrize("L", [0, 1, 4])
 def test_diffusion_run_eigendecomposition_count(monkeypatch, L, identity_maps):
-    # two eigh and one eigvalsh per step, one log and one eigvalsh per trace row
+    # one eigh and one eigvalsh per step, one eigvalsh per trace row, one log
+    # of the lift and, after any step, one eigh for the values
     pc = cloud(19, n=8)
     calls = count_eigs(monkeypatch)
     s.diffusion_run(pc, layers=L, seed=3, identity_maps=identity_maps)
-    assert calls == {"eigh": 3 * L + 1, "eigvalsh": 2 * L + 1}
+    assert calls == {"eigh": L + 1 + (L > 0), "eigvalsh": 2 * L + 1}
+
+
+@pytest.mark.parametrize("L", [0, 1, 5])
+def test_diffusion_run_steps_and_traces_its_logs(monkeypatch, L):
+    # a benchmark counts diffusion_step by name and reads trace_row's first
+    # positional argument as the stack it traces
+    steps, traced = [], []
+    step, row = stream.diffusion_step, stream.trace_row
+
+    def counted_step(*args, **kwargs):
+        steps.append(step(*args, **kwargs))
+        return steps[-1]
+
+    def counted_row(*args, **kwargs):
+        traced.append(args[0])
+        return row(*args, **kwargs)
+
+    monkeypatch.setattr(stream, "diffusion_step", counted_step)
+    monkeypatch.setattr(stream, "trace_row", counted_row)
+    pc = cloud(19, n=8)
+    s.diffusion_run(pc, layers=L, seed=3)
+    assert len(steps) == L and len(traced) == L + 1
+    np.testing.assert_array_equal(traced[0], s.spd_log(s.lift_coordinates(pc)))
+    assert all(logs is out for logs, out in zip(traced[1:], steps))
+
+
+@pytest.mark.parametrize("seed", [1, 5])
+def test_diffusion_run_values_stay_in_the_clamp_box(seed):
+    # the values come from the last clamp's spectrum clipped again: a plain
+    # exp of the last logs re-derives the spectrum and can leave the box by
+    # about 1e-10 at 1e4
+    pts = np.random.default_rng(seed).normal(size=(60, 3))
+    pc = PointCloud(pts, knn_edges(pts))
+    for kwargs, capped in (({}, True), ({"identity_maps": True, "residual": False}, False)):
+        final, _ = s.diffusion_run(pc, layers=16, seed=seed, **kwargs)
+        w = np.linalg.eigvalsh(final)
+        slack = 1e-14 * np.max(np.abs(w))
+        assert 1e-4 - slack <= w.min() and w.max() <= 1e4 + slack
+        if capped:  # the plain run reaches both ends of the box
+            assert w.max() >= 1e4 - slack and w.min() <= 1e-4 + slack
 
 
 @pytest.mark.parametrize("bad", ["asymmetric", "nan"])
@@ -583,6 +624,45 @@ def test_trace_row_matches_pairwise_reference(N, block, monkeypatch):
     np.testing.assert_allclose(row.mean_erank, np.mean(eranks), rtol=1e-12, atol=0)
     np.testing.assert_allclose(row.mean_lambda2, np.mean(lam2), rtol=1e-12, atol=0)
     np.testing.assert_allclose(row.min_pairwise_lem, min_lem, rtol=1e-12, atol=0)
+
+
+def _brute_min_distance(flat):
+    # norm along axis -1 sums the squares pairwise, as the trace does; without
+    # an axis it takes a dot product, which can differ in the last place
+    i, j = np.triu_indices(len(flat), 1)
+    return float(np.min(np.linalg.norm(flat[i] - flat[j], axis=-1)))
+
+
+@pytest.mark.parametrize("block", [None, 7])
+@pytest.mark.parametrize("N", [2, 3, 61, 300])
+def test_min_pairwise_distance_equals_brute_force(N, block, monkeypatch):
+    if block is not None:  # several row blocks, down to one row each
+        monkeypatch.setattr(stream, "_PAIR_BLOCK", block)
+    rng = np.random.default_rng(N)
+    base = rng.normal(size=(N, 9))
+    duplicate = base.copy()
+    duplicate[-1] = duplicate[(N - 1) // 2]
+    # rows k on a line exactly 1 apart, odd k nudged one ulp: near ties that
+    # the GEMM distances cannot order
+    ladder = np.zeros((N, 9))
+    ladder[:, 4] = np.arange(N)
+    ladder[1::2, 4] = np.nextafter(ladder[1::2, 4], np.inf)
+    ladder = ladder[rng.permutation(N)]
+    cases = {
+        "random": base,
+        "duplicate": duplicate,
+        "ladder": ladder,
+        "offset": 1e6 + base,
+        "offset_ladder": 1e6 + ladder,
+        "tiny": 1e-170 * base,
+    }
+    for name, flat in cases.items():
+        got = stream._min_pairwise_distance(flat)
+        assert got == _brute_min_distance(flat), name
+        if N <= 61:  # the literal pair loop
+            assert got == min(float(np.linalg.norm(flat[i] - flat[j], axis=-1))
+                              for i in range(N) for j in range(i + 1, N)), name
+    assert stream._min_pairwise_distance(duplicate) == 0.0
 
 
 def test_trace_row_lambda2_is_accurate_for_ill_conditioned_values():
