@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import os
 import sys
 
@@ -92,13 +93,13 @@ def cmd_sections(args) -> int:
     if clash:
         raise InvalidInputError(f"vertex ids {clash} are given both as integers and as strings")
     summary = section_space_summary(sheaf)
-    basis, residuals = summary["basis"], summary["edge_residuals"]
-    m = sym_dim(sheaf.n_stalk)
-    basis_entries = [{
-        "log_upper": {str(v): basis[i * m:(i + 1) * m, col].tolist()
-                      for i, v in enumerate(sheaf.vertices)},
-        "edge_residuals": residuals[col].tolist(),
-    } for col in range(basis.shape[1])]
+    basis = summary["basis"]
+    keys = [str(v) for v in sheaf.vertices]
+    # column col, vertex i: basis[i*m:(i+1)*m, col]
+    columns = basis.T.reshape(basis.shape[1], sheaf.n_vertices, sym_dim(sheaf.n_stalk))
+    basis_entries = [{"log_upper": dict(zip(keys, rows)), "edge_residuals": residuals}
+                     for rows, residuals in zip(columns.tolist(),
+                                                summary["edge_residuals"].tolist())]
     report = {
         "n_stalk": sheaf.n_stalk,
         "n_vertices": sheaf.n_vertices,
@@ -196,6 +197,7 @@ def cmd_lift(args) -> int:
 # parser
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="spd-sheaf",
@@ -212,12 +214,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trials", type=int, default=verify.SuiteConfig.trials)
     p.add_argument("--config", help="JSON config overriding checks and sizes")
     p.add_argument("--out", help="directory for verdicts.json and failure dumps")
-    p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("sections", help="kernel basis, index and holonomy of a sheaf file")
     p.add_argument("sheaf", help="sheaf JSON file")
     p.add_argument("--out", help="write the report here instead of stdout")
-    p.set_defaults(func=cmd_sections)
 
     p = sub.add_parser("diffuse", help="diffusion run on a point cloud with rank trace")
     p.add_argument("cloud", help="point-cloud JSON file")
@@ -227,7 +227,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--no-residual", action="store_true")
     p.add_argument("--no-normalize", action="store_true")
     p.add_argument("--out", required=True, help="output directory")
-    p.set_defaults(func=cmd_diffuse)
 
     p = sub.add_parser("probe", help="synthetic planarity probe with shuffle control")
     p.add_argument("--seed", type=int, required=True)
@@ -235,7 +234,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--samples", type=int, default=200, help="samples per class")
     p.add_argument("--layers", type=int, default=2)
     p.add_argument("--out", help="write the report here instead of stdout")
-    p.set_defaults(func=cmd_probe)
 
     p = sub.add_parser("covgraph", help="time-frequency covariance graph from segments")
     p.add_argument("segments", help="segments JSON file")
@@ -244,23 +242,23 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--eps", type=float, required=True, help="squared-distance gate")
     p.add_argument("--bandwidth", type=float, required=True, help="RBF bandwidth")
     p.add_argument("--out", required=True, help="output directory")
-    p.set_defaults(func=cmd_covgraph)
 
     p = sub.add_parser("lift", help="lift a point cloud to an SPD 0-cochain")
     p.add_argument("cloud", help="point-cloud JSON file")
     p.add_argument("--canonicalize", action="store_true",
                    help="express values in equivariant local frames")
     p.add_argument("--out", help="write the cochain here instead of stdout")
-    p.set_defaults(func=cmd_lift)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         _check_thread_cap()
-        return args.func(args)
+        # looked up per call, so the one cached parser holds no command function
+        command = {"verify": cmd_verify, "sections": cmd_sections, "diffuse": cmd_diffuse,
+                   "probe": cmd_probe, "covgraph": cmd_covgraph, "lift": cmd_lift}
+        return command[args.command](args)
     except (ParseError, InvalidInputError, DomainError, NotApplicableError,
             FileNotFoundError, IsADirectoryError, PermissionError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -2,9 +2,11 @@
 
 Matrices serialize as row-major nested lists. Readers also accept an SPD
 value in the compact ``{"log_upper": [...]}`` form holding the
-sqrt(2)-scaled upper-triangular entries of its logarithm. All writers
-produce deterministic output (sorted keys, repr-style floats), so re-running
-a command yields byte-identical files.
+sqrt(2)-scaled upper-triangular entries of its logarithm.
+
+Every output is one line of JSON plus a newline, with sorted keys and
+repr-style floats, so re-running a command yields byte-identical files.
+``python -m json.tool FILE`` prints one indented.
 """
 
 from __future__ import annotations
@@ -50,7 +52,7 @@ def _parsing(what: str):
 def _dump_json(obj, path: str | None = None) -> str:
     """The package's one JSON text format: returned, and written with a
     trailing newline to `path` when one is given."""
-    text = json.dumps(obj, indent=2, sort_keys=True)
+    text = json.dumps(obj, sort_keys=True)
     if path is not None:
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(text + "\n")

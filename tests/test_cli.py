@@ -11,8 +11,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from spdsheaf import jsonio, verify
+from spdsheaf import cli, jsonio, verify
 from spdsheaf.cli import build_parser, main
+from spdsheaf.sheaf import SheafGraph, section_space_summary, sym_dim
 from spdsheaf.stream import (
     canonicalize,
     diffusion_run,
@@ -101,6 +102,24 @@ def test_verify_defaults_are_the_suite_config_defaults(monkeypatch, capsys):
     assert seen == [verify.SuiteConfig()]
 
 
+def test_parser_is_built_once_and_keeps_no_values(monkeypatch):
+    assert build_parser() is build_parser()
+    seen = []
+    monkeypatch.setattr(verify, "run_suite", lambda config: (seen.append(config), ([], 0))[1])
+    assert main(["verify", "--check", "green", "--n", "2"]) == 0
+    assert main(["verify"]) == 0
+    assert (seen[0].checks, seen[0].stalk_dims) == (("green",), (2,))
+    assert seen[1] == verify.SuiteConfig()
+
+
+def test_commands_are_looked_up_per_call(cloud_file, monkeypatch):
+    build_parser()
+    calls = []
+    monkeypatch.setattr(cli, "cmd_lift", lambda args: calls.append(args.cloud) or 0)
+    assert main(["lift", cloud_file]) == 0
+    assert calls == [cloud_file]
+
+
 def test_readme_names_only_what_the_parser_takes():
     text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
     parser = build_parser()
@@ -150,6 +169,26 @@ def test_sections_factors_no_operator_on_all_vertices(tmp_path, monkeypatch, cap
     # the kernel comes from the per-component holonomy nullspaces (m columns)
     assert shapes and not [s for s in shapes if s[-1] == sheaf.n_vertices * 3]
     assert json.loads(capsys.readouterr().out)["kernel_dim"] >= 1
+
+
+def test_sections_log_upper_is_each_vertex_slice_of_the_basis(tmp_path, monkeypatch):
+    # a tree and a component with cycles, integer and string ids out of sorted order
+    rng = np.random.default_rng(9)
+    tree, loops = random_sheaf(2, 4, 0, rng), random_sheaf(2, 5, 2, rng)
+    ids = [3, "b", 0, "a", "e", 1, "c", 2, "d"]
+    edges = ([(ids[t], ids[h]) for t, h in tree.edges]
+             + [(ids[4 + t], ids[4 + h]) for t, h in loops.edges])
+    path = str(tmp_path / "sheaf.json")
+    jsonio.sheaf_to_json(SheafGraph(2, ids, edges, [*tree.maps, *loops.maps]), path=path)
+    reports = []
+    monkeypatch.setattr(cli, "_write_report", lambda obj, out: reports.append(obj))
+    assert main(["sections", path]) == 0
+    basis = section_space_summary(jsonio.load_sheaf(path)[0])["basis"]
+    m = sym_dim(2)
+    assert reports[0]["components"] == 2 and len(reports[0]["basis"]) == basis.shape[1] > m
+    for col, entry in enumerate(reports[0]["basis"]):
+        assert list(entry["log_upper"].items()) == [
+            (str(v), basis[i * m:(i + 1) * m, col].tolist()) for i, v in enumerate(ids)]
 
 
 def test_sections_malformed_file(tmp_path, capsys):

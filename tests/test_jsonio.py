@@ -1,17 +1,23 @@
 """Serialization round trips and parse errors."""
 
+import ast
 import json
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import spdsheaf as s
-from spdsheaf import jsonio
+from spdsheaf import jsonio, verify
+from spdsheaf.cli import main
 from spdsheaf.covgraph import Segment
 from spdsheaf.errors import ParseError
 from spdsheaf.spd import EIG_FLOOR, sym_to_vec
-from spdsheaf.stream import PointCloud
+from spdsheaf.stream import PointCloud, geometric_graph
 from spdsheaf.verify import random_cochain0, random_sheaf, random_spd
+
+PACKAGE = Path(__file__).resolve().parents[1] / "src" / "spdsheaf"
 
 
 def test_matrix_log_upper_round_trip():
@@ -113,3 +119,101 @@ def test_deterministic_output():
     rng = np.random.default_rng(5)
     sheaf = random_sheaf(2, 4, 1, rng)
     assert jsonio.sheaf_to_json(sheaf) == jsonio.sheaf_to_json(sheaf)
+
+
+# ---------------------------------------------------------------------------
+# the JSON text format
+
+# a JSON string, one punctuation mark, or a bare literal (number, true, NaN, ...)
+_TOKEN = re.compile(r'"(?:\\.|[^"\\])*"|[][{},:]|[^\s\][{},:"]+')
+
+
+def _tokens(text: str) -> list[str]:
+    return _TOKEN.findall(text)
+
+
+def test_dump_json_writes_one_line_from_the_c_encoder(tmp_path):
+    obj = {"b": [1.0, 0.1, -2.5e-17, 3], "a": {"z": None, "y": True}, "c": "x, y: [z]"}
+    path = tmp_path / "out.json"
+    text = jsonio._dump_json(obj, str(path))
+    assert text == json.dumps(obj, sort_keys=True)
+    assert path.read_text(encoding="utf-8") == json.dumps(obj, sort_keys=True) + "\n"
+    assert _tokens(text) == _tokens(json.dumps(obj, indent=2, sort_keys=True))
+
+
+def test_nan_residual_is_written_as_the_nan_token(tmp_path, monkeypatch, capsys):
+    nan = verify.Verdict("green", 2, float("nan"), 1e-9, 0)
+    monkeypatch.setattr(verify, "run_suite", lambda config: ([nan], 1))
+    assert main(["verify", "--out", str(tmp_path)]) == 1
+    text = (tmp_path / "verdicts.json").read_text(encoding="utf-8")
+    tokens = _tokens(text)
+    assert tokens[tokens.index('"max_residual"') + 2] == "NaN"
+    assert np.isnan(json.loads(text)["verdicts"][0]["max_residual"])
+
+
+def _sections_output(tmp_path):
+    path = str(tmp_path / "sheaf.json")
+    jsonio.sheaf_to_json(random_sheaf(2, 6, 3, np.random.default_rng(4)), path=path)
+    assert main(["sections", path, "--out", str(tmp_path / "report.json")]) == 0
+    return tmp_path / "report.json"
+
+
+def _diffuse_output(tmp_path):
+    pts = np.random.default_rng(38).normal(scale=0.7, size=(10, 3))
+    path = tmp_path / "cloud.json"
+    path.write_text(json.dumps({
+        "vertices": [{"id": i, "xyz": p} for i, p in enumerate(pts.tolist())],
+        "edges": [list(e) for e in geometric_graph(pts, radius=0.8)]}))
+    assert main(["diffuse", str(path), "--layers", "3", "--seed", "7",
+                 "--out", str(tmp_path / "d")]) == 0
+    return tmp_path / "d" / "final_cochain.json"
+
+
+def _probe_output(tmp_path):
+    out = tmp_path / "probe.json"
+    assert main(["probe", "--seed", "5", "--repeats", "1", "--samples", "12",
+                 "--out", str(out)]) == 0
+    return out
+
+
+def _verify_output(tmp_path):
+    assert main(["verify", "--check", "green", "--n", "2", "--trials", "3",
+                 "--out", str(tmp_path / "v")]) == 0
+    return tmp_path / "v" / "verdicts.json"
+
+
+@pytest.mark.parametrize("output", [_sections_output, _diffuse_output, _probe_output,
+                                    _verify_output])
+def test_outputs_keep_the_tokens_of_the_indented_form(tmp_path, capsys, output):
+    text = output(tmp_path).read_text(encoding="utf-8")
+    assert text.count("\n") == 1 and text.endswith("\n")
+    obj = json.loads(text)
+    assert _tokens(text) == _tokens(json.dumps(obj, indent=2, sort_keys=True))
+
+
+def _json_writers(path: Path) -> list[tuple[str, str]]:
+    """(module, enclosing function) of every use of json.dump or json.dumps in `path`."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    aliases = {a.asname or a.name for node in ast.walk(tree) if isinstance(node, ast.Import)
+               for a in node.names if a.name == "json"}
+    found = []
+
+    def visit(node, where):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            where = node.name
+        writes = (isinstance(node, ast.Attribute) and node.attr in ("dump", "dumps")
+                  and isinstance(node.value, ast.Name) and node.value.id in aliases)
+        imports = (isinstance(node, ast.ImportFrom) and node.module == "json"
+                   and {a.name for a in node.names} & {"dump", "dumps"})
+        if writes or imports:
+            found.append((path.stem, where))
+        for child in ast.iter_child_nodes(node):
+            visit(child, where)
+
+    visit(tree, "<module>")
+    return found
+
+
+def test_only_dump_json_writes_json_text():
+    writers = [w for p in sorted(PACKAGE.glob("*.py")) for w in _json_writers(p)]
+    assert writers == [("jsonio", "_dump_json")]
