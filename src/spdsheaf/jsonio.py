@@ -166,11 +166,18 @@ def load_sheaf(path: str) -> tuple[SheafGraph, dict | None]:
     with _parsing("sheaf"):
         n = _n_stalk(obj)
         vertices = [_as_id(v) for v in _list(obj, "vertices")]
-        edges, maps = [], []
-        for e in _list(obj, "edges"):
+        edge_objs = _list(obj, "edges")
+        try:  # every map in one conversion; per entry below for log_upper or an error
+            maps = np.asarray([[e["map_tail"], e["map_head"]] for e in edge_objs], np.float64)
+            per_map = maps.shape != (len(edge_objs), 2, n, n)
+        except (KeyError, TypeError, ValueError, OverflowError):
+            per_map = True
+        edges, maps = [], [] if per_map else maps
+        for e in edge_objs:
             edges.append((_as_id(e["tail"]), _as_id(e["head"])))
-            maps.append((matrix_from_json(e["map_tail"], n),
-                         matrix_from_json(e["map_head"], n)))
+            if per_map:
+                maps.append((matrix_from_json(e["map_tail"], n),
+                             matrix_from_json(e["map_head"], n)))
         entries = obj.get("cochain0")
         cochain = None if entries is None else _cochain_values(entries, n, "cochain0")
     sheaf = SheafGraph(n, vertices, edges, maps)

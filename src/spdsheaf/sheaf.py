@@ -19,8 +19,8 @@ array in gives an array out, a Mapping or sequence a dict or list.
 
 from __future__ import annotations
 
-import copy
 from collections import deque
+from itertools import chain, repeat
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -59,77 +59,46 @@ class _OrthGraph:
     The maps are stored once, as read-only (E, n, n) tail and head stacks;
     ``maps`` holds views into them. The tail and head vertex positions of
     every edge are stored as index arrays, so operators never rebuild them.
+    The constructor and :meth:`identity_maps` check their input; graphs the
+    package builds from parts it made valid go through :meth:`_from_arrays`.
     """
 
     __slots__ = ("n_stalk", "vertices", "edges", "_vindex",
                  "_tails", "_heads", "_tail_maps", "_head_maps")
 
     def __init__(self, n_stalk, vertices, edges, maps):
-        self.n_stalk = int(n_stalk)
-        self.vertices = tuple(vertices)
-        self.edges = tuple((t, h) for t, h in edges)
-        self._vindex = {v: i for i, v in enumerate(self.vertices)}
-        n = self.n_stalk
-        try:
-            stack = np.array(list(maps), dtype=np.float64)
-        except (ValueError, TypeError) as exc:
-            raise InvalidInputError(
-                f"restriction maps must be pairs of equal shape: {exc}") from None
-        if stack.size == 0 and not self.edges and n > 0:
-            stack = np.zeros((0, 2, n, n))
-        self._validate(stack)
-        self._tail_maps = np.ascontiguousarray(stack[:, 0])
-        self._head_maps = np.ascontiguousarray(stack[:, 1])
-        self._tails = np.array([self._vindex[t] for t, _ in self.edges], dtype=int)
-        self._heads = np.array([self._vindex[h] for _, h in self.edges], dtype=int)
-        for arr in (self._tail_maps, self._head_maps, self._tails, self._heads):
-            arr.setflags(write=False)
+        self._fill(*_checked_parts(n_stalk, vertices, edges, maps))
+
+    @classmethod
+    def _from_arrays(cls, *parts):
+        """The one trusted constructor: a graph from valid parts (see :meth:`_fill`)."""
+        return cls.__new__(cls)._fill(*parts)
 
     def _with_maps(self, tail_maps, head_maps):
-        """This topology with new, unvalidated (E, n, n) map stacks; the vertex
-        index and endpoint arrays are shared, not rebuilt."""
-        graph = copy.copy(self)
-        graph._tail_maps, graph._head_maps = (
+        """This topology with new (E, n, n) map stacks, unchecked; the rest is shared."""
+        return self._from_arrays(self.vertices, self.edges, self._vindex, self._tails,
+                                 self._heads, tail_maps, head_maps)
+
+    def _fill(self, vertices, edges, vindex, tails, heads, tail_maps, head_maps):
+        """Set every slot, unchecked: vertex and edge tuples, the id -> position dict,
+        the endpoint position arrays and the map stacks, stored as read-only copies."""
+        self.vertices, self.edges, self._vindex = vertices, edges, vindex
+        self._tails, self._heads = tails, heads
+        self._tail_maps, self._head_maps = (
             np.array(M, dtype=np.float64, order="C") for M in (tail_maps, head_maps))
-        for arr in (graph._tail_maps, graph._head_maps):
+        for arr in (self._tails, self._heads, self._tail_maps, self._head_maps):
             arr.setflags(write=False)
-        graph.n_stalk = graph._tail_maps.shape[-1]
-        return graph
+        self.n_stalk = self._tail_maps.shape[-1]
+        return self
 
     def __repr__(self):
         return (f"{type(self).__name__}(n_stalk={self.n_stalk}, |V|={self.n_vertices}, "
                 f"|E|={self.n_edges})")
 
-    def _validate(self, stack: np.ndarray):
-        n = self.n_stalk
-        if n < 1:
-            raise InvalidInputError("stalk dimension must be positive")
-        if len(self._vindex) != len(self.vertices):
-            raise InvalidInputError("duplicate vertex ids")
-        if stack.shape[:2] != (len(self.edges), 2):
-            raise InvalidInputError("one (map_tail, map_head) pair required per edge")
-        for k, (t, h) in enumerate(self.edges):
-            if t == h:
-                raise InvalidInputError(f"self-loop at vertex {t!r}")
-            if t not in self._vindex or h not in self._vindex:
-                raise InvalidInputError(f"edge {k} references unknown vertex")
-        if stack.shape[2:] != (n, n):
-            raise InvalidInputError(f"map shape {stack.shape[2:]} != ({n}, {n})")
-        finite = np.all(np.isfinite(stack), axis=(1, 2, 3))
-        if not np.all(finite):
-            raise InvalidInputError(
-                f"edge {np.argmin(finite)}: restriction map has non-finite entries")
-        err = np.linalg.norm(np.swapaxes(stack, -1, -2) @ stack - np.eye(n), axis=(-2, -1))
-        bad = np.flatnonzero(np.any(err > ORTH_TOL, axis=1))
-        if bad.size:
-            raise InvalidInputError(f"edge {bad[0]}: restriction map is not orthogonal")
-
     @classmethod
     def identity_maps(cls, n_stalk: int, vertices: Iterable, edges: Iterable):
-        """Sheaf whose restriction maps are all the identity."""
-        edges = tuple(edges)
-        return cls(n_stalk, vertices, edges,
-                   np.broadcast_to(np.eye(n_stalk), (len(edges), 2, n_stalk, n_stalk)))
+        """Sheaf whose restriction maps are all the identity; only its topology is checked."""
+        return cls._from_arrays(*_checked_parts(n_stalk, vertices, edges))
 
     @property
     def maps(self) -> tuple:
@@ -152,6 +121,55 @@ class SheafGraph(_OrthGraph):
     """SPD-stalk sheaf: the restriction maps act by congruence ``P -> M P M^T``."""
 
     __slots__ = ()
+
+
+def _checked_parts(n_stalk, vertices, edges, maps=None) -> tuple:
+    """The public constructors' one validation, in order: maps of one shape, n >= 1,
+    distinct ids, one map pair per edge, no self-loop or unknown id (one lookup of
+    all ends, -1 if unknown; the first failing edge is named), then n x n, finite,
+    orthogonal maps. No maps means identities, unchecked. Returns _fill's parts."""
+    n, vertices, edges = int(n_stalk), tuple(vertices), tuple((t, h) for t, h in edges)
+    stack = None
+    if maps is not None:
+        try:
+            stack = np.array(maps if isinstance(maps, np.ndarray) else list(maps),
+                             dtype=np.float64)
+        except (ValueError, TypeError) as exc:
+            raise InvalidInputError(
+                f"restriction maps must be pairs of equal shape: {exc}") from None
+        if stack.size == 0 and not edges and n > 0:
+            stack = np.zeros((0, 2, n, n))
+    if n < 1:
+        raise InvalidInputError("stalk dimension must be positive")
+    vindex = dict(zip(vertices, range(len(vertices))))
+    if len(vindex) != len(vertices):
+        raise InvalidInputError("duplicate vertex ids")
+    if stack is not None and stack.shape[:2] != (len(edges), 2):
+        raise InvalidInputError("one (map_tail, map_head) pair required per edge")
+    ends = np.fromiter(map(vindex.get, chain.from_iterable(edges), repeat(-1)),
+                       dtype=int, count=2 * len(edges)).reshape(-1, 2)
+    tails, heads = np.ascontiguousarray(ends.T)
+    bad = (tails == heads) | (tails < 0) | (heads < 0)
+    if np.any(bad):
+        k = int(np.argmax(bad))
+        # distinct unknown ids share the -1, so only equal ids make a loop
+        if edges[k][0] == edges[k][1] or tails[k] == heads[k] >= 0:
+            raise InvalidInputError(f"self-loop at vertex {edges[k][0]!r}")
+        raise InvalidInputError(f"edge {k} references unknown vertex")
+    if stack is None:
+        eye = np.broadcast_to(np.eye(n), (len(edges), n, n))
+        return vertices, edges, vindex, tails, heads, eye, eye
+    if stack.shape[2:] != (n, n):
+        raise InvalidInputError(f"map shape {stack.shape[2:]} != ({n}, {n})")
+    finite = np.all(np.isfinite(stack), axis=(1, 2, 3))
+    if not np.all(finite):
+        raise InvalidInputError(
+            f"edge {np.argmin(finite)}: restriction map has non-finite entries")
+    err = np.linalg.norm(np.swapaxes(stack, -1, -2) @ stack - np.eye(n), axis=(-2, -1))
+    bad = np.flatnonzero(np.any(err > ORTH_TOL, axis=1))
+    if bad.size:
+        raise InvalidInputError(f"edge {bad[0]}: restriction map is not orthogonal")
+    return vertices, edges, vindex, tails, heads, stack[:, 0], stack[:, 1]
 
 
 # ---------------------------------------------------------------------------

@@ -59,8 +59,10 @@ class PointCloud:
     """Vertex coordinates in R^3 plus an undirected edge list.
 
     The topology is one identity-map :class:`SheafGraph` with 3x3 stalks,
-    built and validated once: ``ids`` and ``edges`` read from it, and the
-    stream swaps new maps into it instead of rebuilding it.
+    checked once, here: ``ids`` and ``edges`` read from it, and the stream
+    gives it new maps, unchecked, instead of rebuilding it. The probe's
+    disjoint unions are the one cloud built without this constructor: they
+    join checked clouds and are not checked again.
     """
 
     __slots__ = ("points", "graph", "ids", "edges")
@@ -506,15 +508,21 @@ def _describe_chunk(clouds: list[PointCloud], params_list: Sequence[LayerParams]
 
 
 def _disjoint_union(clouds: list[PointCloud]) -> PointCloud:
-    """One cloud holding every cloud's vertices in turn, each edge offset by the
-    vertex count before its cloud. Each cloud is centered first: the layers
-    read only the topology, and the union's coordinates then stay within the
-    largest cloud's reach, which its own construction checked."""
-    offsets = np.cumsum([0] + [pc.n_points for pc in clouds[:-1]])
-    points = np.concatenate([pc.points - pc.points.mean(axis=0) for pc in clouds])
+    """One cloud holding every cloud's vertices in turn, numbered from 0, each
+    edge end offset by the vertex count before its cloud. Each cloud is
+    centered: the union's coordinates then stay within the largest cloud's
+    reach. Every part was checked when its cloud was built, so nothing is
+    checked again and no edge is looked up."""
+    offsets = np.cumsum([0] + [pc.n_points for pc in clouds])
     tails = np.concatenate([pc.graph._tails + o for pc, o in zip(clouds, offsets)])
     heads = np.concatenate([pc.graph._heads + o for pc, o in zip(clouds, offsets)])
-    return PointCloud(points, zip(tails.tolist(), heads.tolist()))
+    ids, eye = tuple(range(offsets[-1])), np.broadcast_to(np.eye(3), (len(tails), 3, 3))
+    union = PointCloud.__new__(PointCloud)
+    union.points = np.concatenate([pc.points - pc.points.mean(axis=0) for pc in clouds])
+    union.graph = SheafGraph._from_arrays(ids, tuple(zip(tails.tolist(), heads.tolist())),
+                                          dict(zip(ids, ids)), tails, heads, eye, eye)
+    union.ids, union.edges = union.graph.vertices, union.graph.edges
+    return union
 
 
 # ---------------------------------------------------------------------------

@@ -72,6 +72,139 @@ def test_construction_validation(cls):
         assert not arr.flags.writeable
 
 
+def _checked_by_edge_loop(n_stalk, vertices, edges, maps):
+    """The graph constructor's checks as they were written with one Python
+    pass over the edges: the reference of the array checks, in order and
+    message for message. Returns the tail and head positions."""
+    n, vertices = int(n_stalk), tuple(vertices)
+    edges = tuple((t, h) for t, h in edges)
+    vindex = {v: i for i, v in enumerate(vertices)}
+    try:
+        stack = np.array(list(maps), dtype=np.float64)
+    except (ValueError, TypeError) as exc:
+        raise InvalidInputError(
+            f"restriction maps must be pairs of equal shape: {exc}") from None
+    if stack.size == 0 and not edges and n > 0:
+        stack = np.zeros((0, 2, n, n))
+    if n < 1:
+        raise InvalidInputError("stalk dimension must be positive")
+    if len(vindex) != len(vertices):
+        raise InvalidInputError("duplicate vertex ids")
+    if stack.shape[:2] != (len(edges), 2):
+        raise InvalidInputError("one (map_tail, map_head) pair required per edge")
+    for k, (t, h) in enumerate(edges):
+        if t == h:
+            raise InvalidInputError(f"self-loop at vertex {t!r}")
+        if t not in vindex or h not in vindex:
+            raise InvalidInputError(f"edge {k} references unknown vertex")
+    if stack.shape[2:] != (n, n):
+        raise InvalidInputError(f"map shape {stack.shape[2:]} != ({n}, {n})")
+    finite = np.all(np.isfinite(stack), axis=(1, 2, 3))
+    if not np.all(finite):
+        raise InvalidInputError(
+            f"edge {np.argmin(finite)}: restriction map has non-finite entries")
+    err = np.linalg.norm(np.swapaxes(stack, -1, -2) @ stack - np.eye(n), axis=(-2, -1))
+    bad = np.flatnonzero(np.any(err > 1e-10, axis=1))
+    if bad.size:
+        raise InvalidInputError(f"edge {bad[0]}: restriction map is not orthogonal")
+    return [vindex[t] for t, _ in edges], [vindex[h] for _, h in edges]
+
+
+def _outcome(build, *args):
+    """The (exception type, message) a build raises, or ("ok", its value)."""
+    try:
+        return "ok", build(*args)
+    except Exception as exc:  # noqa: BLE001 - the comparison is the point
+        return type(exc), str(exc)
+
+
+def _malformed_graph(rng):
+    """A random graph on mixed int and str ids with up to three faults, each
+    at a random position: a self-loop, an unknown id, two distinct unknown
+    ids, a duplicate id, a missing or extra map pair, a NaN or a
+    non-orthogonal map, maps of the wrong size, a ragged pair or a
+    nonpositive stalk dimension."""
+    n = int(rng.integers(1, 4))
+    pool = [0, 1, 2, 7, "a", "b", "1", "x"]
+    vertices = [pool[i] for i in rng.permutation(len(pool))[:int(rng.integers(2, 7))]]
+    edges = []
+    for _ in range(int(rng.integers(1, 7))):
+        i, j = rng.choice(len(vertices), size=2, replace=False)
+        edges.append((vertices[i], vertices[j]))
+    maps = [[random_orthogonal(n, rng), random_orthogonal(n, rng)] for _ in edges]
+    for _ in range(int(rng.integers(0, 4))):
+        fault, k = int(rng.integers(0, 11)), int(rng.integers(0, len(edges)))
+        t, h = edges[k]
+        side = int(rng.integers(0, 2))
+        if fault == 0:
+            edges[k] = (t, t)
+        elif fault == 1:
+            edges[k] = (t, "unknown") if side else (99, h)
+        elif fault == 2:
+            edges[k] = (98, 99) if side else ("p", "q")
+        elif fault == 3:
+            vertices.insert(int(rng.integers(0, len(vertices) + 1)),
+                            vertices[int(rng.integers(0, len(vertices)))])
+        elif fault == 4 and maps:
+            del maps[k % len(maps)]
+        elif fault == 5:
+            maps.insert(k, [np.eye(n), np.eye(n)])
+        elif fault == 6 and maps:
+            maps[k % len(maps)][side] = np.full((n, n), np.nan)
+        elif fault == 7 and maps:
+            maps[k % len(maps)][side] = maps[k % len(maps)][side] * (1.0 + 1e-6)
+        elif fault == 8:
+            maps = [[np.eye(n + 1), np.eye(n + 1)] for _ in maps]
+        elif fault == 9 and maps:
+            maps[k % len(maps)][side] = np.eye(n + 1)
+        elif fault == 10:
+            n = 0
+    return n, vertices, edges, maps
+
+
+_GRAPH_MESSAGES = ("stalk dimension must be positive", "duplicate vertex ids",
+                   "one (map_tail, map_head) pair required per edge", "self-loop at vertex",
+                   "references unknown vertex", "map shape", "non-finite entries",
+                   "is not orthogonal", "pairs of equal shape")
+
+
+def test_array_graph_checks_match_the_edge_loop():
+    rng = np.random.default_rng(2026)
+    reached = set()
+    for _ in range(600):
+        n, vertices, edges, maps = _malformed_graph(rng)
+        expected = _outcome(_checked_by_edge_loop, n, vertices, edges, maps)
+        got = _outcome(s.SheafGraph, n, vertices, edges, maps)
+        if expected[0] == "ok":
+            assert got[0] == "ok", got
+            assert (got[1]._tails.tolist(), got[1]._heads.tolist()) == expected[1]
+        else:
+            assert got == expected
+            reached |= {m for m in _GRAPH_MESSAGES if m in expected[1]}
+        # identity maps pass the map checks, so only the topology can fail
+        eye = [[np.eye(max(n, 0))] * 2 for _ in edges]
+        expected = _outcome(_checked_by_edge_loop, n, vertices, edges, eye)
+        got = _outcome(s.SheafGraph.identity_maps, n, vertices, edges)
+        assert got[0] == expected[0] and (got[0] == "ok" or got[1] == expected[1])
+    assert reached == set(_GRAPH_MESSAGES)
+
+
+@pytest.mark.parametrize("edge, message", [
+    ((5, 6), "edge 0 references unknown vertex"),  # both ends look up to the same -1
+    ((5, 5), "self-loop at vertex 5"),
+    ((0, 0), "self-loop at vertex 0"),
+    ((0, "0"), "edge 0 references unknown vertex"),
+])
+def test_unknown_ends_are_not_a_self_loop(edge, message):
+    I = np.eye(2)
+    with pytest.raises(InvalidInputError) as exc:
+        s.SheafGraph(2, [0, 1], [edge], [(I, I)])
+    assert str(exc.value) == message
+    with pytest.raises(InvalidInputError) as exc:
+        s.SheafGraph.identity_maps(2, [0, 1], [edge])
+    assert str(exc.value) == message
+
+
 def test_parallel_edges_allowed():
     I = np.eye(1)
     sheaf = s.SheafGraph(1, [0, 1], [(0, 1), (0, 1)], [(I, I), (-I, I)])
@@ -584,6 +717,29 @@ def _enclosing_functions(tree, match) -> set:
 
     visit(tree, "<module>")
     return found
+
+
+def test_only_the_core_modules_build_graphs_unchecked():
+    """The trusted graph constructor, the map swap and slot filler that serve
+    it, and any bare ``__new__`` that could skip a check, appear only in
+    sheaf, euclid and stream: file input (jsonio, cli), covgraph and the
+    oracles build graphs through the checking constructors."""
+    names = ("_from_arrays", "_with_maps", "_fill", "__new__")
+
+    def trusted(node):
+        return ((isinstance(node, ast.Attribute) and node.attr in names)
+                or (isinstance(node, ast.Constant) and node.value in names))
+
+    users = set()
+    for path in sorted(Path(s.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        users |= {(path.stem, f) for f in _enclosing_functions(tree, trusted)}
+    modules = {module for module, _ in users}
+    assert modules == {"sheaf", "euclid", "stream"}, users
+    assert not modules & {"jsonio", "cli", "covgraph", "verify"}
+    assert {("sheaf", "__init__"), ("sheaf", "identity_maps"), ("euclid", "matched_spd_sheaf"),
+            ("stream", "spd_sheaf_layer"), ("stream", "diffusion_run"),
+            ("stream", "_disjoint_union")} <= users
 
 
 def test_one_kernel_algorithm_in_the_primary_code():

@@ -118,23 +118,43 @@ def test_canonicalized_lift_rotation_invariant():
             assert np.max(np.abs(out[v] - base[v])) <= 1e-8
 
 
+def _count_checks(monkeypatch) -> list:
+    """The stalk dimension of every graph check: every public graph
+    constructor validates in ``sheaf._checked_parts``, once."""
+    calls, check = [], sheaf_module._checked_parts
+
+    def counted(*args):
+        calls.append(args[0])
+        return check(*args)
+
+    monkeypatch.setattr(sheaf_module, "_checked_parts", counted)
+    return calls
+
+
 def test_cloud_topology_is_one_graph(monkeypatch):
     pc = cloud(28, n=12)
     assert pc.ids == pc.graph.vertices and pc.edges == pc.graph.edges
-    builds = []
-    init = sheaf_module._OrthGraph.__init__
-
-    def counted(self, *args, **kwargs):
-        builds.append(1)
-        init(self, *args, **kwargs)
-
-    monkeypatch.setattr(sheaf_module._OrthGraph, "__init__", counted)
+    checks = _count_checks(monkeypatch)
     rng = np.random.default_rng(29)
     run_layers(pc, s.spd_log(s.lift_coordinates(pc)),
                [LayerParams.random(3, rng=rng) for _ in range(3)])
+    assert checks == []
     for identity_maps in (False, True):
         s.diffusion_run(pc, layers=16, seed=3, identity_maps=identity_maps)
-    assert builds == []
+    assert checks == []
+    s.SheafGraph(3, pc.ids, pc.edges, pc.graph.maps)
+    s.SheafGraph.identity_maps(3, pc.ids, pc.edges)
+    assert checks == [3, 3]
+
+
+def test_probe_checks_each_drawn_cloud_once(monkeypatch):
+    draw, clouds = stream.planar_cloud, []
+    monkeypatch.setattr(stream, "planar_cloud",
+                        lambda rng, planar: clouds.append(draw(rng, planar)) or clouds[-1])
+    unions = _count_calls(monkeypatch, stream, ["_disjoint_union"])
+    checks = _count_checks(monkeypatch)
+    planarity_experiment(301, n_per_class=40, n_layers=2)
+    assert len(clouds) == 80 and len(checks) == 80 and unions["_disjoint_union"] > 0
 
 
 def test_swapped_maps_share_the_topology():
@@ -144,6 +164,7 @@ def test_swapped_maps_share_the_topology():
     maps = s.cayley(A - np.swapaxes(A, -1, -2))
     swapped = pc.graph._with_maps(maps[:, 0], maps[:, 1])
     assert swapped._tails is pc.graph._tails and swapped._heads is pc.graph._heads
+    assert swapped.edges is pc.edges and swapped._vindex is pc.graph._vindex
     assert swapped.vertices == pc.ids and swapped.edges == pc.edges
     assert len(swapped.maps) == len(pc.edges)
     for k, (mt, mh) in enumerate(swapped.maps):

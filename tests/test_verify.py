@@ -375,7 +375,8 @@ def test_oracle_helpers_share_no_primary_code():
                if name.startswith("_") and not name.startswith("__")}
     private |= {name for name in primary | graph_attrs
                 if name.startswith("_") and not name.startswith("__")}
-    assert {"_coboundary_logs", "_adjoint_logs", "_from_spectrum", "_tails"} <= private
+    assert {"_coboundary_logs", "_adjoint_logs", "_from_spectrum", "_tails", "_from_arrays",
+            "_with_maps", "_fill", "_checked_parts"} <= private
     oracles = [name for name in funcs if name.startswith("oracle_")]
     assert len(oracles) == len(ALL_CHECKS)
     for name in oracles:
