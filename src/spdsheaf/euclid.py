@@ -103,8 +103,7 @@ def embed_phi(x) -> np.ndarray:
 
 def matched_spd_sheaf(sheaf: EuclidSheaf) -> SheafGraph:
     """SPD sheaf with the same topology and the same orthogonal maps, unchecked."""
-    return SheafGraph._from_arrays(sheaf.vertices, sheaf.edges, sheaf._vindex, sheaf._tails,
-                                   sheaf._heads, sheaf._tail_maps, sheaf._head_maps)
+    return SheafGraph._recast(sheaf)
 
 
 # ---------------------------------------------------------------------------

@@ -38,14 +38,14 @@ def load_json(path: str):
 
 @contextmanager
 def _parsing(what: str):
-    """Report a lookup, type or value error while reading a `what` object as ParseError."""
+    """Report a lookup, type, value or overflow error in a `what` object as ParseError."""
     try:
         yield
     except ParseError:
         raise
     except KeyError as exc:
         raise ParseError(f"malformed {what} object: missing {exc}") from None
-    except (TypeError, ValueError, AttributeError) as exc:
+    except (TypeError, ValueError, AttributeError, OverflowError) as exc:
         raise ParseError(f"malformed {what} object: {exc}") from None
 
 
@@ -97,7 +97,7 @@ def matrix_from_json(obj, n_expected: int | None = None) -> np.ndarray:
 def _float_array(obj, what: str) -> np.ndarray:
     try:
         return np.asarray(obj, dtype=np.float64)
-    except (ValueError, TypeError) as exc:
+    except (ValueError, TypeError, OverflowError) as exc:
         raise ParseError(f"malformed {what}: {exc}") from None
 
 

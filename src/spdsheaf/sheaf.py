@@ -59,8 +59,8 @@ class _OrthGraph:
     The maps are stored once, as read-only (E, n, n) tail and head stacks;
     ``maps`` holds views into them. The tail and head vertex positions of
     every edge are stored as index arrays, so operators never rebuild them.
-    The constructor and :meth:`identity_maps` check their input; graphs the
-    package builds from parts it made valid go through :meth:`_from_arrays`.
+    The constructor and :meth:`identity_maps` check their input; graphs made
+    from valid graphs go through :meth:`_from_arrays`, in this module only.
     """
 
     __slots__ = ("n_stalk", "vertices", "edges", "_vindex",
@@ -78,6 +78,27 @@ class _OrthGraph:
         """This topology with new (E, n, n) map stacks, unchecked; the rest is shared."""
         return self._from_arrays(self.vertices, self.edges, self._vindex, self._tails,
                                  self._heads, tail_maps, head_maps)
+
+    @classmethod
+    def _recast(cls, graph: _OrthGraph):
+        """`graph` as a `cls`, unchecked: its topology shared, its maps copied."""
+        return cls._from_arrays(graph.vertices, graph.edges, graph._vindex, graph._tails,
+                                graph._heads, graph._tail_maps, graph._head_maps)
+
+    @classmethod
+    def _union(cls, graphs: Sequence[_OrthGraph]):
+        """Disjoint union of valid graphs, unchecked: their vertices in turn, numbered from
+        0, edge ends offset and map stacks concatenated. One graph is its own union."""
+        if len(graphs) == 1:
+            return graphs[0]
+        offsets = np.cumsum([0] + [g.n_vertices for g in graphs])
+        tails = np.concatenate([g._tails + o for g, o in zip(graphs, offsets)])
+        heads = np.concatenate([g._heads + o for g, o in zip(graphs, offsets)])
+        ids = tuple(range(offsets[-1]))
+        return cls._from_arrays(ids, tuple(zip(tails.tolist(), heads.tolist())),
+                                dict(zip(ids, ids)), tails, heads,
+                                np.concatenate([g._tail_maps for g in graphs]),
+                                np.concatenate([g._head_maps for g in graphs]))
 
     def _fill(self, vertices, edges, vindex, tails, heads, tail_maps, head_maps):
         """Set every slot, unchecked: vertex and edge tuples, the id -> position dict,

@@ -60,9 +60,7 @@ class PointCloud:
 
     The topology is one identity-map :class:`SheafGraph` with 3x3 stalks,
     checked once, here: ``ids`` and ``edges`` read from it, and the stream
-    gives it new maps, unchecked, instead of rebuilding it. The probe's
-    disjoint unions are the one cloud built without this constructor: they
-    join checked clouds and are not checked again.
+    gives it new maps, unchecked, instead of rebuilding it.
     """
 
     __slots__ = ("points", "graph", "ids", "edges")
@@ -299,20 +297,19 @@ def sheaf_learner(params: LayerParams, h_u, h_v) -> tuple[np.ndarray, np.ndarray
 # the convolution layer
 
 
-def spd_sheaf_layer(pc: PointCloud, logs: np.ndarray, params: LayerParams) -> np.ndarray:
-    """One SPD sheaf convolution layer on a (|V|, 3, 3) stack of logs; returns
-    the new log stack.
+def spd_sheaf_layer(graph: SheafGraph, logs: np.ndarray, params: LayerParams) -> np.ndarray:
+    """One SPD sheaf convolution layer on `graph` and a (|V|, 3, 3) stack of
+    logs; returns the new log stack.
 
     Steps: regenerate restriction maps from the input logs as node features,
     add the per-vertex log-Laplacian update (eigenvalues normalized to
     [-1, 1]) of the logs conjugated by the orthogonal isometry Q (``Q log X
     Q^T = log(Q X Q^T)``), and floor the log spectrum of the sum (ReEig): a
     log eigenvalue w > 0 passes, any other becomes ``RE_EIG_DELTA * i`` for
-    its 1-based descending position i. The learned maps replace the identity
-    maps of ``pc.graph``. The input must be finite and symmetric; a mapping
-    keyed by vertex id is accepted too.
+    its 1-based descending position i. The learned maps replace `graph`'s
+    maps. The input must be finite and symmetric; a mapping keyed by vertex
+    id is accepted too.
     """
-    graph = pc.graph
     logs = as_sym(_cochain_stack(logs, graph.vertices))
     feats = sym_to_vec(logs)
     sheaf = graph._with_maps(*sheaf_learner(params, feats[graph._tails], feats[graph._heads]))
@@ -436,7 +433,7 @@ def run_layers(pc: PointCloud, logs: np.ndarray,
     layer's logs and the trace of the input and of every layer's output."""
     rows = [trace_row(logs, 0)]
     for i, params in enumerate(params_list, 1):
-        logs = spd_sheaf_layer(pc, logs, params)
+        logs = spd_sheaf_layer(pc.graph, logs, params)
         rows.append(trace_row(logs, i))
     return logs, RankTrace(rows)
 
@@ -499,30 +496,12 @@ def _describe_chunk(clouds: list[PointCloud], params_list: Sequence[LayerParams]
             frames, _ = local_frame(pc)
             sigma = canonicalize(sigma, frames)
         sigmas.append(sigma)
-    union = clouds[0] if len(clouds) == 1 else _disjoint_union(clouds)
+    union = SheafGraph._union([pc.graph for pc in clouds])
     logs = spd_log(np.concatenate(sigmas))
     for params in params_list:
         logs = spd_sheaf_layer(union, logs, params)
     sizes = [pc.n_points for pc in clouds]
     return sym_to_vec(_log_power_mean(logs, 0.5, np.cumsum([0] + sizes[:-1])))
-
-
-def _disjoint_union(clouds: list[PointCloud]) -> PointCloud:
-    """One cloud holding every cloud's vertices in turn, numbered from 0, each
-    edge end offset by the vertex count before its cloud. Each cloud is
-    centered: the union's coordinates then stay within the largest cloud's
-    reach. Every part was checked when its cloud was built, so nothing is
-    checked again and no edge is looked up."""
-    offsets = np.cumsum([0] + [pc.n_points for pc in clouds])
-    tails = np.concatenate([pc.graph._tails + o for pc, o in zip(clouds, offsets)])
-    heads = np.concatenate([pc.graph._heads + o for pc, o in zip(clouds, offsets)])
-    ids, eye = tuple(range(offsets[-1])), np.broadcast_to(np.eye(3), (len(tails), 3, 3))
-    union = PointCloud.__new__(PointCloud)
-    union.points = np.concatenate([pc.points - pc.points.mean(axis=0) for pc in clouds])
-    union.graph = SheafGraph._from_arrays(ids, tuple(zip(tails.tolist(), heads.tolist())),
-                                          dict(zip(ids, ids)), tails, heads, eye, eye)
-    union.ids, union.edges = union.graph.vertices, union.graph.edges
-    return union
 
 
 # ---------------------------------------------------------------------------

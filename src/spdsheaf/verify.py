@@ -148,8 +148,8 @@ def random_sheaf(n_stalk: int, n_vertices: int, extra_edges: int, rng,
     edges = random_graph(n_vertices, extra_edges, rng, connected)
     if identity_maps:
         return sheaf_cls.identity_maps(n_stalk, range(n_vertices), edges)
-    maps = [(random_orthogonal(n_stalk, rng), random_orthogonal(n_stalk, rng))
-            for _ in edges]
+    # one block draws the same normals as two random_orthogonal calls per edge
+    maps = _cayley(rng.normal(size=(len(edges), 2, n_stalk, n_stalk)))
     return sheaf_cls(n_stalk, range(n_vertices), edges, maps)
 
 

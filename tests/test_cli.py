@@ -437,6 +437,15 @@ _MALFORMED = {
     "bool_cochain0_id": (["sections", "INPUT"],
                          {**_sheaf_obj(), "cochain0": [[False, _I2], [1, _I2]]}),
     "bool_cloud_id": (["lift", "INPUT"], _cloud_obj(ids=[False, 1, 2])),
+    # JSON integers too large for a float (401 digits)
+    "huge_int_map": (["sections", "INPUT"], _sheaf_obj(map_tail=[[10**400, 0], [0, 1]])),
+    "huge_int_cochain0": (["sections", "INPUT"], _sheaf_obj(value0=[[10**400, 0], [0, 1]])),
+    "huge_int_xyz_lift": (["lift", "INPUT"],
+                          {"vertices": [{"id": 0, "xyz": [10**400, 0, 0]}], "edges": []}),
+    "huge_int_xyz_diffuse": (["diffuse", "INPUT", *_DIFFUSE, "--layers", "2", "--seed", "1"],
+                             {"vertices": [{"id": 0, "xyz": [10**400, 0, 0]}], "edges": []}),
+    "huge_int_segment_data": (["covgraph", "INPUT", *_COVGRAPH],
+                              _segments_obj(data=[[10**400, 2.0], [0.5, -1.0]])),
 }
 _MESSAGES = {"duplicate_ids_lift": "duplicate vertex ids",
              "duplicate_ids_diffuse": "duplicate vertex ids",

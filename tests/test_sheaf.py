@@ -211,6 +211,31 @@ def test_parallel_edges_allowed():
     assert sheaf.n_edges == 2
 
 
+def test_union_offsets_the_ends_and_concatenates_the_maps():
+    # the probe joins identity-map clouds; here ids are strings and every map differs
+    rng = np.random.default_rng(41)
+    parts = []
+    for ids, edges in ((["a", "b", "c"], [("a", "b"), ("c", "b"), ("a", "c")]),
+                       (["x", "y"], [("y", "x"), ("x", "y")])):
+        maps = [[random_orthogonal(2, rng), random_orthogonal(2, rng)] for _ in edges]
+        parts.append(s.SheafGraph(2, ids, edges, maps))
+    union = s.SheafGraph._union(parts)
+    assert type(union) is s.SheafGraph and union.n_stalk == 2
+    assert union.vertices == (0, 1, 2, 3, 4)
+    assert union.edges == ((0, 1), (2, 1), (0, 2), (4, 3), (3, 4))
+    np.testing.assert_array_equal(union._tails, [0, 2, 0, 4, 3])
+    np.testing.assert_array_equal(union._heads, [1, 1, 2, 3, 4])
+    for stack in ("_tail_maps", "_head_maps"):
+        np.testing.assert_array_equal(getattr(union, stack),
+                                      np.concatenate([getattr(g, stack) for g in parts]))
+    sigma = random_spd_stack(2, 5, rng)
+    np.testing.assert_allclose(s.coboundary(union, sigma),
+                               np.concatenate([s.coboundary(parts[0], sigma[:3]),
+                                               s.coboundary(parts[1], sigma[3:])]),
+                               rtol=1e-12, atol=1e-12)
+    assert s.SheafGraph._union(parts[1:]) is parts[1]
+
+
 # ---------------------------------------------------------------------------
 # coboundary
 
@@ -720,11 +745,12 @@ def _enclosing_functions(tree, match) -> set:
 
 
 def test_only_the_core_modules_build_graphs_unchecked():
-    """The trusted graph constructor, the map swap and slot filler that serve
-    it, and any bare ``__new__`` that could skip a check, appear only in
-    sheaf, euclid and stream: file input (jsonio, cli), covgraph and the
-    oracles build graphs through the checking constructors."""
-    names = ("_from_arrays", "_with_maps", "_fill", "__new__")
+    """The trusted graph constructor, the slot filler that serves it, any bare
+    ``__new__`` that could skip a check and the id -> position dict, which
+    only a builder reads, appear only in sheaf. Every other module builds a
+    graph through the checking constructors or through the sheaf-side helpers
+    that make one from valid graphs, and none spells out the graph's parts."""
+    names = ("_from_arrays", "_fill", "__new__", "_vindex")
 
     def trusted(node):
         return ((isinstance(node, ast.Attribute) and node.attr in names)
@@ -734,12 +760,9 @@ def test_only_the_core_modules_build_graphs_unchecked():
     for path in sorted(Path(s.__file__).parent.glob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"))
         users |= {(path.stem, f) for f in _enclosing_functions(tree, trusted)}
-    modules = {module for module, _ in users}
-    assert modules == {"sheaf", "euclid", "stream"}, users
-    assert not modules & {"jsonio", "cli", "covgraph", "verify"}
-    assert {("sheaf", "__init__"), ("sheaf", "identity_maps"), ("euclid", "matched_spd_sheaf"),
-            ("stream", "spd_sheaf_layer"), ("stream", "diffusion_run"),
-            ("stream", "_disjoint_union")} <= users
+    assert {module for module, _ in users} == {"sheaf"}, users
+    assert {("sheaf", "__init__"), ("sheaf", "identity_maps"), ("sheaf", "_with_maps"),
+            ("sheaf", "_recast"), ("sheaf", "_union")} <= users
 
 
 def test_one_kernel_algorithm_in_the_primary_code():

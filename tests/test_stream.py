@@ -151,10 +151,10 @@ def test_probe_checks_each_drawn_cloud_once(monkeypatch):
     draw, clouds = stream.planar_cloud, []
     monkeypatch.setattr(stream, "planar_cloud",
                         lambda rng, planar: clouds.append(draw(rng, planar)) or clouds[-1])
-    unions = _count_calls(monkeypatch, stream, ["_disjoint_union"])
+    unions = _count_calls(monkeypatch, s.SheafGraph, ["_union"])
     checks = _count_checks(monkeypatch)
     planarity_experiment(301, n_per_class=40, n_layers=2)
-    assert len(clouds) == 80 and len(checks) == 80 and unions["_disjoint_union"] > 0
+    assert len(clouds) == 80 and len(checks) == 80 and unions["_union"] > 0
 
 
 def test_swapped_maps_share_the_topology():
@@ -357,7 +357,7 @@ def test_layer_identity_params_global_section():
     pc = cloud(9)
     P = random_spd(3, np.random.default_rng(10))
     logs = {v: s.spd_log(P) for v in pc.ids}
-    out = spd_sheaf_layer(pc, logs, LayerParams.identity(3))
+    out = spd_sheaf_layer(pc.graph, logs, LayerParams.identity(3))
     assert out.shape == (len(pc.ids), 3, 3)
     for row in out:
         np.testing.assert_allclose(row, _re_eig_log(P), atol=1e-9)
@@ -371,7 +371,7 @@ def test_layer_re_eig_floor_examples():
                               ([0.5, 0.1, 0.2], [0.1, 0.3, 0.2]),
                               ([3.0, 0.5, 1.0], [math.log(3.0), 0.3, 0.2])]:
         logs = np.broadcast_to(np.diag(np.log(spectrum)), (len(pc.ids), 3, 3))
-        out = spd_sheaf_layer(pc, logs, LayerParams.identity(3))
+        out = spd_sheaf_layer(pc.graph, logs, LayerParams.identity(3))
         for row in out:
             np.testing.assert_allclose(row, np.diag(floored), atol=1e-12)
 
@@ -392,7 +392,7 @@ def test_layer_makes_one_eigh_and_one_eigvalsh(monkeypatch):
     params = LayerParams.random(3, rng=np.random.default_rng(20))
     logs = s.spd_log(s.lift_coordinates(pc))
     calls = count_eigs(monkeypatch)
-    spd_sheaf_layer(pc, logs, params)
+    spd_sheaf_layer(pc.graph, logs, params)
     assert calls == {"eigh": 1, "eigvalsh": 1}
 
 
@@ -468,7 +468,7 @@ def test_layer_rejects_asymmetric_or_nan_logs(bad):
     else:
         logs[2, 1, 1] = np.nan
     with pytest.raises(InvalidInputError):
-        spd_sheaf_layer(pc, logs, LayerParams.identity(3))
+        spd_sheaf_layer(pc.graph, logs, LayerParams.identity(3))
 
 
 def test_layer_raises_erank():
@@ -476,7 +476,7 @@ def test_layer_raises_erank():
     rng = np.random.default_rng(12)
     logs = s.spd_log(canonicalize(s.lift_coordinates(pc), s.local_frame(pc)[0]))
     base = trace_row(logs, 0).mean_erank
-    out = spd_sheaf_layer(pc, logs, LayerParams.random(3, rng=rng))
+    out = spd_sheaf_layer(pc.graph, logs, LayerParams.random(3, rng=rng))
     assert trace_row(out, 1).mean_erank - base >= 1.2
 
 

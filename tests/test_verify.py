@@ -24,6 +24,8 @@ from spdsheaf.verify import (
     oracle_isometry,
     oracle_linearity,
     random_euclid_sheaf,
+    random_graph,
+    random_orthogonal,
     random_sheaf,
     random_spd,
     random_spd_stack,
@@ -78,6 +80,18 @@ def test_random_spd_stack_matches_successive_draws(n, spread):
     # the generator is left in the same state: the next draws are equal
     nxt = [random_spd(n, rng, spread) for rng in rngs]
     assert np.array_equal(nxt[0], nxt[1]) and np.array_equal(nxt[0], nxt[2])
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_random_sheaf_maps_match_per_edge_draws(n):
+    # one block of normals for all maps equals a tail and a head draw per edge
+    rngs = [np.random.default_rng(n) for _ in range(2)]
+    sheaf = random_sheaf(n, 7, 3, rngs[0])
+    assert list(sheaf.edges) == random_graph(7, 3, rngs[1])
+    for mt, mh in sheaf.maps:
+        assert np.array_equal(mt, random_orthogonal(n, rngs[1]))
+        assert np.array_equal(mh, random_orthogonal(n, rngs[1]))
+    assert rngs[0].random() == rngs[1].random()
 
 
 def test_oracle_green_blocks_keep_every_draw(monkeypatch):
