@@ -748,8 +748,8 @@ def test_only_the_core_modules_build_graphs_unchecked():
     """The trusted graph constructor, the slot filler that serves it, any bare
     ``__new__`` that could skip a check and the id -> position dict, which
     only a builder reads, appear only in sheaf. Every other module builds a
-    graph through the checking constructors or through the sheaf-side helpers
-    that make one from valid graphs, and none spells out the graph's parts."""
+    graph through the checking constructors or, in euclid and stream only,
+    through the sheaf-side helpers, and none spells out the graph's parts."""
     names = ("_from_arrays", "_fill", "__new__", "_vindex")
 
     def trusted(node):
@@ -763,6 +763,25 @@ def test_only_the_core_modules_build_graphs_unchecked():
     assert {module for module, _ in users} == {"sheaf"}, users
     assert {("sheaf", "__init__"), ("sheaf", "identity_maps"), ("sheaf", "_with_maps"),
             ("sheaf", "_recast"), ("sheaf", "_union")} <= users
+
+    # the helpers that build a graph without a check (the map swap takes any
+    # maps) serve only the core modules: file input (jsonio, cli), covgraph
+    # and the oracles build graphs through the checking constructors
+    helpers = ("_with_maps", "_recast", "_union")
+
+    def unchecked(node):
+        return ((isinstance(node, ast.Attribute) and node.attr in helpers)
+                or (isinstance(node, ast.Constant) and node.value in helpers))
+
+    callers = set()
+    for path in sorted(Path(s.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        callers |= {(path.stem, f) for f in _enclosing_functions(tree, unchecked)}
+    modules = {module for module, _ in callers}
+    assert modules <= {"sheaf", "euclid", "stream"}, callers
+    assert not modules & {"jsonio", "cli", "covgraph", "verify"}
+    assert {("euclid", "matched_spd_sheaf"), ("stream", "spd_sheaf_layer"),
+            ("stream", "diffusion_run")} <= callers
 
 
 def test_one_kernel_algorithm_in_the_primary_code():

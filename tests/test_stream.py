@@ -151,10 +151,14 @@ def test_probe_checks_each_drawn_cloud_once(monkeypatch):
     draw, clouds = stream.planar_cloud, []
     monkeypatch.setattr(stream, "planar_cloud",
                         lambda rng, planar: clouds.append(draw(rng, planar)) or clouds[-1])
-    unions = _count_calls(monkeypatch, s.SheafGraph, ["_union"])
+    # the number of graphs each union joins: some chunk must join several
+    joined, union = [], s.SheafGraph._union
+    monkeypatch.setattr(s.SheafGraph, "_union",
+                        lambda graphs: joined.append(len(graphs)) or union(graphs))
     checks = _count_checks(monkeypatch)
     planarity_experiment(301, n_per_class=40, n_layers=2)
-    assert len(clouds) == 80 and len(checks) == 80 and unions["_union"] > 0
+    assert len(clouds) == 80 and len(checks) == 80
+    assert sum(joined) == 80 and max(joined) > 1, joined
 
 
 def test_swapped_maps_share_the_topology():
