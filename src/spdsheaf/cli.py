@@ -259,8 +259,7 @@ def main(argv=None) -> int:
         command = {"verify": cmd_verify, "sections": cmd_sections, "diffuse": cmd_diffuse,
                    "probe": cmd_probe, "covgraph": cmd_covgraph, "lift": cmd_lift}
         return command[args.command](args)
-    except (ParseError, InvalidInputError, DomainError, NotApplicableError,
-            FileNotFoundError, IsADirectoryError, PermissionError) as exc:
+    except (ParseError, InvalidInputError, DomainError, NotApplicableError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

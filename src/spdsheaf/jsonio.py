@@ -34,6 +34,8 @@ def load_json(path: str):
                          f"{exc.msg}") from exc
     except UnicodeDecodeError as exc:
         raise ParseError(f"{path}: not UTF-8 text: {exc.reason}") from None
+    except RecursionError:
+        raise ParseError(f"{path}: JSON nested too deeply") from None
 
 
 @contextmanager

@@ -235,18 +235,6 @@ class LayerParams:
             mlp_b2=rng.normal(size=2 * skew) * 0.1,
         )
 
-    @classmethod
-    def identity(cls, n: int) -> "LayerParams":
-        feat = sym_dim(n)
-        skew = n * (n - 1) // 2
-        return cls(
-            w_q=np.eye(n),
-            mlp_w1=np.zeros((_HIDDEN, 2 * feat)),
-            mlp_b1=np.zeros(_HIDDEN),
-            mlp_w2=np.zeros((2 * skew, _HIDDEN)),
-            mlp_b2=np.zeros(2 * skew),
-        )
-
 
 def learnable_isometry(W) -> np.ndarray:
     """Orthogonalize a full-rank seed by QR with column signs fixed positive.
@@ -438,32 +426,21 @@ def run_layers(pc: PointCloud, logs: np.ndarray,
     return logs, RankTrace(rows)
 
 
-def pooled_descriptor(logs: np.ndarray) -> np.ndarray:
-    """vec_upper(2 log mean exp(logs / 2)) of a (k, n, n) stack of logs: the log of
-    the power-Euclidean mean at theta = 1/2 of their values (Arsigny et al. 2007),
-    invariant under row permutations and free of exp overflow."""
-    logs = as_sym(logs)
-    if logs.ndim != 3 or len(logs) == 0:
-        raise InvalidInputError(f"expected a nonempty (k, n, n) log stack, got shape {logs.shape}")
-    return sym_to_vec(_log_power_mean(logs, 0.5, [0])[0])
+def geometric_descriptor(pc: PointCloud, params_list: Sequence[LayerParams]) -> np.ndarray:
+    """Full pipeline: lift, canonicalize, convolve, pool.
 
-
-def geometric_descriptor(pc: PointCloud, params_list: Sequence[LayerParams],
-                         frame_invariant: bool = True) -> np.ndarray:
-    """Full pipeline: lift, optionally canonicalize, convolve, pool.
-
-    Lifting is :func:`lift_coordinates` and pooling at theta = 1/2.
-    With ``frame_invariant`` the lifted states are expressed in their
-    equivariant local frames, making the descriptor invariant under rigid
-    motions of the cloud; without it the descriptor lives in the task frame
-    and retains the absolute second-order orientation structure.
+    Lifting is :func:`lift_coordinates` and pooling at theta = 1/2. The
+    lifted states are expressed in their equivariant local frames, making
+    the descriptor invariant under rigid motions of the cloud.
     """
-    return _descriptors([pc], params_list, frame_invariant)[0]
+    return _descriptors([pc], params_list, frame_invariant=True)[0]
 
 
 def _descriptors(clouds: Iterable[PointCloud], params_list: Sequence[LayerParams],
                  frame_invariant: bool) -> np.ndarray:
-    """One :func:`geometric_descriptor` row per cloud, as an (m, 6) array.
+    """One :func:`geometric_descriptor` row per cloud, as an (m, 6) array;
+    without ``frame_invariant`` the rows live in the task frame and keep the
+    absolute second-order orientation structure.
 
     The clouds are read one chunk at a time: consecutive clouds with at most
     _UNION_VERTICES vertices in all (a larger cloud is a chunk of its own).
@@ -544,27 +521,18 @@ def diffusion_run(pc: PointCloud, layers: int, seed: int,
 # convex readout
 
 
-@dataclass
-class ProbeResult:
-    train_accuracy: float
-    test_accuracy: float
-
-
-def linear_probe(train_x, train_y, test_x, test_y) -> ProbeResult:
-    """Logistic readout trained by 2000 full-batch gradient steps of size 0.5.
+def _fit_readouts(train_x, train_Y: np.ndarray, test_x,
+                  test_Y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Logistic readouts, one per column of the (n, k) 0/1 label matrices,
+    trained by 2000 full-batch gradient steps of size 0.5; returns the (k,)
+    train and test accuracies.
 
     Features are standardized with training statistics; the objective is the
     binary cross-entropy plus (1e-4 / 2) ||w||^2 on the non-bias weights. It
-    is convex, so zero initialization makes the result deterministic.
+    is convex, so zero initialization makes the result deterministic. The k
+    fits share the features, the standardization and one gradient loop with a
+    (d, k) weight matrix. Columns are checked in order.
     """
-    y, yt = (np.asarray(v, dtype=np.float64).ravel()[:, None] for v in (train_y, test_y))
-    return _fit_readouts(train_x, y, test_x, yt)[0]
-
-
-def _fit_readouts(train_x, train_Y: np.ndarray, test_x, test_Y: np.ndarray) -> list[ProbeResult]:
-    """:func:`linear_probe` for each column of (n, k) label matrices at once:
-    the k fits share the features, the standardization and one gradient loop
-    with a (d, k) weight matrix. Columns are checked in order."""
     X = np.asarray(train_x, dtype=np.float64)
     Xt = np.asarray(test_x, dtype=np.float64)
     for y in train_Y.T:
@@ -590,8 +558,7 @@ def _fit_readouts(train_x, train_Y: np.ndarray, test_x, test_Y: np.ndarray) -> l
     def acc(M, labels):
         return np.mean(((M @ W) > 0).astype(float) == labels, axis=0)
 
-    return [ProbeResult(train_accuracy=float(a), test_accuracy=float(b))
-            for a, b in zip(acc(Z, train_Y), acc(Zt, test_Y))]
+    return acc(Z, train_Y), acc(Zt, test_Y)
 
 
 # ---------------------------------------------------------------------------
@@ -637,8 +604,7 @@ def planarity_experiment(seed: int, n_per_class: int = 200,
     X, y = X[order], y[order]
     half = len(y) // 2
     Y = np.column_stack([y, y[rng.permutation(len(y))]])
-    probes = _fit_readouts(X[:half], Y[:half], X[half:], Y[half:])
+    train, test = _fit_readouts(X[:half], Y[:half], X[half:], Y[half:])
     return tuple({"seed": seed, "n_per_class": n_per_class, "layers": n_layers,
-                  "shuffled": shuffled, "train_accuracy": probe.train_accuracy,
-                  "test_accuracy": probe.test_accuracy}
-                 for shuffled, probe in zip((False, True), probes))
+                  "shuffled": shuffled, "train_accuracy": float(a), "test_accuracy": float(b)}
+                 for shuffled, a, b in zip((False, True), train, test))

@@ -108,7 +108,7 @@ def random_orthogonal(n: int, rng) -> np.ndarray:
 def random_spd_stack(n: int, count: int, rng, spread: float = 10.0) -> np.ndarray:
     """(count, n, n) stack of random SPD matrices with eigenvalue ratio up to
     `spread`: bit for bit the values, and the generator state, of `count`
-    successive :func:`random_spd` draws."""
+    successive one-matrix draws (:func:`random_spd` at spread 10)."""
     half = 0.5 * math.log(spread)
     A = np.empty((count, n, n))
     u = np.empty((count, n))
@@ -120,9 +120,9 @@ def random_spd_stack(n: int, count: int, rng, spread: float = 10.0) -> np.ndarra
     return 0.5 * (P + np.swapaxes(P, -1, -2))
 
 
-def random_spd(n: int, rng, spread: float = 10.0) -> np.ndarray:
-    """Random SPD matrix with eigenvalue ratio up to `spread`."""
-    return random_spd_stack(n, 1, rng, spread)[0]
+def random_spd(n: int, rng) -> np.ndarray:
+    """Random SPD matrix with eigenvalue ratio up to 10."""
+    return random_spd_stack(n, 1, rng)[0]
 
 
 def random_graph(n_vertices: int, extra_edges: int, rng,
@@ -159,8 +159,8 @@ def random_euclid_sheaf(n_stalk: int, n_vertices: int, extra_edges: int, rng,
                         sheaf_cls=EuclidSheaf)
 
 
-def random_cochain0(sheaf: SheafGraph, rng, spread: float = 10.0) -> dict:
-    values = random_spd_stack(sheaf.n_stalk, sheaf.n_vertices, rng, spread)
+def random_cochain0(sheaf: SheafGraph, rng) -> dict:
+    values = random_spd_stack(sheaf.n_stalk, sheaf.n_vertices, rng)
     return dict(zip(sheaf.vertices, values))
 
 

@@ -509,6 +509,36 @@ def test_verify_hodge_passes_on_small_singular_values(seed, capsys):
 def test_missing_input_file_is_exit_2(tmp_path, capsys):
     assert main(["sections", str(tmp_path / "nope.json")]) == 2
     assert main(["lift", str(tmp_path / "nope.json")]) == 2
+    # every other OSError too: an output directory that is a file, and a
+    # path through a file
+    cloud, file = tmp_path / "cloud.json", str(tmp_path / "cloud.json")
+    cloud.write_text(json.dumps(_CLOUD))
+    capsys.readouterr()
+    for argv in (["diffuse", file, "--layers", "1", "--seed", "0", "--out", file],
+                 ["verify", "--check", "index", "--out", file],
+                 ["sections", f"{file}/x.json"],
+                 ["lift", file, "--out", f"{file}/x.json"]):
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1 and "Traceback" not in err
+
+
+_DEEP = "[" * 100_000 + "]" * 100_000
+_DEEP_MAP = json.dumps(_sheaf_obj(map_tail=[[0.0]])).replace("[[0.0]]", "[" * 5000 + "]" * 5000)
+
+
+@pytest.mark.parametrize("argv, text", [(["sections", "INPUT"], _DEEP), (["lift", "INPUT"], _DEEP),
+                                        (["verify", "--config", "INPUT"], _DEEP),
+                                        (["sections", "INPUT"], _DEEP_MAP)],
+                         ids=["sections", "lift", "verify_config", "sections_map"])
+def test_deeply_nested_json_is_exit_2(tmp_path, capsys, argv, text):
+    # past about 1000 levels json.load raises RecursionError; _MALFORMED
+    # writes through json.dumps, which cannot nest this deep
+    path = tmp_path / "deep.json"
+    path.write_text(text)
+    assert main([str(path) if a == "INPUT" else a for a in argv]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and "nested too deeply" in err
 
 
 _THREADS_PROBE = """

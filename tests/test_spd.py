@@ -77,7 +77,7 @@ def test_sym_exp_zero_and_diag():
 def test_exp_log_round_trip(n):
     rng = np.random.default_rng(n)
     for _ in range(200):
-        P = random_spd(n, rng, spread=1e3)
+        P = random_spd_stack(n, 1, rng, spread=1e3)[0]
         Q = s.sym_exp(s.spd_log(P))
         assert np.linalg.norm(Q - P) / np.linalg.norm(P) <= 1e-9
         S = random_sym(n, rng)

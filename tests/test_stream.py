@@ -20,16 +20,20 @@ from spdsheaf.stream import (
     geometric_graph,
     knn_edges,
     learnable_isometry,
-    linear_probe,
     planar_cloud,
     planarity_experiment,
-    pooled_descriptor,
     run_layers,
     sheaf_learner,
     spd_sheaf_layer,
     trace_row,
 )
 from spdsheaf.verify import random_orthogonal, random_spd
+
+
+# zero weights: identity restriction maps and isometry
+IDENTITY_PARAMS = LayerParams(w_q=np.eye(3), mlp_w1=np.zeros((stream._HIDDEN, 12)),
+                              mlp_b1=np.zeros(stream._HIDDEN),
+                              mlp_w2=np.zeros((6, stream._HIDDEN)), mlp_b2=np.zeros(6))
 
 
 def cloud(seed=0, n=10, radius=0.9):
@@ -295,7 +299,7 @@ def test_learnable_isometry():
 
 
 def test_sheaf_learner_zero_weights_identity():
-    params = LayerParams.identity(3)
+    params = IDENTITY_PARAMS
     h = np.zeros(6)
     Mt, Mh = sheaf_learner(params, h, h)
     np.testing.assert_allclose(Mt, np.eye(3), atol=1e-14)
@@ -339,7 +343,7 @@ def test_sheaf_learner_stack_matches_rows():
 ])
 def test_sheaf_learner_rejects_mismatched_stacks(h_u, h_v):
     with pytest.raises(InvalidInputError):
-        sheaf_learner(LayerParams.identity(3), h_u, h_v)
+        sheaf_learner(IDENTITY_PARAMS, h_u, h_v)
 
 
 # ---------------------------------------------------------------------------
@@ -361,7 +365,7 @@ def test_layer_identity_params_global_section():
     pc = cloud(9)
     P = random_spd(3, np.random.default_rng(10))
     logs = {v: s.spd_log(P) for v in pc.ids}
-    out = spd_sheaf_layer(pc.graph, logs, LayerParams.identity(3))
+    out = spd_sheaf_layer(pc.graph, logs, IDENTITY_PARAMS)
     assert out.shape == (len(pc.ids), 3, 3)
     for row in out:
         np.testing.assert_allclose(row, _re_eig_log(P), atol=1e-9)
@@ -375,7 +379,7 @@ def test_layer_re_eig_floor_examples():
                               ([0.5, 0.1, 0.2], [0.1, 0.3, 0.2]),
                               ([3.0, 0.5, 1.0], [math.log(3.0), 0.3, 0.2])]:
         logs = np.broadcast_to(np.diag(np.log(spectrum)), (len(pc.ids), 3, 3))
-        out = spd_sheaf_layer(pc.graph, logs, LayerParams.identity(3))
+        out = spd_sheaf_layer(pc.graph, logs, IDENTITY_PARAMS)
         for row in out:
             np.testing.assert_allclose(row, np.diag(floored), atol=1e-12)
 
@@ -472,7 +476,7 @@ def test_layer_rejects_asymmetric_or_nan_logs(bad):
     else:
         logs[2, 1, 1] = np.nan
     with pytest.raises(InvalidInputError):
-        spd_sheaf_layer(pc.graph, logs, LayerParams.identity(3))
+        spd_sheaf_layer(pc.graph, logs, IDENTITY_PARAMS)
 
 
 def test_layer_raises_erank():
@@ -500,13 +504,16 @@ def test_layer_rotation_invariance():
 # pooling and traces
 
 
+def _pooled(logs):
+    """The descriptor's pooling of one (k, 3, 3) log stack, as a 6-vector."""
+    return sym_to_vec(_log_power_mean(logs, 0.5, [0])[0])
+
+
 def test_pooled_descriptor_examples():
     # the logs of identity values pool to 0, and equal logs pool to themselves
-    np.testing.assert_allclose(pooled_descriptor(np.zeros((4, 3, 3))), np.zeros(6),
-                               atol=1e-12)
+    np.testing.assert_allclose(_pooled(np.zeros((4, 3, 3))), np.zeros(6), atol=1e-12)
     L = s.spd_log(random_spd(3, np.random.default_rng(15)))
-    np.testing.assert_allclose(pooled_descriptor(np.stack([L] * 4)), sym_to_vec(L),
-                               atol=1e-10)
+    np.testing.assert_allclose(_pooled(np.stack([L] * 4)), sym_to_vec(L), atol=1e-10)
 
 
 def _eigh_map(X, f):
@@ -522,7 +529,7 @@ def test_pooled_descriptor_is_the_power_mean_of_the_values():
         # the values' square roots exp(L / 2), their mean M, and log M**2
         mean = np.mean([_eigh_map(L, lambda w: np.exp(w / 2)) for L in logs], axis=0)
         ref = _eigh_map(mean, lambda w: 2 * np.log(w))
-        np.testing.assert_allclose(pooled_descriptor(logs), sym_to_vec(ref),
+        np.testing.assert_allclose(_pooled(logs), sym_to_vec(ref),
                                    rtol=0, atol=1e-12)
 
 
@@ -533,23 +540,8 @@ def test_pooled_descriptor_does_not_overflow():
                      [-30.0, 1199.0, 899.0]])
     top = diag.max(axis=0)
     pooled = top + 2.0 * np.log(np.mean(np.exp((diag - top) / 2), axis=0))
-    np.testing.assert_allclose(pooled_descriptor(diag[:, :, None] * np.eye(3)),
+    np.testing.assert_allclose(_pooled(diag[:, :, None] * np.eye(3)),
                                sym_to_vec(np.diag(pooled)), rtol=1e-13, atol=1e-12)
-
-
-def _bad_logs(case):
-    logs = s.spd_log(s.lift_coordinates(cloud(26, n=5)))
-    if case == "asymmetric":
-        logs[1, 0, 2] += 1e-6
-    elif case == "nan":
-        logs[3, 1, 1] = np.nan
-    return {"empty": logs[:0], "two_dimensional": logs[0]}.get(case, logs)
-
-
-@pytest.mark.parametrize("case", ["empty", "two_dimensional", "nan", "asymmetric"])
-def test_pooled_descriptor_rejects_bad_logs(case):
-    with pytest.raises(InvalidInputError):
-        pooled_descriptor(_bad_logs(case))
 
 
 @pytest.mark.parametrize("frame_invariant", [True, False])
@@ -561,7 +553,7 @@ def test_descriptor_makes_five_eighs_at_two_layers(monkeypatch, frame_invariant)
     calls = []
     eigh = np.linalg.eigh
     monkeypatch.setattr(np.linalg, "eigh", lambda *a, **k: calls.append(1) or eigh(*a, **k))
-    s.geometric_descriptor(pc, params, frame_invariant=frame_invariant)
+    stream._descriptors([pc], params, frame_invariant)
     assert len(calls) == 5
 
 
@@ -587,16 +579,16 @@ def test_descriptor_rows_do_not_depend_on_the_batch(frame_invariant):
     rows = stream._descriptors(iter(clouds), params, frame_invariant)
     assert rows.shape == (len(clouds), 6)
     for pc, row in zip(clouds, rows):
-        alone = s.geometric_descriptor(pc, params, frame_invariant=frame_invariant)
+        alone = stream._descriptors([pc], params, frame_invariant)[0]
         assert np.max(np.abs(row - alone)) <= 1e-12 * np.max(np.abs(alone))
 
 
 def test_pooled_descriptor_permutation_invariant():
     rng = np.random.default_rng(16)
     values = [random_spd(3, rng) for _ in range(5)]
-    a = pooled_descriptor(np.stack(values))
+    logs = np.stack(values)  # any symmetric stack is a stack of logs
     perm = rng.permutation(5)
-    b = pooled_descriptor(np.stack(values)[perm])
+    a, b = _pooled(logs), _pooled(logs[perm])
     np.testing.assert_allclose(a, b, atol=1e-12)
 
 
@@ -608,7 +600,7 @@ def test_pooled_descriptor_rejects_a_mean_singular_to_working_precision():
     logs = np.stack([R @ np.diag(d) @ R.T for d in spectra])
     logs = 0.5 * (logs + np.swapaxes(logs, -1, -2))
     with pytest.raises(DomainError, match="singular to working precision"):
-        pooled_descriptor(logs)
+        _pooled(logs)
     # pooled per segment, the same stack fails behind a segment that pools
     segmented = np.concatenate([np.zeros((2, 3, 3)), logs])
     np.testing.assert_array_equal(_log_power_mean(segmented[:2], 0.5, [0]), np.zeros((1, 3, 3)))
@@ -785,23 +777,24 @@ def test_linear_probe_separable():
     X1 = rng.normal(size=(50, 4)) - np.array([3.0, 0, 0, 0])
     X = np.vstack([X0, X1])
     y = np.array([0.0] * 50 + [1.0] * 50)
-    res = linear_probe(X, y, X, y)
-    assert res.train_accuracy == 1.0
+    train, _ = stream._fit_readouts(X, y[:, None], X, y[:, None])
+    assert train.tolist() == [1.0]
 
 
 def test_linear_probe_shuffled_labels_chance():
     rng = np.random.default_rng(21)
     X = rng.normal(size=(200, 4))
     y = rng.integers(0, 2, size=200).astype(float)
-    res = linear_probe(X[:100], y[:100], X[100:], y[100:])
-    assert abs(res.test_accuracy - 0.5) <= 0.15
+    Y = y[:, None]
+    _, test = stream._fit_readouts(X[:100], Y[:100], X[100:], Y[100:])
+    assert abs(test[0] - 0.5) <= 0.15
 
 
 def test_linear_probe_single_class_error():
     X = np.zeros((10, 3))
-    y = np.zeros(10)
+    Y = np.zeros((10, 1))
     with pytest.raises(DomainError):
-        linear_probe(X, y, X, y)
+        stream._fit_readouts(X, Y, X, Y)
 
 
 def test_planarity_experiment_smoke():

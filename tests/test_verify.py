@@ -73,12 +73,12 @@ def _reference_spd(n, rng, spread):
 def test_random_spd_stack_matches_successive_draws(n, spread):
     rngs = [np.random.default_rng(n) for _ in range(3)]
     stack = random_spd_stack(n, 7, rngs[0], spread)
-    singles = np.stack([random_spd(n, rngs[1], spread) for _ in range(7)])
+    singles = np.stack([random_spd_stack(n, 1, rngs[1], spread)[0] for _ in range(7)])
     reference = np.stack([_reference_spd(n, rngs[2], spread) for _ in range(7)])
     assert stack.shape == (7, n, n)
     assert np.array_equal(stack, singles) and np.array_equal(stack, reference)
     # the generator is left in the same state: the next draws are equal
-    nxt = [random_spd(n, rng, spread) for rng in rngs]
+    nxt = [random_spd_stack(n, 1, rng, spread)[0] for rng in rngs]
     assert np.array_equal(nxt[0], nxt[1]) and np.array_equal(nxt[0], nxt[2])
 
 
