@@ -27,12 +27,12 @@ print(f"cloud: {pc.n_points} points, {len(pc.edges)} edges")
 
 # lift and canonicalize, then apply two random layers to the logs
 logs = s.spd_log(canonicalize(s.lift_coordinates(pc), s.local_frame(pc)[0]))
-print("layer 0 mean erank:", round(trace_row(logs, 0).mean_erank, 4))
+print("layer 0 mean erank:", round(trace_row(logs).mean_erank, 4))
 
 params = [LayerParams.random(3, rng=rng) for _ in range(2)]
 _, trace = run_layers(pc, logs, params)
-for row in trace.rows:
-    print(f"  layer {row.layer}: mean erank {row.mean_erank:.3f}, "
+for layer, row in enumerate(trace.rows):
+    print(f"  layer {layer}: mean erank {row.mean_erank:.3f}, "
           f"mean lambda2 {row.mean_lambda2:.4f}")
 
 # depth robustness: heterogeneous maps vs the identity/no-residual control

@@ -70,6 +70,8 @@ def cmd_verify(args) -> int:
             raise ParseError(f"verify config: unknown key(s) {unknown}")
         fields.update(cfg)
     config = verify.SuiteConfig(dump_dir=args.out, **fields)
+    if args.out:
+        os.makedirs(args.out, exist_ok=True)
     verdicts, code = verify.run_suite(config)
 
     header = f"{'check':<16}{'trials':>8}{'max residual':>16}{'tolerance':>12}  status"
@@ -81,7 +83,6 @@ def cmd_verify(args) -> int:
     report = {"seed": config.seed, "passed": code == 0,
               "verdicts": [dataclasses.asdict(v) for v in verdicts]}
     if args.out:
-        os.makedirs(args.out, exist_ok=True)
         _write_report(report, os.path.join(args.out, "verdicts.json"))
     return code
 
@@ -118,11 +119,11 @@ def cmd_sections(args) -> int:
 def cmd_diffuse(args) -> int:
     _check_at_least(args, seed=0, layers=0)
     pc = jsonio.load_cloud(args.cloud)
+    os.makedirs(args.out, exist_ok=True)
     final, trace = diffusion_run(
         pc, layers=args.layers, seed=args.seed,
         identity_maps=args.identity_maps, residual=not args.no_residual,
         normalize=not args.no_normalize)
-    os.makedirs(args.out, exist_ok=True)
     with open(os.path.join(args.out, "trace.csv"), "w", encoding="utf-8") as fh:
         fh.write(trace.to_csv())
     jsonio.cochain0_to_json(3, dict(zip(pc.ids, final)),
@@ -167,8 +168,8 @@ def cmd_probe(args) -> int:
 def cmd_covgraph(args) -> int:
     segments = jsonio.load_segments(args.segments)
     cfg = TFGraphConfig(eps1=args.eps1, eps2=args.eps2, eps=args.eps, bandwidth=args.bandwidth)
-    result = build_tf_graph(segments, cfg)
     os.makedirs(args.out, exist_ok=True)
+    result = build_tf_graph(segments, cfg)
     jsonio.sheaf_to_json(result.sheaf, cochain0=result.cochain,
                          path=os.path.join(args.out, "sheaf.json"))
     jsonio.weights_to_json(result.sheaf.edges, result.weights,
@@ -206,9 +207,10 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("verify", help="run the brute-force property suite")
-    p.add_argument("--all", action="store_true", help="run every check (default)")
-    p.add_argument("--check", action="append", choices=verify.ALL_CHECKS,
-                   help="run a single check (repeatable)")
+    which = p.add_mutually_exclusive_group()
+    which.add_argument("--all", action="store_true", help="run every check (default)")
+    which.add_argument("--check", action="append", choices=verify.ALL_CHECKS,
+                       help="run a single check (repeatable)")
     p.add_argument("--n", action="append", type=int, help="stalk dimension (repeatable)")
     p.add_argument("--seed", type=int, default=verify.SuiteConfig.seed)
     p.add_argument("--trials", type=int, default=verify.SuiteConfig.trials)

@@ -121,8 +121,7 @@ class CorrespondenceReport:
     converse_pass: bool | None
 
 
-def check_kernel_correspondence(sheaf: EuclidSheaf, x: VecCochain0,
-                                spd_sheaf: SheafGraph | None = None) -> CorrespondenceReport:
+def check_kernel_correspondence(sheaf: EuclidSheaf, x: VecCochain0) -> CorrespondenceReport:
     """Check that the embedding carries sections to sections, edge by edge.
 
     Forward: every edge of the SPD coboundary of the cochain embedded
@@ -134,10 +133,8 @@ def check_kernel_correspondence(sheaf: EuclidSheaf, x: VecCochain0,
     other maps only the gauge class is determined and the converse is
     reported as not checkable.
     """
-    if spd_sheaf is None:
-        spd_sheaf = matched_spd_sheaf(sheaf)
     vals = _check_vec_cochain(sheaf, x)
-    delta = coboundary(spd_sheaf, embed_phi(vals))
+    delta = coboundary(matched_spd_sheaf(sheaf), embed_phi(vals))
     fwd_max = float(np.max(dist_lem(delta, np.eye(sheaf.n_stalk)), initial=0.0))
     spd_section = fwd_max <= SECTION_TOL
 

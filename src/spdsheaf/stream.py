@@ -223,8 +223,7 @@ class LayerParams:
         return self.w_q.shape[0]
 
     @classmethod
-    def random(cls, n: int, rng=None) -> "LayerParams":
-        rng = np.random.default_rng(rng)
+    def random(cls, n: int, rng: np.random.Generator) -> "LayerParams":
         feat = sym_dim(n)
         skew = n * (n - 1) // 2
         return cls(
@@ -314,29 +313,25 @@ def spd_sheaf_layer(graph: SheafGraph, logs: np.ndarray, params: LayerParams) ->
 
 @dataclass
 class TraceRow:
-    layer: int
     mean_erank: float
     mean_lambda2: float
     min_pairwise_lem: float
 
-    def as_csv(self) -> str:
-        return (f"{self.layer},{self.mean_erank!r},{self.mean_lambda2!r},"
-                f"{self.min_pairwise_lem!r}")
-
 
 @dataclass
 class RankTrace:
-    """Per-layer effective-rank diagnostics of a diffusion run."""
+    """Per-layer effective-rank diagnostics of a diffusion run: row i is layer i."""
 
     rows: list
 
     def to_csv(self) -> str:
         lines = ["layer,mean_erank,mean_lambda2,min_pairwise_lem"]
-        lines += [r.as_csv() for r in self.rows]
+        lines += [f"{i},{r.mean_erank!r},{r.mean_lambda2!r},{r.min_pairwise_lem!r}"
+                  for i, r in enumerate(self.rows)]
         return "\n".join(lines) + "\n"
 
 
-def trace_row(logs: np.ndarray, layer: int) -> TraceRow:
+def trace_row(logs: np.ndarray) -> TraceRow:
     """Summary statistics of one (|V|, n, n) stack of logs: eranks, second
     eigenvalues, spread.
 
@@ -355,12 +350,7 @@ def trace_row(logs: np.ndarray, layer: int) -> TraceRow:
     with np.errstate(over="ignore"):
         lam2 = np.mean(np.exp(w[:, -2])) if logs.shape[-1] > 1 else np.nan
     min_lem = _min_pairwise_distance(logs.reshape(N, -1)) if N > 1 else 0.0
-    return TraceRow(
-        layer=layer,
-        mean_erank=float(np.mean(eranks)),
-        mean_lambda2=float(lam2),
-        min_pairwise_lem=min_lem,
-    )
+    return TraceRow(float(np.mean(eranks)), float(lam2), min_lem)
 
 
 # Rounding bound of the GEMM distances. With u = eps / 2, gamma_k = k u / (1 - k u)
@@ -419,10 +409,10 @@ def run_layers(pc: PointCloud, logs: np.ndarray,
                params_list: Sequence[LayerParams]) -> tuple[np.ndarray, RankTrace]:
     """Apply a stack of convolution layers to a stack of logs; returns the last
     layer's logs and the trace of the input and of every layer's output."""
-    rows = [trace_row(logs, 0)]
-    for i, params in enumerate(params_list, 1):
+    rows = [trace_row(logs)]
+    for params in params_list:
         logs = spd_sheaf_layer(pc.graph, logs, params)
-        rows.append(trace_row(logs, i))
+        rows.append(trace_row(logs))
     return logs, RankTrace(rows)
 
 
@@ -499,16 +489,16 @@ def diffusion_run(pc: PointCloud, layers: int, seed: int,
     rng = np.random.default_rng(seed)
     sigma = lift_coordinates(pc)
     logs = spd_log(sigma)
-    rows = [trace_row(logs, 0)]
+    rows = [trace_row(logs)]
     sheaf = pc.graph
-    for i in range(1, layers + 1):
+    for _ in range(layers):
         if not identity_maps:
             # one block draws the same normals as per-edge (tail, head) draws
             A = rng.normal(size=(len(pc.edges), 2, 3, 3))
             maps = cayley(A - np.swapaxes(A, -1, -2))
             sheaf = pc.graph._with_maps(maps[:, 0], maps[:, 1])
         logs = diffusion_step(sheaf, logs, normalize=normalize, residual=residual)
-        rows.append(trace_row(logs, i))
+        rows.append(trace_row(logs))
     if layers:
         # a fresh eigh of the clamped logs strays past the box by rounding
         # (about 1e-14), which exp would turn into about 1e-10 at 1e4
@@ -536,11 +526,9 @@ def _fit_readouts(train_x, train_Y: np.ndarray, test_x,
     X = np.asarray(train_x, dtype=np.float64)
     Xt = np.asarray(test_x, dtype=np.float64)
     for y in train_Y.T:
-        # not np.unique, which imports numpy.ma (15 ms); all-NaN labels are one class, as there
-        if y.size == 0 or np.all(y == y[0]) or np.all(np.isnan(y)):
+        # not np.unique, which imports numpy.ma (15 ms)
+        if y.size == 0 or np.all(y == y[0]):
             raise DomainError("probe requires at least two classes in the training labels")
-        if not np.all((y == 0.0) | (y == 1.0)):
-            raise InvalidInputError("labels must be 0/1")
 
     mu = X.mean(axis=0)
     sd = X.std(axis=0)

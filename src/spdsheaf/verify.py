@@ -15,11 +15,11 @@ of a block of trials in one pass (``random_spd_stack``,
 on whole stacks, never per trial. The suite runner wires the oracles to
 deterministic seeded instance generators and reports one verdict per check.
 
-Every verdict is held to the fixed tolerance of its check in ``TOLERANCES``;
-no oracle and no suite configuration can move it. Oracles and the suite
-runner fold residuals with :func:`_worst`, so a NaN residual reaches
-:class:`Verdict`, where it fails the check, instead of being dropped by the
-builtin ``max``.
+Every verdict takes the fixed tolerance of its check from ``TOLERANCES``
+itself; no oracle, caller or suite configuration can move it. Oracles and
+the suite runner fold residuals with :func:`_worst`, so a NaN residual
+reaches :class:`Verdict`, where it fails the check, instead of being dropped
+by the builtin ``max``.
 """
 
 from __future__ import annotations
@@ -73,7 +73,8 @@ GREEN_SPREAD_TOLERANCE = 1e-6
 
 @dataclass
 class Verdict:
-    """Outcome of one check: pass iff the worst residual is within tolerance.
+    """Outcome of one check: pass iff the worst residual is within the
+    check's tolerance, its entry in ``TOLERANCES``.
 
     A NaN residual compares false, so it fails the check.
     """
@@ -81,11 +82,12 @@ class Verdict:
     check: str
     trials: int
     max_residual: float
-    tolerance: float
     seed: int
+    tolerance: float = field(init=False)
     passed: bool = field(init=False)
 
     def __post_init__(self):
+        self.tolerance = TOLERANCES[self.check]
         self.passed = bool(self.max_residual <= self.tolerance)
 
 
@@ -261,8 +263,9 @@ def _worst(residuals) -> float:
     return float(np.max(np.hstack([0.0, *residuals])))
 
 
-def oracle_isometry(sheaf: SheafGraph, trials: int = 200, seed: int = 0) -> Verdict:
-    """Both metrics must be invariant under congruence by the sheaf's maps."""
+def oracle_isometry(sheaf: SheafGraph, seed: int = 0) -> Verdict:
+    """Both metrics must be invariant under congruence by the sheaf's maps, in 200 trials."""
+    trials = 200
     rng = np.random.default_rng(seed)
     n = sheaf.n_stalk
     # tail and head map of each edge in turn, as in `sheaf.maps`
@@ -275,18 +278,19 @@ def oracle_isometry(sheaf: SheafGraph, trials: int = 200, seed: int = 0) -> Verd
     MY = M @ Y @ np.swapaxes(M, -1, -2)
     residuals = [np.abs(dist_airm(MX, MY) - dist_airm(X, Y)),
                  np.abs(dist_lem(MX, MY) - dist_lem(X, Y))]
-    return Verdict("isometry", trials, _worst(residuals), TOLERANCES["isometry"], seed)
+    return Verdict("isometry", trials, _worst(residuals), seed)
 
 
-def oracle_linearity(sheaf: SheafGraph, trials: int = 3, seed: int = 0) -> Verdict:
-    """Coboundary must commute with the group operation, edge by edge."""
+def oracle_linearity(sheaf: SheafGraph, seed: int = 0) -> Verdict:
+    """Coboundary must commute with the group operation, edge by edge, in 3 trials."""
+    trials = 3
     n, nv = sheaf.n_stalk, sheaf.n_vertices
     # each trial's sigma, then its tau: bitwise the successive per-trial draws
     values = random_spd_stack(n, 2 * trials * nv, np.random.default_rng(seed))
     sigma, tau = np.moveaxis(values.reshape(trials, 2, nv, n, n), 1, 0)
     ds, dt, lhs = coboundary(sheaf, np.stack([sigma, tau, group_op(sigma, tau)]))
     residuals = dist_lem(lhs, group_op(ds, dt))  # (trials, |E|): one row per trial
-    return Verdict("linearity", trials, _worst(residuals), TOLERANCES["linearity"], seed)
+    return Verdict("linearity", trials, _worst(residuals), seed)
 
 
 _GREEN_BLOCK = 256  # matrices oracle_green draws at once, so memory is flat in trials
@@ -315,7 +319,7 @@ def oracle_green(sheaf: SheafGraph, trials: int = 100, seed: int = 0,
         mat_rhs = np.array([zs[t] @ (B.T @ zt[t]) for t in range(count)])
         worst = _worst([worst, np.abs(lhs - rhs), np.abs(lhs - mat_lhs),
                         np.abs(rhs - mat_rhs)])
-    return Verdict("green", trials, worst, TOLERANCES["green"], seed)
+    return Verdict("green", trials, worst, seed)
 
 
 def oracle_hodge(sheaf: SheafGraph, seed: int = 0) -> Verdict:
@@ -336,7 +340,7 @@ def oracle_hodge(sheaf: SheafGraph, seed: int = 0) -> Verdict:
     log_w = np.log(np.where(w > 0.0, w, np.nan))
     residuals = [abs(dim_b - dim_g), abs(basis.shape[1] - dim_b),
                  np.sqrt(np.sum(log_w ** 2, axis=-1))]
-    return Verdict("hodge", basis.shape[1] + 1, _worst(residuals), TOLERANCES["hodge"], seed)
+    return Verdict("hodge", basis.shape[1] + 1, _worst(residuals), seed)
 
 
 def oracle_index(sheaf: SheafGraph, seed: int = 0) -> Verdict:
@@ -347,7 +351,7 @@ def oracle_index(sheaf: SheafGraph, seed: int = 0) -> Verdict:
     dim_b = _oracle_nullity(B)
     dim_bt = _oracle_nullity(B.T)
     worst = max(abs(sheaf_index(sheaf) - expected), abs((dim_b - dim_bt) - expected))
-    return Verdict("index", 1, float(worst), TOLERANCES["index"], seed)
+    return Verdict("index", 1, float(worst), seed)
 
 
 def oracle_holonomy(sheaf: SheafGraph, seed: int = 0) -> Verdict:
@@ -355,13 +359,11 @@ def oracle_holonomy(sheaf: SheafGraph, seed: int = 0) -> Verdict:
     dim_svd = _oracle_nullity(_oracle_operator(sheaf))
     reps = holonomy_reps(sheaf)
     dim_fixed = holonomy_fixed_space(reps, sheaf.n_stalk).shape[1]
-    return Verdict("holonomy", len(reps) + 1, float(abs(dim_svd - dim_fixed)),
-                   TOLERANCES["holonomy"], seed)
+    return Verdict("holonomy", len(reps) + 1, float(abs(dim_svd - dim_fixed)), seed)
 
 
 def oracle_correspondence(esheaf: EuclidSheaf, seed: int = 0) -> Verdict:
     """Embedded Euclidean sections must be SPD sections; strictness where defined."""
-    ssheaf = matched_spd_sheaf(esheaf)
     Be = _oracle_euclid_operator(esheaf)
     # oracle-owned Euclidean kernel
     if Be.shape[0] == 0:
@@ -374,11 +376,12 @@ def oracle_correspondence(esheaf: EuclidSheaf, seed: int = 0) -> Verdict:
     I = np.eye(esheaf.n_stalk)
     for col in range(basis.shape[1]):
         x = vec_cochain_from_vec(esheaf, basis[:, col])
-        report = check_kernel_correspondence(esheaf, x, spd_sheaf=ssheaf)
+        report = check_kernel_correspondence(esheaf, x)
         residuals.append(report.forward_max_residual)
         if report.converse_mode == "entrywise" and report.converse_max_residual is not None:
             residuals.append(report.converse_max_residual)
     if esheaf.n_stalk >= 3:
+        ssheaf = matched_spd_sheaf(esheaf)
         if not _nontrivial_holonomy(holonomy_reps(ssheaf), esheaf.n_stalk):
             witness = strictness_witness(ssheaf)
             residuals.append(dist_lem(coboundary(ssheaf, witness), I))
@@ -388,8 +391,7 @@ def oracle_correspondence(esheaf: EuclidSheaf, seed: int = 0) -> Verdict:
             if np.any(np.sum(gaps, axis=-1) <= 1):
                 residuals.append(1.0)
             trials += 1
-    return Verdict("correspondence", trials, _worst(residuals),
-                   TOLERANCES["correspondence"], seed)
+    return Verdict("correspondence", trials, _worst(residuals), seed)
 
 
 # ---------------------------------------------------------------------------
@@ -462,7 +464,6 @@ def _run_check(config: SuiteConfig, check: str) -> Verdict:
     # each check draws from its own stream spawned from the suite seed
     rng = np.random.default_rng(
         np.random.SeedSequence(entropy=config.seed, spawn_key=(ALL_CHECKS.index(check),)))
-    tol = TOLERANCES[check]
     seed = config.seed
     worst = 0.0
     trials = 0
@@ -480,13 +481,13 @@ def _run_check(config: SuiteConfig, check: str) -> Verdict:
         for n in (2, 3, 5):
             sheaf = random_sheaf(n, 4, 2, rng)
             sub_seed = int(rng.integers(0, 2**31))
-            fold(oracle_isometry(sheaf, trials=200, seed=sub_seed), sheaf)
+            fold(oracle_isometry(sheaf, seed=sub_seed), sheaf)
     elif check == "linearity":
         for _ in range(100):
             n, nv, extra = _instance_sizes(config, rng)
             sheaf = random_sheaf(min(n, 3), nv, extra, rng)
             sub_seed = int(rng.integers(0, 2**31))
-            fold(oracle_linearity(sheaf, trials=3, seed=sub_seed), sheaf)
+            fold(oracle_linearity(sheaf, seed=sub_seed), sheaf)
     elif check == "green":
         for i in range(config.n_instances):
             n, nv, extra = _instance_sizes(config, rng)
@@ -497,8 +498,8 @@ def _run_check(config: SuiteConfig, check: str) -> Verdict:
             adversarial = i % 10 == 0
             v = oracle_green(sheaf, trials=config.trials, seed=sub_seed,
                              spread=1e3 if adversarial else 10.0)
-            scale = tol / GREEN_SPREAD_TOLERANCE if adversarial else 1.0
-            fold(Verdict(check, v.trials, v.max_residual * scale, tol, sub_seed), sheaf)
+            scale = TOLERANCES[check] / GREEN_SPREAD_TOLERANCE if adversarial else 1.0
+            fold(Verdict(check, v.trials, v.max_residual * scale, sub_seed), sheaf)
     elif check == "hodge":
         for _ in range(config.n_instances):
             n, nv, extra = _instance_sizes(config, rng)
@@ -523,12 +524,12 @@ def _run_check(config: SuiteConfig, check: str) -> Verdict:
                 nontrivial += 1
             fold(oracle_holonomy(sheaf, seed=seed), sheaf)
         if nontrivial < quota:
-            fold(Verdict(check, 1, float(quota - nontrivial), tol, seed), None)
+            fold(Verdict(check, 1, float(quota - nontrivial), seed), None)
     elif check == "correspondence":
         esheaf = frustrated_two_cycle()
         dim_e = _oracle_nullity(_oracle_euclid_operator(esheaf))
         dim_s = _oracle_nullity(_oracle_operator(matched_spd_sheaf(esheaf)))
-        fold(Verdict(check, 1, float(dim_e != 0 or dim_s < 1), tol, seed), esheaf)
+        fold(Verdict(check, 1, float(dim_e != 0 or dim_s < 1), seed), esheaf)
         for i in range(config.n_instances // 2):
             n = int(rng.choice((2, 3, 4)))
             nv = int(rng.integers(2, config.max_vertices + 1))
@@ -538,7 +539,7 @@ def _run_check(config: SuiteConfig, check: str) -> Verdict:
             sub_seed = int(rng.integers(0, 2**31))
             fold(oracle_correspondence(esheaf, seed=sub_seed), esheaf)
 
-    return Verdict(check, trials, worst, tol, seed)
+    return Verdict(check, trials, worst, seed)
 
 
 def run_suite(config: SuiteConfig | None = None) -> tuple[list[Verdict], int]:

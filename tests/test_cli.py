@@ -523,6 +523,48 @@ def test_missing_input_file_is_exit_2(tmp_path, capsys):
         assert err.startswith("error: ") and err.count("\n") == 1 and "Traceback" not in err
 
 
+@pytest.mark.parametrize("command", ["verify", "diffuse", "covgraph"])
+def test_unusable_out_is_exit_2_before_the_work(cloud_file, segments_file, tmp_path, monkeypatch,
+                                                capsys, command):
+    # the output directory is made before the run, so an --out that is a
+    # file is reported at once, without running the work it would hold
+    def work(*args, **kwargs):
+        pytest.fail(f"{command} ran its work before making --out")
+
+    target, name, argv = {
+        "verify": (verify, "run_suite", ["verify", "--all"]),
+        "diffuse": (cli, "diffusion_run", ["diffuse", cloud_file, "--layers", "1", "--seed", "0"]),
+        "covgraph": (cli, "build_tf_graph", ["covgraph", segments_file, *_COVGRAPH[:-2]]),
+    }[command]
+    monkeypatch.setattr(target, name, work)
+    out = tmp_path / "file"
+    out.write_text("")
+    assert main([*argv, "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv", [["verify", "--trials", "0"],
+                                  ["diffuse", "CLOUD", "--layers", "-1", "--seed", "0"],
+                                  ["covgraph", "SEGMENTS", *_COVGRAPH[:5], "0", *_COVGRAPH[6:-2]]],
+                         ids=["verify", "diffuse", "covgraph"])
+def test_malformed_input_makes_no_out_directory(cloud_file, segments_file, tmp_path, capsys,
+                                                argv):
+    files = {"CLOUD": cloud_file, "SEGMENTS": segments_file}
+    out = tmp_path / "out"
+    assert main([files.get(a, a) for a in argv] + ["--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not out.exists()
+
+
+def test_verify_all_excludes_check(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--all", "--check", "green"])
+    assert exc.value.code == 2
+    assert "not allowed with argument" in capsys.readouterr().err
+
+
 _DEEP = "[" * 100_000 + "]" * 100_000
 _DEEP_MAP = json.dumps(_sheaf_obj(map_tail=[[0.0]])).replace("[[0.0]]", "[" * 5000 + "]" * 5000)
 

@@ -142,7 +142,7 @@ def test_dump_json_writes_one_line_from_the_c_encoder(tmp_path):
 
 
 def test_nan_residual_is_written_as_the_nan_token(tmp_path, monkeypatch, capsys):
-    nan = verify.Verdict("green", 2, float("nan"), 1e-9, 0)
+    nan = verify.Verdict("green", 2, float("nan"), 0)
     monkeypatch.setattr(verify, "run_suite", lambda config: ([nan], 1))
     assert main(["verify", "--out", str(tmp_path)]) == 1
     text = (tmp_path / "verdicts.json").read_text(encoding="utf-8")

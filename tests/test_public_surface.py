@@ -14,7 +14,10 @@ only the README or a docstring mentions is dead surface.
   a use.
 - A defaulted parameter of a public function, method or constructor is set
   when some call outside the definition, whose callee has the same name,
-  passes it by keyword, by position or through ``*`` or ``**``.
+  passes it, by keyword or by position, a value other than the default's own
+  literal, or may pass it through ``*`` or ``**``. A literal equal to the
+  default in value and type (``trials=200`` for ``trials: int = 200``) sets
+  nothing.
 """
 
 import ast
@@ -39,15 +42,16 @@ class _Definition:
     name: str
     node: ast.AST
     is_method: bool
-    defaulted: list  # (name, index among the positional parameters or None)
+    # (name, index among the positional parameters or None, default expression)
+    defaulted: list
 
 
 def _defaulted(args: ast.arguments, skip_first: bool) -> list:
     """The defaulted parameters of a signature; `skip_first` drops self or cls."""
     positional = (args.posonlyargs + args.args)[skip_first:]
-    first = len(positional) - len(args.defaults)
-    return [(a.arg, i) for i, a in enumerate(positional) if i >= first] + [
-        (a.arg, None) for a, d in zip(args.kwonlyargs, args.kw_defaults) if d is not None]
+    defaults = [None] * (len(positional) - len(args.defaults)) + args.defaults
+    return [(a.arg, i, d) for i, (a, d) in enumerate(zip(positional, defaults)) if d] + [
+        (a.arg, None, d) for a, d in zip(args.kwonlyargs, args.kw_defaults) if d]
 
 
 def _is_dataclass(node: ast.ClassDef) -> bool:
@@ -69,7 +73,7 @@ def _constructor(node: ast.ClassDef) -> list:
               and not (isinstance(item.value, ast.Call) and any(
                   k.arg == "init" and getattr(k.value, "value", None) is False
                   for k in item.value.keywords))]
-    return [(f.target.id, i) for i, f in enumerate(fields) if f.value is not None]
+    return [(f.target.id, i, f.value) for i, f in enumerate(fields) if f.value is not None]
 
 
 def _public_definitions(path: Path, tree: ast.Module):
@@ -102,13 +106,25 @@ def _name(node: ast.AST) -> str | None:
     return getattr(node, "id", None) or getattr(node, "attr", None)
 
 
-def _passes(call: ast.Call, name: str, index: int | None) -> bool:
-    if any(k.arg in (name, None) for k in call.keywords):
-        return True
+def _is_literal(value: ast.AST, default: ast.AST) -> bool:
+    """Whether `value` is the literal `default`: two constants equal in value and type."""
+    return (isinstance(value, ast.Constant) and isinstance(default, ast.Constant)
+            and type(value.value) is type(default.value) and value.value == default.value)
+
+
+def _sets(call: ast.Call, name: str, index: int | None, default: ast.AST) -> bool:
+    """Whether `call` may pass parameter `name` a value other than its default."""
+    for k in call.keywords:
+        if k.arg is None:
+            return True
+        if k.arg == name:
+            return not _is_literal(k.value, default)
     if index is None:
         return False
     starred = [i for i, a in enumerate(call.args) if isinstance(a, ast.Starred)]
-    return len(call.args) > index or bool(starred) and starred[0] <= index
+    if starred and starred[0] <= index:
+        return True
+    return len(call.args) > index and not _is_literal(call.args[index], default)
 
 
 @functools.cache
@@ -130,8 +146,8 @@ def _survey() -> tuple[list, list]:
                 unused.append(d.qualname)
                 continue
             calls = [n for n in rest if isinstance(n, ast.Call)]
-            unset += [f"{d.qualname}({name})" for name, index in d.defaulted
-                      if not any(_passes(c, name, index) for c in calls)]
+            unset += [f"{d.qualname}({name})" for name, index, default in d.defaulted
+                      if not any(_sets(c, name, index, default) for c in calls)]
     return unused, unset
 
 

@@ -483,9 +483,9 @@ def test_layer_raises_erank():
     pc = cloud(11, n=6)
     rng = np.random.default_rng(12)
     logs = s.spd_log(canonicalize(s.lift_coordinates(pc), s.local_frame(pc)[0]))
-    base = trace_row(logs, 0).mean_erank
+    base = trace_row(logs).mean_erank
     out = spd_sheaf_layer(pc.graph, logs, LayerParams.random(3, rng=rng))
-    assert trace_row(out, 1).mean_erank - base >= 1.2
+    assert trace_row(out).mean_erank - base >= 1.2
 
 
 def test_layer_rotation_invariance():
@@ -611,18 +611,20 @@ def test_pooled_descriptor_rejects_a_mean_singular_to_working_precision():
 def test_rank_trace_columns():
     pc = cloud(17, n=8)
     logs0 = s.spd_log(s.lift_coordinates(pc))
-    row0 = trace_row(logs0, 0)
+    row0 = trace_row(logs0)
     assert row0.mean_erank <= 1.05
     assert abs(row0.mean_lambda2 - 1e-4) <= 1e-6
     rng = np.random.default_rng(18)
     final, trace = run_layers(pc, logs0, [LayerParams.random(3, rng=rng)])
-    assert [r.layer for r in trace.rows] == [0, 1]
     # the mean erank recomputes from the values of the final logs
     eranks = [s.erank(s.sym_exp(final[v])) for v in pc.ids]
     np.testing.assert_allclose(trace.rows[1].mean_erank, np.mean(eranks), rtol=1e-12, atol=0)
-    csv = trace.to_csv()
-    assert csv.splitlines()[0] == "layer,mean_erank,mean_lambda2,min_pairwise_lem"
-    assert len(csv.splitlines()) == 3
+    csv = trace.to_csv().splitlines()
+    assert csv[0] == "layer,mean_erank,mean_lambda2,min_pairwise_lem"
+    # row i of the trace is layer i, in the first column
+    assert [line.split(",")[0] for line in csv[1:]] == ["0", "1"]
+    assert csv[2] == ",".join(["1", *(repr(getattr(trace.rows[1], name))
+                                      for name in csv[0].split(",")[1:])])
 
 
 @pytest.mark.parametrize("block", [None, 5])
@@ -632,12 +634,11 @@ def test_trace_row_matches_pairwise_reference(N, block, monkeypatch):
         monkeypatch.setattr(stream, "_PAIR_BLOCK", block)
     rng = np.random.default_rng(N)
     values = [random_spd(3, rng) for _ in range(N)]
-    row = trace_row(s.spd_log(np.stack(values)), 4)
+    row = trace_row(s.spd_log(np.stack(values)))
     eranks = [s.erank(X) for X in values]
     lam2 = [np.sort(np.linalg.eigvalsh(X))[-2] for X in values]
     min_lem = min((s.dist_lem(values[i], values[j])
                    for i in range(N) for j in range(i + 1, N)), default=0.0)
-    assert row.layer == 4
     np.testing.assert_allclose(row.mean_erank, np.mean(eranks), rtol=1e-12, atol=0)
     np.testing.assert_allclose(row.mean_lambda2, np.mean(lam2), rtol=1e-12, atol=0)
     np.testing.assert_allclose(row.min_pairwise_lem, min_lem, rtol=1e-12, atol=0)
@@ -687,7 +688,7 @@ def test_trace_row_lambda2_is_accurate_for_ill_conditioned_values():
     # eps * 1e4 absolute; the logs carry it to relative rounding
     R = random_orthogonal(3, np.random.default_rng(6))
     logs = R @ np.diag(np.log([1e-4, 1.0001e-4, 1e4])) @ R.T
-    row = trace_row(0.5 * (logs + logs.T)[None], 0)
+    row = trace_row(0.5 * (logs + logs.T)[None])
     np.testing.assert_allclose(row.mean_lambda2, 1.0001e-4, rtol=1e-13, atol=0)
 
 
@@ -708,9 +709,9 @@ def test_trace_rows_only_where_asked(monkeypatch):
     calls = []
     original = stream.trace_row
 
-    def counted(logs, layer):
-        calls.append(layer)
-        return original(logs, layer)
+    def counted(logs):
+        calls.append(logs.shape)
+        return original(logs)
 
     monkeypatch.setattr(stream, "trace_row", counted)
     planarity_experiment(seed=1, n_per_class=3)
@@ -719,7 +720,7 @@ def test_trace_rows_only_where_asked(monkeypatch):
     rng = np.random.default_rng(27)
     run_layers(pc, s.spd_log(s.lift_coordinates(pc)),
                [LayerParams.random(3, rng=rng) for _ in range(3)])
-    assert calls == [0, 1, 2, 3]
+    assert calls == [(6, 3, 3)] * 4
 
 
 def test_isometry_once_per_layer_params(monkeypatch):

@@ -13,6 +13,7 @@ from spdsheaf import verify
 from spdsheaf.errors import InvalidInputError
 from spdsheaf.verify import (
     ALL_CHECKS,
+    TOLERANCES,
     SuiteConfig,
     Verdict,
     frustrated_two_cycle,
@@ -38,11 +39,22 @@ def identity_sheaf(n=3, k=5):
 
 
 def test_verdict_invariants():
-    v = Verdict("green", 10, 1e-12, 1e-8, 0)
-    assert v.passed
-    v = Verdict("green", 10, 1e-6, 1e-8, 0)
+    v = Verdict("green", 10, 1e-12, 0)
+    assert v.passed and v.tolerance == TOLERANCES["green"] == 1e-8
+    v = Verdict("green", 10, 1e-6, 0)
     assert not v.passed
-    assert Verdict("green", 10, float("nan"), 1e-8, 0).passed is False
+    assert Verdict("green", 10, float("nan"), 0).passed is False
+
+
+def test_verdict_takes_no_tolerance():
+    # the tolerance is the check's, so no caller can loosen it
+    with pytest.raises(TypeError):
+        Verdict("green", 1, 0.0, 1e-3, 0)
+    with pytest.raises(TypeError):
+        Verdict("green", 1, 0.0, 0, tolerance=1e-3)
+    verdicts, _ = run_suite(SuiteConfig(trials=5, n_instances=4, max_vertices=5))
+    assert [v.check for v in verdicts] == list(ALL_CHECKS)
+    assert all(v.tolerance == TOLERANCES[v.check] for v in verdicts)
 
 
 def test_oracle_green_identity_sheaf():
@@ -135,7 +147,7 @@ def test_oracle_green_calls_the_operators_once_per_block(monkeypatch):
     assert oracle_green(sheaf, trials=60, seed=2).passed
     assert calls == {"coboundary": 3, "adjoint": 3, "cochain_pairing": 6}
     calls.update(coboundary=0)
-    assert oracle_linearity(sheaf, trials=4, seed=2).passed
+    assert oracle_linearity(sheaf, seed=2).passed
     assert calls["coboundary"] == 1
 
 
@@ -278,20 +290,20 @@ def test_oracle_isometry_matches_a_per_trial_reference():
     rng = np.random.default_rng(3)
     maps = [M for mm in sheaf.maps for M in mm]
     worst = 0.0
-    for t in range(30):
+    for t in range(200):
         M, X, Y = maps[t % len(maps)], random_spd(3, rng), random_spd(3, rng)
         MX, MY = M @ X @ M.T, M @ Y @ M.T
         worst = max(worst, abs(s.dist_airm(MX, MY) - s.dist_airm(X, Y)),
                     abs(s.dist_lem(MX, MY) - s.dist_lem(X, Y)))
-    v = oracle_isometry(sheaf, trials=30, seed=3)
-    assert v.trials == 30 and abs(v.max_residual - worst) <= 1e-15
+    v = oracle_isometry(sheaf, seed=3)
+    assert v.trials == 200 and abs(v.max_residual - worst) <= 1e-15
 
 
 def test_oracle_isometry_detects_corruption():
     I = np.eye(2)
     bad = np.array([[1.0, 0.3], [0.0, 1.0]])  # invertible, not orthogonal
     corrupted = s.SheafGraph.identity_maps(2, [0, 1], [(0, 1)])._with_maps([I], [bad])
-    v = oracle_isometry(corrupted, trials=40, seed=0)
+    v = oracle_isometry(corrupted, seed=0)
     assert not v.passed
 
 
@@ -347,7 +359,8 @@ def test_run_suite_failing_check_exits_1_and_dumps(tmp_path, monkeypatch):
 
 def test_oracle_linearity_random():
     rng = np.random.default_rng(6)
-    assert oracle_linearity(random_sheaf(3, 6, 2, rng), trials=3, seed=1).passed
+    v = oracle_linearity(random_sheaf(3, 6, 2, rng), seed=1)
+    assert v.passed and v.trials == 3
 
 
 _ORACLE_HELPERS = ("_otriu", "_ovec", "_ounvec", "_obasis", "_oracle_log_vecs",
