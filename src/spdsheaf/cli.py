@@ -56,20 +56,8 @@ def _write_report(obj, path: str | None):
 
 
 def cmd_verify(args) -> int:
-    fields = {"checks": tuple(args.check) if args.check else verify.ALL_CHECKS,
-              "seed": args.seed, "trials": args.trials}
-    if args.n:
-        fields["stalk_dims"] = tuple(args.n)
-    if args.config:
-        # config values override the flags; SuiteConfig validates them
-        cfg = jsonio.load_json(args.config)
-        if not isinstance(cfg, dict):
-            raise ParseError("verify config must be a JSON object")
-        unknown = sorted(set(cfg) - verify.CONFIG_KEYS)
-        if unknown:
-            raise ParseError(f"verify config: unknown key(s) {unknown}")
-        fields.update(cfg)
-    config = verify.SuiteConfig(dump_dir=args.out, **fields)
+    config = verify.SuiteConfig(checks=tuple(args.check) if args.check else verify.ALL_CHECKS,
+                                seed=args.seed, dump_dir=args.out)
     if args.out:
         os.makedirs(args.out, exist_ok=True)
     verdicts, code = verify.run_suite(config)
@@ -210,11 +198,8 @@ def build_parser() -> argparse.ArgumentParser:
     which = p.add_mutually_exclusive_group()
     which.add_argument("--all", action="store_true", help="run every check (default)")
     which.add_argument("--check", action="append", choices=verify.ALL_CHECKS,
-                       help="run a single check (repeatable)")
-    p.add_argument("--n", action="append", type=int, help="stalk dimension (repeatable)")
+                       help="run a single check (repeatable, once per check)")
     p.add_argument("--seed", type=int, default=verify.SuiteConfig.seed)
-    p.add_argument("--trials", type=int, default=verify.SuiteConfig.trials)
-    p.add_argument("--config", help="JSON config overriding checks and sizes")
     p.add_argument("--out", help="directory for verdicts.json and failure dumps")
 
     p = sub.add_parser("sections", help="kernel basis, index and holonomy of a sheaf file")

@@ -1,8 +1,8 @@
 """JSON schemas for sheaves, cochains, point clouds and signal segments.
 
-Matrices serialize as row-major nested lists. Readers also accept an SPD
-value in the compact ``{"log_upper": [...]}`` form holding the
-sqrt(2)-scaled upper-triangular entries of its logarithm.
+Matrices serialize as row-major nested lists, the only form of a restriction
+map. Readers also accept a cochain value in the compact ``{"log_upper": [...]}``
+form: the sqrt(2)-scaled upper-triangular entries of its logarithm.
 
 Every output is one line of JSON plus a newline, with sorted keys and
 repr-style floats, so re-running a command yields byte-identical files.
@@ -88,11 +88,16 @@ def matrix_from_json(obj, n_expected: int | None = None) -> np.ndarray:
             return sym_exp(vec_to_sym(vec, n))
         except OverflowError as exc:
             raise ParseError(f"log_upper value out of range: {exc}") from None
+    return _square_matrix(obj, n_expected)
+
+
+def _square_matrix(obj, n: int | None) -> np.ndarray:
+    """A nested-list square matrix, n x n unless `n` is None."""
     A = _float_array(obj, "matrix")
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
         raise ParseError(f"expected a square matrix, got shape {A.shape}")
-    if n_expected is not None and A.shape[0] != n_expected:
-        raise ParseError(f"expected a {n_expected}x{n_expected} matrix, got {A.shape[0]}")
+    if n is not None and A.shape[0] != n:
+        raise ParseError(f"expected a {n}x{n} matrix, got {A.shape[0]}")
     return A
 
 
@@ -169,7 +174,7 @@ def load_sheaf(path: str) -> tuple[SheafGraph, dict | None]:
         n = _n_stalk(obj)
         vertices = [_as_id(v) for v in _list(obj, "vertices")]
         edge_objs = _list(obj, "edges")
-        try:  # every map in one conversion; per entry below for log_upper or an error
+        try:  # every map in one conversion; per map below to word its error
             maps = np.asarray([[e["map_tail"], e["map_head"]] for e in edge_objs], np.float64)
             per_map = maps.shape != (len(edge_objs), 2, n, n)
         except (KeyError, TypeError, ValueError, OverflowError):
@@ -178,8 +183,9 @@ def load_sheaf(path: str) -> tuple[SheafGraph, dict | None]:
         for e in edge_objs:
             edges.append((_as_id(e["tail"]), _as_id(e["head"])))
             if per_map:
-                maps.append((matrix_from_json(e["map_tail"], n),
-                             matrix_from_json(e["map_head"], n)))
+                if isinstance(e["map_tail"], dict) or isinstance(e["map_head"], dict):
+                    raise ParseError(f"edge {edges[-1]}: maps must be nested lists, not objects")
+                maps.append((_square_matrix(e["map_tail"], n), _square_matrix(e["map_head"], n)))
         entries = obj.get("cochain0")
         cochain = None if entries is None else _cochain_values(entries, n, "cochain0")
     sheaf = SheafGraph(n, vertices, edges, maps)

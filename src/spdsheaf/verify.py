@@ -7,12 +7,11 @@ numpy products, logs come from this module's own ``np.linalg.eigh`` calls,
 and kernel dimensions from its own SVD calls; one edge loop builds the
 probed SPD operator and the vector one. The oracle vectorizes with its own
 stacked helpers: ``_ovec`` and its inverse ``_ounvec`` map whole (..., n, n)
-stacks at once, and the Green oracle draws, logs and vectorizes all values
-of a block of trials in one pass (``random_spd_stack``,
-``_oracle_log_vecs``) and calls the public operators once per block, on its
-(trials, k, n, n) stacks. The residual arithmetic is stacked too: the
-``spd`` metrics and group operation are called once per instance or block
-on whole stacks, never per trial. The suite runner wires the oracles to
+stacks at once, and the Green oracle draws, logs and vectorizes the values of
+all its trials in one pass (``random_spd_stack``, ``_oracle_log_vecs``) and
+calls the public operators once, on its (trials, k, n, n) stacks. Residual
+arithmetic is stacked too: the ``spd`` metrics and group operation are called
+once per instance, on whole stacks. The suite runner wires the oracles to
 deterministic seeded instance generators and reports one verdict per check.
 
 Every verdict takes the fixed tolerance of its check from ``TOLERANCES``
@@ -293,33 +292,25 @@ def oracle_linearity(sheaf: SheafGraph, seed: int = 0) -> Verdict:
     return Verdict("linearity", trials, _worst(residuals), seed)
 
 
-_GREEN_BLOCK = 256  # matrices oracle_green draws at once, so memory is flat in trials
-
-
-def oracle_green(sheaf: SheafGraph, trials: int = 100, seed: int = 0,
-                 spread: float = 10.0) -> Verdict:
-    """Green identity, cross-checked against the probed dense operator."""
+def oracle_green(sheaf: SheafGraph, seed: int = 0, spread: float = 10.0) -> Verdict:
+    """Green identity, cross-checked against the probed dense operator, in 100 trials."""
+    trials = 100
     rng = np.random.default_rng(seed)
     B = _oracle_operator(sheaf)
     nv, ne, n = sheaf.n_vertices, sheaf.n_edges, sheaf.n_stalk
     m = n * (n + 1) // 2
-    # each trial draws its vertex values, then its edge values, block by block
-    block = max(1, _GREEN_BLOCK // max(1, nv + ne))
-    worst = 0.0
-    for start in range(0, trials, block):
-        count = min(block, trials - start)
-        values = random_spd_stack(n, count * (nv + ne), rng, spread).reshape(count, nv + ne, n, n)
-        logs = _oracle_log_vecs(values)
-        zs = logs[:, :nv].reshape(count, nv * m)
-        zt = logs[:, nv:].reshape(count, ne * m)
-        sigma, tau = values[:, :nv], values[:, nv:]
-        lhs = cochain_pairing(coboundary(sheaf, sigma), tau)
-        rhs = cochain_pairing(sigma, adjoint(sheaf, tau))
-        mat_lhs = np.array([(B @ zs[t]) @ zt[t] for t in range(count)])
-        mat_rhs = np.array([zs[t] @ (B.T @ zt[t]) for t in range(count)])
-        worst = _worst([worst, np.abs(lhs - rhs), np.abs(lhs - mat_lhs),
-                        np.abs(rhs - mat_rhs)])
-    return Verdict("green", trials, worst, seed)
+    # each trial draws its vertex values, then its edge values
+    values = random_spd_stack(n, trials * (nv + ne), rng, spread).reshape(trials, nv + ne, n, n)
+    logs = _oracle_log_vecs(values)
+    zs = logs[:, :nv].reshape(trials, nv * m)
+    zt = logs[:, nv:].reshape(trials, ne * m)
+    sigma, tau = values[:, :nv], values[:, nv:]
+    lhs = cochain_pairing(coboundary(sheaf, sigma), tau)
+    rhs = cochain_pairing(sigma, adjoint(sheaf, tau))
+    mat_lhs = np.array([(B @ zs[t]) @ zt[t] for t in range(trials)])
+    mat_rhs = np.array([zs[t] @ (B.T @ zt[t]) for t in range(trials)])
+    residuals = [np.abs(lhs - rhs), np.abs(lhs - mat_lhs), np.abs(rhs - mat_rhs)]
+    return Verdict("green", trials, _worst(residuals), seed)
 
 
 def oracle_hodge(sheaf: SheafGraph, seed: int = 0) -> Verdict:
@@ -398,22 +389,21 @@ def oracle_correspondence(esheaf: EuclidSheaf, seed: int = 0) -> Verdict:
 # suite runner
 
 
+# the suite's stalk dimensions, instances per check, and vertex and extra-edge bounds
+_STALK_DIMS, _N_INSTANCES, _MAX_VERTICES, _EXTRA_EDGES = (2, 3), 50, 10, 3
+
+
 @dataclass(frozen=True)
 class SuiteConfig:
-    """Which checks to run, at what sizes, under which seed.
+    """Which checks to run, under which seed, and where to dump failures.
 
-    The checks and every size are validated on construction, so a config
-    read from JSON needs no other check. Tolerances are not configurable:
-    each check is held to its entry in ``TOLERANCES``.
+    The checks and the seed are validated on construction. Sizes and
+    tolerances are not configurable: the suite is sized by the module
+    constants, and each check is held to its entry in ``TOLERANCES``.
     """
 
     checks: tuple = ALL_CHECKS
     seed: int = 42
-    stalk_dims: tuple = (2, 3)
-    trials: int = 100
-    n_instances: int = 50
-    max_vertices: int = 10
-    extra_edges: int = 3
     dump_dir: str | None = None
 
     def __post_init__(self):
@@ -424,20 +414,11 @@ class SuiteConfig:
         unknown = [c for c in self.checks if c not in ALL_CHECKS]
         if unknown:
             raise InvalidInputError(f"unknown check name(s): {unknown}")
-        # `type(x) is int` also rejects bools, which JSON `true` loads as
-        for name, low in (("seed", 0), ("trials", 1), ("n_instances", 1),
-                          ("max_vertices", 2), ("extra_edges", 0)):
-            value = getattr(self, name)
-            if type(value) is not int or value < low:
-                raise InvalidInputError(f"{name} must be an integer >= {low}, got {value!r}")
-        if not (isinstance(self.stalk_dims, (list, tuple)) and self.stalk_dims
-                and all(type(n) is int and n >= 1 for n in self.stalk_dims)):
-            raise InvalidInputError(f"stalk dimensions must be integers >= 1, "
-                                    f"got {self.stalk_dims!r}")
-
-
-#: The SuiteConfig fields a ``verify --config`` JSON object may set.
-CONFIG_KEYS = frozenset({"checks", "seed", "trials", "n_instances", "max_vertices", "extra_edges"})
+        if len(set(self.checks)) < len(self.checks):
+            raise InvalidInputError(f"each check may be named once, got {list(self.checks)}")
+        # `type(x) is int` also rejects bools
+        if type(self.seed) is not int or self.seed < 0:
+            raise InvalidInputError(f"seed must be an integer >= 0, got {self.seed!r}")
 
 
 def _dump_failure(config: SuiteConfig, check: str, instance, count: int):
@@ -453,10 +434,10 @@ def _dump_failure(config: SuiteConfig, check: str, instance, count: int):
         jsonio.sheaf_to_json(instance, path=path)
 
 
-def _instance_sizes(config: SuiteConfig, rng) -> tuple[int, int, int]:
-    n = int(rng.choice(config.stalk_dims))
-    nv = int(rng.integers(2, config.max_vertices + 1))
-    extra = int(rng.integers(0, config.extra_edges + 1))
+def _instance_sizes(rng) -> tuple[int, int, int]:
+    n = int(rng.choice(_STALK_DIMS))
+    nv = int(rng.integers(2, _MAX_VERTICES + 1))
+    extra = int(rng.integers(0, _EXTRA_EDGES + 1))
     return n, nv, extra
 
 
@@ -484,41 +465,38 @@ def _run_check(config: SuiteConfig, check: str) -> Verdict:
             fold(oracle_isometry(sheaf, seed=sub_seed), sheaf)
     elif check == "linearity":
         for _ in range(100):
-            n, nv, extra = _instance_sizes(config, rng)
+            n, nv, extra = _instance_sizes(rng)
             sheaf = random_sheaf(min(n, 3), nv, extra, rng)
             sub_seed = int(rng.integers(0, 2**31))
             fold(oracle_linearity(sheaf, seed=sub_seed), sheaf)
     elif check == "green":
-        for i in range(config.n_instances):
-            n, nv, extra = _instance_sizes(config, rng)
+        for i in range(_N_INSTANCES):
+            n, nv, extra = _instance_sizes(rng)
             sheaf = random_sheaf(n, min(nv + 2, 12), extra, rng)
             sub_seed = int(rng.integers(0, 2**31))
             # every tenth instance uses adversarial eigenvalue spread, with
             # its residual rescaled to the looser tolerance it is held to
             adversarial = i % 10 == 0
-            v = oracle_green(sheaf, trials=config.trials, seed=sub_seed,
-                             spread=1e3 if adversarial else 10.0)
+            v = oracle_green(sheaf, seed=sub_seed, spread=1e3 if adversarial else 10.0)
             scale = TOLERANCES[check] / GREEN_SPREAD_TOLERANCE if adversarial else 1.0
             fold(Verdict(check, v.trials, v.max_residual * scale, sub_seed), sheaf)
     elif check == "hodge":
-        for _ in range(config.n_instances):
-            n, nv, extra = _instance_sizes(config, rng)
+        for _ in range(_N_INSTANCES):
+            n, nv, extra = _instance_sizes(rng)
             sheaf = random_sheaf(n, nv, extra, rng)
             fold(oracle_hodge(sheaf, seed=seed), sheaf)
     elif check == "index":
-        for i in range(config.n_instances):
-            n, nv, extra = _instance_sizes(config, rng)
+        for i in range(_N_INSTANCES):
+            n, nv, extra = _instance_sizes(rng)
             sheaf = random_sheaf(n, nv, extra, rng, connected=(i % 2 == 0))
             fold(oracle_index(sheaf, seed=seed), sheaf)
     elif check == "holonomy":
-        # the acceptance contract wants >= 10 instances with nontrivial cycle
-        # holonomy at the default size, fewer for smaller configs, and none
-        # with 1x1 stalks, whose special-orthogonal maps are all +1
-        quota = min(10, max(1, config.n_instances // 5)) if max(config.stalk_dims) > 1 else 0
+        # the acceptance contract wants >= 10 instances with nontrivial cycle holonomy
+        quota = _N_INSTANCES // 5
         nontrivial = 0
-        for i in range(config.n_instances):
-            n, nv, _ = _instance_sizes(config, rng)
-            extra = 2 if i < max(30, 3 * quota) else 0
+        for i in range(_N_INSTANCES):
+            n, nv, _ = _instance_sizes(rng)
+            extra = 2 if i < 3 * quota else 0
             sheaf = random_sheaf(n, nv, extra, rng, connected=True)
             if _nontrivial_holonomy(holonomy_reps(sheaf), n):
                 nontrivial += 1
@@ -530,9 +508,9 @@ def _run_check(config: SuiteConfig, check: str) -> Verdict:
         dim_e = _oracle_nullity(_oracle_euclid_operator(esheaf))
         dim_s = _oracle_nullity(_oracle_operator(matched_spd_sheaf(esheaf)))
         fold(Verdict(check, 1, float(dim_e != 0 or dim_s < 1), seed), esheaf)
-        for i in range(config.n_instances // 2):
+        for i in range(_N_INSTANCES // 2):
             n = int(rng.choice((2, 3, 4)))
-            nv = int(rng.integers(2, config.max_vertices + 1))
+            nv = int(rng.integers(2, _MAX_VERTICES + 1))
             identity = i % 3 == 0
             extra = 0 if identity else int(rng.integers(0, 3))
             esheaf = random_euclid_sheaf(n, nv, extra, rng, identity_maps=identity)

@@ -78,7 +78,7 @@ def test_criterion_03_green_identity():
     for _ in range(50):
         n = int(rng.integers(2, 4))
         sheaf = random_sheaf(n, int(rng.integers(2, 13)), int(rng.integers(0, 4)), rng)
-        v = oracle_green(sheaf, trials=100, seed=int(rng.integers(0, 2**31)))
+        v = oracle_green(sheaf, seed=int(rng.integers(0, 2**31)))
         worst = max(worst, v.max_residual)
     report(3, "Green identity", worst <= 1e-8,
            f"max residual {worst:.3e} over 50 sheaves x 100 pairs (tol 1e-8)")

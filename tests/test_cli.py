@@ -63,9 +63,10 @@ def segments_file(tmp_path):
     return path
 
 
-def test_verify_single_check(tmp_path, capsys):
+def test_verify_single_check(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(verify, "_N_INSTANCES", 5)
     out = str(tmp_path / "ver")
-    code = main(["verify", "--check", "green", "--n", "3", "--trials", "5", "--out", out])
+    code = main(["verify", "--check", "green", "--out", out])
     assert code == 0
     printed = capsys.readouterr().out
     assert "green" in printed and "PASS" in printed
@@ -74,8 +75,9 @@ def test_verify_single_check(tmp_path, capsys):
     assert [v["check"] for v in report["verdicts"]] == ["green"]
 
 
-def test_verify_all_smoke(capsys):
-    code = main(["verify", "--all", "--trials", "5"])
+def test_verify_all_smoke(monkeypatch, capsys):
+    monkeypatch.setattr(verify, "_N_INSTANCES", 5)
+    code = main(["verify", "--all"])
     assert code == 0
     assert capsys.readouterr().out.count("PASS") == 7
 
@@ -89,10 +91,8 @@ def test_verify_failure_exit_code(tmp_path, monkeypatch):
         return out
 
     monkeypatch.setattr(verify, "adjoint", perturbed)
-    cfg = str(tmp_path / "cfg.json")
-    with open(cfg, "w") as fh:
-        json.dump({"checks": ["green"], "trials": 5, "n_instances": 3}, fh)
-    assert main(["verify", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
+    monkeypatch.setattr(verify, "_N_INSTANCES", 3)
+    assert main(["verify", "--check", "green", "--out", str(tmp_path / "o")]) == 1
 
 
 def test_verify_defaults_are_the_suite_config_defaults(monkeypatch, capsys):
@@ -106,9 +106,9 @@ def test_parser_is_built_once_and_keeps_no_values(monkeypatch):
     assert build_parser() is build_parser()
     seen = []
     monkeypatch.setattr(verify, "run_suite", lambda config: (seen.append(config), ([], 0))[1])
-    assert main(["verify", "--check", "green", "--n", "2"]) == 0
+    assert main(["verify", "--check", "green", "--seed", "7"]) == 0
     assert main(["verify"]) == 0
-    assert (seen[0].checks, seen[0].stalk_dims) == (("green",), (2,))
+    assert (seen[0].checks, seen[0].seed) == (("green",), 7)
     assert seen[1] == verify.SuiteConfig()
 
 
@@ -135,11 +135,6 @@ def test_readme_names_only_what_the_parser_takes():
     section = text.split("\n## Command line\n", 1)[1].split("\n## ", 1)[0]
     named = set(re.findall(r"(?<![\w-])--[a-z][\w-]*", section))
     assert named and not named - options, f"no subcommand takes {sorted(named - options)}"
-
-
-def test_verify_missing_config_is_usage_error(capsys):
-    assert main(["verify", "--config", "/nonexistent/x.json"]) == 2
-    assert "error" in capsys.readouterr().err
 
 
 def test_sections_report(sheaf_file, capsys):
@@ -294,6 +289,16 @@ def test_covgraph_has_no_covariance_flags(segments_file, tmp_path, capsys, flags
     assert not (tmp_path / "cg").exists()
 
 
+@pytest.mark.parametrize("flags", [["--n", "2"], ["--trials", "5"], ["--config", "F"]],
+                         ids=["n", "trials", "config"])
+def test_verify_has_no_size_flags(capsys, flags):
+    # the suite's sizes are constants in verify.py: no flag or file sets them
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", *flags])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: " + flags[0] in capsys.readouterr().err
+
+
 def test_probe_command_small(tmp_path, capsys):
     out = str(tmp_path / "probe.json")
     assert main(["probe", "--seed", "5", "--repeats", "1", "--samples", "12",
@@ -358,8 +363,9 @@ def _covgraph_nan(flag):
 _MALFORMED = {
     "string_entry": (["sections", "INPUT"], _sheaf_obj(map_tail=[["a", 0.0], [0.0, 1.0]])),
     "ragged_row": (["sections", "INPUT"], _sheaf_obj(map_tail=[[1.0, 0.0], [0.0]])),
-    "map_log_overflow": (["sections", "INPUT"],
-                         _sheaf_obj(map_tail={"log_upper": [1000.0, 0.0, 0.0]})),
+    # the log_upper form is for cochain values; exp of a symmetric log is
+    # orthogonal only near I, so a map in that form could spell only I
+    "map_log_upper": (["sections", "INPUT"], _sheaf_obj(map_tail={"log_upper": [0.0, 0.0, 0.0]})),
     "cochain_log_overflow": (["sections", "INPUT"],
                              _sheaf_obj(value0={"log_upper": [1000.0, 0.0, 0.0]})),
     "nan_map": (["sections", "INPUT"], _sheaf_obj(map_tail=[[float("nan"), 0.0], [0.0, 1.0]])),
@@ -368,22 +374,8 @@ _MALFORMED = {
     "segment_string_t_mid": (["covgraph", "INPUT", *_COVGRAPH], _segments_obj(t_mid="x")),
     "segment_string_data": (["covgraph", "INPUT", *_COVGRAPH],
                             _segments_obj(data=[["a", 2.0], [0.5, -1.0]])),
-    "config_string_trials": (["verify", "--config", "INPUT"], {"trials": "five"}),
-    "config_bool_seed": (["verify", "--config", "INPUT"], {"seed": True}),
-    "config_tolerances_key": (["verify", "--config", "INPUT"],
-                              {"checks": ["correspondence"], "n_instances": 20,
-                               "tolerances": {"correspondence": 1e-300}}),
-    "config_misspelt_key": (["verify", "--config", "INPUT"],
-                            {"checks": ["index"], "n_instanes": 2}),
-    "config_check_not_a_string": (["verify", "--config", "INPUT"], {"checks": [{}]}),
-    "config_unknown_check": (["verify", "--config", "INPUT"], {"checks": ["indx"]}),
-    "config_checks_string": (["verify", "--config", "INPUT"], {"checks": "index"}),
-    "config_checks_empty": (["verify", "--config", "INPUT"], {"checks": []}),
-    "config_not_object": (["verify", "--config", "INPUT"], ["index"]),
-    "config_max_vertices_1": (["verify", "--config", "INPUT"], {"max_vertices": 1}),
-    "verify_negative_trials": (["verify", "--check", "green", "--trials", "-3"], {}),
     "verify_negative_seed": (["verify", "--seed", "-1"], {}),
-    "verify_negative_n": (["verify", "--n", "-2"], {}),
+    "verify_repeated_check": (["verify", "--check", "index", "--check", "index"], {}),
     "probe_zero_repeats": (["probe", "--seed", "1", "--repeats", "0"], {}),
     "probe_negative_layers": (["probe", "--seed", "1", "--layers", "-1"], {}),
     "probe_negative_seed": (["probe", "--seed", "-1"], {}),
@@ -466,9 +458,8 @@ _MESSAGES = {"duplicate_ids_lift": "duplicate vertex ids",
              "covgraph_nan_eps": "eps and bandwidth", "covgraph_nan_bandwidth": "eps and bandwidth",
              "covgraph_nan_eps1": "window widths",
              "covgraph_overflowing_data": "too large",
-             "config_tolerances_key": "'tolerances'", "config_misspelt_key": "'n_instanes'",
-             "config_check_not_a_string": "check names",
-             "config_unknown_check": "'indx'", "config_checks_empty": "nonempty",
+             "map_log_upper": "edge (0, 1): maps must be nested lists",
+             "verify_repeated_check": "each check may be named once",
              "probe_zero_samples": "--samples",
              "bool_vertex_id": "got bool", "bool_edge_endpoint": "got bool",
              "bool_cochain0_id": "got bool", "bool_cloud_id": "got bool"}
@@ -488,15 +479,15 @@ def test_malformed_numbers_are_exit_2(tmp_path, monkeypatch, capsys, case):
     assert "missing" not in err
 
 
-def test_verify_holonomy_quota_needs_a_stalk_dimension_of_2(monkeypatch, capsys):
-    # a 1x1 special-orthogonal map is +1, so --n 1 has no nontrivial holonomy
-    assert main(["verify", "--all", "--n", "1", "--trials", "5"]) == 0
-    # identity maps have trivial holonomy: --n 2 still misses its quota on them
+def test_verify_holonomy_quota_fails_on_identity_maps(monkeypatch, capsys):
+    # identity maps have trivial holonomy, so the suite misses its quota on them
     real = verify.random_sheaf
     monkeypatch.setattr(verify, "random_sheaf",
                         lambda *args, **kwargs: real(*args, **{**kwargs, "identity_maps": True}))
-    assert main(["verify", "--check", "holonomy", "--n", "2"]) == 1
-    assert main(["verify", "--check", "holonomy", "--n", "1"]) == 0
+    assert main(["verify", "--check", "holonomy"]) == 1
+    # a shorter suite keeps a proportional quota: 5 instances need 1
+    monkeypatch.setattr(verify, "_N_INSTANCES", 5)
+    assert main(["verify", "--check", "holonomy"]) == 1
 
 
 @pytest.mark.parametrize("seed", ["33", "38"])
@@ -545,7 +536,7 @@ def test_unusable_out_is_exit_2_before_the_work(cloud_file, segments_file, tmp_p
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
 
 
-@pytest.mark.parametrize("argv", [["verify", "--trials", "0"],
+@pytest.mark.parametrize("argv", [["verify", "--seed", "-1"],
                                   ["diffuse", "CLOUD", "--layers", "-1", "--seed", "0"],
                                   ["covgraph", "SEGMENTS", *_COVGRAPH[:5], "0", *_COVGRAPH[6:-2]]],
                          ids=["verify", "diffuse", "covgraph"])
@@ -570,9 +561,8 @@ _DEEP_MAP = json.dumps(_sheaf_obj(map_tail=[[0.0]])).replace("[[0.0]]", "[" * 50
 
 
 @pytest.mark.parametrize("argv, text", [(["sections", "INPUT"], _DEEP), (["lift", "INPUT"], _DEEP),
-                                        (["verify", "--config", "INPUT"], _DEEP),
                                         (["sections", "INPUT"], _DEEP_MAP)],
-                         ids=["sections", "lift", "verify_config", "sections_map"])
+                         ids=["sections", "lift", "sections_map"])
 def test_deeply_nested_json_is_exit_2(tmp_path, capsys, argv, text):
     # past about 1000 levels json.load raises RecursionError; _MALFORMED
     # writes through json.dumps, which cannot nest this deep

@@ -177,8 +177,9 @@ def _probe_output(tmp_path):
 
 
 def _verify_output(tmp_path):
-    assert main(["verify", "--check", "green", "--n", "2", "--trials", "3",
-                 "--out", str(tmp_path / "v")]) == 0
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(verify, "_N_INSTANCES", 5)
+        assert main(["verify", "--check", "green", "--out", str(tmp_path / "v")]) == 0
     return tmp_path / "v" / "verdicts.json"
 
 

@@ -219,7 +219,7 @@ def test_spanning_forest_matches_per_edge_products_edge_cases(case):
 @settings(max_examples=60, derandomize=True, database=None, deadline=None)
 @given(multigraph_sheaves(), st.integers(0, 2**31 - 1))
 def test_green_and_linearity_on_multigraphs(sheaf, seed):
-    for verdict in (oracle_green(sheaf, trials=10, seed=seed),
+    for verdict in (oracle_green(sheaf, seed=seed),
                     oracle_linearity(sheaf, seed=seed)):
         assert verdict.passed, verdict
 

@@ -1,9 +1,7 @@
 """Oracle suite: trivial instances, determinism, corruption detection."""
 
-import dataclasses
 import math
 import os
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -46,26 +44,27 @@ def test_verdict_invariants():
     assert Verdict("green", 10, float("nan"), 0).passed is False
 
 
-def test_verdict_takes_no_tolerance():
+def test_verdict_takes_no_tolerance(monkeypatch):
     # the tolerance is the check's, so no caller can loosen it
     with pytest.raises(TypeError):
         Verdict("green", 1, 0.0, 1e-3, 0)
     with pytest.raises(TypeError):
         Verdict("green", 1, 0.0, 0, tolerance=1e-3)
-    verdicts, _ = run_suite(SuiteConfig(trials=5, n_instances=4, max_vertices=5))
+    monkeypatch.setattr(verify, "_N_INSTANCES", 4)
+    verdicts, _ = run_suite(SuiteConfig())
     assert [v.check for v in verdicts] == list(ALL_CHECKS)
     assert all(v.tolerance == TOLERANCES[v.check] for v in verdicts)
 
 
 def test_oracle_green_identity_sheaf():
-    v = oracle_green(identity_sheaf(), trials=20, seed=0)
+    v = oracle_green(identity_sheaf(), seed=0)
     assert v.max_residual <= 1e-12
 
 
 def test_oracle_green_adversarial_spread():
     rng = np.random.default_rng(1)
     sheaf = random_sheaf(3, 8, 3, rng)
-    v = oracle_green(sheaf, trials=50, seed=2, spread=1e3)
+    v = oracle_green(sheaf, seed=2, spread=1e3)
     assert v.max_residual <= 1e-6
 
 
@@ -106,8 +105,9 @@ def test_random_sheaf_maps_match_per_edge_draws(n):
     assert rngs[0].random() == rngs[1].random()
 
 
-def test_oracle_green_blocks_keep_every_draw(monkeypatch):
+def test_oracle_green_draws_every_trial_in_one_stack(monkeypatch):
     sheaf = random_sheaf(3, 6, 2, np.random.default_rng(12))
+    nv, ne = sheaf.n_vertices, sheaf.n_edges
     seen = []
 
     def recording(sheaf, sigma):
@@ -115,21 +115,15 @@ def test_oracle_green_blocks_keep_every_draw(monkeypatch):
         return s.coboundary(sheaf, sigma)
 
     monkeypatch.setattr(verify, "coboundary", recording)
-    runs = []
-    # 13 matrices per trial: one block of 30 trials, then 10 blocks of 3
-    for budget in (10**9, 40):
-        monkeypatch.setattr(verify, "_GREEN_BLOCK", budget)
-        seen.clear()
-        runs.append((oracle_green(sheaf, trials=30, seed=5), list(seen)))
-    (whole, whole_draws), (blocked, blocked_draws) = runs
-    # one stacked coboundary call per block, not one per trial
-    assert [d.shape for d in whole_draws] == [(30, 6, 3, 3)]
-    assert [d.shape for d in blocked_draws] == [(3, 6, 3, 3)] * 10
-    assert np.array_equal(whole_draws[0], np.concatenate(blocked_draws))
-    assert blocked.max_residual == whole.max_residual
+    assert oracle_green(sheaf, seed=5).passed
+    # one stacked coboundary call on all 100 trials, not one per trial
+    assert [d.shape for d in seen] == [(100, nv, 3, 3)]
+    # each trial draws its vertex values, then its edge values
+    values = random_spd_stack(3, 100 * (nv + ne), np.random.default_rng(5))
+    assert np.array_equal(seen[0], values.reshape(100, nv + ne, 3, 3)[:, :nv])
 
 
-def test_oracle_green_calls_the_operators_once_per_block(monkeypatch):
+def test_oracle_green_calls_the_operators_once(monkeypatch):
     sheaf = random_sheaf(2, 5, 1, np.random.default_rng(14))
     calls = {name: 0 for name in ("coboundary", "adjoint", "cochain_pairing")}
 
@@ -143,26 +137,11 @@ def test_oracle_green_calls_the_operators_once_per_block(monkeypatch):
 
     for name in calls:
         monkeypatch.setattr(verify, name, counting(name))
-    # 10 matrices per trial and a budget of 256: blocks of 25 trials
-    assert oracle_green(sheaf, trials=60, seed=2).passed
-    assert calls == {"coboundary": 3, "adjoint": 3, "cochain_pairing": 6}
+    assert oracle_green(sheaf, seed=2).passed
+    assert calls == {"coboundary": 1, "adjoint": 1, "cochain_pairing": 2}
     calls.update(coboundary=0)
     assert oracle_linearity(sheaf, seed=2).passed
     assert calls["coboundary"] == 1
-
-
-def test_oracle_green_memory_does_not_grow_with_trials():
-    sheaf = random_sheaf(2, 5, 1, np.random.default_rng(13))
-    oracle_green(sheaf, trials=2, seed=1)
-    peaks = []
-    for trials in (100, 1000):
-        tracemalloc.start()
-        try:
-            oracle_green(sheaf, trials=trials, seed=1)
-            peaks.append(tracemalloc.get_traced_memory()[1])
-        finally:
-            tracemalloc.stop()
-    assert peaks[1] <= 1.5 * peaks[0]
 
 
 def _perturb_adjoint(monkeypatch):
@@ -181,9 +160,9 @@ def test_oracle_green_detects_perturbed_adjoint(monkeypatch):
     rng = np.random.default_rng(7)
     sheaf = random_sheaf(2, 6, 3, rng)
     assert sheaf.n_vertices != sheaf.n_edges
-    assert oracle_green(sheaf, trials=5, seed=3).passed
+    assert oracle_green(sheaf, seed=3).passed
     _perturb_adjoint(monkeypatch)
-    assert not oracle_green(sheaf, trials=5, seed=3).passed
+    assert not oracle_green(sheaf, seed=3).passed
 
 
 def _negate_laplacian(monkeypatch):
@@ -209,7 +188,8 @@ def test_oracle_hodge_rejects_nan_residual(monkeypatch):
 
 def test_run_suite_nan_residual_exits_1_and_dumps(tmp_path, monkeypatch):
     _negate_laplacian(monkeypatch)
-    config = SuiteConfig(checks=("index", "hodge"), n_instances=3, dump_dir=str(tmp_path))
+    monkeypatch.setattr(verify, "_N_INSTANCES", 3)
+    config = SuiteConfig(checks=("index", "hodge"), dump_dir=str(tmp_path))
     verdicts, code = run_suite(config)
     assert code == 1
     assert [v.check for v in verdicts] == ["index", "hodge"]
@@ -307,8 +287,9 @@ def test_oracle_isometry_detects_corruption():
     assert not v.passed
 
 
-def test_run_suite_deterministic_and_green():
-    config = SuiteConfig(trials=10, n_instances=5, max_vertices=6)
+def test_run_suite_deterministic_and_green(monkeypatch):
+    monkeypatch.setattr(verify, "_N_INSTANCES", 5)
+    config = SuiteConfig()
     verdicts, code = run_suite(config)
     assert code == 0
     assert [v.check for v in verdicts] == list(ALL_CHECKS)
@@ -318,18 +299,17 @@ def test_run_suite_deterministic_and_green():
         assert a.trials == b.trials
 
 
-def test_run_suite_subset_and_unknown_check():
-    verdicts, code = run_suite(SuiteConfig(checks=("index",), n_instances=5))
+def test_run_suite_subset_and_unknown_check(monkeypatch):
+    monkeypatch.setattr(verify, "_N_INSTANCES", 5)
+    verdicts, code = run_suite(SuiteConfig(checks=("index",)))
     assert code == 0 and len(verdicts) == 1
     with pytest.raises(InvalidInputError):
         run_suite(SuiteConfig(checks=("bogus",)))
 
 
-_BAD_SUITE_FIELDS = {"trials_string": {"trials": "five"}, "seed_bool": {"seed": True},
-                     "n_instances_float": {"n_instances": 2.0},
-                     "check_not_a_string": {"checks": [{}]}, "checks_string": {"checks": "index"},
-                     "stalk_dim_float": {"stalk_dims": (2.5,)}, "checks_empty": {"checks": ()},
-                     "max_vertices_1": {"max_vertices": 1}}
+_BAD_SUITE_FIELDS = {"seed_bool": {"seed": True}, "check_not_a_string": {"checks": [{}]},
+                     "checks_string": {"checks": "index"}, "checks_empty": {"checks": ()},
+                     "checks_repeated": {"checks": ("index", "hodge", "index")}}
 
 
 @pytest.mark.parametrize("case", sorted(_BAD_SUITE_FIELDS))
@@ -338,13 +318,10 @@ def test_suite_config_rejects_wrong_types_and_ranges(case):
         SuiteConfig(**_BAD_SUITE_FIELDS[case])
 
 
-def test_config_keys_are_suite_config_fields():
-    assert verify.CONFIG_KEYS <= {f.name for f in dataclasses.fields(SuiteConfig)}
-
-
 def test_run_suite_failing_check_exits_1_and_dumps(tmp_path, monkeypatch):
     _perturb_adjoint(monkeypatch)
-    config = SuiteConfig(checks=("green",), trials=5, n_instances=3, dump_dir=str(tmp_path))
+    monkeypatch.setattr(verify, "_N_INSTANCES", 3)
+    config = SuiteConfig(checks=("green",), dump_dir=str(tmp_path))
     verdicts, code = run_suite(config)
     assert code == 1
     assert not verdicts[0].passed
