@@ -11,8 +11,11 @@ stacks at once, and the Green oracle draws, logs and vectorizes the values of
 all its trials in one pass (``random_spd_stack``, ``_oracle_log_vecs``) and
 calls the public operators once, on its (trials, k, n, n) stacks. Residual
 arithmetic is stacked too: the ``spd`` metrics and group operation are called
-once per instance, on whole stacks. The suite runner wires the oracles to
-deterministic seeded instance generators and reports one verdict per check.
+once per instance, on whole stacks. The suite runner draws every instance
+from deterministic seeded generators, evaluates one oracle call per instance
+on forked worker processes (``SPD_SHEAF_THREADS`` of them, else one per usable
+CPU), and folds the verdicts in draw order into one verdict per check, so
+its outputs are the same at every worker count.
 
 Every verdict takes the fixed tolerance of its check from ``TOLERANCES``
 itself; no oracle, caller or suite configuration can move it. Oracles and
@@ -25,10 +28,12 @@ from __future__ import annotations
 
 import functools
 import math
+import os
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import thread_cap
 from .errors import InvalidInputError
 from .euclid import (
     SECTION_TOL,
@@ -424,8 +429,6 @@ class SuiteConfig:
 def _dump_failure(config: SuiteConfig, check: str, instance, count: int):
     if config.dump_dir is None:
         return
-    import os
-
     from . import jsonio
 
     os.makedirs(config.dump_dir, exist_ok=True)
@@ -441,55 +444,41 @@ def _instance_sizes(rng) -> tuple[int, int, int]:
     return n, nv, extra
 
 
-def _run_check(config: SuiteConfig, check: str) -> Verdict:
+def _draw(config: SuiteConfig, check: str):
+    """Yield one ``(instance, job)`` pair per oracle call of `check`, in order.
+
+    A job is ``(check, seed, adversarial)``, or a :class:`Verdict` decided
+    here, in the drawing process. Every draw happens here, so the jobs are
+    pure functions of their instances and can run in any process.
+    """
     # each check draws from its own stream spawned from the suite seed
     rng = np.random.default_rng(
         np.random.SeedSequence(entropy=config.seed, spawn_key=(ALL_CHECKS.index(check),)))
     seed = config.seed
-    worst = 0.0
-    trials = 0
-    failures = 0
-
-    def fold(verdict: Verdict, instance) -> None:
-        nonlocal worst, trials, failures
-        worst = _worst([worst, verdict.max_residual])
-        trials += verdict.trials
-        if not verdict.passed:
-            _dump_failure(config, check, instance, failures)
-            failures += 1
-
     if check == "isometry":
         for n in (2, 3, 5):
             sheaf = random_sheaf(n, 4, 2, rng)
-            sub_seed = int(rng.integers(0, 2**31))
-            fold(oracle_isometry(sheaf, seed=sub_seed), sheaf)
+            yield sheaf, (check, int(rng.integers(0, 2**31)), False)
     elif check == "linearity":
         for _ in range(100):
             n, nv, extra = _instance_sizes(rng)
             sheaf = random_sheaf(min(n, 3), nv, extra, rng)
-            sub_seed = int(rng.integers(0, 2**31))
-            fold(oracle_linearity(sheaf, seed=sub_seed), sheaf)
+            yield sheaf, (check, int(rng.integers(0, 2**31)), False)
     elif check == "green":
         for i in range(_N_INSTANCES):
             n, nv, extra = _instance_sizes(rng)
             sheaf = random_sheaf(n, min(nv + 2, 12), extra, rng)
-            sub_seed = int(rng.integers(0, 2**31))
-            # every tenth instance uses adversarial eigenvalue spread, with
-            # its residual rescaled to the looser tolerance it is held to
-            adversarial = i % 10 == 0
-            v = oracle_green(sheaf, seed=sub_seed, spread=1e3 if adversarial else 10.0)
-            scale = TOLERANCES[check] / GREEN_SPREAD_TOLERANCE if adversarial else 1.0
-            fold(Verdict(check, v.trials, v.max_residual * scale, sub_seed), sheaf)
+            # every tenth instance uses adversarial eigenvalue spread
+            yield sheaf, (check, int(rng.integers(0, 2**31)), i % 10 == 0)
     elif check == "hodge":
         for _ in range(_N_INSTANCES):
             n, nv, extra = _instance_sizes(rng)
-            sheaf = random_sheaf(n, nv, extra, rng)
-            fold(oracle_hodge(sheaf, seed=seed), sheaf)
+            yield random_sheaf(n, nv, extra, rng), (check, seed, False)
     elif check == "index":
         for i in range(_N_INSTANCES):
             n, nv, extra = _instance_sizes(rng)
             sheaf = random_sheaf(n, nv, extra, rng, connected=(i % 2 == 0))
-            fold(oracle_index(sheaf, seed=seed), sheaf)
+            yield sheaf, (check, seed, False)
     elif check == "holonomy":
         # the acceptance contract wants >= 10 instances with nontrivial cycle holonomy
         quota = _N_INSTANCES // 5
@@ -500,28 +489,93 @@ def _run_check(config: SuiteConfig, check: str) -> Verdict:
             sheaf = random_sheaf(n, nv, extra, rng, connected=True)
             if _nontrivial_holonomy(holonomy_reps(sheaf), n):
                 nontrivial += 1
-            fold(oracle_holonomy(sheaf, seed=seed), sheaf)
+            yield sheaf, (check, seed, False)
         if nontrivial < quota:
-            fold(Verdict(check, 1, float(quota - nontrivial), seed), None)
+            yield None, Verdict(check, 1, float(quota - nontrivial), seed)
     elif check == "correspondence":
         esheaf = frustrated_two_cycle()
         dim_e = _oracle_nullity(_oracle_euclid_operator(esheaf))
         dim_s = _oracle_nullity(_oracle_operator(matched_spd_sheaf(esheaf)))
-        fold(Verdict(check, 1, float(dim_e != 0 or dim_s < 1), seed), esheaf)
+        yield esheaf, Verdict(check, 1, float(dim_e != 0 or dim_s < 1), seed)
         for i in range(_N_INSTANCES // 2):
             n = int(rng.choice((2, 3, 4)))
             nv = int(rng.integers(2, _MAX_VERTICES + 1))
             identity = i % 3 == 0
             extra = 0 if identity else int(rng.integers(0, 3))
             esheaf = random_euclid_sheaf(n, nv, extra, rng, identity_maps=identity)
-            sub_seed = int(rng.integers(0, 2**31))
-            fold(oracle_correspondence(esheaf, seed=sub_seed), esheaf)
+            yield esheaf, (check, int(rng.integers(0, 2**31)), False)
 
-    return Verdict(check, trials, worst, seed)
+
+def _evaluate(pair) -> Verdict:
+    """The verdict of one ``(instance, job)`` pair from :func:`_draw`."""
+    instance, job = pair
+    if isinstance(job, Verdict):
+        return job
+    check, seed, adversarial = job
+    if check == "isometry":
+        return oracle_isometry(instance, seed=seed)
+    if check == "linearity":
+        return oracle_linearity(instance, seed=seed)
+    if check == "green":
+        # an adversarial residual is rescaled to the looser tolerance it is held to
+        v = oracle_green(instance, seed=seed, spread=1e3 if adversarial else 10.0)
+        scale = TOLERANCES[check] / GREEN_SPREAD_TOLERANCE if adversarial else 1.0
+        return Verdict(check, v.trials, v.max_residual * scale, seed)
+    if check == "hodge":
+        return oracle_hodge(instance, seed=seed)
+    if check == "index":
+        return oracle_index(instance, seed=seed)
+    if check == "holonomy":
+        return oracle_holonomy(instance, seed=seed)
+    return oracle_correspondence(instance, seed=seed)
+
+
+def _fold(config: SuiteConfig, check: str, results) -> Verdict:
+    """One verdict for `check` from its ``(instance, verdict)`` results, in
+    draw order, dumping each failing instance."""
+    worst = 0.0
+    trials = 0
+    failures = 0
+    for instance, verdict in results:
+        worst = _worst([worst, verdict.max_residual])
+        trials += verdict.trials
+        if not verdict.passed:
+            _dump_failure(config, check, instance, failures)
+            failures += 1
+    return Verdict(check, trials, worst, config.seed)
+
+
+def _evaluate_all(pairs: list) -> list[Verdict]:
+    """:func:`_evaluate` over `pairs`, in order, on up to SPD_SHEAF_THREADS
+    (else the usable CPUs) forked worker processes; in-process for one worker
+    or where processes cannot be forked."""
+    cap = thread_cap()
+    if cap is None:
+        cap = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    workers = min(cap or 1, len(pairs))
+    if workers > 1:
+        # imported here, so that no other subcommand pays for these imports
+        import multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+
+        if "fork" in multiprocessing.get_all_start_methods():
+            fork = multiprocessing.get_context("fork")
+            with ProcessPoolExecutor(workers, mp_context=fork) as pool:
+                return list(pool.map(_evaluate, pairs))
+    return list(map(_evaluate, pairs))
 
 
 def run_suite(config: SuiteConfig | None = None) -> tuple[list[Verdict], int]:
-    """Run the configured checks; exit code 1 if any verdict fails."""
+    """Run the configured checks; exit code 1 if any verdict fails.
+
+    This process draws every instance, the oracle calls run on worker
+    processes (:func:`_evaluate_all`), and this process folds their verdicts
+    in draw order: verdicts and failure dumps are the same at every worker
+    count.
+    """
     config = config or SuiteConfig()
-    verdicts = [_run_check(config, c) for c in config.checks]
+    drawn = {check: list(_draw(config, check)) for check in config.checks}
+    results = iter(_evaluate_all([pair for pairs in drawn.values() for pair in pairs]))
+    verdicts = [_fold(config, check, [(instance, next(results)) for instance, _ in pairs])
+                for check, pairs in drawn.items()]
     return verdicts, int(not all(v.passed for v in verdicts))

@@ -82,7 +82,9 @@ def test_verify_all_smoke(monkeypatch, capsys):
     assert capsys.readouterr().out.count("PASS") == 7
 
 
-def test_verify_failure_exit_code(tmp_path, monkeypatch):
+@pytest.mark.parametrize("cap", ["1", "2"])
+def test_verify_failure_exit_code(tmp_path, monkeypatch, cap):
+    monkeypatch.setenv("SPD_SHEAF_THREADS", cap)
     primary = verify.adjoint
 
     def perturbed(sheaf, tau):
@@ -93,6 +95,36 @@ def test_verify_failure_exit_code(tmp_path, monkeypatch):
     monkeypatch.setattr(verify, "adjoint", perturbed)
     monkeypatch.setattr(verify, "_N_INSTANCES", 3)
     assert main(["verify", "--check", "green", "--out", str(tmp_path / "o")]) == 1
+
+
+def test_verify_outputs_are_the_same_at_every_worker_count(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(verify, "_N_INSTANCES", 10)
+    outputs = []
+    for cap in ("1", "2", "3"):
+        monkeypatch.setenv("SPD_SHEAF_THREADS", cap)
+        out = tmp_path / cap
+        assert main(["verify", "--all", "--out", str(out)]) == 0
+        outputs.append(((out / "verdicts.json").read_bytes(), capsys.readouterr().out))
+    assert outputs[1] == outputs[0] and outputs[2] == outputs[0]
+
+
+def test_verify_at_a_thread_cap_of_1_starts_no_process(monkeypatch, capsys):
+    import concurrent.futures
+    import multiprocessing
+
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a worker process was started")
+
+    monkeypatch.setattr(multiprocessing, "get_context", no_pool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
+    monkeypatch.setattr(verify, "_N_INSTANCES", 5)
+    monkeypatch.setenv("SPD_SHEAF_THREADS", "1")
+    assert main(["verify", "--all"]) == 0
+    assert capsys.readouterr().out.count("PASS") == 7
+    # the same run at a cap of 2 reaches the patched pool
+    monkeypatch.setenv("SPD_SHEAF_THREADS", "2")
+    with pytest.raises(AssertionError, match="worker process"):
+        main(["verify", "--all"])
 
 
 def test_verify_defaults_are_the_suite_config_defaults(monkeypatch, capsys):
@@ -609,6 +641,13 @@ print("numpy.ma" in sys.modules)
 def test_probe_leaves_numpy_ma_unimported():
     # the first np.unique in a process imports numpy.ma, about 15 ms
     assert _fresh_python(_MA_PROBE, dict(os.environ)) == "False"
+
+
+def test_cli_import_leaves_the_pool_modules_unloaded():
+    # they cost 7-11 ms to import; only verify's pooled path needs them
+    code = ("import sys, spdsheaf.cli; print(any(m in sys.modules for m in "
+            "('multiprocessing', 'concurrent.futures.process')))")
+    assert _fresh_python(code, dict(os.environ)) == "False"
 
 
 def test_importing_the_package_leaves_verify_unloaded():

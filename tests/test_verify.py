@@ -8,7 +8,7 @@ import pytest
 
 import spdsheaf as s
 from spdsheaf import verify
-from spdsheaf.errors import InvalidInputError
+from spdsheaf.errors import DomainError, InvalidInputError
 from spdsheaf.verify import (
     ALL_CHECKS,
     TOLERANCES,
@@ -186,7 +186,9 @@ def test_oracle_hodge_rejects_nan_residual(monkeypatch):
     assert math.isnan(v.max_residual) and v.passed is False
 
 
-def test_run_suite_nan_residual_exits_1_and_dumps(tmp_path, monkeypatch):
+@pytest.mark.parametrize("cap", ["1", "2"])
+def test_run_suite_nan_residual_exits_1_and_dumps(tmp_path, monkeypatch, cap):
+    monkeypatch.setenv("SPD_SHEAF_THREADS", cap)
     _negate_laplacian(monkeypatch)
     monkeypatch.setattr(verify, "_N_INSTANCES", 3)
     config = SuiteConfig(checks=("index", "hodge"), dump_dir=str(tmp_path))
@@ -196,6 +198,29 @@ def test_run_suite_nan_residual_exits_1_and_dumps(tmp_path, monkeypatch):
     assert verdicts[0].passed
     assert math.isnan(verdicts[1].max_residual) and verdicts[1].passed is False
     assert sorted(os.listdir(tmp_path)) == [f"failed_hodge_{i}.json" for i in range(3)]
+
+
+def test_run_suite_leaves_no_worker_and_passes_on_a_worker_error(monkeypatch):
+    """The pool is shut down when the suite returns or raises, and an
+    oracle's exception in a worker reaches the caller as it does in-process."""
+    import multiprocessing
+
+    monkeypatch.setattr(verify, "_N_INSTANCES", 3)
+    monkeypatch.setenv("SPD_SHEAF_THREADS", "2")
+    assert run_suite(SuiteConfig(checks=("index", "hodge")))[1] == 0
+    assert multiprocessing.active_children() == []
+
+    def failing(sheaf, seed):
+        raise DomainError(f"oracle failed in process {os.getpid()}")
+
+    monkeypatch.setattr(verify, "oracle_index", failing)
+    for cap in ("1", "2"):
+        monkeypatch.setenv("SPD_SHEAF_THREADS", cap)
+        with pytest.raises(DomainError, match="oracle failed") as raised:
+            run_suite(SuiteConfig(checks=("index",)))
+        # at 2 workers the oracle ran in another process
+        assert (str(os.getpid()) in str(raised.value)) == (cap == "1")
+        assert multiprocessing.active_children() == []
 
 
 def test_worst_keeps_nan_wherever_it_comes():
@@ -318,15 +343,17 @@ def test_suite_config_rejects_wrong_types_and_ranges(case):
         SuiteConfig(**_BAD_SUITE_FIELDS[case])
 
 
-def test_run_suite_failing_check_exits_1_and_dumps(tmp_path, monkeypatch):
+@pytest.mark.parametrize("cap", ["1", "2"])
+def test_run_suite_failing_check_exits_1_and_dumps(tmp_path, monkeypatch, cap):
+    monkeypatch.setenv("SPD_SHEAF_THREADS", cap)
     _perturb_adjoint(monkeypatch)
     monkeypatch.setattr(verify, "_N_INSTANCES", 3)
     config = SuiteConfig(checks=("green",), dump_dir=str(tmp_path))
     verdicts, code = run_suite(config)
     assert code == 1
     assert not verdicts[0].passed
-    dumps = [f for f in os.listdir(tmp_path) if f.startswith("failed_green")]
-    assert dumps
+    dumps = sorted(f for f in os.listdir(tmp_path) if f.startswith("failed_green"))
+    assert dumps == [f"failed_green_{i}.json" for i in range(3)]
     # dumped instance replays through the loader
     from spdsheaf import jsonio
 
