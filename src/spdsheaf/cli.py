@@ -19,7 +19,7 @@ import numpy as np
 from . import THREAD_ENV, jsonio, thread_cap, verify
 from .covgraph import TFGraphConfig, build_tf_graph
 from .errors import DomainError, InvalidInputError, NotApplicableError, ParseError
-from .sheaf import section_space_summary, sym_dim
+from .sheaf import section_space_summary
 from .stream import (
     canonicalize,
     diffusion_run,
@@ -81,26 +81,9 @@ def cmd_sections(args) -> int:
     clash = sorted({str(v) for v in sheaf.vertices if isinstance(v, int)} & set(sheaf.vertices))
     if clash:
         raise InvalidInputError(f"vertex ids {clash} are given both as integers and as strings")
-    summary = section_space_summary(sheaf)
-    basis = summary["basis"]
-    keys = [str(v) for v in sheaf.vertices]
-    # column col, vertex i: basis[i*m:(i+1)*m, col]
-    columns = basis.T.reshape(basis.shape[1], sheaf.n_vertices, sym_dim(sheaf.n_stalk))
-    basis_entries = [{"log_upper": dict(zip(keys, rows)), "edge_residuals": residuals}
-                     for rows, residuals in zip(columns.tolist(),
-                                                summary["edge_residuals"].tolist())]
-    report = {
-        "n_stalk": sheaf.n_stalk,
-        "n_vertices": sheaf.n_vertices,
-        "n_edges": sheaf.n_edges,
-        "kernel_dim": summary["kernel_dim"],
-        "index": summary["index"],
-        "components": summary["components"],
-        "holonomy_fixed_dims": summary["holonomy_fixed_dims"],
-        "holonomy_fixed_total": summary["holonomy_fixed_total"],
-        "basis": basis_entries,
-    }
-    _write_report(report, args.out)
+    text = jsonio._sections_to_json(sheaf, section_space_summary(sheaf), args.out)
+    if args.out is None:
+        print(text)
     return 0
 
 

@@ -18,6 +18,7 @@ from .errors import InvalidInputError, NotApplicableError
 from .sheaf import (
     SheafGraph,
     _OrthGraph,
+    _dense_basis,
     _sections_from_holonomy,
     _spanning_forest,
     _vertex_values,
@@ -74,7 +75,7 @@ def euclid_sections(sheaf: EuclidSheaf) -> np.ndarray:
     every cycle holonomy, carried to each vertex by its tree transport and
     ordered by component.
     """
-    return _sections_from_holonomy(sheaf, np.asarray)[2]
+    return _dense_basis(_sections_from_holonomy(sheaf, np.asarray))
 
 
 def vec_cochain_from_vec(sheaf: EuclidSheaf, vec) -> dict:

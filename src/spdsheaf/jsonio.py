@@ -21,7 +21,7 @@ from .covgraph import Segment
 from .errors import ParseError
 from .euclid import EuclidSheaf
 from .sheaf import SheafGraph
-from .spd import as_spd, sym_exp, vec_to_sym
+from .spd import as_spd, sym_dim, sym_exp, vec_to_sym
 from .stream import PointCloud
 
 
@@ -54,7 +54,11 @@ def _parsing(what: str):
 def _dump_json(obj, path: str | None = None) -> str:
     """The package's one JSON text format: returned, and written with a
     trailing newline to `path` when one is given."""
-    text = json.dumps(obj, sort_keys=True)
+    return _write_text(json.dumps(obj, sort_keys=True), path)
+
+
+def _write_text(text: str, path: str | None) -> str:
+    """`text`, written with a trailing newline to `path` when one is given."""
     if path is not None:
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(text + "\n")
@@ -193,6 +197,53 @@ def load_sheaf(path: str) -> tuple[SheafGraph, dict | None]:
         odd = sorted(map(str, set(cochain) ^ set(sheaf.vertices)))
         raise ParseError(f"cochain0 does not name each vertex once: it misses or adds {odd}")
     return sheaf, cochain
+
+
+def _sections_to_json(sheaf: SheafGraph, summary: dict, path: str | None) -> str:
+    """The `sections` report of `sheaf` from the per-component blocks of
+    :func:`~spdsheaf.sheaf.section_space_summary`, written to `path` when given.
+
+    The text is byte for byte :func:`_dump_json` of the dense report, whose
+    basis columns each hold ``log_upper``, every vertex id as a string key
+    mapped to its m entries, and ``edge_residuals``, one norm per edge. A
+    column is zero off its component, and so is its coboundary, whose norm
+    there is ``+0.0``. So every column starts from the rows of zeros of all
+    vertices, in sorted key order and encoded once per report, and from
+    ``0.0`` on every edge; only its component's rows and residuals are
+    encoded, by :func:`_dump_json`.
+    """
+    names = [str(v) for v in sheaf.vertices]
+    order = sorted(range(len(names)), key=names.__getitem__)
+    slot = np.empty(len(order), dtype=np.intp)
+    slot[order] = np.arange(len(order))
+    keys = [_dump_json(name) + ": " for name in names]
+    m = sym_dim(sheaf.n_stalk)
+    zero_rows = [keys[i] + _dump_json([0.0] * m) for i in order]
+    columns = []
+    for pos, edges, block, residuals in summary["sections"]:
+        rows_at, keys_at = slot[pos].tolist(), [keys[i] for i in pos]
+        flat = np.moveaxis(block, -1, 0).reshape(block.shape[2], -1)  # column, then vertex
+        for values, norms in zip(flat.tolist(), residuals.tolist()):
+            rows, norm_texts = zero_rows.copy(), ["0.0"] * sheaf.n_edges
+            texts = _float_texts(values)
+            for i, (r, key) in enumerate(zip(rows_at, keys_at)):
+                rows[r] = f"{key}[{', '.join(texts[i * m:(i + 1) * m])}]"
+            if edges:
+                for k, text in zip(edges, _float_texts(norms)):
+                    norm_texts[k] = text
+            columns.append(f'{{"edge_residuals": [{", ".join(norm_texts)}], '
+                           f'"log_upper": {{{", ".join(rows)}}}}}')
+    counts = dict(summary, n_stalk=sheaf.n_stalk, n_vertices=sheaf.n_vertices,
+                  n_edges=sheaf.n_edges)
+    del counts["sections"]
+    # "basis" sorts before every other key of the report
+    return _write_text(f'{{"basis": [{", ".join(columns)}], ' + _dump_json(counts)[1:], path)
+
+
+def _float_texts(values: list) -> list[str]:
+    """The JSON text of each float of a non-empty list, from one encoding of
+    the list: no float's text holds the separator ``", "``."""
+    return _dump_json(values)[1:-1].split(", ")
 
 
 def cochain0_to_json(n_stalk: int, cochain: dict, path: str | None = None) -> str:

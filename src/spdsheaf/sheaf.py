@@ -242,9 +242,17 @@ def _cochain_stack(cochain, cells: Sequence | int | None, n: int | None = None) 
 
 def _coboundary_logs(sheaf: SheafGraph, logs: np.ndarray) -> np.ndarray:
     """Per-edge log-domain coboundary from (..., |V|, n, n) stacked vertex logs."""
-    Mt, Mh = sheaf._tail_maps, sheaf._head_maps
-    Tt = Mt @ logs[..., sheaf._tails, :, :] @ np.swapaxes(Mt, -1, -2)
-    Th = Mh @ logs[..., sheaf._heads, :, :] @ np.swapaxes(Mh, -1, -2)
+    return _edge_differences(sheaf._tail_maps, sheaf._head_maps, sheaf._tails, sheaf._heads,
+                             logs)
+
+
+def _edge_differences(Mt: np.ndarray, Mh: np.ndarray, tails: np.ndarray, heads: np.ndarray,
+                      logs: np.ndarray) -> np.ndarray:
+    """``sym(M_t L_t M_t^T - M_h L_h M_h^T)`` per edge, from (E, n, n) maps, the
+    edges' end positions in `logs` and (..., k, n, n) logs: the coboundary's
+    one arithmetic."""
+    Tt = Mt @ logs[..., tails, :, :] @ np.swapaxes(Mt, -1, -2)
+    Th = Mh @ logs[..., heads, :, :] @ np.swapaxes(Mh, -1, -2)
     return _sym_part(Tt - Th)
 
 
@@ -364,32 +372,42 @@ def _fixed_space(ops: np.ndarray) -> np.ndarray:
     return nullspace((ops - np.eye(m)).reshape(-1, m))
 
 
-def _sections_from_holonomy(sheaf: _OrthGraph, act) -> tuple[int, list, np.ndarray]:
-    """Component count, per-component fixed dimensions and the kernel basis.
+def _sections_from_holonomy(sheaf: _OrthGraph, act) -> list[tuple[list, np.ndarray]]:
+    """The kernel basis of the coboundary, one block of columns per component.
 
     ``act`` maps (..., n, n) orthogonal stacks to their action on the stalk:
     :func:`~spdsheaf.spd.conj_operator` on the log-domain stalk Sym_n, the
     identity on a vector stalk R^n. On a component C a section is fixed by
     its root value S: every vertex v of C carries ``act(W_v) S`` for its tree
     transport W_v, and S must be fixed by every cycle holonomy of C. For an
-    orthonormal basis F of that fixed space (:func:`_fixed_space`), the basis
-    columns are ``act(W_v) F / sqrt(|C|)`` stacked over v in C and zero
-    elsewhere. They are orthonormal with no QR: an orthogonal action is an
-    isometry, so each of the |C| vertex blocks of two columns of C pairs to
-    ``<F_i, F_j> / |C|``, and components have disjoint supports. No operator
-    on all |V| m coordinates is built.
+    orthonormal basis F of that fixed space (:func:`_fixed_space`), C has the
+    (|C|, m, f_C) block ``act(W_v) F / sqrt(|C|)`` over v in C: its f_C basis
+    columns restricted to C, where they are zero elsewhere. Returns
+    ``(positions, block)`` per component, components and positions in the
+    order of :func:`_spanning_forest`. The columns are orthonormal with no
+    QR: an orthogonal action is an isometry, so each of the |C| vertex blocks
+    of two columns of C pairs to ``<F_i, F_j> / |C|``, and components have
+    disjoint supports. Nothing of size |V| m x kernel_dim is built.
     """
     comps, W, reps = _spanning_forest(sheaf)
     blocks = act(W)
-    m = blocks.shape[-1]
-    fixed = [_fixed_space(act(np.reshape(r, (-1,) + W.shape[1:]))) for r in reps]
-    dims = [F.shape[1] for F in fixed]
-    basis = np.zeros((sheaf.n_vertices, m, sum(dims)))
+    return [(pos, blocks[pos] @ _fixed_space(act(np.reshape(r, (-1,) + W.shape[1:])))
+             / np.sqrt(len(pos)))
+            for pos, r in zip(comps, reps)]
+
+
+def _dense_basis(sections: list[tuple[list, np.ndarray]]) -> np.ndarray:
+    """The blocks of :func:`_sections_from_holonomy` as one (|V| m, kernel_dim)
+    basis: columns in component order, vertex position i in rows i m to
+    (i + 1) m, and zero off each column's component."""
+    n_vertices = sum(len(pos) for pos, _ in sections)
+    m = sections[0][1].shape[1] if sections else 0
+    basis = np.zeros((n_vertices, m, sum(block.shape[2] for _, block in sections)))
     col = 0
-    for pos, F in zip(comps, fixed):
-        basis[pos, :, col:col + F.shape[1]] = blocks[pos] @ F / np.sqrt(len(pos))
-        col += F.shape[1]
-    return len(comps), dims, basis.reshape(sheaf.n_vertices * m, col)
+    for pos, block in sections:
+        basis[pos, :, col:col + block.shape[2]] = block
+        col += block.shape[2]
+    return basis.reshape(n_vertices * m, col)
 
 
 def global_sections(sheaf: SheafGraph) -> np.ndarray:
@@ -401,7 +419,7 @@ def global_sections(sheaf: SheafGraph) -> np.ndarray:
     :func:`cochain0_from_vec` yields a 0-cochain whose coboundary is the
     identity on every edge.
     """
-    return _sections_from_holonomy(sheaf, conj_operator)[2]
+    return _dense_basis(_sections_from_holonomy(sheaf, conj_operator))
 
 
 def sheaf_index(sheaf: SheafGraph) -> int:
@@ -495,22 +513,38 @@ def section_space_summary(sheaf: SheafGraph) -> dict:
     """Every number of a sections report, from one spanning-forest pass.
 
     ``kernel_dim`` is the total of the per-component holonomy fixed
-    dimensions by construction. Besides the counts: ``basis`` as from
-    :func:`global_sections` and ``edge_residuals``, the (kernel_dim, |E|)
-    Frobenius norms of the log-domain coboundary of each basis column.
+    dimensions by construction. Besides the counts, ``sections`` holds one
+    tuple ``(vertices, edges, block, residuals)`` per component, in the
+    column order of :func:`global_sections`: the component's vertex and edge
+    positions as increasing lists, its (|C|, m, f_C) block of basis columns
+    (see :func:`_sections_from_holonomy`; the columns are zero off C), and
+    the (f_C, |E_C|) Frobenius norms of the log-domain coboundary of those
+    columns on its edges. On every other edge that coboundary is zero. Time
+    and memory are linear in the graph: every step works on one component,
+    and nothing of size |V| x kernel_dim is built.
     """
-    n_comps, fixed_dims, basis = _sections_from_holonomy(sheaf, conj_operator)
-    n, m = sheaf.n_stalk, sym_dim(sheaf.n_stalk)
-    logs = vec_to_sym(basis.T.reshape(basis.shape[1], sheaf.n_vertices, m), n)
-    residuals = np.linalg.norm(_coboundary_logs(sheaf, logs), axis=(-2, -1))
+    sections = _sections_from_holonomy(sheaf, conj_operator)
+    fixed_dims = [block.shape[2] for _, block in sections]
+    # an edge lies in its tail's component; `local` numbers each component's vertices from 0
+    comp, local = np.empty((2, sheaf.n_vertices), dtype=np.intp)
+    for c, (pos, _) in enumerate(sections):
+        comp[pos], local[pos] = c, np.arange(len(pos))
+    edge_comp = comp[sheaf._tails]
+    edge_lists = np.split(np.argsort(edge_comp, kind="stable"),
+                          np.cumsum(np.bincount(edge_comp, minlength=len(sections)))[:-1])
+    parts = []
+    for (pos, block), edges in zip(sections, edge_lists):
+        logs = vec_to_sym(np.moveaxis(block, -1, 0), sheaf.n_stalk)
+        delta = _edge_differences(sheaf._tail_maps[edges], sheaf._head_maps[edges],
+                                  local[sheaf._tails[edges]], local[sheaf._heads[edges]], logs)
+        parts.append((pos, edges.tolist(), block, np.linalg.norm(delta, axis=(-2, -1))))
     return {
-        "kernel_dim": int(basis.shape[1]),
+        "kernel_dim": sum(fixed_dims),
         "index": sheaf_index(sheaf),
-        "components": n_comps,
+        "components": len(sections),
         "holonomy_fixed_dims": fixed_dims,
-        "holonomy_fixed_total": int(sum(fixed_dims)),
-        "basis": basis,
-        "edge_residuals": residuals,
+        "holonomy_fixed_total": sum(fixed_dims),
+        "sections": parts,
     }
 
 

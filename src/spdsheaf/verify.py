@@ -117,10 +117,13 @@ def random_spd_stack(n: int, count: int, rng, spread: float = 10.0) -> np.ndarra
     successive one-matrix draws (:func:`random_spd` at spread 10)."""
     half = 0.5 * math.log(spread)
     A = np.empty((count, n, n))
-    u = np.empty((count, n))
+    U = np.empty((count, n))
     for k in range(count):
-        A[k] = rng.normal(size=(n, n))
-        u[k] = rng.uniform(-half, half, size=n)
+        rng.standard_normal(out=A[k])
+        rng.random(out=U[k])
+    # the arithmetic of rng.normal (0 + 1 z) and rng.uniform (low + (high - low) x)
+    A += 0.0
+    u = -half + (half - -half) * U
     Q = _cayley(A)
     P = (Q * np.exp(u)[:, None, :]) @ np.swapaxes(Q, -1, -2)
     return 0.5 * (P + np.swapaxes(P, -1, -2))

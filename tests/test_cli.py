@@ -13,7 +13,14 @@ import pytest
 
 from spdsheaf import cli, jsonio, verify
 from spdsheaf.cli import build_parser, main
-from spdsheaf.sheaf import SheafGraph, section_space_summary, sym_dim
+from spdsheaf.sheaf import (
+    SheafGraph,
+    _coboundary_logs,
+    global_sections,
+    section_space_summary,
+    sym_dim,
+)
+from spdsheaf.spd import vec_to_sym
 from spdsheaf.stream import (
     canonicalize,
     diffusion_run,
@@ -198,24 +205,82 @@ def test_sections_factors_no_operator_on_all_vertices(tmp_path, monkeypatch, cap
     assert json.loads(capsys.readouterr().out)["kernel_dim"] >= 1
 
 
-def test_sections_log_upper_is_each_vertex_slice_of_the_basis(tmp_path, monkeypatch):
+def test_sections_log_upper_is_each_vertex_slice_of_the_basis(tmp_path):
     # a tree and a component with cycles, integer and string ids out of sorted order
     rng = np.random.default_rng(9)
     tree, loops = random_sheaf(2, 4, 0, rng), random_sheaf(2, 5, 2, rng)
     ids = [3, "b", 0, "a", "e", 1, "c", 2, "d"]
     edges = ([(ids[t], ids[h]) for t, h in tree.edges]
              + [(ids[4 + t], ids[4 + h]) for t, h in loops.edges])
-    path = str(tmp_path / "sheaf.json")
+    path, out = str(tmp_path / "sheaf.json"), str(tmp_path / "report.json")
     jsonio.sheaf_to_json(SheafGraph(2, ids, edges, [*tree.maps, *loops.maps]), path=path)
-    reports = []
-    monkeypatch.setattr(cli, "_write_report", lambda obj, out: reports.append(obj))
-    assert main(["sections", path]) == 0
-    basis = section_space_summary(jsonio.load_sheaf(path)[0])["basis"]
+    assert main(["sections", path, "--out", out]) == 0
+    with open(out, encoding="utf-8") as fh:
+        report = json.load(fh)
+    basis = global_sections(jsonio.load_sheaf(path)[0])
     m = sym_dim(2)
-    assert reports[0]["components"] == 2 and len(reports[0]["basis"]) == basis.shape[1] > m
-    for col, entry in enumerate(reports[0]["basis"]):
-        assert list(entry["log_upper"].items()) == [
-            (str(v), basis[i * m:(i + 1) * m, col].tolist()) for i, v in enumerate(ids)]
+    assert report["components"] == 2 and len(report["basis"]) == basis.shape[1] > m
+    for col, entry in enumerate(report["basis"]):
+        # the report is written with sorted keys
+        assert list(entry["log_upper"].items()) == sorted(
+            (str(v), basis[i * m:(i + 1) * m, col].tolist()) for i, v in enumerate(ids))
+
+
+def _dense_sections_report(sheaf) -> str:
+    """The sections report as the dense path wrote it: the (|V| m, kernel_dim)
+    basis, the coboundary residuals of every column on every edge, and every
+    vertex row and edge residual of every column encoded."""
+    basis = global_sections(sheaf)
+    n, m, k = sheaf.n_stalk, sym_dim(sheaf.n_stalk), basis.shape[1]
+    columns = basis.T.reshape(k, sheaf.n_vertices, m)
+    residuals = np.linalg.norm(_coboundary_logs(sheaf, vec_to_sym(columns, n)), axis=(-2, -1))
+    counts = section_space_summary(sheaf)
+    keys = [str(v) for v in sheaf.vertices]
+    report = {
+        "n_stalk": n,
+        "n_vertices": sheaf.n_vertices,
+        "n_edges": sheaf.n_edges,
+        "kernel_dim": counts["kernel_dim"],
+        "index": counts["index"],
+        "components": counts["components"],
+        "holonomy_fixed_dims": counts["holonomy_fixed_dims"],
+        "holonomy_fixed_total": counts["holonomy_fixed_total"],
+        "basis": [{"log_upper": dict(zip(keys, rows)), "edge_residuals": norms}
+                  for rows, norms in zip(columns.tolist(), residuals.tolist())],
+    }
+    return jsonio._dump_json(report)
+
+
+_ODD_IDS = ["b\"x", "é", "10", "9", 12, 3, "a", 0, "Z", "x, y", 7, "", 25, "é9"]
+
+
+def _relabelled(sheaf, rng, isolated=0):
+    """`sheaf` on ids drawn from _ODD_IDS in shuffled order, plus `isolated` vertices."""
+    ids = [_ODD_IDS[i] for i in rng.permutation(len(_ODD_IDS))[:sheaf.n_vertices + isolated]]
+    return SheafGraph(sheaf.n_stalk, ids, [(ids[t], ids[h]) for t, h in sheaf.edges],
+                      sheaf.maps)
+
+
+def _report_cases():
+    rng = np.random.default_rng(34)
+    for n in (1, 2, 3, 4):
+        for extra in (0, 1, 3):
+            forest = random_sheaf(n, int(rng.integers(1, 10)), extra, rng, connected=False)
+            yield _relabelled(forest, rng, isolated=int(rng.integers(0, 3)))
+    yield _relabelled(SheafGraph.identity_maps(2, range(4), []), rng)
+    yield SheafGraph.identity_maps(3, [], [])
+
+
+def test_sections_report_is_the_dense_report_byte_for_byte(tmp_path, capsys):
+    path, out = str(tmp_path / "sheaf.json"), str(tmp_path / "report.json")
+    for sheaf in _report_cases():
+        jsonio.sheaf_to_json(sheaf, path=path)
+        expected = _dense_sections_report(jsonio.load_sheaf(path)[0]) + "\n"
+        assert main(["sections", path]) == 0
+        assert capsys.readouterr().out == expected
+        assert main(["sections", path, "--out", out]) == 0
+        with open(out, encoding="utf-8") as fh:
+            assert fh.read() == expected
 
 
 def test_sections_malformed_file(tmp_path, capsys):

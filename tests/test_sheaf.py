@@ -2,6 +2,7 @@
 
 import ast
 import math
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -11,7 +12,13 @@ import spdsheaf as s
 from spdsheaf import verify
 from spdsheaf.errors import InvalidInputError
 from spdsheaf.euclid import EuclidSheaf
-from spdsheaf.sheaf import _spanning_forest, cochain0_from_vec, section_space_summary
+from spdsheaf.sheaf import (
+    _coboundary_logs,
+    _dense_basis,
+    _spanning_forest,
+    cochain0_from_vec,
+    section_space_summary,
+)
 from spdsheaf.spd import conj_operator, sym_to_vec, vec_to_sym
 from spdsheaf.verify import (
     oracle_holonomy,
@@ -567,7 +574,7 @@ def test_connected_components_in_vertex_order():
     assert _spanning_forest(sheaf)[0] == [[0, 3], [1, 2]]
     summary = section_space_summary(sheaf)
     assert summary["components"] == 2 and summary["holonomy_fixed_dims"] == [3, 3]
-    support = np.abs(summary["basis"].reshape(4, 3, 6)).sum(axis=1) > 0
+    support = np.abs(s.global_sections(sheaf).reshape(4, 3, 6)).sum(axis=1) > 0
     assert support.T.tolist() == [[True, False, False, True]] * 3 + [[False, True, True, False]] * 3
 
 
@@ -669,10 +676,64 @@ def test_sections_of_a_ten_thousand_vertex_gauge_sheaf():
     summary = section_space_summary(sheaf)
     assert summary["components"] == 1
     assert summary["kernel_dim"] == summary["holonomy_fixed_total"] == 2
-    assert summary["edge_residuals"].shape == (2, 11_000)
-    assert np.max(summary["edge_residuals"]) <= 1e-7
-    basis = summary["basis"]
+    basis, residuals = _densified(sheaf, summary)
+    assert residuals.shape == (2, 11_000)
+    assert np.max(residuals) <= 1e-7
     np.testing.assert_allclose(basis.T @ basis, np.eye(2), atol=1e-12)
+
+
+def _densified(sheaf, summary) -> tuple[np.ndarray, np.ndarray]:
+    """The (|V| m, kernel_dim) basis and the (kernel_dim, |E|) residuals of a
+    summary's per-component blocks, zero off each column's component."""
+    basis = _dense_basis([(pos, block) for pos, _, block, _ in summary["sections"]])
+    residuals = np.zeros((basis.shape[1], sheaf.n_edges))
+    col = 0
+    for _, edges, _, norms in summary["sections"]:
+        residuals[col:col + len(norms), edges] = norms
+        col += len(norms)
+    return basis, residuals
+
+
+def _dense_residuals(sheaf) -> np.ndarray:
+    """The residuals as the dense path took them: the log-domain coboundary of
+    every column of :func:`global_sections` on every edge."""
+    basis = s.global_sections(sheaf)
+    columns = basis.T.reshape(basis.shape[1], sheaf.n_vertices, s.sym_dim(sheaf.n_stalk))
+    return np.linalg.norm(_coboundary_logs(sheaf, vec_to_sym(columns, sheaf.n_stalk)),
+                          axis=(-2, -1))
+
+
+def test_section_blocks_densify_to_the_dense_basis_and_residuals_bitwise():
+    rng = np.random.default_rng(34)
+    for n in (1, 2, 3, 4):
+        for extra in (0, 1, 3):
+            sheaf = random_sheaf(n, int(rng.integers(1, 12)), extra, rng, connected=False)
+            sheaf = s.SheafGraph(n, [*sheaf.vertices, "isolated"], sheaf.edges, sheaf.maps)
+            summary = section_space_summary(sheaf)
+            basis, residuals = _densified(sheaf, summary)
+            assert basis.tobytes() == s.global_sections(sheaf).tobytes()
+            assert residuals.tobytes() == _dense_residuals(sheaf).tobytes()
+            positions = [v for pos, _, _, _ in summary["sections"] for v in pos]
+            edges = [k for _, edges, _, _ in summary["sections"] for k in edges]
+            assert sorted(positions) == list(range(sheaf.n_vertices))
+            assert sorted(edges) == list(range(sheaf.n_edges))
+
+
+def test_section_summary_is_linear_in_the_graph():
+    # 500 components of 20 vertices and 2 chords: kernel_dim 500, so a dense
+    # (|V| m, kernel_dim) basis would take 10^4 * 6 * 500 * 8 B = 0.22 GiB
+    rng = np.random.default_rng(21)
+    sheaf = s.SheafGraph._union([random_sheaf(3, 20, 2, rng) for _ in range(500)])
+    tracemalloc.start()
+    try:
+        summary = section_space_summary(sheaf)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert summary["components"] == len(summary["sections"]) == 500
+    assert summary["kernel_dim"] == summary["holonomy_fixed_total"] >= 500
+    assert max(np.max(norms, initial=0.0) for *_, norms in summary["sections"]) <= 1e-7
+    assert peak < 32 * 2**20, f"summary peak {peak / 2**20:.1f} MB"
 
 
 # ---------------------------------------------------------------------------

@@ -93,6 +93,34 @@ def test_random_spd_stack_matches_successive_draws(n, spread):
     assert np.array_equal(nxt[0], nxt[1]) and np.array_equal(nxt[0], nxt[2])
 
 
+@pytest.mark.parametrize("count", [0, 1, 7])
+@pytest.mark.parametrize("spread", [10.0, 1e3])
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_random_spd_stack_draws_are_the_normal_and_uniform_draws(monkeypatch, n, spread,
+                                                                 count):
+    # the Cayley input and the eigenvalue logs are bitwise those of a loop of
+    # rng.normal(size=(n, n)) and rng.uniform(-h, h, size=n) calls
+    rng, ref = np.random.default_rng(10 * n + count), np.random.default_rng(10 * n + count)
+    half = 0.5 * math.log(spread)
+    draws = [(ref.normal(size=(n, n)), ref.uniform(-half, half, size=n)) for _ in range(count)]
+    seen = {}
+
+    def recorded(name, f):
+        def call(x):
+            seen[name] = x.copy()
+            return f(x)
+        return call
+
+    monkeypatch.setattr(verify, "_cayley", recorded("A", verify._cayley))
+    monkeypatch.setattr(verify.np, "exp", recorded("u", np.exp))
+    random_spd_stack(n, count, rng, spread)
+    monkeypatch.undo()
+    A = np.reshape([a for a, _ in draws], (count, n, n))
+    u = np.reshape([u for _, u in draws], (count, n))
+    assert seen["A"].tobytes() == A.tobytes() and seen["u"].tobytes() == u.tobytes()
+    assert rng.bit_generator.state == ref.bit_generator.state
+
+
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_random_sheaf_maps_match_per_edge_draws(n):
     # one block of normals for all maps equals a tail and a head draw per edge
