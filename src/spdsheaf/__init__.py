@@ -25,6 +25,8 @@ module. Importing the package does not load :mod:`spdsheaf.verify`.
 
 import os as _os
 
+from .errors import InvalidInputError as _InvalidInputError
+
 #: Environment variable capping internal (BLAS) parallelism.
 THREAD_ENV = "SPD_SHEAF_THREADS"
 
@@ -32,14 +34,18 @@ THREAD_ENV = "SPD_SHEAF_THREADS"
 def thread_cap() -> int | None:
     """The thread cap in ``SPD_SHEAF_THREADS``: None when unset.
 
-    Raises ValueError when the value is not a positive integer.
+    Raises :class:`~spdsheaf.errors.InvalidInputError` when the value is not
+    a positive integer.
     """
     raw = _os.environ.get(THREAD_ENV)
     if raw is None:
         return None
-    cap = int(raw)
+    try:
+        cap = int(raw)
+    except ValueError:
+        cap = 0  # not an integer: rejected below, as a value below 1 is
     if cap < 1:
-        raise ValueError(f"{THREAD_ENV} must be positive, got {cap}")
+        raise _InvalidInputError(f"{THREAD_ENV} must be a positive integer, got {raw!r}")
     return cap
 
 
@@ -49,7 +55,7 @@ def _cap_blas_threads():
     # for the command line to report with exit code 2.
     try:
         cap = thread_cap()
-    except ValueError:
+    except _InvalidInputError:
         return
     if cap is not None:
         for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):

@@ -3,7 +3,7 @@
 Subcommands: verify, sections, diffuse, probe, covgraph, lift. Every command
 is a deterministic function of its input files, flags and seed; randomized
 commands require an explicit --seed (no wall-clock seeding). Exit codes:
-0 success, 1 check failure, 2 usage or I/O error.
+0 success, 1 check failure, 2 usage or I/O error or a refused allocation.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ import sys
 
 import numpy as np
 
-from . import THREAD_ENV, jsonio, thread_cap, verify
+from . import jsonio, thread_cap, verify
 from .covgraph import TFGraphConfig, build_tf_graph
 from .errors import DomainError, InvalidInputError, NotApplicableError, ParseError
 from .sheaf import section_space_summary
@@ -27,14 +27,6 @@ from .stream import (
     local_frame,
     planarity_experiment,
 )
-
-def _check_thread_cap():
-    """Reject an invalid SPD_SHEAF_THREADS; importing the package applied a valid one."""
-    try:
-        thread_cap()
-    except ValueError:
-        raise InvalidInputError(
-            f"{THREAD_ENV} must be a positive integer, got {os.environ[THREAD_ENV]!r}") from None
 
 
 def _check_at_least(args, **bounds):
@@ -224,13 +216,17 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        _check_thread_cap()
+        # importing the package applied a valid cap; an invalid one is reported here
+        thread_cap()
         # looked up per call, so the one cached parser holds no command function
         command = {"verify": cmd_verify, "sections": cmd_sections, "diffuse": cmd_diffuse,
                    "probe": cmd_probe, "covgraph": cmd_covgraph, "lift": cmd_lift}
         return command[args.command](args)
     except (ParseError, InvalidInputError, DomainError, NotApplicableError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:
+        print(f"error: out of memory: {exc}", file=sys.stderr)
         return 2
 
 

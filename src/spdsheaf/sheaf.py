@@ -63,8 +63,7 @@ class _OrthGraph:
     from valid graphs go through :meth:`_from_arrays`, in this module only.
     """
 
-    __slots__ = ("n_stalk", "vertices", "edges", "_vindex",
-                 "_tails", "_heads", "_tail_maps", "_head_maps")
+    __slots__ = ("n_stalk", "vertices", "edges", "_tails", "_heads", "_tail_maps", "_head_maps")
 
     def __init__(self, n_stalk, vertices, edges, maps):
         self._fill(*_checked_parts(n_stalk, vertices, edges, maps))
@@ -76,14 +75,14 @@ class _OrthGraph:
 
     def _with_maps(self, tail_maps, head_maps):
         """This topology with new (E, n, n) map stacks, unchecked; the rest is shared."""
-        return self._from_arrays(self.vertices, self.edges, self._vindex, self._tails,
-                                 self._heads, tail_maps, head_maps)
+        return self._from_arrays(self.vertices, self.edges, self._tails, self._heads,
+                                 tail_maps, head_maps)
 
     @classmethod
     def _recast(cls, graph: _OrthGraph):
         """`graph` as a `cls`, unchecked: its topology shared, its maps copied."""
-        return cls._from_arrays(graph.vertices, graph.edges, graph._vindex, graph._tails,
-                                graph._heads, graph._tail_maps, graph._head_maps)
+        return cls._from_arrays(graph.vertices, graph.edges, graph._tails, graph._heads,
+                                graph._tail_maps, graph._head_maps)
 
     @classmethod
     def _union(cls, graphs: Sequence[_OrthGraph]):
@@ -94,16 +93,15 @@ class _OrthGraph:
         offsets = np.cumsum([0] + [g.n_vertices for g in graphs])
         tails = np.concatenate([g._tails + o for g, o in zip(graphs, offsets)])
         heads = np.concatenate([g._heads + o for g, o in zip(graphs, offsets)])
-        ids = tuple(range(offsets[-1]))
-        return cls._from_arrays(ids, tuple(zip(tails.tolist(), heads.tolist())),
-                                dict(zip(ids, ids)), tails, heads,
+        return cls._from_arrays(tuple(range(offsets[-1])),
+                                tuple(zip(tails.tolist(), heads.tolist())), tails, heads,
                                 np.concatenate([g._tail_maps for g in graphs]),
                                 np.concatenate([g._head_maps for g in graphs]))
 
-    def _fill(self, vertices, edges, vindex, tails, heads, tail_maps, head_maps):
-        """Set every slot, unchecked: vertex and edge tuples, the id -> position dict,
-        the endpoint position arrays and the map stacks, stored as read-only copies."""
-        self.vertices, self.edges, self._vindex = vertices, edges, vindex
+    def _fill(self, vertices, edges, tails, heads, tail_maps, head_maps):
+        """Set every slot, unchecked: vertex and edge tuples, the endpoint
+        position arrays and the map stacks, stored as read-only copies."""
+        self.vertices, self.edges = vertices, edges
         self._tails, self._heads = tails, heads
         self._tail_maps, self._head_maps = (
             np.array(M, dtype=np.float64, order="C") for M in (tail_maps, head_maps))
@@ -133,9 +131,6 @@ class _OrthGraph:
     @property
     def n_edges(self) -> int:
         return len(self.edges)
-
-    def vertex_index(self, v) -> int:
-        return self._vindex[v]
 
 
 class SheafGraph(_OrthGraph):
@@ -179,7 +174,7 @@ def _checked_parts(n_stalk, vertices, edges, maps=None) -> tuple:
         raise InvalidInputError(f"edge {k} references unknown vertex")
     if stack is None:
         eye = np.broadcast_to(np.eye(n), (len(edges), n, n))
-        return vertices, edges, vindex, tails, heads, eye, eye
+        return vertices, edges, tails, heads, eye, eye
     if stack.shape[2:] != (n, n):
         raise InvalidInputError(f"map shape {stack.shape[2:]} != ({n}, {n})")
     finite = np.all(np.isfinite(stack), axis=(1, 2, 3))
@@ -190,7 +185,7 @@ def _checked_parts(n_stalk, vertices, edges, maps=None) -> tuple:
     bad = np.flatnonzero(np.any(err > ORTH_TOL, axis=1))
     if bad.size:
         raise InvalidInputError(f"edge {bad[0]}: restriction map is not orthogonal")
-    return vertices, edges, vindex, tails, heads, stack[:, 0], stack[:, 1]
+    return vertices, edges, tails, heads, stack[:, 0], stack[:, 1]
 
 
 # ---------------------------------------------------------------------------

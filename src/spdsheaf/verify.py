@@ -12,10 +12,12 @@ all its trials in one pass (``random_spd_stack``, ``_oracle_log_vecs``) and
 calls the public operators once, on its (trials, k, n, n) stacks. Residual
 arithmetic is stacked too: the ``spd`` metrics and group operation are called
 once per instance, on whole stacks. The suite runner draws every instance
-from deterministic seeded generators, evaluates one oracle call per instance
-on forked worker processes (``SPD_SHEAF_THREADS`` of them, else one per usable
-CPU), and folds the verdicts in draw order into one verdict per check, so
-its outputs are the same at every worker count.
+from deterministic seeded generators and binds it to its oracle, and to the
+seed drawn for it, as a picklable zero-argument call. It runs those calls on
+forked worker processes (``SPD_SHEAF_THREADS`` of them, else one per usable
+CPU) and folds the verdicts in draw order into one verdict per check, so its
+outputs are the same at every worker count. A check is written once: its
+entry in ``TOLERANCES``, its branch in ``_draw`` and its ``oracle_*``.
 
 Every verdict takes the fixed tolerance of its check from ``TOLERANCES``
 itself; no oracle, caller or suite configuration can move it. Oracles and
@@ -30,6 +32,7 @@ import functools
 import math
 import os
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -56,9 +59,6 @@ from .sheaf import (
 )
 from .spd import dist_airm, dist_lem, group_op, sym_exp
 
-ALL_CHECKS = ("isometry", "linearity", "green", "hodge", "index", "holonomy",
-              "correspondence")
-
 TOLERANCES = {
     "isometry": 1e-8,
     "linearity": 1e-9,
@@ -68,6 +68,10 @@ TOLERANCES = {
     "holonomy": 0.0,
     "correspondence": SECTION_TOL,
 }
+
+# The key order of TOLERANCES is the suite's check order, and a check's position
+# is the spawn key of its instance stream: a new check goes at the end.
+ALL_CHECKS = tuple(TOLERANCES)
 
 # The suite's adversarial-spread Green instances (eigenvalue ratio 1e3) are
 # held to this looser bound: their residual is rescaled by
@@ -80,13 +84,14 @@ class Verdict:
     """Outcome of one check: pass iff the worst residual is within the
     check's tolerance, its entry in ``TOLERANCES``.
 
-    A NaN residual compares false, so it fails the check.
+    A NaN residual compares false, so it fails the check. A check's verdict
+    carries the suite seed, an oracle's the seed it drew from, or None.
     """
 
     check: str
     trials: int
     max_residual: float
-    seed: int
+    seed: int | None = None
     tolerance: float = field(init=False)
     passed: bool = field(init=False)
 
@@ -224,8 +229,9 @@ def _oracle_log_vecs(P: np.ndarray) -> np.ndarray:
 def _oracle_incidence(sheaf, blocks, m: int) -> np.ndarray:
     """Dense (|E| m, |V| m) coboundary: per edge, +tail block at its tail, -head at its head."""
     B = np.zeros((sheaf.n_edges * m, sheaf.n_vertices * m))
+    index = {v: i for i, v in enumerate(sheaf.vertices)}
     for k, ((t, h), (bt, bh)) in enumerate(zip(sheaf.edges, blocks)):
-        it, ih = sheaf.vertex_index(t), sheaf.vertex_index(h)
+        it, ih = index[t], index[h]
         B[k * m:(k + 1) * m, it * m:(it + 1) * m] += bt
         B[k * m:(k + 1) * m, ih * m:(ih + 1) * m] -= bh
     return B
@@ -270,7 +276,7 @@ def _worst(residuals) -> float:
     return float(np.max(np.hstack([0.0, *residuals])))
 
 
-def oracle_isometry(sheaf: SheafGraph, seed: int = 0) -> Verdict:
+def oracle_isometry(sheaf: SheafGraph, seed: int) -> Verdict:
     """Both metrics must be invariant under congruence by the sheaf's maps, in 200 trials."""
     trials = 200
     rng = np.random.default_rng(seed)
@@ -288,7 +294,7 @@ def oracle_isometry(sheaf: SheafGraph, seed: int = 0) -> Verdict:
     return Verdict("isometry", trials, _worst(residuals), seed)
 
 
-def oracle_linearity(sheaf: SheafGraph, seed: int = 0) -> Verdict:
+def oracle_linearity(sheaf: SheafGraph, seed: int) -> Verdict:
     """Coboundary must commute with the group operation, edge by edge, in 3 trials."""
     trials = 3
     n, nv = sheaf.n_stalk, sheaf.n_vertices
@@ -300,7 +306,7 @@ def oracle_linearity(sheaf: SheafGraph, seed: int = 0) -> Verdict:
     return Verdict("linearity", trials, _worst(residuals), seed)
 
 
-def oracle_green(sheaf: SheafGraph, seed: int = 0, spread: float = 10.0) -> Verdict:
+def oracle_green(sheaf: SheafGraph, seed: int, spread: float = 10.0) -> Verdict:
     """Green identity, cross-checked against the probed dense operator, in 100 trials."""
     trials = 100
     rng = np.random.default_rng(seed)
@@ -321,7 +327,7 @@ def oracle_green(sheaf: SheafGraph, seed: int = 0, spread: float = 10.0) -> Verd
     return Verdict("green", trials, _worst(residuals), seed)
 
 
-def oracle_hodge(sheaf: SheafGraph, seed: int = 0) -> Verdict:
+def oracle_hodge(sheaf: SheafGraph) -> Verdict:
     """ker of the operator equals ker of its Gram matrix; sections are harmonic."""
     B = _oracle_operator(sheaf)
     dim_b = _oracle_nullity(B)
@@ -339,10 +345,10 @@ def oracle_hodge(sheaf: SheafGraph, seed: int = 0) -> Verdict:
     log_w = np.log(np.where(w > 0.0, w, np.nan))
     residuals = [abs(dim_b - dim_g), abs(basis.shape[1] - dim_b),
                  np.sqrt(np.sum(log_w ** 2, axis=-1))]
-    return Verdict("hodge", basis.shape[1] + 1, _worst(residuals), seed)
+    return Verdict("hodge", basis.shape[1] + 1, _worst(residuals))
 
 
-def oracle_index(sheaf: SheafGraph, seed: int = 0) -> Verdict:
+def oracle_index(sheaf: SheafGraph) -> Verdict:
     """Primary and probed-operator indices must equal (|V|-|E|) n(n+1)/2."""
     m = sheaf.n_stalk * (sheaf.n_stalk + 1) // 2
     expected = (sheaf.n_vertices - sheaf.n_edges) * m
@@ -350,18 +356,18 @@ def oracle_index(sheaf: SheafGraph, seed: int = 0) -> Verdict:
     dim_b = _oracle_nullity(B)
     dim_bt = _oracle_nullity(B.T)
     worst = max(abs(sheaf_index(sheaf) - expected), abs((dim_b - dim_bt) - expected))
-    return Verdict("index", 1, float(worst), seed)
+    return Verdict("index", 1, float(worst))
 
 
-def oracle_holonomy(sheaf: SheafGraph, seed: int = 0) -> Verdict:
+def oracle_holonomy(sheaf: SheafGraph) -> Verdict:
     """SVD kernel dimension equals the holonomy fixed-space dimension."""
     dim_svd = _oracle_nullity(_oracle_operator(sheaf))
     reps = holonomy_reps(sheaf)
     dim_fixed = holonomy_fixed_space(reps, sheaf.n_stalk).shape[1]
-    return Verdict("holonomy", len(reps) + 1, float(abs(dim_svd - dim_fixed)), seed)
+    return Verdict("holonomy", len(reps) + 1, float(abs(dim_svd - dim_fixed)))
 
 
-def oracle_correspondence(esheaf: EuclidSheaf, seed: int = 0) -> Verdict:
+def oracle_correspondence(esheaf: EuclidSheaf) -> Verdict:
     """Embedded Euclidean sections must be SPD sections; strictness where defined."""
     Be = _oracle_euclid_operator(esheaf)
     # oracle-owned Euclidean kernel
@@ -390,7 +396,7 @@ def oracle_correspondence(esheaf: EuclidSheaf, seed: int = 0) -> Verdict:
             if np.any(np.sum(gaps, axis=-1) <= 1):
                 residuals.append(1.0)
             trials += 1
-    return Verdict("correspondence", trials, _worst(residuals), seed)
+    return Verdict("correspondence", trials, _worst(residuals))
 
 
 # ---------------------------------------------------------------------------
@@ -447,41 +453,51 @@ def _instance_sizes(rng) -> tuple[int, int, int]:
     return n, nv, extra
 
 
+def _adversarial_green(sheaf: SheafGraph, seed: int) -> Verdict:
+    """:func:`oracle_green` at eigenvalue spread 1e3, its residual rescaled to
+    the looser tolerance such instances are held to."""
+    v = oracle_green(sheaf, seed, spread=1e3)
+    return Verdict("green", v.trials,
+                   v.max_residual * (TOLERANCES["green"] / GREEN_SPREAD_TOLERANCE), seed)
+
+
 def _draw(config: SuiteConfig, check: str):
     """Yield one ``(instance, job)`` pair per oracle call of `check`, in order.
 
-    A job is ``(check, seed, adversarial)``, or a :class:`Verdict` decided
-    here, in the drawing process. Every draw happens here, so the jobs are
-    pure functions of their instances and can run in any process.
+    A job is a picklable zero-argument call that returns the instance's
+    :class:`Verdict`: an oracle bound to its instance (and to the seed drawn
+    for it), or a verdict decided here, in the drawing process. Every draw
+    happens here, so the jobs are pure and can run in any process.
     """
     # each check draws from its own stream spawned from the suite seed
     rng = np.random.default_rng(
         np.random.SeedSequence(entropy=config.seed, spawn_key=(ALL_CHECKS.index(check),)))
-    seed = config.seed
     if check == "isometry":
         for n in (2, 3, 5):
             sheaf = random_sheaf(n, 4, 2, rng)
-            yield sheaf, (check, int(rng.integers(0, 2**31)), False)
+            yield sheaf, partial(oracle_isometry, sheaf, int(rng.integers(0, 2**31)))
     elif check == "linearity":
         for _ in range(100):
             n, nv, extra = _instance_sizes(rng)
             sheaf = random_sheaf(min(n, 3), nv, extra, rng)
-            yield sheaf, (check, int(rng.integers(0, 2**31)), False)
+            yield sheaf, partial(oracle_linearity, sheaf, int(rng.integers(0, 2**31)))
     elif check == "green":
         for i in range(_N_INSTANCES):
             n, nv, extra = _instance_sizes(rng)
             sheaf = random_sheaf(n, min(nv + 2, 12), extra, rng)
             # every tenth instance uses adversarial eigenvalue spread
-            yield sheaf, (check, int(rng.integers(0, 2**31)), i % 10 == 0)
+            oracle = _adversarial_green if i % 10 == 0 else oracle_green
+            yield sheaf, partial(oracle, sheaf, int(rng.integers(0, 2**31)))
     elif check == "hodge":
         for _ in range(_N_INSTANCES):
             n, nv, extra = _instance_sizes(rng)
-            yield random_sheaf(n, nv, extra, rng), (check, seed, False)
+            sheaf = random_sheaf(n, nv, extra, rng)
+            yield sheaf, partial(oracle_hodge, sheaf)
     elif check == "index":
         for i in range(_N_INSTANCES):
             n, nv, extra = _instance_sizes(rng)
             sheaf = random_sheaf(n, nv, extra, rng, connected=(i % 2 == 0))
-            yield sheaf, (check, seed, False)
+            yield sheaf, partial(oracle_index, sheaf)
     elif check == "holonomy":
         # the acceptance contract wants >= 10 instances with nontrivial cycle holonomy
         quota = _N_INSTANCES // 5
@@ -492,45 +508,27 @@ def _draw(config: SuiteConfig, check: str):
             sheaf = random_sheaf(n, nv, extra, rng, connected=True)
             if _nontrivial_holonomy(holonomy_reps(sheaf), n):
                 nontrivial += 1
-            yield sheaf, (check, seed, False)
+            yield sheaf, partial(oracle_holonomy, sheaf)
         if nontrivial < quota:
-            yield None, Verdict(check, 1, float(quota - nontrivial), seed)
+            yield None, partial(Verdict, check, 1, float(quota - nontrivial))
     elif check == "correspondence":
         esheaf = frustrated_two_cycle()
         dim_e = _oracle_nullity(_oracle_euclid_operator(esheaf))
         dim_s = _oracle_nullity(_oracle_operator(matched_spd_sheaf(esheaf)))
-        yield esheaf, Verdict(check, 1, float(dim_e != 0 or dim_s < 1), seed)
+        yield esheaf, partial(Verdict, check, 1, float(dim_e != 0 or dim_s < 1))
         for i in range(_N_INSTANCES // 2):
             n = int(rng.choice((2, 3, 4)))
             nv = int(rng.integers(2, _MAX_VERTICES + 1))
             identity = i % 3 == 0
             extra = 0 if identity else int(rng.integers(0, 3))
             esheaf = random_euclid_sheaf(n, nv, extra, rng, identity_maps=identity)
-            yield esheaf, (check, int(rng.integers(0, 2**31)), False)
+            # the oracle draws nothing, but this draw keeps later instances where they were
+            rng.integers(0, 2**31)
+            yield esheaf, partial(oracle_correspondence, esheaf)
 
 
-def _evaluate(pair) -> Verdict:
-    """The verdict of one ``(instance, job)`` pair from :func:`_draw`."""
-    instance, job = pair
-    if isinstance(job, Verdict):
-        return job
-    check, seed, adversarial = job
-    if check == "isometry":
-        return oracle_isometry(instance, seed=seed)
-    if check == "linearity":
-        return oracle_linearity(instance, seed=seed)
-    if check == "green":
-        # an adversarial residual is rescaled to the looser tolerance it is held to
-        v = oracle_green(instance, seed=seed, spread=1e3 if adversarial else 10.0)
-        scale = TOLERANCES[check] / GREEN_SPREAD_TOLERANCE if adversarial else 1.0
-        return Verdict(check, v.trials, v.max_residual * scale, seed)
-    if check == "hodge":
-        return oracle_hodge(instance, seed=seed)
-    if check == "index":
-        return oracle_index(instance, seed=seed)
-    if check == "holonomy":
-        return oracle_holonomy(instance, seed=seed)
-    return oracle_correspondence(instance, seed=seed)
+def _call(job) -> Verdict:
+    return job()
 
 
 def _fold(config: SuiteConfig, check: str, results) -> Verdict:
@@ -548,14 +546,15 @@ def _fold(config: SuiteConfig, check: str, results) -> Verdict:
     return Verdict(check, trials, worst, config.seed)
 
 
-def _evaluate_all(pairs: list) -> list[Verdict]:
-    """:func:`_evaluate` over `pairs`, in order, on up to SPD_SHEAF_THREADS
-    (else the usable CPUs) forked worker processes; in-process for one worker
-    or where processes cannot be forked."""
+def _evaluate_all(jobs: list) -> list[Verdict]:
+    """The verdicts of `jobs`, in order, on up to SPD_SHEAF_THREADS (else the
+    usable CPUs) forked worker processes; in-process for one worker or where
+    processes cannot be forked. A pooled job pickles its oracle by reference,
+    so an oracle patched in for a test must be importable to run pooled."""
     cap = thread_cap()
     if cap is None:
         cap = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
-    workers = min(cap or 1, len(pairs))
+    workers = min(cap or 1, len(jobs))
     if workers > 1:
         # imported here, so that no other subcommand pays for these imports
         import multiprocessing
@@ -564,8 +563,8 @@ def _evaluate_all(pairs: list) -> list[Verdict]:
         if "fork" in multiprocessing.get_all_start_methods():
             fork = multiprocessing.get_context("fork")
             with ProcessPoolExecutor(workers, mp_context=fork) as pool:
-                return list(pool.map(_evaluate, pairs))
-    return list(map(_evaluate, pairs))
+                return list(pool.map(_call, jobs))
+    return list(map(_call, jobs))
 
 
 def run_suite(config: SuiteConfig | None = None) -> tuple[list[Verdict], int]:
@@ -578,7 +577,7 @@ def run_suite(config: SuiteConfig | None = None) -> tuple[list[Verdict], int]:
     """
     config = config or SuiteConfig()
     drawn = {check: list(_draw(config, check)) for check in config.checks}
-    results = iter(_evaluate_all([pair for pairs in drawn.values() for pair in pairs]))
+    results = iter(_evaluate_all([job for pairs in drawn.values() for _, job in pairs]))
     verdicts = [_fold(config, check, [(instance, next(results)) for instance, _ in pairs])
                 for check, pairs in drawn.items()]
     return verdicts, int(not all(v.passed for v in verdicts))

@@ -670,6 +670,16 @@ def test_deeply_nested_json_is_exit_2(tmp_path, capsys, argv, text):
     assert err.startswith("error: ") and err.count("\n") == 1 and "nested too deeply" in err
 
 
+def test_a_refused_allocation_is_exit_2(tmp_path, capsys):
+    # n = 3000 asks conj_operator for 295 TiB, more than a 2^47-byte user
+    # address space, so the allocation fails under any overcommit policy
+    path = tmp_path / "huge.json"
+    _write_json(path, {"n_stalk": 3000, "vertices": [0], "edges": []})
+    assert main(["sections", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: out of memory: ") and err.count("\n") == 1
+
+
 _THREADS_PROBE = """
 import spdsheaf, numpy as np
 np.linalg.svd(np.random.default_rng(0).normal(size=(300, 300)))
@@ -724,4 +734,5 @@ def test_importing_the_package_leaves_verify_unloaded():
 def test_invalid_thread_cap_is_exit_2(cloud_file, monkeypatch, capsys, value):
     monkeypatch.setenv("SPD_SHEAF_THREADS", value)
     assert main(["lift", cloud_file]) == 2
-    assert "SPD_SHEAF_THREADS" in capsys.readouterr().err
+    assert capsys.readouterr().err == (
+        f"error: SPD_SHEAF_THREADS must be a positive integer, got {value!r}\n")

@@ -68,8 +68,8 @@ def test_construction_validation(cls):
     R = rotation2(0.3)
     sheaf = cls(2, ["a", "b", "c"], [("a", "b"), ("c", "b"), ("a", "b")],
                 [(I, R), (R.T, I), (R, R.T)])
-    assert sheaf._tails.tolist() == [sheaf.vertex_index(t) for t, _ in sheaf.edges]
-    assert sheaf._heads.tolist() == [sheaf.vertex_index(h) for _, h in sheaf.edges]
+    assert sheaf._tails.tolist() == [sheaf.vertices.index(t) for t, _ in sheaf.edges]
+    assert sheaf._heads.tolist() == [sheaf.vertices.index(h) for _, h in sheaf.edges]
     assert sheaf._tail_maps.shape == sheaf._head_maps.shape == (3, 2, 2)
     for k, (mt, mh) in enumerate(sheaf.maps):
         assert np.array_equal(sheaf._tail_maps[k], mt)

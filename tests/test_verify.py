@@ -228,6 +228,11 @@ def test_run_suite_nan_residual_exits_1_and_dumps(tmp_path, monkeypatch, cap):
     assert sorted(os.listdir(tmp_path)) == [f"failed_hodge_{i}.json" for i in range(3)]
 
 
+def _failing_oracle(sheaf):
+    # at module scope, so that a pooled job can pickle it by reference
+    raise DomainError(f"oracle failed in process {os.getpid()}")
+
+
 def test_run_suite_leaves_no_worker_and_passes_on_a_worker_error(monkeypatch):
     """The pool is shut down when the suite returns or raises, and an
     oracle's exception in a worker reaches the caller as it does in-process."""
@@ -238,10 +243,7 @@ def test_run_suite_leaves_no_worker_and_passes_on_a_worker_error(monkeypatch):
     assert run_suite(SuiteConfig(checks=("index", "hodge")))[1] == 0
     assert multiprocessing.active_children() == []
 
-    def failing(sheaf, seed):
-        raise DomainError(f"oracle failed in process {os.getpid()}")
-
-    monkeypatch.setattr(verify, "oracle_index", failing)
+    monkeypatch.setattr(verify, "oracle_index", _failing_oracle)
     for cap in ("1", "2"):
         monkeypatch.setenv("SPD_SHEAF_THREADS", cap)
         with pytest.raises(DomainError, match="oracle failed") as raised:
@@ -249,6 +251,25 @@ def test_run_suite_leaves_no_worker_and_passes_on_a_worker_error(monkeypatch):
         # at 2 workers the oracle ran in another process
         assert (str(os.getpid()) in str(raised.value)) == (cap == "1")
         assert multiprocessing.active_children() == []
+
+
+def test_every_job_is_a_picklable_zero_argument_call(monkeypatch):
+    """A job runs in any process: unpickled, it returns the verdict it
+    returns in place, for its own check. Only the drawing oracles take a seed."""
+    import pickle
+
+    monkeypatch.setattr(verify, "_N_INSTANCES", 5)
+    for check in ALL_CHECKS:
+        jobs = [job for _, job in verify._draw(SuiteConfig(), check)]
+        assert jobs
+        for job in jobs:
+            verdict = job()
+            assert isinstance(verdict, Verdict) and verdict.check == check
+            assert pickle.loads(pickle.dumps(job))() == verdict
+    sheaf = random_sheaf(2, 5, 2, np.random.default_rng(9))
+    for oracle in (oracle_hodge, oracle_index, oracle_holonomy):
+        assert oracle(sheaf).seed is None
+    assert oracle_correspondence(frustrated_two_cycle()).seed is None
 
 
 def test_worst_keeps_nan_wherever_it_comes():
@@ -398,8 +419,7 @@ def test_oracle_linearity_random():
 _ORACLE_HELPERS = ("_otriu", "_ovec", "_ounvec", "_obasis", "_oracle_log_vecs",
                    "_oracle_incidence", "_oracle_operator", "_oracle_nullity",
                    "_oracle_euclid_operator")
-_PLAIN_GRAPH_FIELDS = {"edges", "maps", "vertex_index", "n_stalk", "n_vertices", "n_edges",
-                       "vertices"}
+_PLAIN_GRAPH_FIELDS = {"edges", "maps", "n_stalk", "n_vertices", "n_edges", "vertices"}
 
 
 def test_oracle_helpers_share_no_primary_code():
