@@ -105,7 +105,7 @@ def cmd_diffuse(args) -> int:
 
 
 def cmd_probe(args) -> int:
-    _check_at_least(args, seed=0, samples=1, repeats=1, layers=0)
+    _check_at_least(args, seed=0, samples=2, repeats=1, layers=0)
     rng = np.random.default_rng(args.seed)
     seeds = [int(rng.integers(0, 2**31)) for _ in range(args.repeats)]
     runs, controls = zip(*(planarity_experiment(s, n_per_class=args.samples,

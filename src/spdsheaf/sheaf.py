@@ -140,11 +140,16 @@ class SheafGraph(_OrthGraph):
 
 
 def _checked_parts(n_stalk, vertices, edges, maps=None) -> tuple:
-    """The public constructors' one validation, in order: maps of one shape, n >= 1,
-    distinct ids, one map pair per edge, no self-loop or unknown id (one lookup of
-    all ends, -1 if unknown; the first failing edge is named), then n x n, finite,
-    orthogonal maps. No maps means identities, unchecked. Returns _fill's parts."""
+    """The public constructors' one validation, in order: n small enough for its
+    arrays to have a byte count, maps of one shape, n >= 1, distinct ids, one
+    map pair per edge, no self-loop or unknown id (one lookup of all ends, -1 if
+    unknown; the first failing edge is named), then n x n, finite, orthogonal
+    maps. No maps means identities, unchecked. Returns _fill's parts."""
     n, vertices, edges = int(n_stalk), tuple(vertices), tuple((t, h) for t, h in edges)
+    # the largest per-stalk array is conj_operator's (n(n+1)/2, n, n) basis stack
+    if n * (n + 1) // 2 * n * n * 8 > np.iinfo(np.intp).max:
+        raise InvalidInputError(f"stalk dimension {n} is too large: its (n(n+1)/2, n, n) "
+                                f"array would exceed the address space")
     stack = None
     if maps is not None:
         try:

@@ -514,14 +514,11 @@ def diffusion_run(pc: PointCloud, layers: int, seed: int,
 def _fit_readouts(train_x, train_Y: np.ndarray, test_x,
                   test_Y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Logistic readouts, one per column of the (n, k) 0/1 label matrices,
-    trained by 2000 full-batch gradient steps of size 0.5; returns the (k,)
-    train and test accuracies.
+    each fit to the optimum of its objective by :func:`_readout_weights`;
+    returns the (k,) train and test accuracies.
 
-    Features are standardized with training statistics; the objective is the
-    binary cross-entropy plus (1e-4 / 2) ||w||^2 on the non-bias weights. It
-    is convex, so zero initialization makes the result deterministic. The k
-    fits share the features, the standardization and one gradient loop with a
-    (d, k) weight matrix. Columns are checked in order.
+    Features are standardized with training statistics, and the k fits share
+    the features and the standardization. Columns are checked in order.
     """
     X = np.asarray(train_x, dtype=np.float64)
     Xt = np.asarray(test_x, dtype=np.float64)
@@ -535,18 +532,61 @@ def _fit_readouts(train_x, train_Y: np.ndarray, test_x,
     sd[sd < 1e-12] = 1.0
     Z = np.hstack([np.ones((X.shape[0], 1)), (X - mu) / sd])
     Zt = np.hstack([np.ones((Xt.shape[0], 1)), (Xt - mu) / sd])
-
-    W = np.zeros((Z.shape[1], train_Y.shape[1]))
-    for _ in range(2000):
-        P = 1.0 / (1.0 + np.exp(-(Z @ W)))
-        grad = Z.T @ (P - train_Y) / Z.shape[0]
-        grad[1:] += 1e-4 * W[1:]
-        W -= 0.5 * grad
+    W = _readout_weights(Z, train_Y)
 
     def acc(M, labels):
         return np.mean(((M @ W) > 0).astype(float) == labels, axis=0)
 
     return acc(Z, train_Y), acc(Zt, test_Y)
+
+
+def _readout_weights(Z: np.ndarray, Y: np.ndarray) -> np.ndarray:
+    """The (d, k) minimizers, one per column of the (n, k) labels ``Y``, of the
+    mean binary cross-entropy of ``sigmoid(Z @ w)`` plus (1e-4 / 2) ||w[1:]||^2;
+    column 0 of the (n, d) design ``Z`` is the unregularized bias.
+
+    The objective is strongly convex, so damped Newton from zero weights
+    reaches the one minimizer (Boyd & Vandenberghe, Convex Optimization,
+    section 9.5): one d x d solve per iteration, and the step halved until
+    the objective falls by a quarter of its predicted decrease. Once the
+    Newton decrement g^T H^-1 g is at most 1e-12 the fit takes one last full
+    step, which quadratic convergence makes safe and which leaves a gradient
+    near rounding, and stops; it also stops after 50 iterations. A smaller
+    decrement bound would sit below the objective's rounding, where no
+    halved step passes the test.
+    """
+    n, d = Z.shape
+    ridge = np.full(d, 1e-4)
+    ridge[0] = 0.0
+
+    def objective(w, y):
+        t = Z @ w
+        return np.mean(np.logaddexp(0.0, t) - y * t) + 0.5 * (ridge @ (w * w))
+
+    W = np.zeros((d, Y.shape[1]))
+    for w, y in zip(W.T, Y.T):
+        f = objective(w, y)
+        for _ in range(50):
+            # exp(-logaddexp(0, -t)) is the sigmoid without an overflow
+            p = np.exp(-np.logaddexp(0.0, -(Z @ w)))
+            g = Z.T @ (p - y) / n + ridge * w
+            H = (Z.T * (p * (1.0 - p))) @ Z / n + np.diag(ridge)
+            step = np.linalg.solve(H, g)
+            decrement = g @ step
+            if decrement <= 1e-12:
+                w -= step  # a view: writes W's column
+                break
+            s = 1.0
+            for _ in range(40):
+                trial = objective(w - s * step, y)
+                if trial <= f - 0.25 * s * decrement:
+                    break
+                s *= 0.5
+            else:
+                break  # no step gets past the objective's rounding
+            w -= s * step
+            f = trial
+    return W
 
 
 # ---------------------------------------------------------------------------
@@ -575,11 +615,15 @@ def planarity_experiment(seed: int, n_per_class: int = 200,
     Descriptors live in the task frame (no per-vertex canonicalization): the
     classes are defined relative to a fixed plane, so the probe measures how
     much second-order orientation structure the diffusion stream preserves.
-    Half of each class trains the readout, half is held out. Returns
-    ``(run, control)``: the chance-level permutation control reuses the
-    run's clouds, descriptors and split, and permutes only the labels; the
-    two readouts are fit in one gradient loop.
+    Half of each class trains the readout (a random floor(n_per_class / 2)
+    clouds of it), the rest is held out. Returns ``(run, control)``: the
+    chance-level permutation control reuses the run's clouds, descriptors
+    and split, and permutes the labels within the training half and within
+    the test half, so that each half keeps both classes. Needs
+    ``n_per_class >= 2``.
     """
+    if n_per_class < 2:
+        raise InvalidInputError(f"the probe needs at least 2 clouds per class, got {n_per_class}")
     rng = np.random.default_rng(seed)
     params = [LayerParams.random(3, rng=rng) for _ in range(n_layers)]
     # every cloud is drawn before the split, in class order; the descriptor
@@ -588,11 +632,13 @@ def planarity_experiment(seed: int, n_per_class: int = 200,
     X = _descriptors(clouds, params, frame_invariant=False)
     y = np.repeat([0.0, 1.0], n_per_class)
 
-    order = rng.permutation(len(y))
-    X, y = X[order], y[order]
-    half = len(y) // 2
-    Y = np.column_stack([y, y[rng.permutation(len(y))]])
-    train, test = _fit_readouts(X[:half], Y[:half], X[half:], Y[half:])
+    half = n_per_class // 2
+    orders = [c * n_per_class + rng.permutation(n_per_class) for c in (0, 1)]
+    train = np.concatenate([order[:half] for order in orders])
+    test = np.concatenate([order[half:] for order in orders])
+    Y_train = np.column_stack([y[train], rng.permutation(y[train])])
+    Y_test = np.column_stack([y[test], rng.permutation(y[test])])
+    train_acc, test_acc = _fit_readouts(X[train], Y_train, X[test], Y_test)
     return tuple({"seed": seed, "n_per_class": n_per_class, "layers": n_layers,
                   "shuffled": shuffled, "train_accuracy": float(a), "test_accuracy": float(b)}
-                 for shuffled, a, b in zip((False, True), train, test))
+                 for shuffled, a, b in zip((False, True), train_acc, test_acc))

@@ -6,6 +6,7 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -407,19 +408,46 @@ def test_probe_command_small(tmp_path, capsys):
 
 
 def test_probe_accuracies_golden(tmp_path):
-    # recorded when the run and its control still made separate descriptor passes
+    # recorded with the per-class split and the readout fit to its optimum
     out = str(tmp_path / "probe.json")
     assert main(["probe", "--seed", "5", "--repeats", "2", "--samples", "12",
                  "--out", out]) == 0
     report = json.load(open(out))
     accuracies = [[(r["train_accuracy"], r["test_accuracy"]) for r in report[key]]
                   for key in ("runs", "shuffle_control")]
-    assert accuracies == [[(1.0, 0.5833333333333334), (1.0, 1.0)],
-                          [(0.8333333333333334, 0.5833333333333334), (1.0, 0.5)]]
+    assert accuracies == [[(1.0, 1.0), (1.0, 1.0)],
+                          [(0.6666666666666666, 0.4166666666666667), (1.0, 0.5833333333333334)]]
     assert [r["shuffled"] for r in report["runs"] + report["shuffle_control"]] == [
         False, False, True, True]
-    assert report["test_accuracy_mean"] == 0.7916666666666667
-    assert report["shuffle_control_mean"] == 0.5416666666666667
+    assert report["test_accuracy_mean"] == 1.0
+    assert report["shuffle_control_mean"] == 0.5
+
+
+def test_probe_on_three_clouds_per_class(tmp_path):
+    # one cloud of each class trains, so both halves hold both classes for the
+    # run and for the control, which permutes labels within each half
+    out = str(tmp_path / "probe.json")
+    assert main(["probe", "--seed", "1", "--repeats", "1", "--samples", "3",
+                 "--out", out]) == 0
+    assert len(json.load(open(out))["shuffle_control"]) == 1
+
+
+@pytest.mark.parametrize("n_stalk", [2**16, 2**30, 2**31, 2**40])
+def test_an_unaddressable_stalk_dimension_is_exit_2(tmp_path, capsys, n_stalk):
+    # from 2**31 numpy cannot count the bytes of even the empty map stack
+    # (ValueError); 2**16 would ask conj_operator for 2**66 bytes
+    path = tmp_path / "huge.json"
+    _write_json(path, {"n_stalk": n_stalk, "vertices": [0], "edges": []})
+    tracemalloc.start()
+    try:
+        assert main(["sections", str(path)]) == 2
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    err = capsys.readouterr().err
+    assert err == (f"error: stalk dimension {n_stalk} is too large: its (n(n+1)/2, n, n) "
+                   "array would exceed the address space\n")
+    assert peak < 2**20, peak
 
 
 def _sheaf_obj(map_tail=None, value0=None):
@@ -477,6 +505,7 @@ _MALFORMED = {
     "probe_negative_layers": (["probe", "--seed", "1", "--layers", "-1"], {}),
     "probe_negative_seed": (["probe", "--seed", "-1"], {}),
     "probe_zero_samples": (["probe", "--seed", "1", "--samples", "0"], {}),
+    "probe_one_sample": (["probe", "--seed", "1", "--samples", "1"], {}),
     "diffuse_negative_layers": (["diffuse", "INPUT", *_DIFFUSE, "--layers", "-2", "--seed", "1"],
                                 _CLOUD),
     "diffuse_negative_seed": (["diffuse", "INPUT", *_DIFFUSE, "--layers", "2", "--seed", "-1"],
@@ -558,6 +587,7 @@ _MESSAGES = {"duplicate_ids_lift": "duplicate vertex ids",
              "map_log_upper": "edge (0, 1): maps must be nested lists",
              "verify_repeated_check": "each check may be named once",
              "probe_zero_samples": "--samples",
+             "probe_one_sample": "--samples must be >= 2, got 1",
              "bool_vertex_id": "got bool", "bool_edge_endpoint": "got bool",
              "bool_cochain0_id": "got bool", "bool_cloud_id": "got bool"}
 

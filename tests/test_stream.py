@@ -732,7 +732,7 @@ def test_isometry_once_per_layer_params(monkeypatch):
         return original(W)
 
     monkeypatch.setattr(stream, "learnable_isometry", counted)
-    # n_per_class=3 at seed 2 leaves one class in the control's training half
+    # any n_per_class >= 2 gives each half of the split both classes
     planarity_experiment(seed=2, n_per_class=4, n_layers=2)
     assert len(calls) == 2
 
@@ -772,23 +772,47 @@ def test_diffusion_run_heterogeneous_vs_identity_control():
 # probe
 
 
-def test_linear_probe_separable():
+def _fit_separable():
     rng = np.random.default_rng(20)
     X0 = rng.normal(size=(50, 4)) + np.array([3.0, 0, 0, 0])
     X1 = rng.normal(size=(50, 4)) - np.array([3.0, 0, 0, 0])
     X = np.vstack([X0, X1])
     y = np.array([0.0] * 50 + [1.0] * 50)
-    train, _ = stream._fit_readouts(X, y[:, None], X, y[:, None])
-    assert train.tolist() == [1.0]
+    return stream._fit_readouts(X, y[:, None], X, y[:, None])
 
 
-def test_linear_probe_shuffled_labels_chance():
+def _fit_chance_labels():
     rng = np.random.default_rng(21)
     X = rng.normal(size=(200, 4))
     y = rng.integers(0, 2, size=200).astype(float)
     Y = y[:, None]
-    _, test = stream._fit_readouts(X[:100], Y[:100], X[100:], Y[100:])
+    return stream._fit_readouts(X[:100], Y[:100], X[100:], Y[100:])
+
+
+def test_linear_probe_separable():
+    train, _ = _fit_separable()
+    assert train.tolist() == [1.0]
+
+
+def test_linear_probe_shuffled_labels_chance():
+    _, test = _fit_chance_labels()
     assert abs(test[0] - 0.5) <= 0.15
+
+
+@pytest.mark.parametrize("fit", [_fit_separable, _fit_chance_labels,
+                                 lambda: planarity_experiment(301, n_per_class=40)],
+                         ids=["separable", "chance_labels", "probe_seed_301"])
+def test_readout_weights_are_at_the_optimum(monkeypatch, fit):
+    fits, weights = [], stream._readout_weights
+    monkeypatch.setattr(stream, "_readout_weights",
+                        lambda Z, Y: fits.append((Z, Y, weights(Z, Y))) or fits[-1][2])
+    fit()
+    (Z, Y, W), = fits
+    # the gradient of mean BCE + (1e-4 / 2) ||W[1:]||^2, the bias unregularized
+    P = 0.5 * (1.0 + np.tanh(0.5 * (Z @ W)))
+    grad = Z.T @ (P - Y) / len(Z)
+    grad[1:] += 1e-4 * W[1:]
+    assert np.all(np.linalg.norm(grad, axis=0) <= 1e-8), np.linalg.norm(grad, axis=0)
 
 
 def test_linear_probe_single_class_error():
@@ -867,6 +891,22 @@ def test_planarity_experiment_pairs_run_and_control():
     assert (run["shuffled"], control["shuffled"]) == (False, True)
     for r in (run, control):
         assert (r["seed"], r["n_per_class"], r["layers"]) == (4, 6, 1)
+
+
+@pytest.mark.parametrize("n_per_class", [2, 3])
+def test_planarity_split_keeps_both_classes_in_each_half(monkeypatch, n_per_class):
+    fits, fit = [], stream._fit_readouts
+    monkeypatch.setattr(stream, "_fit_readouts",
+                        lambda *args: fits.append(args) or fit(*args))
+    planarity_experiment(seed=1, n_per_class=n_per_class, n_layers=1)
+    (_, Y_train, _, Y_test), = fits
+    half = n_per_class // 2
+    # both label columns, real and shuffled, hold each class half and half
+    assert np.all(Y_train.sum(axis=0) == half) and len(Y_train) == 2 * half
+    assert np.all(Y_test.sum(axis=0) == n_per_class - half)
+    assert len(Y_test) == 2 * (n_per_class - half)
+    with pytest.raises(InvalidInputError, match="at least 2 clouds per class"):
+        planarity_experiment(seed=1, n_per_class=1)
 
 
 # ---------------------------------------------------------------------------
