@@ -1,8 +1,7 @@
 """JSON schemas for sheaves, cochains, point clouds and signal segments.
 
-Matrices serialize as row-major nested lists, the only form of a restriction
-map. Readers also accept a cochain value in the compact ``{"log_upper": [...]}``
-form: the sqrt(2)-scaled upper-triangular entries of its logarithm.
+Matrices serialize as row-major nested lists, the one form of a restriction
+map and of a cochain value.
 
 Every output is one line of JSON plus a newline, with sorted keys and
 repr-style floats, so re-running a command yields byte-identical files.
@@ -12,7 +11,6 @@ repr-style floats, so re-running a command yields byte-identical files.
 from __future__ import annotations
 
 import json
-import math
 from contextlib import contextmanager
 
 import numpy as np
@@ -21,21 +19,24 @@ from .covgraph import Segment
 from .errors import ParseError
 from .euclid import EuclidSheaf
 from .sheaf import SheafGraph
-from .spd import as_spd, sym_dim, sym_exp, vec_to_sym
+from .spd import as_spd, sym_dim
 from .stream import PointCloud
 
 
 def load_json(path: str):
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
             return json.load(fh)
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"{path}: invalid JSON at line {exc.lineno}, column {exc.colno}: "
-                         f"{exc.msg}") from exc
-    except UnicodeDecodeError as exc:
-        raise ParseError(f"{path}: not UTF-8 text: {exc.reason}") from None
-    except RecursionError:
-        raise ParseError(f"{path}: JSON nested too deeply") from None
+        except json.JSONDecodeError as exc:
+            raise ParseError(f"{path}: invalid JSON at line {exc.lineno}, column {exc.colno}: "
+                             f"{exc.msg}") from exc
+        except UnicodeDecodeError as exc:
+            raise ParseError(f"{path}: not UTF-8 text: {exc.reason}") from None
+        except RecursionError:
+            raise ParseError(f"{path}: JSON nested too deeply") from None
+        except ValueError as exc:  # an integer literal past sys.get_int_max_str_digits()
+            raise ParseError(f"{path}: unreadable JSON number: "
+                             f"{str(exc).split(';')[0]}") from None
 
 
 @contextmanager
@@ -71,28 +72,6 @@ def _write_text(text: str, path: str | None) -> str:
 
 def matrix_to_json(A) -> list:
     return np.asarray(A, dtype=np.float64).tolist()
-
-
-def matrix_from_json(obj, n_expected: int | None = None) -> np.ndarray:
-    """Parse either a nested-list matrix or a {"log_upper": [...]} SPD value.
-
-    Entries that are not numbers, ragged rows and log values whose
-    exponential overflows raise :class:`ParseError`.
-    """
-    if isinstance(obj, dict):
-        if "log_upper" not in obj:
-            raise ParseError("matrix object must carry a 'log_upper' field")
-        vec = _float_array(obj["log_upper"], "log_upper")
-        n = int((math.isqrt(8 * vec.size + 1) - 1) // 2)
-        if vec.ndim != 1 or n * (n + 1) // 2 != vec.size:
-            raise ParseError(f"log_upper of shape {vec.shape} is not a triangular vector")
-        if n_expected is not None and n != n_expected:
-            raise ParseError(f"log_upper encodes a {n}x{n} matrix, expected {n_expected}")
-        try:
-            return sym_exp(vec_to_sym(vec, n))
-        except OverflowError as exc:
-            raise ParseError(f"log_upper value out of range: {exc}") from None
-    return _square_matrix(obj, n_expected)
 
 
 def _square_matrix(obj, n: int | None) -> np.ndarray:
@@ -168,7 +147,7 @@ def _cochain_values(entries, n: int, what: str) -> dict:
         v = _as_id(v)
         if v in values:
             raise ParseError(f"{what} names vertex {v!r} twice")
-        values[v] = as_spd(matrix_from_json(val, n))
+        values[v] = as_spd(_square_matrix(val, n))
     return values
 
 

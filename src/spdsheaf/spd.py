@@ -85,21 +85,40 @@ def _per_matrix(values: np.ndarray) -> float | bool | np.ndarray:
 
 
 def as_sym(A) -> np.ndarray:
-    """Validated symmetric matrix or stack: checks asymmetry <= SYM_ATOL, symmetrizes."""
-    A = _square_stack(A, "symmetric matrix")
-    if np.max(np.abs(A - np.swapaxes(A, -1, -2)), initial=0.0) > SYM_ATOL:
-        raise InvalidInputError("matrix is not symmetric within tolerance")
-    return _sym_part(A)
+    """Validated symmetric matrix or stack: checks asymmetry <= SYM_ATOL, symmetrizes.
+
+    Finiteness is checked once, on the symmetrized stack: every non-finite
+    entry of A leaves one there, and so does a pair of finite entries whose
+    sum overflows (about 9e307 and up).
+    """
+    A = np.asarray(A, dtype=np.float64)
+    if A.ndim < 2 or A.shape[-1] != A.shape[-2]:
+        raise InvalidInputError(f"symmetric matrix must be square, got shape {A.shape}")
+    At = np.swapaxes(A, -1, -2)
+    with np.errstate(over="ignore", invalid="ignore"):
+        S = 0.5 * (A + At)
+        if not np.all(np.isfinite(S)):
+            raise InvalidInputError("symmetric matrix has non-finite entries")
+        if np.max(np.abs(A - At), initial=0.0) > SYM_ATOL:
+            raise InvalidInputError("matrix is not symmetric within tolerance")
+    return S
 
 
 def as_spd(A) -> np.ndarray:
-    """Validated SPD construction: symmetrize and clamp eigenvalues at EIG_FLOOR = 1e-4.
+    """Validated SPD construction: symmetrize and floor eigenvalues at EIG_FLOOR = 1e-4.
 
     This is the entry point for values coming from outside (files, raw
     covariances, user input). Internal operations whose outputs are SPD by
-    construction do not re-clamp.
+    construction do not re-clamp. A matrix already SPD above the floor comes
+    back as its symmetrization, with no reconstruction error; in a stack,
+    only the matrices below the floor are rebuilt.
     """
-    return clamp_spd(as_sym(A))
+    S = as_sym(A)
+    w, V = np.linalg.eigh(S)
+    low = w[..., 0] < EIG_FLOOR
+    if not np.any(low):
+        return S
+    return np.where(low[..., None, None], _from_spectrum(np.maximum(w, EIG_FLOOR), V), S)
 
 
 def as_orth(M) -> np.ndarray:
@@ -233,10 +252,7 @@ def cayley(S) -> np.ndarray:
         raise InvalidInputError("input is not skew-symmetric")
     S = 0.5 * (S - St)
     I = np.eye(S.shape[-1])
-    try:
-        return np.linalg.solve(I - 0.5 * S, I + 0.5 * S)
-    except np.linalg.LinAlgError as exc:  # unreachable for real skew S
-        raise InvalidInputError("Cayley resolvent is singular") from exc
+    return np.linalg.solve(I - 0.5 * S, I + 0.5 * S)
 
 
 def skew_from_params(params, n: int) -> np.ndarray:
@@ -296,20 +312,6 @@ def _erank_of_spectra(w: np.ndarray) -> np.ndarray:
     nz = lam > 0.0
     plogp = np.where(nz, lam * np.log(np.where(nz, lam, 1.0)), 0.0)
     return np.exp(-np.sum(plogp, axis=-1))
-
-
-def clamp_spd(S) -> np.ndarray:
-    """Floor the eigenvalues of a symmetric matrix or stack at EIG_FLOOR.
-
-    Every matrix already SPD above the floor comes back unchanged (no
-    reconstruction error).
-    """
-    S = _sym_part(_square_stack(S, "symmetric matrix"))
-    w, V = np.linalg.eigh(S)
-    low = w[..., 0] < EIG_FLOOR
-    if not np.any(low):
-        return S
-    return np.where(low[..., None, None], _from_spectrum(np.maximum(w, EIG_FLOOR), V), S)
 
 
 def power_euclidean_mean(mats: Sequence[np.ndarray] | np.ndarray, theta: float) -> np.ndarray:

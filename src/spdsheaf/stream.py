@@ -25,7 +25,7 @@ import numpy as np
 
 from .errors import DomainError, InvalidInputError
 from .euclid import embed_phi
-from .sheaf import SheafGraph, _clamped_eigh, _cochain_stack, _log_update, diffusion_step
+from .sheaf import SheafGraph, _clamped_eigh, _log_update, diffusion_step
 from .spd import (
     RE_EIG_DELTA,
     _erank_of_spectra,
@@ -56,7 +56,7 @@ EPS_DIR = 1e-8
 
 
 class PointCloud:
-    """Vertex coordinates in R^3 plus an undirected edge list.
+    """Vertex coordinates in R^3, an (N, 3) array, plus an undirected edge list.
 
     The topology is one identity-map :class:`SheafGraph` with 3x3 stalks,
     checked once, here: ``ids`` and ``edges`` read from it, and the stream
@@ -66,7 +66,10 @@ class PointCloud:
     __slots__ = ("points", "graph", "ids", "edges")
 
     def __init__(self, points, edges, ids=None):
-        self.points = np.asarray(points, dtype=np.float64).reshape(-1, 3)
+        self.points = np.asarray(points, dtype=np.float64)
+        if self.points.ndim != 2 or self.points.shape[1] != 3:
+            raise InvalidInputError(f"point coordinates must be an (N, 3) array, "
+                                    f"got shape {self.points.shape}")
         if not np.all(np.isfinite(self.points)):
             raise InvalidInputError("point cloud has non-finite coordinates")
         if self.points.shape[0] == 0:
@@ -236,17 +239,14 @@ class LayerParams:
 
 
 def learnable_isometry(W) -> np.ndarray:
-    """Orthogonalize a full-rank seed by QR with column signs fixed positive.
+    """Orthogonalize a square seed by QR with column signs fixed positive.
 
-    The sign fix (multiplying Q by sign(diag R)) makes the map a continuous
-    function of W wherever the diagonal of R stays away from zero. A
-    rank-deficient seed is perturbed and retried.
+    Householder QR gives an orthogonal Q for every square W, rank-deficient
+    ones too. The sign fix (multiplying Q by sign(diag R), a zero sign
+    counting as +1) makes the map a continuous function of W wherever the
+    diagonal of R stays away from zero.
     """
-    W = np.asarray(W, dtype=np.float64)
-    n = W.shape[0]
-    if np.linalg.matrix_rank(W) < n:
-        W = W + 1e-8 * np.eye(n)
-    Q, R = np.linalg.qr(W)
+    Q, R = np.linalg.qr(np.asarray(W, dtype=np.float64))
     signs = np.sign(np.diag(R))
     signs[signs == 0] = 1.0
     return Q * signs
@@ -255,19 +255,17 @@ def learnable_isometry(W) -> np.ndarray:
 def sheaf_learner(params: LayerParams, h_u, h_v) -> tuple[np.ndarray, np.ndarray]:
     """Orthogonal restriction maps for edges from concatenated endpoint features.
 
-    ``h_u`` and ``h_v`` are one feature vector each, giving one (n, n) map
-    per endpoint, or (E, f) stacks with one row per edge, giving (E, n, n)
-    map stacks. One hidden-layer MLP produces two heads of skew parameters;
-    each head is antisymmetrized into S and mapped through the Cayley
-    transform, so both outputs are exactly orthogonal. Zero weights give
-    identity maps.
+    ``h_u`` and ``h_v`` are (E, f) stacks with one row per edge, giving
+    (E, n, n) map stacks. One hidden-layer MLP produces two heads of skew
+    parameters; each head is antisymmetrized into S and mapped through the
+    Cayley transform, so both outputs are exactly orthogonal. Zero weights
+    give identity maps.
     """
     h_u = np.asarray(h_u, dtype=np.float64)
     h_v = np.asarray(h_v, dtype=np.float64)
-    if h_u.ndim not in (1, 2) or h_u.shape[:-1] != h_v.shape[:-1] or h_u.ndim != h_v.ndim:
-        raise InvalidInputError(
-            "endpoint features must be two vectors or two (E, f) stacks, "
-            f"got shapes {h_u.shape} and {h_v.shape}")
+    if h_u.ndim != 2 or h_v.ndim != 2 or len(h_u) != len(h_v):
+        raise InvalidInputError("endpoint features must be two (E, f) stacks of one length, "
+                                f"got shapes {h_u.shape} and {h_v.shape}")
     z = np.concatenate([h_u, h_v], axis=-1)
     if z.shape[-1] != params.mlp_w1.shape[1]:
         raise InvalidInputError(
@@ -275,9 +273,9 @@ def sheaf_learner(params: LayerParams, h_u, h_v) -> tuple[np.ndarray, np.ndarray
     hidden = np.tanh(z @ params.mlp_w1.T + params.mlp_b1)
     logits = hidden @ params.mlp_w2.T + params.mlp_b2
     n = params.n
-    heads = logits.reshape(logits.shape[:-1] + (2, n * (n - 1) // 2))
+    heads = logits.reshape(len(logits), 2, n * (n - 1) // 2)
     maps = cayley(skew_from_params(heads, n))
-    return maps[..., 0, :, :], maps[..., 1, :, :]
+    return maps[:, 0], maps[:, 1]
 
 
 # ---------------------------------------------------------------------------
@@ -294,10 +292,13 @@ def spd_sheaf_layer(graph: SheafGraph, logs: np.ndarray, params: LayerParams) ->
     Q^T = log(Q X Q^T)``), and floor the log spectrum of the sum (ReEig): a
     log eigenvalue w > 0 passes, any other becomes ``RE_EIG_DELTA * i`` for
     its 1-based descending position i. The learned maps replace `graph`'s
-    maps. The input must be finite and symmetric; a mapping keyed by vertex
-    id is accepted too.
+    maps. The input must be finite and symmetric.
     """
-    logs = as_sym(_cochain_stack(logs, graph.vertices))
+    logs = as_sym(logs)
+    n = graph.n_stalk
+    if logs.shape != (graph.n_vertices, n, n):
+        raise InvalidInputError(f"expected a ({graph.n_vertices}, {n}, {n}) stack of logs, "
+                                f"got shape {logs.shape}")
     feats = sym_to_vec(logs)
     sheaf = graph._with_maps(*sheaf_learner(params, feats[graph._tails], feats[graph._heads]))
 

@@ -14,6 +14,7 @@ import pytest
 
 from spdsheaf import cli, jsonio, verify
 from spdsheaf.cli import build_parser, main
+from spdsheaf.covgraph import TFGraphConfig, build_tf_graph
 from spdsheaf.sheaf import (
     SheafGraph,
     _coboundary_logs,
@@ -371,7 +372,13 @@ def test_covgraph_command(segments_file, tmp_path, capsys):
     assert "|V|=6" in printed
     sheaf, cochain = jsonio.load_sheaf(os.path.join(out, "sheaf.json"))
     assert sheaf.n_stalk == 3
-    assert cochain is not None
+    # the file reads back bitwise what the command built
+    built = build_tf_graph(jsonio.load_segments(segments_file),
+                           TFGraphConfig(eps1=0.6, eps2=12, eps=50, bandwidth=5))
+    assert sheaf.edges == built.sheaf.edges
+    assert list(cochain) == list(built.cochain)
+    for v, X in built.cochain.items():
+        assert np.array_equal(cochain[v], X), v
     weights = json.load(open(os.path.join(out, "weights.json")))
     assert tuple(map(tuple, weights["edges"])) == sheaf.edges
     assert len(weights["weights"]) == sheaf.n_edges
@@ -484,6 +491,9 @@ def _covgraph_nan(flag):
     return ["nan" if prev == flag else a for prev, a in zip([None] + _COVGRAPH, _COVGRAPH)]
 
 
+# written as a 5000-digit integer literal, which json.dumps cannot write
+_LONG_INT = "__long_int__"
+
 # case -> (argv with INPUT in place of the file path, file contents)
 _MALFORMED = {
     "string_entry": (["sections", "INPUT"], _sheaf_obj(map_tail=[["a", 0.0], [0.0, 1.0]])),
@@ -491,8 +501,11 @@ _MALFORMED = {
     # the log_upper form is for cochain values; exp of a symmetric log is
     # orthogonal only near I, so a map in that form could spell only I
     "map_log_upper": (["sections", "INPUT"], _sheaf_obj(map_tail={"log_upper": [0.0, 0.0, 0.0]})),
-    "cochain_log_overflow": (["sections", "INPUT"],
-                             _sheaf_obj(value0={"log_upper": [1000.0, 0.0, 0.0]})),
+    # a cochain value is a nested list only
+    "cochain_log_upper": (["sections", "INPUT"],
+                          _sheaf_obj(value0={"log_upper": [0.0, 0.0, 0.0]})),
+    # finite entries whose symmetrization overflows
+    "cochain_value_overflow": (["sections", "INPUT"], _sheaf_obj(value0=[[1e308] * 2] * 2)),
     "nan_map": (["sections", "INPUT"], _sheaf_obj(map_tail=[[float("nan"), 0.0], [0.0, 1.0]])),
     "xyz_two_numbers": (["lift", "INPUT"],
                         {"vertices": [{"id": 0, "xyz": [0.0, 0.0]}], "edges": []}),
@@ -564,6 +577,12 @@ _MALFORMED = {
                              {"vertices": [{"id": 0, "xyz": [10**400, 0, 0]}], "edges": []}),
     "huge_int_segment_data": (["covgraph", "INPUT", *_COVGRAPH],
                               _segments_obj(data=[[10**400, 2.0], [0.5, -1.0]])),
+    # integer literals longer than Python's int-from-string limit of 4300 digits
+    "long_int_sheaf": (["sections", "INPUT"], {**_sheaf_obj(), "n_stalk": _LONG_INT}),
+    "long_int_xyz": (["lift", "INPUT"],
+                     {"vertices": [{"id": 0, "xyz": [_LONG_INT, 0, 0]}], "edges": []}),
+    "long_int_segment_data": (["covgraph", "INPUT", *_COVGRAPH],
+                              _segments_obj(data=[[_LONG_INT, 2.0], [0.5, -1.0]])),
 }
 _MESSAGES = {"duplicate_ids_lift": "duplicate vertex ids",
              "duplicate_ids_diffuse": "duplicate vertex ids",
@@ -585,6 +604,11 @@ _MESSAGES = {"duplicate_ids_lift": "duplicate vertex ids",
              "covgraph_nan_eps1": "window widths",
              "covgraph_overflowing_data": "too large",
              "map_log_upper": "edge (0, 1): maps must be nested lists",
+             "cochain_log_upper": "malformed matrix",
+             "cochain_value_overflow": "non-finite",
+             "long_int_sheaf": "input.json: unreadable JSON number",
+             "long_int_xyz": "input.json: unreadable JSON number",
+             "long_int_segment_data": "input.json: unreadable JSON number",
              "verify_repeated_check": "each check may be named once",
              "probe_zero_samples": "--samples",
              "probe_one_sample": "--samples must be >= 2, got 1",
@@ -596,7 +620,7 @@ _MESSAGES = {"duplicate_ids_lift": "duplicate vertex ids",
 def test_malformed_numbers_are_exit_2(tmp_path, monkeypatch, capsys, case):
     argv, obj = _MALFORMED[case]
     path = tmp_path / "input.json"
-    path.write_text(json.dumps(obj))
+    path.write_text(json.dumps(obj).replace(f'"{_LONG_INT}"', "7" * 5000))
     monkeypatch.chdir(tmp_path)
     assert main([str(path) if a == "INPUT" else a for a in argv]) == 2
     err = capsys.readouterr().err

@@ -7,6 +7,7 @@ import spdsheaf as s
 from spdsheaf import euclid
 from spdsheaf.errors import InvalidInputError, NotApplicableError
 from spdsheaf.euclid import EuclidSheaf, embed_phi, vec_cochain_from_vec
+from spdsheaf.sheaf import section_space_summary
 from spdsheaf.spd import sym_to_vec
 from spdsheaf.verify import (
     _oracle_euclid_operator,
@@ -242,3 +243,18 @@ def test_embedded_kernel_contained_in_spd_kernel():
             # membership: projection onto the kernel basis reproduces the vector
             proj = spd_basis @ (spd_basis.T @ vec)
             assert np.linalg.norm(proj - vec) <= 1e-7 * max(1.0, np.linalg.norm(vec))
+
+
+@pytest.mark.parametrize("eps", [1e-7, 1e-6, 1e-3])
+def test_small_cycle_rotation_is_nontrivial_holonomy(eps):
+    # a two-edge cycle whose holonomy turns the (x, y) plane by eps: only the
+    # z axis is fixed in R^3, and only span{I_xy, e_z e_z^T} in Sym_3; a
+    # null-space cutoff that counts eps as zero fixes everything
+    c, si = np.cos(eps), np.sin(eps)
+    R = np.array([[c, -si, 0.0], [si, c, 0.0], [0.0, 0.0, 1.0]])
+    I = np.eye(3)
+    esheaf = EuclidSheaf(3, [0, 1], [(0, 1), (0, 1)], [(I, I), (R, I)])
+    ssheaf = s.matched_spd_sheaf(esheaf)
+    assert s.euclid_sections(esheaf).shape[1] == 1
+    assert s.global_sections(ssheaf).shape[1] == 2
+    assert section_space_summary(ssheaf)["kernel_dim"] == 2

@@ -17,6 +17,8 @@ from spdsheaf.cli import main
 _I = [[1.0, 0.0], [0.0, 1.0]]
 _SWAP = [[0.0, 1.0], [1.0, 0.0]]
 _ROT = [[0.0, -1.0], [1.0, 0.0]]
+# sym_exp of the log [[0.1, 0.2 / sqrt(2)], [0.2 / sqrt(2), 0.3]]
+_EXP = [[1.1170177540613908, 0.17359739316285402], [0.17359739316285402, 1.3625215418649135]]
 
 _FIXTURES = {
     "sheaf": {
@@ -24,11 +26,9 @@ _FIXTURES = {
         "edges": [{"tail": 0, "head": 1, "map_tail": _I, "map_head": _SWAP},
                   {"tail": 1, "head": 2, "map_tail": _ROT, "map_head": _I},
                   {"tail": 2, "head": 0, "map_tail": _I, "map_head": _I}],
-        "cochain0": [[0, [[2.0, 0.5], [0.5, 1.0]]], [1, {"log_upper": [0.1, 0.2, 0.3]}],
-                     [2, _I]],
+        "cochain0": [[0, [[2.0, 0.5], [0.5, 1.0]]], [1, _EXP], [2, _I]],
     },
-    "cochain": {"n_stalk": 2, "values": [[0, [[2.0, 0.5], [0.5, 1.0]]],
-                                         [1, {"log_upper": [0.1, 0.2, 0.3]}]]},
+    "cochain": {"n_stalk": 2, "values": [[0, [[2.0, 0.5], [0.5, 1.0]]], [1, _EXP]]},
     "cloud": {"vertices": [{"id": i, "xyz": [0.3 * i, (-1.0) ** i, 0.1 * i * i]}
                            for i in range(5)],
               "edges": [[0, 1], [1, 2], [2, 3], [3, 4], [0, 4]]},
@@ -44,6 +44,9 @@ _FILE_COMMANDS = {
     "covgraph": ["covgraph", "INPUT", "--eps1", "1", "--eps2", "15", "--eps", "50",
                  "--bandwidth", "5", "--out", "OUT/covgraph"],
 }
+
+# the commands that read each fixture; no command reads a cochain file
+_READERS = {"sheaf": ["sections"], "cloud": ["lift", "diffuse"], "segments": ["covgraph"]}
 
 _HUGE = "__huge__"  # written as the number token 1e999, which loads as inf
 _REPLACEMENTS = (float("nan"), float("inf"), float("-inf"), _HUGE, "x", True, None, [], {},
@@ -89,6 +92,19 @@ def _written_text(out_dir) -> str:
     return "".join(texts)
 
 
+def _run(argv, path, out) -> int:
+    return main([str(path) if a == "INPUT" else a.replace("OUT", str(out)) for a in argv])
+
+
+@pytest.mark.parametrize("name, command",
+                         [(name, command) for name in _READERS for command in _READERS[name]])
+def test_uncorrupted_fixture_is_read(tmp_path, capsys, name, command):
+    # corruptions of a fixture its readers reject would stop at its first bad value
+    path = tmp_path / f"{name}.json"
+    path.write_text(json.dumps(_FIXTURES[name]), encoding="utf-8")
+    assert _run(_FILE_COMMANDS[command], path, tmp_path) == 0, capsys.readouterr().err
+
+
 @pytest.mark.parametrize("case", range(_CASES_PER_FIXTURE))
 @pytest.mark.parametrize("name", sorted(_FIXTURES))
 def test_corrupted_input_exits_0_or_2(tmp_path, capsys, name, case):
@@ -97,7 +113,7 @@ def test_corrupted_input_exits_0_or_2(tmp_path, capsys, name, case):
     for i, argv in enumerate(_FILE_COMMANDS.values()):
         out = tmp_path / f"out{i}"
         out.mkdir()
-        code = main([str(path) if a == "INPUT" else a.replace("OUT", str(out)) for a in argv])
+        code = _run(argv, path, out)
         captured = capsys.readouterr()
         assert code in (0, 2), (argv[0], code, captured.err)
         assert "Traceback" not in captured.err

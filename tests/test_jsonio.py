@@ -8,26 +8,23 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-import spdsheaf as s
 from spdsheaf import jsonio, verify
 from spdsheaf.cli import main
 from spdsheaf.covgraph import Segment
 from spdsheaf.errors import ParseError
-from spdsheaf.spd import EIG_FLOOR, sym_to_vec
+from spdsheaf.spd import EIG_FLOOR
 from spdsheaf.stream import PointCloud, geometric_graph
 from spdsheaf.verify import random_cochain0, random_sheaf, random_spd
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "spdsheaf"
 
 
-def test_matrix_log_upper_round_trip():
+def test_matrix_round_trip():
     P = random_spd(3, np.random.default_rng(0))
-    obj = {"log_upper": sym_to_vec(s.spd_log(P)).tolist()}
-    np.testing.assert_allclose(jsonio.matrix_from_json(obj), P, atol=1e-9)
-    with pytest.raises(ParseError, match="expected 2"):
-        jsonio.matrix_from_json(obj, n_expected=2)
-    np.testing.assert_allclose(jsonio.matrix_from_json(jsonio.matrix_to_json(P)), P,
-                               atol=1e-15)
+    obj = json.loads(json.dumps(jsonio.matrix_to_json(P)))
+    assert np.array_equal(jsonio._square_matrix(obj, 3), P)
+    with pytest.raises(ParseError, match="expected a 2x2"):
+        jsonio._square_matrix(obj, 2)
 
 
 def test_sheaf_round_trip(tmp_path):
@@ -39,11 +36,11 @@ def test_sheaf_round_trip(tmp_path):
     loaded, cochain = jsonio.load_sheaf(path)
     assert loaded.n_stalk == sheaf.n_stalk
     assert loaded.edges == sheaf.edges
+    # repr-style floats read back bitwise
     for (a, b), (c, d) in zip(loaded.maps, sheaf.maps):
-        np.testing.assert_allclose(a, c, atol=1e-12)
-        np.testing.assert_allclose(b, d, atol=1e-12)
+        assert np.array_equal(a, c) and np.array_equal(b, d)
     for v in sheaf.vertices:
-        np.testing.assert_allclose(cochain[v], sigma[v], atol=1e-8)
+        assert np.array_equal(cochain[v], sigma[v]), v
 
 
 def test_cochain_round_trip(tmp_path):
@@ -96,10 +93,12 @@ def test_malformed_objects_rejected(tmp_path):
         fh.write('{"vertices": [0, 1]}')
     with pytest.raises(ParseError):
         jsonio.load_sheaf(path)
-    with pytest.raises(ParseError):
-        jsonio.matrix_from_json({"wrong": []})
-    with pytest.raises(ParseError):
-        jsonio.matrix_from_json({"log_upper": [1.0, 2.0]})  # not triangular
+    # a cochain value is a nested list; the object form is not read
+    with open(path, "w") as fh:
+        json.dump({"n_stalk": 1, "vertices": [0], "edges": [],
+                   "cochain0": [[0, {"log_upper": [0.0]}]]}, fh)
+    with pytest.raises(ParseError, match="malformed matrix"):
+        jsonio.load_sheaf(path)
 
 
 def test_loaded_cochain_values_are_clamped(tmp_path):

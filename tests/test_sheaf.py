@@ -767,6 +767,12 @@ def test_diffusion_step_rejects_asymmetric_logs():
         s.diffusion_step(sheaf, logs)
 
 
+def test_diffusion_step_rejects_logs_whose_symmetrization_overflows():
+    sheaf = path_sheaf(2, 2)
+    with pytest.raises(InvalidInputError, match="non-finite"):
+        s.diffusion_step(sheaf, np.full((2, 2, 2), 1e308))
+
+
 def test_diffusion_normalization_caps_update():
     rng = np.random.default_rng(15)
     sheaf = random_sheaf(3, 6, 3, rng)

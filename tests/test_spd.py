@@ -13,7 +13,6 @@ from spdsheaf.spd import (
     as_orth,
     as_spd,
     as_sym,
-    clamp_spd,
     conj_operator,
     sym_eig,
     sym_to_vec,
@@ -372,20 +371,21 @@ def test_erank_examples():
 
 
 def test_clamp_spd():
-    out = clamp_spd(np.diag([1.0, -0.5]))
+    # as_spd floors the eigenvalues of its input at EIG_FLOOR
+    out = as_spd(np.diag([1.0, -0.5]))
     np.testing.assert_allclose(out, np.diag([1.0, 1e-4]), atol=1e-15)
     P = np.diag([2.0, 3.0])
-    assert clamp_spd(P) is not P
-    np.testing.assert_allclose(clamp_spd(P), P)  # exact when above floor
+    assert as_spd(P) is not P
+    np.testing.assert_allclose(as_spd(P), P)  # exact when above floor
     rng = np.random.default_rng(15)
     S = random_sym(4, rng)
-    w = np.linalg.eigvalsh(clamp_spd(S))
+    w = np.linalg.eigvalsh(as_spd(S))
     assert w.min() >= 1e-4 - 1e-15
     # in a stack, only the matrices below the floor are rebuilt
     Q = random_spd(4, rng)
-    out = clamp_spd(np.stack([Q, S, Q]))
-    assert np.array_equal(out[0], clamp_spd(Q)) and np.array_equal(out[2], out[0])
-    np.testing.assert_allclose(out[1], clamp_spd(S), rtol=0, atol=1e-15)
+    out = as_spd(np.stack([Q, S, Q]))
+    assert np.array_equal(out[0], as_spd(Q)) and np.array_equal(out[2], out[0])
+    np.testing.assert_allclose(out[1], as_spd(S), rtol=0, atol=1e-15)
 
 
 # ---------------------------------------------------------------------------
@@ -436,6 +436,15 @@ def test_validated_constructors():
         as_orth(np.diag([2.0, 1.0]))
 
 
+@pytest.mark.parametrize("M", [np.full((2, 2), 1e308), np.diag([1.0, -1.7e308])])
+def test_as_sym_rejects_a_symmetrization_that_overflows(M):
+    # finite entries whose sum A + A^T overflows leave inf in the symmetric part
+    with pytest.raises(InvalidInputError, match="non-finite"):
+        as_sym(M)
+    with pytest.raises(InvalidInputError, match="non-finite"):
+        as_spd(np.stack([np.eye(2), M]))
+
+
 def test_conj_operator_takes_stacks():
     rng = np.random.default_rng(18)
     Ms = np.stack([random_orthogonal(3, rng) for _ in range(5)]).reshape(5, 1, 3, 3)
@@ -471,7 +480,6 @@ _STACK_CASES = {
     "cayley": (s.cayley, "skew", {"nan": InvalidInputError, "asymmetric": InvalidInputError}),
     "frechet_log": (lambda P: s.frechet_log(P, _fixed(P)), "spd", _SPD_ERRORS),
     "erank": (s.erank, "spd", _SPD_ERRORS),
-    "clamp_spd": (clamp_spd, "sym", {"nan": InvalidInputError}),
     "conj_operator": (conj_operator, "orth", {}),
 }
 

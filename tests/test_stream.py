@@ -198,6 +198,18 @@ def test_cloud_topology_validated(ids, edges, message):
         PointCloud(np.zeros((3, 3)), edges, ids=ids)
 
 
+@pytest.mark.parametrize("shape", [(2, 6), (3, 2), (6,)])
+def test_cloud_points_must_be_n_by_3(shape):
+    # (2, 6) and (3, 2) hold 12 and 6 numbers, a whole number of points
+    with pytest.raises(InvalidInputError, match=r"\(N, 3\) array"):
+        PointCloud(np.zeros(shape), [])
+
+
+def test_trace_row_rejects_logs_whose_symmetrization_overflows():
+    with pytest.raises(InvalidInputError, match="non-finite"):
+        trace_row(np.full((4, 3, 3), 1e308))
+
+
 def test_frames_collinear_fallback():
     pts = [[1.0, 0, 0], [2.0, 0, 0], [3.0, 0, 0]]
     pc = PointCloud(pts, [(0, 1), (1, 2)])
@@ -293,29 +305,32 @@ def test_learnable_isometry():
         Q = learnable_isometry(W)
         assert np.linalg.norm(Q.T @ Q - np.eye(3)) <= 1e-10
         assert np.all(np.diag(Q.T @ W) >= -1e-12)
-    # rank-deficient seeds are perturbed, not fatal
-    Q = learnable_isometry(np.zeros((3, 3)))
-    assert np.linalg.norm(Q.T @ Q - np.eye(3)) <= 1e-10
+    # QR orthogonalizes rank-deficient seeds too, with no perturbation
+    for W in (np.zeros((3, 3)), np.ones((3, 3)), np.diag([1.0, 0.0, 2.0]),
+              rng.normal(size=(3, 2)) @ rng.normal(size=(2, 3))):
+        Q = learnable_isometry(W)
+        assert np.linalg.norm(Q.T @ Q - np.eye(3)) <= 1e-10
+        assert np.all(np.diag(Q.T @ W) >= -1e-12)
 
 
 def test_sheaf_learner_zero_weights_identity():
     params = IDENTITY_PARAMS
-    h = np.zeros(6)
+    h = np.zeros((1, 6))
     Mt, Mh = sheaf_learner(params, h, h)
-    np.testing.assert_allclose(Mt, np.eye(3), atol=1e-14)
-    np.testing.assert_allclose(Mh, np.eye(3), atol=1e-14)
+    np.testing.assert_allclose(Mt, np.eye(3)[None], atol=1e-14)
+    np.testing.assert_allclose(Mh, np.eye(3)[None], atol=1e-14)
 
 
 def test_sheaf_learner_independent_heads():
     rng = np.random.default_rng(8)
     params = LayerParams.random(3, rng=rng)
-    h = rng.normal(size=6)
-    Mt, Mh = sheaf_learner(params, h, h)  # same inputs, two heads
+    h = rng.normal(size=(1, 6))
+    (Mt,), (Mh,) = sheaf_learner(params, h, h)  # same inputs, two heads
     assert np.linalg.norm(Mt - Mh) > 1e-6
     for M in (Mt, Mh):
         assert np.linalg.norm(M.T @ M - np.eye(3)) <= 1e-10
     with pytest.raises(InvalidInputError):
-        sheaf_learner(params, np.zeros(5), np.zeros(6))
+        sheaf_learner(params, np.zeros((1, 5)), np.zeros((1, 6)))
 
 
 def test_sheaf_learner_stack_matches_rows():
@@ -327,7 +342,7 @@ def test_sheaf_learner_stack_matches_rows():
     Mt, Mh = sheaf_learner(params, H_u, H_v)
     assert Mt.shape == Mh.shape == (9, 3, 3)
     for e in range(9):
-        mt, mh = sheaf_learner(params, H_u[e], H_v[e])
+        (mt,), (mh,) = sheaf_learner(params, H_u[e:e + 1], H_v[e:e + 1])
         # one matmul over the stack sums in another order than per row
         np.testing.assert_allclose(Mt[e], mt, rtol=0, atol=1e-13)
         np.testing.assert_allclose(Mh[e], mh, rtol=0, atol=1e-13)
@@ -340,6 +355,7 @@ def test_sheaf_learner_stack_matches_rows():
     (np.zeros((4, 6)), np.zeros((3, 6))),
     (np.zeros(6), np.zeros((1, 6))),
     (np.zeros((2, 2, 6)), np.zeros((2, 2, 6))),
+    (np.zeros(6), np.zeros(6)),
 ])
 def test_sheaf_learner_rejects_mismatched_stacks(h_u, h_v):
     with pytest.raises(InvalidInputError):
@@ -364,7 +380,7 @@ def test_layer_identity_params_global_section():
     # so the update is exactly 0 and the layer is ReEig alone
     pc = cloud(9)
     P = random_spd(3, np.random.default_rng(10))
-    logs = {v: s.spd_log(P) for v in pc.ids}
+    logs = np.broadcast_to(s.spd_log(P), (len(pc.ids), 3, 3))
     out = spd_sheaf_layer(pc.graph, logs, IDENTITY_PARAMS)
     assert out.shape == (len(pc.ids), 3, 3)
     for row in out:
@@ -477,6 +493,16 @@ def test_layer_rejects_asymmetric_or_nan_logs(bad):
         logs[2, 1, 1] = np.nan
     with pytest.raises(InvalidInputError):
         spd_sheaf_layer(pc.graph, logs, IDENTITY_PARAMS)
+
+
+@pytest.mark.parametrize("form", ["batched", "wrong_n"])
+def test_layer_takes_one_log_stack(form):
+    # the logs are one (|V|, n, n) array in vertex order
+    pc = cloud(21, n=6)
+    logs = s.spd_log(s.lift_coordinates(pc))
+    bad = {"batched": logs[None], "wrong_n": logs[:, :2, :2]}[form]
+    with pytest.raises(InvalidInputError):
+        spd_sheaf_layer(pc.graph, bad, IDENTITY_PARAMS)
 
 
 def test_layer_raises_erank():
