@@ -36,11 +36,12 @@ def _check_at_least(args, **bounds):
             raise InvalidInputError(f"--{name} must be >= {low}, got {getattr(args, name)}")
 
 
-def _write_report(obj, path: str | None):
-    """Write a JSON report to `path`, or print it when `path` is None."""
-    text = jsonio._dump_json(obj, path)
+def _emit(text: str, path: str | None):
+    """Print `text`, or write it to the file `path` when one is given."""
     if path is None:
         print(text)
+    else:
+        jsonio.write_text(path, text)
 
 
 # ---------------------------------------------------------------------------
@@ -63,7 +64,7 @@ def cmd_verify(args) -> int:
     report = {"seed": config.seed, "passed": code == 0,
               "verdicts": [dataclasses.asdict(v) for v in verdicts]}
     if args.out:
-        _write_report(report, os.path.join(args.out, "verdicts.json"))
+        _emit(jsonio._dump_json(report), os.path.join(args.out, "verdicts.json"))
     return code
 
 
@@ -73,9 +74,7 @@ def cmd_sections(args) -> int:
     clash = sorted({str(v) for v in sheaf.vertices if isinstance(v, int)} & set(sheaf.vertices))
     if clash:
         raise InvalidInputError(f"vertex ids {clash} are given both as integers and as strings")
-    text = jsonio._sections_to_json(sheaf, section_space_summary(sheaf), args.out)
-    if args.out is None:
-        print(text)
+    _emit(jsonio._sections_to_json(sheaf, section_space_summary(sheaf)), args.out)
     return 0
 
 
@@ -87,10 +86,8 @@ def cmd_diffuse(args) -> int:
         pc, layers=args.layers, seed=args.seed,
         identity_maps=args.identity_maps, residual=not args.no_residual,
         normalize=not args.no_normalize)
-    with open(os.path.join(args.out, "trace.csv"), "w", encoding="utf-8") as fh:
-        fh.write(trace.to_csv())
-    jsonio.cochain0_to_json(3, dict(zip(pc.ids, final)),
-                            path=os.path.join(args.out, "final_cochain.json"))
+    _emit(trace.to_csv(), os.path.join(args.out, "trace.csv"))
+    _emit(jsonio.cochain0_to_json(pc.ids, final), os.path.join(args.out, "final_cochain.json"))
     run_params = {
         "cloud": os.path.basename(args.cloud),
         "layers": args.layers,
@@ -99,7 +96,7 @@ def cmd_diffuse(args) -> int:
         "residual": not args.no_residual,
         "normalize": not args.no_normalize,
     }
-    _write_report(run_params, os.path.join(args.out, "run.json"))
+    _emit(jsonio._dump_json(run_params), os.path.join(args.out, "run.json"))
     print(f"wrote trace.csv, final_cochain.json, run.json to {args.out}")
     return 0
 
@@ -124,7 +121,7 @@ def cmd_probe(args) -> int:
         "shuffle_control_mean": float(np.mean(ctrl_acc)),
         "shuffle_control_sd": float(np.std(ctrl_acc)),
     }
-    _write_report(report, args.out)
+    _emit(jsonio._dump_json(report), args.out)
     return 0
 
 
@@ -133,10 +130,10 @@ def cmd_covgraph(args) -> int:
     cfg = TFGraphConfig(eps1=args.eps1, eps2=args.eps2, eps=args.eps, bandwidth=args.bandwidth)
     os.makedirs(args.out, exist_ok=True)
     result = build_tf_graph(segments, cfg)
-    jsonio.sheaf_to_json(result.sheaf, cochain0=result.cochain,
-                         path=os.path.join(args.out, "sheaf.json"))
-    jsonio.weights_to_json(result.sheaf.edges, result.weights,
-                           path=os.path.join(args.out, "weights.json"))
+    _emit(jsonio.sheaf_to_json(result.sheaf, cochain0=result.cochain),
+          os.path.join(args.out, "sheaf.json"))
+    _emit(jsonio.weights_to_json(result.sheaf.edges, result.weights),
+          os.path.join(args.out, "weights.json"))
     w = result.weights
     stats = (f"min={min(w):.6g} max={max(w):.6g} mean={float(np.mean(w)):.6g}"
              if w else "none")
@@ -151,9 +148,7 @@ def cmd_lift(args) -> int:
     if args.canonicalize:
         frames, _ = local_frame(pc)
         sigma = canonicalize(sigma, frames)
-    text = jsonio.cochain0_to_json(3, dict(zip(pc.ids, sigma)), path=args.out)
-    if args.out is None:
-        print(text)
+    _emit(jsonio.cochain0_to_json(pc.ids, sigma), args.out)
     return 0
 
 

@@ -110,11 +110,12 @@ def build_tf_graph(segments, cfg: TFGraphConfig) -> TFGraphResult:
     covs = np.array([segment_covariance(s) for s in segments])
     k = len(segments)
     # window: j later than or simultaneous with i, within eps1 in time and
-    # eps2 in frequency
+    # eps2 in frequency; a gap that overflows to ±inf compares right
     t = np.array([s.t_mid for s in segments])
     f = np.array([s.f_mid for s in segments])
-    dt = t[None, :] - t[:, None]
-    window = (0.0 <= dt) & (dt <= cfg.eps1) & (np.abs(f[None, :] - f[:, None]) <= cfg.eps2)
+    with np.errstate(over="ignore"):
+        dt = t[None, :] - t[:, None]
+        window = (0.0 <= dt) & (dt <= cfg.eps1) & (np.abs(f[None, :] - f[:, None]) <= cfg.eps2)
     np.fill_diagonal(window, False)
     raw_edges = []
     # one dist_airm call per tail, against the stack of its window: each tail

@@ -1,10 +1,11 @@
 """JSON schemas for sheaves, cochains, point clouds and signal segments.
 
 Matrices serialize as row-major nested lists, the one form of a restriction
-map and of a cochain value.
+map and of a cochain value. A reader takes JSON numbers only where a number
+belongs, and names the edge or vertex of a malformed matrix.
 
-Every output is one line of JSON plus a newline, with sorted keys and
-repr-style floats, so re-running a command yields byte-identical files.
+Every writer returns one line of JSON, with sorted keys and repr-style floats,
+and :func:`write_text` writes every output file: reruns are byte-identical.
 ``python -m json.tool FILE`` prints one indented.
 """
 
@@ -52,64 +53,64 @@ def _parsing(what: str):
         raise ParseError(f"malformed {what} object: {exc}") from None
 
 
-def _dump_json(obj, path: str | None = None) -> str:
-    """The package's one JSON text format: returned, and written with a
-    trailing newline to `path` when one is given."""
-    return _write_text(json.dumps(obj, sort_keys=True), path)
+def _dump_json(obj) -> str:
+    """The package's one JSON text format."""
+    return json.dumps(obj, sort_keys=True)
 
 
-def _write_text(text: str, path: str | None) -> str:
-    """`text`, written with a trailing newline to `path` when one is given."""
-    if path is not None:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
-    return text
+def write_text(path: str, text: str) -> None:
+    """Write `text` and a newline to `path`: the package's one file writer."""
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(text + "\n")
 
 
 # ---------------------------------------------------------------------------
-# matrices
-
-
-def matrix_to_json(A) -> list:
-    return np.asarray(A, dtype=np.float64).tolist()
-
-
-def _square_matrix(obj, n: int | None) -> np.ndarray:
-    """A nested-list square matrix, n x n unless `n` is None."""
-    A = _float_array(obj, "matrix")
-    if A.ndim != 2 or A.shape[0] != A.shape[1]:
-        raise ParseError(f"expected a square matrix, got shape {A.shape}")
-    if n is not None and A.shape[0] != n:
-        raise ParseError(f"expected a {n}x{n} matrix, got {A.shape[0]}")
-    return A
+# numbers and matrices
 
 
 def _float_array(obj, what: str) -> np.ndarray:
+    """A JSON number, or lists nested around numbers, as a float array.
+    Strings, booleans and null are not numbers."""
+    items = [obj]
+    while items:
+        nested = []
+        for x in items:
+            if type(x) is list:
+                nested += x
+            elif type(x) is not float and type(x) is not int:  # `is int` also rejects bools
+                raise ParseError(f"malformed {what}: expected numbers, got {type(x).__name__}")
+        items = nested
     try:
         return np.asarray(obj, dtype=np.float64)
-    except (ValueError, TypeError, OverflowError) as exc:
+    except (ValueError, OverflowError) as exc:
         raise ParseError(f"malformed {what}: {exc}") from None
+
+
+def _square_matrix(obj, n: int, what: str) -> np.ndarray:
+    """The nested-list n x n matrix `obj`; every error names it as `what`."""
+    if type(obj) is not list:
+        raise ParseError(f"{what} must be a nested list, got {type(obj).__name__}")
+    A = _float_array(obj, what)
+    if A.ndim != 2 or A.shape[0] != A.shape[1]:
+        raise ParseError(f"{what}: expected a square matrix, got shape {A.shape}")
+    if A.shape[0] != n:
+        raise ParseError(f"{what}: expected a {n}x{n} matrix, got {A.shape[0]}")
+    return A
 
 
 # ---------------------------------------------------------------------------
 # sheaves and cochains
 
 
-def sheaf_to_json(sheaf: SheafGraph | EuclidSheaf, cochain0: dict | None = None,
-                  path: str | None = None) -> str:
-    edges = [
-        {
-            "tail": t,
-            "head": h,
-            "map_tail": matrix_to_json(mt),
-            "map_head": matrix_to_json(mh),
-        }
-        for (t, h), (mt, mh) in zip(sheaf.edges, sheaf.maps)
-    ]
+def sheaf_to_json(sheaf: SheafGraph | EuclidSheaf, cochain0: dict | None = None) -> str:
+    maps = np.asarray(sheaf.maps, dtype=np.float64).tolist()
+    edges = [{"tail": t, "head": h, "map_tail": mt, "map_head": mh}
+             for (t, h), (mt, mh) in zip(sheaf.edges, maps)]
     obj = {"n_stalk": sheaf.n_stalk, "vertices": list(sheaf.vertices), "edges": edges}
     if cochain0 is not None:
-        obj["cochain0"] = [[v, matrix_to_json(cochain0[v])] for v in sheaf.vertices]
-    return _dump_json(obj, path)
+        obj["cochain0"] = [[v, np.asarray(cochain0[v], dtype=np.float64).tolist()]
+                           for v in sheaf.vertices]
+    return _dump_json(obj)
 
 
 def _n_stalk(obj) -> int:
@@ -140,15 +141,15 @@ def _as_id(v):
     raise ParseError(f"vertex ids must be strings or integers, got {type(v).__name__}")
 
 
-def _cochain_values(entries, n: int, what: str) -> dict:
-    """Validated SPD values of [id, value] entries, each id at most once."""
+def _cochain_values(entries, n: int) -> dict:
+    """The values of `cochain0`'s [id, value] entries, each id once, floored by one as_spd."""
     values = {}
-    for v, val in _pairs(entries, what):
+    for v, val in _pairs(entries, "cochain0"):
         v = _as_id(v)
         if v in values:
-            raise ParseError(f"{what} names vertex {v!r} twice")
-        values[v] = as_spd(_square_matrix(val, n))
-    return values
+            raise ParseError(f"cochain0 names vertex {v!r} twice")
+        values[v] = _square_matrix(val, n, f"cochain0 vertex {v!r}")
+    return dict(zip(values, as_spd(np.array(list(values.values()))))) if values else values
 
 
 def load_sheaf(path: str) -> tuple[SheafGraph, dict | None]:
@@ -157,20 +158,19 @@ def load_sheaf(path: str) -> tuple[SheafGraph, dict | None]:
         n = _n_stalk(obj)
         vertices = [_as_id(v) for v in _list(obj, "vertices")]
         edge_objs = _list(obj, "edges")
-        try:  # every map in one conversion; per map below to word its error
-            maps = np.asarray([[e["map_tail"], e["map_head"]] for e in edge_objs], np.float64)
+        try:  # every map in one conversion; per map below to name the bad one
+            maps = _float_array([[e["map_tail"], e["map_head"]] for e in edge_objs], "maps")
             per_map = maps.shape != (len(edge_objs), 2, n, n)
-        except (KeyError, TypeError, ValueError, OverflowError):
+        except (KeyError, TypeError, ParseError):
             per_map = True
         edges, maps = [], [] if per_map else maps
         for e in edge_objs:
             edges.append((_as_id(e["tail"]), _as_id(e["head"])))
             if per_map:
-                if isinstance(e["map_tail"], dict) or isinstance(e["map_head"], dict):
-                    raise ParseError(f"edge {edges[-1]}: maps must be nested lists, not objects")
-                maps.append((_square_matrix(e["map_tail"], n), _square_matrix(e["map_head"], n)))
+                maps.append(tuple(_square_matrix(e[key], n, f"edge {edges[-1]} {key}")
+                                  for key in ("map_tail", "map_head")))
         entries = obj.get("cochain0")
-        cochain = None if entries is None else _cochain_values(entries, n, "cochain0")
+        cochain = None if entries is None else _cochain_values(entries, n)
     sheaf = SheafGraph(n, vertices, edges, maps)
     if cochain is not None and set(cochain) != set(sheaf.vertices):
         odd = sorted(map(str, set(cochain) ^ set(sheaf.vertices)))
@@ -178,9 +178,9 @@ def load_sheaf(path: str) -> tuple[SheafGraph, dict | None]:
     return sheaf, cochain
 
 
-def _sections_to_json(sheaf: SheafGraph, summary: dict, path: str | None) -> str:
+def _sections_to_json(sheaf: SheafGraph, summary: dict) -> str:
     """The `sections` report of `sheaf` from the per-component blocks of
-    :func:`~spdsheaf.sheaf.section_space_summary`, written to `path` when given.
+    :func:`~spdsheaf.sheaf.section_space_summary`.
 
     The text is byte for byte :func:`_dump_json` of the dense report, whose
     basis columns each hold ``log_upper``, every vertex id as a string key
@@ -216,7 +216,7 @@ def _sections_to_json(sheaf: SheafGraph, summary: dict, path: str | None) -> str
                   n_edges=sheaf.n_edges)
     del counts["sections"]
     # "basis" sorts before every other key of the report
-    return _write_text(f'{{"basis": [{", ".join(columns)}], ' + _dump_json(counts)[1:], path)
+    return f'{{"basis": [{", ".join(columns)}], ' + _dump_json(counts)[1:]
 
 
 def _float_texts(values: list) -> list[str]:
@@ -225,9 +225,10 @@ def _float_texts(values: list) -> list[str]:
     return _dump_json(values)[1:-1].split(", ")
 
 
-def cochain0_to_json(n_stalk: int, cochain: dict, path: str | None = None) -> str:
-    obj = {"n_stalk": n_stalk, "values": [[v, matrix_to_json(X)] for v, X in cochain.items()]}
-    return _dump_json(obj, path)
+def cochain0_to_json(ids, values: np.ndarray) -> str:
+    """The 0-cochain holding the (|V|, n, n) stack `values` on the vertex ids `ids`."""
+    obj = {"n_stalk": values.shape[-1], "values": [[v, X] for v, X in zip(ids, values.tolist())]}
+    return _dump_json(obj)
 
 
 # ---------------------------------------------------------------------------
@@ -255,12 +256,14 @@ def load_cloud(path: str) -> PointCloud:
 def load_segments(path: str) -> list[Segment]:
     obj = load_json(path)
     with _parsing("segments"):  # also InvalidInputError from Segment
-        segs = [Segment(s["data"], s["t_mid"], s["f_mid"]) for s in obj["segments"]]
+        segs = [Segment(_float_array(s["data"], "segment data"),
+                        *_float_array([s["t_mid"], s["f_mid"]], "segment midpoints").tolist())
+                for s in obj["segments"]]
     if not segs:
         raise ParseError("segments file contains no segments")
     return segs
 
 
-def weights_to_json(edges, weights, path: str | None = None) -> str:
+def weights_to_json(edges, weights) -> str:
     obj = {"edges": [[t, h] for t, h in edges], "weights": [float(w) for w in weights]}
-    return _dump_json(obj, path)
+    return _dump_json(obj)

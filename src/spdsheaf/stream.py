@@ -329,7 +329,7 @@ class RankTrace:
         lines = ["layer,mean_erank,mean_lambda2,min_pairwise_lem"]
         lines += [f"{i},{r.mean_erank!r},{r.mean_lambda2!r},{r.min_pairwise_lem!r}"
                   for i, r in enumerate(self.rows)]
-        return "\n".join(lines) + "\n"
+        return "\n".join(lines)
 
 
 def trace_row(logs: np.ndarray) -> TraceRow:

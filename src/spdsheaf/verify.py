@@ -443,7 +443,7 @@ def _dump_failure(config: SuiteConfig, check: str, instance, count: int):
     os.makedirs(config.dump_dir, exist_ok=True)
     path = os.path.join(config.dump_dir, f"failed_{check}_{count}.json")
     if instance is not None:
-        jsonio.sheaf_to_json(instance, path=path)
+        jsonio.write_text(path, jsonio.sheaf_to_json(instance))
 
 
 def _instance_sizes(rng) -> tuple[int, int, int]:

@@ -58,7 +58,7 @@ def cloud_file(tmp_path):
 def sheaf_file(tmp_path):
     sheaf = random_sheaf(2, 5, 0, np.random.default_rng(0), identity_maps=True)
     path = str(tmp_path / "sheaf.json")
-    jsonio.sheaf_to_json(sheaf, path=path)
+    jsonio.write_text(path, jsonio.sheaf_to_json(sheaf))
     return path
 
 
@@ -193,7 +193,7 @@ def test_sections_report(sheaf_file, capsys):
 def test_sections_factors_no_operator_on_all_vertices(tmp_path, monkeypatch, capsys):
     sheaf = random_sheaf(2, 6, 3, np.random.default_rng(4))
     path = str(tmp_path / "sheaf.json")
-    jsonio.sheaf_to_json(sheaf, path=path)
+    jsonio.write_text(path, jsonio.sheaf_to_json(sheaf))
     shapes, svd = [], np.linalg.svd
 
     def counted_svd(a, *args, **kwargs):
@@ -215,7 +215,8 @@ def test_sections_log_upper_is_each_vertex_slice_of_the_basis(tmp_path):
     edges = ([(ids[t], ids[h]) for t, h in tree.edges]
              + [(ids[4 + t], ids[4 + h]) for t, h in loops.edges])
     path, out = str(tmp_path / "sheaf.json"), str(tmp_path / "report.json")
-    jsonio.sheaf_to_json(SheafGraph(2, ids, edges, [*tree.maps, *loops.maps]), path=path)
+    sheaf = SheafGraph(2, ids, edges, [*tree.maps, *loops.maps])
+    jsonio.write_text(path, jsonio.sheaf_to_json(sheaf))
     assert main(["sections", path, "--out", out]) == 0
     with open(out, encoding="utf-8") as fh:
         report = json.load(fh)
@@ -276,7 +277,7 @@ def _report_cases():
 def test_sections_report_is_the_dense_report_byte_for_byte(tmp_path, capsys):
     path, out = str(tmp_path / "sheaf.json"), str(tmp_path / "report.json")
     for sheaf in _report_cases():
-        jsonio.sheaf_to_json(sheaf, path=path)
+        jsonio.write_text(path, jsonio.sheaf_to_json(sheaf))
         expected = _dense_sections_report(jsonio.load_sheaf(path)[0]) + "\n"
         assert main(["sections", path]) == 0
         assert capsys.readouterr().out == expected
@@ -382,6 +383,23 @@ def test_covgraph_command(segments_file, tmp_path, capsys):
     weights = json.load(open(os.path.join(out, "weights.json")))
     assert tuple(map(tuple, weights["edges"])) == sheaf.edges
     assert len(weights["weights"]) == sheaf.n_edges
+
+
+def test_covgraph_on_midpoints_near_the_float_limit_writes_no_warning(tmp_path):
+    # both gaps overflow to inf, inside the infinite windows: one edge, and a
+    # fresh interpreter, which prints RuntimeWarnings, writes nothing to stderr
+    data = [[1.0, 2.0, 0.5], [0.5, -1.0, 2.0]]
+    path = tmp_path / "segments.json"
+    _write_json(path, {"segments": [{"t_mid": -1e308, "f_mid": -1e308, "data": data},
+                                    {"t_mid": 1e308, "f_mid": 1e308, "data": data}]})
+    argv = ["covgraph", str(path), "--eps1", "inf", "--eps2", "inf", "--eps", "1",
+            "--bandwidth", "1", "--out", str(tmp_path / "cg")]
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    code = "import sys; from spdsheaf.cli import main; sys.exit(main(sys.argv[1:]))"
+    done = subprocess.run([sys.executable, "-c", code, *argv], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": src}, timeout=60)
+    assert (done.returncode, done.stderr) == (0, "")
+    assert json.loads((tmp_path / "cg" / "weights.json").read_text())["edges"] == [[0, 1]]
 
 
 @pytest.mark.parametrize("flags", [["--shrinkage", "1e-3"], ["--normalize"]])
@@ -504,6 +522,21 @@ _MALFORMED = {
     # a cochain value is a nested list only
     "cochain_log_upper": (["sections", "INPUT"],
                           _sheaf_obj(value0={"log_upper": [0.0, 0.0, 0.0]})),
+    "cochain_scalar": (["sections", "INPUT"], _sheaf_obj(value0=2.0)),
+    "map_scalar": (["sections", "INPUT"], _sheaf_obj(map_tail=1.0)),
+    "map_null": (["sections", "INPUT"],
+                 {**_sheaf_obj(), "edges": [{"tail": 0, "head": 1, "map_tail": _I2,
+                                             "map_head": None}]}),
+    # numbers written as strings or booleans, which numpy would convert
+    "map_string_numbers": (["sections", "INPUT"], _sheaf_obj(map_tail=[["1", "0"], ["0", "1"]])),
+    "map_bool": (["sections", "INPUT"], _sheaf_obj(map_tail=[[True, 0.0], [0.0, 1.0]])),
+    "cochain_string_numbers": (["sections", "INPUT"],
+                               _sheaf_obj(value0=[["2", "0"], ["0", "2"]])),
+    "xyz_string_numbers": (["lift", "INPUT"],
+                           {"vertices": [{"id": 0, "xyz": ["1", "2", "3"]}], "edges": []}),
+    "segment_string_numbers": (["covgraph", "INPUT", *_COVGRAPH],
+                               _segments_obj(data=[["1.5", "2"], ["0.5", "-1"]])),
+    "segment_string_t_mid_number": (["covgraph", "INPUT", *_COVGRAPH], _segments_obj(t_mid="0.5")),
     # finite entries whose symmetrization overflows
     "cochain_value_overflow": (["sections", "INPUT"], _sheaf_obj(value0=[[1e308] * 2] * 2)),
     "nan_map": (["sections", "INPUT"], _sheaf_obj(map_tail=[[float("nan"), 0.0], [0.0, 1.0]])),
@@ -603,8 +636,18 @@ _MESSAGES = {"duplicate_ids_lift": "duplicate vertex ids",
              "covgraph_nan_eps": "eps and bandwidth", "covgraph_nan_bandwidth": "eps and bandwidth",
              "covgraph_nan_eps1": "window widths",
              "covgraph_overflowing_data": "too large",
-             "map_log_upper": "edge (0, 1): maps must be nested lists",
-             "cochain_log_upper": "malformed matrix",
+             "map_log_upper": "edge (0, 1) map_tail must be a nested list, got dict",
+             "cochain_log_upper": "cochain0 vertex 0 must be a nested list, got dict",
+             "cochain_scalar": "cochain0 vertex 0 must be a nested list, got float",
+             "map_scalar": "edge (0, 1) map_tail must be a nested list, got float",
+             "map_null": "edge (0, 1) map_head must be a nested list, got NoneType",
+             "map_string_numbers": "malformed edge (0, 1) map_tail: expected numbers, got str",
+             "map_bool": "malformed edge (0, 1) map_tail: expected numbers, got bool",
+             "cochain_string_numbers": "malformed cochain0 vertex 0: expected numbers, got str",
+             "xyz_string_numbers": "malformed point coordinates: expected numbers, got str",
+             "segment_string_numbers": "malformed segment data: expected numbers, got str",
+             "segment_string_t_mid_number":
+                 "malformed segment midpoints: expected numbers, got str",
              "cochain_value_overflow": "non-finite",
              "long_int_sheaf": "input.json: unreadable JSON number",
              "long_int_xyz": "input.json: unreadable JSON number",

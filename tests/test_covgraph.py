@@ -178,6 +178,20 @@ def test_subnormal_bandwidth_gives_zero_weights_without_warning():
     assert result.weights and all(w == 0.0 for w in result.weights)
 
 
+@pytest.mark.parametrize("mids", [[(-1e308, 10.0), (1e308, 10.0)],
+                                  [(0.0, -1e308), (0.5, 1e308)]], ids=["time", "frequency"])
+def test_midpoints_near_the_float_limit_without_warning(mids):
+    # the gap between the midpoints overflows to inf, which an infinite window
+    # holds and a finite one does not; tier-1 turns the RuntimeWarning that
+    # would raise into an error
+    data = np.random.default_rng(13).normal(size=(2, 20))
+    segs = [Segment(data, t, f) for t, f in mids]
+    wide = TFGraphConfig(eps1=np.inf, eps2=np.inf, eps=1.0, bandwidth=1.0)
+    assert build_tf_graph(segs, wide).sheaf.edges == ((0, 1),)
+    narrow = TFGraphConfig(eps1=1e308, eps2=1e308, eps=1.0, bandwidth=1.0)
+    assert build_tf_graph(segs, narrow).sheaf.edges == ()
+
+
 def test_config_validation():
     with pytest.raises(InvalidInputError):
         TFGraphConfig(eps1=-1.0, eps2=0.0, eps=1.0, bandwidth=1.0)

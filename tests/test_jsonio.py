@@ -12,7 +12,7 @@ from spdsheaf import jsonio, verify
 from spdsheaf.cli import main
 from spdsheaf.covgraph import Segment
 from spdsheaf.errors import ParseError
-from spdsheaf.spd import EIG_FLOOR
+from spdsheaf.spd import EIG_FLOOR, as_spd
 from spdsheaf.stream import PointCloud, geometric_graph
 from spdsheaf.verify import random_cochain0, random_sheaf, random_spd
 
@@ -21,10 +21,10 @@ PACKAGE = Path(__file__).resolve().parents[1] / "src" / "spdsheaf"
 
 def test_matrix_round_trip():
     P = random_spd(3, np.random.default_rng(0))
-    obj = json.loads(json.dumps(jsonio.matrix_to_json(P)))
-    assert np.array_equal(jsonio._square_matrix(obj, 3), P)
-    with pytest.raises(ParseError, match="expected a 2x2"):
-        jsonio._square_matrix(obj, 2)
+    obj = json.loads(json.dumps(P.tolist()))
+    assert np.array_equal(jsonio._square_matrix(obj, 3, "P"), P)
+    with pytest.raises(ParseError, match="P: expected a 2x2"):
+        jsonio._square_matrix(obj, 2, "P")
 
 
 def test_sheaf_round_trip(tmp_path):
@@ -32,7 +32,7 @@ def test_sheaf_round_trip(tmp_path):
     sheaf = random_sheaf(2, 5, 2, rng)
     sigma = random_cochain0(sheaf, rng)
     path = str(tmp_path / "sheaf.json")
-    jsonio.sheaf_to_json(sheaf, cochain0=sigma, path=path)
+    jsonio.write_text(path, jsonio.sheaf_to_json(sheaf, cochain0=sigma))
     loaded, cochain = jsonio.load_sheaf(path)
     assert loaded.n_stalk == sheaf.n_stalk
     assert loaded.edges == sheaf.edges
@@ -45,15 +45,15 @@ def test_sheaf_round_trip(tmp_path):
 
 def test_cochain_round_trip(tmp_path):
     rng = np.random.default_rng(2)
-    values = {0: random_spd(3, rng), "a": random_spd(3, rng)}
+    values = np.array([random_spd(3, rng), random_spd(3, rng)])
     path = str(tmp_path / "cochain.json")
-    jsonio.cochain0_to_json(3, values, path=path)
+    jsonio.write_text(path, jsonio.cochain0_to_json([0, "a"], values))
     with open(path, encoding="utf-8") as fh:
         obj = json.load(fh)
     assert obj["n_stalk"] == 3
     loaded = {v: np.array(X) for v, X in obj["values"]}
     assert set(loaded) == {0, "a"}
-    np.testing.assert_array_equal(loaded["a"], values["a"])
+    np.testing.assert_array_equal(loaded["a"], values[1])
 
 
 def test_cloud_round_trip(tmp_path):
@@ -97,7 +97,7 @@ def test_malformed_objects_rejected(tmp_path):
     with open(path, "w") as fh:
         json.dump({"n_stalk": 1, "vertices": [0], "edges": [],
                    "cochain0": [[0, {"log_upper": [0.0]}]]}, fh)
-    with pytest.raises(ParseError, match="malformed matrix"):
+    with pytest.raises(ParseError, match="cochain0 vertex 0 must be a nested list, got dict"):
         jsonio.load_sheaf(path)
 
 
@@ -112,6 +112,30 @@ def test_loaded_cochain_values_are_clamped(tmp_path):
     path.write_text(json.dumps(obj))
     _, cochain = jsonio.load_sheaf(str(path))
     assert np.linalg.eigvalsh(cochain[0]).min() >= EIG_FLOOR - 1e-15
+
+
+def test_load_sheaf_floors_cochain0_in_one_eigh(tmp_path, monkeypatch):
+    rng = np.random.default_rng(6)
+    sheaf = random_sheaf(3, 12, 4, rng)
+    # about half the values below the eigenvalue floor, one of them indefinite
+    values = {v: random_spd(3, rng) * (1e-6 if i % 2 else 1.0)
+              for i, v in enumerate(sheaf.vertices)}
+    values[sheaf.vertices[1]] = np.diag([1.0, 0.0, -1.0])
+    path = str(tmp_path / "sheaf.json")
+    jsonio.write_text(path, jsonio.sheaf_to_json(sheaf, cochain0=values))
+    calls, eigh = [], np.linalg.eigh
+
+    def counted_eigh(a, *args, **kwargs):
+        calls.append(np.shape(a))
+        return eigh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", counted_eigh)
+    _, cochain = jsonio.load_sheaf(path)
+    assert calls == [(sheaf.n_vertices, 3, 3)]
+    monkeypatch.undo()
+    assert list(cochain) == list(sheaf.vertices)
+    for v, X in values.items():
+        assert np.array_equal(cochain[v], as_spd(X)), v
 
 
 def test_deterministic_output():
@@ -134,7 +158,8 @@ def _tokens(text: str) -> list[str]:
 def test_dump_json_writes_one_line_from_the_c_encoder(tmp_path):
     obj = {"b": [1.0, 0.1, -2.5e-17, 3], "a": {"z": None, "y": True}, "c": "x, y: [z]"}
     path = tmp_path / "out.json"
-    text = jsonio._dump_json(obj, str(path))
+    text = jsonio._dump_json(obj)
+    jsonio.write_text(str(path), text)
     assert text == json.dumps(obj, sort_keys=True)
     assert path.read_text(encoding="utf-8") == json.dumps(obj, sort_keys=True) + "\n"
     assert _tokens(text) == _tokens(json.dumps(obj, indent=2, sort_keys=True))
@@ -152,7 +177,8 @@ def test_nan_residual_is_written_as_the_nan_token(tmp_path, monkeypatch, capsys)
 
 def _sections_output(tmp_path):
     path = str(tmp_path / "sheaf.json")
-    jsonio.sheaf_to_json(random_sheaf(2, 6, 3, np.random.default_rng(4)), path=path)
+    sheaf = random_sheaf(2, 6, 3, np.random.default_rng(4))
+    jsonio.write_text(path, jsonio.sheaf_to_json(sheaf))
     assert main(["sections", path, "--out", str(tmp_path / "report.json")]) == 0
     return tmp_path / "report.json"
 
@@ -217,3 +243,33 @@ def _json_writers(path: Path) -> list[tuple[str, str]]:
 def test_only_dump_json_writes_json_text():
     writers = [w for p in sorted(PACKAGE.glob("*.py")) for w in _json_writers(p)]
     assert writers == [("jsonio", "_dump_json")]
+
+
+def _writes_and_prints(path: Path) -> list[tuple[str, str, str]]:
+    """(module, enclosing function, "open" or "print") of every ``open`` call
+    with a mode other than reading, and every use of ``print``, in `path`."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    found = []
+
+    def visit(node, where):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            where = node.name
+        if isinstance(node, ast.Name) and node.id == "print":
+            found.append((path.stem, where, "print"))
+        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                and node.func.id == "open"):
+            modes = [*node.args[1:2], *(k.value for k in node.keywords if k.arg == "mode")]
+            if any(not (isinstance(m, ast.Constant) and m.value in ("r", "rb", "rt"))
+                   for m in modes):
+                found.append((path.stem, where, "open"))
+        for child in ast.iter_child_nodes(node):
+            visit(child, where)
+
+    visit(tree, "<module>")
+    return found
+
+
+def test_one_function_writes_files_and_only_the_cli_prints():
+    found = [w for p in sorted(PACKAGE.glob("*.py")) for w in _writes_and_prints(p)]
+    assert [w for w in found if w[2] == "open"] == [("jsonio", "write_text", "open")]
+    assert {module for module, _, kind in found if kind == "print"} == {"cli"}
