@@ -60,7 +60,7 @@ class _OrthGraph:
     ``maps`` holds views into them. The tail and head vertex positions of
     every edge are stored as index arrays, so operators never rebuild them.
     The constructor and :meth:`identity_maps` check their input; graphs made
-    from valid graphs go through :meth:`_from_arrays`, in this module only.
+    from valid parts go through :meth:`_from_arrays`, in this module only.
     """
 
     __slots__ = ("n_stalk", "vertices", "edges", "_tails", "_heads", "_tail_maps", "_head_maps")
@@ -85,18 +85,13 @@ class _OrthGraph:
                                 graph._tail_maps, graph._head_maps)
 
     @classmethod
-    def _union(cls, graphs: Sequence[_OrthGraph]):
-        """Disjoint union of valid graphs, unchecked: their vertices in turn, numbered from
-        0, edge ends offset and map stacks concatenated. One graph is its own union."""
-        if len(graphs) == 1:
-            return graphs[0]
-        offsets = np.cumsum([0] + [g.n_vertices for g in graphs])
-        tails = np.concatenate([g._tails + o for g, o in zip(graphs, offsets)])
-        heads = np.concatenate([g._heads + o for g, o in zip(graphs, offsets)])
-        return cls._from_arrays(tuple(range(offsets[-1])),
-                                tuple(zip(tails.tolist(), heads.tolist())), tails, heads,
-                                np.concatenate([g._tail_maps for g in graphs]),
-                                np.concatenate([g._head_maps for g in graphs]))
+    def _identity_union(cls, n_stalk: int, n_vertices: int, tails, heads):
+        """Identity-map graph on the vertices 0 .. n_vertices - 1 with the edges
+        ``(tails[k], heads[k])``, unchecked: the probe's disjoint union of the
+        clouds it drew, whose k-NN builder yields distinct in-range ends."""
+        eye = np.broadcast_to(np.eye(n_stalk), (len(tails), n_stalk, n_stalk))
+        return cls._from_arrays(tuple(range(n_vertices)),
+                                tuple(zip(tails.tolist(), heads.tolist())), tails, heads, eye, eye)
 
     def _fill(self, vertices, edges, tails, heads, tail_maps, head_maps):
         """Set every slot, unchecked: vertex and edge tuples, the endpoint

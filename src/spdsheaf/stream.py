@@ -94,12 +94,6 @@ class PointCloud:
         return self.points.shape[0]
 
 
-def knn_edges(points) -> list[tuple[int, int]]:
-    """Symmetrized 3-nearest-neighbour edges on positional indices."""
-    d2 = _squared_distances(points)
-    return _edge_list(np.zeros(d2.shape, dtype=bool), d2, np.arange(d2.shape[0]), _KNN)
-
-
 def geometric_graph(points, radius: float) -> list[tuple[int, int]]:
     """Radius graph; vertices left isolated get their 2 nearest neighbours."""
     d2 = _squared_distances(points)
@@ -117,12 +111,37 @@ def _squared_distances(points) -> np.ndarray:
 
 def _edge_list(adj, d2, rows, k: int) -> list[tuple[int, int]]:
     """Sorted pairs i < j of the symmetrized adjacency ``adj``, after each of
-    ``rows`` is linked to its k nearest other vertices (fewer if N <= k)."""
+    ``rows`` is linked to its k nearest other vertices (fewer if N <= k),
+    equal distances going to the lower index."""
     k = min(k, d2.shape[0] - 1)
     if k > 0:
-        adj[rows[:, None], np.argsort(d2[rows], axis=1)[:, :k]] = True
+        adj[rows[:, None], np.argsort(d2[rows], axis=1, kind="stable")[:, :k]] = True
     tails, heads = np.nonzero(np.triu(adj | adj.T, 1))
     return list(zip(tails.tolist(), heads.tolist()))
+
+
+def _knn_pairs(clouds: Sequence[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+    """Symmetrized edges from each point of each (n_i, 3) cloud to its
+    min(3, n_i - 1) nearest others, as end positions ``tails < heads`` in
+    the clouds' disjoint union, cloud by cloud in row-major order. One padded
+    (C, n_max, n_max) pass with :func:`_squared_distances`'s formula, the
+    padding and diagonal infinite; its stable sort sends equal distances to
+    the lower index, so no batch changes a cloud's edges."""
+    sizes = np.array([len(pts) for pts in clouds])
+    n_max = int(sizes.max())
+    real = np.arange(n_max) < sizes[:, None]
+    pts = np.zeros((len(clouds), n_max, 3))
+    pts[real] = np.concatenate(clouds)
+    d2 = np.sum((pts[:, :, None, :] - pts[:, None, :, :]) ** 2, axis=-1)
+    d2[~real[:, None, :] | np.eye(n_max, dtype=bool)] = np.inf
+    k = min(_KNN, n_max - 1)
+    nearest = np.argsort(d2, axis=-1, kind="stable")[..., :k]
+    c, i, r = np.nonzero(real[:, :, None] & (np.arange(k) < sizes[:, None, None] - 1))
+    adj = np.zeros(d2.shape, dtype=bool)
+    adj[c, i, nearest[c, i, r]] = True
+    c, i, j = np.nonzero(np.triu(adj | np.swapaxes(adj, 1, 2), 1))
+    offsets = np.cumsum(sizes) - sizes
+    return offsets[c] + i, offsets[c] + j
 
 
 # ---------------------------------------------------------------------------
@@ -136,7 +155,11 @@ def lift_coordinates(pc: PointCloud) -> np.ndarray:
     one (|V|, 3, 3) stack in ``pc.ids`` order. Exactly translation invariant;
     points at the centroid degrade gracefully to ``EIG_FLOOR I``.
     """
-    centered = pc.points - pc.points.mean(axis=0)
+    return _lift(pc.points - pc.points.mean(axis=0))
+
+
+def _lift(centered: np.ndarray) -> np.ndarray:
+    """:func:`lift_coordinates` of centred points, row by row."""
     norms = np.linalg.norm(centered, axis=1, keepdims=True)
     return embed_phi(centered / (norms + EPS_DIR))
 
@@ -154,18 +177,25 @@ def local_frame(pc: PointCloud) -> tuple[np.ndarray, np.ndarray]:
     directions) falls back to the least-aligned canonical axis and sets the
     vertex flag.
     """
+    return _frames(pc.points, pc.points - pc.points.mean(axis=0), pc.graph)
+
+
+def _frames(points: np.ndarray, centered: np.ndarray,
+            graph: SheafGraph) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`local_frame` of stacked points, their centred copies and a graph
+    on their positions. Each vertex reads only its own edges, in edge order,
+    so the frames of a disjoint union of clouds are each cloud's own."""
     def dot(a, b):
         # (N, 1) row-wise products, each rounded as np.dot rounds one pair
         return (a[:, None, :] @ b[:, :, None])[:, 0]
 
-    tails, heads = pc.graph._tails, pc.graph._heads
-    d = pc.points[heads] - pc.points[tails]
+    tails, heads = graph._tails, graph._heads
+    d = points[heads] - points[tails]
     nd = np.sqrt(dot(d, d))
     d = np.divide(d, nd, out=np.zeros_like(d), where=nd > 0)  # zero-length edges add 0
     # each vertex sums its terms in edge order: +d at the tail, -d at the head
-    agg = np.zeros((pc.n_points, 3))
+    agg = np.zeros((len(points), 3))
     np.add.at(agg, np.column_stack([tails, heads]).ravel(), np.stack([d, -d], 1).reshape(-1, 3))
-    centered = pc.points - pc.points.mean(axis=0)
     flags = np.sqrt(dot(centered, centered)) < 1e-12
     v1 = np.where(flags, np.eye(3)[0], centered)
     v1 /= np.sqrt(dot(v1, v1))
@@ -424,51 +454,51 @@ def geometric_descriptor(pc: PointCloud, params_list: Sequence[LayerParams]) -> 
     lifted states are expressed in their equivariant local frames, making
     the descriptor invariant under rigid motions of the cloud.
     """
-    return _descriptors([pc], params_list, frame_invariant=True)[0]
+    return _describe_chunk([pc.points], pc.graph, params_list, frame_invariant=True)[0]
 
 
-def _descriptors(clouds: Iterable[PointCloud], params_list: Sequence[LayerParams],
-                 frame_invariant: bool) -> np.ndarray:
-    """One :func:`geometric_descriptor` row per cloud, as an (m, 6) array;
-    without ``frame_invariant`` the rows live in the task frame and keep the
-    absolute second-order orientation structure.
+def _descriptors(clouds: Iterable[np.ndarray], params_list: Sequence[LayerParams]) -> np.ndarray:
+    """The probe's (m, 6) descriptor rows, one per (n_i, 3) cloud of points
+    on its 3-NN graph, in the task frame: they keep the absolute
+    second-order orientation structure.
 
     The clouds are read one chunk at a time: consecutive clouds with at most
-    _UNION_VERTICES vertices in all (a larger cloud is a chunk of its own).
-    Each cloud is lifted and framed alone, around its own centroid; the
-    layers then run once on the chunk's disjoint union, and pooling takes
-    one power mean per cloud.
+    _UNION_VERTICES points in all (a larger cloud is a chunk of its own).
+    Each chunk is one graph, with no per-cloud object and no check.
     """
-    rows = [_describe_chunk(chunk, params_list, frame_invariant) for chunk in _chunks(clouds)]
-    return np.concatenate(rows) if rows else np.empty((0, sym_dim(3)))
+    rows = []
+    for chunk in _chunks(clouds):
+        union = SheafGraph._identity_union(3, sum(map(len, chunk)), *_knn_pairs(chunk))
+        rows.append(_describe_chunk(chunk, union, params_list, frame_invariant=False))
+    return np.concatenate(rows)
 
 
-def _chunks(clouds: Iterable[PointCloud]) -> Iterator[list[PointCloud]]:
+def _chunks(clouds: Iterable[np.ndarray]) -> Iterator[list[np.ndarray]]:
     chunk, size = [], 0
-    for pc in clouds:
-        if chunk and size + pc.n_points > _UNION_VERTICES:
+    for pts in clouds:
+        if chunk and size + len(pts) > _UNION_VERTICES:
             yield chunk
             chunk, size = [], 0
-        chunk.append(pc)
-        size += pc.n_points
+        chunk.append(pts)
+        size += len(pts)
     if chunk:
         yield chunk
 
 
-def _describe_chunk(clouds: list[PointCloud], params_list: Sequence[LayerParams],
-                    frame_invariant: bool) -> np.ndarray:
-    sigmas = []
-    for pc in clouds:
-        sigma = lift_coordinates(pc)
-        if frame_invariant:
-            frames, _ = local_frame(pc)
-            sigma = canonicalize(sigma, frames)
-        sigmas.append(sigma)
-    union = SheafGraph._union([pc.graph for pc in clouds])
-    logs = spd_log(np.concatenate(sigmas))
+def _describe_chunk(clouds: list[np.ndarray], union: SheafGraph,
+                    params_list: Sequence[LayerParams], frame_invariant: bool) -> np.ndarray:
+    """One descriptor row per (n_i, 3) cloud of points; ``union`` is the graph
+    on their stacked positions. Each cloud is centred on its own centroid,
+    then the chunk is lifted, framed when ``frame_invariant``, and run
+    through the layers at once; pooling takes one power mean per cloud."""
+    centered = np.concatenate([pts - pts.mean(axis=0) for pts in clouds])
+    sigma = _lift(centered)
+    if frame_invariant:
+        sigma = canonicalize(sigma, _frames(np.concatenate(clouds), centered, union)[0])
+    logs = spd_log(sigma)
     for params in params_list:
         logs = spd_sheaf_layer(union, logs, params)
-    sizes = [pc.n_points for pc in clouds]
+    sizes = [len(pts) for pts in clouds]
     return sym_to_vec(_log_power_mean(logs, 0.5, np.cumsum([0] + sizes[:-1])))
 
 
@@ -594,9 +624,10 @@ def _readout_weights(Z: np.ndarray, Y: np.ndarray) -> np.ndarray:
 # synthetic planarity task
 
 
-def planar_cloud(rng, planar: bool) -> PointCloud:
-    """Sample 8 to 20 points with 3-NN edges: near-coplanar (x, y at scale 0.5,
-    z at 0.02) when ``planar``, else isotropic at scale 0.5."""
+def planar_cloud(rng, planar: bool) -> np.ndarray:
+    """Sample an (n, 3) array of 8 to 20 points: near-coplanar (x, y at scale
+    0.5, z at 0.02) when ``planar``, else isotropic at scale 0.5. The probe
+    joins them by 3-NN edges per chunk (:func:`_descriptors`)."""
     n = int(rng.integers(8, 21))
     if planar:
         pts = np.column_stack([
@@ -606,7 +637,7 @@ def planar_cloud(rng, planar: bool) -> PointCloud:
         ])
     else:
         pts = rng.normal(scale=0.5, size=(n, 3))
-    return PointCloud(pts, knn_edges(pts))
+    return pts
 
 
 def planarity_experiment(seed: int, n_per_class: int = 200,
@@ -630,7 +661,7 @@ def planarity_experiment(seed: int, n_per_class: int = 200,
     # every cloud is drawn before the split, in class order; the descriptor
     # routine reads them one chunk at a time and draws nothing itself
     clouds = (planar_cloud(rng, planar) for planar in (False, True) for _ in range(n_per_class))
-    X = _descriptors(clouds, params, frame_invariant=False)
+    X = _descriptors(clouds, params)
     y = np.repeat([0.0, 1.0], n_per_class)
 
     half = n_per_class // 2

@@ -218,29 +218,21 @@ def test_parallel_edges_allowed():
     assert sheaf.n_edges == 2
 
 
-def test_union_offsets_the_ends_and_concatenates_the_maps():
-    # the probe joins identity-map clouds; here ids are strings and every map differs
-    rng = np.random.default_rng(41)
-    parts = []
-    for ids, edges in ((["a", "b", "c"], [("a", "b"), ("c", "b"), ("a", "c")]),
-                       (["x", "y"], [("y", "x"), ("x", "y")])):
-        maps = [[random_orthogonal(2, rng), random_orthogonal(2, rng)] for _ in edges]
-        parts.append(s.SheafGraph(2, ids, edges, maps))
-    union = s.SheafGraph._union(parts)
+def test_identity_union_is_a_graph_on_positions():
+    # the probe joins its clouds' k-NN edges, offset into one numbering
+    tails, heads = np.array([0, 0, 1, 3, 4, 5]), np.array([1, 2, 2, 4, 5, 6])
+    union = s.SheafGraph._identity_union(2, 7, tails, heads)
     assert type(union) is s.SheafGraph and union.n_stalk == 2
-    assert union.vertices == (0, 1, 2, 3, 4)
-    assert union.edges == ((0, 1), (2, 1), (0, 2), (4, 3), (3, 4))
-    np.testing.assert_array_equal(union._tails, [0, 2, 0, 4, 3])
-    np.testing.assert_array_equal(union._heads, [1, 1, 2, 3, 4])
-    for stack in ("_tail_maps", "_head_maps"):
-        np.testing.assert_array_equal(getattr(union, stack),
-                                      np.concatenate([getattr(g, stack) for g in parts]))
-    sigma = random_spd_stack(2, 5, rng)
-    np.testing.assert_allclose(s.coboundary(union, sigma),
-                               np.concatenate([s.coboundary(parts[0], sigma[:3]),
-                                               s.coboundary(parts[1], sigma[3:])]),
-                               rtol=1e-12, atol=1e-12)
-    assert s.SheafGraph._union(parts[1:]) is parts[1]
+    assert union.vertices == (0, 1, 2, 3, 4, 5, 6)
+    assert union.edges == ((0, 1), (0, 2), (1, 2), (3, 4), (4, 5), (5, 6))
+    assert union._tails is tails and union._heads is heads
+    for stack in (union._tail_maps, union._head_maps):
+        np.testing.assert_array_equal(stack, np.broadcast_to(np.eye(2), (6, 2, 2)))
+        assert not stack.flags.writeable
+    # the checked constructor takes the same topology to the same operators
+    checked = s.SheafGraph.identity_maps(2, range(7), union.edges)
+    sigma = random_spd_stack(2, 7, np.random.default_rng(41))
+    np.testing.assert_array_equal(s.laplacian(union, sigma), s.laplacian(checked, sigma))
 
 
 # ---------------------------------------------------------------------------
@@ -723,7 +715,12 @@ def test_section_summary_is_linear_in_the_graph():
     # 500 components of 20 vertices and 2 chords: kernel_dim 500, so a dense
     # (|V| m, kernel_dim) basis would take 10^4 * 6 * 500 * 8 B = 0.22 GiB
     rng = np.random.default_rng(21)
-    sheaf = s.SheafGraph._union([random_sheaf(3, 20, 2, rng) for _ in range(500)])
+    parts = [random_sheaf(3, 20, 2, rng) for _ in range(500)]
+    sheaf = s.SheafGraph(3, range(20 * len(parts)),
+                         [(20 * c + t, 20 * c + h)
+                          for c, g in enumerate(parts)
+                          for t, h in zip(g._tails.tolist(), g._heads.tolist())],
+                         np.concatenate([np.stack([g._tail_maps, g._head_maps], 1) for g in parts]))
     tracemalloc.start()
     try:
         summary = section_space_summary(sheaf)
@@ -829,12 +826,12 @@ def test_only_the_core_modules_build_graphs_unchecked():
         users |= {(path.stem, f) for f in _enclosing_functions(tree, trusted)}
     assert {module for module, _ in users} == {"sheaf"}, users
     assert {("sheaf", "__init__"), ("sheaf", "identity_maps"), ("sheaf", "_with_maps"),
-            ("sheaf", "_recast"), ("sheaf", "_union")} <= users
+            ("sheaf", "_recast"), ("sheaf", "_identity_union")} <= users
 
     # the helpers that build a graph without a check (the map swap takes any
     # maps) serve only the core modules: file input (jsonio, cli), covgraph
     # and the oracles build graphs through the checking constructors
-    helpers = ("_with_maps", "_recast", "_union")
+    helpers = ("_with_maps", "_recast", "_identity_union")
 
     def unchecked(node):
         return ((isinstance(node, ast.Attribute) and node.attr in helpers)
@@ -849,6 +846,16 @@ def test_only_the_core_modules_build_graphs_unchecked():
     assert not modules & {"jsonio", "cli", "covgraph", "verify"}
     assert {("euclid", "matched_spd_sheaf"), ("stream", "spd_sheaf_layer"),
             ("stream", "diffusion_run")} <= callers
+
+    # the probe's union of the clouds it drew is built by stream alone
+    def union(node):
+        return isinstance(node, ast.Attribute) and node.attr == "_identity_union"
+
+    union_callers = set()
+    for path in sorted(Path(s.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        union_callers |= {(path.stem, f) for f in _enclosing_functions(tree, union)}
+    assert union_callers == {("stream", "_descriptors")}, union_callers
 
 
 def test_one_kernel_algorithm_in_the_primary_code():

@@ -12,13 +12,12 @@ from spdsheaf import sheaf as sheaf_module
 from spdsheaf import stream
 from spdsheaf.cli import main
 from spdsheaf.errors import DomainError, InvalidInputError
-from spdsheaf.spd import _log_power_mean, sym_to_vec
+from spdsheaf.spd import RE_EIG_DELTA, _log_power_mean, sym_to_vec
 from spdsheaf.stream import (
     LayerParams,
     PointCloud,
     canonicalize,
     geometric_graph,
-    knn_edges,
     learnable_isometry,
     planar_cloud,
     planarity_experiment,
@@ -34,6 +33,12 @@ from spdsheaf.verify import random_orthogonal, random_spd
 IDENTITY_PARAMS = LayerParams(w_q=np.eye(3), mlp_w1=np.zeros((stream._HIDDEN, 12)),
                               mlp_b1=np.zeros(stream._HIDDEN),
                               mlp_w2=np.zeros((6, stream._HIDDEN)), mlp_b2=np.zeros(6))
+
+
+def knn_edges(pts) -> list[tuple[int, int]]:
+    """The 3-NN edge list of one cloud: the batched builder's one-cloud case."""
+    tails, heads = stream._knn_pairs([np.asarray(pts, dtype=np.float64)])
+    return list(zip(tails.tolist(), heads.tolist()))
 
 
 def cloud(seed=0, n=10, radius=0.9):
@@ -151,18 +156,23 @@ def test_cloud_topology_is_one_graph(monkeypatch):
     assert checks == [3, 3]
 
 
-def test_probe_checks_each_drawn_cloud_once(monkeypatch):
+def test_probe_makes_no_graph_check_and_one_union_per_chunk(monkeypatch):
+    # the probe draws points, not clouds: no PointCloud and no graph check
+    # per cloud, and one graph per chunk of clouds
     draw, clouds = stream.planar_cloud, []
     monkeypatch.setattr(stream, "planar_cloud",
                         lambda rng, planar: clouds.append(draw(rng, planar)) or clouds[-1])
-    # the number of graphs each union joins: some chunk must join several
-    joined, union = [], s.SheafGraph._union
-    monkeypatch.setattr(s.SheafGraph, "_union",
-                        lambda graphs: joined.append(len(graphs)) or union(graphs))
+    sizes, union = [], s.SheafGraph._identity_union
+    monkeypatch.setattr(s.SheafGraph, "_identity_union",
+                        lambda n, N, *ends: sizes.append(N) or union(n, N, *ends))
+    built, init = [], PointCloud.__init__
+    monkeypatch.setattr(PointCloud, "__init__",
+                        lambda self, *a, **kw: built.append(1) or init(self, *a, **kw))
     checks = _count_checks(monkeypatch)
     planarity_experiment(301, n_per_class=40, n_layers=2)
-    assert len(clouds) == 80 and len(checks) == 80
-    assert sum(joined) == 80 and max(joined) > 1, joined
+    assert len(clouds) == 80 and checks == [] and built == []
+    assert len(sizes) == _chunk_count([len(pts) for pts in clouds]) < 80
+    assert sum(sizes) == sum(len(pts) for pts in clouds)
 
 
 def test_swapped_maps_share_the_topology():
@@ -505,6 +515,37 @@ def test_layer_takes_one_log_stack(form):
         spd_sheaf_layer(pc.graph, bad, IDENTITY_PARAMS)
 
 
+def _layer_reference(edges, logs, params):
+    """The layer rebuilt from public operators: learned maps on a checked
+    sheaf, the Laplacian of the values conjugated by Q, its per-vertex
+    division by max(1, spectral radius) and the documented floor of the sum."""
+    feats = sym_to_vec(logs)
+    tails, heads = np.array(edges).T
+    maps = np.stack(sheaf_learner(params, feats[tails], feats[heads]), axis=1)
+    sheaf = s.SheafGraph(3, range(len(logs)), edges, maps)
+    Q = params.isometry
+    delta = s.spd_log(s.laplacian(sheaf, Q @ s.sym_exp(logs) @ Q.T))
+    radii = np.max(np.abs(np.linalg.eigvalsh(delta)), axis=-1)
+    w, V = np.linalg.eigh(logs + delta / np.maximum(1.0, radii)[:, None, None])
+    # a log eigenvalue w <= 0 becomes RE_EIG_DELTA times its descending position
+    w = np.where(w > 0.0, w, RE_EIG_DELTA * np.arange(3, 0, -1))
+    return (V * w[:, None, :]) @ np.swapaxes(V, -1, -2)
+
+
+def test_layer_matches_a_reference_from_public_operators():
+    for seed in range(20):
+        rng = np.random.default_rng(seed)
+        pts = rng.normal(scale=0.7, size=(12, 3))
+        edges = geometric_graph(pts, radius=0.9)
+        A = rng.normal(size=(12, 3, 3))
+        logs = A + np.swapaxes(A, -1, -2)
+        logs *= rng.uniform(0.2, 1.5) / np.max(np.abs(logs))
+        params = LayerParams.random(3, rng=rng)
+        out = spd_sheaf_layer(s.SheafGraph.identity_maps(3, range(12), edges), logs, params)
+        ref = _layer_reference(edges, logs, params)
+        assert np.max(np.abs(out - ref)) <= 1e-7 * np.max(np.abs(ref)), seed
+
+
 def test_layer_raises_erank():
     pc = cloud(11, n=6)
     rng = np.random.default_rng(12)
@@ -579,34 +620,63 @@ def test_descriptor_makes_five_eighs_at_two_layers(monkeypatch, frame_invariant)
     calls = []
     eigh = np.linalg.eigh
     monkeypatch.setattr(np.linalg, "eigh", lambda *a, **k: calls.append(1) or eigh(*a, **k))
-    stream._descriptors([pc], params, frame_invariant)
+    stream._describe_chunk([pc.points], pc.graph, params, frame_invariant)
     assert len(calls) == 5
 
 
 def _batch_of_clouds() -> list:
-    """Small planar-task clouds around a 1-point cloud, a cloud with an isolated
-    vertex and a cloud larger than one chunk."""
+    """Planar-task point arrays around a 1-point cloud, a 2-point cloud and a
+    cloud larger than one chunk."""
     rng = np.random.default_rng(29)
-    clouds = [planar_cloud(rng, i % 2 == 0) for i in range(30)]
-    pts = rng.normal(scale=0.5, size=(7, 3))
-    clouds[3:3] = [PointCloud([[0.3, 0.2, 0.1]], []), PointCloud(pts, knn_edges(pts[:6]))]
-    big = rng.normal(scale=0.5, size=(stream._UNION_VERTICES + 40, 3))
-    clouds.insert(20, PointCloud(big, knn_edges(big)))
+    clouds = [planar_cloud(rng, i % 2 == 0) for i in range(40)]
+    clouds[3:3] = [np.array([[0.3, 0.2, 0.1]]), rng.normal(scale=0.5, size=(2, 3))]
+    clouds.insert(20, rng.normal(scale=0.5, size=(stream._UNION_VERTICES + 40, 3)))
     return clouds
+
+
+def _union_of(chunk) -> s.SheafGraph:
+    """The probe's graph on a chunk of point arrays."""
+    return s.SheafGraph._identity_union(3, sum(map(len, chunk)), *stream._knn_pairs(chunk))
 
 
 @pytest.mark.parametrize("frame_invariant", [True, False])
 def test_descriptor_rows_do_not_depend_on_the_batch(frame_invariant):
     clouds = _batch_of_clouds()
-    chunks = [[pc.n_points for pc in chunk] for chunk in stream._chunks(clouds)]
-    assert len(chunks) >= 4 and [stream._UNION_VERTICES + 40] in chunks
-    assert [1] not in chunks and [7] not in chunks
+    chunks = list(stream._chunks(iter(clouds)))
+    sizes = [[len(pts) for pts in chunk] for chunk in chunks]
+    assert len(sizes) >= 4 and [stream._UNION_VERTICES + 40] in sizes
+    assert [1] not in sizes and [2] not in sizes
     params = [LayerParams.random(3, rng=np.random.default_rng(30)) for _ in range(2)]
-    rows = stream._descriptors(iter(clouds), params, frame_invariant)
+    rows = np.concatenate([stream._describe_chunk(chunk, _union_of(chunk), params,
+                                                  frame_invariant) for chunk in chunks])
     assert rows.shape == (len(clouds), 6)
-    for pc, row in zip(clouds, rows):
-        alone = stream._descriptors([pc], params, frame_invariant)[0]
+    if not frame_invariant:  # the probe's path
+        assert np.array_equal(stream._descriptors(iter(clouds), params), rows)
+    for pts, row in zip(clouds, rows):
+        # the cloud alone, on its checked 3-NN graph
+        pc = PointCloud(pts, knn_edges(pts))
+        alone = stream._describe_chunk([pc.points], pc.graph, params, frame_invariant)[0]
         assert np.max(np.abs(row - alone)) <= 1e-12 * np.max(np.abs(alone))
+
+
+def test_frames_of_a_union_are_each_clouds_own():
+    # frames on a disjoint union of clouds, isolated vertices, a centroid
+    # vertex, coincident points and collinear neighbours among them, equal
+    # each cloud's local_frame bitwise
+    rng = np.random.default_rng(33)
+    pcs = [PointCloud(*_FRAME_CLOUDS[case]) for case in sorted(_FRAME_CLOUDS)]
+    for _ in range(6):
+        pts = rng.normal(size=(int(rng.integers(1, 15)), 3))
+        pcs.append(PointCloud(pts, geometric_graph(pts, radius=float(rng.uniform(0.2, 1.5)))))
+    offsets = np.cumsum([0] + [pc.n_points for pc in pcs])
+    union = s.SheafGraph._identity_union(
+        3, offsets[-1], np.concatenate([pc.graph._tails + o for pc, o in zip(pcs, offsets)]),
+        np.concatenate([pc.graph._heads + o for pc, o in zip(pcs, offsets)]))
+    clouds = [pc.points for pc in pcs]
+    centered = np.concatenate([pts - pts.mean(axis=0) for pts in clouds])
+    frames, flags = stream._frames(np.concatenate(clouds), centered, union)
+    assert np.array_equal(frames, np.concatenate([s.local_frame(pc)[0] for pc in pcs]))
+    assert np.array_equal(flags, np.concatenate([s.local_frame(pc)[1] for pc in pcs]))
 
 
 def test_pooled_descriptor_permutation_invariant():
@@ -721,7 +791,8 @@ def test_trace_row_lambda2_is_accurate_for_ill_conditioned_values():
 def test_run_layers_stays_finite_past_exp_overflow():
     # the logs grow past 709, where their values overflow float64
     rng = np.random.default_rng(5)
-    pc = planar_cloud(rng, True)
+    pts = planar_cloud(rng, True)
+    pc = PointCloud(pts, knn_edges(pts))
     params = [LayerParams.random(3, rng=rng) for _ in range(800)]
     final, trace = run_layers(pc, s.spd_log(s.lift_coordinates(pc)), params)
     assert np.max(np.linalg.eigvalsh(final)) > 709.8
@@ -865,14 +936,17 @@ def _count_calls(monkeypatch, module, names):
     return calls
 
 
-def test_planarity_experiment_draws_and_lifts_each_cloud_once(monkeypatch, tmp_path):
-    calls = _count_calls(monkeypatch, stream, ["planar_cloud", "lift_coordinates"])
+def test_planarity_experiment_draws_each_cloud_and_lifts_each_chunk_once(monkeypatch,
+                                                                         tmp_path):
+    # 8 clouds of at most 20 points make one chunk, lifted at once
+    names = ["planar_cloud", "lift_coordinates", "_lift", "_knn_pairs"]
+    calls = _count_calls(monkeypatch, stream, names)
     planarity_experiment(seed=3, n_per_class=4)
-    assert calls == {"planar_cloud": 8, "lift_coordinates": 8}
+    assert calls == {"planar_cloud": 8, "lift_coordinates": 0, "_lift": 1, "_knn_pairs": 1}
     # the probe command describes each repeat's clouds once for run and control
     assert main(["probe", "--seed", "3", "--repeats", "2", "--samples", "4",
                  "--out", str(tmp_path / "probe.json")]) == 0
-    assert calls == {"planar_cloud": 24, "lift_coordinates": 24}
+    assert calls == {"planar_cloud": 24, "lift_coordinates": 0, "_lift": 3, "_knn_pairs": 3}
 
 
 def _chunk_count(sizes) -> int:
@@ -894,7 +968,7 @@ def test_planarity_experiment_counts_calls_per_chunk(monkeypatch):
     layers = _count_calls(monkeypatch, stream, ["spd_sheaf_layer"])
     eigs = count_eigs(monkeypatch)
     planarity_experiment(0, n_per_class=200)
-    chunks = _chunk_count([pc.n_points for pc in clouds])
+    chunks = _chunk_count([len(pts) for pts in clouds])
     assert len(clouds) == 400 and chunks == 23
     assert layers == {"spd_sheaf_layer": 2 * chunks}
     assert eigs == {"eigh": 5 * chunks, "eigvalsh": 2 * chunks}
@@ -959,7 +1033,8 @@ def test_graph_builders():
 
 def _edges_by_row_loops(pts, radius=None):
     """Reference edge lists, built one row at a time: 3 nearest neighbours of
-    every vertex, or a radius graph with 2 for each vertex it leaves isolated."""
+    every vertex, or a radius graph with 2 for each vertex it leaves isolated.
+    Equal distances go to the lower index."""
     N = len(pts)
     d2 = np.sum((pts[:, None, :] - pts[None, :, :]) ** 2, axis=-1)
     np.fill_diagonal(d2, np.inf)
@@ -974,19 +1049,21 @@ def _edges_by_row_loops(pts, radius=None):
     else:
         k, rows = 3, range(N)
     for i in rows:
-        for j in np.argsort(d2[i])[:min(k, N - 1)]:
+        for j in np.argsort(d2[i], kind="stable")[:min(k, N - 1)]:
             pairs.add((min(i, int(j)), max(i, int(j))))
     return sorted(pairs)
 
 
+_LATTICE = np.stack(np.meshgrid(*[np.arange(3.0)] * 3, indexing="ij"), -1).reshape(-1, 3)
+
+
 def test_graph_builders_match_row_loops():
     rng = np.random.default_rng(32)
-    lattice = np.stack(np.meshgrid(*[np.arange(3.0)] * 3, indexing="ij"), -1).reshape(-1, 3)
     for trial in range(40):
         if trial % 2:
             pts = rng.normal(size=(int(rng.integers(2, 30)), 3))
         else:  # equal distances: ties in every sort
-            pts = lattice[rng.permutation(27)[:int(rng.integers(2, 28))]]
+            pts = _LATTICE[rng.permutation(27)[:int(rng.integers(2, 28))]]
         assert knn_edges(pts) == _edges_by_row_loops(pts)
         for radius in (0.1, 1.0, 1.5):
             edges = geometric_graph(pts, radius)
@@ -994,3 +1071,28 @@ def test_graph_builders_match_row_loops():
             assert all(i < j for i, j in edges)
     # two far points: the fallback never pairs a vertex with itself
     assert geometric_graph(np.array([[0.0, 0, 0], [5.0, 0, 0]]), 1.0) == [(0, 1)]
+
+
+def _batches(rng):
+    """Batches of clouds for the padded k-NN: mixed sizes, 27-point lattice
+    subsets (ties in every sort), 1- to 3-point clouds and one cloud larger
+    than a chunk."""
+    for _ in range(10):
+        yield [rng.normal(size=(int(rng.integers(1, 25)), 3)) for _ in range(rng.integers(1, 12))]
+        yield [_LATTICE[rng.permutation(27)[:int(rng.integers(1, 28))]]
+               for _ in range(rng.integers(1, 12))]
+        yield [rng.normal(size=(int(rng.integers(1, 4)), 3)) for _ in range(rng.integers(1, 12))]
+    yield [rng.normal(size=(n, 3)) for n in (3, stream._UNION_VERTICES + 40, 1, 12)]
+
+
+def test_batched_knn_matches_row_loops_per_cloud():
+    # each cloud's pairs, offset by the points before it, in cloud order;
+    # padding and the other clouds change no tie
+    rng = np.random.default_rng(34)
+    for clouds in _batches(rng):
+        tails, heads = stream._knn_pairs(clouds)
+        offsets = np.cumsum([0] + [len(pts) for pts in clouds])
+        expected = [(i + o, j + o) for pts, o in zip(clouds, offsets)
+                    for i, j in _edges_by_row_loops(pts)]
+        assert list(zip(tails.tolist(), heads.tolist())) == expected
+
