@@ -569,7 +569,7 @@ def _clamped_eigh(logs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def diffusion_step(sheaf: SheafGraph, logs: Cochain0, normalize: bool = True,
-                   residual: bool = True) -> dict:
+                   residual: bool = True) -> dict | np.ndarray:
     """One Lie-group diffusion update of logs, ``L_v <- L_v + D_v``.
 
     ``D_v`` is the log-domain Laplacian output at v, optionally rescaled so

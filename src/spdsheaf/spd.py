@@ -41,10 +41,6 @@ ORTH_TOL = 1e-10
 #: Maximum distance of |M| from its rounding for a signed permutation.
 SIGNED_PERM_TOL = 1e-10
 
-#: Floor spacing of the stream layer's ReEig: a floored log eigenvalue at
-#: descending position i becomes i * RE_EIG_DELTA.
-RE_EIG_DELTA = 0.1
-
 # Largest eigenvalue whose exp() keeps V diag(exp(w)) V^T and the sum in
 # _sym_part finite: log(float64 max / 2), about 709.09 (exp alone overflows
 # above 709.78).

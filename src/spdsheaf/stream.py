@@ -27,7 +27,6 @@ from .errors import DomainError, InvalidInputError
 from .euclid import embed_phi
 from .sheaf import SheafGraph, _clamped_eigh, _log_update, diffusion_step
 from .spd import (
-    RE_EIG_DELTA,
     _erank_of_spectra,
     _from_spectrum,
     _log_power_mean,
@@ -53,6 +52,10 @@ _KNN, _K_FALLBACK = 3, 2  # neighbours of k-NN vertices and of radius-isolated o
 
 #: Guards the lift's direction normalization; a centroid point lifts to EIG_FLOOR I.
 EPS_DIR = 1e-8
+
+#: Floor spacing of the layer's ReEig: a floored log eigenvalue at descending
+#: position i becomes i * RE_EIG_DELTA.
+RE_EIG_DELTA = 0.1
 
 
 class PointCloud:
@@ -95,50 +98,38 @@ class PointCloud:
 
 
 def geometric_graph(points, radius: float) -> list[tuple[int, int]]:
-    """Radius graph; vertices left isolated get their 2 nearest neighbours."""
-    d2 = _squared_distances(points)
-    near = d2 <= radius**2
-    return _edge_list(near, d2, np.flatnonzero(~near.any(axis=1)), _K_FALLBACK)
-
-
-def _squared_distances(points) -> np.ndarray:
-    """(N, N) squared distances between points, with an infinite diagonal."""
-    pts = np.asarray(points, dtype=np.float64)
-    d2 = np.sum((pts[:, None, :] - pts[None, :, :]) ** 2, axis=-1)
-    np.fill_diagonal(d2, np.inf)
-    return d2
-
-
-def _edge_list(adj, d2, rows, k: int) -> list[tuple[int, int]]:
-    """Sorted pairs i < j of the symmetrized adjacency ``adj``, after each of
-    ``rows`` is linked to its k nearest other vertices (fewer if N <= k),
-    equal distances going to the lower index."""
-    k = min(k, d2.shape[0] - 1)
-    if k > 0:
-        adj[rows[:, None], np.argsort(d2[rows], axis=1, kind="stable")[:, :k]] = True
-    tails, heads = np.nonzero(np.triu(adj | adj.T, 1))
+    """Radius graph on (N, d) points; vertices left isolated get their 2
+    nearest neighbours. An infinite radius gives the complete graph."""
+    if not radius >= 0.0:
+        raise InvalidInputError(f"radius must be non-negative, got {radius}")
+    tails, heads = _knn_pairs([np.asarray(points, dtype=np.float64)], _K_FALLBACK, radius)
     return list(zip(tails.tolist(), heads.tolist()))
 
 
-def _knn_pairs(clouds: Sequence[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
-    """Symmetrized edges from each point of each (n_i, 3) cloud to its
-    min(3, n_i - 1) nearest others, as end positions ``tails < heads`` in
-    the clouds' disjoint union, cloud by cloud in row-major order. One padded
-    (C, n_max, n_max) pass with :func:`_squared_distances`'s formula, the
-    padding and diagonal infinite; its stable sort sends equal distances to
-    the lower index, so no batch changes a cloud's edges."""
+def _knn_pairs(clouds: Sequence[np.ndarray], k: int = _KNN,
+               radius: float | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """Symmetrized edges of each (n_i, d) cloud's radius graph (none without a
+    radius), plus an edge from each point it leaves isolated to its
+    min(k, n_i - 1) nearest others, as end positions ``tails < heads`` in the
+    clouds' disjoint union, cloud by cloud in row-major order. One padded
+    (C, n_max, n_max) pass, the padding and diagonal infinite; the stable sort
+    of the isolated rows sends equal distances to the lower index, so no batch
+    changes a cloud's edges."""
     sizes = np.array([len(pts) for pts in clouds])
     n_max = int(sizes.max())
     real = np.arange(n_max) < sizes[:, None]
-    pts = np.zeros((len(clouds), n_max, 3))
-    pts[real] = np.concatenate(clouds)
+    both = real[:, :, None] & real[:, None, :]
+    flat = np.concatenate(clouds)
+    pts = np.zeros((len(clouds), n_max, flat.shape[1]))
+    pts[real] = flat
     d2 = np.sum((pts[:, :, None, :] - pts[:, None, :, :]) ** 2, axis=-1)
-    d2[~real[:, None, :] | np.eye(n_max, dtype=bool)] = np.inf
-    k = min(_KNN, n_max - 1)
-    nearest = np.argsort(d2, axis=-1, kind="stable")[..., :k]
-    c, i, r = np.nonzero(real[:, :, None] & (np.arange(k) < sizes[:, None, None] - 1))
-    adj = np.zeros(d2.shape, dtype=bool)
-    adj[c, i, nearest[c, i, r]] = True
+    d2[~both | np.eye(n_max, dtype=bool)] = np.inf
+    adj = both & (d2 <= radius**2) if radius is not None else np.zeros(d2.shape, dtype=bool)
+    c, i = np.nonzero(real & ~adj.any(axis=-1))
+    k = max(min(k, n_max - 1), 0)
+    nearest = np.argsort(d2[c, i], axis=-1, kind="stable")[:, :k]
+    row, r = np.nonzero(np.arange(k) < sizes[c, None] - 1)
+    adj[c[row], i[row], nearest[row, r]] = True
     c, i, j = np.nonzero(np.triu(adj | np.swapaxes(adj, 1, 2), 1))
     offsets = np.cumsum(sizes) - sizes
     return offsets[c] + i, offsets[c] + j

@@ -1,8 +1,10 @@
 """Geometric stream: lifting, frames, layers, pooling, probe machinery."""
 
+import ast
 import dataclasses
 import math
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,8 +14,9 @@ from spdsheaf import sheaf as sheaf_module
 from spdsheaf import stream
 from spdsheaf.cli import main
 from spdsheaf.errors import DomainError, InvalidInputError
-from spdsheaf.spd import RE_EIG_DELTA, _log_power_mean, sym_to_vec
+from spdsheaf.spd import _log_power_mean, sym_to_vec
 from spdsheaf.stream import (
+    RE_EIG_DELTA,
     LayerParams,
     PointCloud,
     canonicalize,
@@ -1071,6 +1074,48 @@ def test_graph_builders_match_row_loops():
             assert all(i < j for i, j in edges)
     # two far points: the fallback never pairs a vertex with itself
     assert geometric_graph(np.array([[0.0, 0, 0], [5.0, 0, 0]]), 1.0) == [(0, 1)]
+    # (N, 2) clouds, one point and no point: the builder takes its width from the input
+    for pts in (rng.normal(size=(17, 2)), _LATTICE[:9, 1:], np.zeros((1, 3)), np.zeros((0, 3))):
+        assert knn_edges(pts) == _edges_by_row_loops(pts)
+        for radius in (0.1, 1.0, 1.5):
+            assert geometric_graph(pts, radius) == _edges_by_row_loops(pts, radius=radius)
+
+
+def test_geometric_graph_sorts_only_the_rows_its_radius_leaves_isolated(monkeypatch):
+    sorted_rows = []
+    argsort = np.argsort
+    monkeypatch.setattr(np, "argsort", lambda a, *args, **kwargs: (
+        sorted_rows.append(a.shape[:-1]) or argsort(a, *args, **kwargs)))
+    # a unit cluster of 6 points and 3 points far from it and from each other
+    pts = np.concatenate([np.random.default_rng(3).uniform(size=(6, 3)),
+                          [[10.0, 0, 0], [0, 10.0, 0], [0, 0, 10.0]]])
+    edges = geometric_graph(pts, radius=2.0)
+    assert sorted_rows == [(3,)]
+    assert {(i, j) for i in range(6) for j in range(i + 1, 6)} <= set(edges)
+    sorted_rows.clear()
+    geometric_graph(pts, radius=20.0)
+    assert sorted_rows == [(0,)]
+
+
+def test_geometric_graph_rejects_a_negative_or_nan_radius_and_takes_inf():
+    pts = np.random.default_rng(4).normal(size=(7, 3))
+    for radius in (-0.8, -np.inf, np.nan):
+        with pytest.raises(InvalidInputError, match="radius"):
+            geometric_graph(pts, radius)
+    assert geometric_graph(pts, np.inf) == [(i, j) for i in range(7) for j in range(i + 1, 7)]
+
+
+def test_only_knn_pairs_selects_neighbours():
+    # one neighbour builder in the stream: nothing outside it may sort
+    tree = ast.parse(Path(stream.__file__).read_text(encoding="utf-8"))
+
+    def sorts(root):
+        return [node for node in ast.walk(root) if isinstance(node, (ast.Attribute, ast.Name))
+                and getattr(node, "attr", getattr(node, "id", None)) in ("argsort", "argpartition")]
+
+    knn, = [fn for fn in ast.walk(tree)
+            if isinstance(fn, ast.FunctionDef) and fn.name == "_knn_pairs"]
+    assert sorts(knn) and len(sorts(tree)) == len(sorts(knn))
 
 
 def _batches(rng):
@@ -1087,12 +1132,13 @@ def _batches(rng):
 
 def test_batched_knn_matches_row_loops_per_cloud():
     # each cloud's pairs, offset by the points before it, in cloud order;
-    # padding and the other clouds change no tie
+    # padding and the other clouds change no tie, and no radius links padding
     rng = np.random.default_rng(34)
     for clouds in _batches(rng):
-        tails, heads = stream._knn_pairs(clouds)
         offsets = np.cumsum([0] + [len(pts) for pts in clouds])
-        expected = [(i + o, j + o) for pts, o in zip(clouds, offsets)
-                    for i, j in _edges_by_row_loops(pts)]
-        assert list(zip(tails.tolist(), heads.tolist())) == expected
-
+        for k, radius in ((stream._KNN, None), (stream._K_FALLBACK, 0.5),
+                          (stream._K_FALLBACK, np.inf)):
+            tails, heads = stream._knn_pairs(clouds, k, radius)
+            expected = [(i + o, j + o) for pts, o in zip(clouds, offsets)
+                        for i, j in _edges_by_row_loops(pts, radius=radius)]
+            assert list(zip(tails.tolist(), heads.tolist())) == expected
