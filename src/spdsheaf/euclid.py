@@ -104,7 +104,7 @@ def embed_phi(x) -> np.ndarray:
 
 def matched_spd_sheaf(sheaf: EuclidSheaf) -> SheafGraph:
     """SPD sheaf with the same topology and the same orthogonal maps, unchecked."""
-    return SheafGraph._recast(sheaf)
+    return sheaf._with_maps(sheaf._tail_maps, sheaf._head_maps)
 
 
 # ---------------------------------------------------------------------------

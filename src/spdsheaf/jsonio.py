@@ -17,7 +17,7 @@ from contextlib import contextmanager
 import numpy as np
 
 from .covgraph import Segment
-from .errors import ParseError
+from .errors import InvalidInputError, ParseError
 from .euclid import EuclidSheaf
 from .sheaf import SheafGraph
 from .spd import as_spd, sym_dim
@@ -189,8 +189,12 @@ def _sections_to_json(sheaf: SheafGraph, summary: dict) -> str:
     there is ``+0.0``. So every column starts from the rows of zeros of all
     vertices, in sorted key order and encoded once per report, and from
     ``0.0`` on every edge; only its component's rows and residuals are
-    encoded, by :func:`_dump_json`.
+    encoded, by :func:`_dump_json`. The ids 1 and "1" would share a key, so
+    such a pair is rejected.
     """
+    clash = sorted({str(v) for v in sheaf.vertices if isinstance(v, int)} & set(sheaf.vertices))
+    if clash:
+        raise InvalidInputError(f"vertex ids {clash} are given both as integers and as strings")
     names = [str(v) for v in sheaf.vertices]
     order = sorted(range(len(names)), key=names.__getitem__)
     slot = np.empty(len(order), dtype=np.intp)

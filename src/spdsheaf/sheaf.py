@@ -73,16 +73,11 @@ class _OrthGraph:
         """The one trusted constructor: a graph from valid parts (see :meth:`_fill`)."""
         return cls.__new__(cls)._fill(*parts)
 
-    def _with_maps(self, tail_maps, head_maps):
-        """This topology with new (E, n, n) map stacks, unchecked; the rest is shared."""
-        return self._from_arrays(self.vertices, self.edges, self._tails, self._heads,
-                                 tail_maps, head_maps)
-
-    @classmethod
-    def _recast(cls, graph: _OrthGraph):
-        """`graph` as a `cls`, unchecked: its topology shared, its maps copied."""
-        return cls._from_arrays(graph.vertices, graph.edges, graph._tails, graph._heads,
-                                graph._tail_maps, graph._head_maps)
+    def _with_maps(self, tail_maps, head_maps) -> SheafGraph:
+        """The SPD sheaf on this topology with new (E, n, n) map stacks,
+        unchecked: the topology is shared, the maps copied."""
+        return SheafGraph._from_arrays(self.vertices, self.edges, self._tails, self._heads,
+                                       tail_maps, head_maps)
 
     @classmethod
     def _identity_union(cls, n_stalk: int, n_vertices: int, tails, heads):
@@ -489,19 +484,17 @@ def holonomy_reps(sheaf: SheafGraph) -> list[np.ndarray]:
     return reps[0]
 
 
-def holonomy_fixed_space(reps: Sequence[np.ndarray], n: int | None = None) -> np.ndarray:
+def holonomy_fixed_space(reps: Sequence[np.ndarray], n: int) -> np.ndarray:
     """Orthonormal basis of {A in Sym_n : rho A rho^T = A for all rho}.
 
     Computed as the joint nullspace, at the cutoff NULL_TOL, of the stacked
     conjugation-minus-identity operators on symmetric-matrix coordinates.
-    The representatives must be finite, square and of one size, equal to n
-    when n is given. With no representatives the whole of Sym_n is returned
-    (n must then be given).
+    The representatives must be finite n x n matrices. With no
+    representatives the whole of Sym_n is returned.
     """
-    reps = list(reps)
-    if not reps and (n is None or n < 1):
-        raise InvalidInputError("a positive n is required when the representation list is empty")
-    return _fixed_space(conj_operator(_cochain_stack(reps, None, n)))
+    if n < 1:
+        raise InvalidInputError(f"a positive n is required, got {n}")
+    return _fixed_space(conj_operator(_cochain_stack(list(reps), None, n)))
 
 
 def section_space_summary(sheaf: SheafGraph) -> dict:

@@ -73,19 +73,9 @@ class PointCloud:
         if self.points.ndim != 2 or self.points.shape[1] != 3:
             raise InvalidInputError(f"point coordinates must be an (N, 3) array, "
                                     f"got shape {self.points.shape}")
-        if not np.all(np.isfinite(self.points)):
-            raise InvalidInputError("point cloud has non-finite coordinates")
         if self.points.shape[0] == 0:
             raise InvalidInputError("point cloud is empty")
-        # lifting divides by centroid distances and framing by distances
-        # between points, which are at most twice the largest centroid
-        # distance: no square of either may overflow
-        with np.errstate(over="ignore", invalid="ignore"):
-            centered = self.points - self.points.mean(axis=0)
-            reach = 2.0 * np.max(np.linalg.norm(centered, axis=1))
-            if not np.isfinite(reach * reach):
-                raise InvalidInputError("point cloud coordinates are too large: "
-                                        "squared distances overflow")
+        _check_coordinates(self.points)
         ids = tuple(ids) if ids is not None else range(self.points.shape[0])
         if len(ids) != self.points.shape[0]:
             raise InvalidInputError("one id per point required")
@@ -97,12 +87,31 @@ class PointCloud:
         return self.points.shape[0]
 
 
+def _check_coordinates(points: np.ndarray) -> None:
+    """Reject (N, d) points that are not finite, or so far apart that a
+    squared distance between them overflows."""
+    if not np.all(np.isfinite(points)):
+        raise InvalidInputError("point cloud has non-finite coordinates")
+    if len(points) == 0:
+        return
+    # lifting divides by centroid distances, and framing and the neighbour
+    # graph by distances between points, which are at most twice the largest
+    # centroid distance: no square of either may overflow
+    with np.errstate(over="ignore", invalid="ignore"):
+        reach = 2.0 * np.max(np.linalg.norm(points - points.mean(axis=0), axis=1))
+        if not np.isfinite(reach * reach):
+            raise InvalidInputError("point cloud coordinates are too large: "
+                                    "squared distances overflow")
+
+
 def geometric_graph(points, radius: float) -> list[tuple[int, int]]:
     """Radius graph on (N, d) points; vertices left isolated get their 2
     nearest neighbours. An infinite radius gives the complete graph."""
     if not radius >= 0.0:
         raise InvalidInputError(f"radius must be non-negative, got {radius}")
-    tails, heads = _knn_pairs([np.asarray(points, dtype=np.float64)], _K_FALLBACK, radius)
+    points = np.asarray(points, dtype=np.float64)
+    _check_coordinates(points)
+    tails, heads = _knn_pairs([points], _K_FALLBACK, radius)
     return list(zip(tails.tolist(), heads.tolist()))
 
 

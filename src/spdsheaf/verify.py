@@ -57,7 +57,7 @@ from .sheaf import (
     laplacian,
     sheaf_index,
 )
-from .spd import dist_airm, dist_lem, group_op, sym_exp
+from .spd import cayley, dist_airm, dist_lem, group_op, sym_exp
 
 TOLERANCES = {
     "isometry": 1e-8,
@@ -104,16 +104,10 @@ class Verdict:
 # seeded instance generators
 
 
-def _cayley(A: np.ndarray) -> np.ndarray:
-    """Special-orthogonal (..., n, n) stack: Cayley transform of A's skew part."""
-    S = A - np.swapaxes(A, -1, -2)
-    I = np.eye(A.shape[-1])
-    return np.linalg.solve(I - 0.5 * S, I + 0.5 * S)
-
-
 def random_orthogonal(n: int, rng) -> np.ndarray:
     """Special-orthogonal sample via the Cayley transform of a random skew matrix."""
-    return _cayley(rng.normal(size=(n, n)))
+    A = rng.normal(size=(n, n))
+    return cayley(A - A.T)
 
 
 def random_spd_stack(n: int, count: int, rng, spread: float = 10.0) -> np.ndarray:
@@ -129,7 +123,7 @@ def random_spd_stack(n: int, count: int, rng, spread: float = 10.0) -> np.ndarra
     # the arithmetic of rng.normal (0 + 1 z) and rng.uniform (low + (high - low) x)
     A += 0.0
     u = -half + (half - -half) * U
-    Q = _cayley(A)
+    Q = cayley(A - np.swapaxes(A, -1, -2))
     P = (Q * np.exp(u)[:, None, :]) @ np.swapaxes(Q, -1, -2)
     return 0.5 * (P + np.swapaxes(P, -1, -2))
 
@@ -163,7 +157,8 @@ def random_sheaf(n_stalk: int, n_vertices: int, extra_edges: int, rng,
     if identity_maps:
         return sheaf_cls.identity_maps(n_stalk, range(n_vertices), edges)
     # one block draws the same normals as two random_orthogonal calls per edge
-    maps = _cayley(rng.normal(size=(len(edges), 2, n_stalk, n_stalk)))
+    A = rng.normal(size=(len(edges), 2, n_stalk, n_stalk))
+    maps = cayley(A - np.swapaxes(A, -1, -2))
     return sheaf_cls(n_stalk, range(n_vertices), edges, maps)
 
 
@@ -567,7 +562,7 @@ def _evaluate_all(jobs: list) -> list[Verdict]:
     return list(map(_call, jobs))
 
 
-def run_suite(config: SuiteConfig | None = None) -> tuple[list[Verdict], int]:
+def run_suite(config: SuiteConfig) -> tuple[list[Verdict], int]:
     """Run the configured checks; exit code 1 if any verdict fails.
 
     This process draws every instance, the oracle calls run on worker
@@ -575,7 +570,6 @@ def run_suite(config: SuiteConfig | None = None) -> tuple[list[Verdict], int]:
     in draw order: verdicts and failure dumps are the same at every worker
     count.
     """
-    config = config or SuiteConfig()
     drawn = {check: list(_draw(config, check)) for check in config.checks}
     results = iter(_evaluate_all([job for pairs in drawn.values() for _, job in pairs]))
     verdicts = [_fold(config, check, [(instance, next(results)) for instance, _ in pairs])

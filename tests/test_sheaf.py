@@ -573,7 +573,7 @@ def test_connected_components_in_vertex_order():
 def test_holonomy_fixed_space_examples():
     assert s.holonomy_fixed_space([], 2).shape[1] == s.sym_dim(2)
     # reflection: diagonal matrices are fixed
-    assert s.holonomy_fixed_space([np.diag([1.0, -1.0])]).shape[1] == 2
+    assert s.holonomy_fixed_space([np.diag([1.0, -1.0])], 2).shape[1] == 2
     # generic rotations in n=3: only multiples of the identity survive
     rng = np.random.default_rng(12)
     reps = [random_orthogonal(3, rng) for _ in range(3)]
@@ -585,10 +585,11 @@ def test_holonomy_fixed_space_examples():
 
 @pytest.mark.parametrize("reps, n, match", [
     ([np.eye(3)], 2, r"got \(1, 3, 3\)"),
-    ([np.eye(2), np.eye(3)], None, "one square shape"),
+    ([np.eye(2), np.eye(3)], 2, "one square shape"),
     ([np.diag([np.nan, 1.0])], 2, "non-finite"),
-    ([np.ones((2, 3))], None, r"one square shape, got \(1, 2, 3\)"),
-    ([], None, "positive n"),
+    ([np.ones((2, 3))], 2, r"one square shape, got \(1, 2, 3\)"),
+    ([], 0, "positive n"),
+    ([np.eye(2)], 0, "positive n"),
 ])
 def test_holonomy_fixed_space_rejects_bad_representatives(reps, n, match):
     with pytest.raises(InvalidInputError, match=match):
@@ -826,12 +827,12 @@ def test_only_the_core_modules_build_graphs_unchecked():
         users |= {(path.stem, f) for f in _enclosing_functions(tree, trusted)}
     assert {module for module, _ in users} == {"sheaf"}, users
     assert {("sheaf", "__init__"), ("sheaf", "identity_maps"), ("sheaf", "_with_maps"),
-            ("sheaf", "_recast"), ("sheaf", "_identity_union")} <= users
+            ("sheaf", "_identity_union")} <= users
 
     # the helpers that build a graph without a check (the map swap takes any
     # maps) serve only the core modules: file input (jsonio, cli), covgraph
     # and the oracles build graphs through the checking constructors
-    helpers = ("_with_maps", "_recast", "_identity_union")
+    helpers = ("_with_maps", "_identity_union")
 
     def unchecked(node):
         return ((isinstance(node, ast.Attribute) and node.attr in helpers)

@@ -1,6 +1,8 @@
 """SPD geometry kernel: frozen examples plus seeded property loops."""
 
+import ast
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -303,6 +305,24 @@ def test_cayley_smooth():
 def test_cayley_rejects_non_skew():
     with pytest.raises(InvalidInputError):
         s.cayley(np.eye(2))
+
+
+def test_only_cayley_and_the_readout_solve_linear_systems():
+    # one Cayley transform in the package: a second copy needs its own solve
+    allowed = {("spd", "cayley"), ("stream", "_readout_weights")}
+
+    def solves(root):
+        return [node for node in ast.walk(root) if isinstance(node, (ast.Attribute, ast.Name))
+                and getattr(node, "attr", getattr(node, "id", None)) == "solve"]
+
+    found = []
+    for path in sorted(Path(s.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        owners = [fn for fn in ast.walk(tree) if isinstance(fn, ast.FunctionDef)
+                  and (path.stem, fn.name) in allowed]
+        assert len(solves(tree)) == sum(len(solves(fn)) for fn in owners), path.stem
+        found += [(path.stem, fn.name) for fn in owners if solves(fn)]
+    assert sorted(found) == sorted(allowed)
 
 
 def test_cayley_stack_matches_per_matrix():

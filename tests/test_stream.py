@@ -4,6 +4,7 @@ import ast
 import dataclasses
 import math
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -1103,6 +1104,21 @@ def test_geometric_graph_rejects_a_negative_or_nan_radius_and_takes_inf():
         with pytest.raises(InvalidInputError, match="radius"):
             geometric_graph(pts, radius)
     assert geometric_graph(pts, np.inf) == [(i, j) for i in range(7) for j in range(i + 1, 7)]
+
+
+@pytest.mark.parametrize("bad, match", [(np.nan, "non-finite"), (np.inf, "non-finite"),
+                                        (1e200, "too large")])
+def test_geometric_graph_rejects_non_finite_and_overflowing_points(bad, match):
+    # the PointCloud check, before any distance is formed: no NaN point gets
+    # fallback neighbours and no squared distance overflows with a warning
+    for d in (3, 2):
+        pts = np.zeros((3, d))
+        pts[1:, 0] = [bad, 1.0]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InvalidInputError, match=match):
+                geometric_graph(pts, 0.5)
+    assert geometric_graph(np.zeros((0, 2)), 0.5) == geometric_graph([[1e200, 0.0]], 0.5) == []
 
 
 def test_only_knn_pairs_selects_neighbours():

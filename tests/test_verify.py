@@ -98,8 +98,8 @@ def test_random_spd_stack_matches_successive_draws(n, spread):
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_random_spd_stack_draws_are_the_normal_and_uniform_draws(monkeypatch, n, spread,
                                                                  count):
-    # the Cayley input and the eigenvalue logs are bitwise those of a loop of
-    # rng.normal(size=(n, n)) and rng.uniform(-h, h, size=n) calls
+    # the Cayley input is bitwise A - A^T, and the eigenvalue logs are bitwise
+    # u, of a loop of A = rng.normal(size=(n, n)), u = rng.uniform(-h, h, size=n)
     rng, ref = np.random.default_rng(10 * n + count), np.random.default_rng(10 * n + count)
     half = 0.5 * math.log(spread)
     draws = [(ref.normal(size=(n, n)), ref.uniform(-half, half, size=n)) for _ in range(count)]
@@ -111,13 +111,14 @@ def test_random_spd_stack_draws_are_the_normal_and_uniform_draws(monkeypatch, n,
             return f(x)
         return call
 
-    monkeypatch.setattr(verify, "_cayley", recorded("A", verify._cayley))
+    monkeypatch.setattr(verify, "cayley", recorded("S", verify.cayley))
     monkeypatch.setattr(verify.np, "exp", recorded("u", np.exp))
     random_spd_stack(n, count, rng, spread)
     monkeypatch.undo()
     A = np.reshape([a for a, _ in draws], (count, n, n))
     u = np.reshape([u for _, u in draws], (count, n))
-    assert seen["A"].tobytes() == A.tobytes() and seen["u"].tobytes() == u.tobytes()
+    S = A - np.swapaxes(A, -1, -2)
+    assert seen["S"].tobytes() == S.tobytes() and seen["u"].tobytes() == u.tobytes()
     assert rng.bit_generator.state == ref.bit_generator.state
 
 
