@@ -587,7 +587,9 @@ def test_holonomy_fixed_space_examples():
     ([np.eye(3)], 2, r"got \(1, 3, 3\)"),
     ([np.eye(2), np.eye(3)], 2, "one square shape"),
     ([np.diag([np.nan, 1.0])], 2, "non-finite"),
-    ([np.ones((2, 3))], 2, r"one square shape, got \(1, 2, 3\)"),
+    # the id this row had while n was optional (n was None), kept so the case keeps its name
+    pytest.param([np.ones((2, 3))], 2, r"one square shape, got \(1, 2, 3\)",
+                 id=r"reps3-None-one square shape, got \(1, 2, 3\)"),
     ([], 0, "positive n"),
     ([np.eye(2)], 0, "positive n"),
 ])
